@@ -23,6 +23,11 @@ Subsystems:
 
 __version__ = "0.1.0"
 
-from ._backend import backend_name
+
+def backend_name() -> str:
+    """Always ``"python"``: the package is pure Python.  Kept because the
+    benchmark records it in its environment block."""
+    return "python"
+
 
 __all__ = ["backend_name", "__version__"]

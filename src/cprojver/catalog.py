@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .parse import ParseError, parse_field, parse_poly
-from .poly import PolyError, VarTable
+from .poly import PolyError, VarTable, accumulate
 from .scalars import GaussQ
 from .tensorcalc import (
     Chart,
@@ -617,13 +617,7 @@ def _realify_field(comps, chart, n):
         half = GaussQ("1/2")
         ih = GaussQ(0, Fraction(1, 2)) if barred else GaussQ(0, Fraction(-1, 2))
         for r, c in ((base, half), (base + 1, ih)):
-            v = rp * c
-            s = out.get(r)
-            s = v if s is None else s + v
-            if s.is_zero():
-                out.pop(r, None)
-            else:
-                out[r] = s
+            accumulate(out, r, rp * c)
     real = {}
     for r, p in out.items():
         q = p + p.conj()

@@ -10,7 +10,8 @@ Subcommands::
     cproj metric  --model submax-metric --n 2 [--signs +-] [--out ...]
 
 Every run prints one line per check and writes an optional JSON report; the
-exit status is 0 exactly when every check passes.  The environment variable
+exit status is 0 when every check passes, 1 when a named check fails and 2 on
+a usage, manifest or internal error.  The environment variable
 CPROJ_CATALOG overrides the built-in manifest directory.
 """
 
@@ -97,11 +98,14 @@ def cmd_verify(args):
         checks = _battery_for_spec(spec, fast=args.fast, max_degree=args.max_degree)
         return _emit(args, f"verify --model {args.model}", checks, started)
     else:
-        from .catalog import MODEL_NAMES
+        from .catalog import MODEL_NAMES, builtin
 
         if args.model not in MODEL_NAMES:
             print(f"unknown model {args.model!r}; available: {MODEL_NAMES}", file=sys.stderr)
             return 2
+        if args.n is None:
+            # the manifest's smallest n, as parse_model_manifest defaults it
+            args.n = builtin(args.model).n
         jobs = [(args.model, args.n)]
     checks = []
     if args.jobs > 1 and len(jobs) > 1:
@@ -229,6 +233,10 @@ def main(argv=None):
         return args.fn(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        msg = str(exc).replace("\n", " ")
+        print(f"internal error: {type(exc).__name__}: {msg}", file=sys.stderr)
         return 2
 
 

@@ -14,8 +14,8 @@ its first nonzero coordinate equals 1.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
-from . import _backend
 from .scalars import GaussQ
 
 # matrices at most this wide take the dense Bareiss route in rank()
@@ -30,24 +30,85 @@ def _scale_row_to_int(row):
         if isinstance(v, Fraction):
             d = v.denominator
             if d != 1:
-                g = _gcd(lcm, d)
+                g = gcd(lcm, d)
                 lcm = lcm // g * d
     out = {}
     for k, v in row.items():
         iv = int(v * lcm) if isinstance(v, Fraction) else v * lcm
         if iv:
             out[k] = iv
-    g = _backend.row_content(out)
+    g = _row_content(out)
     if g > 1:
         for k in out:
             out[k] //= g
     return out
 
 
-def _gcd(a, b):
-    from math import gcd
+# -- integer row kernels (rows are dicts mapping a column key to a nonzero int) --
 
-    return gcd(a, b)
+
+def _row_update(r, p, a, b):
+    """In place: r := a*r - b*p, then divide by the content gcd."""
+    if a != 1:
+        for k in r:
+            r[k] *= a
+    for k, v in p.items():
+        s = r.get(k, 0) - b * v
+        if s:
+            r[k] = s
+        else:
+            r.pop(k, None)
+    if not r:
+        return
+    g = 0
+    for v in r.values():
+        g = gcd(g, v)
+        if g == 1:
+            return
+    if g > 1:
+        for k in r:
+            r[k] //= g
+
+
+def _row_content(r):
+    g = 0
+    for v in r.values():
+        g = gcd(g, v)
+        if g == 1:
+            return 1
+    return g
+
+
+def _bareiss_rank(rows, ncols):
+    """Rank of a dense integer matrix (list of lists), fraction-free."""
+    m = [list(r) for r in rows]
+    nrows = len(m)
+    prev = 1
+    rank = 0
+    row = 0
+    for col in range(ncols):
+        piv = -1
+        for i in range(row, nrows):
+            if m[i][col]:
+                piv = i
+                break
+        if piv < 0:
+            continue
+        if piv != row:
+            m[row], m[piv] = m[piv], m[row]
+        pv = m[row][col]
+        for i in range(row + 1, nrows):
+            ri = m[i]
+            rv = ri[col]
+            for j in range(col + 1, ncols):
+                ri[j] = (pv * ri[j] - rv * m[row][j]) // prev
+            ri[col] = 0
+        prev = pv
+        rank += 1
+        row += 1
+        if row == nrows:
+            break
+    return rank
 
 
 class LinearSystem:
@@ -76,7 +137,7 @@ class LinearSystem:
             if p is None:
                 self.pivots[c] = r
                 return True
-            _backend.row_update(r, p, p[c], r[c])
+            _row_update(r, p, p[c], r[c])
         return False
 
     def rank(self):
@@ -94,7 +155,7 @@ class LinearSystem:
             for c2 in sorted(k for k in r if k != c and k in reduced):
                 if c2 in r:
                     p = reduced[c2]
-                    _backend.row_update(r, p, p[c2], r[c2])
+                    _row_update(r, p, p[c2], r[c2])
             reduced[c] = r
         return reduced
 
@@ -203,7 +264,7 @@ class ExactMatrix:
         if self.nrows == 0 or self.ncols == 0:
             return 0
         if self.is_real() and max(self.nrows, self.ncols) <= BAREISS_MAX_DIM:
-            return _backend.bareiss_rank(self._int_rows(), self.ncols)
+            return _bareiss_rank(self._int_rows(), self.ncols)
         return self.rank_sparse()
 
     def rank_sparse(self):
@@ -224,7 +285,7 @@ class ExactMatrix:
     def rank_bareiss(self):
         if not self.is_real():
             raise ValueError("Bareiss route is for rational matrices")
-        return _backend.bareiss_rank(self._int_rows(), self.ncols)
+        return _bareiss_rank(self._int_rows(), self.ncols)
 
     def kernel(self):
         """Canonical kernel basis as lists of GaussQ, first nonzero = 1."""

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .linalg import SpanSolver, signature
-from .poly import LaurentPoly, PolyError
+from .poly import LaurentPoly, PolyError, accumulate
 from .scalars import GaussQ
 from .symsolve import AnsatzSpace, SystemBuilder
 from .tensorcalc import (
@@ -83,14 +83,7 @@ def kahler_form(g: Tensor, J: Tensor) -> Tensor:
         for (c2, b), q in g.comps.items():
             if c2 != c:
                 continue
-            key = (a, b)
-            v = p * q
-            s = comps.get(key)
-            s = v if s is None else s + v
-            if s.is_zero():
-                comps.pop(key, None)
-            else:
-                comps[key] = s
+            accumulate(comps, (a, b), p * q)
     return Tensor(g.chart, (0, 2), comps)
 
 
@@ -100,31 +93,21 @@ def covariant_derivative_02(G: Tensor, t: Tensor) -> Tensor:
     names = chart.table.names
     out = {}
 
-    def acc(key, val):
-        if val.is_zero():
-            return
-        s = out.get(key)
-        s = val if s is None else s + val
-        if s.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = s
-
     for (a, b), p in t.comps.items():
         for c in range(d):
             q = p.derivative(names[c])
             if not q.is_zero():
-                acc((c, a, b), q)
+                accumulate(out, (c, a, b), q)
     for (dd, c, a), p in G.comps.items():
         for (d2, b), q in t.comps.items():
             if d2 != dd:
                 continue
-            acc((c, a, b), -(p * q))
+            accumulate(out, (c, a, b), -(p * q))
     for (dd, c, b), p in G.comps.items():
         for (a, d2), q in t.comps.items():
             if d2 != dd:
                 continue
-            acc((c, a, b), -(p * q))
+            accumulate(out, (c, a, b), -(p * q))
     return Tensor(chart, (0, 3), out)
 
 
@@ -229,33 +212,17 @@ def _mobility_operator(g, ginv, J, gamma):
             la = lam.get(a)
             if la is None:
                 continue
-            s = jlam.get(j)
-            v = la * q
-            s = v if s is None else s + v
-            if s.is_zero():
-                jlam.pop(j, None)
-            else:
-                jlam[j] = s
+            accumulate(jlam, j, la * q)
         out = dict(nb.comps)
-
-        def acc(key, val):
-            if val.is_zero():
-                return
-            s = out.get(key)
-            s = val if s is None else s + val
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
 
         for (a, c), p in g.comps.items():
             for b, lb in lam.items():
-                acc((c, a, b), -(p * lb))
-                acc((c, b, a), -(p * lb))
+                accumulate(out, (c, a, b), -(p * lb))
+                accumulate(out, (c, b, a), -(p * lb))
         for (a, c), p in om.comps.items():
             for b, lb in jlam.items():
-                acc((c, a, b), -(p * lb))
-                acc((c, b, a), -(p * lb))
+                accumulate(out, (c, a, b), -(p * lb))
+                accumulate(out, (c, b, a), -(p * lb))
         return Tensor(chart, (0, 3), out)
 
     return apply
@@ -345,12 +312,7 @@ def mobility_dimension(spec, ansatz: AnsatzSpace = None, stabilize=True):
             la = lam.get(a)
             if la is None or la.is_zero():
                 continue
-            cur = grad.get(i, chart.zero())
-            s = cur + p * la
-            if s.is_zero():
-                grad.pop(i, None)
-            else:
-                grad[i] = s
+            accumulate(grad, i, p * la)
         records.append((theta, lam, grad))
     return MobilityResult(
         dim=len(basis),
@@ -413,14 +375,7 @@ def parallel_forms(spec, ansatz: AnsatzSpace = None):
             for (c, b, k), p in gamma.comps.items():
                 if c != a:
                     continue
-                key = (b, k)
-                s = out.get(key)
-                v = -(p * mono)
-                s = v if s is None else s + v
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
+                accumulate(out, (b, k), -(p * mono))
             builder.add_output(col, "PAR", Tensor(chart, (0, 2), out))
     kernel, _ = builder.kernel()
     basis = []
@@ -484,28 +439,14 @@ def equivalent_metric_family(spec, c_matrix):
         for (a2, j), q in g.comps.items():
             if a2 != a:
                 continue
-            key = (i, j)
-            s = A.get(key)
-            v = p * q
-            s = v if s is None else s + v
-            if s.is_zero():
-                A.pop(key, None)
-            else:
-                A[key] = s
+            accumulate(A, (i, j), p * q)
     At = Tensor(chart, (1, 1), A)
     B = {}
     for (c2, a), p in At.comps.items():
         for (c3, b), q in g.comps.items():
             if c3 != c2:
                 continue
-            key = (a, b)
-            s = B.get(key)
-            v = p * q
-            s = v if s is None else s + v
-            if s.is_zero():
-                B.pop(key, None)
-            else:
-                B[key] = s
+            accumulate(B, (a, b), p * q)
     Bt = Tensor(chart, (0, 2), B)
     return ghat, At, Bt
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 
-from .poly import LaurentPoly, PolyError
+from .poly import LaurentPoly, PolyError, accumulate
 from .scalars import GaussQ
 
 
@@ -69,12 +69,7 @@ class FieldValue:
         if isinstance(other, FieldValue):
             out = dict(self.comps)
             for k, v in other.comps.items():
-                s = out.get(k)
-                s = v if s is None else s + v
-                if s.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = s
+                accumulate(out, k, v)
             return FieldValue(self.table, out)
         raise PolyError("cannot add a scalar to a vector field")
 

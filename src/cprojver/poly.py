@@ -447,6 +447,19 @@ def _gpow(v: GaussQ, e: int) -> GaussQ:
     return out
 
 
+def accumulate(out, key, val):
+    """out[key] += val, never storing a zero: sparse dicts of GaussQ or
+    LaurentPoly values hold only nonzero entries."""
+    if val.is_zero():
+        return
+    s = out.get(key)
+    s = val if s is None else s + val
+    if s.is_zero():
+        out.pop(key, None)
+    else:
+        out[key] = s
+
+
 def _mul_terms(a, b):
     out = {}
     if len(a) > len(b):

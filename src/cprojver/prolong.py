@@ -439,6 +439,10 @@ def subalgebra_with_cochain(ctype, n):
     consumable by `structlie.StructAlgebra`: brackets and cochain values are
     sparse coefficient dicts over the returned labels.
     """
+    if ctype == "I" and n == 2:
+        # the algebraic bound 8 is not realizable at n=2 (see theorem_table)
+        raise ValueError("type I deformation needs n >= 3: at n=2 the bracket "
+                         "escapes g_-1 + ann")
     g = SlPair(n)
     _, psi = lowest_weight_vector(ctype, n)
     ann = annihilator(psi, g, ctype)

@@ -68,13 +68,7 @@ class StructAlgebra:
                 if _is_zero(cj):
                     continue
                 for k, c in self.bracket_units(i, j).items():
-                    v = ci * cj * c
-                    s = out.get(k)
-                    s = v if s is None else s + v
-                    if _is_zero(s):
-                        out.pop(k, None)
-                    else:
-                        out[k] = s
+                    _acc(out, k, ci * cj * c)
         return out
 
     # -- validity ---------------------------------------------------------------

@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import product
 
 from .linalg import LinearSystem, SpanSolver
-from .poly import LaurentPoly, PolyError
+from .poly import LaurentPoly, PolyError, _mul_terms, accumulate
 from .scalars import GaussQ
 from .tensorcalc import (
     Tensor,
@@ -130,23 +130,8 @@ def _raise_denominator(p: LaurentPoly, den_target):
     for k, (have, want) in enumerate(zip(p.den, den_target)):
         for _ in range(want - have):
             dk = dict(p.table.den_terms[k])
-            terms = _mul_terms_local(terms, dk)
+            terms = _mul_terms(terms, dk)
     return terms
-
-
-def _mul_terms_local(a, b):
-    out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            c = ca * cb
-            s = out.get(e)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = s
-    return out
 
 
 # -- operators -------------------------------------------------------------------
@@ -188,24 +173,14 @@ def cproj_operator(spec):
                 sig[j] = s
         out = dict(om.comps)
 
-        def acc(key, val):
-            if val.is_zero():
-                return
-            s = out.get(key)
-            s = val if s is None else s + val
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-
         for j, p in phi.items():
             for i in range(dim):
-                acc((i, j, i), -p)
-                acc((i, i, j), -p)
+                accumulate(out, (i, j, i), -p)
+                accumulate(out, (i, i, j), -p)
         for j, p in sig.items():
             for (i, k), q in J.comps.items():
-                acc((i, j, k), p * q)
-                acc((i, k, j), p * q)
+                accumulate(out, (i, j, k), p * q)
+                accumulate(out, (i, k, j), p * q)
         return [("LJ", lj), ("CP", Tensor(chart, (1, 2), out))]
 
     return apply

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .poly import LaurentPoly, PolyError, VarTable
+from .poly import LaurentPoly, PolyError, VarTable, accumulate
 from .scalars import GaussQ
 
 
@@ -163,30 +163,20 @@ def nijenhuis(J: Tensor) -> Tensor:
                 dJ[(a, i, j)] = q
     out = {}
 
-    def acc(key, val):
-        if val.is_zero():
-            return
-        s = out.get(key)
-        s = val if s is None else s + val
-        if s.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = s
-
     for (a, i, k), q in dJ.items():
         # J^a_j d_a J^i_k  and  - J^a_k d_a J^i_j
         for (a2, j), p in J.comps.items():
             if a2 != a:
                 continue
-            acc((i, j, k), p * q)
-            acc((i, k, j), -(p * q))
+            accumulate(out, (i, j, k), p * q)
+            accumulate(out, (i, k, j), -(p * q))
     for (i, a), p in J.comps.items():
         # + J^i_a d_k J^a_j - J^i_a d_j J^a_k
         for (k, a2, j), q in dJ.items():
             if a2 != a:
                 continue
-            acc((i, j, k), p * q)
-            acc((i, k, j), -(p * q))
+            accumulate(out, (i, j, k), p * q)
+            accumulate(out, (i, k, j), -(p * q))
     return Tensor(chart, (1, 2), out)
 
 
@@ -209,22 +199,12 @@ def curvature(G: Tensor) -> Tensor:
     names = chart.table.names
     out = {}
 
-    def acc(key, val):
-        if val.is_zero():
-            return
-        s = out.get(key)
-        s = val if s is None else s + val
-        if s.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = s
-
     for (i, l, j), p in G.comps.items():
         for k in range(d):
             q = p.derivative(names[k])
             if not q.is_zero():
-                acc((i, j, k, l), q)   # d_k G^i_{lj}
-                acc((i, j, l, k), -q)  # antisymmetrized
+                accumulate(out, (i, j, k, l), q)   # d_k G^i_{lj}
+                accumulate(out, (i, j, l, k), -q)  # antisymmetrized
     items = list(G.comps.items())
     by_upper = {}
     for (a, l, j), p in items:
@@ -232,8 +212,8 @@ def curvature(G: Tensor) -> Tensor:
     for (i, k, a), p in items:
         for (l, j, q_) in by_upper.get(a, []):
             v = p * q_
-            acc((i, j, k, l), v)   # G^i_{ka} G^a_{lj}
-            acc((i, j, l, k), -v)
+            accumulate(out, (i, j, k, l), v)   # G^i_{ka} G^a_{lj}
+            accumulate(out, (i, j, l, k), -v)
     return Tensor(chart, (1, 3), out)
 
 
@@ -338,25 +318,15 @@ def traceless_mixed_torsion(T: Tensor, J: Tensor) -> Tensor:
     sig = torsion_trace_form(T, J)
     corr = {}
 
-    def acc(key, val):
-        if val.is_zero():
-            return
-        s = corr.get(key)
-        s = val if s is None else s + val
-        if s.is_zero():
-            corr.pop(key, None)
-        else:
-            corr[key] = s
-
     for (j,), p in sig.comps.items():
         for k in range(chart.dim):
-            acc((k, j, k), p)  # sigma(X) Y
+            accumulate(corr, (k, j, k), p)  # sigma(X) Y
     for (a, j), q in J.comps.items():
         sa = sig.comps.get((a,))
         if sa is None:
             continue
         for (i, k2), r in J.comps.items():
-            acc((i, j, k2), sa * q * r)  # sigma(JX) JY = sigma_a J^a_j J^i_k
+            accumulate(corr, (i, j, k2), sa * q * r)  # sigma(JX) JY = sigma_a J^a_j J^i_k
     correction = Tensor(chart, (1, 2), corr)
     return part - correction.scale(GaussQ(1) / GaussQ(2 * n))
 
@@ -398,16 +368,6 @@ def lie_derivative_connection(v: dict, G: Tensor) -> Tensor:
     names = chart.table.names
     out = {}
 
-    def acc(key, val):
-        if val.is_zero():
-            return
-        s = out.get(key)
-        s = val if s is None else s + val
-        if s.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = s
-
     dv = {}
     for i, p in v.items():
         for a in range(d):
@@ -422,30 +382,30 @@ def lie_derivative_connection(v: dict, G: Tensor) -> Tensor:
             for k in range(d):
                 q = pj.derivative(names[k])
                 if not q.is_zero():
-                    acc((i, j, k), q)
+                    accumulate(out, (i, j, k), q)
     for (i, j, k), p in G.comps.items():
         for a, q in v.items():
             r = p.derivative(names[a]) * q
             if not r.is_zero():
-                acc((i, j, k), r)
+                accumulate(out, (i, j, k), r)
     for (a, j, k), p in G.comps.items():
         # - G^a_{jk} d_a v^i
         for (a2, i), qq in dv.items():
             if a2 != a:
                 continue
-            acc((i, j, k), -(p * qq))
+            accumulate(out, (i, j, k), -(p * qq))
     for (i, a, k), p in G.comps.items():
         # + G^i_{ak} d_j v^a
         for (j, a2), qq in dv.items():
             if a2 != a:
                 continue
-            acc((i, j, k), p * qq)
+            accumulate(out, (i, j, k), p * qq)
     for (i, j, a), p in G.comps.items():
         # + G^i_{ja} d_k v^a
         for (k, a2), qq in dv.items():
             if a2 != a:
                 continue
-            acc((i, j, k), p * qq)
+            accumulate(out, (i, j, k), p * qq)
     return Tensor(chart, (1, 2), out)
 
 
@@ -455,26 +415,16 @@ def lie_derivative_J(v: dict, J: Tensor) -> Tensor:
     names = chart.table.names
     out = {}
 
-    def acc(key, val):
-        if val.is_zero():
-            return
-        s = out.get(key)
-        s = val if s is None else s + val
-        if s.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = s
-
     for (i, j), p in J.comps.items():
         for a, q in v.items():
             r = p.derivative(names[a]) * q
             if not r.is_zero():
-                acc((i, j), r)
+                accumulate(out, (i, j), r)
     for (a, j), p in J.comps.items():
         for i, q in v.items():
             r = q.derivative(names[a])
             if not r.is_zero():
-                acc((i, j), -(p * r))
+                accumulate(out, (i, j), -(p * r))
     for (i, a), p in J.comps.items():
         for b, q in v.items():
             if b != a:
@@ -482,7 +432,7 @@ def lie_derivative_J(v: dict, J: Tensor) -> Tensor:
             for j in range(d):
                 r = q.derivative(names[j])
                 if not r.is_zero():
-                    acc((i, j), p * r)
+                    accumulate(out, (i, j), p * r)
     return Tensor(chart, (1, 1), out)
 
 
@@ -492,21 +442,11 @@ def lie_derivative_metric(v: dict, g: Tensor) -> Tensor:
     d = chart.dim
     out = {}
 
-    def acc(key, val):
-        if val.is_zero():
-            return
-        s = out.get(key)
-        s = val if s is None else s + val
-        if s.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = s
-
     for (a, b), p in g.comps.items():
         for c, q in v.items():
             r = p.derivative(names[c]) * q
             if not r.is_zero():
-                acc((a, b), r)
+                accumulate(out, (a, b), r)
     for (c, b), p in g.comps.items():
         for a in range(d):
             for c2, q in v.items():
@@ -514,7 +454,7 @@ def lie_derivative_metric(v: dict, g: Tensor) -> Tensor:
                     continue
                 r = q.derivative(names[a])
                 if not r.is_zero():
-                    acc((a, b), p * r)
+                    accumulate(out, (a, b), p * r)
     for (a, c), p in g.comps.items():
         for b in range(d):
             for c2, q in v.items():
@@ -522,7 +462,7 @@ def lie_derivative_metric(v: dict, g: Tensor) -> Tensor:
                     continue
                 r = q.derivative(names[b])
                 if not r.is_zero():
-                    acc((a, b), p * r)
+                    accumulate(out, (a, b), p * r)
     return Tensor(chart, (0, 2), out)
 
 
@@ -533,31 +473,21 @@ def covariant_derivative_J(G: Tensor, J: Tensor) -> Tensor:
     names = chart.table.names
     out = {}
 
-    def acc(key, val):
-        if val.is_zero():
-            return
-        s = out.get(key)
-        s = val if s is None else s + val
-        if s.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = s
-
     for (i, j), p in J.comps.items():
         for k in range(d):
             q = p.derivative(names[k])
             if not q.is_zero():
-                acc((i, k, j), q)
+                accumulate(out, (i, k, j), q)
     for (i, k, a), p in G.comps.items():
         for (a2, j), q in J.comps.items():
             if a2 != a:
                 continue
-            acc((i, k, j), p * q)
+            accumulate(out, (i, k, j), p * q)
     for (a, k, j), p in G.comps.items():
         for (i, a2), q in J.comps.items():
             if a2 != a:
                 continue
-            acc((i, k, j), -(p * q))
+            accumulate(out, (i, k, j), -(p * q))
     return Tensor(chart, (1, 2), out)
 
 

@@ -51,6 +51,12 @@ class TestVerify:
     def test_unknown_model(self, capsys):
         assert run(["verify", "--model", "nope", "--n", "2"]) == 2
 
+    def test_n_defaults_to_manifest_minimum(self, capsys):
+        assert run(["verify", "--model", "submax-metric", "--fast"]) == 0
+        out = capsys.readouterr().out
+        assert "submax-metric[n=2]" in out
+        assert "n=None" not in out
+
     def test_type3_n2_reports_out_of_scope_component(self, tmp_path):
         out = tmp_path / "v.json"
         code = run(
@@ -89,6 +95,21 @@ class TestAlgebra:
 
     def test_no_action(self, capsys):
         assert run(["algebra"]) == 2
+
+    def test_deformation_out_of_range_n(self, capsys):
+        assert run(["algebra", "--name", "s", "--deform", "I", "--n", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: type I deformation needs n >= 3")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_unexpected_exception_is_internal_error(monkeypatch, capsys):
+    def boom(*args):
+        raise RuntimeError("boom\nsecond line")
+
+    monkeypatch.setattr("cprojver.verify.table_battery", boom)
+    assert run(["table", "--n-min", "2", "--n-max", "2"]) == 2
+    assert capsys.readouterr().err == "internal error: RuntimeError: boom second line\n"
 
 
 class TestMetricCmd:

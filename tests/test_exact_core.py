@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from cprojver.linalg import ExactMatrix, LinearSystem, SpanSolver, signature
 from cprojver.parse import ParseError, format_poly, parse_field, parse_poly
-from cprojver.poly import LaurentPoly, PolyError, VarTable
+from cprojver.poly import LaurentPoly, PolyError, VarTable, accumulate
 from cprojver.scalars import GaussQ
 
 
@@ -136,6 +136,37 @@ class TestPolyProperties:
     @given(poly_strategy())
     def test_print_parse_roundtrip(self, a):
         assert parse_poly(format_poly(a), XY) == a
+
+
+class TestAccumulate:
+    """Sparse tensor dicts never store a zero value."""
+
+    @pytest.mark.parametrize("v", [GaussQ(Fraction(3, 2), -1), P("x^2 - 3*y")])
+    def test_zero_is_noop(self, v):
+        zero = v - v
+        d = {}
+        accumulate(d, "k", zero)
+        assert d == {}
+        accumulate(d, "k", v)
+        accumulate(d, "k", zero)
+        assert d == {"k": v}
+
+    @pytest.mark.parametrize("v", [GaussQ(Fraction(3, 2), -1), P("x^2 - 3*y")])
+    def test_cancellation_removes_key(self, v):
+        d = {"other": v}
+        accumulate(d, "k", v)
+        accumulate(d, "k", -v)
+        assert d == {"other": v}
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 2), poly_strategy()), max_size=8))
+    def test_matches_plain_sums(self, adds):
+        d = {}
+        want = {}
+        for k, p in adds:
+            accumulate(d, k, p)
+            want[k] = want.get(k, LaurentPoly.zero(XY)) + p
+        assert d == {k: p for k, p in want.items() if not p.is_zero()}
 
 
 class TestParser:
