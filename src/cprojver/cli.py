@@ -83,7 +83,12 @@ def _battery_for_spec(spec, fast, max_degree=None):
 def cmd_verify(args):
     started = time.time()
     if args.model == "all":
+        if args.n is not None:
+            print("error: --n does not apply to --model all, which runs each model "
+                  "at its catalog n values", file=sys.stderr)
+            return 2
         jobs = [(m, n) for m, ns in MODEL_NS.items() for n in ns]
+        command = "verify --model all"
     elif os.path.exists(args.model):
         # a manifest path: run the tensor battery directly on the file
         from .catalog import ManifestError, parse_model_manifest
@@ -107,6 +112,7 @@ def cmd_verify(args):
             # the manifest's smallest n, as parse_model_manifest defaults it
             args.n = builtin(args.model).n
         jobs = [(args.model, args.n)]
+        command = f"verify --model {args.model} --n {args.n}"
     checks = []
     if args.jobs > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -127,7 +133,7 @@ def cmd_verify(args):
             for c in got:
                 c.check = f"{m}[n={n}] {c.check}"
             checks.extend(got)
-    return _emit(args, f"verify --model {args.model} --n {args.n}", checks, started)
+    return _emit(args, command, checks, started)
 
 
 def cmd_prolong(args):
@@ -174,6 +180,10 @@ def cmd_metric(args):
     started = time.time()
     signs = None
     if args.signs:
+        if set(args.signs) - {"+", "-"}:
+            print(f"error: --signs takes only '+' and '-', got {args.signs!r}",
+                  file=sys.stderr)
+            return 2
         signs = tuple(1 if ch == "+" else -1 for ch in args.signs)
     checks = verify.metric_battery(args.model, args.n, signs=signs, stabilize=not args.fast)
     return _emit(args, f"metric --model {args.model} --n {args.n}", checks, started)

@@ -270,9 +270,9 @@ def mobility_dimension(spec, ansatz: AnsatzSpace = None, stabilize=True):
                     col = builder.column()
                     cols.append((exps, a, b))
                     B = _sym_tensor_basis(chart, exps, a, b)
-                    builder.add_output(col, "EQ", op(B))
+                    builder.add_output(col, "EQ", op(B).comps)
                     if hermitian:
-                        builder.add_output(col, "HERM", _hermitian_defect(B, J))
+                        builder.add_output(col, "HERM", _hermitian_defect(B, J).comps)
         kernel, _ = builder.kernel()
         basis = []
         for vec in kernel:
@@ -376,7 +376,7 @@ def parallel_forms(spec, ansatz: AnsatzSpace = None):
                 if c != a:
                     continue
                 accumulate(out, (b, k), -(p * mono))
-            builder.add_output(col, "PAR", Tensor(chart, (0, 2), out))
+            builder.add_output(col, "PAR", out)
     kernel, _ = builder.kernel()
     basis = []
     for vec in kernel:

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from functools import partial
+from operator import add
 
 from .linalg import LinearSystem, SpanSolver
 from .poly import LaurentPoly, PolyError, _mul_terms, accumulate
@@ -31,7 +32,7 @@ class AnsatzSpace:
 
     `bounds` maps a variable name to (min, max); unlisted variables get
     (0, total_degree).  When `total_degree` is set, the sum of non-negative
-    exponents is also capped.  Enumeration order is deterministic.
+    exponents is also capped.  Monomials are listed in lexicographic order.
     """
 
     def __init__(self, chart, total_degree=None, bounds=None):
@@ -51,12 +52,18 @@ class AnsatzSpace:
                 raise PolyError(f"negative bound on ordinary variable {name}")
             ranges.append(range(lo, hi + 1))
         self.monomials = []
-        for exps in product(*ranges):
-            if total_degree is not None:
-                if sum(e for e in exps if e > 0) > total_degree:
-                    continue
-            self.monomials.append(tuple(exps))
-        self.monomials.sort()
+
+        def walk(prefix, k, used):
+            if k == len(ranges):
+                self.monomials.append(prefix)
+                return
+            for e in ranges[k]:
+                u = used + e if e > 0 else used
+                if total_degree is not None and u > total_degree:
+                    break  # exponents ascend: the rest of the range is over too
+                walk(prefix + (e,), k + 1, u)
+
+        walk((), 0, 0)
 
     def enlarged(self, extra=1):
         td = None if self.total_degree is None else self.total_degree + extra
@@ -65,9 +72,6 @@ class AnsatzSpace:
             for name, (lo, hi) in self.bounds.items()
         }
         return AnsatzSpace(self.chart, total_degree=td, bounds=bounds)
-
-    def monomial_poly(self, exps):
-        return LaurentPoly(self.chart.table, {exps: GaussQ(1)})
 
     def __len__(self):
         return len(self.monomials)
@@ -95,8 +99,8 @@ class SystemBuilder:
         self.ncols += 1
         return c
 
-    def add_output(self, col, tag, tensor: Tensor):
-        for comp, p in tensor.comps.items():
+    def add_output(self, col, tag, comps):
+        for comp, p in comps.items():
             self.eqs.setdefault((tag, comp), {})[col] = p
 
     def kernel(self):
@@ -126,7 +130,7 @@ class SystemBuilder:
 
 
 def _raise_denominator(p: LaurentPoly, den_target):
-    terms = dict(p.terms)
+    terms = p.terms
     for k, (have, want) in enumerate(zip(p.den, den_target)):
         for _ in range(want - have):
             dk = dict(p.table.den_terms[k])
@@ -135,76 +139,249 @@ def _raise_denominator(p: LaurentPoly, den_target):
 
 
 # -- operators -------------------------------------------------------------------
+#
+# Every operator here is linear in the field and of order at most two, so its
+# value on the column x^e d_a is
+#
+#     x^e S0(a) + sum_l e_l x^(e-1_l) S1(a, l)
+#               + sum_(l,k) e_l (e_k - delta_lk) x^(e-1_l-1_k) S2(a, l, k)
+#
+# with symbols S0, S1, S2 that do not depend on e.  The column closures build
+# each symbol once per direction and then only shift and scale its terms.  The
+# field-level functions (`cproj_equations` and friends) compute the same
+# equations through tensorcalc's Lie derivatives instead; `verify_fields`
+# checks kernel fields with them, so the check does not rerun the symbol code.
 
 
-def cproj_operator(spec):
+def cp_projection(J: Tensor, om):
+    """Omega -> CP(Omega): Omega minus its phi (trace) terms plus the sigma
+    terms through J; linear over the polynomial ring.  `om` maps (i, j, k) to
+    polynomials and is not modified."""
+    chart = J.chart
+    scale = GaussQ(Fraction(1, 2 * (chart.n_complex() + 1)))
+    phi = {}
+    for (i, j, k), p in om.items():
+        if k == i:
+            accumulate(phi, j, p)
+    phi = {j: p * scale for j, p in phi.items()}
+    sig = {}
+    for (a, j), q in J.comps.items():
+        pa = phi.get(a)
+        if pa is not None:
+            accumulate(sig, j, pa * q)
+    out = dict(om)
+    for j, p in phi.items():
+        for i in range(chart.dim):
+            accumulate(out, (i, j, i), -p)
+            accumulate(out, (i, i, j), -p)
+    for j, p in sig.items():
+        for (i, k), q in J.comps.items():
+            accumulate(out, (i, j, k), p * q)
+            accumulate(out, (i, k, j), p * q)
+    return out
+
+
+def cproj_equations(spec, v):
     """v -> (L_v J, the symmetry-equation tensor of the connection)."""
-    chart = spec.chart
-    n = chart.n_complex()
-    J = spec.J
-    G = spec.gamma
-    dim = chart.dim
-    scale = GaussQ(Fraction(1, 2 * (n + 1)))
+    om = lie_derivative_connection(v, spec.gamma)
+    return [
+        ("LJ", lie_derivative_J(v, spec.J)),
+        ("CP", Tensor(spec.chart, (1, 2), cp_projection(spec.J, om.comps))),
+    ]
 
-    def apply(v):
-        lj = lie_derivative_J(v, J)
-        om = lie_derivative_connection(v, G)
-        phi = {}
-        for (i, j, k), p in om.comps.items():
-            if k == i:
-                s = phi.get(j)
-                s = p if s is None else s + p
-                if s.is_zero():
-                    phi.pop(j, None)
-                else:
-                    phi[j] = s
-        phi = {j: p * scale for j, p in phi.items()}
-        sig = {}
-        for (a, j), q in J.comps.items():
-            pa = phi.get(a)
-            if pa is None:
-                continue
-            s = sig.get(j)
-            v2 = pa * q
-            s = v2 if s is None else s + v2
-            if s.is_zero():
-                sig.pop(j, None)
+
+def affine_equations(spec, v):
+    """v -> (L_v J, L_v Gamma)."""
+    return [
+        ("LJ", lie_derivative_J(v, spec.J)),
+        ("LG", lie_derivative_connection(v, spec.gamma)),
+    ]
+
+
+def killing_equations(spec, v, holomorphic=True):
+    """v -> (L_v J if holomorphic, L_v g)."""
+    out = [("LG", lie_derivative_metric(v, spec.metric))]
+    if holomorphic:
+        out.insert(0, ("LJ", lie_derivative_J(v, spec.J)))
+    return out
+
+
+def _derivative_symbol(T: Tensor, name):
+    out = {}
+    for key, p in T.comps.items():
+        q = p.derivative(name)
+        if q:
+            out[key] = q
+    return out
+
+
+def _J_symbol1(J: Tensor, a, l):
+    """-delta^i_a J^l_j + delta_jl J^i_a."""
+    out = {}
+    for (i, j), p in J.comps.items():
+        if i == l:
+            accumulate(out, (a, j), -p)
+        if j == a:
+            accumulate(out, (i, l), p)
+    return out
+
+
+def _connection_symbol1(G: Tensor, a, l):
+    """-delta^i_a G^l_jk + delta_jl G^i_ak + delta_kl G^i_ja."""
+    out = {}
+    for (i, j, k), p in G.comps.items():
+        if i == l:
+            accumulate(out, (a, j, k), -p)
+        if j == a:
+            accumulate(out, (i, l, k), p)
+        if k == a:
+            accumulate(out, (i, j, l), p)
+    return out
+
+
+def _metric_symbol1(g: Tensor, a, l):
+    """delta_il g_aj + delta_jl g_ia."""
+    out = {}
+    for (i, j), p in g.comps.items():
+        if i == a:
+            accumulate(out, (l, j), p)
+        if j == a:
+            accumulate(out, (i, l), p)
+    return out
+
+
+def _column_operator(chart, tags, symbol0, symbol1, symbol2=None):
+    """The closure apply(exps, a) -> [(tag, comps)] for the column x^e d_a.
+
+    `symbol0(a)`, `symbol1(a, l)` and `symbol2(a, l, k)` return one comps dict
+    per tag.  Each symbol, and each integer multiple of it that a column asks
+    for, is built on first use and kept for later columns.
+    """
+    table = chart.table
+    builders = {1: symbol0, 2: symbol1, 3: symbol2}
+    memo = {}
+
+    def symbol(key, scale):
+        got = memo.get((key, scale))
+        if got is None:
+            if scale == 1:
+                got = [
+                    [(comp, p.den, list(p.terms.items())) for comp, p in comps.items()]
+                    for comps in builders[len(key)](*key)
+                ]
             else:
-                sig[j] = s
-        out = dict(om.comps)
+                got = [
+                    [(comp, den, [(e, c * scale) for e, c in items])
+                     for comp, den, items in part]
+                    for part in symbol(key, 1)
+                ]
+            memo[(key, scale)] = got
+        return got
 
-        for j, p in phi.items():
-            for i in range(dim):
-                accumulate(out, (i, j, i), -p)
-                accumulate(out, (i, i, j), -p)
-        for j, p in sig.items():
-            for (i, k), q in J.comps.items():
-                accumulate(out, (i, j, k), p * q)
-                accumulate(out, (i, k, j), p * q)
-        return [("LJ", lj), ("CP", Tensor(chart, (1, 2), out))]
-
-    return apply
-
-
-def killing_operator(spec, holomorphic=True):
-    J, g = spec.J, spec.metric
-
-    def apply(v):
-        out = [("LG", lie_derivative_metric(v, g))]
-        if holomorphic:
-            out.insert(0, ("LJ", lie_derivative_J(v, J)))
+    def apply(exps, a):
+        parts = [(exps, symbol((a,), 1))]
+        lowered = []
+        for l, el in enumerate(exps):
+            if el:
+                f = list(exps)
+                f[l] -= 1
+                f = tuple(f)
+                parts.append((f, symbol((a, l), el)))
+                lowered.append((l, el, f))
+        if symbol2 is not None:
+            for l, el, f in lowered:
+                for k, fk in enumerate(f):  # fk = e_k - delta_lk
+                    if fk:
+                        g = list(f)
+                        g[k] -= 1
+                        parts.append((tuple(g), symbol((a, l, k), el * fk)))
+        out = []
+        for t, tag in enumerate(tags):
+            sums = {}  # (comp, den) -> {exps: coefficient}
+            for shift, sym in parts:
+                for comp, den, items in sym[t]:
+                    bucket = sums.get((comp, den))
+                    if bucket is None:
+                        bucket = sums[(comp, den)] = {}
+                    for e, c in items:
+                        e = tuple(map(add, e, shift))
+                        old = bucket.get(e)
+                        if old is None:
+                            bucket[e] = c
+                        else:
+                            c = old + c
+                            if c:
+                                bucket[e] = c
+                            else:
+                                del bucket[e]
+            comps = {}
+            for (comp, den), terms in sums.items():
+                if not terms:
+                    continue
+                if any(den):
+                    # a sum of monomial multiples of reduced fractions
+                    # may have a numerator the denominator divides
+                    p = LaurentPoly(table, terms, den)
+                else:
+                    p = LaurentPoly.from_canonical(table, terms, den)
+                if comp in comps:
+                    accumulate(comps, comp, p)
+                else:
+                    comps[comp] = p
+            out.append((tag, comps))
         return out
 
     return apply
 
 
+def cproj_operator(spec):
+    """Column closure of `cproj_equations`."""
+    chart, J, G = spec.chart, spec.J, spec.gamma
+    names = chart.table.names
+    one = chart.const(1)
+    return _column_operator(
+        chart,
+        ("LJ", "CP"),
+        lambda a: (
+            _derivative_symbol(J, names[a]),
+            cp_projection(J, _derivative_symbol(G, names[a])),
+        ),
+        lambda a, l: (_J_symbol1(J, a, l), cp_projection(J, _connection_symbol1(G, a, l))),
+        lambda a, l, k: ({}, cp_projection(J, {(a, l, k): one})),
+    )
+
+
+def killing_operator(spec, holomorphic=True):
+    """Column closure of `killing_equations`."""
+    chart, J, g = spec.chart, spec.J, spec.metric
+    names = chart.table.names
+    if not holomorphic:
+        return _column_operator(
+            chart,
+            ("LG",),
+            lambda a: (_derivative_symbol(g, names[a]),),
+            lambda a, l: (_metric_symbol1(g, a, l),),
+        )
+    return _column_operator(
+        chart,
+        ("LJ", "LG"),
+        lambda a: (_derivative_symbol(J, names[a]), _derivative_symbol(g, names[a])),
+        lambda a, l: (_J_symbol1(J, a, l), _metric_symbol1(g, a, l)),
+    )
+
+
 def affine_operator(spec):
-    J, G = spec.J, spec.gamma
-
-    def apply(v):
-        return [("LJ", lie_derivative_J(v, J)), ("LG", lie_derivative_connection(v, G))]
-
-    return apply
+    """Column closure of `affine_equations`."""
+    chart, J, G = spec.chart, spec.J, spec.gamma
+    names = chart.table.names
+    one = chart.const(1)
+    return _column_operator(
+        chart,
+        ("LJ", "LG"),
+        lambda a: (_derivative_symbol(J, names[a]), _derivative_symbol(G, names[a])),
+        lambda a, l: (_J_symbol1(J, a, l), _connection_symbol1(G, a, l)),
+        lambda a, l, k: ({}, {(a, l, k): one}),
+    )
 
 
 def solve_field_system(spec, operator, ansatz, extra_metric_scale=None):
@@ -218,18 +395,15 @@ def solve_field_system(spec, operator, ansatz, extra_metric_scale=None):
     builder = SystemBuilder()
     cols = []
     for exps in ansatz.monomials:
-        mono = ansatz.monomial_poly(exps)
         for i in range(dim):
             col = builder.column()
             cols.append((exps, i))
-            for tag, tensor in operator({i: mono}):
-                builder.add_output(col, tag, tensor)
+            for tag, comps in operator(exps, i):
+                builder.add_output(col, tag, comps)
     if extra_metric_scale is not None:
         col = builder.column()
         cols.append(("scale", None))
-        builder.add_output(
-            col, "LG", extra_metric_scale.scale(-1)
-        )
+        builder.add_output(col, "LG", extra_metric_scale.scale(-1).comps)
     kernel, _ = builder.kernel()
     basis = []
     scales = []
@@ -263,22 +437,10 @@ def bracket_fields(chart, v, w):
     out = {}
     for a, p in v.items():
         for b, q in w.items():
-            r = p * q.derivative(names[a])
-            s = out.get(b)
-            s = r if s is None else s + r
-            if s.is_zero():
-                out.pop(b, None)
-            else:
-                out[b] = s
+            accumulate(out, b, p * q.derivative(names[a]))
     for a, p in w.items():
         for b, q in v.items():
-            r = p * q.derivative(names[a])
-            s = out.get(b)
-            s = (-r) if s is None else s - r
-            if s.is_zero():
-                out.pop(b, None)
-            else:
-                out[b] = s
+            accumulate(out, b, -(p * q.derivative(names[a])))
     return out
 
 
@@ -295,9 +457,11 @@ def check_bracket_closure(chart, basis):
     return True
 
 
-def verify_fields(operator, basis):
+def verify_fields(equations, basis):
+    """Every field of `basis` solves `equations` (a field-level function such
+    as `partial(cproj_equations, spec)`, not a column closure)."""
     for f in basis:
-        for _, tensor in operator(f):
+        for _, tensor in equations(f):
             if not tensor.is_zero():
                 return False
     return True
@@ -316,7 +480,7 @@ def cproj_system(spec, ansatz, stabilize=True, check_closure=True):
         basis=basis,
         stabilized=stab,
         closed_under_bracket=closed,
-        verified=verify_fields(op, basis),
+        verified=verify_fields(partial(cproj_equations, spec), basis),
     )
 
 
@@ -331,7 +495,9 @@ def killing_system(spec, ansatz, stabilize=True, holomorphic=True):
         dim=len(basis),
         basis=basis,
         stabilized=stab,
-        verified=verify_fields(op, basis),
+        verified=verify_fields(
+            partial(killing_equations, spec, holomorphic=holomorphic), basis
+        ),
     )
 
 
@@ -346,7 +512,7 @@ def affine_system(spec, ansatz, stabilize=True):
         dim=len(basis),
         basis=basis,
         stabilized=stab,
-        verified=verify_fields(op, basis),
+        verified=verify_fields(partial(affine_equations, spec), basis),
     )
 
 
@@ -402,24 +568,12 @@ def phi_map(v, g: Tensor, ginv: Tensor):
         for (a2, b), q in lg.comps.items():
             if a2 != a:
                 continue
-            key = (i, b)
-            s = A.get(key)
-            v2 = p * q
-            s = v2 if s is None else s + v2
-            if s.is_zero():
-                A.pop(key, None)
-            else:
-                A[key] = s
+            accumulate(A, (i, b), p * q)
     tr = chart.zero()
     for (i, b), p in A.items():
         if i == b:
             tr = tr + p
     tr = tr * GaussQ(Fraction(1, 2 * (n + 1)))
     for i in range(dim):
-        key = (i, i)
-        s = A.get(key, chart.zero()) - tr
-        if s.is_zero():
-            A.pop(key, None)
-        else:
-            A[key] = s
+        accumulate(A, (i, i), -tr)
     return Tensor(chart, (1, 1), A)

@@ -32,7 +32,7 @@ from .report import Check
 from .scalars import GaussQ
 from .symsolve import (
     AnsatzSpace,
-    cproj_operator,
+    cproj_equations,
     cproj_system,
     affine_system,
     homothety_system,
@@ -291,8 +291,10 @@ def symmetry_battery(name, n, signs=None, stabilize=True, spec=None, max_degree=
     except KeyError:
         fields = None
     if fields is not None:
-        op = cproj_operator(spec)
-        bad = [lbl for lbl, f in fields if any(not t.is_zero() for _, t in op(f))]
+        bad = [
+            lbl for lbl, f in fields
+            if any(not t.is_zero() for _, t in cproj_equations(spec, f))
+        ]
         checks.append(
             Check(
                 "every printed generator satisfies the equations",

@@ -2,8 +2,8 @@
 
 import json
 
-from cprojver.cli import main
-from cprojver.report import SCHEMA
+from cprojver.cli import MODEL_NS, main
+from cprojver.report import SCHEMA, Check
 
 
 def run(args):
@@ -56,6 +56,25 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "submax-metric[n=2]" in out
         assert "n=None" not in out
+
+    def test_model_all_rejects_n(self, capsys):
+        assert run(["verify", "--model", "all", "--n", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --n does not apply to --model all")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_model_all_command_has_no_n(self, tmp_path, monkeypatch):
+        ran = []
+
+        def one(name, n, fast, max_degree=None):
+            ran.append((name, n))
+            return [Check("stub", "stub", 0, 0, True)]
+
+        monkeypatch.setattr("cprojver.cli._verify_one", one)
+        out = tmp_path / "v.json"
+        assert run(["verify", "--model", "all", "--fast", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["command"] == "verify --model all"
+        assert ran == [(m, n) for m, ns in MODEL_NS.items() for n in ns]
 
     def test_type3_n2_reports_out_of_scope_component(self, tmp_path):
         out = tmp_path / "v.json"
@@ -124,3 +143,8 @@ class TestMetricCmd:
 
     def test_sign_pattern_flag(self):
         assert run(["metric", "--model", "submax-metric", "--n", "3", "--signs", "-", "--fast"]) == 0
+
+    def test_sign_pattern_rejects_other_characters(self, capsys):
+        assert run(["metric", "--model", "submax-metric", "--n", "2", "--signs", "+x"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: --signs takes only '+' and '-', got '+x'\n"

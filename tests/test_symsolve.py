@@ -1,24 +1,38 @@
 """Symmetry PDE kernels: ansatz spaces, solvers, the symmetry-to-mobility map."""
 
+from functools import partial
+from itertools import product
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cprojver.catalog import builtin, expected_symmetries, model_ansatz
+from cprojver.cli import MODEL_NS
 from cprojver.linalg import SpanSolver
 from cprojver.metric import metric_inverse, mobility_equation_holds
-from cprojver.poly import PolyError
+from cprojver.poly import LaurentPoly, PolyError
+from cprojver.scalars import GaussQ
 from cprojver.symsolve import (
     AnsatzSpace,
+    affine_operator,
     affine_system,
     bracket_fields,
+    cp_projection,
+    cproj_equations,
     cproj_operator,
     cproj_system,
     field_coordinates,
     homothety_system,
+    killing_operator,
     killing_system,
     phi_map,
+    solve_field_system,
     span_equals,
+    verify_fields,
 )
-from cprojver.tensorcalc import Tensor
+from cprojver import tensorcalc as tc
+from cprojver.tensorcalc import Chart, Tensor
 
 
 class TestAnsatz:
@@ -46,6 +60,89 @@ class TestAnsatz:
         )
         big = ans.enlarged()
         assert len(big) == 3 * 3 * 3 * 7
+
+
+@st.composite
+def ansatz_cases(draw):
+    """A chart of 1-4 variables (some laurent), per-variable bounds (negative
+    lower bounds on laurent variables only) and an optional total degree;
+    with a total degree, variables may be left without a bound."""
+    nvars = draw(st.integers(1, 4))
+    names = [f"v{i}" for i in range(nvars)]
+    laurent = [name for name in names if draw(st.booleans())]
+    total_degree = draw(st.none() | st.integers(0, 4))
+    bounds = {}
+    for name in names:
+        if total_degree is not None and draw(st.booleans()):
+            continue
+        lo = draw(st.integers(-3 if name in laurent else 0, 2))
+        bounds[name] = (lo, draw(st.integers(lo, lo + 3)))
+    return Chart(names, laurent=laurent), total_degree, bounds
+
+
+class TestAnsatzEnumeration:
+    @settings(max_examples=200, deadline=None)
+    @given(ansatz_cases())
+    def test_equals_filtered_box(self, case):
+        chart, total_degree, bounds = case
+        ranges = []
+        for name in chart.table.names:
+            lo, hi = bounds.get(name, (0, total_degree))
+            ranges.append(range(lo, hi + 1))
+        box = [
+            e for e in product(*ranges)
+            if total_degree is None or sum(x for x in e if x > 0) <= total_degree
+        ]
+        ans = AnsatzSpace(chart, total_degree=total_degree, bounds=bounds)
+        assert ans.monomials == sorted(box)
+
+
+CATALOG = [(name, n) for name, ns in MODEL_NS.items() for n in ns]
+
+
+class TestColumnSymbols:
+    """The column closures (per-direction symbols) against the generic route:
+    tensorcalc's Lie derivatives of the field x^e d_a, each computed once per
+    column and shared by the three operators' equations."""
+
+    @pytest.mark.parametrize("name,n", CATALOG)
+    def test_columns_equal_generic_route(self, name, n):
+        spec = builtin(name, n)
+        J, G, g = spec.J, spec.gamma, spec.metric
+        base = model_ansatz(spec)
+        big = base.enlarged()
+        # the enlarged columns include every column of the base solve
+        assert set(base.monomials) <= set(big.monomials)
+        cproj, affine = cproj_operator(spec), affine_operator(spec)
+        if g is not None:
+            killing = killing_operator(spec)
+            isometry = killing_operator(spec, holomorphic=False)
+        for exps in big.monomials:
+            mono = LaurentPoly(spec.chart.table, {exps: GaussQ(1)})
+            for a in range(spec.chart.dim):
+                v = {a: mono}
+                lj = ("LJ", tc.lie_derivative_J(v, J).comps)
+                om = tc.lie_derivative_connection(v, G).comps
+                assert cproj(exps, a) == [lj, ("CP", cp_projection(J, om))], (exps, a)
+                assert affine(exps, a) == [lj, ("LG", om)], (exps, a)
+                if g is not None:
+                    lg = ("LG", tc.lie_derivative_metric(v, g).comps)
+                    assert killing(exps, a) == [lj, lg], (exps, a)
+                    assert isometry(exps, a) == [lg], (exps, a)
+
+    def test_wrong_closure_fails_verification(self):
+        spec = builtin("type2", 2)
+        good = cproj_operator(spec)
+
+        def wrong(exps, a):
+            return [] if a == 0 else good(exps, a)
+
+        equations = partial(cproj_equations, spec)
+        basis, _ = solve_field_system(spec, good, model_ansatz(spec))
+        assert len(basis) == 8 and verify_fields(equations, basis)
+        basis, _ = solve_field_system(spec, wrong, model_ansatz(spec))
+        assert len(basis) > 8
+        assert not verify_fields(equations, basis)
 
 
 class TestFlatModel:
@@ -111,9 +208,8 @@ class TestVerification:
 
     def test_printed_fields_individually(self):
         spec = builtin("type2", 3)
-        op = cproj_operator(spec)
         for label, f in expected_symmetries("type2", 3):
-            assert all(t.is_zero() for _, t in op(f)), label
+            assert all(t.is_zero() for _, t in cproj_equations(spec, f)), label
 
     def test_span_equality(self):
         spec = builtin("nonminimal", 2)
