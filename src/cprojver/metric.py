@@ -14,11 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
 from .linalg import SpanSolver, signature
 from .poly import LaurentPoly, PolyError, accumulate
 from .scalars import GaussQ
-from .symsolve import AnsatzSpace, SystemBuilder
+from .symsolve import AnsatzSpace, SystemBuilder, _column_operator
 from .tensorcalc import (
     Tensor,
     complex_tensor_to_real,
@@ -174,6 +175,7 @@ class MobilityResult:
     stabilized: bool
     identity_included: bool
     records: list = field(default_factory=list)  # (theta, lam, grad) per solution
+    verified: bool = None
 
 
 def _sym_tensor_basis(chart, exps, a, b):
@@ -184,45 +186,53 @@ def _sym_tensor_basis(chart, exps, a, b):
     return Tensor(chart, (0, 2), comps)
 
 
+def _theta(ginv: Tensor, comps):
+    """theta = (1/4) tr(g^{-1} B) for the (0,2) components `comps` of B."""
+    tot = ginv.chart.zero()
+    for (a, b), p in ginv.comps.items():
+        q = comps.get((b, a))
+        if q is not None:
+            tot = tot + p * q
+    return tot * GaussQ("1/4")
+
+
+def _subtract_lambda_terms(out, g, om, J, lam):
+    """out_{cab} -= g_ac l_b + g_bc l_a + w_ac (Jl)_b + w_bc (Jl)_a.
+
+    The right-hand side of the mobility equation; `lam` maps a direction to
+    the component of the 1-form l and is linear over the polynomial ring."""
+    jlam = {}
+    for (a, j), q in J.comps.items():
+        la = lam.get(a)
+        if la is None:
+            continue
+        accumulate(jlam, j, la * q)
+    for (a, c), p in g.comps.items():
+        for b, lb in lam.items():
+            accumulate(out, (c, a, b), -(p * lb))
+            accumulate(out, (c, b, a), -(p * lb))
+    for (a, c), p in om.comps.items():
+        for b, lb in jlam.items():
+            accumulate(out, (c, a, b), -(p * lb))
+            accumulate(out, (c, b, a), -(p * lb))
+
+
 def _mobility_operator(g, ginv, J, gamma):
     chart = g.chart
     d = chart.dim
     names = chart.table.names
     om = kahler_form(g, J)
-    quarter = GaussQ("1/4")
-
-    def theta_of(B: Tensor):
-        tot = chart.zero()
-        for (a, b), p in ginv.comps.items():
-            q = B.comps.get((b, a))
-            if q is not None:
-                tot = tot + p * q
-        return tot * quarter
 
     def apply(B: Tensor):
         nb = covariant_derivative_02(gamma, B)
-        theta = theta_of(B)
+        theta = _theta(ginv, B.comps)
         lam = {
             a: theta.derivative(names[a])
             for a in range(d)
             if not theta.derivative(names[a]).is_zero()
         }
-        jlam = {}
-        for (a, j), q in J.comps.items():
-            la = lam.get(a)
-            if la is None:
-                continue
-            accumulate(jlam, j, la * q)
         out = dict(nb.comps)
-
-        for (a, c), p in g.comps.items():
-            for b, lb in lam.items():
-                accumulate(out, (c, a, b), -(p * lb))
-                accumulate(out, (c, b, a), -(p * lb))
-        for (a, c), p in om.comps.items():
-            for b, lb in jlam.items():
-                accumulate(out, (c, a, b), -(p * lb))
-                accumulate(out, (c, b, a), -(p * lb))
+        _subtract_lambda_terms(out, g, om, J, lam)
         return Tensor(chart, (0, 3), out)
 
     return apply
@@ -249,30 +259,99 @@ def _hermitian_defect(B: Tensor, J: Tensor):
     return Tensor(chart, (0, 2), out)
 
 
+# The mobility operator is of first order and linear over the polynomial
+# ring, so on the column B = x^e E_ab (E_ab the symmetric unit, a <= b) it is
+#
+#     EQ(B) = x^e S0(ab) + sum_l e_l x^(e-1_l) S1(ab, l),    HERM(B) = x^e H(ab)
+#
+# with S0(ab) = -Gamma^d_cx E_dy - Gamma^d_cy E_xd + R(d theta_ab),
+# S1(ab, l) = dx^l (x) E_ab + R(theta_ab dx^l), where theta_ab = theta(E_ab)
+# and R is the right-hand side (`_subtract_lambda_terms`).  The column
+# closures shift and scale these symbols; `_mobility_operator` and
+# `_hermitian_defect` are the generic route that re-verifies the solutions.
+
+
+def _mobility_closures(g, ginv, J, gamma):
+    """(pairs, with_herm, eq_only): the pairs a <= b in column order, and the
+    column closures apply(exps, p) of (EQ, HERM) and of EQ alone on the
+    column x^e E_ab, (a, b) = pairs[p]."""
+    chart = g.chart
+    d = chart.dim
+    names = chart.table.names
+    pairs = [(a, b) for a in range(d) for b in range(a, d)]
+    om = kahler_form(g, J)
+    one = chart.const(1)
+
+    def unit(p):
+        a, b = pairs[p]
+        return {(a, b), (b, a)}
+
+    @cache
+    def theta(p):
+        return _theta(ginv, {key: one for key in unit(p)})
+
+    @cache
+    def symbol0(p):
+        E = unit(p)
+        eq = {}
+        for u, v in E:
+            for (i, c, k), G in gamma.comps.items():
+                if i == u:
+                    accumulate(eq, (c, k, v), -G)
+                if i == v:
+                    accumulate(eq, (c, u, k), -G)
+        lam = {}
+        for l, name in enumerate(names):
+            q = theta(p).derivative(name)
+            if q:
+                lam[l] = q
+        _subtract_lambda_terms(eq, g, om, J, lam)
+        herm = {}
+        for (u, x), s in J.comps.items():
+            for (v, y), t in J.comps.items():
+                if x <= y and (u, v) in E:
+                    accumulate(herm, (x, y), s * t)
+        for x, y in E:
+            if x <= y:
+                accumulate(herm, (x, y), -one)
+        return eq, herm
+
+    @cache
+    def symbol1(p, l):
+        eq = {(l, x, y): one for x, y in unit(p)}
+        th = theta(p)
+        if th:
+            _subtract_lambda_terms(eq, g, om, J, {l: th})
+        return eq, {}
+
+    with_herm = _column_operator(chart, ("EQ", "HERM"), symbol0, symbol1)
+    eq_only = _column_operator(
+        chart, ("EQ",), lambda p: symbol0(p)[:1], lambda p, l: symbol1(p, l)[:1]
+    )
+    return pairs, with_herm, eq_only
+
+
 def mobility_dimension(spec, ansatz: AnsatzSpace = None, stabilize=True):
     """Exact solution space of the mobility equation over the ansatz."""
     g, J = spec.metric, spec.J
     chart = g.chart
+    d = chart.dim
     ginv = metric_inverse(g)
     gamma = levi_civita(g, ginv)
-    op = _mobility_operator(g, ginv, J, gamma)
     if ansatz is None:
         deg = max(2, spec.degrees.get("degree", 2))
         ansatz = AnsatzSpace(chart, total_degree=deg)
+    pairs, with_herm, eq_only = _mobility_closures(g, ginv, J, gamma)
 
-    def solve(ans, hermitian):
+    def solve(ans, operator):
         builder = SystemBuilder()
         cols = []
-        d = chart.dim
         for exps in ans.monomials:
-            for a in range(d):
-                for b in range(a, d):
-                    col = builder.column()
-                    cols.append((exps, a, b))
-                    B = _sym_tensor_basis(chart, exps, a, b)
-                    builder.add_output(col, "EQ", op(B).comps)
-                    if hermitian:
-                        builder.add_output(col, "HERM", _hermitian_defect(B, J).comps)
+            for p, (a, b) in enumerate(pairs):
+                col = builder.column()
+                cols.append((exps, a, b))
+                for tag, comps in operator(exps, p):
+                    builder.add_output(col, tag, comps)
         kernel, _ = builder.kernel()
         basis = []
         for vec in kernel:
@@ -286,11 +365,18 @@ def mobility_dimension(spec, ansatz: AnsatzSpace = None, stabilize=True):
             basis.append(Tensor(chart, (0, 2), comps))
         return basis
 
-    basis = solve(ansatz, True)
-    unconstrained = solve(ansatz, False)
+    basis = solve(ansatz, with_herm)
+    unconstrained = solve(ansatz, eq_only)
+    hermitian = list(basis)
     stab = None
     if stabilize:
-        stab = len(solve(ansatz.enlarged(), True)) == len(basis)
+        bigger = solve(ansatz.enlarged(), with_herm)
+        stab = len(bigger) == len(basis)
+        hermitian += bigger
+    op = _mobility_operator(g, ginv, J, gamma)
+    verified = all(op(B).is_zero() for B in hermitian + unconstrained) and all(
+        _hermitian_defect(B, J).is_zero() for B in hermitian
+    )
     span = SpanSolver()
     for B in basis:
         span.insert({k: v.coefficient_of(e) for (k, e), v in _coords(B).items()})
@@ -300,13 +386,8 @@ def mobility_dimension(spec, ansatz: AnsatzSpace = None, stabilize=True):
     names = chart.table.names
     records = []
     for B in basis:
-        theta = chart.zero()
-        for (a, b), p in ginv.comps.items():
-            q = B.comps.get((b, a))
-            if q is not None:
-                theta = theta + p * q
-        theta = theta * GaussQ("1/4")
-        lam = {a: theta.derivative(names[a]) for a in range(chart.dim)}
+        theta = _theta(ginv, B.comps)
+        lam = {a: theta.derivative(names[a]) for a in range(d)}
         grad = {}
         for (i, a), p in ginv.comps.items():
             la = lam.get(a)
@@ -321,6 +402,7 @@ def mobility_dimension(spec, ansatz: AnsatzSpace = None, stabilize=True):
         stabilized=stab,
         identity_included=ident,
         records=records,
+        verified=verified,
     )
 
 

@@ -56,6 +56,12 @@ class GaussQ:
 
     def __add__(self, other):
         other = GaussQ.of(other)
+        if not other.im and not self.im:
+            if not other.re:
+                return self
+            if not self.re:
+                return other
+            return _real(self.re + other.re)
         if not other.re and not other.im:
             return self
         if not self.re and not self.im:
@@ -65,10 +71,16 @@ class GaussQ:
     __radd__ = __add__
 
     def __neg__(self):
+        if not self.im:
+            return _real(-self.re)
         return GaussQ(-self.re, -self.im)
 
     def __sub__(self, other):
         other = GaussQ.of(other)
+        if not other.im and not self.im:
+            if not other.re:
+                return self
+            return _real(self.re - other.re)
         if not other.re and not other.im:
             return self
         return GaussQ(self.re - other.re, self.im - other.im)
@@ -81,7 +93,7 @@ class GaussQ:
         if (not self.re and not self.im) or (not other.re and not other.im):
             return _ZERO_G
         if not self.im and not other.im:
-            return GaussQ(self.re * other.re)
+            return _real(self.re * other.re)
         return GaussQ(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
@@ -143,6 +155,17 @@ class GaussQ:
 
     def __repr__(self):
         return f"GaussQ({self.re!r}, {self.im!r})"
+
+
+_FRACTION_ZERO = Fraction(0)
+
+
+def _real(re: Fraction) -> GaussQ:
+    """The real GaussQ `re` (a Fraction), without converting the parts again."""
+    z = object.__new__(GaussQ)
+    object.__setattr__(z, "re", re)
+    object.__setattr__(z, "im", _FRACTION_ZERO)
+    return z
 
 
 ZERO = GaussQ(0)

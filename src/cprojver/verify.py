@@ -410,6 +410,15 @@ def metric_battery(name, n, signs=None, stabilize=True):
                 note="J-invariance side condition dropped",
             )
         )
+        checks.append(
+            Check(
+                "mobility solutions re-verified exactly",
+                "post-hoc-verification",
+                True,
+                mob.verified,
+                bool(mob.verified),
+            )
+        )
     exp_pf = spec.expect("parallel_forms_dim")
     if exp_pf is not None:
         pf = parallel_forms(spec)

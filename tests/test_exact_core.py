@@ -95,6 +95,32 @@ class TestPoly:
         assert v == GaussQ(Fraction(11, 2))
 
 
+frac = st.fractions(max_denominator=12).filter(lambda q: abs(q) <= 50)
+# real values (imaginary part exactly zero) as often as non-real ones
+gauss = st.builds(GaussQ, frac, st.one_of(st.just(Fraction(0)), frac))
+
+
+class TestScalarArithmetic:
+    """Real and non-real GaussQ arithmetic against the component formulas."""
+
+    @staticmethod
+    def parts(z):
+        assert type(z.re) is Fraction and type(z.im) is Fraction
+        return z.re, z.im
+
+    @settings(max_examples=200, deadline=None)
+    @given(gauss, gauss)
+    def test_add_sub_neg_mul(self, u, v):
+        a, b = u.re, u.im
+        c, d = v.re, v.im
+        assert self.parts(u + v) == (a + c, b + d)
+        assert self.parts(u - v) == (a - c, b - d)
+        assert self.parts(-u) == (-a, -b)
+        assert self.parts(u * v) == (a * c - b * d, a * d + b * c)
+        assert (u + v).is_real() == (b + d == 0)
+        assert hash(u * v) == hash(GaussQ(a * c - b * d, a * d + b * c))
+
+
 coef = st.integers(min_value=-6, max_value=6)
 
 

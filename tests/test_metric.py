@@ -4,8 +4,13 @@ from fractions import Fraction
 
 import pytest
 
+from cprojver import metric
 from cprojver.catalog import builtin
 from cprojver.metric import (
+    _hermitian_defect,
+    _mobility_closures,
+    _mobility_operator,
+    _sym_tensor_basis,
     covariant_derivative_02,
     equivalent_metric_family,
     gram_signature_at,
@@ -126,6 +131,52 @@ class TestMobility:
                 lb = lam.get(b)
                 want = lb if lb is not None else submax2.chart.zero()
                 assert (lower - want).is_zero()
+
+
+class TestMobilityColumns:
+    """The mobility column closures (per-pair symbols) against the generic
+    route: `_mobility_operator` through `covariant_derivative_02`, and
+    `_hermitian_defect`, on the column x^e E_ab."""
+
+    @pytest.mark.parametrize("name,n", [("flat", 2), ("submax-metric", 2), ("submax-metric", 3)])
+    def test_columns_equal_generic_route(self, name, n):
+        spec = builtin(name, n)
+        g, J = spec.metric, spec.J
+        chart = g.chart
+        ginv = metric_inverse(g)
+        gamma = levi_civita(g, ginv)
+        op = _mobility_operator(g, ginv, J, gamma)
+        pairs, with_herm, eq_only = _mobility_closures(g, ginv, J, gamma)
+        assert pairs == [(a, b) for a in range(chart.dim) for b in range(a, chart.dim)]
+        deg = max(2, spec.degrees.get("degree", 2))
+        big = AnsatzSpace(chart, total_degree=deg).enlarged()
+        for exps in big.monomials:
+            for p, (a, b) in enumerate(pairs):
+                B = _sym_tensor_basis(chart, exps, a, b)
+                eq = ("EQ", op(B).comps)
+                herm = ("HERM", _hermitian_defect(B, J).comps)
+                assert with_herm(exps, p) == [eq, herm], (exps, a, b)
+                assert eq_only(exps, p) == [eq], (exps, a, b)
+
+    @pytest.mark.parametrize("dropped", [0, 1])  # with_herm, eq_only
+    def test_wrong_closure_fails_verification(self, monkeypatch, dropped):
+        # a closure that returns nothing for the pair p = 0 leaves every
+        # x^e E_00 in that solve's kernel; only the generic route can see it
+        spec = builtin("flat", 2)
+        good = mobility_dimension(spec)
+        assert (good.dim, good.dim_unconstrained) == (9, 15) and good.verified
+        closures = metric._mobility_closures
+
+        def wrong(*args):
+            pairs, *ops = closures(*args)
+            op = ops[dropped]
+            ops[dropped] = lambda exps, p: [] if p == 0 else op(exps, p)
+            return (pairs, *ops)
+
+        monkeypatch.setattr(metric, "_mobility_closures", wrong)
+        bad = mobility_dimension(spec)
+        assert (bad.dim, bad.dim_unconstrained)[dropped] > (9, 15)[dropped]
+        assert bad.verified is False
 
 
 class TestParallelForms:
