@@ -95,7 +95,7 @@ class TestPoly:
         assert v == GaussQ(Fraction(11, 2))
 
 
-frac = st.fractions(max_denominator=12).filter(lambda q: abs(q) <= 50)
+frac = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 # real values (imaginary part exactly zero) as often as non-real ones
 gauss = st.builds(GaussQ, frac, st.one_of(st.just(Fraction(0)), frac))
 
