@@ -34,7 +34,7 @@ def _scale_row_to_int(row):
                 lcm = lcm // g * d
     out = {}
     for k, v in row.items():
-        iv = int(v * lcm) if isinstance(v, Fraction) else v * lcm
+        iv = v.numerator * (lcm // v.denominator) if isinstance(v, Fraction) else v * lcm
         if iv:
             out[k] = iv
     g = _row_content(out)

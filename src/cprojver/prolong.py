@@ -106,7 +106,7 @@ class CurvElement:
         def pairing(slot, x: CD):
             copy, j = slot
             m = x.u if copy == 0 else x.b
-            return m.a[j][0]  # coefficient of E_{j+1,1}
+            return m.at(j, 0)  # coefficient of E_{j+1,1}
 
         for (sA, sB), w in self.entries.items():
             c = pairing(sA, a) * pairing(sB, b) - pairing(sA, b) * pairing(sB, a)
@@ -120,11 +120,11 @@ class CurvElement:
 
 def _minus_part_action(x: Mat, n):
     """Matrix M with [x, u_j] = sum_k M[k][j] u_k on the -1 block."""
-    a0 = x.a[0][0]
-    return [
-        [x.a[k + 1][j + 1] - (a0 if j == k else GaussQ(0)) for j in range(n)]
-        for k in range(n)
-    ]
+    a0 = x.at(0, 0)
+    M = [[x.at(k + 1, j + 1) for j in range(n)] for k in range(n)]
+    for k in range(n):
+        M[k][k] = M[k][k] - a0
+    return M
 
 
 def g0_action(x: CD, psi: CurvElement) -> CurvElement:
@@ -280,7 +280,7 @@ def diagonal_condition_holds(ctype, n, ann: AnnihilatorResult) -> bool:
     types using a_2 also at n = 2 where a_2 = a_n)."""
     two = GaussQ(2)
     for x in ann.basis:
-        a = [x.u.a[j][j] for j in range(n + 1)]
+        a = [x.u.at(j, j) for j in range(n + 1)]
         if ctype == "I":
             cond = (a[0] - a[1]) * two - a[2] + a[n]
         elif ctype == "II":

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .poly import accumulate
 from .scalars import GaussQ
 
 
@@ -28,92 +29,102 @@ _ZERO = GaussQ(0)
 
 
 class Mat:
-    """Dense (n+1)x(n+1) matrix over Q(i)."""
+    """Sparse (n+1)x(n+1) matrix over Q(i): `d` maps a 0-based position
+    (j, k) to its entry and never holds a zero."""
 
-    __slots__ = ("n1", "a")
+    __slots__ = ("n1", "d")
 
-    def __init__(self, n1, a=None):
+    def __init__(self, n1, d=None):
         self.n1 = n1
-        self.a = a if a is not None else [[_ZERO] * n1 for _ in range(n1)]
+        self.d = d if d is not None else {}
 
     @staticmethod
     def unit(n1, j, k, c=GaussQ(1)):
-        m = Mat(n1)
-        m.a[j - 1][k - 1] = GaussQ.of(c)
-        return m
+        c = GaussQ.of(c)
+        return Mat(n1, {(j - 1, k - 1): c} if c else {})
 
     @staticmethod
     def diag(n1, entries):
-        m = Mat(n1)
+        d = {}
         for j, c in enumerate(entries):
-            m.a[j][j] = GaussQ.of(c)
-        return m
+            c = GaussQ.of(c)
+            if c:
+                d[(j, j)] = c
+        return Mat(n1, d)
+
+    def at(self, j, k):
+        """The entry at the 0-based position (j, k)."""
+        return self.d.get((j, k), _ZERO)
 
     def __add__(self, o):
-        out = Mat(self.n1)
-        out.a = [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(self.a, o.a)]
-        return out
+        d = dict(self.d)
+        for key, y in o.d.items():
+            accumulate(d, key, y)
+        return Mat(self.n1, d)
 
     def __sub__(self, o):
-        out = Mat(self.n1)
-        out.a = [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(self.a, o.a)]
-        return out
+        d = dict(self.d)
+        for key, y in o.d.items():
+            accumulate(d, key, -y)
+        return Mat(self.n1, d)
 
     def __neg__(self):
-        out = Mat(self.n1)
-        out.a = [[-x for x in r] for r in self.a]
-        return out
+        return Mat(self.n1, {key: -x for key, x in self.d.items()})
 
     def scale(self, c):
         c = GaussQ.of(c)
-        out = Mat(self.n1)
-        out.a = [[(x * c if (x.re or x.im) else x) for x in r] for r in self.a]
-        return out
+        if not c:
+            return Mat(self.n1)
+        return Mat(self.n1, {key: x * c for key, x in self.d.items()})
 
     def mul(self, o):
-        n1 = self.n1
-        out = Mat(n1)
-        for i in range(n1):
-            ai = self.a[i]
-            oi = out.a[i]
-            for k in range(n1):
-                c = ai[k]
-                if c.is_zero():
-                    continue
-                ok = o.a[k]
-                for j in range(n1):
-                    if not ok[j].is_zero():
-                        oi[j] = oi[j] + c * ok[j]
-        return out
+        return Mat(self.n1, _product(self.d, o.d, {}, False))
 
     def bracket(self, o):
-        return self.mul(o) - o.mul(self)
+        d = _product(self.d, o.d, {}, False)
+        return Mat(self.n1, _product(o.d, self.d, d, True))
 
     def conj(self):
-        out = Mat(self.n1)
-        out.a = [[x.conj() for x in r] for r in self.a]
-        return out
+        return Mat(self.n1, {key: x.conj() for key, x in self.d.items()})
 
     def trace(self):
         t = GaussQ(0)
         for j in range(self.n1):
-            t = t + self.a[j][j]
+            t = t + self.at(j, j)
         return t
 
     def is_zero(self):
-        return all(x.is_zero() for r in self.a for x in r)
+        return not self.d
 
     def entries(self):
-        for j in range(self.n1):
-            for k in range(self.n1):
-                if not self.a[j][k].is_zero():
-                    yield (j + 1, k + 1), self.a[j][k]
+        """Nonzero entries as ((j, k) 1-based, value), in row-major order."""
+        for j, k in sorted(self.d):
+            yield (j + 1, k + 1), self.d[(j, k)]
 
     def __eq__(self, o):
-        return isinstance(o, Mat) and self.n1 == o.n1 and self.a == o.a
+        return isinstance(o, Mat) and self.n1 == o.n1 and self.d == o.d
 
     def __repr__(self):
-        return "Mat[" + "; ".join(" ".join(str(x) for x in r) for r in self.a) + "]"
+        r = range(self.n1)
+        rows = (" ".join(str(self.at(j, k)) for k in r) for j in r)
+        return "Mat[" + "; ".join(rows) + "]"
+
+
+def _product(a, b, out, negate):
+    """Accumulate the matrix product a*b (or -a*b) of two sparse entry dicts
+    into `out`, touching only the nonzero pairs (i,k)*(k,j)."""
+    rows = {}
+    for (k, j), y in b.items():
+        rows.setdefault(k, []).append((j, y))
+    for (i, k), x in a.items():
+        row = rows.get(k)
+        if row is None:
+            continue
+        if negate:
+            x = -x
+        for j, y in row:
+            accumulate(out, (i, j), x * y)
+    return out
 
 
 class CD:
@@ -148,8 +159,7 @@ class CD:
         return self.u.is_zero() and self.b.is_zero()
 
     def is_real(self):
-        d = self - self.conj()
-        return d.is_zero()
+        return self.b == self.u.conj()
 
     def __eq__(self, o):
         return isinstance(o, CD) and self.u == o.u and self.b == o.b
@@ -182,40 +192,38 @@ class SlPair:
 
     def _build_basis(self):
         n1 = self.n1
+        labels, basis = self.basis_labels, self.basis
+        # 0-based matrix position -> indices of the two labels reading its real
+        # and imaginary part (no label reads the (2,2) entry: the trace fixes it)
+        self._slots = {}
+        self._grades = {}
         for j in range(1, n1 + 1):
             for k in range(1, n1 + 1):
                 if j == k:
                     continue
-                self.basis_labels.append(f"E{j}{k}" if n1 < 10 else f"E{j}_{k}")
-                self.basis.append(realify(Mat.unit(n1, j, k)))
-                self.basis_labels.append(f"F{j}{k}" if n1 < 10 else f"F{j}_{k}")
-                self.basis.append(realify(Mat.unit(n1, j, k, GaussQ(0, 1))))
+                self._slots[(j - 1, k - 1)] = (len(basis), len(basis) + 1)
+                grade = -1 if k == 1 else (1 if j == 1 else 0)
+                for kind, c in (("E", GaussQ(1)), ("F", GaussQ(0, 1))):
+                    labels.append(f"{kind}{j}{k}" if n1 < 10 else f"{kind}{j}_{k}")
+                    basis.append(realify(Mat.unit(n1, j, k, c)))
+                    self._grades[labels[-1]] = grade
         for j in range(1, n1 + 1):
             if j == 2:
                 continue
+            self._slots[(j - 1, j - 1)] = (len(basis), len(basis) + 1)
             d = Mat.unit(n1, j, j) - Mat.unit(n1, 2, 2)
-            self.basis_labels.append(f"H{j}")
-            self.basis.append(realify(d))
-            self.basis_labels.append(f"G{j}")
-            self.basis.append(realify(d.scale(GaussQ(0, 1))))
+            for kind, c in (("H", GaussQ(1)), ("G", GaussQ(0, 1))):
+                labels.append(f"{kind}{j}")
+                basis.append(realify(d.scale(c)))
+                self._grades[labels[-1]] = 0
+        self._index = {lbl: i for i, lbl in enumerate(labels)}
 
     def dim(self):
         return len(self.basis)
 
     def grade_of_label(self, label):
         """Grading from the block shape: lower-left = -1, upper-right = +1."""
-        if label[0] in "HG":
-            return 0
-        body = label[1:]
-        if "_" in body:
-            j, k = (int(t) for t in body.split("_"))
-        else:
-            j, k = int(body[0]), int(body[1])
-        if k == 1 and j > 1:
-            return -1
-        if j == 1 and k > 1:
-            return 1
-        return 0
+        return self._grades[label]
 
     def graded_parts(self):
         parts = {-1: [], 0: [], 1: []}
@@ -229,22 +237,11 @@ class SlPair:
         """Real coordinates of a real element (= realify image) in the basis."""
         if not x.is_real():
             raise ValueError("element is not in the real form")
-        u = x.u
-        n1 = self.n1
-        coords = []
-        for lbl in self.basis_labels:
-            if lbl[0] in "EF":
-                body = lbl[1:]
-                if "_" in body:
-                    j, k = (int(t) for t in body.split("_"))
-                else:
-                    j, k = int(body[0]), int(body[1])
-                c = u.a[j - 1][k - 1]
-                coords.append(c.re if lbl[0] == "E" else c.im)
-            else:
-                j = int(lbl[1:])
-                c = u.a[j - 1][j - 1]
-                coords.append(c.re if lbl[0] == "H" else c.im)
+        coords = [_ZERO.re] * len(self.basis)
+        for pos, c in x.u.d.items():
+            slot = self._slots.get(pos)
+            if slot is not None:
+                coords[slot[0]], coords[slot[1]] = c.re, c.im
         return coords
 
     def from_coordinates(self, coords):
@@ -257,8 +254,7 @@ class SlPair:
         return realify(x)
 
     def element_of_label(self, lbl) -> CD:
-        i = self.basis_labels.index(lbl)
-        return self.basis[i]
+        return self.basis[self._index[lbl]]
 
     # -- root data ------------------------------------------------------------
 
@@ -274,7 +270,7 @@ class SlPair:
 
     def weight_of_matrix_position(self, j, k, diag):
         """eps_j - eps_k evaluated on a diagonal matrix."""
-        return diag.a[j - 1][j - 1] - diag.a[k - 1][k - 1]
+        return diag.at(j - 1, j - 1) - diag.at(k - 1, k - 1)
 
     def grading_eigenvalue_check(self):
         """[Z, x] = j*x for x in g_j, for every basis element."""

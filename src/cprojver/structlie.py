@@ -74,23 +74,25 @@ class StructAlgebra:
     # -- validity ---------------------------------------------------------------
 
     def jacobi_residual(self):
-        """All nonzero cyclic sums Jac(e_i,e_j,e_k); empty table <=> Lie algebra."""
+        """All nonzero cyclic sums Jac(e_i,e_j,e_k); empty table <=> Lie algebra.
+
+        Each cyclic term [[e_a,e_b],e_c] is summed straight from the bracket
+        table: x*y e_m for every (t, x) in [e_a,e_b] and (m, y) in [e_t,e_c]."""
+        units = {}  # (a, b) -> [e_a,e_b], for both orders of each table pair
+        for (i, j), vec in self.table.items():
+            units[(i, j)] = vec
+            units[(j, i)] = self.bracket_units(j, i)
+        empty = {}
         bad = {}
         dim = self.dim()
         for i in range(dim):
             for j in range(i + 1, dim):
-                bij = self.bracket_units(i, j)
                 for k in range(j + 1, dim):
-                    r = self.bracket_vec(bij, {k: _one_like(self, 1)})
-                    for t, c in self.bracket_vec(
-                        self.bracket_units(j, k), {i: _one_like(self, 1)}
-                    ).items():
-                        _acc(r, t, c)
-                    for t, c in self.bracket_vec(
-                        self.bracket_units(k, i), {j: _one_like(self, 1)}
-                    ).items():
-                        _acc(r, t, c)
-                    r = {t: c for t, c in r.items() if not _is_zero(c)}
+                    r = {}
+                    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                        for t, x in units.get((a, b), empty).items():
+                            for m, y in units.get((t, c), empty).items():
+                                _acc(r, m, x * y)
                     if r:
                         bad[(self.labels[i], self.labels[j], self.labels[k])] = {
                             self.labels[t]: c for t, c in r.items()

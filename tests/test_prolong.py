@@ -86,7 +86,7 @@ class TestAnnihilators:
         res = annihilator(psi)
         for x in res.basis:
             u = x.u
-            a0, a1, an = u.a[0][0], u.a[1][1], u.a[n][n]
+            a0, a1, an = u.at(0, 0), u.at(1, 1), u.at(n, n)
             lhs = GaussQ(2 * (a0.re - a1.re))
             assert lhs == a1 - an
 

@@ -1,7 +1,12 @@
 """Graded real Lie algebra sl(n+1,C)_R: dimensions, grading, conjugation."""
 
-import pytest
+from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cprojver.scalars import GaussQ
 from cprojver.slpair import Mat, SlPair, realify
 
 
@@ -101,3 +106,70 @@ class TestConjugationAndExport:
             for (j, k), _ in x.entries():
                 assert (j == 1 and k == 1) or (j > 1 and k > 1)
             assert x.trace().is_zero()
+
+
+frac = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+gauss = st.builds(GaussQ, frac, st.one_of(st.just(Fraction(0)), frac))
+
+
+@st.composite
+def sparse_pair(draw):
+    """Two random sparse matrices as (n1, dense A, dense B, Mat A, Mat B)."""
+    n1 = draw(st.integers(min_value=2, max_value=5))
+    pos = st.tuples(st.integers(0, n1 - 1), st.integers(0, n1 - 1))
+    out = [n1]
+    dense = []
+    for _ in range(2):
+        entries = draw(st.dictionaries(pos, gauss, max_size=2 * n1))
+        dense.append(
+            [[entries.get((j, k), GaussQ(0)) for k in range(n1)] for j in range(n1)]
+        )
+        m = Mat(n1)
+        for (j, k), c in entries.items():  # zero values must not be stored
+            m = m + Mat.unit(n1, j + 1, k + 1, c)
+        out.append(m)
+    return out[0], dense[0], dense[1], out[1], out[2]
+
+
+def _dense_mul(a, b):
+    n1 = len(a)
+    return [
+        [sum((a[i][k] * b[k][j] for k in range(n1)), GaussQ(0)) for j in range(n1)]
+        for i in range(n1)
+    ]
+
+
+def _assert_matches(m, dense):
+    """`m` stores exactly the nonzero entries of `dense`, yielded row-major."""
+    assert all(not v.is_zero() for v in m.d.values())
+    keys = [key for key, _ in m.entries()]
+    assert keys == sorted(keys)
+    want = {
+        (j + 1, k + 1): v
+        for j, row in enumerate(dense)
+        for k, v in enumerate(row)
+        if not v.is_zero()
+    }
+    assert dict(m.entries()) == want
+
+
+class TestSparseMatrices:
+    @settings(max_examples=200, deadline=None)
+    @given(sparse_pair(), gauss)
+    def test_against_dense_formulas(self, pair, c):
+        n1, a, b, ma, mb = pair
+        idx = range(n1)
+        _assert_matches(ma, a)
+        _assert_matches(mb, b)
+        _assert_matches(ma.mul(mb), _dense_mul(a, b))
+        ab, ba = _dense_mul(a, b), _dense_mul(b, a)
+        bracket = [[ab[j][k] - ba[j][k] for k in idx] for j in idx]
+        _assert_matches(ma.bracket(mb), bracket)
+        _assert_matches(ma + mb, [[a[j][k] + b[j][k] for k in idx] for j in idx])
+        _assert_matches(ma - mb, [[a[j][k] - b[j][k] for k in idx] for j in idx])
+        _assert_matches(ma - ma, [[GaussQ(0)] * n1 for _ in idx])
+        _assert_matches(ma.scale(c), [[a[j][k] * c for k in idx] for j in idx])
+        _assert_matches(ma.conj(), [[a[j][k].conj() for k in idx] for j in idx])
+        for j in idx:
+            for k in idx:
+                assert ma.at(j, k) == a[j][k]

@@ -1,11 +1,18 @@
 """Structure-constant algebras: Jacobi, series, gradings, deformations."""
 
+import os
 from fractions import Fraction
 
 import pytest
 
-from cprojver.algebras import builtin_algebra, parse_algebra_manifest
+from cprojver.algebras import (
+    ALGEBRA_FILES,
+    builtin_algebra,
+    data_dir,
+    parse_algebra_manifest,
+)
 from cprojver.parse import ParseError
+from cprojver.poly import LaurentPoly
 from cprojver.prolong import subalgebra_with_cochain
 from cprojver.scalars import GaussQ
 from cprojver.structlie import StructAlgebra, deform_by_cochain
@@ -47,6 +54,69 @@ class TestJacobi:
                     ).items():
                         r[t] = r.get(t, GaussQ(0)) + c
                     assert all(v.is_zero() for v in r.values())
+
+
+def cyclic_sum(alg):
+    """Every nonzero Jac(e_i,e_j,e_k), i<j<k, as the sum of the three
+    [[e_a,e_b],e_c] computed through `bracket_vec` on unit vectors."""
+    one = LaurentPoly.const(alg.params, 1) if alg.has_params() else GaussQ(1)
+    out = {}
+    dim = alg.dim()
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            for k in range(j + 1, dim):
+                r = {}
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                    inner = alg.bracket_vec({a: one}, {b: one})
+                    for t, v in alg.bracket_vec(inner, {c: one}).items():
+                        r[t] = r[t] + v if t in r else v
+                r = {alg.labels[t]: v for t, v in r.items() if not v.is_zero()}
+                if r:
+                    out[(alg.labels[i], alg.labels[j], alg.labels[k])] = r
+    return out
+
+
+def corrupted_s(target):
+    """The 8-dimensional algebra `s` with [e5,e7] set to e_{target+1}."""
+    a = builtin_algebra("s")
+    table = {k: dict(v) for k, v in a.table.items()}
+    table[(4, 6)] = {target: GaussQ(1)}
+    return StructAlgebra(a.labels, table, z2=a.z2)
+
+
+def corrupted_lambda_family():
+    """lambda-family with [vp1,vq1] = 6*lam*a2 instead of 6*lam^2*a2."""
+    path = os.path.join(data_dir(), ALGEBRA_FILES["lambda-family"])
+    with open(path, encoding="ascii") as fh:
+        text = fh.read()
+    good = "bracket [vp1,vq1] = 6*lam^2*a2"
+    assert good in text
+    return parse_algebra_manifest(text.replace(good, "bracket [vp1,vq1] = 6*lam*a2"))
+
+
+class TestJacobiAgainstCyclicSum:
+    @pytest.mark.parametrize("name", sorted(ALGEBRA_FILES))
+    def test_builtin(self, name):
+        alg = builtin_algebra(name)
+        assert alg.jacobi_residual() == cyclic_sum(alg) == {}
+
+    @pytest.mark.parametrize(
+        "alg",
+        [corrupted_s(3), corrupted_s(5), corrupted_lambda_family()],
+        ids=["s-e4", "s-e6", "lambda-family-lam"],
+    )
+    def test_corrupted(self, alg):
+        assert alg.jacobi_residual() == cyclic_sum(alg)
+
+    def test_corrupted_parametric_residual_is_polynomial(self):
+        alg = corrupted_lambda_family()
+        res = alg.jacobi_residual()
+        assert res
+        assert all(
+            isinstance(c, LaurentPoly) and not c.is_zero()
+            for vec in res.values()
+            for c in vec.values()
+        )
 
 
 class TestDerivedSeries:
@@ -114,19 +184,12 @@ class TestVerifyFamily:
         # swapping [e5,e7] from e3 to e4 happens to preserve Jacobi (the
         # brute-force oracle says the residual stays empty), because e4 acts
         # on e5 like e3 and no other relation involves the pair (5,7)
-        a = builtin_algebra("s")
-        table = {k: dict(v) for k, v in a.table.items()}
-        table[(4, 6)] = {3: GaussQ(1)}  # [e5,e7] = e4
-        corrupted = StructAlgebra(a.labels, table, z2=a.z2)
+        corrupted = corrupted_s(3)  # [e5,e7] = e4
         assert corrupted.jacobi_residual() == {}
 
     def test_corruption_with_witness(self):
         # [e5,e7] = e6 does break Jacobi, with witness triple (e1,e5,e7)
-        a = builtin_algebra("s")
-        table = {k: dict(v) for k, v in a.table.items()}
-        table[(4, 6)] = {5: GaussQ(1)}
-        corrupted = StructAlgebra(a.labels, table, z2=a.z2)
-        res = corrupted.jacobi_residual()
+        res = corrupted_s(5).jacobi_residual()
         assert res
         assert ("e1", "e5", "e7") in res
 
