@@ -1,10 +1,10 @@
 """Exact linear algebra: ranks, kernels, span reduction, signatures.
 
-Two elimination routes are provided and must agree:
-
-* sparse exact Gaussian elimination on integer-scaled rows (the default; it
-  also produces the canonical reduced-echelon kernel basis), and
-* dense fraction-free Bareiss elimination for small integer-heavy matrices.
+Every kernel and rank goes through `LinearSystem`: sparse exact Gaussian
+elimination on integer-scaled rows, which also produces the canonical
+reduced-echelon kernel basis.  `_bareiss_rank` (dense fraction-free Bareiss
+elimination) is kept as the independent reference the tests compare
+`LinearSystem.rank` against.
 
 Kernel bases are deterministic: columns are eliminated in their natural order,
 free columns are enumerated ascending, and every kernel vector is scaled so
@@ -17,9 +17,6 @@ from fractions import Fraction
 from math import gcd
 
 from .scalars import GaussQ
-
-# matrices at most this wide take the dense Bareiss route in rank()
-BAREISS_MAX_DIM = 24
 
 
 def _scale_row_to_int(row):
@@ -176,146 +173,6 @@ class LinearSystem:
                 vec = {k: v / lead for k, v in vec.items()}
             basis.append(vec)
         return basis
-
-
-class ComplexLinearSystem:
-    """Homogeneous system over Q(i), eliminated with field arithmetic."""
-
-    def __init__(self):
-        self._field_pivots = {}
-        self._field_cols = set()
-
-    def add_row_complex_unknowns(self, row):
-        r = {k: GaussQ.of(v) for k, v in row.items() if GaussQ.of(v)}
-        self._field_cols.update(r.keys())
-        while r:
-            c = min(r)
-            p = self._field_pivots.get(c)
-            if p is None:
-                lead = r[c]
-                self._field_pivots[c] = {k: v / lead for k, v in r.items()}
-                return True
-            factor = r[c]
-            for k, v in p.items():
-                s = r.get(k, GaussQ(0)) - factor * v
-                if s.is_zero():
-                    r.pop(k, None)
-                else:
-                    r[k] = s
-        return False
-
-    def complex_kernel(self):
-        cols = sorted(self._field_cols)
-        reduced = {}
-        for c in sorted(self._field_pivots, reverse=True):
-            r = dict(self._field_pivots[c])
-            for c2 in sorted(k for k in list(r) if k != c and k in reduced):
-                if c2 in r:
-                    f = r.pop(c2)
-                    for k, v in reduced[c2].items():
-                        if k == c2:
-                            continue
-                        s = r.get(k, GaussQ(0)) - f * v
-                        if s.is_zero():
-                            r.pop(k, None)
-                        else:
-                            r[k] = s
-            reduced[c] = r
-        free = [c for c in cols if c not in reduced]
-        basis = []
-        for f in free:
-            vec = {f: GaussQ(1)}
-            for c, row in reduced.items():
-                if f in row:
-                    vec[c] = -row[f]
-            first = min(vec)
-            lead = vec[first]
-            if not lead.is_one():
-                vec = {k: v / lead for k, v in vec.items()}
-            basis.append(vec)
-        return basis
-
-
-class ExactMatrix:
-    """Dense exact matrix over Q or Q(i)."""
-
-    def __init__(self, rows, ncols=None):
-        self.rows = [[GaussQ.of(c) for c in r] for r in rows]
-        self.nrows = len(self.rows)
-        if self.rows:
-            self.ncols = len(self.rows[0])
-        else:
-            self.ncols = 0 if ncols is None else ncols
-        for r in self.rows:
-            if len(r) != self.ncols:
-                raise ValueError("ragged matrix")
-
-    def is_real(self):
-        return all(c.is_real() for r in self.rows for c in r)
-
-    def _int_rows(self):
-        out = []
-        for r in self.rows:
-            row = {j: c.re for j, c in enumerate(r) if c.re}
-            out.append(_scale_row_to_int(row))
-        return [[r.get(j, 0) for j in range(self.ncols)] for r in out]
-
-    def rank(self):
-        if self.nrows == 0 or self.ncols == 0:
-            return 0
-        if self.is_real() and max(self.nrows, self.ncols) <= BAREISS_MAX_DIM:
-            return _bareiss_rank(self._int_rows(), self.ncols)
-        return self.rank_sparse()
-
-    def rank_sparse(self):
-        if self.is_real():
-            sys = LinearSystem()
-            for r in self.rows:
-                row = {j: c.re for j, c in enumerate(r) if c.re}
-                if row:
-                    sys.add_row(row)
-            return sys.rank()
-        sys = ComplexLinearSystem()
-        for r in self.rows:
-            row = {j: c for j, c in enumerate(r) if not c.is_zero()}
-            if row:
-                sys.add_row_complex_unknowns(row)
-        return len(sys._field_pivots)
-
-    def rank_bareiss(self):
-        if not self.is_real():
-            raise ValueError("Bareiss route is for rational matrices")
-        return _bareiss_rank(self._int_rows(), self.ncols)
-
-    def kernel(self):
-        """Canonical kernel basis as lists of GaussQ, first nonzero = 1."""
-        if self.ncols == 0:
-            return []
-        if self.is_real():
-            sys = LinearSystem()
-            sys.columns.update(range(self.ncols))
-            for r in self.rows:
-                row = {j: c.re for j, c in enumerate(r) if c.re}
-                if row:
-                    sys.add_row(row)
-            vecs = sys.kernel()
-            return [
-                [GaussQ(v.get(j, Fraction(0))) for j in range(self.ncols)]
-                for v in vecs
-            ]
-        sys = ComplexLinearSystem()
-        sys._field_cols.update(range(self.ncols))
-        for r in self.rows:
-            row = {j: c for j, c in enumerate(r) if not c.is_zero()}
-            if row:
-                sys.add_row_complex_unknowns(row)
-        vecs = sys.complex_kernel()
-        return [[v.get(j, GaussQ(0)) for j in range(self.ncols)] for v in vecs]
-
-    def mul_vector(self, vec):
-        return [
-            sum((c * v for c, v in zip(r, vec)), GaussQ(0)) for r in self.rows
-        ]
 
 
 class SpanSolver:

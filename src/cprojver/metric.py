@@ -19,7 +19,7 @@ from functools import cache
 from .linalg import SpanSolver, signature
 from .poly import LaurentPoly, PolyError, accumulate
 from .scalars import GaussQ
-from .symsolve import AnsatzSpace, SystemBuilder, _column_operator
+from .symsolve import AnsatzSpace, _column_operator, solve_field_system
 from .tensorcalc import (
     Tensor,
     complex_tensor_to_real,
@@ -344,26 +344,13 @@ def mobility_dimension(spec, ansatz: AnsatzSpace = None, stabilize=True):
     pairs, with_herm, eq_only = _mobility_closures(g, ginv, J, gamma)
 
     def solve(ans, operator):
-        builder = SystemBuilder()
-        cols = []
-        for exps in ans.monomials:
-            for p, (a, b) in enumerate(pairs):
-                col = builder.column()
-                cols.append((exps, a, b))
-                for tag, comps in operator(exps, p):
-                    builder.add_output(col, tag, comps)
-        kernel, _ = builder.kernel()
-        basis = []
-        for vec in kernel:
-            comps = {}
-            for c, val in vec.items():
-                exps, a, b = cols[c]
-                mono = LaurentPoly(chart.table, {exps: GaussQ(val)})
-                for key in {(a, b), (b, a)}:
-                    cur = comps.get(key)
-                    comps[key] = mono if cur is None else cur + mono
-            basis.append(Tensor(chart, (0, 2), comps))
-        return basis
+        fields, _ = solve_field_system(spec, operator, ans, ndirs=len(pairs))
+        return [
+            Tensor(chart, (0, 2), {
+                key: poly for p, poly in f.items() for key in {pairs[p], pairs[p][::-1]}
+            })
+            for f in fields
+        ]
 
     basis = solve(ansatz, with_herm)
     unconstrained = solve(ansatz, eq_only)
@@ -379,10 +366,8 @@ def mobility_dimension(spec, ansatz: AnsatzSpace = None, stabilize=True):
     )
     span = SpanSolver()
     for B in basis:
-        span.insert({k: v.coefficient_of(e) for (k, e), v in _coords(B).items()})
-    ident = span.contains(
-        {k: v.coefficient_of(e) for (k, e), v in _coords(g).items()}
-    )
+        span.insert(tensor_coordinates(B))
+    ident = span.contains(tensor_coordinates(g))
     names = chart.table.names
     records = []
     for B in basis:
@@ -404,14 +389,6 @@ def mobility_dimension(spec, ansatz: AnsatzSpace = None, stabilize=True):
         records=records,
         verified=verified,
     )
-
-
-def _coords(t: Tensor):
-    out = {}
-    for key, p in t.comps.items():
-        for e in p.terms:
-            out[(key, e)] = p
-    return out
 
 
 def tensor_coordinates(t: Tensor):
@@ -442,34 +419,24 @@ def parallel_forms(spec, ansatz: AnsatzSpace = None):
     names = chart.table.names
     if ansatz is None:
         ansatz = AnsatzSpace(chart, total_degree=max(2, spec.degrees.get("degree", 2)))
-    builder = SystemBuilder()
-    cols = []
-    for exps in ansatz.monomials:
+
+    def apply(exps, a):
         mono = LaurentPoly(chart.table, {exps: GaussQ(1)})
-        for a in range(d):
-            col = builder.column()
-            cols.append((exps, a))
-            out = {}
-            for b in range(d):
-                q = mono.derivative(names[b])
-                if not q.is_zero():
-                    out[(b, a)] = q
-            for (c, b, k), p in gamma.comps.items():
-                if c != a:
-                    continue
-                accumulate(out, (b, k), -(p * mono))
-            builder.add_output(col, "PAR", out)
-    kernel, _ = builder.kernel()
-    basis = []
-    for vec in kernel:
-        comps = {}
-        for c, val in vec.items():
-            exps, a = cols[c]
-            mono = LaurentPoly(chart.table, {exps: GaussQ(val)})
-            cur = comps.get((a,))
-            comps[(a,)] = mono if cur is None else cur + mono
-        basis.append(Tensor(chart, (0, 1), comps))
-    return basis
+        out = {}
+        for b in range(d):
+            q = mono.derivative(names[b])
+            if not q.is_zero():
+                out[(b, a)] = q
+        for (c, b, k), p in gamma.comps.items():
+            if c != a:
+                continue
+            accumulate(out, (b, k), -(p * mono))
+        return [("PAR", out)]
+
+    forms, _ = solve_field_system(spec, apply, ansatz)
+    return [
+        Tensor(chart, (0, 1), {(a,): poly for a, poly in f.items()}) for f in forms
+    ]
 
 
 # -- equivalent-metric family ----------------------------------------------------------

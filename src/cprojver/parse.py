@@ -290,13 +290,3 @@ def format_poly(p: LaurentPoly) -> str:
         for _ in range(m):
             out = f"({out})/{p.table.den_names[k]}"
     return out
-
-
-def format_field(comps, table) -> str:
-    if not comps:
-        return "0"
-    parts = []
-    for name in table.names:
-        if name in comps and not comps[name].is_zero():
-            parts.append(f"({format_poly(comps[name])})*D({name})")
-    return " + ".join(parts)

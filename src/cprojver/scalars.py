@@ -119,10 +119,6 @@ class GaussQ:
     def conj(self) -> "GaussQ":
         return GaussQ(self.re, -self.im)
 
-    def norm2(self) -> Fraction:
-        """|self|^2, an exact rational."""
-        return self.re * self.re + self.im * self.im
-
     # -- comparison / hashing ------------------------------------------
 
     def __eq__(self, other):

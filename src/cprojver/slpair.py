@@ -244,15 +244,6 @@ class SlPair:
                 coords[slot[0]], coords[slot[1]] = c.re, c.im
         return coords
 
-    def from_coordinates(self, coords):
-        x = Mat(self.n1)
-        for lbl, c in zip(self.basis_labels, coords):
-            if not c:
-                continue
-            el = self.element_of_label(lbl)
-            x = x + el.u.scale(c)
-        return realify(x)
-
     def element_of_label(self, lbl) -> CD:
         return self.basis[self._index[lbl]]
 
@@ -267,34 +258,3 @@ class SlPair:
         m = Mat.unit(self.n1, j, k) if sign > 0 else Mat.unit(self.n1, k, j)
         z = Mat(self.n1)
         return CD(z, m) if barred else CD(m, z)
-
-    def weight_of_matrix_position(self, j, k, diag):
-        """eps_j - eps_k evaluated on a diagonal matrix."""
-        return diag.at(j - 1, j - 1) - diag.at(k - 1, k - 1)
-
-    def grading_eigenvalue_check(self):
-        """[Z, x] = j*x for x in g_j, for every basis element."""
-        zz = realify(self.Z)
-        for lbl, x in zip(self.basis_labels, self.basis):
-            j = self.grade_of_label(lbl)
-            d = zz.bracket(x) - x.scale(j)
-            if not d.is_zero():
-                return False, lbl
-        return True, None
-
-    # -- export to structure constants ------------------------------------------
-
-    def structure_constants(self):
-        """Sparse real structure constants over the deterministic basis."""
-        table = {}
-        dim = self.dim()
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                br = self.basis[i].bracket(self.basis[j])
-                if br.is_zero():
-                    continue
-                coords = self.coordinates(br)
-                vec = {k: c for k, c in enumerate(coords) if c}
-                if vec:
-                    table[(i, j)] = vec
-        return table

@@ -181,22 +181,6 @@ class StructAlgebra:
             self.labels, out, grading=self.grading, z2=self.z2, name=self.name
         )
 
-    def transport(self, scaling):
-        """Structure constants transported along the diagonal map
-        e_i -> scaling[label]*e_i (an isomorphism test helper)."""
-        s = {self.index[l]: GaussQ.of(v) for l, v in scaling.items()}
-        for i in range(self.dim()):
-            s.setdefault(i, GaussQ(1))
-        out = {}
-        for (i, j), vec in self.table.items():
-            nv = {}
-            for k, c in vec.items():
-                nv[k] = GaussQ.of(c) * s[i] * s[j] / s[k]
-            out[(i, j)] = nv
-        return StructAlgebra(
-            self.labels, out, grading=self.grading, z2=self.z2, name=self.name
-        )
-
     def same_table(self, other):
         if self.labels != other.labels:
             return False

@@ -384,43 +384,41 @@ def affine_operator(spec):
     )
 
 
-def solve_field_system(spec, operator, ansatz, extra_metric_scale=None):
-    """Kernel of a linear operator on vector fields over the ansatz space.
+def solve_field_system(spec, operator, ansatz, extra_metric_scale=None, ndirs=None):
+    """Kernel of a linear operator on fields over the ansatz space.
+
+    Column c is the monomial x^e, e = ansatz.monomials[c // ndirs], in the
+    direction c % ndirs; `operator(exps, direction)` returns its
+    [(tag, comps)].  `ndirs` defaults to the chart dimension (vector fields).
+    Returns (basis, scales): each kernel vector as {direction: LaurentPoly}.
 
     With `extra_metric_scale` (the metric tensor), one extra scalar unknown c
-    is appended and the equation tagged "LG" becomes L_v g - c g = 0.
+    is appended and the equation tagged "LG" becomes L_v g - c g = 0; its
+    value in each kernel vector is listed in `scales`.
     """
-    chart = spec.chart
-    dim = chart.dim
+    table = spec.chart.table
+    if ndirs is None:
+        ndirs = spec.chart.dim
     builder = SystemBuilder()
-    cols = []
     for exps in ansatz.monomials:
-        for i in range(dim):
+        for i in range(ndirs):
             col = builder.column()
-            cols.append((exps, i))
             for tag, comps in operator(exps, i):
                 builder.add_output(col, tag, comps)
+    nfield = builder.ncols
     if extra_metric_scale is not None:
-        col = builder.column()
-        cols.append(("scale", None))
-        builder.add_output(col, "LG", extra_metric_scale.scale(-1).comps)
+        builder.add_output(builder.column(), "LG", extra_metric_scale.scale(-1).comps)
     kernel, _ = builder.kernel()
     basis = []
     scales = []
     for vec in kernel:
-        f = {}
-        scale_c = Fraction(0)
+        terms = {}  # direction -> {exps: coefficient}
         for c, val in vec.items():
-            key = cols[c]
-            if key[0] == "scale":
-                scale_c = val
-                continue
-            exps, i = key
-            cur = f.get(i)
-            mono = LaurentPoly(chart.table, {exps: GaussQ(val)})
-            f[i] = mono if cur is None else cur + mono
-        basis.append({i: p for i, p in f.items() if not p.is_zero()})
-        scales.append(scale_c)
+            if c < nfield:
+                m, i = divmod(c, ndirs)
+                terms.setdefault(i, {})[ansatz.monomials[m]] = val
+        basis.append({i: LaurentPoly(table, t) for i, t in terms.items()})
+        scales.append(vec.get(nfield, Fraction(0)))
     return basis, scales
 
 
@@ -467,13 +465,20 @@ def verify_fields(equations, basis):
     return True
 
 
-def cproj_system(spec, ansatz, stabilize=True, check_closure=True):
-    op = cproj_operator(spec)
-    basis, _ = solve_field_system(spec, op, ansatz)
+def _solve_stabilized(spec, operator, ansatz, stabilize, **kw):
+    """(basis, scales, stabilized): the solve over `ansatz` and, when
+    `stabilize` is set, whether the solve over `ansatz.enlarged()` has the
+    same kernel dimension (None when not asked)."""
+    basis, scales = solve_field_system(spec, operator, ansatz, **kw)
     stab = None
     if stabilize:
-        bigger, _ = solve_field_system(spec, op, ansatz.enlarged())
+        bigger, _ = solve_field_system(spec, operator, ansatz.enlarged(), **kw)
         stab = len(bigger) == len(basis)
+    return basis, scales, stab
+
+
+def cproj_system(spec, ansatz, stabilize=True, check_closure=True):
+    basis, _, stab = _solve_stabilized(spec, cproj_operator(spec), ansatz, stabilize)
     closed = check_bracket_closure(spec.chart, basis) if check_closure else None
     return SymmetryResult(
         dim=len(basis),
@@ -486,11 +491,7 @@ def cproj_system(spec, ansatz, stabilize=True, check_closure=True):
 
 def killing_system(spec, ansatz, stabilize=True, holomorphic=True):
     op = killing_operator(spec, holomorphic=holomorphic)
-    basis, _ = solve_field_system(spec, op, ansatz)
-    stab = None
-    if stabilize:
-        bigger, _ = solve_field_system(spec, op, ansatz.enlarged())
-        stab = len(bigger) == len(basis)
+    basis, _, stab = _solve_stabilized(spec, op, ansatz, stabilize)
     return SymmetryResult(
         dim=len(basis),
         basis=basis,
@@ -502,12 +503,7 @@ def killing_system(spec, ansatz, stabilize=True, holomorphic=True):
 
 
 def affine_system(spec, ansatz, stabilize=True):
-    op = affine_operator(spec)
-    basis, _ = solve_field_system(spec, op, ansatz)
-    stab = None
-    if stabilize:
-        bigger, _ = solve_field_system(spec, op, ansatz.enlarged())
-        stab = len(bigger) == len(basis)
+    basis, _, stab = _solve_stabilized(spec, affine_operator(spec), ansatz, stabilize)
     return SymmetryResult(
         dim=len(basis),
         basis=basis,
@@ -518,31 +514,18 @@ def affine_system(spec, ansatz, stabilize=True):
 
 def homothety_system(spec, ansatz, stabilize=True, holomorphic=True):
     op = killing_operator(spec, holomorphic=holomorphic)
-    basis, scales = solve_field_system(
-        spec, op, ansatz, extra_metric_scale=spec.metric
+    basis, scales, stab = _solve_stabilized(
+        spec, op, ansatz, stabilize, extra_metric_scale=spec.metric
     )
     # drop pure-scale kernel vectors (c != 0 with zero field cannot occur
     # unless g = 0; keep fields only)
     fields = [f for f in basis if f]
-    stab = None
-    if stabilize:
-        bigger, _ = solve_field_system(
-            spec, op, ansatz.enlarged(), extra_metric_scale=spec.metric
-        )
-        stab = len(bigger) == len(basis)
     return SymmetryResult(
         dim=len(fields),
         basis=fields,
         stabilized=stab,
         extra={"scales": scales},
     )
-
-
-def field_in_span(chart, basis, f):
-    span = SpanSolver()
-    for b in basis:
-        span.insert(field_coordinates(b))
-    return span.contains(field_coordinates(f))
 
 
 def span_equals(chart, basis_a, basis_b):

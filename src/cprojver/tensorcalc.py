@@ -574,32 +574,6 @@ def frame_to_coordinates(chart, frame_cols, omega, J_frame):
     return Tensor(chart, (1, 2), gamma), Tensor(chart, (1, 1), jc)
 
 
-def frame_roundtrip_check(chart, frame_cols, omega, gamma: Tensor):
-    """Recompute nabla e_i in the frame from the coordinate Christoffels."""
-    d = chart.dim
-    names = chart.table.names
-    A = [[frame_cols[i].get(r, chart.zero()) for i in range(d)] for r in range(d)]
-    B = invert_matrix_ring(A, chart)
-    for i in range(d):
-        for a in range(d):
-            # nabla_{d_a} e_i = sum_c [ d_a A^c_i + Gamma^c_{a b} A^b_i ] d_c
-            for c in range(d):
-                tot = A[c][i].derivative(names[a])
-                for b in range(d):
-                    g = gamma.comps.get((c, a, b))
-                    if g is not None:
-                        tot = tot + g * A[b][i]
-                # expected: sum_j omega^j_i(d_a) A^c_j
-                exp = chart.zero()
-                for (j, i2, k), w in omega.items():
-                    if i2 != i:
-                        continue
-                    exp = exp + A[c][j] * w * B[k][a]
-                if not (tot - exp).is_zero():
-                    return False
-    return True
-
-
 def substitute_chart_power(chart_old, chart_new, var_old, var_new, power, gamma=None, J=None, g=None):
     """Transform under the coordinate substitution var_old = var_new**power."""
     iv = chart_old.table.index(var_old)

@@ -6,6 +6,7 @@ import pytest
 
 from cprojver import metric
 from cprojver.catalog import builtin
+from cprojver.linalg import LinearSystem
 from cprojver.metric import (
     _hermitian_defect,
     _mobility_closures,
@@ -27,6 +28,17 @@ from cprojver.scalars import GaussQ
 from cprojver.symsolve import AnsatzSpace
 from cprojver import tensorcalc as tc
 from cprojver.tensorcalc import Tensor
+
+
+def real_rank(rows):
+    """Rank of a dense matrix whose GaussQ entries are all real."""
+    sys = LinearSystem()
+    for r in rows:
+        assert all(c.is_real() for c in r)
+        row = {j: c.re for j, c in enumerate(r) if c.re}
+        if row:
+            sys.add_row(row)
+    return sys.rank()
 
 
 @pytest.fixture(scope="module")
@@ -178,8 +190,54 @@ class TestMobilityColumns:
         assert (bad.dim, bad.dim_unconstrained)[dropped] > (9, 15)[dropped]
         assert bad.verified is False
 
+    def test_identity_check_uses_every_coordinate(self, monkeypatch):
+        # one extra equation pinning the constant E_00 column of the
+        # hermitian solve to zero removes g from its kernel; the span check
+        # must see every monomial of every component, not one per component
+        spec = builtin("flat", 2)
+        chart = spec.chart
+        assert spec.metric.get(0, 0) == chart.const(1)
+        origin = (0,) * chart.dim
+        closures = metric._mobility_closures
+
+        def pinned(*args):
+            pairs, with_herm, eq_only = closures(*args)
+
+            def op(exps, p):
+                out = with_herm(exps, p)
+                if exps == origin and p == 0:
+                    out = out + [("PIN", {(): chart.const(1)})]
+                return out
+
+            return pairs, op, eq_only
+
+        monkeypatch.setattr(metric, "_mobility_closures", pinned)
+        res = mobility_dimension(spec)
+        assert res.dim == 8 and res.verified
+        assert res.identity_included is False
+
 
 class TestParallelForms:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_forms_are_parallel(self, n):
+        # d_b alpha_a - Gamma^c_ba alpha_c = 0 for every returned form
+        spec = builtin("submax-metric", n)
+        chart = spec.chart
+        names = chart.table.names
+        gamma = levi_civita(spec.metric)
+        forms = parallel_forms(spec)
+        assert len(forms) == 2 * (n - 1)
+        for alpha in forms:
+            assert alpha.valence == (0, 1) and not alpha.is_zero()
+            for a in range(chart.dim):
+                for b in range(chart.dim):
+                    tot = alpha.get(a).derivative(names[b])
+                    for c in range(chart.dim):
+                        G = gamma.comps.get((c, b, a))
+                        if G is not None:
+                            tot = tot - G * alpha.get(c)
+                    assert tot.is_zero(), (a, b)
+
     def test_submax_n2(self, submax2):
         pf = parallel_forms(submax2)
         assert len(pf) == 2
@@ -273,7 +331,7 @@ class TestFullIsometries:
         from fractions import Fraction
 
         from cprojver.algebras import builtin_algebra
-        from cprojver.linalg import ExactMatrix, SpanSolver
+        from cprojver.linalg import SpanSolver
         from cprojver.symsolve import (
             bracket_fields,
             field_coordinates,
@@ -294,7 +352,7 @@ class TestFullIsometries:
             ]
             for f in full.basis
         ]
-        assert ExactMatrix(rows).rank() == submax2.chart.dim
+        assert real_rank(rows) == submax2.chart.dim
         span = SpanSolver()
         for i in range(len(full.basis)):
             for j in range(i + 1, len(full.basis)):
@@ -319,7 +377,6 @@ class TestTransitivity:
         from fractions import Fraction
 
         from cprojver.catalog import model_ansatz
-        from cprojver.linalg import ExactMatrix
         from cprojver.symsolve import cproj_system
 
         spec = builtin(name, n)
@@ -332,7 +389,7 @@ class TestTransitivity:
             ]
             for f in res.basis
         ]
-        assert ExactMatrix(rows).rank() == spec.chart.dim
+        assert real_rank(rows) == spec.chart.dim
 
 
 class TestSignature:
