@@ -465,14 +465,16 @@ def verify_fields(equations, basis):
     return True
 
 
-def _solve_stabilized(spec, operator, ansatz, stabilize, **kw):
+def _solve_stabilized(spec, operator, ansatz, stabilize, extra_metric_scale=None):
     """(basis, scales, stabilized): the solve over `ansatz` and, when
     `stabilize` is set, whether the solve over `ansatz.enlarged()` has the
     same kernel dimension (None when not asked)."""
-    basis, scales = solve_field_system(spec, operator, ansatz, **kw)
+    basis, scales = solve_field_system(spec, operator, ansatz, extra_metric_scale)
     stab = None
     if stabilize:
-        bigger, _ = solve_field_system(spec, operator, ansatz.enlarged(), **kw)
+        bigger, _ = solve_field_system(
+            spec, operator, ansatz.enlarged(), extra_metric_scale
+        )
         stab = len(bigger) == len(basis)
     return basis, scales, stab
 
