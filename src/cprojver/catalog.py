@@ -46,6 +46,7 @@ import os
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .parse import ParseError, parse_field, parse_poly
 from .poly import PolyError, VarTable, accumulate
@@ -110,6 +111,21 @@ class ModelSpec:
         if key in self.expected:
             return self.expected[key][0]
         return default
+
+    @cached_property
+    def metric_inverse(self) -> Tensor:
+        """g^{-1} of the declared metric, computed once per spec."""
+        from .metric import metric_inverse
+
+        return metric_inverse(self.metric)
+
+    @cached_property
+    def levi_civita(self) -> Tensor:
+        """The Levi-Civita connection of the declared metric, computed once
+        per spec and shared by every metric check."""
+        from .metric import levi_civita
+
+        return levi_civita(self.metric, self.metric_inverse)
 
 
 class ManifestError(ParseError):

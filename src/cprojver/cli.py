@@ -92,7 +92,6 @@ def cmd_verify(args):
     elif os.path.exists(args.model):
         # a manifest path: run the tensor battery directly on the file
         from .catalog import ManifestError, parse_model_manifest
-        from .verify import symmetry_battery
 
         try:
             with open(args.model, "r", encoding="ascii") as fh:

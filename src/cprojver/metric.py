@@ -22,10 +22,13 @@ from .scalars import GaussQ
 from .symsolve import AnsatzSpace, _column_operator, solve_field_system
 from .tensorcalc import (
     Tensor,
+    complex_table,
     complex_tensor_to_real,
+    contract,
     covariant_derivative_J,
     invert_matrix_ring,
     nijenhuis,
+    partials,
 )
 
 
@@ -43,73 +46,27 @@ def metric_inverse(g: Tensor) -> Tensor:
 
 
 def levi_civita(g: Tensor, ginv: Tensor = None) -> Tensor:
+    """G^i_jk = 1/2 g^ia (d_j g_ak + d_k g_aj - d_a g_jk)."""
     chart = g.chart
-    d = chart.dim
-    names = chart.table.names
     if ginv is None:
         ginv = metric_inverse(g)
-    dg = {}
-    for (a, b), p in g.comps.items():
-        for c in range(d):
-            q = p.derivative(names[c])
-            if not q.is_zero():
-                dg[(c, a, b)] = q
-    comps = {}
-    half = GaussQ("1/2")
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                tot = chart.zero()
-                for (a2, p) in [(a, q) for (i2, a), q in ginv.comps.items() if i2 == i]:
-                    t1 = dg.get((j, a2, k))
-                    t2 = dg.get((k, a2, j))
-                    t3 = dg.get((a2, j, k))
-                    s = chart.zero()
-                    if t1 is not None:
-                        s = s + t1
-                    if t2 is not None:
-                        s = s + t2
-                    if t3 is not None:
-                        s = s - t3
-                    if not s.is_zero():
-                        tot = tot + p * s
-                if not tot.is_zero():
-                    comps[(i, j, k)] = tot * half
-    return Tensor(chart, (1, 2), comps)
+    dg = Tensor(chart, (0, 3), partials(g.comps, chart))  # (c, a, b) -> d_c g_ab
+    s = Tensor(chart, (0, 3), contract("jak->ajk", dg))
+    s += Tensor(chart, (0, 3), contract("kaj->ajk", dg))
+    s -= dg
+    return Tensor(chart, (1, 2), contract("ia,ajk->ijk", ginv, s)).scale(GaussQ("1/2"))
 
 
 def kahler_form(g: Tensor, J: Tensor) -> Tensor:
-    comps = {}
-    for (c, a), p in J.comps.items():
-        for (c2, b), q in g.comps.items():
-            if c2 != c:
-                continue
-            accumulate(comps, (a, b), p * q)
-    return Tensor(g.chart, (0, 2), comps)
+    return Tensor(g.chart, (0, 2), contract("ca,cb->ab", J, g))
 
 
 def covariant_derivative_02(G: Tensor, t: Tensor) -> Tensor:
+    """(nabla t)_cab = d_c t_ab - G^d_ca t_db - G^d_cb t_ad."""
     chart = t.chart
-    d = chart.dim
-    names = chart.table.names
-    out = {}
-
-    for (a, b), p in t.comps.items():
-        for c in range(d):
-            q = p.derivative(names[c])
-            if not q.is_zero():
-                accumulate(out, (c, a, b), q)
-    for (dd, c, a), p in G.comps.items():
-        for (d2, b), q in t.comps.items():
-            if d2 != dd:
-                continue
-            accumulate(out, (c, a, b), -(p * q))
-    for (dd, c, b), p in G.comps.items():
-        for (a, d2), q in t.comps.items():
-            if d2 != dd:
-                continue
-            accumulate(out, (c, a, b), -(p * q))
-    return Tensor(chart, (0, 3), out)
+    out = Tensor(chart, (0, 3), partials(t.comps, chart))
+    out -= Tensor(chart, (0, 3), contract("dca,db->cab", G, t))
+    return out - Tensor(chart, (0, 3), contract("dcb,ad->cab", G, t))
 
 
 @dataclass
@@ -126,24 +83,7 @@ class KahlerFlags:
 def kahler_check(g: Tensor, J: Tensor, gamma: Tensor = None) -> KahlerFlags:
     chart = g.chart
     d = chart.dim
-    herm = True
-    for a in range(d):
-        for b in range(a, d):
-            tot = chart.zero()
-            for (c, a2), p in J.comps.items():
-                if a2 != a:
-                    continue
-                for (dd, b2), q in J.comps.items():
-                    if b2 != b:
-                        continue
-                    gc = g.comps.get((c, dd))
-                    if gc is not None:
-                        tot = tot + p * q * gc
-            if not (tot - g.get(a, b)).is_zero():
-                herm = False
-                break
-        if not herm:
-            break
+    herm = _hermitian_defect(g, J).is_zero()
     om = kahler_form(g, J)
     names = chart.table.names
     closed = True
@@ -176,14 +116,6 @@ class MobilityResult:
     identity_included: bool
     records: list = field(default_factory=list)  # (theta, lam, grad) per solution
     verified: bool = None
-
-
-def _sym_tensor_basis(chart, exps, a, b):
-    p = LaurentPoly(chart.table, {exps: GaussQ(1)})
-    comps = {(a, b): p}
-    if a != b:
-        comps[(b, a)] = p
-    return Tensor(chart, (0, 2), comps)
 
 
 def _theta(ginv: Tensor, comps):
@@ -239,24 +171,9 @@ def _mobility_operator(g, ginv, J, gamma):
 
 
 def _hermitian_defect(B: Tensor, J: Tensor):
-    chart = B.chart
-    d = chart.dim
-    out = {}
-    for a in range(d):
-        for b in range(a, d):
-            tot = chart.zero() - B.get(a, b)
-            for (c, a2), p in J.comps.items():
-                if a2 != a:
-                    continue
-                for (dd, b2), q in J.comps.items():
-                    if b2 != b:
-                        continue
-                    bc = B.comps.get((c, dd))
-                    if bc is not None:
-                        tot = tot + p * q * bc
-            if not tot.is_zero():
-                out[(a, b)] = tot
-    return Tensor(chart, (0, 2), out)
+    """B(J., J.) - B on the components a <= b."""
+    out = Tensor(B.chart, (0, 2), contract("ca,db,cd->ab", J, J, B)) - B
+    return Tensor(B.chart, (0, 2), {k: p for k, p in out.comps.items() if k[0] <= k[1]})
 
 
 # The mobility operator is of first order and linear over the polynomial
@@ -336,8 +253,7 @@ def mobility_dimension(spec, ansatz: AnsatzSpace = None, stabilize=True):
     g, J = spec.metric, spec.J
     chart = g.chart
     d = chart.dim
-    ginv = metric_inverse(g)
-    gamma = levi_civita(g, ginv)
+    ginv, gamma = spec.metric_inverse, spec.levi_civita
     if ansatz is None:
         deg = max(2, spec.degrees.get("degree", 2))
         ansatz = AnsatzSpace(chart, total_degree=deg)
@@ -373,13 +289,8 @@ def mobility_dimension(spec, ansatz: AnsatzSpace = None, stabilize=True):
     for B in basis:
         theta = _theta(ginv, B.comps)
         lam = {a: theta.derivative(names[a]) for a in range(d)}
-        grad = {}
-        for (i, a), p in ginv.comps.items():
-            la = lam.get(a)
-            if la is None or la.is_zero():
-                continue
-            accumulate(grad, i, p * la)
-        records.append((theta, lam, grad))
+        grad = contract("ia,a->i", ginv, {(a,): p for a, p in lam.items()})
+        records.append((theta, lam, {i: p for (i,), p in grad.items()}))
     return MobilityResult(
         dim=len(basis),
         basis=basis,
@@ -400,10 +311,7 @@ def tensor_coordinates(t: Tensor):
 
 
 def mobility_equation_holds(spec, B: Tensor) -> bool:
-    g, J = spec.metric, spec.J
-    ginv = metric_inverse(g)
-    gamma = levi_civita(g, ginv)
-    op = _mobility_operator(g, ginv, J, gamma)
+    op = _mobility_operator(spec.metric, spec.metric_inverse, spec.J, spec.levi_civita)
     return op(B).is_zero()
 
 
@@ -414,7 +322,7 @@ def parallel_forms(spec, ansatz: AnsatzSpace = None):
     """Exact kernel of nabla alpha = 0 on 1-forms over the ansatz."""
     g = spec.metric
     chart = g.chart
-    gamma = levi_civita(g)
+    gamma = spec.levi_civita
     d = chart.dim
     names = chart.table.names
     if ansatz is None:
@@ -461,21 +369,20 @@ def equivalent_metric_family(spec, c_matrix):
     chart = g.chart
     n = chart.n_complex()
     par = parallel_complex_indices(n)
+    ztab = complex_table(n)
     comps = {}
     for (k, l), c in c_matrix.items():
         c = GaussQ.of(c)
         if k not in par or l not in par:
             raise ValueError(f"({k},{l}) is not a parallel direction pair")
-        comps[(k - 1, n + l - 1)] = LaurentPoly.const(
-            _ztab_cache(n), c
-        )
+        comps[(k - 1, n + l - 1)] = LaurentPoly.const(ztab, c)
         if k != l:
-            comps[(l - 1, n + k - 1)] = LaurentPoly.const(_ztab_cache(n), c.conj())
+            comps[(l - 1, n + k - 1)] = LaurentPoly.const(ztab, c.conj())
     quad = complex_tensor_to_real(chart, (0, 2), comps) if comps else Tensor(
         chart, (0, 2), {}
     )
     ghat = g + quad
-    gamma = levi_civita(g)
+    gamma = spec.levi_civita
     # the added quadric must be parallel, so the connection is unchanged
     if not covariant_derivative_02(gamma, quad).is_zero():
         raise ValueError("family member is not parallel for the base connection")
@@ -483,32 +390,9 @@ def equivalent_metric_family(spec, c_matrix):
     if levi_civita(ghat, ghat_inv) != gamma:
         raise ValueError("family member does not share the Levi-Civita connection")
     # A = ghat^{-1} g, lowered with g
-    A = {}
-    for (i, a), p in ghat_inv.comps.items():
-        for (a2, j), q in g.comps.items():
-            if a2 != a:
-                continue
-            accumulate(A, (i, j), p * q)
-    At = Tensor(chart, (1, 1), A)
-    B = {}
-    for (c2, a), p in At.comps.items():
-        for (c3, b), q in g.comps.items():
-            if c3 != c2:
-                continue
-            accumulate(B, (a, b), p * q)
-    Bt = Tensor(chart, (0, 2), B)
-    return ghat, At, Bt
-
-
-_ZT = {}
-
-
-def _ztab_cache(n):
-    from .tensorcalc import complex_table
-
-    if n not in _ZT:
-        _ZT[n] = complex_table(n)
-    return _ZT[n]
+    A = Tensor(chart, (1, 1), contract("ia,aj->ij", ghat_inv, g))
+    B = Tensor(chart, (0, 2), contract("ca,cb->ab", A, g))
+    return ghat, A, B
 
 
 def gram_signature_at(g: Tensor, point):

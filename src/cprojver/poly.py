@@ -414,9 +414,6 @@ class LaurentPoly:
             acc = acc / _gpow(dval, m)
         return acc
 
-    def coefficient_of(self, exps):
-        return self.terms.get(tuple(exps), GaussQ(0))
-
     def monomials(self):
         return sorted(self.terms, key=_lex_key, reverse=True)
 

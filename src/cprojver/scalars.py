@@ -49,9 +49,6 @@ class GaussQ:
     def is_real(self) -> bool:
         return not self.im
 
-    def is_one(self) -> bool:
-        return self.re == 1 and not self.im
-
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):

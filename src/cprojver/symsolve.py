@@ -21,6 +21,7 @@ from .poly import LaurentPoly, PolyError, _mul_terms, accumulate
 from .scalars import GaussQ
 from .tensorcalc import (
     Tensor,
+    contract,
     lie_derivative_J,
     lie_derivative_connection,
     lie_derivative_metric,
@@ -547,18 +548,8 @@ def phi_map(v, g: Tensor, ginv: Tensor):
     chart = g.chart
     dim = chart.dim
     n = chart.n_complex()
-    lg = lie_derivative_metric(v, g)
-    A = {}
-    for (i, a), p in ginv.comps.items():
-        for (a2, b), q in lg.comps.items():
-            if a2 != a:
-                continue
-            accumulate(A, (i, b), p * q)
-    tr = chart.zero()
-    for (i, b), p in A.items():
-        if i == b:
-            tr = tr + p
-    tr = tr * GaussQ(Fraction(1, 2 * (n + 1)))
+    A = contract("ia,ab->ib", ginv, lie_derivative_metric(v, g))
+    tr = contract("ii->", A).get((), chart.zero()) * GaussQ(Fraction(1, 2 * (n + 1)))
     for i in range(dim):
         accumulate(A, (i, i), -tr)
     return Tensor(chart, (1, 1), A)

@@ -16,6 +16,7 @@ Index conventions (all 0-based internally):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .poly import LaurentPoly, PolyError, VarTable, accumulate
 from .scalars import GaussQ
@@ -69,16 +70,14 @@ class Tensor:
     def __add__(self, other):
         out = dict(self.comps)
         for k, v in other.comps.items():
-            s = out.get(k)
-            s = v if s is None else s + v
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
+            accumulate(out, k, v)
         return Tensor(self.chart, self.valence, out)
 
+    def __neg__(self):
+        return Tensor(self.chart, self.valence, {k: -v for k, v in self.comps.items()})
+
     def __sub__(self, other):
-        return self + other.scale(-1)
+        return self + -other
 
     def scale(self, c):
         return Tensor(self.chart, self.valence, {k: v * c for k, v in self.comps.items()})
@@ -114,6 +113,79 @@ def zero_tensor(chart, valence):
     return Tensor(chart, valence, {})
 
 
+# -- sparse index contraction ----------------------------------------------------
+
+
+def contract(spec, *operands):
+    """Sparse einsum: contract("ia,aj->ij", J, K) is sum_a J^i_a K^a_j.
+
+    Each operand is a `Tensor` or a comps dict keyed by index tuples.  A
+    letter shared by two operands is joined; a letter repeated in one operand
+    takes its diagonal; a letter missing from the output is summed over.
+    Returns the comps dict of the result, without zero entries.
+    """
+    inputs, output = spec.split("->")
+    # A row is the concatenated keys of one match of the operands so far and
+    # the product of their values; `bound` is the concatenated index words.
+    bound = ""
+    rows = None
+    for word, op in zip(inputs.split(","), operands, strict=True):
+        items = (op.comps if isinstance(op, Tensor) else op).items()
+        diag = [(p, word.index(c)) for p, c in enumerate(word) if word.index(c) != p]
+        if diag:
+            items = [(k, v) for k, v in items if all(k[p] == k[q] for p, q in diag)]
+        if rows is None:
+            rows = list(items)
+        else:
+            shared = [p for p, c in enumerate(word) if c in bound]
+            key_of = _picker(shared)
+            table = {}
+            for key, val in items:
+                table.setdefault(key_of(key), []).append((key, val))
+            lookup = _picker([bound.index(word[p]) for p in shared])
+            rows = [
+                (env + key, acc * val)
+                for env, acc in rows
+                for key, val in table.get(lookup(env), ())
+            ]
+        bound += word
+    out_key = _picker([bound.index(c) for c in output])
+    out = {}
+    for env, val in rows:
+        accumulate(out, out_key(env), val)
+    return out
+
+
+def _picker(positions):
+    """key -> the tuple of the entries of `key` at `positions`."""
+    if len(positions) == 1:
+        (i,) = positions
+        return lambda key: (key[i],)
+    return itemgetter(*positions) if positions else lambda key: ()
+
+
+def partials(comps, chart):
+    """{(c,) + key: d_c p} over the chart's directions c, nonzero entries only."""
+    out = {}
+    for key, p in comps.items():
+        for c, name in enumerate(chart.table.names):
+            q = p.derivative(name)
+            if q:
+                out[(c,) + key] = q
+    return out
+
+
+def along(v, comps, chart):
+    """{key: sum_a v^a d_a p}: each component differentiated along the vector
+    field v (dict direction -> poly), only in v's directions."""
+    names = chart.table.names
+    out = {}
+    for key, p in comps.items():
+        for a, q in v.items():
+            accumulate(out, key, p.derivative(names[a]) * q)
+    return out
+
+
 def standard_J(chart) -> Tensor:
     """J d_{2a} = d_{2a+1}, J d_{2a+1} = -d_{2a} (0-based pairs)."""
     n = chart.n_complex()
@@ -125,21 +197,7 @@ def standard_J(chart) -> Tensor:
 
 
 def compose_J(J: Tensor, K: Tensor) -> Tensor:
-    chart = J.chart
-    out = {}
-    for (i, a), p in J.comps.items():
-        for (a2, j), q in K.comps.items():
-            if a2 != a:
-                continue
-            key = (i, j)
-            s = out.get(key)
-            v = p * q
-            s = v if s is None else s + v
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-    return Tensor(chart, (1, 1), out)
+    return Tensor(J.chart, (1, 1), contract("ia,aj->ij", J, K))
 
 
 def is_almost_complex(J: Tensor) -> bool:
@@ -152,118 +210,35 @@ def is_almost_complex(J: Tensor) -> bool:
 
 
 def nijenhuis(J: Tensor) -> Tensor:
+    """N^i_jk = Y^i_jk - Y^i_kj, Y^i_jk = J^a_j d_a J^i_k + J^i_a d_k J^a_j."""
     chart = J.chart
-    d = chart.dim
-    names = chart.table.names
-    dJ = {}  # (a, i, j) -> d_a J^i_j
-    for (i, j), p in J.comps.items():
-        for a in range(d):
-            q = p.derivative(names[a])
-            if not q.is_zero():
-                dJ[(a, i, j)] = q
-    out = {}
-
-    for (a, i, k), q in dJ.items():
-        # J^a_j d_a J^i_k  and  - J^a_k d_a J^i_j
-        for (a2, j), p in J.comps.items():
-            if a2 != a:
-                continue
-            accumulate(out, (i, j, k), p * q)
-            accumulate(out, (i, k, j), -(p * q))
-    for (i, a), p in J.comps.items():
-        # + J^i_a d_k J^a_j - J^i_a d_j J^a_k
-        for (k, a2, j), q in dJ.items():
-            if a2 != a:
-                continue
-            accumulate(out, (i, j, k), p * q)
-            accumulate(out, (i, k, j), -(p * q))
-    return Tensor(chart, (1, 2), out)
+    dJ = partials(J.comps, chart)  # (a, i, j) -> d_a J^i_j
+    y = Tensor(chart, (1, 2), contract("aj,aik->ijk", J, dJ))
+    y += Tensor(chart, (1, 2), contract("ia,kaj->ijk", J, dJ))
+    return y - Tensor(chart, (1, 2), contract("ijk->ikj", y))
 
 
 def torsion(G: Tensor) -> Tensor:
-    out = {}
-    for (i, j, k), p in G.comps.items():
-        for key, v in (((i, j, k), p), ((i, k, j), -p)):
-            s = out.get(key)
-            s = v if s is None else s + v
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-    return Tensor(G.chart, (1, 2), out)
+    return G - Tensor(G.chart, (1, 2), contract("ijk->ikj", G))
 
 
 def curvature(G: Tensor) -> Tensor:
+    """R^i_jkl = X^i_jkl - X^i_jlk, X^i_jkl = d_k G^i_lj + G^i_ka G^a_lj."""
     chart = G.chart
-    d = chart.dim
-    names = chart.table.names
-    out = {}
-
-    for (i, l, j), p in G.comps.items():
-        for k in range(d):
-            q = p.derivative(names[k])
-            if not q.is_zero():
-                accumulate(out, (i, j, k, l), q)   # d_k G^i_{lj}
-                accumulate(out, (i, j, l, k), -q)  # antisymmetrized
-    items = list(G.comps.items())
-    by_upper = {}
-    for (a, l, j), p in items:
-        by_upper.setdefault(a, []).append((l, j, p))
-    for (i, k, a), p in items:
-        for (l, j, q_) in by_upper.get(a, []):
-            v = p * q_
-            accumulate(out, (i, j, k, l), v)   # G^i_{ka} G^a_{lj}
-            accumulate(out, (i, j, l, k), -v)
-    return Tensor(chart, (1, 3), out)
+    x = Tensor(chart, (1, 3), contract("kilj->ijkl", partials(G.comps, chart)))
+    x += Tensor(chart, (1, 3), contract("ika,alj->ijkl", G, G))
+    return x - Tensor(chart, (1, 3), contract("ijkl->ijlk", x))
 
 
 def apply_J_value(J: Tensor, T: Tensor) -> Tensor:
     """(J T)(X,Y) componentwise on the value slot of a (1,2)-tensor."""
-    out = {}
-    for (a, j, k), p in T.comps.items():
-        for (i, a2), q in J.comps.items():
-            if a2 != a:
-                continue
-            key = (i, j, k)
-            v = p * q
-            s = out.get(key)
-            s = v if s is None else s + v
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-    return Tensor(T.chart, (1, 2), out)
+    return Tensor(T.chart, (1, 2), contract("ajk,ia->ijk", T, J))
 
 
 def pull_J_slot(T: Tensor, J: Tensor, slot) -> Tensor:
     """T(JX, Y) (slot=1) or T(X, JY) (slot=2) for a (1,2)-tensor."""
-    out = {}
-    for (i, j, k), p in T.comps.items():
-        if slot == 1:
-            for (j2, b), q in J.comps.items():
-                if j2 != j:
-                    continue
-                key = (i, b, k)
-                v = p * q
-                s = out.get(key)
-                s = v if s is None else s + v
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        else:
-            for (k2, b), q in J.comps.items():
-                if k2 != k:
-                    continue
-                key = (i, j, b)
-                v = p * q
-                s = out.get(key)
-                s = v if s is None else s + v
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-    return Tensor(T.chart, (1, 2), out)
+    spec = "ijk,jb->ibk" if slot == 1 else "ijk,kb->ijb"
+    return Tensor(T.chart, (1, 2), contract(spec, T, J))
 
 
 def torsion_projection(T: Tensor, J: Tensor, e1: int, e2: int) -> Tensor:
@@ -285,28 +260,8 @@ def torsion_projection(T: Tensor, J: Tensor, e1: int, e2: int) -> Tensor:
 
 def torsion_trace_form(T: Tensor, J: Tensor) -> Tensor:
     """sigma(X) = 1/2 Tr( T(X, .) + J T(JX, .) ) as a 1-form."""
-    chart = T.chart
-    out = {}
-    for (i, j, k), p in T.comps.items():
-        if i == k:  # T^b_{ab} with a = j
-            key = (j,)
-            s = out.get(key)
-            s = p if s is None else s + p
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-    jt = apply_J_value(J, pull_J_slot(T, J, 1))
-    for (i, j, k), p in jt.comps.items():
-        if i == k:
-            key = (j,)
-            s = out.get(key)
-            s = p if s is None else s + p
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-    return Tensor(chart, (0, 1), {k: v * GaussQ("1/2") for k, v in out.items()})
+    both = T + apply_J_value(J, pull_J_slot(T, J, 1))
+    return Tensor(T.chart, (0, 1), contract("iji->j", both)).scale(GaussQ("1/2"))
 
 
 def traceless_mixed_torsion(T: Tensor, J: Tensor) -> Tensor:
@@ -316,40 +271,17 @@ def traceless_mixed_torsion(T: Tensor, J: Tensor) -> Tensor:
     n = chart.n_complex()
     part = torsion_projection(T, J, -1, +1)
     sig = torsion_trace_form(T, J)
-    corr = {}
-
+    corr = contract("a,aj,ik->ijk", sig, J, J)  # sigma(JX) JY
     for (j,), p in sig.comps.items():
         for k in range(chart.dim):
             accumulate(corr, (k, j, k), p)  # sigma(X) Y
-    for (a, j), q in J.comps.items():
-        sa = sig.comps.get((a,))
-        if sa is None:
-            continue
-        for (i, k2), r in J.comps.items():
-            accumulate(corr, (i, j, k2), sa * q * r)  # sigma(JX) JY = sigma_a J^a_j J^i_k
     correction = Tensor(chart, (1, 2), corr)
     return part - correction.scale(GaussQ(1) / GaussQ(2 * n))
 
 
 def curvature_J_pulled(R: Tensor, J: Tensor) -> Tensor:
     """R(J., J.) on the 2-form slots (k, l)."""
-    out = {}
-    for (i, j, k, l), p in R.comps.items():
-        for (k2, a), q in J.comps.items():
-            if k2 != k:
-                continue
-            for (l2, b), r in J.comps.items():
-                if l2 != l:
-                    continue
-                key = (i, j, a, b)
-                v = p * q * r
-                s = out.get(key)
-                s = v if s is None else s + v
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-    return Tensor(R.chart, (1, 3), out)
+    return Tensor(R.chart, (1, 3), contract("ijkl,ka,lb->ijab", R, J, J))
 
 
 def curvature_bidegree(R: Tensor, J: Tensor):
@@ -361,134 +293,47 @@ def curvature_bidegree(R: Tensor, J: Tensor):
     return {"(1,1)": p11, "(2,0)+(0,2)": p20}
 
 
-def lie_derivative_connection(v: dict, G: Tensor) -> Tensor:
-    """Omega^i_{jk} for the vector field v (dict direction -> poly)."""
-    chart = G.chart
-    d = chart.dim
-    names = chart.table.names
-    out = {}
+def _vector_partials(v: dict, chart):
+    """(a, i) -> d_a v^i for the vector field v (dict direction -> poly)."""
+    return partials({(i,): p for i, p in v.items()}, chart)
 
-    dv = {}
-    for i, p in v.items():
-        for a in range(d):
-            q = p.derivative(names[a])
-            if not q.is_zero():
-                dv[(a, i)] = q
-    for i, p in v.items():
-        for j in range(d):
-            pj = p.derivative(names[j])
-            if pj.is_zero():
-                continue
-            for k in range(d):
-                q = pj.derivative(names[k])
-                if not q.is_zero():
-                    accumulate(out, (i, j, k), q)
-    for (i, j, k), p in G.comps.items():
-        for a, q in v.items():
-            r = p.derivative(names[a]) * q
-            if not r.is_zero():
-                accumulate(out, (i, j, k), r)
-    for (a, j, k), p in G.comps.items():
-        # - G^a_{jk} d_a v^i
-        for (a2, i), qq in dv.items():
-            if a2 != a:
-                continue
-            accumulate(out, (i, j, k), -(p * qq))
-    for (i, a, k), p in G.comps.items():
-        # + G^i_{ak} d_j v^a
-        for (j, a2), qq in dv.items():
-            if a2 != a:
-                continue
-            accumulate(out, (i, j, k), p * qq)
-    for (i, j, a), p in G.comps.items():
-        # + G^i_{ja} d_k v^a
-        for (k, a2), qq in dv.items():
-            if a2 != a:
-                continue
-            accumulate(out, (i, j, k), p * qq)
-    return Tensor(chart, (1, 2), out)
+
+def lie_derivative_connection(v: dict, G: Tensor) -> Tensor:
+    """Omega^i_jk = d_j d_k v^i + v^a d_a G^i_jk - G^a_jk d_a v^i
+    + G^i_ak d_j v^a + G^i_ja d_k v^a for the vector field v."""
+    chart = G.chart
+    dv = _vector_partials(v, chart)
+    out = Tensor(chart, (1, 2), contract("kji->ijk", partials(dv, chart)))
+    out += Tensor(chart, (1, 2), along(v, G.comps, chart))
+    out += Tensor(chart, (1, 2), contract("iak,ja->ijk", G, dv))
+    out += Tensor(chart, (1, 2), contract("ija,ka->ijk", G, dv))
+    return out - Tensor(chart, (1, 2), contract("ajk,ai->ijk", G, dv))
 
 
 def lie_derivative_J(v: dict, J: Tensor) -> Tensor:
+    """(L_v J)^i_j = v^a d_a J^i_j - J^a_j d_a v^i + J^i_a d_j v^a."""
     chart = J.chart
-    d = chart.dim
-    names = chart.table.names
-    out = {}
-
-    for (i, j), p in J.comps.items():
-        for a, q in v.items():
-            r = p.derivative(names[a]) * q
-            if not r.is_zero():
-                accumulate(out, (i, j), r)
-    for (a, j), p in J.comps.items():
-        for i, q in v.items():
-            r = q.derivative(names[a])
-            if not r.is_zero():
-                accumulate(out, (i, j), -(p * r))
-    for (i, a), p in J.comps.items():
-        for b, q in v.items():
-            if b != a:
-                continue
-            for j in range(d):
-                r = q.derivative(names[j])
-                if not r.is_zero():
-                    accumulate(out, (i, j), p * r)
-    return Tensor(chart, (1, 1), out)
+    dv = _vector_partials(v, chart)
+    out = Tensor(chart, (1, 1), along(v, J.comps, chart))
+    out += Tensor(chart, (1, 1), contract("ia,ja->ij", J, dv))
+    return out - Tensor(chart, (1, 1), contract("aj,ai->ij", J, dv))
 
 
 def lie_derivative_metric(v: dict, g: Tensor) -> Tensor:
+    """(L_v g)_ab = v^c d_c g_ab + g_cb d_a v^c + g_ac d_b v^c."""
     chart = g.chart
-    names = chart.table.names
-    d = chart.dim
-    out = {}
-
-    for (a, b), p in g.comps.items():
-        for c, q in v.items():
-            r = p.derivative(names[c]) * q
-            if not r.is_zero():
-                accumulate(out, (a, b), r)
-    for (c, b), p in g.comps.items():
-        for a in range(d):
-            for c2, q in v.items():
-                if c2 != c:
-                    continue
-                r = q.derivative(names[a])
-                if not r.is_zero():
-                    accumulate(out, (a, b), p * r)
-    for (a, c), p in g.comps.items():
-        for b in range(d):
-            for c2, q in v.items():
-                if c2 != c:
-                    continue
-                r = q.derivative(names[b])
-                if not r.is_zero():
-                    accumulate(out, (a, b), p * r)
-    return Tensor(chart, (0, 2), out)
+    dv = _vector_partials(v, chart)
+    out = Tensor(chart, (0, 2), along(v, g.comps, chart))
+    out += Tensor(chart, (0, 2), contract("cb,ac->ab", g, dv))
+    return out + Tensor(chart, (0, 2), contract("ac,bc->ab", g, dv))
 
 
 def covariant_derivative_J(G: Tensor, J: Tensor) -> Tensor:
     """(nabla J)^i_{kj} = d_k J^i_j + G^i_{ka} J^a_j - G^a_{kj} J^i_a."""
     chart = G.chart
-    d = chart.dim
-    names = chart.table.names
-    out = {}
-
-    for (i, j), p in J.comps.items():
-        for k in range(d):
-            q = p.derivative(names[k])
-            if not q.is_zero():
-                accumulate(out, (i, k, j), q)
-    for (i, k, a), p in G.comps.items():
-        for (a2, j), q in J.comps.items():
-            if a2 != a:
-                continue
-            accumulate(out, (i, k, j), p * q)
-    for (a, k, j), p in G.comps.items():
-        for (i, a2), q in J.comps.items():
-            if a2 != a:
-                continue
-            accumulate(out, (i, k, j), -(p * q))
-    return Tensor(chart, (1, 2), out)
+    out = Tensor(chart, (1, 2), contract("kij->ikj", partials(J.comps, chart)))
+    out += Tensor(chart, (1, 2), contract("ika,aj->ikj", G, J))
+    return out - Tensor(chart, (1, 2), contract("akj,ia->ikj", G, J))
 
 
 # -- ring matrix inversion ------------------------------------------------------
@@ -497,11 +342,7 @@ def covariant_derivative_J(G: Tensor, J: Tensor) -> Tensor:
 def invert_matrix_ring(rows, chart):
     """Exact inverse of a matrix of ring elements (det must be a unit)."""
     d = len(rows)
-    aug = [[rows[i][j] for j in range(d)] + [
-        chart.const(1) if k == i else chart.zero() for k in range(d)
-    ] for i in range(d)]
-    # fraction-free forward elimination is wasteful here; use exact division
-    # via adjugate: compute det by cofactor expansion for small d
+    # adjugate over the determinant, by cofactor expansion (d is small)
     det = _det(rows, chart)
     inv_det = det.inverse_if_unit()
     if inv_det is None:
@@ -584,21 +425,17 @@ def substitute_chart_power(chart_old, chart_new, var_old, var_new, power, gamma=
     def sub(p):
         return p.substitute_power(var_old, tn, var_new, power)
 
-    def dfac(idx, up):
-        # multiply by deriv for the substituted slot: lower index gains deriv,
-        # upper index gains deriv^{-1}
-        return idx == iv
-
+    # the substituted slot: a lower index gains deriv, an upper one deriv^{-1}
     out = []
     if gamma is not None:
         comps = {}
         for (i, a, b), p in gamma.comps.items():
             q = sub(p)
-            if dfac(a, False):
+            if a == iv:
                 q = q * deriv
-            if dfac(b, False):
+            if b == iv:
                 q = q * deriv
-            if dfac(i, True):
+            if i == iv:
                 q = q / deriv
             key = (i, a, b)
             comps[key] = comps.get(key, chart_new.zero()) + q
@@ -611,9 +448,9 @@ def substitute_chart_power(chart_old, chart_new, var_old, var_new, power, gamma=
         comps = {}
         for (i, a), p in J.comps.items():
             q = sub(p)
-            if dfac(a, False):
+            if a == iv:
                 q = q * deriv
-            if dfac(i, True):
+            if i == iv:
                 q = q / deriv
             comps[(i, a)] = q
         out.append(Tensor(chart_new, (1, 1), comps))
@@ -621,9 +458,9 @@ def substitute_chart_power(chart_old, chart_new, var_old, var_new, power, gamma=
         comps = {}
         for (a, b), p in g.comps.items():
             q = sub(p)
-            if dfac(a, False):
+            if a == iv:
                 q = q * deriv
-            if dfac(b, False):
+            if b == iv:
                 q = q * deriv
             comps[(a, b)] = q
         out.append(Tensor(chart_new, (0, 2), comps))
@@ -746,15 +583,7 @@ def _expand(out, idx, rp, chart, n, up):
                 new.append((prefix + (r,), coef * c))
         stack = new
     for key, coef in stack:
-        v = rp * coef
-        if v.is_zero():
-            continue
-        s = out.get(key)
-        s = v if s is None else s + v
-        if s.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = s
+        accumulate(out, key, rp * coef)
 
 
 def _swap_bars(p: LaurentPoly) -> LaurentPoly:

@@ -8,8 +8,6 @@ from .metric import (
     equivalent_metric_family,
     gram_signature_at,
     kahler_check,
-    levi_civita,
-    metric_inverse,
     mobility_dimension,
     mobility_equation_holds,
     origin_point,
@@ -336,7 +334,7 @@ def metric_battery(name, n, signs=None, stabilize=True):
     spec = builtin(name, n, signs=signs)
     checks = []
     g, J = spec.metric, spec.J
-    lc = levi_civita(g)
+    lc = spec.levi_civita
     if name == "submax-metric":
         conn = builtin("type2", n)
         same = lc == conn.gamma
@@ -492,7 +490,7 @@ def metric_battery(name, n, signs=None, stabilize=True):
             res = cproj_system(
                 spec, model_ansatz(spec), stabilize=False, check_closure=False
             )
-            ginv = metric_inverse(g)
+            ginv = spec.metric_inverse
             span = SpanSolver()
             ident = tc.Tensor(
                 spec.chart,

@@ -1,6 +1,9 @@
 """The cproj front end: subcommands, reports, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 from cprojver.cli import MODEL_NS, main
 from cprojver.report import SCHEMA, Check
@@ -148,3 +151,29 @@ class TestMetricCmd:
         assert run(["metric", "--model", "submax-metric", "--n", "2", "--signs", "+x"]) == 2
         err = capsys.readouterr().err
         assert err == "error: --signs takes only '+' and '-', got '+x'\n"
+
+
+def test_reports_byte_stable_across_hash_seeds(tmp_path):
+    # dict and set iteration order changes with the hash seed; the reports
+    # must not, apart from the timestamp and the timing field
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    commands = {
+        "verify": ["verify", "--model", "type2", "--n", "2", "--fast"],
+        "metric": ["metric", "--model", "submax-metric", "--n", "2", "--fast"],
+    }
+    for name, args in commands.items():
+        reports = []
+        for seed in ("1", "2"):
+            out = tmp_path / f"{name}-{seed}.json"
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            proc = subprocess.run(
+                [sys.executable, "-m", "cprojver.cli", *args, "--out", str(out)],
+                env=env, capture_output=True, timeout=600,
+            )
+            assert proc.returncode == 0, proc.stderr
+            lines = out.read_bytes().splitlines(keepends=True)
+            reports.append(b"".join(
+                line for line in lines
+                if not line.lstrip().startswith((b'"generated_at"', b'"wall_time_s"'))
+            ))
+        assert reports[0] == reports[1], name

@@ -6,12 +6,11 @@ import pytest
 
 from cprojver import metric
 from cprojver.catalog import builtin
-from cprojver.linalg import LinearSystem
+from cprojver.linalg import LinearSystem, SpanSolver
 from cprojver.metric import (
     _hermitian_defect,
     _mobility_closures,
     _mobility_operator,
-    _sym_tensor_basis,
     covariant_derivative_02,
     equivalent_metric_family,
     gram_signature_at,
@@ -23,11 +22,38 @@ from cprojver.metric import (
     origin_point,
     parallel_complex_indices,
     parallel_forms,
+    tensor_coordinates,
 )
+from cprojver.poly import LaurentPoly
 from cprojver.scalars import GaussQ
 from cprojver.symsolve import AnsatzSpace
+from cprojver.verify import metric_battery
 from cprojver import tensorcalc as tc
 from cprojver.tensorcalc import Tensor
+
+
+def _sym_tensor_basis(chart, exps, a, b):
+    p = LaurentPoly(chart.table, {exps: GaussQ(1)})
+    comps = {(a, b): p}
+    if a != b:
+        comps[(b, a)] = p
+    return Tensor(chart, (0, 2), comps)
+
+
+def nabla_one_form(gamma, alpha):
+    """The nonzero (b, a) entries of d_b alpha_a - Gamma^c_ba alpha_c."""
+    chart = alpha.chart
+    out = {}
+    for a in range(chart.dim):
+        for b in range(chart.dim):
+            tot = alpha.get(a).derivative(chart.table.names[b])
+            for c in range(chart.dim):
+                G = gamma.comps.get((c, b, a))
+                if G is not None:
+                    tot = tot - G * alpha.get(c)
+            if not tot.is_zero():
+                out[(b, a)] = tot
+    return out
 
 
 def real_rank(rows):
@@ -82,6 +108,21 @@ class TestLeviCivita:
         with pytest.raises(Exception) as ei:
             metric_inverse(bad)
         assert "denominator" in str(ei.value)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_computed_once_per_battery(self, monkeypatch, n):
+        # once for the model's metric, once for each family member's g-hat
+        # (one member at n=2, three at n=3)
+        calls = []
+        original = metric.levi_civita
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(metric, "levi_civita", counted)
+        metric_battery("submax-metric", n, stabilize=False)
+        assert len(calls) == {2: 2, 3: 4}[n]
 
 
 class TestKahlerFlags:
@@ -222,21 +263,12 @@ class TestParallelForms:
     def test_forms_are_parallel(self, n):
         # d_b alpha_a - Gamma^c_ba alpha_c = 0 for every returned form
         spec = builtin("submax-metric", n)
-        chart = spec.chart
-        names = chart.table.names
         gamma = levi_civita(spec.metric)
         forms = parallel_forms(spec)
         assert len(forms) == 2 * (n - 1)
         for alpha in forms:
             assert alpha.valence == (0, 1) and not alpha.is_zero()
-            for a in range(chart.dim):
-                for b in range(chart.dim):
-                    tot = alpha.get(a).derivative(names[b])
-                    for c in range(chart.dim):
-                        G = gamma.comps.get((c, b, a))
-                        if G is not None:
-                            tot = tot - G * alpha.get(c)
-                    assert tot.is_zero(), (a, b)
+            assert nabla_one_form(gamma, alpha) == {}
 
     def test_submax_n2(self, submax2):
         pf = parallel_forms(submax2)
@@ -259,14 +291,17 @@ class TestParallelForms:
                 assert p.is_constant()
 
     def test_second_direction_form_not_parallel(self, submax2):
-        # the form dual to the second complex direction fails nabla alpha = 0
-        lc = levi_civita(submax2.metric)
-        alpha = {(2,): submax2.chart.const(1)}
-        bad = False
-        for (c, b, k), p in lc.comps.items():
-            if c == 2 and not p.is_zero():
-                bad = True
-        assert bad
+        # alpha = dx^2, dual to the second complex direction, has
+        # (nabla alpha)_ba = d_b alpha_a - Gamma^c_ba alpha_c nonzero
+        chart = submax2.chart
+        alpha = Tensor(chart, (0, 1), {(2,): chart.const(1)})
+        assert nabla_one_form(levi_civita(submax2.metric), alpha)
+        # and alpha is not in the span of the parallel forms
+        span = SpanSolver()
+        for form in parallel_forms(submax2):
+            span.insert(tensor_coordinates(form))
+        assert span.dim() == 2
+        assert not span.contains(tensor_coordinates(alpha))
 
 
 class TestFamily:

@@ -1,16 +1,22 @@
 """Chart tensor calculus: expansions, projections, frames, Lie derivatives."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cprojver.catalog import builtin
 from cprojver.parse import parse_poly
-from cprojver.poly import PolyError
+from cprojver.poly import LaurentPoly, PolyError
+from cprojver.scalars import GaussQ
 from cprojver import tensorcalc as tc
 from cprojver.tensorcalc import (
     Chart,
     Tensor,
+    along,
+    contract,
     curvature,
     curvature_bidegree,
     complex_tensor_to_real,
@@ -19,6 +25,7 @@ from cprojver.tensorcalc import (
     is_almost_complex,
     lie_derivative_connection,
     nijenhuis,
+    partials,
     standard_J,
     substitute_chart_power,
     torsion,
@@ -360,3 +367,78 @@ class TestFrames:
         # ... but stays flat and torsion-free
         assert curvature(moved).is_zero()
         assert torsion(moved).is_zero()
+
+
+# -- sparse contraction against a dense reference ------------------------------
+
+RANGE = 3  # index values 0..2
+XY = Chart(["x", "y"], laurent=["y"])
+
+
+@st.composite
+def small_laurent(draw):
+    terms = draw(st.dictionaries(
+        st.tuples(st.integers(0, 2), st.integers(-2, 2)),
+        st.integers(-3, 3).filter(bool),
+        min_size=1,
+        max_size=3,
+    ))
+    return LaurentPoly(XY.table, {e: GaussQ(c) for e, c in terms.items()})
+
+
+def sparse_comps(rank):
+    key = st.tuples(*[st.integers(0, RANGE - 1)] * rank)
+    return st.dictionaries(key, small_laurent(), max_size=6)
+
+
+def dense_contract(spec, *operands):
+    """Sum over every assignment of every letter, written out in full."""
+    inputs, output = spec.split("->")
+    inputs = inputs.split(",")
+    letters = sorted(set("".join(inputs)))
+    out = {}
+    for values in itertools.product(range(RANGE), repeat=len(letters)):
+        idx = dict(zip(letters, values))
+        term = XY.const(1)
+        for word, comps in zip(inputs, operands):
+            p = comps.get(tuple(idx[c] for c in word))
+            if p is None:
+                break
+            term = term * p
+        else:
+            key = tuple(idx[c] for c in output)
+            out[key] = out.get(key, XY.zero()) + term
+    return {k: p for k, p in out.items() if not p.is_zero()}
+
+
+class TestContract:
+    @pytest.mark.parametrize("spec", [
+        "ia,aj->ij",         # two operands
+        "ijkl,ka,lb->ijab",  # three operands, two joins
+        "ab,ac,ad->bcd",     # one letter shared by all three
+        "ijk,kl->lji",       # permuted output
+        "iji->j",            # diagonal of one operand
+    ])
+    @settings(max_examples=32, deadline=None)  # 5 x 32 + 40 below = 200 cases
+    @given(data=st.data())
+    def test_matches_dense_sum(self, spec, data):
+        words = spec.split("->")[0].split(",")
+        ops = [data.draw(sparse_comps(len(w))) for w in words]
+        first = Tensor(XY, (len(words[0]), 0), ops[0])
+        assert contract(spec, first, *ops[1:]) == dense_contract(spec, *ops)
+
+    @settings(max_examples=40, deadline=None)
+    @given(sparse_comps(2), st.dictionaries(st.integers(0, 1), small_laurent(), max_size=2))
+    def test_partials_and_along_match_derivative(self, comps, v):
+        names = XY.table.names
+        want = {}
+        for key, p in comps.items():
+            for c, name in enumerate(names):
+                if not p.derivative(name).is_zero():
+                    want[(c,) + key] = p.derivative(name)
+        assert partials(comps, XY) == want
+        for key, p in comps.items():
+            tot = XY.zero()
+            for a, q in v.items():
+                tot = tot + p.derivative(names[a]) * q
+            assert along(v, comps, XY).get(key, XY.zero()) == tot
