@@ -57,19 +57,23 @@ def parse_algebra_manifest(text, name_hint="") -> StructAlgebra:
         if key == "name":
             name = val
         elif key == "basis":
-            labels = val.split()
+            labels, names_line = val.split(), ln
         elif key == "params":
-            params = val.split()
+            params, names_line = val.split(), ln
         elif key == "zplus":
             zplus = val.split()
         elif key == "zminus":
             zminus = val.split()
         elif key.startswith("grade "):
+            if not re.fullmatch(r"[+-]?\d+", val):
+                raise ParseError(f"grade must be an integer, got {val!r}", ln, 1)
             grading[key[len("grade "):].strip()] = int(val)
         else:
             raise ParseError(f"unknown key {key!r}", ln, 1)
     if not labels:
         raise ParseError("manifest declares no basis", 1, 1)
+    if len(set(params) | set(labels)) != len(params) + len(labels):
+        raise ParseError("basis and params repeat a name", names_line, 1)
     table = VarTable(list(params) + list(labels))
     index = {l: i for i, l in enumerate(labels)}
     ptable = VarTable(params) if params else None
@@ -77,6 +81,8 @@ def parse_algebra_manifest(text, name_hint="") -> StructAlgebra:
     for ln, li, lj, rhs in raw_brackets:
         if li not in index or lj not in index:
             raise ParseError(f"unknown basis label in [{li},{lj}]", ln, 1)
+        if li == lj:
+            raise ParseError(f"[{li},{lj}] vanishes by antisymmetry", ln, 1)
         poly = parse_poly(rhs, table, line=ln)
         vec = _split_linear(poly, table, labels, params, ptable, ln)
         key = (index[li], index[lj])

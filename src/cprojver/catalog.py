@@ -76,17 +76,7 @@ MODEL_NAMES = (
     "cp1xc",
 )
 
-_FILES = {
-    "flat": "flat.model",
-    "type1": "type1.model",
-    "type1-n2": "type1_n2.model",
-    "type2": "type2.model",
-    "type3": "type3.model",
-    "type3-n2": "type3_n2.model",
-    "nonminimal": "nonminimal.model",
-    "submax-metric": "submax_metric.model",
-    "cp1xc": "cp1xc.model",
-}
+_FILES = {name: name.replace("-", "_") + ".model" for name in MODEL_NAMES}
 
 
 def data_dir():
@@ -140,6 +130,14 @@ def _split_head(line, ln):
         raise ManifestError(f"expected 'key = value' in {line!r}", ln, 1)
     head, val = (t.strip() for t in line.split("=", 1))
     return head, val
+
+
+def _ints(val, ln, count=None):
+    """The integers listed in `val` (exactly `count` of them when given)."""
+    toks = val.split()
+    if count not in (None, len(toks)) or not all(re.fullmatch(r"[+-]?\d+", t) for t in toks):
+        raise ManifestError(f"expected {count or 'some'} integers, got {val!r}", ln, 1)
+    return [int(t) for t in toks]
 
 
 def _parse_cindex(tok, n, ln):
@@ -221,28 +219,32 @@ def _build_model(name, n, signs, body):
         head, val = _split_head(s, ln)
         if head == "vars":
             varnames = None if val == "auto" else val.split()
+            if varnames is not None and {len(varnames), len(set(varnames))} != {2 * n}:
+                raise ManifestError(
+                    f"chart needs 2n = {2 * n} distinct coordinates, got {val!r}", ln, 1
+                )
         elif head == "laurent":
             laurent = tuple(val.split())
         elif head.startswith("denom "):
             denoms[head[len("denom "):].strip()] = ("poly", val, ln)
         elif head == "zdenoms":
-            zden = [int(t) for t in val.split()]
+            zden = _ints(val, ln)
+            if not all(1 <= a <= n for a in zden):
+                raise ManifestError(f"zdenoms index out of range for n in {val!r}", ln, 1)
         elif head == "subst":
             raise ManifestError("subst goes on the right: 'subst old = new^k'", ln, 1)
         elif head.startswith("subst "):
             var_old = head[len("subst "):].strip()
-            m = re.fullmatch(r"(\w+)\s*\^\s*(\d+)", val)
+            m = re.fullmatch(r"(\w+)\s*\^\s*([1-9]\d*)", val)
             if not m:
                 raise ManifestError(f"bad substitution {val!r}", ln, 1)
-            subst = (var_old, m.group(1), int(m.group(2)))
+            subst = (var_old, m.group(1), int(m.group(2)), ln)
         else:
             raise ManifestError(f"unknown chart key {head!r}", ln, 1)
     if varnames is None:
         varnames = [f"x{i+1}" for i in range(2 * n)]
-    if len(varnames) != 2 * n:
-        raise ManifestError(
-            f"chart must have 2n = {2*n} coordinates, got {len(varnames)}"
-        )
+    if subst and (subst[0] not in varnames or subst[1] in set(varnames) - {subst[0]}):
+        raise ManifestError("subst must rename a coordinate to a new name", subst[3], 1)
     den_dict = {}
     plain = VarTable(varnames, laurent=laurent)
     for a in zden:
@@ -253,8 +255,11 @@ def _build_model(name, n, signs, body):
         den_dict[f"Q{a}"] = {tuple(e1): GaussQ(1), tuple(e2): GaussQ(1)}
     for dname, (_, val, ln) in denoms.items():
         p = parse_poly(val, plain, line=ln)
-        if any(p.den):
-            raise ManifestError("denominator polynomials must be polynomial", ln, 1)
+        if any(p.den) or p.is_zero() or any(
+            e and lau for exps in p.terms for e, lau in zip(exps, plain.laurent)
+        ):
+            raise ManifestError("denominators are nonzero polynomials in the "
+                                "non-laurent coordinates", ln, 1)
         den_dict[dname] = dict(p.terms)
     chart = Chart(varnames, laurent=laurent, denominators=den_dict)
     ztab = complex_table(n, laurent_z=tuple(a - 1 for a in zden))
@@ -348,11 +353,14 @@ def _build_model(name, n, signs, body):
     if gamma is None and metric is not None:
         from .metric import levi_civita
 
-        gamma = levi_civita(metric)
+        try:
+            gamma = levi_civita(metric)
+        except PolyError as exc:
+            raise ManifestError(f"metric: {exc}", msec[0][0], 1) from None
 
     # substitution ------------------------------------------------------------------
     if subst is not None:
-        var_old, var_new, power = subst
+        var_old, var_new, power, _ = subst
         new_names = [var_new if v == var_old else v for v in varnames]
         new_lau = tuple(var_new if v == var_old else v for v in laurent)
         new_chart = Chart(new_names, laurent=new_lau, denominators=den_dict or None)
@@ -375,17 +383,18 @@ def _build_model(name, n, signs, body):
         if "@" in val:
             val, prov = (t.strip() for t in val.rsplit("@", 1))
         if head in ("degree", "stab_extra"):
-            degrees[head] = int(val)
+            (degrees[head],) = _ints(val, ln, 1)
             continue
         if head == "laurent_window":
-            lo, hi = val.split()
-            degrees[head] = (int(lo), int(hi))
+            degrees[head] = tuple(_ints(val, ln, 2))
             continue
         if head == "bounds":
             toks = val.split()
+            if len(toks) % 3:
+                raise ManifestError(f"bounds takes 'var lo hi' triples, got {val!r}", ln, 1)
             degrees[head] = {
-                toks[i]: (int(toks[i + 1]), int(toks[i + 2]))
-                for i in range(0, len(toks), 3)
+                var: tuple(_ints(f"{lo} {hi}", ln, 2))
+                for var, lo, hi in zip(toks[0::3], toks[1::3], toks[2::3])
             }
             continue
         if prov is None:
@@ -455,6 +464,8 @@ def _build_frame(frame_lines, chart, n):
         head, val = _split_head(s, ln)
         if re.fullmatch(r"e\d+", head):
             i = int(head[1:]) - 1
+            if not 0 <= i < d:
+                raise ManifestError(f"frame index {head!r} out of range", ln, 1)
             f = parse_field(val, chart.table, line=ln)
             cols[i] = {chart.table.index(k): v for k, v in f.items()}
         elif head.startswith("w("):
@@ -462,15 +473,21 @@ def _build_frame(frame_lines, chart, n):
             if not m:
                 raise ManifestError(f"bad connection form entry {head!r}", ln, 1)
             j, i, k = (int(t) - 1 for t in m.groups())
+            if not all(0 <= t < d for t in (j, i, k)):
+                raise ManifestError(f"frame index in {head!r} out of range", ln, 1)
             omega[(j, i, k)] = parse_poly(val, chart.table, line=ln)
         elif head == "Jframe":
-            jframe_spec = [int(t) for t in val.split()]
+            jframe_spec = _ints(val, ln)
+            if sorted(map(abs, jframe_spec)) != list(range(1, d + 1)):
+                raise ManifestError(f"Jframe must permute 1..{d} up to sign", ln, 1)
         elif head == "complete":
             complete = val
         else:
             raise ManifestError(f"unknown frame key {head!r}", ln, 1)
     if len(cols) != d or jframe_spec is None:
-        raise ManifestError("frame section must define every e_i and Jframe")
+        raise ManifestError(
+            "frame section must define every e_i and Jframe", frame_lines[0][0], 1
+        )
     jf = {}
     for i, tgt in enumerate(jframe_spec):
         jf[(abs(tgt) - 1, i)] = chart.const(1 if tgt > 0 else -1)
@@ -489,8 +506,10 @@ def _build_frame(frame_lines, chart, n):
                         cur = omega.get(key)
                         term = w * jw
                         omega[key] = term if cur is None else cur + term
-    gamma, J = frame_to_coordinates(chart, cols, omega, jf)
-    return gamma, J
+    try:
+        return frame_to_coordinates(chart, cols, omega, jf)
+    except PolyError as exc:
+        raise ManifestError(f"frame: {exc}", frame_lines[0][0], 1) from None
 
 
 def builtin(name, n=None, signs=None) -> ModelSpec:
@@ -527,14 +546,14 @@ def model_ansatz(spec: ModelSpec):
 # -- printed symmetry generators -------------------------------------------------
 
 
-def expected_symmetries(name, n):
-    """The published generator list, as real vector fields on the chart.
+def expected_symmetries(spec):
+    """The published generator list of a catalog model, as real vector fields
+    on its chart.
 
     Complex-valued generators contribute a (real part, imaginary part) pair.
     Returns a list of (label, field dict direction-index -> LaurentPoly).
     """
-    spec = builtin(name, n)
-    chart = spec.chart
+    name, n, chart = spec.name, spec.n, spec.chart
     ztab = complex_table(n)
 
     def C(label, text):

@@ -21,8 +21,11 @@ import argparse
 import os
 import sys
 import time
+from itertools import repeat
 
 from . import verify
+from .catalog import MODEL_NAMES, builtin, parse_model_manifest
+from .parse import ParseError
 from .report import Check, make_report, print_report, write_report
 
 
@@ -59,25 +62,21 @@ MODEL_NS = {
 }
 
 
-def _verify_one(name, n, fast, max_degree=None):
-    spec, checks = verify.model_battery(name, n)
-    _, sym_checks = verify.symmetry_battery(
-        name, n, stabilize=not fast, spec=spec, max_degree=max_degree
-    )
-    checks.extend(sym_checks)
-    if spec.metric is not None:
-        checks.extend(verify.metric_battery(name, n, stabilize=not fast))
-    return checks
-
-
-def _battery_for_spec(spec, fast, max_degree=None):
-    _, checks = verify.model_battery(None, None, spec=spec)
+def _battery(spec, fast, max_degree=None):
+    """The tensor battery, then the symmetry battery when the manifest expects
+    a symmetry dimension, then the metric battery when it declares a metric."""
+    checks = verify.model_battery(spec)
     if spec.expect("symmetry_dim") is not None:
-        _, sym_checks = verify.symmetry_battery(
-            None, None, stabilize=not fast, spec=spec, max_degree=max_degree
+        checks += verify.symmetry_battery(
+            spec, stabilize=not fast, max_degree=max_degree
         )
-        checks.extend(sym_checks)
+    if spec.metric is not None:
+        checks += verify.metric_checks(spec, stabilize=not fast)
     return checks
+
+
+def _verify_one(name, n, fast, max_degree=None):
+    return _battery(builtin(name, n), fast, max_degree)
 
 
 def cmd_verify(args):
@@ -90,48 +89,37 @@ def cmd_verify(args):
         jobs = [(m, n) for m, ns in MODEL_NS.items() for n in ns]
         command = "verify --model all"
     elif os.path.exists(args.model):
-        # a manifest path: run the tensor battery directly on the file
-        from .catalog import ManifestError, parse_model_manifest
-
+        # a manifest path: the same battery, with check names unprefixed
         try:
             with open(args.model, "r", encoding="ascii") as fh:
                 spec = parse_model_manifest(fh.read(), n=args.n)
-        except ManifestError as exc:
+        except (OSError, ParseError) as exc:
             print(f"manifest error: {exc}", file=sys.stderr)
             return 2
-        checks = _battery_for_spec(spec, fast=args.fast, max_degree=args.max_degree)
+        checks = _battery(spec, args.fast, args.max_degree)
         return _emit(args, f"verify --model {args.model}", checks, started)
+    elif args.model not in MODEL_NAMES:
+        print(f"unknown model {args.model!r}; available: {MODEL_NAMES}", file=sys.stderr)
+        return 2
     else:
-        from .catalog import MODEL_NAMES, builtin
-
-        if args.model not in MODEL_NAMES:
-            print(f"unknown model {args.model!r}; available: {MODEL_NAMES}", file=sys.stderr)
-            return 2
         if args.n is None:
-            # the manifest's smallest n, as parse_model_manifest defaults it
-            args.n = builtin(args.model).n
+            # the smallest catalog n, which is the manifest's smallest n
+            args.n = MODEL_NS[args.model][0]
         jobs = [(args.model, args.n)]
         command = f"verify --model {args.model} --n {args.n}"
-    checks = []
+    columns = (*zip(*jobs), repeat(args.fast), repeat(args.max_degree))
     if args.jobs > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=args.jobs) as ex:
-            futs = [
-                (m, n, ex.submit(_verify_one, m, n, args.fast, args.max_degree))
-                for m, n in jobs
-            ]
-            for m, n, fut in futs:
-                got = fut.result()
-                for c in got:
-                    c.check = f"{m}[n={n}] {c.check}"
-                checks.extend(got)
+            results = list(ex.map(_verify_one, *columns))
     else:
-        for m, n in jobs:
-            got = _verify_one(m, n, args.fast, args.max_degree)
-            for c in got:
-                c.check = f"{m}[n={n}] {c.check}"
-            checks.extend(got)
+        results = map(_verify_one, *columns)
+    checks = []
+    for (m, n), got in zip(jobs, results):
+        for c in got:
+            c.check = f"{m}[n={n}] {c.check}"
+        checks.extend(got)
     return _emit(args, command, checks, started)
 
 
@@ -146,7 +134,6 @@ def cmd_algebra(args):
     checks = []
     if args.manifest:
         from .algebras import parse_algebra_manifest
-        from .parse import ParseError
 
         try:
             with open(args.manifest, "r", encoding="ascii") as fh:

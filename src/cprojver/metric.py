@@ -19,7 +19,12 @@ from functools import cache
 from .linalg import SpanSolver, signature
 from .poly import LaurentPoly, PolyError, accumulate
 from .scalars import GaussQ
-from .symsolve import AnsatzSpace, _column_operator, solve_field_system
+from .symsolve import (
+    AnsatzSpace,
+    _column_operator,
+    field_coordinates,
+    solve_field_system,
+)
 from .tensorcalc import (
     Tensor,
     complex_table,
@@ -282,8 +287,8 @@ def mobility_dimension(spec, ansatz: AnsatzSpace = None, stabilize=True):
     )
     span = SpanSolver()
     for B in basis:
-        span.insert(tensor_coordinates(B))
-    ident = span.contains(tensor_coordinates(g))
+        span.insert(field_coordinates(B.comps))
+    ident = span.contains(field_coordinates(g.comps))
     names = chart.table.names
     records = []
     for B in basis:
@@ -300,14 +305,6 @@ def mobility_dimension(spec, ansatz: AnsatzSpace = None, stabilize=True):
         records=records,
         verified=verified,
     )
-
-
-def tensor_coordinates(t: Tensor):
-    out = {}
-    for key, p in t.comps.items():
-        for e, c in p.terms.items():
-            out[(key, e)] = c
-    return out
 
 
 def mobility_equation_holds(spec, B: Tensor) -> bool:

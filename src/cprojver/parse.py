@@ -132,6 +132,8 @@ class _Parser:
             if kind == "op" and val in "+-":
                 self.next()
                 rhs = self.term()
+                if isinstance(v, FieldValue) != isinstance(rhs, FieldValue):
+                    self.fail("cannot add a scalar to a vector field")
                 v = v - rhs if val == "-" else v + rhs
             else:
                 return v
@@ -143,6 +145,8 @@ class _Parser:
             if kind == "op" and val in "*/":
                 self.next()
                 rhs = self.factor()
+                if val == "/" and isinstance(rhs, LaurentPoly) and rhs.is_zero():
+                    self.fail("division by zero")
                 try:
                     v = v / rhs if val == "/" else v * rhs
                 except PolyError as exc:

@@ -89,10 +89,6 @@ def _check_same_table(a, b):
         raise PolyError(f"variable registry mismatch: {a.table!r} vs {b.table!r}")
 
 
-def _lex_key(exps):
-    return exps
-
-
 class LaurentPoly:
     """numerator / prod(denominator_k ** den[k]) over a fixed registry."""
 
@@ -415,12 +411,7 @@ class LaurentPoly:
         return acc
 
     def monomials(self):
-        return sorted(self.terms, key=_lex_key, reverse=True)
-
-    def total_degree(self):
-        if not self.terms:
-            return None
-        return max(sum(e) for e in self.terms)
+        return sorted(self.terms, reverse=True)
 
     # -- comparison -----------------------------------------------------------
 
@@ -503,12 +494,12 @@ def _exact_divide(table, num_terms, den_terms):
     so laurent exponents ride along unchanged and the reduction terminates."""
     if not num_terms:
         return {}
-    lead = max(den_terms, key=_lex_key)
+    lead = max(den_terms)
     clead = den_terms[lead]
     rem = dict(num_terms)
     quot = {}
     while rem:
-        m = max(rem, key=_lex_key)
+        m = max(rem)
         q = tuple(a - b for a, b in zip(m, lead))
         if any(e < 0 and not table.laurent[i] for i, e in enumerate(q)):
             return None

@@ -200,12 +200,16 @@ class ProlongationResult:
     rigid: bool
 
 
-def _module_rows(sys, elem: CurvElement, col):
+def _real_coordinates(elem: CurvElement, prefix=()):
+    """The real and imaginary parts of `elem.coordinates()`, keyed
+    prefix + ("re" | "im",) + key."""
+    out = {}
     for key, v in elem.coordinates().items():
         if v.re:
-            sys.setdefault(("re",) + key, {})[col] = v.re
+            out[prefix + ("re",) + key] = v.re
         if v.im:
-            sys.setdefault(("im",) + key, {})[col] = v.im
+            out[prefix + ("im",) + key] = v.im
+    return out
 
 
 def annihilator(psi: CurvElement, g: SlPair = None, ctype="?", gram=None):
@@ -217,7 +221,8 @@ def annihilator(psi: CurvElement, g: SlPair = None, ctype="?", gram=None):
     rows = {}
     for col, lbl in enumerate(labels):
         x = g.element_of_label(lbl)
-        _module_rows(rows, g0_action(x, psi), col)
+        for key, v in _real_coordinates(g0_action(x, psi)).items():
+            rows.setdefault(key, {})[col] = v
     sys = LinearSystem()
     sys.register_columns(cols)
     for row in rows.values():
@@ -245,7 +250,9 @@ def tanaka_prolongation(psi: CurvElement, g: SlPair = None, ctype="?"):
         x = g.element_of_label(lbl)
         for vl in minus:
             v = g.element_of_label(vl)
-            _module_rows_tag(rows, g0_action(v.bracket(x), psi), col, vl)
+            elem = g0_action(v.bracket(x), psi)
+            for key, val in _real_coordinates(elem, (vl,)).items():
+                rows.setdefault(key, {})[col] = val
     sys = LinearSystem()
     sys.register_columns(range(len(plus)))
     for row in rows.values():
@@ -256,14 +263,6 @@ def tanaka_prolongation(psi: CurvElement, g: SlPair = None, ctype="?"):
     return ProlongationResult(
         ctype, n, 2 * n, ann.dim, plus_dim, total, plus_dim == 0
     )
-
-
-def _module_rows_tag(rows, elem, col, tag):
-    for key, v in elem.coordinates().items():
-        if v.re:
-            rows.setdefault((tag, "re") + key, {})[col] = v.re
-        if v.im:
-            rows.setdefault((tag, "im") + key, {})[col] = v.im
 
 
 DIAGONAL_CONDITIONS = {
@@ -405,13 +404,7 @@ def module_span(ctype, n, max_iter=60):
 def span_add(span, basis, elem):
     if elem.is_zero():
         return False
-    vec = {}
-    for key, v in elem.coordinates().items():
-        if v.re:
-            vec[("re",) + key] = v.re
-        if v.im:
-            vec[("im",) + key] = v.im
-    if span.insert(vec):
+    if span.insert(_real_coordinates(elem)):
         basis.append(elem)
         return True
     return False

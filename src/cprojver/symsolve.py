@@ -207,6 +207,15 @@ def killing_equations(spec, v, holomorphic=True):
     return out
 
 
+def homothety_equations(spec, field_and_scale, holomorphic=True):
+    """(v, c) -> (L_v J if holomorphic, L_v g - c g), through killing_equations."""
+    v, c = field_and_scale
+    return [
+        (tag, t - spec.metric.scale(c) if tag == "LG" else t)
+        for tag, t in killing_equations(spec, v, holomorphic)
+    ]
+
+
 def _derivative_symbol(T: Tensor, name):
     out = {}
     for key, p in T.comps.items():
@@ -424,6 +433,8 @@ def solve_field_system(spec, operator, ansatz, extra_metric_scale=None, ndirs=No
 
 
 def field_coordinates(f):
+    """Exact coordinates of {key: LaurentPoly} (a field, or `Tensor.comps`),
+    keyed (key, exponents)."""
     out = {}
     for i, p in f.items():
         for exps, c in p.terms.items():
@@ -457,7 +468,7 @@ def check_bracket_closure(chart, basis):
 
 
 def verify_fields(equations, basis):
-    """Every field of `basis` solves `equations` (a field-level function such
+    """Every entry of `basis` solves `equations` (a field-level function such
     as `partial(cproj_equations, spec)`, not a column closure)."""
     for f in basis:
         for _, tensor in equations(f):
@@ -522,11 +533,14 @@ def homothety_system(spec, ansatz, stabilize=True, holomorphic=True):
     )
     # drop pure-scale kernel vectors (c != 0 with zero field cannot occur
     # unless g = 0; keep fields only)
-    fields = [f for f in basis if f]
+    pairs = [(f, c) for f, c in zip(basis, scales) if f]
     return SymmetryResult(
-        dim=len(fields),
-        basis=fields,
+        dim=len(pairs),
+        basis=[f for f, _ in pairs],
         stabilized=stab,
+        verified=verify_fields(
+            partial(homothety_equations, spec, holomorphic=holomorphic), pairs
+        ),
         extra={"scales": scales},
     )
 

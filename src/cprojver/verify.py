@@ -3,6 +3,8 @@ acceptance suite.  Each battery returns a list of report.Check records."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .catalog import builtin, expected_symmetries, model_ansatz
 from .metric import (
     equivalent_metric_family,
@@ -13,7 +15,6 @@ from .metric import (
     origin_point,
     parallel_complex_indices,
     parallel_forms,
-    tensor_coordinates,
 )
 from .linalg import SpanSolver
 from .prolong import (
@@ -33,6 +34,7 @@ from .symsolve import (
     cproj_equations,
     cproj_system,
     affine_system,
+    field_coordinates,
     homothety_system,
     killing_system,
     phi_map,
@@ -58,17 +60,30 @@ def _prov(spec, key):
     return "definition"
 
 
-def model_battery(name, n, signs=None, stabilize=True, spec=None):
-    """Tensor + symmetry battery for one catalog model."""
-    spec = spec or builtin(name, n, signs=signs)
-    name = spec.name if name is None else name
+def _matches(spec, key, check, anchor, computed):
+    """A check of `computed` against the manifest's expected value `key`."""
+    exp = spec.expect(key)
+    return Check(check, anchor, exp, computed, computed == exp, _prov(spec, key))
+
+
+def _holds(check, anchor, value, provenance="definition"):
+    """A check that expects True and passes when `value` is truthy."""
+    return Check(check, anchor, True, value, bool(value), provenance)
+
+
+def _reverified(what, res):
+    return _holds(f"{what} re-verified exactly", "post-hoc-verification", res.verified)
+
+
+def model_battery(spec):
+    """Tensor battery for one model."""
     checks = []
     J, G = spec.J, spec.gamma
     checks.append(
-        Check("J.J = -Id", "almost-complex-structure", True, tc.is_almost_complex(J), tc.is_almost_complex(J))
+        _holds("J.J = -Id", "almost-complex-structure", tc.is_almost_complex(J))
     )
     nj_zero = tc.covariant_derivative_J(G, J).is_zero()
-    checks.append(Check("nabla J = 0", "complex-connection", True, nj_zero, nj_zero))
+    checks.append(_holds("nabla J = 0", "complex-connection", nj_zero))
     T = tc.torsion(G)
     R = tc.curvature(G)
     N = tc.nijenhuis(J)
@@ -77,11 +92,8 @@ def model_battery(name, n, signs=None, stabilize=True, spec=None):
         ("curvature_zero", R.is_zero()),
         ("nijenhuis_zero", N.is_zero()),
     ):
-        exp = spec.expect(key)
-        if exp is not None:
-            checks.append(
-                Check(key, "model-tensor-flags", exp, got, exp == got, _prov(spec, key))
-            )
+        if spec.expect(key) is not None:
+            checks.append(_matches(spec, key, key, "model-tensor-flags", got))
     # four-projection completeness and (anti)linearity typing
     parts = {
         (e1, e2): tc.torsion_projection(T, J, e1, e2)
@@ -90,71 +102,53 @@ def model_battery(name, n, signs=None, stabilize=True, spec=None):
     }
     total = parts[(1, 1)] + parts[(1, -1)] + parts[(-1, 1)] + parts[(-1, -1)]
     checks.append(
-        Check(
+        _holds(
             "torsion projections sum to torsion",
             "torsion-type-decomposition",
-            True,
-            (total - T).is_zero(),
             (total - T).is_zero(),
         )
     )
     minimal = (T - parts[(-1, -1)]).is_zero()
-    exp_min = spec.expect("minimal")
-    if exp_min is not None:
+    if spec.expect("minimal") is not None:
         checks.append(
-            Check(
+            _matches(
+                spec,
+                "minimal",
                 "minimal (torsion equals its totally antilinear part)",
                 "minimal-connection",
-                exp_min,
                 minimal,
-                exp_min == minimal,
-                _prov(spec, "minimal"),
             )
         )
     if not N.is_zero() and minimal:
         quarter_nj = (T - N.scale(GaussQ("1/4"))).is_zero()
-        checks.append(
-            Check(
-                "torsion = Nijenhuis/4",
-                "minimal-connection",
-                True,
-                quarter_nj,
-                quarter_nj,
-            )
-        )
+        checks.append(_holds("torsion = Nijenhuis/4", "minimal-connection", quarter_nj))
     k4 = tc.traceless_mixed_torsion(T, J)
-    exp_k4 = spec.expect("kappa4_zero")
-    if exp_k4 is not None:
+    if spec.expect("kappa4_zero") is not None:
         checks.append(
-            Check(
+            _matches(
+                spec,
+                "kappa4_zero",
                 "traceless mixed torsion vanishes",
                 "minimality-obstruction",
-                exp_k4,
                 k4.is_zero(),
-                exp_k4 == k4.is_zero(),
-                _prov(spec, "kappa4_zero"),
             )
         )
-    if name == "nonminimal":
+    if spec.name == "nonminimal":
         for (e1, e2), label in (((1, 1), "++"), ((-1, -1), "--")):
             z = parts[(e1, e2)].is_zero()
             checks.append(
-                Check(
+                _holds(
                     f"torsion {label}-part vanishes",
                     "torsion-type-decomposition",
-                    True,
-                    z,
                     z,
                     "published",
                 )
             )
         mixed = not parts[(-1, 1)].is_zero() and not parts[(1, -1)].is_zero()
         checks.append(
-            Check(
+            _holds(
                 "mixed torsion parts nonzero",
                 "torsion-type-decomposition",
-                True,
-                mixed,
                 mixed,
                 "published",
             )
@@ -201,7 +195,7 @@ def model_battery(name, n, signs=None, stabilize=True, spec=None):
                 "published",
             )
         )
-    if name == "type3-n2":
+    if spec.name == "type3-n2":
         checks.append(
             Check(
                 "harmonic (1,1)-curvature component",
@@ -213,56 +207,41 @@ def model_battery(name, n, signs=None, stabilize=True, spec=None):
                 note="normal-connection extraction is outside this artifact",
             )
         )
-    return spec, checks
+    return checks
 
 
-def symmetry_battery(name, n, signs=None, stabilize=True, spec=None, max_degree=None):
-    spec = spec or builtin(name, n, signs=signs)
-    name = spec.name if name is None else name
-    n = spec.n if n is None else n
+def symmetry_battery(spec, stabilize=True, max_degree=None):
+    """c-projective (and affine) symmetry battery; `max_degree` overrides the
+    recorded ansatz degree on a copy of `spec`."""
+    name, n = spec.name, spec.n
     checks = []
     if max_degree is not None:
-        spec.degrees = dict(spec.degrees)
-        spec.degrees["degree"] = max_degree
+        spec = replace(spec, degrees={**spec.degrees, "degree": max_degree})
     ansatz = model_ansatz(spec)
     res = cproj_system(spec, ansatz, stabilize=stabilize)
-    exp = spec.expect("symmetry_dim")
     checks.append(
-        Check(
+        _matches(
+            spec,
+            "symmetry_dim",
             "c-projective symmetry dimension",
             "symmetry-kernel",
-            exp,
             res.dim,
-            res.dim == exp,
-            _prov(spec, "symmetry_dim"),
         )
     )
     if stabilize:
         checks.append(
-            Check(
+            _holds(
                 "kernel dimension stabilized",
                 "degree-stabilization",
-                True,
                 res.stabilized,
-                bool(res.stabilized),
             )
         )
+    checks.append(_reverified("kernel fields", res))
     checks.append(
-        Check(
-            "kernel fields re-verified exactly",
-            "post-hoc-verification",
-            True,
-            res.verified,
-            bool(res.verified),
-        )
-    )
-    checks.append(
-        Check(
+        _holds(
             "kernel closed under bracket",
             "bracket-closure",
-            True,
             res.closed_under_bracket,
-            bool(res.closed_under_bracket),
         )
     )
     if name == "flat":
@@ -285,7 +264,7 @@ def symmetry_battery(name, n, signs=None, stabilize=True, spec=None, max_degree=
             )
         )
     try:
-        fields = expected_symmetries(name, n)
+        fields = expected_symmetries(spec)
     except KeyError:
         fields = None
     if fields is not None:
@@ -305,33 +284,37 @@ def symmetry_battery(name, n, signs=None, stabilize=True, spec=None, max_degree=
         )
         spans = span_equals(spec.chart, res.basis, [f for _, f in fields])
         checks.append(
-            Check(
+            _holds(
                 "printed generators span the kernel",
                 "printed-generators",
-                True,
-                spans,
                 spans,
                 "published",
             )
         )
-    exp_aff = spec.expect("affine_dim")
-    if exp_aff is not None:
+    if spec.expect("affine_dim") is not None:
         aff = affine_system(spec, ansatz, stabilize=False)
         checks.append(
-            Check(
+            _matches(
+                spec,
+                "affine_dim",
                 "affine symmetry dimension",
                 "affine-symmetries",
-                exp_aff,
                 aff.dim,
-                aff.dim == exp_aff,
-                _prov(spec, "affine_dim"),
             )
         )
-    return res, checks
+        checks.append(_reverified("affine fields", aff))
+    return checks
 
 
 def metric_battery(name, n, signs=None, stabilize=True):
-    spec = builtin(name, n, signs=signs)
+    """Pseudo-Kahler battery for a catalog metric model."""
+    return metric_checks(builtin(name, n, signs=signs), stabilize)
+
+
+def metric_checks(spec, stabilize=True):
+    """Pseudo-Kahler battery: metric, mobility, parallel forms and, for
+    submax-metric at n=2, isometries and homotheties."""
+    name, n = spec.name, spec.n
     checks = []
     g, J = spec.metric, spec.J
     lc = spec.levi_civita
@@ -339,21 +322,19 @@ def metric_battery(name, n, signs=None, stabilize=True):
         conn = builtin("type2", n)
         same = lc == conn.gamma
         checks.append(
-            Check(
+            _holds(
                 "Levi-Civita equals the type2 connection",
                 "metrizability",
-                True,
-                same,
                 same,
                 "published",
             )
         )
     tf = tc.torsion(lc).is_zero()
-    checks.append(Check("Levi-Civita is torsion-free", "levi-civita", True, tf, tf))
+    checks.append(_holds("Levi-Civita is torsion-free", "levi-civita", tf))
     from .metric import covariant_derivative_02
 
     par = covariant_derivative_02(lc, g).is_zero()
-    checks.append(Check("metric is parallel", "levi-civita", True, par, par))
+    checks.append(_holds("metric is parallel", "levi-civita", par))
     flags = kahler_check(g, J, lc)
     checks.append(
         Check(
@@ -365,36 +346,24 @@ def metric_battery(name, n, signs=None, stabilize=True):
             "published",
         )
     )
-    exp_d = spec.expect("mobility")
-    if exp_d is not None:
+    if spec.expect("mobility") is not None:
         mob = mobility_dimension(spec, stabilize=stabilize)
         checks.append(
-            Check(
-                "degree of mobility",
-                "mobility-kernel",
-                exp_d,
-                mob.dim,
-                mob.dim == exp_d,
-                _prov(spec, "mobility"),
-            )
+            _matches(spec, "mobility", "degree of mobility", "mobility-kernel", mob.dim)
         )
         checks.append(
-            Check(
+            _holds(
                 "identity solution included",
                 "mobility-kernel",
-                True,
-                mob.identity_included,
                 mob.identity_included,
             )
         )
         if stabilize:
             checks.append(
-                Check(
+                _holds(
                     "mobility kernel stabilized",
                     "degree-stabilization",
-                    True,
                     mob.stabilized,
-                    bool(mob.stabilized),
                 )
             )
         checks.append(
@@ -408,26 +377,16 @@ def metric_battery(name, n, signs=None, stabilize=True):
                 note="J-invariance side condition dropped",
             )
         )
-        checks.append(
-            Check(
-                "mobility solutions re-verified exactly",
-                "post-hoc-verification",
-                True,
-                mob.verified,
-                bool(mob.verified),
-            )
-        )
-    exp_pf = spec.expect("parallel_forms_dim")
-    if exp_pf is not None:
+        checks.append(_reverified("mobility solutions", mob))
+    if spec.expect("parallel_forms_dim") is not None:
         pf = parallel_forms(spec)
         checks.append(
-            Check(
+            _matches(
+                spec,
+                "parallel_forms_dim",
                 "parallel 1-form space dimension",
                 "parallel-forms",
-                exp_pf,
                 len(pf),
-                len(pf) == exp_pf,
-                _prov(spec, "parallel_forms_dim"),
             )
         )
         par_idx = parallel_complex_indices(n)
@@ -476,6 +435,7 @@ def metric_battery(name, n, signs=None, stabilize=True):
                     "published",
                 )
             )
+            checks.append(_reverified("isometry fields", iso))
             hom = homothety_system(spec, AnsatzSpace(spec.chart, total_degree=2))
             checks.append(
                 Check(
@@ -487,20 +447,17 @@ def metric_battery(name, n, signs=None, stabilize=True):
                     "recomputed",
                 )
             )
+            checks.append(_reverified("homothety fields", hom))
             res = cproj_system(
                 spec, model_ansatz(spec), stabilize=False, check_closure=False
             )
             ginv = spec.metric_inverse
             span = SpanSolver()
-            ident = tc.Tensor(
-                spec.chart,
-                (1, 1),
-                {(i, i): spec.chart.const(1) for i in range(spec.chart.dim)},
-            )
-            span.insert(tensor_coordinates(ident))
+            ident = {(i, i): spec.chart.const(1) for i in range(spec.chart.dim)}
+            span.insert(field_coordinates(ident))
             base = span.dim()
             for v in res.basis:
-                span.insert(tensor_coordinates(phi_map(v, g, ginv)))
+                span.insert(field_coordinates(phi_map(v, g, ginv).comps))
             ker = res.dim - (span.dim() - base)
             checks.append(
                 Check(
@@ -514,11 +471,9 @@ def metric_battery(name, n, signs=None, stabilize=True):
             )
             chain_ok = res.dim <= hom.dim + 2 - 1
             checks.append(
-                Check(
+                _holds(
                     "dimension chain cp <= homothety + mobility - 1",
                     "symmetry-to-mobility",
-                    True,
-                    chain_ok,
                     chain_ok,
                     "published",
                 )
@@ -551,11 +506,9 @@ def _family_checks(spec, n):
         ghat, A, B = equivalent_metric_family(spec, trial)
         ok = mobility_equation_holds(spec, B)
         checks.append(
-            Check(
+            _holds(
                 f"family member c[{k},{l}] solves the mobility equation",
                 "equivalent-metrics",
-                True,
-                ok,
                 ok,
                 "recomputed",
             )
@@ -590,11 +543,9 @@ def table_battery(n_min=2, n_max=6):
             )
         )
         checks.append(
-            Check(
+            _holds(
                 f"n={row.n}: prolongation rigidity",
                 "prolongation-rigidity",
-                True,
-                row.rigid,
                 row.rigid,
                 "published",
             )
@@ -639,15 +590,8 @@ def prolong_battery(ctype, n):
         _, psi = lowest_weight_vector(ctype, n)
         holds = diagonal_condition_holds(ctype, n, _ann(psi, ctype=ctype))
         checks.append(
-            Check(
-                f"type {ctype}, n={n}: diagonal condition "
-                f"[{DIAGONAL_CONDITIONS[ctype]}]",
-                "annihilator",
-                True,
-                holds,
-                holds,
-                "published",
-            )
+            _holds(f"type {ctype}, n={n}: diagonal condition "
+                f"[{DIAGONAL_CONDITIONS[ctype]}]", "annihilator", holds, "published")
         )
     checks.append(
         Check(
@@ -709,9 +653,7 @@ def algebra_battery(name, lam=None):
             pass
         if alg.z2:
             ok, _ = alg.check_z2()
-            checks.append(
-                Check(f"{name}: Z2 grading", "grading", True, ok, ok, "published")
-            )
+            checks.append(_holds(f"{name}: Z2 grading", "grading", ok, "published"))
         if alg.grading:
             okg, wit = alg.check_grading()
             okf, _ = alg.check_filtration()
@@ -747,11 +689,9 @@ def deformation_battery(ctype, n):
             (not res.residual) == should_close,
             "published",
         ),
-        Check(
+        _holds(
             f"type {ctype}, n={n}: residual equals the cyclic cochain square",
             "cochain-deformation",
-            True,
-            res.matches_prediction,
             res.matches_prediction,
             "published",
         ),

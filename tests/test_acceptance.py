@@ -23,7 +23,6 @@ from cprojver.metric import (
     mobility_equation_holds,
     origin_point,
     parallel_forms,
-    tensor_coordinates,
 )
 from cprojver.prolong import (
     CURV_TYPES,
@@ -43,6 +42,7 @@ from cprojver.symsolve import (
     AnsatzSpace,
     cproj_equations,
     cproj_system,
+    field_coordinates,
     homothety_system,
     killing_system,
     phi_map,
@@ -209,7 +209,7 @@ def test_criterion_5_printed_generators():
         ("nonminimal", 3),
     ]:
         spec, res = solved(name, n)
-        fields = expected_symmetries(name, n)
+        fields = expected_symmetries(spec)
         bad = [
             lbl for lbl, f in fields
             if any(not t.is_zero() for _, t in cproj_equations(spec, f))
@@ -346,10 +346,10 @@ def test_criterion_7_metric_suite():
         spec2.chart, (1, 1),
         {(i, i): spec2.chart.const(1) for i in range(spec2.chart.dim)},
     )
-    span.insert(tensor_coordinates(ident))
+    span.insert(field_coordinates(ident.comps))
     base = span.dim()
     for v in res.basis:
-        span.insert(tensor_coordinates(phi_map(v, spec2.metric, ginv)))
+        span.insert(field_coordinates(phi_map(v, spec2.metric, ginv).comps))
     ker = res.dim - (span.dim() - base)
     c.check("kernel of the projected symmetry-to-mobility map", 7, ker)
     c.check("dimension chain 8 <= 7 + 2 - 1", True, res.dim <= hom.dim + 2 - 1)

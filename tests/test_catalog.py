@@ -1,11 +1,16 @@
 """Model manifests: loading, validation, errors, overrides, symmetry lists."""
 
 import os
+import re
 import shutil
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cprojver.algebras import parse_algebra_manifest
 from cprojver.catalog import (
+    DATA_DIR,
     MODEL_NAMES,
     ManifestError,
     builtin,
@@ -13,6 +18,7 @@ from cprojver.catalog import (
     model_ansatz,
     parse_model_manifest,
 )
+from cprojver.parse import ParseError
 from cprojver import tensorcalc as tc
 
 
@@ -99,6 +105,82 @@ class TestManifestErrors:
             parse_model_manifest("cproj-model v1\nnrange = x\n")
 
 
+def _data(fname):
+    with open(os.path.join(DATA_DIR, fname), encoding="ascii") as fh:
+        return fh.read()
+
+
+def _parse_any(fname, text):
+    """Parse a model manifest at its original smallest n, or an algebra."""
+    if fname.endswith(".alg"):
+        return parse_algebra_manifest(text)
+    n = int(re.search(r"^nrange\s*=\s*(\d+)", _data(fname), re.M).group(1))
+    return parse_model_manifest(text, n=n)
+
+
+class TestMalformedValues:
+    @pytest.mark.parametrize(
+        "fname,old,new,line",
+        [
+            ("type2.model", "degree = 2", "degree = x", 24),
+            ("type1_n2.model", "zdenoms = 1", "zdenoms = a", 9),
+            ("type1_n2.model", "zdenoms = 1", "zdenoms = 3", 9),
+            ("type3_n2.model", "vars = x y p q", "vars = x y p", 8),
+            ("type3_n2.model", "vars = x y p q", "vars = x y p p q", 8),
+            ("type3_n2.model", "Jframe = 2 -1 4 -3", "Jframe = 2 x", 17),
+            ("type3_n2.model", "Jframe = 2 -1 4 -3", "Jframe = 2 -1 5 -3", 17),
+            ("type3_n2.model", "laurent_window = -4 4", "laurent_window = 1", 41),
+            ("type3_n2.model", "bounds = x 0 2 y 0 2 q 0 3", "bounds = x1 0", 40),
+            ("type3_n2.model", "bounds = x 0 2 y 0 2 q 0 3", "bounds = x 0 b", 40),
+            ("alg_sl2.alg", "grade e = 1", "grade e = x", 5),
+        ],
+    )
+    def test_parse_error_with_line(self, fname, old, new, line):
+        text = _data(fname)
+        assert old in text
+        err = ManifestError if fname.endswith(".model") else ParseError
+        with pytest.raises(err) as ei:
+            _parse_any(fname, text.replace(old, new))
+        assert ei.value.line == line
+
+
+_MANIFESTS = sorted(f for f in os.listdir(DATA_DIR) if f.endswith((".model", ".alg")))
+_VALUES = ("x", "a", "2 x", "1", "-1", "0", "x1 0", "", "1 2 3", "(", "1/0", "z9",
+           "zb0", "=", "[", "@", "s^-", "D(x1)", "2 .. 1", "true", "9 9 9")
+
+
+@st.composite
+def _mutated_manifest(draw):
+    fname = draw(st.sampled_from(_MANIFESTS))
+    lines = _data(fname).splitlines()
+    i = draw(st.integers(1, len(lines) - 1))  # the header line stays
+    line = lines[i]
+    kind = draw(st.sampled_from(("value", "drop", "repeat", "truncate", "char")))
+    if kind == "value":
+        lines[i] = f"{line.split('=', 1)[0]}= {draw(st.sampled_from(_VALUES))}"
+    elif kind == "drop":
+        del lines[i]
+    elif kind == "repeat":
+        lines.insert(i, line)
+    elif kind == "truncate":
+        lines[i] = line[: draw(st.integers(0, len(line)))]
+    else:
+        pos = draw(st.integers(0, len(line)))
+        ch = draw(st.sampled_from("x0129-=;,()[]^*/+ @#"))
+        lines[i] = line[:pos] + ch + line[pos + 1:]
+    return fname, "\n".join(lines)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mutated_manifest())
+def test_mutated_manifest_parses_or_raises_parse_error(case):
+    fname, text = case
+    try:
+        _parse_any(fname, text)
+    except ParseError:
+        pass
+
+
 class TestCatalogOverride:
     def test_env_var_override(self, tmp_path, monkeypatch):
         from cprojver.catalog import DATA_DIR, _FILES
@@ -137,21 +219,21 @@ class TestSymmetryLists:
     )
     def test_counts_match_expected_dimension(self, name, n):
         spec = builtin(name, n)
-        fields = expected_symmetries(name, n)
+        fields = expected_symmetries(spec)
         assert len(fields) == spec.expect("symmetry_dim")
 
     def test_fields_linearly_independent(self):
         from cprojver.linalg import SpanSolver
         from cprojver.symsolve import field_coordinates
 
-        fields = expected_symmetries("type3", 3)
+        fields = expected_symmetries(builtin("type3", 3))
         span = SpanSolver()
         for _, f in fields:
             assert span.insert(field_coordinates(f))
 
     def test_no_list_for_metric_models(self):
         with pytest.raises(KeyError):
-            expected_symmetries("cp1xc", 2)
+            expected_symmetries(builtin("cp1xc", 2))
 
 
 class TestAnsatz:

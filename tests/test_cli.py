@@ -79,6 +79,49 @@ class TestVerify:
         assert json.loads(out.read_text())["command"] == "verify --model all"
         assert ran == [(m, n) for m, ns in MODEL_NS.items() for n in ns]
 
+    def test_manifest_path_runs_the_catalog_battery(self, tmp_path):
+        from cprojver.catalog import DATA_DIR
+
+        path = os.path.join(DATA_DIR, "submax_metric.model")
+        by_path, by_name = tmp_path / "p.json", tmp_path / "n.json"
+        assert run(["verify", "--model", path, "--fast", "--out", str(by_path)]) == 0
+        assert run(["verify", "--model", "submax-metric", "--fast",
+                    "--out", str(by_name)]) == 0
+
+        def records(out, prefix=""):
+            return [
+                (c["check"].removeprefix(prefix), c["expected"], c["computed"], c["pass"])
+                for c in json.loads(out.read_text())["checks"]
+            ]
+
+        got = records(by_path)
+        assert got == records(by_name, "submax-metric[n=2] ")
+        assert len(got) == 32 and all(rec[3] for rec in got)
+
+    def test_malformed_manifest_path_is_a_manifest_error(self, tmp_path, capsys):
+        from cprojver.catalog import DATA_DIR
+
+        with open(os.path.join(DATA_DIR, "type3_n2.model"), encoding="ascii") as fh:
+            text = fh.read()
+        bad = tmp_path / "bad.model"
+        bad.write_text(text.replace("bounds = x 0 2 y 0 2 q 0 3", "bounds = x1 0"))
+        for path in (bad, tmp_path):
+            assert run(["verify", "--model", str(path), "--fast"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("manifest error: ") and err.count("\n") == 1
+        assert run(["verify", "--model", str(bad)]) == 2
+        assert "(line 40, column 1)" in capsys.readouterr().err
+
+    def test_max_degree_leaves_the_spec_unchanged(self):
+        from cprojver.catalog import builtin
+        from cprojver.verify import symmetry_battery
+
+        spec = builtin("type2", 2)
+        degrees = dict(spec.degrees)
+        checks = symmetry_battery(spec, stabilize=False, max_degree=3)
+        assert spec.degrees == degrees
+        assert all(c.passed for c in checks)
+
     def test_type3_n2_reports_out_of_scope_component(self, tmp_path):
         out = tmp_path / "v.json"
         code = run(

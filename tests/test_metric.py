@@ -22,11 +22,10 @@ from cprojver.metric import (
     origin_point,
     parallel_complex_indices,
     parallel_forms,
-    tensor_coordinates,
 )
 from cprojver.poly import LaurentPoly
 from cprojver.scalars import GaussQ
-from cprojver.symsolve import AnsatzSpace
+from cprojver.symsolve import AnsatzSpace, field_coordinates
 from cprojver.verify import metric_battery
 from cprojver import tensorcalc as tc
 from cprojver.tensorcalc import Tensor
@@ -299,9 +298,9 @@ class TestParallelForms:
         # and alpha is not in the span of the parallel forms
         span = SpanSolver()
         for form in parallel_forms(submax2):
-            span.insert(tensor_coordinates(form))
+            span.insert(field_coordinates(form.comps))
         assert span.dim() == 2
-        assert not span.contains(tensor_coordinates(alpha))
+        assert not span.contains(field_coordinates(alpha.comps))
 
 
 class TestFamily:

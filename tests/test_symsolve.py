@@ -23,6 +23,7 @@ from cprojver.symsolve import (
     cproj_operator,
     cproj_system,
     field_coordinates,
+    homothety_equations,
     homothety_system,
     killing_operator,
     killing_system,
@@ -208,13 +209,13 @@ class TestVerification:
 
     def test_printed_fields_individually(self):
         spec = builtin("type2", 3)
-        for label, f in expected_symmetries("type2", 3):
+        for label, f in expected_symmetries(spec):
             assert all(t.is_zero() for _, t in cproj_equations(spec, f)), label
 
     def test_span_equality(self):
         spec = builtin("nonminimal", 2)
         res = cproj_system(spec, model_ansatz(spec), stabilize=False)
-        fields = [f for _, f in expected_symmetries("nonminimal", 2)]
+        fields = [f for _, f in expected_symmetries(spec)]
         assert span_equals(spec.chart, res.basis, fields)
 
 
@@ -235,12 +236,23 @@ class TestMetricSystems:
         res = killing_system(submax2, AnsatzSpace(submax2.chart, total_degree=2))
         assert res.dim == 6
         assert res.stabilized
+        assert res.verified
 
     def test_homotheties(self, submax2):
         res = homothety_system(submax2, AnsatzSpace(submax2.chart, total_degree=2))
         assert res.dim == 7
+        assert res.verified
         # a genuine non-isometric homothety exists: some scale factor nonzero
         assert any(c != 0 for c in res.extra["scales"])
+
+    def test_homothety_check_uses_each_fields_own_scale(self, submax2):
+        res = homothety_system(
+            submax2, AnsatzSpace(submax2.chart, total_degree=2), stabilize=False
+        )
+        pairs = list(zip(res.basis, res.extra["scales"]))
+        equations = partial(homothety_equations, submax2)
+        assert len(pairs) == 7 and verify_fields(equations, pairs)
+        assert not any(verify_fields(equations, [(f, c + 1)]) for f, c in pairs)
 
     def test_affine_on_type3_n2(self):
         spec = builtin("type3-n2", 2)
@@ -280,7 +292,7 @@ class TestPhiMap:
     def test_euler_type_field_solves_mobility(self, setup):
         # the non-affine generator maps to a nonzero mobility solution
         spec, ginv = setup
-        fields = dict(expected_symmetries("type2", 2))
+        fields = dict(expected_symmetries(builtin("type2", 2)))
         v = fields["e.re"]
         A = phi_map(v, spec.metric, ginv)
         assert not A.is_zero()
