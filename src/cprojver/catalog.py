@@ -49,7 +49,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .parse import ParseError, parse_field, parse_poly
-from .poly import PolyError, VarTable, accumulate
+from .poly import PolyError, VarTable
 from .scalars import GaussQ
 from .tensorcalc import (
     Chart,
@@ -382,7 +382,7 @@ def _build_model(name, n, signs, body):
         prov = None
         if "@" in val:
             val, prov = (t.strip() for t in val.rsplit("@", 1))
-        if head in ("degree", "stab_extra"):
+        if head == "degree":
             (degrees[head],) = _ints(val, ln, 1)
             continue
         if head == "laurent_window":
@@ -560,8 +560,11 @@ def expected_symmetries(spec):
         out = []
         f = parse_field(text, ztab)
         comps = {_parse_cindex(k, n, 0): v for k, v in f.items()}
-        for tag, scaled in (("re", comps), ("im", _scale_field(comps, GaussQ(0, 1)))):
-            out.append((f"{label}.{tag}", _realify_field(scaled, chart, n)))
+        for tag, c in (("re", GaussQ(1)), ("im", GaussQ(0, 1))):
+            # the real field v + conj(v) of the complex field c v
+            scaled = {(a,): p * c for a, p in comps.items()}
+            real = complex_tensor_to_real(chart, (1, 0), scaled)
+            out.append((f"{label}.{tag}", {r: p for (r,), p in real.comps.items()}))
         return out
 
     def R(label, text):
@@ -634,32 +637,3 @@ def expected_symmetries(spec):
     else:
         raise KeyError(f"no published symmetry list for {name!r}")
     return fields
-
-
-def _scale_field(comps, c):
-    return {k: v * c for k, v in comps.items()}
-
-
-def _realify_field(comps, chart, n):
-    """Real field of v + conj(v) for a complex field over z/zb directions."""
-    from .tensorcalc import _real_poly_from_complex
-
-    out = {}
-    for a, p in comps.items():
-        rp = _real_poly_from_complex(p, chart)
-        barred = a >= n
-        base = 2 * (a % n)
-        half = GaussQ("1/2")
-        ih = GaussQ(0, Fraction(1, 2)) if barred else GaussQ(0, Fraction(-1, 2))
-        for r, c in ((base, half), (base + 1, ih)):
-            accumulate(out, r, rp * c)
-    real = {}
-    for r, p in out.items():
-        q = p + p.conj()
-        if not q.is_zero():
-            real[r] = q
-    # validate: the conjugate part must have produced a real field
-    for r, p in real.items():
-        if not p.is_real():
-            raise PolyError(f"realified field has non-real component: {p}")
-    return real

@@ -62,21 +62,19 @@ MODEL_NS = {
 }
 
 
-def _battery(spec, fast, max_degree=None):
+def _battery(spec, fast):
     """The tensor battery, then the symmetry battery when the manifest expects
     a symmetry dimension, then the metric battery when it declares a metric."""
     checks = verify.model_battery(spec)
     if spec.expect("symmetry_dim") is not None:
-        checks += verify.symmetry_battery(
-            spec, stabilize=not fast, max_degree=max_degree
-        )
+        checks += verify.symmetry_battery(spec, stabilize=not fast)
     if spec.metric is not None:
         checks += verify.metric_checks(spec, stabilize=not fast)
     return checks
 
 
-def _verify_one(name, n, fast, max_degree=None):
-    return _battery(builtin(name, n), fast, max_degree)
+def _verify_one(name, n, fast):
+    return _battery(builtin(name, n), fast)
 
 
 def cmd_verify(args):
@@ -96,7 +94,7 @@ def cmd_verify(args):
         except (OSError, ParseError) as exc:
             print(f"manifest error: {exc}", file=sys.stderr)
             return 2
-        checks = _battery(spec, args.fast, args.max_degree)
+        checks = _battery(spec, args.fast)
         return _emit(args, f"verify --model {args.model}", checks, started)
     elif args.model not in MODEL_NAMES:
         print(f"unknown model {args.model!r}; available: {MODEL_NAMES}", file=sys.stderr)
@@ -107,7 +105,7 @@ def cmd_verify(args):
             args.n = MODEL_NS[args.model][0]
         jobs = [(args.model, args.n)]
         command = f"verify --model {args.model} --n {args.n}"
-    columns = (*zip(*jobs), repeat(args.fast), repeat(args.max_degree))
+    columns = (*zip(*jobs), repeat(args.fast))
     if args.jobs > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -191,8 +189,6 @@ def build_parser():
     v = sub.add_parser("verify", help="full battery for one model (or all)")
     v.add_argument("--model", required=True)
     v.add_argument("--n", type=int, default=None)
-    v.add_argument("--max-degree", type=int, default=None,
-                   help="override the model's recorded ansatz degree")
     v.add_argument("--jobs", type=int, default=1)
     v.add_argument("--fast", action="store_true", help="skip stabilization runs")
     v.add_argument("--out")

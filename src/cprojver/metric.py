@@ -246,22 +246,21 @@ def _mobility_closures(g, ginv, J, gamma):
             _subtract_lambda_terms(eq, g, om, J, {l: th})
         return eq, {}
 
-    with_herm = _column_operator(chart, ("EQ", "HERM"), symbol0, symbol1)
+    with_herm = _column_operator(("EQ", "HERM"), symbol0, symbol1)
     eq_only = _column_operator(
-        chart, ("EQ",), lambda p: symbol0(p)[:1], lambda p, l: symbol1(p, l)[:1]
+        ("EQ",), lambda p: symbol0(p)[:1], lambda p, l: symbol1(p, l)[:1]
     )
     return pairs, with_herm, eq_only
 
 
-def mobility_dimension(spec, ansatz: AnsatzSpace = None, stabilize=True):
-    """Exact solution space of the mobility equation over the ansatz."""
+def mobility_dimension(spec, stabilize=True):
+    """Exact solution space of the mobility equation over the total-degree
+    ansatz of the manifest's `degree` (at least 2)."""
     g, J = spec.metric, spec.J
     chart = g.chart
     d = chart.dim
     ginv, gamma = spec.metric_inverse, spec.levi_civita
-    if ansatz is None:
-        deg = max(2, spec.degrees.get("degree", 2))
-        ansatz = AnsatzSpace(chart, total_degree=deg)
+    ansatz = AnsatzSpace(chart, total_degree=max(2, spec.degrees.get("degree", 2)))
     pairs, with_herm, eq_only = _mobility_closures(g, ginv, J, gamma)
 
     def solve(ans, operator):
@@ -315,30 +314,26 @@ def mobility_equation_holds(spec, B: Tensor) -> bool:
 # -- parallel forms -----------------------------------------------------------------
 
 
-def parallel_forms(spec, ansatz: AnsatzSpace = None):
-    """Exact kernel of nabla alpha = 0 on 1-forms over the ansatz."""
-    g = spec.metric
-    chart = g.chart
+def parallel_forms(spec):
+    """Exact kernel of nabla alpha = 0 on 1-forms over the total-degree ansatz
+    of the manifest's `degree` (at least 2).
+
+    On the column x^e dx^a, (nabla alpha)_bk = d_b alpha_k - G^c_bk alpha_c has
+    the symbols S0(a) = -G^a_bk on (b, k) and S1(a, l) = 1 on (l, a)."""
+    chart = spec.chart
     gamma = spec.levi_civita
-    d = chart.dim
-    names = chart.table.names
-    if ansatz is None:
-        ansatz = AnsatzSpace(chart, total_degree=max(2, spec.degrees.get("degree", 2)))
+    one = chart.const(1)
 
-    def apply(exps, a):
-        mono = LaurentPoly(chart.table, {exps: GaussQ(1)})
-        out = {}
-        for b in range(d):
-            q = mono.derivative(names[b])
-            if not q.is_zero():
-                out[(b, a)] = q
-        for (c, b, k), p in gamma.comps.items():
-            if c != a:
-                continue
-            accumulate(out, (b, k), -(p * mono))
-        return [("PAR", out)]
+    def symbol0(a):
+        return ({(b, k): -p for (c, b, k), p in gamma.comps.items() if c == a},)
 
-    forms, _ = solve_field_system(spec, apply, ansatz)
+    def symbol1(a, l):
+        return ({(l, a): one},)
+
+    ansatz = AnsatzSpace(chart, total_degree=max(2, spec.degrees.get("degree", 2)))
+    forms, _ = solve_field_system(
+        spec, _column_operator(("PAR",), symbol0, symbol1), ansatz
+    )
     return [
         Tensor(chart, (0, 1), {(a,): poly for a, poly in f.items()}) for f in forms
     ]

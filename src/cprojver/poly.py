@@ -143,18 +143,6 @@ class LaurentPoly:
         exps[i] = power
         return LaurentPoly(table, {tuple(exps): GaussQ(1)})
 
-    @staticmethod
-    def from_canonical(table, terms, den):
-        """Wrap a term dict that is already canonical: exponent tuples of the
-        table's length, nonzero `GaussQ` coefficients, negative exponents on
-        laurent variables only, and nothing left to reduce against `den`.
-        Nothing is checked or copied."""
-        p = object.__new__(LaurentPoly)
-        p.table = table
-        p.terms = terms
-        p.den = den
-        return p
-
     # -- canonical reduction against declared denominators ---------------
 
     def _reduce_inplace(self):

@@ -212,7 +212,7 @@ def _real_coordinates(elem: CurvElement, prefix=()):
     return out
 
 
-def annihilator(psi: CurvElement, g: SlPair = None, ctype="?", gram=None):
+def annihilator(psi: CurvElement, g: SlPair = None, ctype="?"):
     """Exact kernel of X |-> X.psi over the real grade-0 part."""
     n = psi.n
     g = g or SlPair(n)
@@ -381,7 +381,7 @@ def theorem_table(n_min=2, n_max=6):
 # -- module span and generic elements (sanity routes) ---------------------------
 
 
-def module_span(ctype, n, max_iter=60):
+def module_span(ctype, n):
     """Basis of the g_0-submodule generated by the real extremal vector."""
     g = SlPair(n)
     _, psi = lowest_weight_vector(ctype, n)
@@ -390,9 +390,7 @@ def module_span(ctype, n, max_iter=60):
     basis = []
     queue = [psi]
     span_add(span, basis, psi)
-    it = 0
-    while queue and it < max_iter:
-        it += 1
+    while queue:
         cur = queue.pop(0)
         for x in g0:
             nxt = g0_action(x, cur)

@@ -3,8 +3,8 @@
 Every tensor equation is linear in the unknown vector field (or tensor), so a
 finite ansatz turns it into exact linear algebra: the operator is applied to
 each ansatz basis element, rows are matched monomial by monomial (after
-clearing declared denominators row-wise), and the kernel is computed by sparse
-exact elimination.  Kernel dimensions are lower bounds for the true solution
+clearing declared denominators per equation), and the kernel is computed by
+sparse exact elimination.  Kernel dimensions are lower bounds for the true solution
 space; together with an algebraic upper bound and degree stabilization they
 certify exactness.
 """
@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
-from operator import add
+from functools import cache, partial
+from operator import add, sub
 
 from .linalg import LinearSystem, SpanSolver
 from .poly import LaurentPoly, PolyError, _mul_terms, accumulate
@@ -66,10 +66,12 @@ class AnsatzSpace:
 
         walk((), 0, 0)
 
-    def enlarged(self, extra=1):
-        td = None if self.total_degree is None else self.total_degree + extra
+    def enlarged(self):
+        """The space with the total degree and every upper bound raised by one
+        and every negative lower bound lowered by one."""
+        td = None if self.total_degree is None else self.total_degree + 1
         bounds = {
-            name: (lo - extra if lo < 0 else 0, hi + extra)
+            name: (lo - 1 if lo < 0 else 0, hi + 1)
             for name, (lo, hi) in self.bounds.items()
         }
         return AnsatzSpace(self.chart, total_degree=td, bounds=bounds)
@@ -89,10 +91,19 @@ class SymmetryResult:
 
 
 class SystemBuilder:
-    """Collects operator outputs per unknown column, then emits exact rows."""
+    """Collects operator outputs per unknown column, then emits exact rows.
 
-    def __init__(self):
-        self.eqs = {}  # (tag, comp) -> {col: poly}
+    An output is a dict {(comp, den): numerator terms}: the value of
+    component `comp` is the sum of its parts numerator / D^den, D the table's
+    declared denominators.  `kernel` is the one place that clears them: each
+    equation (tag, comp) is multiplied by D^M, M the largest multiplicity it
+    receives.  The Laurent polynomial ring is an integral domain, so the
+    cleared equation has the same solutions as the one it came from.
+    """
+
+    def __init__(self, table):
+        self.table = table
+        self.eqs = {}  # (tag, comp) -> [(col, den, terms)]
         self.ncols = 0
 
     def column(self):
@@ -100,43 +111,49 @@ class SystemBuilder:
         self.ncols += 1
         return c
 
-    def add_output(self, col, tag, comps):
-        for comp, p in comps.items():
-            self.eqs.setdefault((tag, comp), {})[col] = p
+    def add_output(self, col, tag, parts):
+        for (comp, den), terms in parts.items():
+            if terms:
+                self.eqs.setdefault((tag, comp), []).append((col, den, terms))
 
     def kernel(self):
+        table = self.table
+
+        @cache
+        def factor(raise_by):
+            """Numerator terms of prod_k D_k ** raise_by[k]."""
+            out = {(0,) * table.nvars(): GaussQ(1)}
+            for k, m in enumerate(raise_by):
+                for _ in range(m):
+                    out = _mul_terms(out, dict(table.den_terms[k]))
+            return out
+
         sys = LinearSystem()
         sys.register_columns(range(self.ncols))
-        for (tag, comp), cols in sorted(
-            self.eqs.items(), key=lambda kv: (kv[0][0], kv[0][1])
-        ):
-            den_max = None
-            for p in cols.values():
-                den_max = (
-                    p.den
-                    if den_max is None
-                    else tuple(max(a, b) for a, b in zip(den_max, p.den))
-                )
-            rows = {}
-            for col, p in cols.items():
-                terms = _raise_denominator(p, den_max)
+        for key in sorted(self.eqs):
+            parts = self.eqs[key]
+            top = tuple(map(max, zip(*{den for _, den, _ in parts})))
+            rows = {}  # exps -> {col: coefficient}
+            for col, den, terms in parts:
+                if den != top:
+                    terms = _mul_terms(terms, factor(tuple(map(sub, top, den))))
                 for exps, c in terms.items():
-                    if not c.is_real():
+                    row = rows.get(exps)
+                    if row is None:
+                        rows[exps] = {col: c}
+                    else:
+                        old = row.get(col)
+                        row[col] = c if old is None else old + c
+            for exps in sorted(rows):
+                row = {}
+                for col, c in rows[exps].items():
+                    if c.im:
                         raise PolyError("system coefficients must be real")
                     if c.re:
-                        rows.setdefault(exps, {})[col] = c.re
-            for exps in sorted(rows):
-                sys.add_row(rows[exps])
+                        row[col] = c.re
+                if row:
+                    sys.add_row(row)
         return sys.kernel(), sys
-
-
-def _raise_denominator(p: LaurentPoly, den_target):
-    terms = p.terms
-    for k, (have, want) in enumerate(zip(p.den, den_target)):
-        for _ in range(want - have):
-            dk = dict(p.table.den_terms[k])
-            terms = _mul_terms(terms, dk)
-    return terms
 
 
 # -- operators -------------------------------------------------------------------
@@ -260,14 +277,17 @@ def _metric_symbol1(g: Tensor, a, l):
     return out
 
 
-def _column_operator(chart, tags, symbol0, symbol1, symbol2=None):
-    """The closure apply(exps, a) -> [(tag, comps)] for the column x^e d_a.
+def _column_operator(tags, symbol0, symbol1, symbol2=None):
+    """The closure apply(exps, a) -> [(tag, parts)] for the column x^e d_a.
 
     `symbol0(a)`, `symbol1(a, l)` and `symbol2(a, l, k)` return one comps dict
-    per tag.  Each symbol, and each integer multiple of it that a column asks
-    for, is built on first use and kept for later columns.
+    {comp: LaurentPoly} per tag.  Each symbol, and each integer multiple of it
+    that a column asks for, is built on first use and kept for later columns.
+    `parts` maps (comp, den) to the summed numerator terms {exps: GaussQ} of
+    the symbol terms over the denominator multiplicities `den`; a component
+    may arrive over several `den`, and no part is reduced or cleared here
+    (`SystemBuilder` does that per equation).
     """
-    table = chart.table
     builders = {1: symbol0, 2: symbol1, 3: symbol2}
     memo = {}
 
@@ -324,21 +344,7 @@ def _column_operator(chart, tags, symbol0, symbol1, symbol2=None):
                                 bucket[e] = c
                             else:
                                 del bucket[e]
-            comps = {}
-            for (comp, den), terms in sums.items():
-                if not terms:
-                    continue
-                if any(den):
-                    # a sum of monomial multiples of reduced fractions
-                    # may have a numerator the denominator divides
-                    p = LaurentPoly(table, terms, den)
-                else:
-                    p = LaurentPoly.from_canonical(table, terms, den)
-                if comp in comps:
-                    accumulate(comps, comp, p)
-                else:
-                    comps[comp] = p
-            out.append((tag, comps))
+            out.append((tag, sums))
         return out
 
     return apply
@@ -350,7 +356,6 @@ def cproj_operator(spec):
     names = chart.table.names
     one = chart.const(1)
     return _column_operator(
-        chart,
         ("LJ", "CP"),
         lambda a: (
             _derivative_symbol(J, names[a]),
@@ -367,13 +372,11 @@ def killing_operator(spec, holomorphic=True):
     names = chart.table.names
     if not holomorphic:
         return _column_operator(
-            chart,
             ("LG",),
             lambda a: (_derivative_symbol(g, names[a]),),
             lambda a, l: (_metric_symbol1(g, a, l),),
         )
     return _column_operator(
-        chart,
         ("LJ", "LG"),
         lambda a: (_derivative_symbol(J, names[a]), _derivative_symbol(g, names[a])),
         lambda a, l: (_J_symbol1(J, a, l), _metric_symbol1(g, a, l)),
@@ -386,7 +389,6 @@ def affine_operator(spec):
     names = chart.table.names
     one = chart.const(1)
     return _column_operator(
-        chart,
         ("LJ", "LG"),
         lambda a: (_derivative_symbol(J, names[a]), _derivative_symbol(G, names[a])),
         lambda a, l: (_J_symbol1(J, a, l), _connection_symbol1(G, a, l)),
@@ -399,8 +401,10 @@ def solve_field_system(spec, operator, ansatz, extra_metric_scale=None, ndirs=No
 
     Column c is the monomial x^e, e = ansatz.monomials[c // ndirs], in the
     direction c % ndirs; `operator(exps, direction)` returns its
-    [(tag, comps)].  `ndirs` defaults to the chart dimension (vector fields).
-    Returns (basis, scales): each kernel vector as {direction: LaurentPoly}.
+    [(tag, parts)], each `parts` a dict {(comp, den): numerator terms} as
+    `_column_operator` builds it.  `ndirs` defaults to the chart dimension
+    (vector fields).  Returns (basis, scales): each kernel vector as
+    {direction: LaurentPoly}.
 
     With `extra_metric_scale` (the metric tensor), one extra scalar unknown c
     is appended and the equation tagged "LG" becomes L_v g - c g = 0; its
@@ -409,15 +413,18 @@ def solve_field_system(spec, operator, ansatz, extra_metric_scale=None, ndirs=No
     table = spec.chart.table
     if ndirs is None:
         ndirs = spec.chart.dim
-    builder = SystemBuilder()
+    builder = SystemBuilder(table)
     for exps in ansatz.monomials:
         for i in range(ndirs):
             col = builder.column()
-            for tag, comps in operator(exps, i):
-                builder.add_output(col, tag, comps)
+            for tag, parts in operator(exps, i):
+                builder.add_output(col, tag, parts)
     nfield = builder.ncols
     if extra_metric_scale is not None:
-        builder.add_output(builder.column(), "LG", extra_metric_scale.scale(-1).comps)
+        comps = extra_metric_scale.scale(-1).comps
+        builder.add_output(
+            builder.column(), "LG", {(comp, p.den): p.terms for comp, p in comps.items()}
+        )
     kernel, _ = builder.kernel()
     basis = []
     scales = []

@@ -470,13 +470,9 @@ def substitute_chart_power(chart_old, chart_new, var_old, var_new, power, gamma=
 # -- complex ingestion -------------------------------------------------------------
 
 
-def complex_table(n, laurent_z=(), name_prefix=("z", "zb")):
-    names = [f"{name_prefix[0]}{a+1}" for a in range(n)] + [
-        f"{name_prefix[1]}{a+1}" for a in range(n)
-    ]
-    lau = [f"{name_prefix[0]}{a+1}" for a in laurent_z] + [
-        f"{name_prefix[1]}{a+1}" for a in laurent_z
-    ]
+def complex_table(n, laurent_z=()):
+    names = [f"z{a+1}" for a in range(n)] + [f"zb{a+1}" for a in range(n)]
+    lau = [f"z{a+1}" for a in laurent_z] + [f"zb{a+1}" for a in laurent_z]
     return VarTable(names, laurent=lau)
 
 

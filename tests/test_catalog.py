@@ -129,9 +129,9 @@ class TestMalformedValues:
             ("type3_n2.model", "vars = x y p q", "vars = x y p p q", 8),
             ("type3_n2.model", "Jframe = 2 -1 4 -3", "Jframe = 2 x", 17),
             ("type3_n2.model", "Jframe = 2 -1 4 -3", "Jframe = 2 -1 5 -3", 17),
-            ("type3_n2.model", "laurent_window = -4 4", "laurent_window = 1", 41),
-            ("type3_n2.model", "bounds = x 0 2 y 0 2 q 0 3", "bounds = x1 0", 40),
-            ("type3_n2.model", "bounds = x 0 2 y 0 2 q 0 3", "bounds = x 0 b", 40),
+            ("type3_n2.model", "laurent_window = -4 4", "laurent_window = 1", 40),
+            ("type3_n2.model", "bounds = x 0 2 y 0 2 q 0 3", "bounds = x1 0", 39),
+            ("type3_n2.model", "bounds = x 0 2 y 0 2 q 0 3", "bounds = x 0 b", 39),
             ("alg_sl2.alg", "grade e = 1", "grade e = x", 5),
         ],
     )

@@ -69,7 +69,7 @@ class TestVerify:
     def test_model_all_command_has_no_n(self, tmp_path, monkeypatch):
         ran = []
 
-        def one(name, n, fast, max_degree=None):
+        def one(name, n, fast):
             ran.append((name, n))
             return [Check("stub", "stub", 0, 0, True)]
 
@@ -110,17 +110,7 @@ class TestVerify:
             err = capsys.readouterr().err
             assert err.startswith("manifest error: ") and err.count("\n") == 1
         assert run(["verify", "--model", str(bad)]) == 2
-        assert "(line 40, column 1)" in capsys.readouterr().err
-
-    def test_max_degree_leaves_the_spec_unchanged(self):
-        from cprojver.catalog import builtin
-        from cprojver.verify import symmetry_battery
-
-        spec = builtin("type2", 2)
-        degrees = dict(spec.degrees)
-        checks = symmetry_battery(spec, stabilize=False, max_degree=3)
-        assert spec.degrees == degrees
-        assert all(c.passed for c in checks)
+        assert "(line 39, column 1)" in capsys.readouterr().err
 
     def test_type3_n2_reports_out_of_scope_component(self, tmp_path):
         out = tmp_path / "v.json"
@@ -203,6 +193,8 @@ def test_reports_byte_stable_across_hash_seeds(tmp_path):
     commands = {
         "verify": ["verify", "--model", "type2", "--n", "2", "--fast"],
         "metric": ["metric", "--model", "submax-metric", "--n", "2", "--fast"],
+        # stabilized, on a chart with a declared denominator
+        "cp1xc": ["verify", "--model", "cp1xc", "--n", "2"],
     }
     for name, args in commands.items():
         reports = []

@@ -15,6 +15,7 @@ from cprojver.poly import LaurentPoly, PolyError
 from cprojver.scalars import GaussQ
 from cprojver.symsolve import (
     AnsatzSpace,
+    SystemBuilder,
     affine_operator,
     affine_system,
     bracket_fields,
@@ -107,8 +108,9 @@ class TestColumnSymbols:
     column and shared by the three operators' equations."""
 
     @pytest.mark.parametrize("name,n", CATALOG)
-    def test_columns_equal_generic_route(self, name, n):
+    def test_columns_equal_generic_route(self, name, n, canonical):
         spec = builtin(name, n)
+        table = spec.chart.table
         J, G, g = spec.J, spec.gamma, spec.metric
         base = model_ansatz(spec)
         big = base.enlarged()
@@ -119,17 +121,42 @@ class TestColumnSymbols:
             killing = killing_operator(spec)
             isometry = killing_operator(spec, holomorphic=False)
         for exps in big.monomials:
-            mono = LaurentPoly(spec.chart.table, {exps: GaussQ(1)})
+            mono = LaurentPoly(table, {exps: GaussQ(1)})
             for a in range(spec.chart.dim):
                 v = {a: mono}
                 lj = ("LJ", tc.lie_derivative_J(v, J).comps)
                 om = tc.lie_derivative_connection(v, G).comps
-                assert cproj(exps, a) == [lj, ("CP", cp_projection(J, om))], (exps, a)
-                assert affine(exps, a) == [lj, ("LG", om)], (exps, a)
+                cp = ("CP", cp_projection(J, om))
+                assert canonical(table, cproj(exps, a)) == [lj, cp], (exps, a)
+                assert canonical(table, affine(exps, a)) == [lj, ("LG", om)], (exps, a)
                 if g is not None:
                     lg = ("LG", tc.lie_derivative_metric(v, g).comps)
-                    assert killing(exps, a) == [lj, lg], (exps, a)
-                    assert isometry(exps, a) == [lg], (exps, a)
+                    assert canonical(table, killing(exps, a)) == [lj, lg], (exps, a)
+                    assert canonical(table, isometry(exps, a)) == [lg], (exps, a)
+
+    @pytest.mark.parametrize("name", ["cp1xc", "type1-n2"])
+    def test_builder_clears_denominators_of_either_route(self, name):
+        # the closures hand over unreduced numerators per (component,
+        # denominator), the generic route reduced LaurentPoly components;
+        # SystemBuilder brings each equation to one denominator, so both
+        # must give the same kernel, of the published dimension
+        spec = builtin(name, 2)
+        table = spec.chart.table
+        closure = cproj_operator(spec)
+        generic, fed = SystemBuilder(table), SystemBuilder(table)
+        for exps in model_ansatz(spec).monomials:
+            mono = LaurentPoly(table, {exps: GaussQ(1)})
+            for a in range(spec.chart.dim):
+                col = generic.column()
+                assert fed.column() == col
+                for tag, t in cproj_equations(spec, {a: mono}):
+                    parts = {(comp, p.den): p.terms for comp, p in t.comps.items()}
+                    generic.add_output(col, tag, parts)
+                for tag, parts in closure(exps, a):
+                    fed.add_output(col, tag, parts)
+        kernel, _ = generic.kernel()
+        assert kernel == fed.kernel()[0]
+        assert len(kernel) == spec.expect("symmetry_dim")
 
     def test_wrong_closure_fails_verification(self):
         spec = builtin("type2", 2)
