@@ -20,17 +20,12 @@ from __future__ import annotations
 import os
 import re
 
+from .catalog import data_dir
 from .parse import ParseError, parse_poly
 from .poly import LaurentPoly, VarTable
 from .structlie import StructAlgebra
 
 _BRACKET = re.compile(r"bracket\s*\[\s*(\w+)\s*,\s*(\w+)\s*\]\s*=\s*(.*)$")
-
-DATA_DIR = os.path.join(os.path.dirname(__file__), "catalog_data")
-
-
-def data_dir():
-    return os.environ.get("CPROJ_CATALOG", DATA_DIR)
 
 
 def parse_algebra_manifest(text, name_hint="") -> StructAlgebra:

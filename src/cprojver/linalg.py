@@ -1,10 +1,14 @@
 """Exact linear algebra: ranks, kernels, span reduction, signatures.
 
-Every kernel and rank goes through `LinearSystem`: sparse exact Gaussian
-elimination on integer-scaled rows, which also produces the canonical
-reduced-echelon kernel basis.  `_bareiss_rank` (dense fraction-free Bareiss
-elimination) is kept as the independent reference the tests compare
-`LinearSystem.rank` against.
+One integer elimination sits behind every kernel, rank, span and
+decomposition: `_reduce` brings a fraction-free integer row (scaled by the
+lcm of its denominators and divided by its content) to a new leading column
+against a dict of pivot rows.  `LinearSystem` feeds it the equations and also
+produces the canonical reduced-echelon kernel basis; `SpanSolver` feeds it
+generators with marker columns that record their combinations.  Values
+become rational where they enter: `SpanSolver` refuses a non-real `GaussQ`.
+`_bareiss_rank` (dense fraction-free Bareiss elimination) is kept only as the
+independent reference the tests compare both against.
 
 Kernel bases are deterministic: columns are eliminated in their natural order,
 free columns are enumerated ascending, and every kernel vector is scaled so
@@ -65,6 +69,19 @@ def _row_update(r, p, a, b):
     if g > 1:
         for k in r:
             r[k] //= g
+
+
+def _reduce(pivots, r):
+    """In place: eliminate the leading column of the integer row `r` while
+    `pivots` (column -> row led by that column) has a row for it.  Returns
+    the leading column left, or None when `r` vanished."""
+    while r:
+        c = min(r)
+        p = pivots.get(c)
+        if p is None:
+            return c
+        _row_update(r, p, p[c], r[c])
+    return None
 
 
 def _row_content(r):
@@ -128,14 +145,11 @@ class LinearSystem:
         self.nrows += 1
         self.columns.update(row.keys())
         r = _scale_row_to_int(row)
-        while r:
-            c = min(r)
-            p = self.pivots.get(c)
-            if p is None:
-                self.pivots[c] = r
-                return True
-            _row_update(r, p, p[c], r[c])
-        return False
+        c = _reduce(self.pivots, r)
+        if c is None:
+            return False
+        self.pivots[c] = r
+        return True
 
     def rank(self):
         return len(self.pivots)
@@ -176,64 +190,59 @@ class LinearSystem:
 
 
 class SpanSolver:
-    """Incremental span of exact vectors with membership/decomposition.
+    """Incremental span of exact real vectors with membership/decomposition.
 
-    Vectors are dicts keyed by sortable hashables with Fraction/GaussQ values.
-    Decomposition coefficients refer to the vectors as inserted.
+    Vectors are dicts keyed by sortable hashables with int, Fraction or real
+    GaussQ values.  Each generator g is stored as the integer row of its
+    coordinates, columns (0, key), plus the marker column (1, g); markers sort
+    after every coordinate, so a row reduced to markers alone is a relation
+    among the generators.  Decomposition coefficients refer to the vectors as
+    inserted.
     """
 
     def __init__(self):
-        self._rows = []  # (pivot key, row dict, combo dict gen_index -> GaussQ)
+        self._pivots = {}  # coordinate column -> integer row led by it
         self.ngen = 0
 
-    def _reduce(self, vec, combo):
-        v = {k: GaussQ.of(x) for k, x in vec.items() if GaussQ.of(x)}
-        for pk, row, rcombo in self._rows:
-            if pk in v:
-                f = v[pk]
-                for k, x in row.items():
-                    s = v.get(k, GaussQ(0)) - f * x
-                    if s.is_zero():
-                        v.pop(k, None)
-                    else:
-                        v[k] = s
-                for g, x in rcombo.items():
-                    s = combo.get(g, GaussQ(0)) - f * x
-                    if s.is_zero():
-                        combo.pop(g, None)
-                    else:
-                        combo[g] = s
-        return v, combo
+    def _residual(self, vec, marker=None):
+        """The integer row of `vec` (plus `marker`) reduced against the pivots,
+        and its leading column (None when the row vanished)."""
+        row = {}
+        for k, x in vec.items():
+            if isinstance(x, GaussQ):
+                if x.im:
+                    raise ValueError("SpanSolver spans real vectors only")
+                x = x.re
+            if x:
+                row[(0, k)] = x
+        if marker is not None:
+            row[marker] = 1
+        r = _scale_row_to_int(row)
+        return r, _reduce(self._pivots, r)
 
     def insert(self, vec):
         """Add a generator; returns True if it enlarged the span."""
-        combo = {self.ngen: GaussQ(1)}
+        r, c = self._residual(vec, (1, self.ngen))
         self.ngen += 1
-        v, combo = self._reduce(vec, combo)
-        if not v:
+        if c[0]:
             return False
-        pk = min(v)
-        lead = v[pk]
-        v = {k: x / lead for k, x in v.items()}
-        combo = {g: x / lead for g, x in combo.items()}
-        self._rows.append((pk, v, combo))
-        self._rows.sort(key=lambda t: t[0])
+        self._pivots[c] = r
         return True
 
     def dim(self):
-        return len(self._rows)
+        return len(self._pivots)
 
     def contains(self, vec):
-        v, _ = self._reduce(vec, {})
-        return not v
+        _, c = self._residual(vec)
+        return c is None or c[0] > 0
 
     def decompose(self, vec):
         """Coefficients over the inserted generators, or None if outside."""
-        combo = {}
-        v, combo = self._reduce(vec, combo)
-        if v:
+        r, c = self._residual(vec, (2, 0))
+        if not c[0]:
             return None
-        return {g: -c for g, c in combo.items()}
+        d = r[(2, 0)]
+        return {g: Fraction(-x, d) for (kind, g), x in r.items() if kind == 1}
 
 
 def signature(sym_rows):

@@ -12,7 +12,7 @@ mobility.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
@@ -119,7 +119,6 @@ class MobilityResult:
     dim_unconstrained: int
     stabilized: bool
     identity_included: bool
-    records: list = field(default_factory=list)  # (theta, lam, grad) per solution
     verified: bool = None
 
 
@@ -258,7 +257,6 @@ def mobility_dimension(spec, stabilize=True):
     ansatz of the manifest's `degree` (at least 2)."""
     g, J = spec.metric, spec.J
     chart = g.chart
-    d = chart.dim
     ginv, gamma = spec.metric_inverse, spec.levi_civita
     ansatz = AnsatzSpace(chart, total_degree=max(2, spec.degrees.get("degree", 2)))
     pairs, with_herm, eq_only = _mobility_closures(g, ginv, J, gamma)
@@ -288,20 +286,12 @@ def mobility_dimension(spec, stabilize=True):
     for B in basis:
         span.insert(field_coordinates(B.comps))
     ident = span.contains(field_coordinates(g.comps))
-    names = chart.table.names
-    records = []
-    for B in basis:
-        theta = _theta(ginv, B.comps)
-        lam = {a: theta.derivative(names[a]) for a in range(d)}
-        grad = contract("ia,a->i", ginv, {(a,): p for a, p in lam.items()})
-        records.append((theta, lam, {i: p for (i,), p in grad.items()}))
     return MobilityResult(
         dim=len(basis),
         basis=basis,
         dim_unconstrained=len(unconstrained),
         stabilized=stab,
         identity_included=ident,
-        records=records,
         verified=verified,
     )
 

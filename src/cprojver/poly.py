@@ -436,16 +436,16 @@ def _gpow(v: GaussQ, e: int) -> GaussQ:
 
 
 def accumulate(out, key, val):
-    """out[key] += val, never storing a zero: sparse dicts of GaussQ or
-    LaurentPoly values hold only nonzero entries."""
-    if val.is_zero():
+    """out[key] += val, never storing a zero: sparse dicts of int, Fraction,
+    GaussQ or LaurentPoly values hold only nonzero entries."""
+    if not val:
         return
     s = out.get(key)
     s = val if s is None else s + val
-    if s.is_zero():
-        out.pop(key, None)
-    else:
+    if s:
         out[key] = s
+    else:
+        out.pop(key, None)
 
 
 def _mul_terms(a, b):
@@ -458,10 +458,10 @@ def _mul_terms(a, b):
             c = ca * cb
             s = out.get(e)
             s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(e, None)
-            else:
+            if s:
                 out[e] = s
+            else:
+                out.pop(e, None)
     return out
 
 

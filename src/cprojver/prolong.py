@@ -454,7 +454,7 @@ def subalgebra_with_cochain(ctype, n):
         coeffs = span.decompose(vec)
         if coeffs is None:
             raise RuntimeError("bracket escapes the subalgebra")
-        return {k: v for k, v in coeffs.items() if not v.is_zero()}
+        return coeffs
 
     table = {}
     for i in range(len(elements)):

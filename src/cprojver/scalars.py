@@ -131,7 +131,7 @@ class GaussQ:
         return hash((self.re, self.im))
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.re) or bool(self.im)
 
     # -- printing -------------------------------------------------------
 

@@ -1,8 +1,9 @@
 """Finite-dimensional Lie algebras given by structure constants.
 
-Coefficients are exact scalars or polynomials in declared commuting parameters
-(so a Jacobi residual with a free parameter is a polynomial identity).  The
-bracket table stores only pairs (i, j) with i < j; antisymmetry is implicit.
+Coefficients are int, `Fraction`, `GaussQ` or `LaurentPoly` (a polynomial in
+declared commuting parameters, so a Jacobi residual with a free parameter is a
+polynomial identity); each is falsy exactly when it is zero.  The bracket
+table stores only pairs (i, j) with i < j; antisymmetry is implicit.
 """
 
 from __future__ import annotations
@@ -10,14 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .linalg import SpanSolver
-from .poly import LaurentPoly
+from .poly import LaurentPoly, accumulate
 from .scalars import GaussQ
-
-
-def _is_zero(c):
-    if isinstance(c, LaurentPoly):
-        return c.is_zero()
-    return GaussQ.of(c).is_zero()
 
 
 class StructAlgebra:
@@ -35,14 +30,11 @@ class StructAlgebra:
             if i == j:
                 raise ValueError(f"bracket [{i},{i}] must vanish by antisymmetry")
             if i > j:
-                i, j, vec = j, i, {k: self._neg(c) for k, c in vec.items()}
-            clean = {k: c for k, c in vec.items() if not _is_zero(c)}
+                i, j, vec = j, i, {k: -c for k, c in vec.items()}
+            clean = {k: c for k, c in vec.items() if c}
             if clean:
                 table[(i, j)] = clean
         self.table = table
-
-    def _neg(self, c):
-        return -c
 
     def dim(self):
         return len(self.labels)
@@ -57,18 +49,18 @@ class StructAlgebra:
             return {}
         if i < j:
             return dict(self.table.get((i, j), {}))
-        return {k: self._neg(c) for k, c in self.table.get((j, i), {}).items()}
+        return {k: -c for k, c in self.table.get((j, i), {}).items()}
 
     def bracket_vec(self, x, y):
         out = {}
         for i, ci in x.items():
-            if _is_zero(ci):
+            if not ci:
                 continue
             for j, cj in y.items():
-                if _is_zero(cj):
+                if not cj:
                     continue
                 for k, c in self.bracket_units(i, j).items():
-                    _acc(out, k, ci * cj * c)
+                    accumulate(out, k, ci * cj * c)
         return out
 
     # -- validity ---------------------------------------------------------------
@@ -77,26 +69,35 @@ class StructAlgebra:
         """All nonzero cyclic sums Jac(e_i,e_j,e_k); empty table <=> Lie algebra.
 
         Each cyclic term [[e_a,e_b],e_c] is summed straight from the bracket
-        table: x*y e_m for every (t, x) in [e_a,e_b] and (m, y) in [e_t,e_c]."""
+        table: x*y e_m for every (t, x) in [e_a,e_b] and (m, y) in [e_t,e_c].
+        Only the triples i < j < k that some term reaches are visited: (a, b)
+        a table pair, t in [e_a,e_b] and (t, c) a table pair, c not a or b."""
         units = {}  # (a, b) -> [e_a,e_b], for both orders of each table pair
+        partners = {}  # t -> every c with (t, c) a table pair, in either order
         for (i, j), vec in self.table.items():
             units[(i, j)] = vec
             units[(j, i)] = self.bracket_units(j, i)
+            partners.setdefault(i, []).append(j)
+            partners.setdefault(j, []).append(i)
+        triples = {
+            tuple(sorted((a, b, c)))
+            for (a, b), vec in self.table.items()
+            for t in vec
+            for c in partners.get(t, ())
+            if c != a and c != b
+        }
         empty = {}
         bad = {}
-        dim = self.dim()
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                for k in range(j + 1, dim):
-                    r = {}
-                    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                        for t, x in units.get((a, b), empty).items():
-                            for m, y in units.get((t, c), empty).items():
-                                _acc(r, m, x * y)
-                    if r:
-                        bad[(self.labels[i], self.labels[j], self.labels[k])] = {
-                            self.labels[t]: c for t, c in r.items()
-                        }
+        for i, j, k in sorted(triples):
+            r = {}
+            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                for t, x in units.get((a, b), empty).items():
+                    for m, y in units.get((t, c), empty).items():
+                        accumulate(r, m, x * y)
+            if r:
+                bad[(self.labels[i], self.labels[j], self.labels[k])] = {
+                    self.labels[t]: c for t, c in r.items()
+                }
         return bad
 
     def is_valid(self):
@@ -110,15 +111,14 @@ class StructAlgebra:
                 "derived series needs numeric coefficients; specialize parameters first"
             )
         dims = [self.dim()]
-        basis = [{i: GaussQ(1)} for i in range(self.dim())]
+        basis = [{i: 1} for i in range(self.dim())]
         while True:
             span = SpanSolver()
             new_basis = []
             for a in range(len(basis)):
                 for b in range(a + 1, len(basis)):
                     v = self.bracket_vec(basis[a], basis[b])
-                    v = {k: GaussQ.of(c) for k, c in v.items() if not _is_zero(c)}
-                    if v and span.insert(dict(v)):
+                    if v and span.insert(v):
                         new_basis.append(v)
             d = span.dim()
             dims.append(d)
@@ -182,41 +182,7 @@ class StructAlgebra:
         )
 
     def same_table(self, other):
-        if self.labels != other.labels:
-            return False
-        keys = set(self.table) | set(other.table)
-        for key in keys:
-            a = self.table.get(key, {})
-            b = other.table.get(key, {})
-            for k in set(a) | set(b):
-                ca, cb = a.get(k), b.get(k)
-                da = ca if ca is not None else _zero_like(ca, cb)
-                db = cb if cb is not None else _zero_like(cb, ca)
-                if not _is_zero(da - db):
-                    return False
-        return True
-
-
-def _zero_like(c, other):
-    ref = c if c is not None else other
-    if isinstance(ref, LaurentPoly):
-        return LaurentPoly.zero(ref.table)
-    return GaussQ(0)
-
-
-def _one_like(alg, v):
-    if alg.has_params():
-        return LaurentPoly.const(alg.params, v)
-    return GaussQ(v)
-
-
-def _acc(d, k, c):
-    s = d.get(k)
-    s = c if s is None else s + c
-    if _is_zero(s):
-        d.pop(k, None)
-    else:
-        d[k] = s
+        return self.labels == other.labels and _tables_equal(self.table, other.table)
 
 
 @dataclass
@@ -253,13 +219,13 @@ def deform_by_cochain(alg: StructAlgebra, cochain, minus_labels):
     def psi_vec(x, y):
         out = {}
         for i, ci in x.items():
-            if i not in minus or _is_zero(ci):
+            if i not in minus or not ci:
                 continue
             for j, cj in y.items():
-                if j not in minus or _is_zero(cj):
+                if j not in minus or not cj:
                     continue
                 for k, c in psi_units(i, j).items():
-                    _acc(out, k, ci * cj * c)
+                    accumulate(out, k, ci * cj * c)
         return out
 
     new_table = {}
@@ -268,8 +234,7 @@ def deform_by_cochain(alg: StructAlgebra, cochain, minus_labels):
         for j in range(i + 1, dim):
             vec = dict(alg.bracket_units(i, j))
             for k, c in psi_units(i, j).items():
-                _acc(vec, k, -c)
-            vec = {k: c for k, c in vec.items() if not _is_zero(c)}
+                accumulate(vec, k, -c)
             if vec:
                 new_table[(i, j)] = vec
     deformed = StructAlgebra(
@@ -277,7 +242,6 @@ def deform_by_cochain(alg: StructAlgebra, cochain, minus_labels):
     )
     residual = deformed.jacobi_residual()
 
-    one = _one_like(alg, 1)
     predicted = {}
     ml = sorted(minus)
     for a in range(len(ml)):
@@ -285,13 +249,12 @@ def deform_by_cochain(alg: StructAlgebra, cochain, minus_labels):
             for c in range(b + 1, len(ml)):
                 i, j, k = ml[a], ml[b], ml[c]
                 r = {}
-                for t, v in psi_vec(psi_units(i, j), {k: one}).items():
-                    _acc(r, t, v)
-                for t, v in psi_vec(psi_units(j, k), {i: one}).items():
-                    _acc(r, t, v)
-                for t, v in psi_vec(psi_units(k, i), {j: one}).items():
-                    _acc(r, t, v)
-                r = {t: v for t, v in r.items() if not _is_zero(v)}
+                for t, v in psi_vec(psi_units(i, j), {k: 1}).items():
+                    accumulate(r, t, v)
+                for t, v in psi_vec(psi_units(j, k), {i: 1}).items():
+                    accumulate(r, t, v)
+                for t, v in psi_vec(psi_units(k, i), {j: 1}).items():
+                    accumulate(r, t, v)
                 if r:
                     predicted[
                         (alg.labels[i], alg.labels[j], alg.labels[k])
@@ -305,10 +268,6 @@ def _tables_equal(a, b):
     for key in keys:
         va, vb = a.get(key, {}), b.get(key, {})
         for k in set(va) | set(vb):
-            ca = va.get(k)
-            cb = vb.get(k)
-            da = ca if ca is not None else _zero_like(ca, cb)
-            db = cb if cb is not None else _zero_like(cb, ca)
-            if not _is_zero(da - db):
+            if va.get(k, 0) - vb.get(k, 0):
                 return False
     return True

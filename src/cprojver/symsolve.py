@@ -90,14 +90,23 @@ class SymmetryResult:
     extra: dict = field(default_factory=dict)
 
 
+def _rational_terms(terms):
+    """{exps: GaussQ} -> {exps: Fraction}: every linear system here is over Q,
+    so a non-real coefficient raises PolyError."""
+    if any(c.im for c in terms.values()):
+        raise PolyError("system coefficients must be real")
+    return {e: c.re for e, c in terms.items()}
+
+
 class SystemBuilder:
     """Collects operator outputs per unknown column, then emits exact rows.
 
     An output is a dict {(comp, den): numerator terms}: the value of
     component `comp` is the sum of its parts numerator / D^den, D the table's
-    declared denominators.  `kernel` is the one place that clears them: each
-    equation (tag, comp) is multiplied by D^M, M the largest multiplicity it
-    receives.  The Laurent polynomial ring is an integral domain, so the
+    declared denominators, and every numerator coefficient is rational (int
+    or Fraction).  `kernel` is the one place that clears the denominators:
+    each equation (tag, comp) is multiplied by D^M, M the largest multiplicity
+    it receives.  The Laurent polynomial ring is an integral domain, so the
     cleared equation has the same solutions as the one it came from.
     """
 
@@ -122,10 +131,10 @@ class SystemBuilder:
         @cache
         def factor(raise_by):
             """Numerator terms of prod_k D_k ** raise_by[k]."""
-            out = {(0,) * table.nvars(): GaussQ(1)}
+            out = {(0,) * table.nvars(): 1}
             for k, m in enumerate(raise_by):
                 for _ in range(m):
-                    out = _mul_terms(out, dict(table.den_terms[k]))
+                    out = _mul_terms(out, _rational_terms(dict(table.den_terms[k])))
             return out
 
         sys = LinearSystem()
@@ -145,12 +154,7 @@ class SystemBuilder:
                         old = row.get(col)
                         row[col] = c if old is None else old + c
             for exps in sorted(rows):
-                row = {}
-                for col, c in rows[exps].items():
-                    if c.im:
-                        raise PolyError("system coefficients must be real")
-                    if c.re:
-                        row[col] = c.re
+                row = {col: c for col, c in rows[exps].items() if c}
                 if row:
                     sys.add_row(row)
         return sys.kernel(), sys
@@ -282,9 +286,11 @@ def _column_operator(tags, symbol0, symbol1, symbol2=None):
 
     `symbol0(a)`, `symbol1(a, l)` and `symbol2(a, l, k)` return one comps dict
     {comp: LaurentPoly} per tag.  Each symbol, and each integer multiple of it
-    that a column asks for, is built on first use and kept for later columns.
-    `parts` maps (comp, den) to the summed numerator terms {exps: GaussQ} of
-    the symbol terms over the denominator multiplicities `den`; a component
+    that a column asks for, is built on first use and kept for later columns;
+    building it turns its coefficients into rationals once (a non-real one
+    raises PolyError).  `parts` maps (comp, den) to the summed numerator terms
+    {exps: Fraction} of the symbol terms over the denominator multiplicities
+    `den`; a component
     may arrive over several `den`, and no part is reduced or cleared here
     (`SystemBuilder` does that per equation).
     """
@@ -296,7 +302,8 @@ def _column_operator(tags, symbol0, symbol1, symbol2=None):
         if got is None:
             if scale == 1:
                 got = [
-                    [(comp, p.den, list(p.terms.items())) for comp, p in comps.items()]
+                    [(comp, p.den, list(_rational_terms(p.terms).items()))
+                     for comp, p in comps.items()]
                     for comps in builders[len(key)](*key)
                 ]
             else:
@@ -423,7 +430,9 @@ def solve_field_system(spec, operator, ansatz, extra_metric_scale=None, ndirs=No
     if extra_metric_scale is not None:
         comps = extra_metric_scale.scale(-1).comps
         builder.add_output(
-            builder.column(), "LG", {(comp, p.den): p.terms for comp, p in comps.items()}
+            builder.column(),
+            "LG",
+            {(comp, p.den): _rational_terms(p.terms) for comp, p in comps.items()},
         )
     kernel, _ = builder.kernel()
     basis = []

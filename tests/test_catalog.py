@@ -183,20 +183,27 @@ def test_mutated_manifest_parses_or_raises_parse_error(case):
 
 class TestCatalogOverride:
     def test_env_var_override(self, tmp_path, monkeypatch):
+        from cprojver.algebras import ALGEBRA_FILES, builtin_algebra
         from cprojver.catalog import DATA_DIR, _FILES
 
-        for f in _FILES.values():
+        for f in set(_FILES.values()) | set(ALGEBRA_FILES.values()):
             shutil.copy(os.path.join(DATA_DIR, f), tmp_path / f)
-        # tamper with the copy to prove the override directory is used
+        # tamper with the copies to prove the override directory is used by
+        # both the model and the algebra manifests
         target = tmp_path / _FILES["type2"]
         text = target.read_text().replace("name = type2", "name = type2-override")
         target.write_text(text)
+        target = tmp_path / ALGEBRA_FILES["sl2"]
+        text = target.read_text()
+        assert "name = sl2" in text
+        target.write_text(text.replace("name = sl2", "name = sl2-override"))
         monkeypatch.setenv("CPROJ_CATALOG", str(tmp_path))
         spec = builtin("type2", 2)
         assert spec.name == "type2-override"
-        original = builtin.__wrapped__ if hasattr(builtin, "__wrapped__") else None
+        assert builtin_algebra("sl2").name == "sl2-override"
         monkeypatch.delenv("CPROJ_CATALOG")
         assert builtin("type2", 2).name == "type2"
+        assert builtin_algebra("sl2").name == "sl2"
 
 
 class TestSymmetryLists:

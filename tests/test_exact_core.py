@@ -1,6 +1,7 @@
 """Exact scalar, polynomial, parser, and linear-algebra substrate."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -305,6 +306,33 @@ class TestKernels:
             assert lead == GaussQ(1)
 
 
+_SPAN_KEYS = "abcd"
+_RATIONAL = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+_SPAN_VECTORS = st.lists(
+    st.dictionaries(
+        st.sampled_from(_SPAN_KEYS),
+        st.one_of(_RATIONAL, _RATIONAL.map(GaussQ)),
+        max_size=len(_SPAN_KEYS),
+    ),
+    min_size=1,
+    max_size=7,
+)
+
+
+def _as_fraction(x):
+    return x.re if isinstance(x, GaussQ) else Fraction(x)
+
+
+def _dense_integer_rows(vectors):
+    """Each vector as a dense row over _SPAN_KEYS, cleared of denominators."""
+    rows = []
+    for v in vectors:
+        row = [_as_fraction(v.get(k, 0)) for k in _SPAN_KEYS]
+        m = lcm(*(x.denominator for x in row))
+        rows.append([int(x * m) for x in row])
+    return rows
+
+
 class TestSpanSolver:
     def test_membership_and_decomposition(self):
         s = SpanSolver()
@@ -314,6 +342,39 @@ class TestSpanSolver:
         coeffs = s.decompose({"a": Fraction(3), "b": Fraction(4)})
         assert coeffs == {0: GaussQ(3), 1: GaussQ(-2)}
         assert s.decompose({"c": Fraction(1)}) is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(_SPAN_VECTORS, _SPAN_VECTORS)
+    def test_agrees_with_dense_bareiss(self, vectors, probes):
+        s = SpanSolver()
+        inserted = []
+        for v in vectors:
+            before = _bareiss_rank(_dense_integer_rows(inserted), len(_SPAN_KEYS))
+            after = _bareiss_rank(_dense_integer_rows(inserted + [v]), len(_SPAN_KEYS))
+            assert s.contains(v) == (after == before)
+            assert s.insert(v) == (after > before)
+            inserted.append(v)
+            assert s.dim() == after
+        rank = s.dim()
+        for w in inserted + probes:
+            inside = _bareiss_rank(_dense_integer_rows(inserted + [w]), len(_SPAN_KEYS)) == rank
+            assert s.contains(w) == inside
+            coeffs = s.decompose(w)
+            if not inside:
+                assert coeffs is None
+                continue
+            rebuilt = {}
+            for g, c in coeffs.items():
+                for k, x in inserted[g].items():
+                    accumulate(rebuilt, k, c * _as_fraction(x))
+            assert rebuilt == {k: _as_fraction(x) for k, x in w.items() if x}
+
+    @pytest.mark.parametrize("method", ["insert", "contains", "decompose"])
+    def test_non_real_entry_raises(self, method):
+        s = SpanSolver()
+        s.insert({"a": Fraction(1)})
+        with pytest.raises(ValueError, match="real"):
+            getattr(s, method)({"a": Fraction(1), "b": GaussQ(1, 1)})
 
 
 class TestSignature:

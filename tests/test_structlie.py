@@ -55,7 +55,8 @@ class TestJacobi:
         assert builtin_algebra("s-double-prime").jacobi_residual() == {}
 
     def test_brute_force_over_all_triples(self):
-        # jacobi_residual enumerates every (i<j<k); re-check one algebra by hand
+        # jacobi_residual visits only the triples a cyclic term reaches;
+        # re-check one algebra over every (i, j, k) by hand
         a = builtin_algebra("s-prime")
         n = a.dim()
         for i in range(n):
@@ -101,6 +102,17 @@ def corrupted_s(target):
     return StructAlgebra(a.labels, table, z2=a.z2)
 
 
+def later_term_only(term):
+    """A 4-dimensional bracket whose only nonzero Jacobi sum, on (x0,x1,x2),
+    comes from its second (term=2) or third (term=3) cyclic term alone."""
+    one = GaussQ(1)
+    if term == 2:  # [[x1,x2],x0] = [x3,x0] = x0
+        table = {(1, 2): {3: one}, (3, 0): {0: one}}
+    else:  # [[x2,x0],x1] = -[x3,x1] = -x1
+        table = {(0, 2): {3: one}, (3, 1): {1: one}}
+    return StructAlgebra(["x0", "x1", "x2", "x3"], table)
+
+
 def corrupted_lambda_family():
     """lambda-family with [vp1,vq1] = 6*lam*a2 instead of 6*lam^2*a2."""
     path = os.path.join(data_dir(), ALGEBRA_FILES["lambda-family"])
@@ -119,8 +131,14 @@ class TestJacobiAgainstCyclicSum:
 
     @pytest.mark.parametrize(
         "alg",
-        [corrupted_s(3), corrupted_s(5), corrupted_lambda_family()],
-        ids=["s-e4", "s-e6", "lambda-family-lam"],
+        [
+            corrupted_s(3),
+            corrupted_s(5),
+            corrupted_lambda_family(),
+            later_term_only(2),
+            later_term_only(3),
+        ],
+        ids=["s-e4", "s-e6", "lambda-family-lam", "second-term", "third-term"],
     )
     def test_corrupted(self, alg):
         assert alg.jacobi_residual() == cyclic_sum(alg)

@@ -16,6 +16,7 @@ from cprojver.scalars import GaussQ
 from cprojver.symsolve import (
     AnsatzSpace,
     SystemBuilder,
+    _column_operator,
     affine_operator,
     affine_system,
     bracket_fields,
@@ -136,8 +137,9 @@ class TestColumnSymbols:
 
     @pytest.mark.parametrize("name", ["cp1xc", "type1-n2"])
     def test_builder_clears_denominators_of_either_route(self, name):
-        # the closures hand over unreduced numerators per (component,
-        # denominator), the generic route reduced LaurentPoly components;
+        # the closures hand over unreduced rational numerators per
+        # (component, denominator), the generic route reduced LaurentPoly
+        # components (fed here by their real parts, every one is real);
         # SystemBuilder brings each equation to one denominator, so both
         # must give the same kernel, of the published dimension
         spec = builtin(name, 2)
@@ -150,7 +152,10 @@ class TestColumnSymbols:
                 col = generic.column()
                 assert fed.column() == col
                 for tag, t in cproj_equations(spec, {a: mono}):
-                    parts = {(comp, p.den): p.terms for comp, p in t.comps.items()}
+                    parts = {
+                        (comp, p.den): {e: c.re for e, c in p.terms.items()}
+                        for comp, p in t.comps.items()
+                    }
                     generic.add_output(col, tag, parts)
                 for tag, parts in closure(exps, a):
                     fed.add_output(col, tag, parts)
@@ -171,6 +176,16 @@ class TestColumnSymbols:
         basis, _ = solve_field_system(spec, wrong, model_ansatz(spec))
         assert len(basis) > 8
         assert not verify_fields(equations, basis)
+
+    def test_non_real_symbol_coefficient_raises(self):
+        # the linear systems are over Q: a symbol term I is refused when the
+        # symbol is built, before any row reaches the elimination
+        chart = builtin("flat", 2).chart
+        apply = _column_operator(
+            ("T",), lambda a: ({(0,): chart.const(GaussQ(0, 1))},), lambda a, l: ({},)
+        )
+        with pytest.raises(PolyError, match="real"):
+            apply((0,) * chart.dim, 0)
 
 
 class TestFlatModel:
