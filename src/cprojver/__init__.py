@@ -2,9 +2,9 @@
 
 Subsystems:
 
-* ``scalars``, ``poly``, ``parse``, ``linalg`` -- exact rational / Gaussian
-  rational arithmetic, sparse Laurent polynomials with declared denominators,
-  deterministic kernels and ranks.
+* ``scalars``, ``poly``, ``parse``, ``linalg`` -- exact Gaussian rationals
+  (for sl(n+1,C) only), sparse Laurent polynomials over Q with declared
+  denominators, deterministic kernels and ranks.
 * ``slpair`` -- the graded real Lie algebra sl(n+1,C)_R, its complexified
   double, and root data.
 * ``prolong`` -- curvature-module lowest weight vectors, annihilators, Tanaka

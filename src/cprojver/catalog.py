@@ -45,12 +45,10 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 
 from .parse import ParseError, parse_field, parse_poly
-from .poly import PolyError, VarTable
-from .scalars import GaussQ
+from .poly import LaurentPoly, PolyError, VarTable
 from .tensorcalc import (
     Chart,
     Tensor,
@@ -252,7 +250,7 @@ def _build_model(name, n, signs, body):
         e1 = [0] * len(varnames)
         e2 = [0] * len(varnames)
         e1[i], e2[j] = 2, 2
-        den_dict[f"Q{a}"] = {tuple(e1): GaussQ(1), tuple(e2): GaussQ(1)}
+        den_dict[f"Q{a}"] = {tuple(e1): 1, tuple(e2): 1}
     for dname, (_, val, ln) in denoms.items():
         p = parse_poly(val, plain, line=ln)
         if any(p.den) or p.is_zero() or any(
@@ -406,9 +404,12 @@ def _build_model(name, n, signs, body):
         elif re.fullmatch(r"\(\d,\d\)(\+\(\d,\d\))?", val):
             parsed = val
         else:
-            parsed = int(
-                parse_poly(val, ntab, line=ln).evaluate({"n": Fraction(n)}).re
-            )
+            v = parse_poly(val, ntab, line=ln).evaluate({"n": n})
+            if v.denominator != 1:
+                raise ManifestError(
+                    f"expected value {head!r} is {v} at n={n}, not an integer", ln, 1
+                )
+            parsed = int(v)
         expected[head] = (parsed, prov)
 
     golden = {}
@@ -560,7 +561,7 @@ def expected_symmetries(spec):
         out = []
         f = parse_field(text, ztab)
         comps = {_parse_cindex(k, n, 0): v for k, v in f.items()}
-        for tag, c in (("re", GaussQ(1)), ("im", GaussQ(0, 1))):
+        for tag, c in (("re", 1), ("im", LaurentPoly.var(ztab, "I"))):
             # the real field v + conj(v) of the complex field c v
             scaled = {(a,): p * c for a, p in comps.items()}
             real = complex_tensor_to_real(chart, (1, 0), scaled)

@@ -5,8 +5,8 @@ decomposition: `_reduce` brings a fraction-free integer row (scaled by the
 lcm of its denominators and divided by its content) to a new leading column
 against a dict of pivot rows.  `LinearSystem` feeds it the equations and also
 produces the canonical reduced-echelon kernel basis; `SpanSolver` feeds it
-generators with marker columns that record their combinations.  Values
-become rational where they enter: `SpanSolver` refuses a non-real `GaussQ`.
+generators with marker columns that record their combinations.  Every
+value is an int or a `Fraction`; `SpanSolver` refuses anything else.
 `_bareiss_rank` (dense fraction-free Bareiss elimination) is kept only as the
 independent reference the tests compare both against.
 
@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-
-from .scalars import GaussQ
 
 
 def _scale_row_to_int(row):
@@ -49,7 +47,11 @@ def _scale_row_to_int(row):
 
 
 def _row_update(r, p, a, b):
-    """In place: r := a*r - b*p, then divide by the content gcd."""
+    """In place: r := (a*r - b*p) / gcd(a, b), then divide by the content."""
+    g = gcd(a, b)
+    if g > 1:
+        a //= g
+        b //= g
     if a != 1:
         for k in r:
             r[k] *= a
@@ -59,13 +61,7 @@ def _row_update(r, p, a, b):
             r[k] = s
         else:
             r.pop(k, None)
-    if not r:
-        return
-    g = 0
-    for v in r.values():
-        g = gcd(g, v)
-        if g == 1:
-            return
+    g = _row_content(r)
     if g > 1:
         for k in r:
             r[k] //= g
@@ -190,10 +186,10 @@ class LinearSystem:
 
 
 class SpanSolver:
-    """Incremental span of exact real vectors with membership/decomposition.
+    """Incremental span of exact rational vectors with membership/decomposition.
 
-    Vectors are dicts keyed by sortable hashables with int, Fraction or real
-    GaussQ values.  Each generator g is stored as the integer row of its
+    Vectors are dicts keyed by sortable hashables with int or Fraction
+    values.  Each generator g is stored as the integer row of its
     coordinates, columns (0, key), plus the marker column (1, g); markers sort
     after every coordinate, so a row reduced to markers alone is a relation
     among the generators.  Decomposition coefficients refer to the vectors as
@@ -209,10 +205,8 @@ class SpanSolver:
         and its leading column (None when the row vanished)."""
         row = {}
         for k, x in vec.items():
-            if isinstance(x, GaussQ):
-                if x.im:
-                    raise ValueError("SpanSolver spans real vectors only")
-                x = x.re
+            if not isinstance(x, (int, Fraction)):
+                raise ValueError(f"SpanSolver spans rational vectors only, not {x!r}")
             if x:
                 row[(0, k)] = x
         if marker is not None:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cache
 
 from .linalg import SpanSolver, signature
-from .poly import LaurentPoly, PolyError, accumulate
+from .poly import LaurentPoly, accumulate
 from .scalars import GaussQ
 from .symsolve import (
     AnsatzSpace,
@@ -59,7 +59,7 @@ def levi_civita(g: Tensor, ginv: Tensor = None) -> Tensor:
     s = Tensor(chart, (0, 3), contract("jak->ajk", dg))
     s += Tensor(chart, (0, 3), contract("kaj->ajk", dg))
     s -= dg
-    return Tensor(chart, (1, 2), contract("ia,ajk->ijk", ginv, s)).scale(GaussQ("1/2"))
+    return Tensor(chart, (1, 2), contract("ia,ajk->ijk", ginv, s)).scale(Fraction(1, 2))
 
 
 def kahler_form(g: Tensor, J: Tensor) -> Tensor:
@@ -129,7 +129,7 @@ def _theta(ginv: Tensor, comps):
         q = comps.get((b, a))
         if q is not None:
             tot = tot + p * q
-    return tot * GaussQ("1/4")
+    return tot * Fraction(1, 4)
 
 
 def _subtract_lambda_terms(out, g, om, J, lam):
@@ -351,15 +351,15 @@ def equivalent_metric_family(spec, c_matrix):
     chart = g.chart
     n = chart.n_complex()
     par = parallel_complex_indices(n)
-    ztab = complex_table(n)
+    unit = LaurentPoly.var(complex_table(n), "I")
     comps = {}
     for (k, l), c in c_matrix.items():
         c = GaussQ.of(c)
         if k not in par or l not in par:
             raise ValueError(f"({k},{l}) is not a parallel direction pair")
-        comps[(k - 1, n + l - 1)] = LaurentPoly.const(ztab, c)
+        comps[(k - 1, n + l - 1)] = c.re + unit * c.im
         if k != l:
-            comps[(l - 1, n + k - 1)] = LaurentPoly.const(ztab, c.conj())
+            comps[(l - 1, n + k - 1)] = c.re - unit * c.im
     quad = complex_tensor_to_real(chart, (0, 2), comps) if comps else Tensor(
         chart, (0, 2), {}
     )
@@ -379,16 +379,7 @@ def equivalent_metric_family(spec, c_matrix):
 
 def gram_signature_at(g: Tensor, point):
     d = g.chart.dim
-    rows = []
-    for a in range(d):
-        row = []
-        for b in range(d):
-            v = g.get(a, b).evaluate(point)
-            if not v.is_real():
-                raise PolyError("metric evaluation must be real")
-            row.append(v.re)
-        rows.append(row)
-    return signature(rows)
+    return signature([[g.get(a, b).evaluate(point) for b in range(d)] for a in range(d)])
 
 
 def origin_point(chart):

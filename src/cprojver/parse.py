@@ -5,14 +5,16 @@ Grammar (whitespace-insensitive)::
     expr   := ['-'] term (('+'|'-') term)*
     term   := factor (('*'|'/') factor)*
     factor := atom ['^' ['-'] integer | '^' '(' ['-'] integer ')']
-    atom   := integer | 'I' | variable | denominator-name
+    atom   := integer | variable | denominator-name
             | 'D' '(' variable ')'            (vector-field basis, fields only)
             | '(' expr ')'
 
-Coefficients are exact: `3/4`, `1/2*I`, `-5`.  `/` is exact division; dividing
-by a declared denominator polynomial records it in the denominator tag.
-Negative exponents are accepted only on laurent-flagged variables.  Printing
-and parsing round-trip.
+Coefficients are exact rationals: `3/4`, `-5`.  `/` is exact division;
+dividing by a declared denominator polynomial records it in the denominator
+tag.  Negative exponents are accepted only on laurent-flagged variables.  The
+imaginary unit is not an atom: `I` is a name like any other, so it parses on
+a table that declares it (`tensorcalc.complex_table`) and is an unknown name
+on a real chart.  Printing and parsing round-trip.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from __future__ import annotations
 import re
 
 from .poly import LaurentPoly, PolyError, accumulate
-from .scalars import GaussQ
 
 
 class ParseError(ValueError):
@@ -205,8 +206,6 @@ class _Parser:
             return v
         if kind == "name":
             self.next()
-            if val == "I":
-                return LaurentPoly.const(self.table, GaussQ(0, 1))
             if val == "D" and self.allow_fields:
                 k2, v2, _ = self.peek()
                 if (k2, v2) == ("op", "("):
@@ -245,19 +244,9 @@ def parse_field(text, table, line=None) -> dict:
     return dict(v.comps)
 
 
-def format_coeff(c: GaussQ, lead=False):
-    """Render a coefficient as grammar text plus a separable sign."""
-    if c.is_real():
-        s = str(c.re)
-    elif not c.re:
-        if c.im == 1:
-            s = "I"
-        elif c.im == -1:
-            s = "-I"
-        else:
-            s = f"{c.im}*I"
-    else:
-        return ("+", f"({c})") if lead is False else ("", f"({c})")
+def format_coeff(c):
+    """Render a rational coefficient as grammar text plus a separable sign."""
+    s = str(c)
     if s.startswith("-"):
         return "-", s[1:]
     return "+", s
@@ -279,8 +268,6 @@ def format_poly(p: LaurentPoly) -> str:
             body = cs
         elif cs == "1":
             body = "*".join(factors)
-        elif cs == "I":
-            body = "*".join(["I"] + factors)
         else:
             body = "*".join([cs] + factors)
         chunks.append((sign, body))

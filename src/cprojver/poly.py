@@ -3,24 +3,33 @@
 A `VarTable` is the variable registry: an ordered list of names, a per-variable
 laurent flag (negative exponents permitted), and an optional list of named
 denominator polynomials.  A `LaurentPoly` is a sparse map from integer exponent
-vectors to `GaussQ` coefficients, together with a multiplicity vector over the
-table's denominators.  Values are kept canonical: no zero coefficients, and the
-numerator is not divisible by any denominator that has positive multiplicity,
-so structural equality is value equality.
+vectors to rational coefficients (int or `Fraction`), together with a
+multiplicity vector over the table's denominators.  Values are kept canonical:
+no zero coefficients, and the numerator is not divisible by any denominator
+that has positive multiplicity, so structural equality is value equality.
 
 Denominator polynomials must involve only non-laurent variables; laurent
 variables already provide monomial denominators through negative exponents.
+
+Complex notation is not a coefficient field here: the imaginary unit is the
+plain variable `I` of `tensorcalc.complex_table`, and only
+`tensorcalc.complex_tensor_to_real` reads I^2 = -1.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import GaussQ
-
 
 class PolyError(ValueError):
     pass
+
+
+def _rational(c):
+    """c itself when it is an exact rational (int or Fraction)."""
+    if isinstance(c, (int, Fraction)):
+        return c
+    raise PolyError(f"coefficients are int or Fraction, not {type(c).__name__}: {c!r}")
 
 
 class VarTable:
@@ -40,8 +49,7 @@ class VarTable:
         for dname, terms in (denominators or {}).items():
             canon = {}
             for exps, c in terms.items():
-                c = GaussQ.of(c)
-                if c.is_zero():
+                if not _rational(c):
                     continue
                 if any(e < 0 for e in exps):
                     raise PolyError(f"denominator {dname} uses negative exponents")
@@ -103,8 +111,7 @@ class LaurentPoly:
         canon = {}
         nv = table.nvars()
         for exps, c in (terms or {}).items():
-            c = GaussQ.of(c)
-            if c.is_zero():
+            if not _rational(c):
                 continue
             exps = tuple(exps)
             if len(exps) != nv:
@@ -115,7 +122,7 @@ class LaurentPoly:
                         f"negative exponent on ordinary variable {table.names[i]}"
                     )
             canon[exps] = canon[exps] + c if exps in canon else c
-            if canon[exps].is_zero():
+            if not canon[exps]:
                 del canon[exps]
         self.terms = canon
         if _reduce and any(self.den):
@@ -129,8 +136,7 @@ class LaurentPoly:
 
     @staticmethod
     def const(table, c):
-        c = GaussQ.of(c)
-        if c.is_zero():
+        if not _rational(c):
             return LaurentPoly(table, {})
         return LaurentPoly(table, {(0,) * table.nvars(): c})
 
@@ -141,7 +147,7 @@ class LaurentPoly:
             raise PolyError(f"negative power on ordinary variable {name}")
         exps = [0] * table.nvars()
         exps[i] = power
-        return LaurentPoly(table, {tuple(exps): GaussQ(1)})
+        return LaurentPoly(table, {tuple(exps): 1})
 
     # -- canonical reduction against declared denominators ---------------
 
@@ -169,13 +175,10 @@ class LaurentPoly:
         zero = (0,) * self.table.nvars()
         return set(self.terms) == {zero}
 
-    def constant_value(self) -> GaussQ:
+    def constant_value(self):
         if not self.is_constant():
             raise PolyError(f"not a constant: {self}")
-        return self.terms.get((0,) * self.table.nvars(), GaussQ(0))
-
-    def is_real(self) -> bool:
-        return all(c.is_real() for c in self.terms.values())
+        return self.terms.get((0,) * self.table.nvars(), Fraction(0))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -193,7 +196,7 @@ class LaurentPoly:
         return ta, tb, den
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, GaussQ)):
+        if isinstance(other, (int, Fraction)):
             other = LaurentPoly.const(self.table, other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
@@ -203,7 +206,7 @@ class LaurentPoly:
         for exps, c in tb.items():
             s = out.get(exps)
             s = c if s is None else s + c
-            if s.is_zero():
+            if not s:
                 out.pop(exps, None)
             else:
                 out[exps] = s
@@ -217,7 +220,7 @@ class LaurentPoly:
         )
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, GaussQ)):
+        if isinstance(other, (int, Fraction)):
             other = LaurentPoly.const(self.table, other)
         return self + (-other)
 
@@ -225,13 +228,12 @@ class LaurentPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussQ)):
-            c = GaussQ.of(other)
-            if c.is_zero():
+        if isinstance(other, (int, Fraction)):
+            if not other:
                 return LaurentPoly.zero(self.table)
             return LaurentPoly(
                 self.table,
-                {e: v * c for e, v in self.terms.items()},
+                {e: v * other for e, v in self.terms.items()},
                 self.den,
                 _reduce=False,
             )
@@ -280,7 +282,7 @@ class LaurentPoly:
         if any(e > 0 and not self.table.laurent[i] for i, e in enumerate(exps)):
             return None
         inv_exps = tuple(-e for e in exps)
-        inv = LaurentPoly(self.table, {inv_exps: GaussQ(1) / c}, _reduce=False)
+        inv = LaurentPoly(self.table, {inv_exps: Fraction(1, c)}, _reduce=False)
         # self = num / prod(den**self.den) * prod(den**mult) cleared:
         # 1/self = inv_monomial * prod(den**(self.den)) / prod(den**mult)
         for k, m in enumerate(self.den):
@@ -289,11 +291,10 @@ class LaurentPoly:
         return LaurentPoly(self.table, inv.terms, tuple(mult))
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction, GaussQ)):
-            c = GaussQ.of(other)
-            if c.is_zero():
+        if isinstance(other, (int, Fraction)):
+            if not other:
                 raise ZeroDivisionError("polynomial division by zero")
-            return self * (GaussQ(1) / c)
+            return self * Fraction(1, other)
         _check_same_table(self, other)
         inv = other.inverse_if_unit()
         if inv is not None:
@@ -333,7 +334,7 @@ class LaurentPoly:
             for e, c in piece.items():
                 s = out_terms.get(e)
                 s = c if s is None else s + c
-                if s.is_zero():
+                if not s:
                     out_terms.pop(e, None)
                 else:
                     out_terms[e] = s
@@ -365,37 +366,25 @@ class LaurentPoly:
             raise PolyError("substitution with denominator tags is not supported")
         return LaurentPoly(new_table, out)
 
-    def map_coefficients(self, fn):
-        return LaurentPoly(
-            self.table, {e: fn(c) for e, c in self.terms.items()}, self.den
-        )
-
-    def conj(self):
-        return self.map_coefficients(lambda c: c.conj())
-
     def evaluate(self, point):
-        """Evaluate at {name: Fraction/GaussQ}; denominators must not vanish."""
-        vals = [GaussQ.of(point[n]) for n in self.table.names]
-        acc = GaussQ(0)
+        """The Fraction value at {name: int/Fraction}; denominators must not
+        vanish."""
+        vals = [Fraction(point[n]) for n in self.table.names]
+        acc = Fraction(0)
         for exps, c in self.terms.items():
-            t = c
             for v, e in zip(vals, exps):
-                if e == 0:
-                    continue
-                if e < 0:
-                    t = t / (v ** (-e) if not isinstance(v, GaussQ) else _gpow(v, -e))
-                else:
-                    t = t * (_gpow(v, e))
-            acc = acc + t
+                if e:
+                    c *= v**e
+            acc += c
         for k, m in enumerate(self.den):
             if not m:
                 continue
             dval = LaurentPoly(self.table, dict(self.table.den_terms[k])).evaluate(point)
-            if dval.is_zero():
+            if not dval:
                 raise ZeroDivisionError(
                     f"denominator {self.table.den_names[k]} vanishes at {point}"
                 )
-            acc = acc / _gpow(dval, m)
+            acc /= dval**m
         return acc
 
     def monomials(self):
@@ -404,7 +393,7 @@ class LaurentPoly:
     # -- comparison -----------------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, GaussQ)):
+        if isinstance(other, (int, Fraction)):
             other = LaurentPoly.const(self.table, other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
@@ -428,16 +417,9 @@ class LaurentPoly:
     __repr__ = __str__
 
 
-def _gpow(v: GaussQ, e: int) -> GaussQ:
-    out = GaussQ(1)
-    for _ in range(e):
-        out = out * v
-    return out
-
-
 def accumulate(out, key, val):
-    """out[key] += val, never storing a zero: sparse dicts of int, Fraction,
-    GaussQ or LaurentPoly values hold only nonzero entries."""
+    """out[key] += val, never storing a zero: sparse dicts of exact scalar
+    or LaurentPoly values hold only nonzero entries."""
     if not val:
         return
     s = out.get(key)
@@ -491,12 +473,12 @@ def _exact_divide(table, num_terms, den_terms):
         q = tuple(a - b for a, b in zip(m, lead))
         if any(e < 0 and not table.laurent[i] for i, e in enumerate(q)):
             return None
-        cq = rem[m] / clead
+        cq = Fraction(rem[m], clead)
         quot[q] = cq
         for e, c in den_terms.items():
             tgt = tuple(a + b for a, b in zip(q, e))
-            s = rem.get(tgt, GaussQ(0)) - cq * c
-            if s.is_zero():
+            s = rem.get(tgt, 0) - cq * c
+            if not s:
                 rem.pop(tgt, None)
             else:
                 rem[tgt] = s

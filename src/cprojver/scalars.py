@@ -1,6 +1,9 @@
-"""Exact scalars: rationals and Gaussian rationals (a + b*I with a, b in Q).
+"""Exact Gaussian rationals a + b*I (a, b in Q).
 
 Every quantity in this package is exact; there is no floating point anywhere.
+Polynomials and linear systems are over Q (int or `Fraction`); `GaussQ` is
+used only where the values are complex: the sl(n+1, C) matrices of `slpair`
+and `prolong`, and the Hermitian input of `metric.equivalent_metric_family`.
 A `GaussQ` stores its real and imaginary parts as `fractions.Fraction`, so
 values are always in lowest terms with positive denominator, and purely real
 scalars have an imaginary part that is exactly zero.
@@ -161,7 +164,4 @@ def _real(re: Fraction) -> GaussQ:
     return z
 
 
-ZERO = GaussQ(0)
-ONE = GaussQ(1)
-I = GaussQ(0, 1)
-_ZERO_G = ZERO
+_ZERO_G = GaussQ(0)

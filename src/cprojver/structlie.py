@@ -1,6 +1,6 @@
 """Finite-dimensional Lie algebras given by structure constants.
 
-Coefficients are int, `Fraction`, `GaussQ` or `LaurentPoly` (a polynomial in
+Coefficients are int, `Fraction` or `LaurentPoly` (a polynomial in
 declared commuting parameters, so a Jacobi residual with a free parameter is a
 polynomial identity); each is falsy exactly when it is zero.  The bracket
 table stores only pairs (i, j) with i < j; antisymmetry is implicit.
@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 from .linalg import SpanSolver
 from .poly import LaurentPoly, accumulate
-from .scalars import GaussQ
 
 
 class StructAlgebra:
@@ -172,8 +171,8 @@ class StructAlgebra:
         for key, vec in self.table.items():
             nv = {}
             for k, c in vec.items():
-                cv = c.evaluate(point) if isinstance(c, LaurentPoly) else GaussQ.of(c)
-                if not cv.is_zero():
+                cv = c.evaluate(point) if isinstance(c, LaurentPoly) else c
+                if cv:
                     nv[k] = cv
             if nv:
                 out[key] = nv

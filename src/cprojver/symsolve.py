@@ -18,7 +18,6 @@ from operator import add, sub
 
 from .linalg import LinearSystem, SpanSolver
 from .poly import LaurentPoly, PolyError, _mul_terms, accumulate
-from .scalars import GaussQ
 from .tensorcalc import (
     Tensor,
     contract,
@@ -90,14 +89,6 @@ class SymmetryResult:
     extra: dict = field(default_factory=dict)
 
 
-def _rational_terms(terms):
-    """{exps: GaussQ} -> {exps: Fraction}: every linear system here is over Q,
-    so a non-real coefficient raises PolyError."""
-    if any(c.im for c in terms.values()):
-        raise PolyError("system coefficients must be real")
-    return {e: c.re for e, c in terms.items()}
-
-
 class SystemBuilder:
     """Collects operator outputs per unknown column, then emits exact rows.
 
@@ -134,7 +125,7 @@ class SystemBuilder:
             out = {(0,) * table.nvars(): 1}
             for k, m in enumerate(raise_by):
                 for _ in range(m):
-                    out = _mul_terms(out, _rational_terms(dict(table.den_terms[k])))
+                    out = _mul_terms(out, dict(table.den_terms[k]))
             return out
 
         sys = LinearSystem()
@@ -180,7 +171,7 @@ def cp_projection(J: Tensor, om):
     terms through J; linear over the polynomial ring.  `om` maps (i, j, k) to
     polynomials and is not modified."""
     chart = J.chart
-    scale = GaussQ(Fraction(1, 2 * (chart.n_complex() + 1)))
+    scale = Fraction(1, 2 * (chart.n_complex() + 1))
     phi = {}
     for (i, j, k), p in om.items():
         if k == i:
@@ -287,12 +278,10 @@ def _column_operator(tags, symbol0, symbol1, symbol2=None):
     `symbol0(a)`, `symbol1(a, l)` and `symbol2(a, l, k)` return one comps dict
     {comp: LaurentPoly} per tag.  Each symbol, and each integer multiple of it
     that a column asks for, is built on first use and kept for later columns;
-    building it turns its coefficients into rationals once (a non-real one
-    raises PolyError).  `parts` maps (comp, den) to the summed numerator terms
-    {exps: Fraction} of the symbol terms over the denominator multiplicities
-    `den`; a component
-    may arrive over several `den`, and no part is reduced or cleared here
-    (`SystemBuilder` does that per equation).
+    `parts` maps (comp, den) to the summed numerator terms {exps: rational}
+    of the symbol terms over the denominator multiplicities `den`; a
+    component may arrive over several `den`, and no part is reduced or
+    cleared here (`SystemBuilder` does that per equation).
     """
     builders = {1: symbol0, 2: symbol1, 3: symbol2}
     memo = {}
@@ -302,7 +291,7 @@ def _column_operator(tags, symbol0, symbol1, symbol2=None):
         if got is None:
             if scale == 1:
                 got = [
-                    [(comp, p.den, list(_rational_terms(p.terms).items()))
+                    [(comp, p.den, list(p.terms.items()))
                      for comp, p in comps.items()]
                     for comps in builders[len(key)](*key)
                 ]
@@ -432,7 +421,7 @@ def solve_field_system(spec, operator, ansatz, extra_metric_scale=None, ndirs=No
         builder.add_output(
             builder.column(),
             "LG",
-            {(comp, p.den): _rational_terms(p.terms) for comp, p in comps.items()},
+            {(comp, p.den): p.terms for comp, p in comps.items()},
         )
     kernel, _ = builder.kernel()
     basis = []
@@ -579,7 +568,7 @@ def phi_map(v, g: Tensor, ginv: Tensor):
     dim = chart.dim
     n = chart.n_complex()
     A = contract("ia,ab->ib", ginv, lie_derivative_metric(v, g))
-    tr = contract("ii->", A).get((), chart.zero()) * GaussQ(Fraction(1, 2 * (n + 1)))
+    tr = contract("ii->", A).get((), chart.zero()) * Fraction(1, 2 * (n + 1))
     for i in range(dim):
         accumulate(A, (i, i), -tr)
     return Tensor(chart, (1, 1), A)

@@ -1,9 +1,10 @@
 """Coordinate-chart tensor calculus over exact Laurent polynomial rings.
 
-All computation happens in real coordinates.  Complex-notation input (models
-printed in z-coordinates, with the conjugate half implied) is expanded at
-ingestion through the fixed dictionary z^a = x^{2a-1} + i x^{2a}; results are
-validated to be real.
+All computation happens in real coordinates, over rational coefficients.
+Complex-notation input (models printed in z-coordinates, with the conjugate
+half implied) is a polynomial in z, zb and the variable I; it is expanded at
+ingestion through the fixed dictionary z^a = x^{2a-1} + i x^{2a}, carried as
+(real part, imaginary part) pairs, and results are validated to be real.
 
 Index conventions (all 0-based internally):
 
@@ -16,10 +17,12 @@ Index conventions (all 0-based internally):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from operator import itemgetter
 
 from .poly import LaurentPoly, PolyError, VarTable, accumulate
-from .scalars import GaussQ
+
+_HALF = Fraction(1, 2)
 
 
 class Chart:
@@ -92,7 +95,7 @@ class Tensor:
     def proportional_to(self, other):
         """Exact constant ratio self = c*other, or None."""
         if other.is_zero():
-            return GaussQ(0) if self.is_zero() else None
+            return Fraction(0) if self.is_zero() else None
         key = next(iter(other.comps))
         num = self.comps.get(key)
         if num is None:
@@ -255,13 +258,13 @@ def torsion_projection(T: Tensor, J: Tensor, e1: int, e2: int) -> Tensor:
         + apply_J_value(J, tJ2).scale(-e2)
         + tJJ.scale(-e1 * e2)
     )
-    return out.scale(GaussQ("1/4"))
+    return out.scale(Fraction(1, 4))
 
 
 def torsion_trace_form(T: Tensor, J: Tensor) -> Tensor:
     """sigma(X) = 1/2 Tr( T(X, .) + J T(JX, .) ) as a 1-form."""
     both = T + apply_J_value(J, pull_J_slot(T, J, 1))
-    return Tensor(T.chart, (0, 1), contract("iji->j", both)).scale(GaussQ("1/2"))
+    return Tensor(T.chart, (0, 1), contract("iji->j", both)).scale(_HALF)
 
 
 def traceless_mixed_torsion(T: Tensor, J: Tensor) -> Tensor:
@@ -276,7 +279,7 @@ def traceless_mixed_torsion(T: Tensor, J: Tensor) -> Tensor:
         for k in range(chart.dim):
             accumulate(corr, (k, j, k), p)  # sigma(X) Y
     correction = Tensor(chart, (1, 2), corr)
-    return part - correction.scale(GaussQ(1) / GaussQ(2 * n))
+    return part - correction.scale(Fraction(1, 2 * n))
 
 
 def curvature_J_pulled(R: Tensor, J: Tensor) -> Tensor:
@@ -287,9 +290,8 @@ def curvature_J_pulled(R: Tensor, J: Tensor) -> Tensor:
 def curvature_bidegree(R: Tensor, J: Tensor):
     """Split on the form slots: (1,1)-part and the (2,0)+(0,2)-part."""
     pulled = curvature_J_pulled(R, J)
-    half = GaussQ("1/2")
-    p11 = (R + pulled).scale(half)
-    p20 = (R - pulled).scale(half)
+    p11 = (R + pulled).scale(_HALF)
+    p20 = (R - pulled).scale(_HALF)
     return {"(1,1)": p11, "(2,0)+(0,2)": p20}
 
 
@@ -468,58 +470,68 @@ def substitute_chart_power(chart_old, chart_new, var_old, var_new, power, gamma=
 
 
 # -- complex ingestion -------------------------------------------------------------
+#
+# Complex notation is a polynomial over `complex_table(n)`: the coordinates
+# z_a, their conjugates zb_a, and the imaginary unit as the ordinary variable
+# I.  This section is the only code that reads I^2 = -1: each complex value
+# becomes a (real part, imaginary part) pair of real polys, and a tensor whose
+# imaginary part does not vanish is a PolyError.
 
 
 def complex_table(n, laurent_z=()):
-    names = [f"z{a+1}" for a in range(n)] + [f"zb{a+1}" for a in range(n)]
+    """z1..zn, zb1..zbn and the imaginary unit I (never laurent)."""
+    names = [f"z{a+1}" for a in range(n)] + [f"zb{a+1}" for a in range(n)] + ["I"]
     lau = [f"z{a+1}" for a in laurent_z] + [f"zb{a+1}" for a in laurent_z]
     return VarTable(names, laurent=lau)
 
 
+def _cmul(u, v):
+    """(a + ib)(c + id) on (real part, imaginary part) pairs; a zero
+    imaginary part costs no products."""
+    (a, b), (c, d) = u, v
+    if not b:
+        return a * c, a * d
+    if not d:
+        return a * c, b * c
+    return a * c - b * d, a * d + b * c
+
+
 def _real_poly_from_complex(p: LaurentPoly, chart: Chart):
-    """Substitute z_a -> x_{2a} + i x_{2a+1}, zb_a -> conjugate; negative
-    exponents become conjugate powers over the declared denominator
+    """(real part, imaginary part) of p under z_a -> x_{2a} + i x_{2a+1},
+    zb_a -> its conjugate and I -> i, a quarter turn per power of I.
+    Negative exponents become conjugate powers over the declared denominator
     x_{2a}^2 + x_{2a+1}^2."""
     n = chart.n_complex()
     t = chart.table
-    zs = []
-    zbs = []
-    for a in range(n):
-        xr = chart.var(t.names[2 * a])
-        xi = chart.var(t.names[2 * a + 1])
-        zs.append(xr + xi * GaussQ(0, 1))
-        zbs.append(xr - xi * GaussQ(0, 1))
+    zero = chart.zero()
+    xs = [chart.var(name) for name in t.names]
+    dens = [dict(terms) for terms in t.den_terms]
     mods = []
     for a in range(n):
-        mod = None
-        target = (zs[a] * zbs[a]).terms
-        for k in range(len(t.den_names)):
-            if dict(t.den_terms[k]) == target:
-                mod = k
-                break
-        mods.append(mod)
-    out = LaurentPoly.zero(t)
+        modulus = (xs[2 * a] ** 2 + xs[2 * a + 1] ** 2).terms
+        mods.append(next((k for k, d in enumerate(dens) if d == modulus), None))
+    re = im = zero
     for exps, c in p.terms.items():
-        term = LaurentPoly.const(t, c)
+        term = (chart.const(c), zero)
+        den = [0] * len(dens)
         for a in range(n):
-            ez, ezb = exps[a], exps[n + a]
-            for e, base, conj_base in ((ez, zs[a], zbs[a]), (ezb, zbs[a], zs[a])):
-                if e > 0:
-                    term = term * base**e
-                elif e < 0:
+            for e, sign in ((exps[a], 1), (exps[n + a], -1)):
+                if e < 0:
                     if mods[a] is None:
                         raise PolyError(
                             f"negative power of complex coordinate {a+1} needs the "
                             f"declared denominator |z{a+1}|^2 on the chart"
                         )
-                    term = term * conj_base ** (-e)
-                    den = [0] * len(t.den_names)
-                    den[mods[a]] = -e
-                    term = LaurentPoly(t, term.terms, tuple(
-                        m + dnew for m, dnew in zip(term.den, den)
-                    ))
-        out = out + term
-    return out
+                    den[mods[a]] -= e
+                    e, sign = -e, -sign
+                for _ in range(e):
+                    term = _cmul(term, (xs[2 * a], xs[2 * a + 1] * sign))
+        for _ in range(exps[2 * n] % 4):
+            term = (-term[1], term[0])
+        if any(den):
+            term = tuple(LaurentPoly(t, q.terms, tuple(den)) for q in term)
+        re, im = re + term[0], im + term[1]
+    return re, im
 
 
 def complex_tensor_to_real(chart, valence, comps, add_conjugate=True):
@@ -527,7 +539,7 @@ def complex_tensor_to_real(chart, valence, comps, add_conjugate=True):
 
     Complex indices: 0..n-1 unbarred, n..2n-1 barred.  `comps` maps complex
     index tuples (upper slots first) to polynomials over `complex_table(n)`.
-    The result must be real, which is validated.
+    The result must be real: a nonzero imaginary part raises PolyError.
     """
     n = chart.n_complex()
     up, lo = valence
@@ -540,54 +552,49 @@ def complex_tensor_to_real(chart, valence, comps, add_conjugate=True):
                 full[cidx] = full[cidx] + q
             else:
                 full[cidx] = q
-    out = {}
+    real, imag = {}, {}
     for idx, p in full.items():
         rp = _real_poly_from_complex(p, chart)
-        if rp.is_zero():
-            continue
-        _expand(out, idx, rp, chart, n, up)
-    real = {}
-    for k, v in out.items():
-        if not v.is_zero():
-            if not v.is_real():
-                raise PolyError(
-                    f"complex ingestion produced a non-real component at {k}: {v}"
-                )
-            real[k] = v
+        if rp[0] or rp[1]:
+            _expand(real, imag, idx, rp, n, up)
+    if imag:
+        k, v = next(iter(imag.items()))
+        raise PolyError(
+            f"complex ingestion produced a non-real component at {k}: imaginary part {v}"
+        )
     return Tensor(chart, valence, real)
 
 
-def _expand(out, idx, rp, chart, n, up):
-    """Distribute one complex component over real index tuples."""
-    i = GaussQ(0, 1)
-    half = GaussQ("1/2")
+
+def _expand(real, imag, idx, rp, n, up):
+    """Distribute one complex component, the pair rp, over real index tuples."""
 
     def conv(slot_pos, a):
         barred = a >= n
         base = 2 * (a % n)
         if slot_pos < up:
             # vector slot: d_{z} = 1/2 d_x - i/2 d_y ; barred: + i/2
-            return [(base, half), (base + 1, i * half if barred else -(i * half))]
+            return [(base, (_HALF, 0)), (base + 1, (0, _HALF if barred else -_HALF))]
         # form slot: dz = dx + i dy ; barred: dx - i dy
-        return [(base, GaussQ(1)), (base + 1, -i if barred else i)]
+        return [(base, (1, 0)), (base + 1, (0, -1 if barred else 1))]
 
-    stack = [((), GaussQ(1))]
+    stack = [((), (1, 0))]
     for pos, a in enumerate(idx):
-        new = []
-        for prefix, coef in stack:
-            for r, c in conv(pos, a):
-                new.append((prefix + (r,), coef * c))
-        stack = new
+        stack = [
+            (prefix + (r,), _cmul(coef, c))
+            for prefix, coef in stack
+            for r, c in conv(pos, a)
+        ]
     for key, coef in stack:
-        accumulate(out, key, rp * coef)
+        re, im = _cmul(rp, coef)
+        accumulate(real, key, re)
+        accumulate(imag, key, im)
 
 
 def _swap_bars(p: LaurentPoly) -> LaurentPoly:
-    """z <-> zb and conjugate coefficients (the conjugate polynomial)."""
-    t = p.table
-    n = t.nvars() // 2
+    """The conjugate polynomial: z <-> zb and I -> -I."""
+    n = (p.table.nvars() - 1) // 2
     out = {}
     for exps, c in p.terms.items():
-        ne = tuple(list(exps[n:]) + list(exps[:n]))
-        out[ne] = c.conj()
-    return LaurentPoly(t, out, p.den)
+        out[exps[n : 2 * n] + exps[:n] + exps[2 * n :]] = -c if exps[2 * n] % 2 else c
+    return LaurentPoly(p.table, out, p.den)

@@ -3,6 +3,8 @@ acceptance suite.  Each battery returns a list of report.Check records."""
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .catalog import builtin, expected_symmetries, model_ansatz
 from .metric import (
     equivalent_metric_family,
@@ -118,7 +120,7 @@ def model_battery(spec):
             )
         )
     if not N.is_zero() and minimal:
-        quarter_nj = (T - N.scale(GaussQ("1/4"))).is_zero()
+        quarter_nj = (T - N.scale(Fraction(1, 4))).is_zero()
         checks.append(_holds("torsion = Nijenhuis/4", "minimal-connection", quarter_nj))
     k4 = tc.traceless_mixed_torsion(T, J)
     if spec.expect("kappa4_zero") is not None:
@@ -178,7 +180,7 @@ def model_battery(spec):
         gold, scalar_ok = spec.golden[kind]
         if scalar_ok:
             ratio = computed.proportional_to(gold)
-            ok = ratio is not None and not ratio.is_zero()
+            ok = bool(ratio)
             got = f"ratio {ratio}" if ratio is not None else "no constant ratio"
         else:
             ok = computed == gold

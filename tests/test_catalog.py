@@ -133,6 +133,8 @@ class TestMalformedValues:
             ("type3_n2.model", "bounds = x 0 2 y 0 2 q 0 3", "bounds = x1 0", 39),
             ("type3_n2.model", "bounds = x 0 2 y 0 2 q 0 3", "bounds = x 0 b", 39),
             ("alg_sl2.alg", "grade e = 1", "grade e = x", 5),
+            # expected values are integers; n/3 at n=2 used to truncate to 0
+            ("cp1xc.model", "symmetry_dim = 2*n^2-2*n+3", "symmetry_dim = n/3", 20),
         ],
     )
     def test_parse_error_with_line(self, fname, old, new, line):
@@ -141,6 +143,22 @@ class TestMalformedValues:
         err = ManifestError if fname.endswith(".model") else ParseError
         with pytest.raises(err) as ei:
             _parse_any(fname, text.replace(old, new))
+        assert ei.value.line == line
+
+    @pytest.mark.parametrize(
+        "old,new,line",
+        [
+            ("g(2,2) = 1/D1^2", "g(2,2) = I/D1^2", 16),
+            ("symmetry_dim = 2*n^2-2*n+3", "symmetry_dim = n+I", 20),
+        ],
+    )
+    def test_imaginary_unit_only_in_complex_notation(self, old, new, line):
+        # I is a variable of the complex-notation table, not of a real chart
+        # or of the expected-value polynomials in n
+        text = _data("cp1xc.model")
+        assert old in text
+        with pytest.raises(ParseError, match="unknown name 'I'") as ei:
+            parse_model_manifest(text.replace(old, new), n=2)
         assert ei.value.line == line
 
 

@@ -14,21 +14,20 @@ from cprojver.algebras import (
 from cprojver.parse import ParseError
 from cprojver.poly import LaurentPoly
 from cprojver.prolong import subalgebra_with_cochain
-from cprojver.scalars import GaussQ
 from cprojver.structlie import StructAlgebra, deform_by_cochain
 
 
 def transport(alg, scaling):
     """Structure constants of `alg` transported along the diagonal map
     e_i -> scaling[label]*e_i (an isomorphism test helper)."""
-    s = {alg.index[l]: GaussQ.of(v) for l, v in scaling.items()}
+    s = {alg.index[l]: Fraction(v) for l, v in scaling.items()}
     for i in range(alg.dim()):
-        s.setdefault(i, GaussQ(1))
+        s.setdefault(i, Fraction(1))
     out = {}
     for (i, j), vec in alg.table.items():
         nv = {}
         for k, c in vec.items():
-            nv[k] = GaussQ.of(c) * s[i] * s[j] / s[k]
+            nv[k] = c * s[i] * s[j] / s[k]
         out[(i, j)] = nv
     return StructAlgebra(
         alg.labels, out, grading=alg.grading, z2=alg.z2, name=alg.name
@@ -62,22 +61,18 @@ class TestJacobi:
         for i in range(n):
             for j in range(n):
                 for k in range(n):
-                    r = a.bracket_vec(a.bracket_units(i, j), {k: GaussQ(1)})
-                    for t, c in a.bracket_vec(
-                        a.bracket_units(j, k), {i: GaussQ(1)}
-                    ).items():
-                        r[t] = r.get(t, GaussQ(0)) + c
-                    for t, c in a.bracket_vec(
-                        a.bracket_units(k, i), {j: GaussQ(1)}
-                    ).items():
-                        r[t] = r.get(t, GaussQ(0)) + c
-                    assert all(v.is_zero() for v in r.values())
+                    r = a.bracket_vec(a.bracket_units(i, j), {k: 1})
+                    for t, c in a.bracket_vec(a.bracket_units(j, k), {i: 1}).items():
+                        r[t] = r.get(t, 0) + c
+                    for t, c in a.bracket_vec(a.bracket_units(k, i), {j: 1}).items():
+                        r[t] = r.get(t, 0) + c
+                    assert not any(r.values())
 
 
 def cyclic_sum(alg):
     """Every nonzero Jac(e_i,e_j,e_k), i<j<k, as the sum of the three
     [[e_a,e_b],e_c] computed through `bracket_vec` on unit vectors."""
-    one = LaurentPoly.const(alg.params, 1) if alg.has_params() else GaussQ(1)
+    one = LaurentPoly.const(alg.params, 1) if alg.has_params() else 1
     out = {}
     dim = alg.dim()
     for i in range(dim):
@@ -88,7 +83,7 @@ def cyclic_sum(alg):
                     inner = alg.bracket_vec({a: one}, {b: one})
                     for t, v in alg.bracket_vec(inner, {c: one}).items():
                         r[t] = r[t] + v if t in r else v
-                r = {alg.labels[t]: v for t, v in r.items() if not v.is_zero()}
+                r = {alg.labels[t]: v for t, v in r.items() if v}
                 if r:
                     out[(alg.labels[i], alg.labels[j], alg.labels[k])] = r
     return out
@@ -98,14 +93,14 @@ def corrupted_s(target):
     """The 8-dimensional algebra `s` with [e5,e7] set to e_{target+1}."""
     a = builtin_algebra("s")
     table = {k: dict(v) for k, v in a.table.items()}
-    table[(4, 6)] = {target: GaussQ(1)}
+    table[(4, 6)] = {target: 1}
     return StructAlgebra(a.labels, table, z2=a.z2)
 
 
 def later_term_only(term):
     """A 4-dimensional bracket whose only nonzero Jacobi sum, on (x0,x1,x2),
     comes from its second (term=2) or third (term=3) cyclic term alone."""
-    one = GaussQ(1)
+    one = 1
     if term == 2:  # [[x1,x2],x0] = [x3,x0] = x0
         table = {(1, 2): {3: one}, (3, 0): {0: one}}
     else:  # [[x2,x0],x1] = -[x3,x1] = -x1
@@ -132,16 +127,19 @@ class TestJacobiAgainstCyclicSum:
     @pytest.mark.parametrize(
         "alg",
         [
-            corrupted_s(3),
+            corrupted_s(1),
             corrupted_s(5),
             corrupted_lambda_family(),
             later_term_only(2),
             later_term_only(3),
         ],
-        ids=["s-e4", "s-e6", "lambda-family-lam", "second-term", "third-term"],
+        ids=["s-e2", "s-e6", "lambda-family-lam", "second-term", "third-term"],
     )
     def test_corrupted(self, alg):
-        assert alg.jacobi_residual() == cyclic_sum(alg)
+        # [e5,e7] = e3 or e4 would keep Jacobi, so those targets check nothing
+        res = alg.jacobi_residual()
+        assert res
+        assert res == cyclic_sum(alg)
 
     def test_corrupted_parametric_residual_is_polynomial(self):
         alg = corrupted_lambda_family()
@@ -203,7 +201,7 @@ class TestGradings:
         target = fam.specialize({"lam": 1})
         for lam in (Fraction(2), Fraction(-1, 3), Fraction(7, 5)):
             spec = fam.specialize({"lam": lam})
-            scaling = {l: GaussQ(1) / GaussQ(lam) for l in fam.labels if l.startswith("v")}
+            scaling = {l: 1 / lam for l in fam.labels if l.startswith("v")}
             moved = transport(spec, scaling)
             assert moved.same_table(target)
 
@@ -266,7 +264,7 @@ class TestDeformation:
     def test_cochain_outside_minus_rejected(self):
         labels, grades, table, _ = subalgebra_with_cochain("II", 2)
         alg = StructAlgebra(labels, table, grading=grades)
-        bad = {(0, len(labels) - 1): {0: GaussQ(1)}}
+        bad = {(0, len(labels) - 1): {0: 1}}
         with pytest.raises(ValueError):
             deform_by_cochain(alg, bad, [l for l in labels if l.startswith("v")])
 

@@ -16,7 +16,6 @@ from cprojver.scalars import GaussQ
 from cprojver.symsolve import (
     AnsatzSpace,
     SystemBuilder,
-    _column_operator,
     affine_operator,
     affine_system,
     bracket_fields,
@@ -122,7 +121,7 @@ class TestColumnSymbols:
             killing = killing_operator(spec)
             isometry = killing_operator(spec, holomorphic=False)
         for exps in big.monomials:
-            mono = LaurentPoly(table, {exps: GaussQ(1)})
+            mono = LaurentPoly(table, {exps: 1})
             for a in range(spec.chart.dim):
                 v = {a: mono}
                 lj = ("LJ", tc.lie_derivative_J(v, J).comps)
@@ -139,7 +138,7 @@ class TestColumnSymbols:
     def test_builder_clears_denominators_of_either_route(self, name):
         # the closures hand over unreduced rational numerators per
         # (component, denominator), the generic route reduced LaurentPoly
-        # components (fed here by their real parts, every one is real);
+        # components;
         # SystemBuilder brings each equation to one denominator, so both
         # must give the same kernel, of the published dimension
         spec = builtin(name, 2)
@@ -147,15 +146,12 @@ class TestColumnSymbols:
         closure = cproj_operator(spec)
         generic, fed = SystemBuilder(table), SystemBuilder(table)
         for exps in model_ansatz(spec).monomials:
-            mono = LaurentPoly(table, {exps: GaussQ(1)})
+            mono = LaurentPoly(table, {exps: 1})
             for a in range(spec.chart.dim):
                 col = generic.column()
                 assert fed.column() == col
                 for tag, t in cproj_equations(spec, {a: mono}):
-                    parts = {
-                        (comp, p.den): {e: c.re for e, c in p.terms.items()}
-                        for comp, p in t.comps.items()
-                    }
+                    parts = {(comp, p.den): p.terms for comp, p in t.comps.items()}
                     generic.add_output(col, tag, parts)
                 for tag, parts in closure(exps, a):
                     fed.add_output(col, tag, parts)
@@ -178,14 +174,13 @@ class TestColumnSymbols:
         assert not verify_fields(equations, basis)
 
     def test_non_real_symbol_coefficient_raises(self):
-        # the linear systems are over Q: a symbol term I is refused when the
-        # symbol is built, before any row reaches the elimination
-        chart = builtin("flat", 2).chart
-        apply = _column_operator(
-            ("T",), lambda a: ({(0,): chart.const(GaussQ(0, 1))},), lambda a, l: ({},)
-        )
-        with pytest.raises(PolyError, match="real"):
-            apply((0,) * chart.dim, 0)
+        # the linear systems are over Q: a polynomial refuses a Gaussian
+        # coefficient when it is built, so no symbol term can carry one
+        table = builtin("flat", 2).chart.table
+        with pytest.raises(PolyError, match="int or Fraction"):
+            LaurentPoly.const(table, GaussQ(0, 1))
+        with pytest.raises(PolyError, match="int or Fraction"):
+            LaurentPoly(table, {(0,) * table.nvars(): GaussQ(1)})
 
 
 class TestFlatModel:

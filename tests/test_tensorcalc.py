@@ -4,7 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cprojver.catalog import builtin
@@ -130,6 +130,57 @@ class TestRealExpansion:
             complex_tensor_to_real(chart, (1, 1), comps, add_conjugate=False)
 
 
+# A chart whose first complex coordinate carries |z1|^2 as a declared
+# denominator, so z1 and zb1 may take negative powers.
+ZCHART = Chart(
+    ["x1", "x2", "x3", "x4"], denominators={"Q1": {(2, 0, 0, 0): 1, (0, 2, 0, 0): 1}}
+)
+ZTAB = complex_table(2, laurent_z=(0,))
+_SMALL_Q = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def complex_poly(draw):
+    """A poly over ZTAB (z1, z2, zb1, zb2, I) with powers of I and negative
+    powers of z1 and zb1."""
+    exps = st.tuples(
+        st.integers(-2, 2), st.integers(0, 2), st.integers(-2, 2), st.integers(0, 2),
+        st.integers(0, 5),
+    )
+    return LaurentPoly(ZTAB, draw(st.dictionaries(exps, _SMALL_Q, max_size=4)))
+
+
+def gauss_value(p, point):
+    """p at {name: GaussQ}, by GaussQ arithmetic alone."""
+    acc = GaussQ(0)
+    for exps, c in p.terms.items():
+        t = GaussQ(c)
+        for name, e in zip(p.table.names, exps):
+            for _ in range(abs(e)):
+                t = t * point[name] if e > 0 else t / point[name]
+        acc = acc + t
+    return acc
+
+
+class TestComplexRealification:
+    """The one place that reads I^2 = -1 against plain Gaussian evaluation."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(complex_poly(), st.tuples(*[_SMALL_Q] * 4))
+    def test_pair_matches_gaussian_evaluation(self, p, xs):
+        assume(xs[0] or xs[1])
+        pt = dict(zip(ZCHART.table.names, xs))
+        z1, z2 = GaussQ(xs[0], xs[1]), GaussQ(xs[2], xs[3])
+        want = gauss_value(
+            p, {"z1": z1, "z2": z2, "zb1": z1.conj(), "zb2": z2.conj(), "I": GaussQ(0, 1)}
+        )
+        re, im = tc._real_poly_from_complex(p, ZCHART)
+        assert (re.evaluate(pt), im.evaluate(pt)) == (want.re, want.im)
+        # the conjugate polynomial realifies to the conjugate value
+        cre, cim = tc._real_poly_from_complex(tc._swap_bars(p), ZCHART)
+        assert (cre.evaluate(pt), cim.evaluate(pt)) == (want.re, -want.im)
+
+
 class TestTorsionProjections:
     @pytest.fixture()
     def nonmin(self):
@@ -189,7 +240,6 @@ class TestTorsionProjections:
         import random
 
         from cprojver.poly import LaurentPoly
-        from cprojver.scalars import GaussQ
 
         rng = random.Random(11)
         chart = chart4()
@@ -203,7 +253,7 @@ class TestTorsionProjections:
                     continue
                 e = [0, 0, 0, 0]
                 e[rng.randrange(4)] = rng.randrange(3)
-                p = LaurentPoly(chart.table, {tuple(e): GaussQ(c)})
+                p = LaurentPoly(chart.table, {tuple(e): c})
                 comps[key] = comps.get(key, chart.zero()) + p
             T = Tensor(chart, (1, 2), comps)
             total = None
@@ -383,7 +433,7 @@ def small_laurent(draw):
         min_size=1,
         max_size=3,
     ))
-    return LaurentPoly(XY.table, {e: GaussQ(c) for e, c in terms.items()})
+    return LaurentPoly(XY.table, terms)
 
 
 def sparse_comps(rank):
