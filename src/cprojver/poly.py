@@ -240,8 +240,15 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         _check_same_table(self, other)
+        terms = _mul_terms(self.terms, other.terms)
+        if not any(self.den) and not any(other.den):
+            # the product of two canonical numerators is canonical: no zero
+            # terms, and negative exponents only on laurent variables
+            out = object.__new__(LaurentPoly)
+            out.table, out.terms, out.den = self.table, terms, self.den
+            return out
         den = tuple(a + b for a, b in zip(self.den, other.den))
-        return LaurentPoly(self.table, _mul_terms(self.terms, other.terms), den)
+        return LaurentPoly(self.table, terms, den)
 
     __rmul__ = __mul__
 

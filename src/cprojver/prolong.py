@@ -378,7 +378,7 @@ def theorem_table(n_min=2, n_max=6):
     return rows
 
 
-# -- module span and generic elements (sanity routes) ---------------------------
+# -- module span (sanity route) -----------------------------------------------
 
 
 def module_span(ctype, n):
@@ -406,21 +406,6 @@ def span_add(span, basis, elem):
         basis.append(elem)
         return True
     return False
-
-
-def generic_element(ctype, n, seed=1):
-    """A pseudo-random rational combination of the module span."""
-    basis = module_span(ctype, n)
-    out = CurvElement(n)
-    state = seed
-    for b in basis:
-        state = (state * 48271 + 11) % 2147483647
-        c = (state % 19) - 9
-        if c:
-            out = out + b.scale(GaussQ(c))
-    if out.is_zero():
-        return basis[0]
-    return out
 
 
 def subalgebra_with_cochain(ctype, n):

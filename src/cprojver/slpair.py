@@ -77,9 +77,6 @@ class Mat:
             return Mat(self.n1)
         return Mat(self.n1, {key: x * c for key, x in self.d.items()})
 
-    def mul(self, o):
-        return Mat(self.n1, _product(self.d, o.d, {}, False))
-
     def bracket(self, o):
         d = _product(self.d, o.d, {}, False)
         return Mat(self.n1, _product(o.d, self.d, d, True))
@@ -173,7 +170,7 @@ def realify(x: Mat) -> CD:
 
 
 class SlPair:
-    """sl(n+1,C)_R with grading, real basis, and root data."""
+    """sl(n+1,C)_R with grading and real basis."""
 
     def __init__(self, n):
         if n < 2:
@@ -225,12 +222,6 @@ class SlPair:
         """Grading from the block shape: lower-left = -1, upper-right = +1."""
         return self._grades[label]
 
-    def graded_parts(self):
-        parts = {-1: [], 0: [], 1: []}
-        for lbl in self.basis_labels:
-            parts[self.grade_of_label(lbl)].append(lbl)
-        return parts
-
     # -- coordinates --------------------------------------------------------
 
     def coordinates(self, x: CD):
@@ -246,15 +237,3 @@ class SlPair:
 
     def element_of_label(self, lbl) -> CD:
         return self.basis[self._index[lbl]]
-
-    # -- root data ------------------------------------------------------------
-
-    def root_vector(self, lo, hi, sign=+1, barred=False) -> CD:
-        """Root vector for +/-(alpha_lo + ... + alpha_hi) as a double element
-        living in one copy only (lo..hi is a consecutive run, 1-based)."""
-        if not (1 <= lo <= hi <= self.n):
-            raise ValueError(f"not a root: indices {lo}..{hi} for n={self.n}")
-        j, k = lo, hi + 1
-        m = Mat.unit(self.n1, j, k) if sign > 0 else Mat.unit(self.n1, k, j)
-        z = Mat(self.n1)
-        return CD(z, m) if barred else CD(m, z)

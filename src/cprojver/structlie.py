@@ -99,9 +99,6 @@ class StructAlgebra:
                 }
         return bad
 
-    def is_valid(self):
-        return not self.jacobi_residual()
-
     # -- derived series -----------------------------------------------------------
 
     def derived_series(self):
@@ -179,9 +176,6 @@ class StructAlgebra:
         return StructAlgebra(
             self.labels, out, grading=self.grading, z2=self.z2, name=self.name
         )
-
-    def same_table(self, other):
-        return self.labels == other.labels and _tables_equal(self.table, other.table)
 
 
 @dataclass

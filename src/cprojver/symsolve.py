@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, partial
-from operator import add, sub
+from operator import sub
 
 from .linalg import LinearSystem, SpanSolver
 from .poly import LaurentPoly, PolyError, _mul_terms, accumulate
@@ -79,6 +79,52 @@ class AnsatzSpace:
         return len(self.monomials)
 
 
+# Monomials on the path from the column closures to `SystemBuilder` are keyed
+# by one int, the packed exponent vector (Monagan-Pearce, CASC 2007): slot i of
+# _SLOT bits holds e_i + _BIAS, slot 0 most significant, so int order is the
+# tuple's lexicographic order and x^e * x^f is one addition of keys.  Packing
+# without the bias gives a shift that is added to biased keys.  Every packed
+# exponent is below _LIMIT in size, and a key is the sum of at most three
+# packed vectors (symbol term, column exponents, denominator factor) and -2
+# per slot, so every slot stays inside [0, 2**_SLOT) and keys never alias.
+_SLOT = 16
+_BIAS = 1 << (_SLOT - 1)
+_LIMIT = 1 << (_SLOT - 3)
+
+
+def _pack(exps, bias=_BIAS):
+    """The packed key of the exponent vector `exps`, or with bias=0 the shift
+    that multiplies a packed key by x^exps."""
+    key = 0
+    for e in exps:
+        if not -_LIMIT < e < _LIMIT:
+            raise PolyError(f"exponent {e} of {tuple(exps)} is outside the packed range")
+        key = (key << _SLOT) + e + bias
+    return key
+
+
+@cache
+def _unit_shifts(nv):
+    """The shifts of x_0, ..., x_(nv-1) in `nv` variables."""
+    return tuple(1 << (_SLOT * (nv - 1 - l)) for l in range(nv))
+
+
+def _mul_packed(terms, shifts):
+    """The product of packed terms {key: c} and [(shift, c)], as _mul_terms."""
+    out = {}
+    for ea, ca in terms.items():
+        for eb, cb in shifts:
+            e = ea + eb
+            c = ca * cb
+            s = out.get(e)
+            s = c if s is None else s + c
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+    return out
+
+
 @dataclass
 class SymmetryResult:
     dim: int
@@ -94,11 +140,12 @@ class SystemBuilder:
 
     An output is a dict {(comp, den): numerator terms}: the value of
     component `comp` is the sum of its parts numerator / D^den, D the table's
-    declared denominators, and every numerator coefficient is rational (int
-    or Fraction).  `kernel` is the one place that clears the denominators:
-    each equation (tag, comp) is multiplied by D^M, M the largest multiplicity
-    it receives.  The Laurent polynomial ring is an integral domain, so the
-    cleared equation has the same solutions as the one it came from.
+    declared denominators.  Numerator terms map packed exponent keys
+    (`_pack`) to rational coefficients (int or Fraction).  `kernel` is the
+    one place that clears the denominators: each equation (tag, comp) is
+    multiplied by D^M, M the largest multiplicity it receives.  The Laurent
+    polynomial ring is an integral domain, so the cleared equation has the
+    same solutions as the one it came from.
     """
 
     def __init__(self, table):
@@ -121,22 +168,22 @@ class SystemBuilder:
 
         @cache
         def factor(raise_by):
-            """Numerator terms of prod_k D_k ** raise_by[k]."""
+            """Terms of prod_k D_k ** raise_by[k], keyed by unbiased shifts."""
             out = {(0,) * table.nvars(): 1}
             for k, m in enumerate(raise_by):
                 for _ in range(m):
                     out = _mul_terms(out, dict(table.den_terms[k]))
-            return out
+            return [(_pack(e, 0), c) for e, c in out.items()]
 
         sys = LinearSystem()
         sys.register_columns(range(self.ncols))
         for key in sorted(self.eqs):
             parts = self.eqs[key]
             top = tuple(map(max, zip(*{den for _, den, _ in parts})))
-            rows = {}  # exps -> {col: coefficient}
+            rows = {}  # packed exps -> {col: coefficient}
             for col, den, terms in parts:
                 if den != top:
-                    terms = _mul_terms(terms, factor(tuple(map(sub, top, den))))
+                    terms = _mul_packed(terms, factor(tuple(map(sub, top, den))))
                 for exps, c in terms.items():
                     row = rows.get(exps)
                     if row is None:
@@ -277,8 +324,9 @@ def _column_operator(tags, symbol0, symbol1, symbol2=None):
 
     `symbol0(a)`, `symbol1(a, l)` and `symbol2(a, l, k)` return one comps dict
     {comp: LaurentPoly} per tag.  Each symbol, and each integer multiple of it
-    that a column asks for, is built on first use and kept for later columns;
-    `parts` maps (comp, den) to the summed numerator terms {exps: rational}
+    that a column asks for, is built on first use, with packed term keys, and
+    kept for later columns; so a column shift is one key addition.  `parts`
+    maps (comp, den) to the summed numerator terms {packed exps: rational}
     of the symbol terms over the denominator multiplicities `den`; a
     component may arrive over several `den`, and no part is reduced or
     cleared here (`SystemBuilder` does that per equation).
@@ -291,7 +339,7 @@ def _column_operator(tags, symbol0, symbol1, symbol2=None):
         if got is None:
             if scale == 1:
                 got = [
-                    [(comp, p.den, list(p.terms.items()))
+                    [(comp, p.den, [(_pack(e), c) for e, c in p.terms.items()])
                      for comp, p in comps.items()]
                     for comps in builders[len(key)](*key)
                 ]
@@ -305,32 +353,31 @@ def _column_operator(tags, symbol0, symbol1, symbol2=None):
         return got
 
     def apply(exps, a):
-        parts = [(exps, symbol((a,), 1))]
+        e0 = _pack(exps, 0)
+        unit = _unit_shifts(len(exps))
+        parts = [(e0, symbol((a,), 1))]
         lowered = []
         for l, el in enumerate(exps):
             if el:
-                f = list(exps)
-                f[l] -= 1
-                f = tuple(f)
+                f = e0 - unit[l]
                 parts.append((f, symbol((a, l), el)))
                 lowered.append((l, el, f))
         if symbol2 is not None:
             for l, el, f in lowered:
-                for k, fk in enumerate(f):  # fk = e_k - delta_lk
+                for k, ek in enumerate(exps):
+                    fk = ek - 1 if k == l else ek  # e_k - delta_lk
                     if fk:
-                        g = list(f)
-                        g[k] -= 1
-                        parts.append((tuple(g), symbol((a, l, k), el * fk)))
+                        parts.append((f - unit[k], symbol((a, l, k), el * fk)))
         out = []
         for t, tag in enumerate(tags):
-            sums = {}  # (comp, den) -> {exps: coefficient}
+            sums = {}  # (comp, den) -> {packed exps: coefficient}
             for shift, sym in parts:
                 for comp, den, items in sym[t]:
                     bucket = sums.get((comp, den))
                     if bucket is None:
                         bucket = sums[(comp, den)] = {}
                     for e, c in items:
-                        e = tuple(map(add, e, shift))
+                        e += shift
                         old = bucket.get(e)
                         if old is None:
                             bucket[e] = c
@@ -397,9 +444,9 @@ def solve_field_system(spec, operator, ansatz, extra_metric_scale=None, ndirs=No
 
     Column c is the monomial x^e, e = ansatz.monomials[c // ndirs], in the
     direction c % ndirs; `operator(exps, direction)` returns its
-    [(tag, parts)], each `parts` a dict {(comp, den): numerator terms} as
-    `_column_operator` builds it.  `ndirs` defaults to the chart dimension
-    (vector fields).  Returns (basis, scales): each kernel vector as
+    [(tag, parts)], each `parts` a dict {(comp, den): numerator terms} with
+    packed exponent keys, as `_column_operator` builds it.  `ndirs` defaults
+    to the chart dimension (vector fields).  Returns (basis, scales): each kernel vector as
     {direction: LaurentPoly}.
 
     With `extra_metric_scale` (the metric tensor), one extra scalar unknown c
@@ -421,7 +468,10 @@ def solve_field_system(spec, operator, ansatz, extra_metric_scale=None, ndirs=No
         builder.add_output(
             builder.column(),
             "LG",
-            {(comp, p.den): p.terms for comp, p in comps.items()},
+            {
+                (comp, p.den): {_pack(e): c for e, c in p.terms.items()}
+                for comp, p in comps.items()
+            },
         )
     kernel, _ = builder.kernel()
     basis = []

@@ -145,6 +145,17 @@ def poly_strategy(draw):
     return small_poly(draw, XY)
 
 
+@st.composite
+def laurent_poly_strategy(draw):
+    """A poly over XS: x^i s^j with j in -3..3, rational coefficients."""
+    terms = draw(st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(-3, 3)),
+        st.fractions(-3, 3, max_denominator=4),
+        max_size=5,
+    ))
+    return LaurentPoly(XS, {e: c for e, c in terms.items() if c})
+
+
 class TestPolyProperties:
     @settings(max_examples=60, deadline=None)
     @given(poly_strategy(), poly_strategy(), poly_strategy())
@@ -164,6 +175,25 @@ class TestPolyProperties:
     @given(poly_strategy())
     def test_print_parse_roundtrip(self, a):
         assert parse_poly(format_poly(a), XY) == a
+
+    @settings(max_examples=200, deadline=None)
+    @given(laurent_poly_strategy(), laurent_poly_strategy())
+    def test_product_equals_checked_constructor(self, a, b):
+        # a product without denominators skips the checking constructor;
+        # (a+b)(a-b) cancels its cross terms, and s carries negative powers
+        def checked(p, q):
+            prod = {}
+            for ep, cp in p.terms.items():
+                for eq, cq in q.terms.items():
+                    e = (ep[0] + eq[0], ep[1] + eq[1])
+                    prod[e] = prod.get(e, 0) + cp * cq
+            return LaurentPoly(XS, prod)
+
+        for p, q in [(a, b), (a + b, a - b), (a, -a)]:
+            got = p * q
+            want = checked(p, q)
+            assert got == want and got.den == want.den == ()
+            assert got.terms == want.terms and all(got.terms.values())
 
 
 class TestAccumulate:
@@ -197,6 +227,16 @@ class TestAccumulate:
         assert d == {k: p for k, p in want.items() if not p.is_zero()}
 
 
+FUZZ_TABLE = VarTable(
+    ["x", "y", "s"], laurent=("s",), denominators={"D1": {(2, 0, 0): 1, (0, 0, 0): 1}}
+)
+# tokens separated by spaces, so integers stay small
+FUZZ_TOKENS = (
+    "x", "y", "s", "D1", "D", "z", "I", "0", "1", "2", "3", "(", ")", "+", "-", "*",
+    "/", "^", ",", ";", "?", "",
+)
+
+
 class TestParser:
     def test_imaginary_unit_parses_on_complex_table_only(self):
         ztab = complex_table(1)
@@ -228,6 +268,17 @@ class TestParser:
     def test_field_product_rejected(self):
         with pytest.raises((ParseError, PolyError)):
             parse_field("D(x)*D(y)", XY)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from(FUZZ_TOKENS), max_size=14).map(" ".join))
+    def test_fuzzed_text_parses_or_raises_parse_error(self, text):
+        # a Laurent variable s and a declared denominator D1; anything other
+        # than a value or a ParseError escapes the parser
+        for parse in (parse_poly, parse_field):
+            try:
+                parse(text, FUZZ_TABLE)
+            except ParseError:
+                pass
 
 
 def _system(rows, ncols=None):

@@ -25,7 +25,7 @@ from cprojver.metric import (
 )
 from cprojver.poly import LaurentPoly
 from cprojver.scalars import GaussQ
-from cprojver.symsolve import AnsatzSpace, field_coordinates
+from cprojver.symsolve import AnsatzSpace, _pack, field_coordinates
 from cprojver.verify import metric_battery
 from cprojver import tensorcalc as tc
 from cprojver.tensorcalc import Tensor
@@ -230,7 +230,7 @@ class TestMobilityColumns:
             def op(exps, p):
                 out = with_herm(exps, p)
                 if exps == origin and p == 0:
-                    out = out + [("PIN", {((), ()): {origin: 1}})]
+                    out = out + [("PIN", {((), ()): {_pack(origin): 1}})]
                 return out
 
             return pairs, op, eq_only

@@ -4,12 +4,12 @@ import pytest
 
 from cprojver.prolong import (
     CURV_TYPES,
+    CurvElement,
     annihilator,
     annihilator_closed_form,
     bound_closed_form,
     flat_dimension,
     g0_action,
-    generic_element,
     lowest_weight_vector,
     module_span,
     submax_closed_form,
@@ -20,6 +20,21 @@ from cprojver.prolong import (
 )
 from cprojver.scalars import GaussQ
 from cprojver.slpair import SlPair, realify
+
+
+def generic_element(ctype, n, seed=1):
+    """A pseudo-random rational combination of the module span."""
+    basis = module_span(ctype, n)
+    out = CurvElement(n)
+    state = seed
+    for b in basis:
+        state = (state * 48271 + 11) % 2147483647
+        c = (state % 19) - 9
+        if c:
+            out = out + b.scale(GaussQ(c))
+    if out.is_zero():
+        return basis[0]
+    return out
 
 
 class TestLowestWeightVectors:

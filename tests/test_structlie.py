@@ -14,7 +14,12 @@ from cprojver.algebras import (
 from cprojver.parse import ParseError
 from cprojver.poly import LaurentPoly
 from cprojver.prolong import subalgebra_with_cochain
-from cprojver.structlie import StructAlgebra, deform_by_cochain
+from cprojver.structlie import StructAlgebra, _tables_equal, deform_by_cochain
+
+
+def same_table(a, b):
+    """`a` and `b` have the same labels and structure constants."""
+    return a.labels == b.labels and _tables_equal(a.table, b.table)
 
 
 def transport(alg, scaling):
@@ -203,15 +208,15 @@ class TestGradings:
             spec = fam.specialize({"lam": lam})
             scaling = {l: 1 / lam for l in fam.labels if l.startswith("v")}
             moved = transport(spec, scaling)
-            assert moved.same_table(target)
+            assert same_table(moved, target)
 
 
 class TestVerifyFamily:
     def test_lambda_family(self):
-        assert builtin_algebra("lambda-family").is_valid()
+        assert not builtin_algebra("lambda-family").jacobi_residual()
 
     def test_semidirect_product(self):
-        assert builtin_algebra("s-double-prime").is_valid()
+        assert not builtin_algebra("s-double-prime").jacobi_residual()
 
     def test_corruption_suggested_swap_still_lie(self):
         # swapping [e5,e7] from e3 to e4 happens to preserve Jacobi (the
@@ -232,7 +237,7 @@ class TestDeformation:
         labels, grades, table, _ = subalgebra_with_cochain("II", 2)
         alg = StructAlgebra(labels, table, grading=grades)
         res = deform_by_cochain(alg, {}, [l for l in labels if l.startswith("v")])
-        assert res.deformed.same_table(alg)
+        assert same_table(res.deformed, alg)
         assert res.residual == {}
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -259,7 +264,7 @@ class TestDeformation:
         once = deform_by_cochain(alg, cochain, minus)
         neg = {k: {t: -c for t, c in v.items()} for k, v in cochain.items()}
         back = deform_by_cochain(once.deformed, neg, minus)
-        assert back.deformed.same_table(alg)
+        assert same_table(back.deformed, alg)
 
     def test_cochain_outside_minus_rejected(self):
         labels, grades, table, _ = subalgebra_with_cochain("II", 2)

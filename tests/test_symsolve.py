@@ -16,6 +16,9 @@ from cprojver.scalars import GaussQ
 from cprojver.symsolve import (
     AnsatzSpace,
     SystemBuilder,
+    _LIMIT,
+    _column_operator,
+    _pack,
     affine_operator,
     affine_system,
     bracket_fields,
@@ -35,6 +38,7 @@ from cprojver.symsolve import (
 )
 from cprojver import tensorcalc as tc
 from cprojver.tensorcalc import Chart, Tensor
+from conftest import unpack
 
 
 class TestAnsatz:
@@ -102,6 +106,48 @@ class TestAnsatzEnumeration:
 CATALOG = [(name, n) for name, ns in MODEL_NS.items() for n in ns]
 
 
+def _vectors(nv):
+    entry = st.integers(-_LIMIT + 1, _LIMIT - 1)
+    vector = st.lists(entry, min_size=nv, max_size=nv).map(tuple)
+    return st.tuples(vector, vector)
+
+
+exponent_vectors = st.integers(1, 6).flatmap(_vectors)
+
+
+class TestPackedKeys:
+    """Monomials from the column closures to `SystemBuilder` are packed ints."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(exponent_vectors)
+    def test_order_and_round_trip(self, pair):
+        # negative entries stand for Laurent exponents; sorting rows by key
+        # must give the tuple order, and the key must determine the vector
+        a, b = pair
+        ka, kb = _pack(a), _pack(b)
+        assert (ka < kb) == (a < b) and (ka == kb) == (a == b)
+        assert unpack(ka, len(a)) == a and unpack(kb, len(b)) == b
+        # a shift multiplies by a monomial, within the admitted range
+        s = tuple(x // 3 for x in b)
+        c = tuple(x // 3 for x in a)
+        assert unpack(_pack(c) + _pack(s, 0), len(a)) == tuple(map(sum, zip(c, s)))
+
+    def test_exponent_at_the_slot_limit_raises(self):
+        spec = builtin("type3-n2", 2)  # x, y, the Laurent variable s, and q
+        table = spec.chart.table
+        op = cproj_operator(spec)
+        assert op((0, 0, _LIMIT - 1, 0), 0)  # the largest admitted exponent
+        for exps in [(0, 0, _LIMIT, 0), (0, 0, -_LIMIT, 0), (_LIMIT, 0, 0, 0)]:
+            with pytest.raises(PolyError, match="packed range"):
+                op(exps, 0)
+        # a symbol term at the limit fails when its symbol is built
+        for e in (_LIMIT, -_LIMIT):
+            big = LaurentPoly(table, {(0, 0, e, 0): 1})
+            op = _column_operator(("T",), lambda a: ({(0,): big},), lambda a, l: ({},))
+            with pytest.raises(PolyError, match="packed range"):
+                op((0, 0, 0, 0), 0)
+
+
 class TestColumnSymbols:
     """The column closures (per-direction symbols) against the generic route:
     tensorcalc's Lie derivatives of the field x^e d_a, each computed once per
@@ -138,7 +184,7 @@ class TestColumnSymbols:
     def test_builder_clears_denominators_of_either_route(self, name):
         # the closures hand over unreduced rational numerators per
         # (component, denominator), the generic route reduced LaurentPoly
-        # components;
+        # components, packed here;
         # SystemBuilder brings each equation to one denominator, so both
         # must give the same kernel, of the published dimension
         spec = builtin(name, 2)
@@ -151,7 +197,10 @@ class TestColumnSymbols:
                 col = generic.column()
                 assert fed.column() == col
                 for tag, t in cproj_equations(spec, {a: mono}):
-                    parts = {(comp, p.den): p.terms for comp, p in t.comps.items()}
+                    parts = {
+                        (comp, p.den): {_pack(e): c for e, c in p.terms.items()}
+                        for comp, p in t.comps.items()
+                    }
                     generic.add_output(col, tag, parts)
                 for tag, parts in closure(exps, a):
                     fed.add_output(col, tag, parts)
