@@ -210,14 +210,15 @@ class LaurentPoly:
                 out.pop(exps, None)
             else:
                 out[exps] = s
+        if not any(den):
+            # the loop dropped every cancelled term: out is canonical
+            return _canonical(self.table, out, den)
         return LaurentPoly(self.table, out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly(
-            self.table, {e: -c for e, c in self.terms.items()}, self.den, _reduce=False
-        )
+        return _canonical(self.table, {e: -c for e, c in self.terms.items()}, self.den)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -244,9 +245,7 @@ class LaurentPoly:
         if not any(self.den) and not any(other.den):
             # the product of two canonical numerators is canonical: no zero
             # terms, and negative exponents only on laurent variables
-            out = object.__new__(LaurentPoly)
-            out.table, out.terms, out.den = self.table, terms, self.den
-            return out
+            return _canonical(self.table, terms, self.den)
         den = tuple(a + b for a, b in zip(self.den, other.den))
         return LaurentPoly(self.table, terms, den)
 
@@ -319,7 +318,9 @@ class LaurentPoly:
         i = self.table.index(name)
         dnum = _diff_terms(self.terms, i)
         if not any(self.den):
-            return LaurentPoly(self.table, dnum, _reduce=False)
+            # d/dx_i keeps exponent vectors apart and coefficients nonzero,
+            # and never takes an ordinary variable's exponent below zero
+            return _canonical(self.table, dnum, self.den)
         # quotient rule over the declared denominators
         table = self.table
         out_terms = dnum
@@ -435,6 +436,16 @@ def accumulate(out, key, val):
         out[key] = s
     else:
         out.pop(key, None)
+
+
+def _canonical(table, terms, den):
+    """The poly terms / D^den without the constructor's checks, for terms
+    that are already canonical: no zero coefficient, negative exponents only
+    on laurent variables, and a numerator not divisible by the denominators
+    of positive multiplicity."""
+    out = object.__new__(LaurentPoly)
+    out.table, out.terms, out.den = table, terms, den
+    return out
 
 
 def _mul_terms(a, b):

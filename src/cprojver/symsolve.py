@@ -4,9 +4,13 @@ Every tensor equation is linear in the unknown vector field (or tensor), so a
 finite ansatz turns it into exact linear algebra: the operator is applied to
 each ansatz basis element, rows are matched monomial by monomial (after
 clearing declared denominators per equation), and the kernel is computed by
-sparse exact elimination.  Kernel dimensions are lower bounds for the true solution
-space; together with an algebraic upper bound and degree stabilization they
-certify exactness.
+sparse exact elimination.  Before the elimination, `SystemBuilder` settles
+the columns that one-entry rows force to zero: the rows {c: 1} for those
+columns plus the other rows stripped of them span the same row space, so
+the kernel is the same and most rows never reach `LinearSystem`.  A builder
+consumes its outputs and runs `kernel` once.  Kernel dimensions are lower
+bounds for the true solution space; together with an algebraic upper bound
+and degree stabilization they certify exactness.
 """
 
 from __future__ import annotations
@@ -146,6 +150,23 @@ class SystemBuilder:
     multiplied by D^M, M the largest multiplicity it receives.  The Laurent
     polynomial ring is an integral domain, so the cleared equation has the
     same solutions as the one it came from.
+
+    Before any row reaches `LinearSystem`, `kernel` settles the columns that
+    one-entry rows force to zero (the first step of structured Gaussian
+    elimination, LaMacchia-Odlyzko, CRYPTO '90).  A row with one entry puts
+    its column into the set `zero` and is not stored; every other row is
+    stored without the columns already in `zero`, and joins `zero` itself
+    if one entry is left.  After the last equation the stored rows are
+    stripped again until `zero` stops growing.  The system then gets a row
+    {c: 1} for each c in `zero`, ascending, and the stripped rows in their
+    original order.  These rows span the original row space: each e_c lies
+    in it by induction, and each original row is its stripped row plus a
+    combination of the e_c.  The reduced echelon form for a fixed column
+    order is unique, so the pivot columns, the rank and the canonical kernel
+    basis are those of the original rows; only `nrows` is smaller.
+
+    `kernel` consumes the outputs as it assembles them, so a builder is
+    single-use: a second `kernel()` call raises.
     """
 
     def __init__(self, table):
@@ -164,6 +185,11 @@ class SystemBuilder:
                 self.eqs.setdefault((tag, comp), []).append((col, den, terms))
 
     def kernel(self):
+        """(canonical kernel basis, the `LinearSystem` it came from)."""
+        eqs = self.eqs
+        if eqs is None:
+            raise RuntimeError("SystemBuilder.kernel has already consumed its outputs")
+        self.eqs = None
         table = self.table
 
         @cache
@@ -175,10 +201,10 @@ class SystemBuilder:
                     out = _mul_terms(out, dict(table.den_terms[k]))
             return [(_pack(e, 0), c) for e, c in out.items()]
 
-        sys = LinearSystem()
-        sys.register_columns(range(self.ncols))
-        for key in sorted(self.eqs):
-            parts = self.eqs[key]
+        zero = set()  # columns that the rows force to zero
+        kept = []  # the other rows, without the columns in `zero`
+        for key in sorted(eqs):
+            parts = eqs.pop(key)
             top = tuple(map(max, zip(*{den for _, den, _ in parts})))
             rows = {}  # packed exps -> {col: coefficient}
             for col, den, terms in parts:
@@ -192,9 +218,31 @@ class SystemBuilder:
                         old = row.get(col)
                         row[col] = c if old is None else old + c
             for exps in sorted(rows):
-                row = {col: c for col, c in rows[exps].items() if c}
-                if row:
-                    sys.add_row(row)
+                row = {col: c for col, c in rows[exps].items() if c and col not in zero}
+                if len(row) == 1:
+                    zero.update(row)
+                elif row:
+                    kept.append(row)
+        grew = True
+        while grew:
+            grew = False
+            rest = []
+            for row in kept:
+                if not zero.isdisjoint(row):
+                    row = {col: c for col, c in row.items() if col not in zero}
+                if len(row) == 1:
+                    zero.update(row)
+                    grew = True
+                elif row:
+                    rest.append(row)
+            kept = rest
+
+        sys = LinearSystem()
+        sys.register_columns(range(self.ncols))
+        for col in sorted(zero):
+            sys.add_row({col: 1})
+        for row in kept:
+            sys.add_row(row)
         return sys.kernel(), sys
 
 

@@ -195,6 +195,40 @@ class TestPolyProperties:
             assert got == want and got.den == want.den == ()
             assert got.terms == want.terms and all(got.terms.values())
 
+    @settings(max_examples=200, deadline=None)
+    @given(laurent_poly_strategy(), laurent_poly_strategy())
+    def test_sum_negation_derivative_equal_checked_constructor(self, a, b):
+        # without denominators, +, unary - and d/dx skip the checking
+        # constructor; a + (-a) and (a+b) + (a-b) cancel terms, s carries
+        # negative powers, and d/ds keeps them negative
+        def checked(terms):
+            return LaurentPoly(XS, terms)
+
+        def plain_sum(p, q):
+            out = dict(p.terms)
+            for e, c in q.terms.items():
+                out[e] = out.get(e, 0) + c
+            return checked(out)
+
+        def plain_derivative(p, i):
+            out = {}
+            for e, c in p.terms.items():
+                d = list(e)
+                d[i] -= 1
+                out[tuple(d)] = c * e[i]
+            return checked(out)
+
+        results = []
+        for p, q in [(a, b), (a, -a), (a + b, a - b)]:
+            results.append((p + q, plain_sum(p, q)))
+        for p in (a, a + b):
+            results.append((-p, checked({e: -c for e, c in p.terms.items()})))
+            for i, name in enumerate(XS.names):
+                results.append((p.derivative(name), plain_derivative(p, i)))
+        for got, want in results:
+            assert got == want and got.den == want.den == ()
+            assert got.terms == want.terms and all(got.terms.values())
+
 
 class TestAccumulate:
     """Sparse tensor dicts never store a zero value."""

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from cprojver.catalog import builtin, expected_symmetries, model_ansatz
 from cprojver.cli import MODEL_NS
-from cprojver.linalg import SpanSolver
+from cprojver.linalg import LinearSystem, SpanSolver
 from cprojver.metric import metric_inverse, mobility_equation_holds
-from cprojver.poly import LaurentPoly, PolyError
+from cprojver.poly import LaurentPoly, PolyError, VarTable
 from cprojver.scalars import GaussQ
 from cprojver.symsolve import (
     AnsatzSpace,
@@ -230,6 +230,64 @@ class TestColumnSymbols:
             LaurentPoly.const(table, GaussQ(0, 1))
         with pytest.raises(PolyError, match="int or Fraction"):
             LaurentPoly(table, {(0,) * table.nvars(): GaussQ(1)})
+
+
+@st.composite
+def planted_matrices(draw):
+    """(ncols, rows): a sparse integer matrix, rows as {col: int}, with
+    planted one-entry rows and chains.  Chain row k holds column c_k and
+    some of c_0..c_(k-1), so it has one entry only once those are known to
+    be zero.  The rows come shuffled, so a chain row may arrive before the
+    rows that settle its other columns."""
+    ncols = draw(st.integers(1, 8))
+    col = st.integers(0, ncols - 1)
+    entry = st.integers(-3, 3).filter(bool)
+    rows = draw(st.lists(st.dictionaries(col, entry, max_size=4), max_size=8))
+    for _ in range(draw(st.integers(1, 3))):
+        chain = draw(st.lists(col, min_size=1, max_size=4, unique=True))
+        for k, c in enumerate(chain):
+            before = draw(st.sets(st.sampled_from(chain[:k]), min_size=1)) if k else ()
+            rows.append({c: draw(entry), **{b: draw(entry) for b in before}})
+    return ncols, draw(st.permutations(rows))
+
+
+class TestZeroColumnPass:
+    """`SystemBuilder.kernel` settles the columns that one-entry rows force
+    to zero before the elimination; the plain `LinearSystem` fed the raw
+    rows in their natural order is the reference route."""
+
+    TABLE = VarTable(["x"])
+
+    @settings(max_examples=200, deadline=None)
+    @given(planted_matrices())
+    def test_same_kernel_and_rank_as_raw_rows(self, case):
+        ncols, rows = case
+        # row i is component i of one tag at one packed key, so the builder
+        # meets the rows in their natural order
+        builder = SystemBuilder(self.TABLE)
+        for _ in range(ncols):
+            builder.column()
+        key = _pack((0,))
+        for i, row in enumerate(rows):
+            for col, c in row.items():
+                builder.add_output(col, "T", {(i, ()): {key: c}})
+        kernel, system = builder.kernel()
+        ref = LinearSystem()
+        ref.register_columns(range(ncols))
+        for row in rows:
+            if row:
+                ref.add_row(row)
+        assert kernel == ref.kernel()
+        assert system.rank() == ref.rank()
+        assert system.nrows <= ref.nrows
+
+    def test_second_kernel_call_raises(self):
+        builder = SystemBuilder(self.TABLE)
+        builder.add_output(builder.column(), "T", {(0, ()): {_pack((0,)): 1}})
+        kernel, _ = builder.kernel()
+        assert kernel == []
+        with pytest.raises(RuntimeError, match="already consumed"):
+            builder.kernel()
 
 
 class TestFlatModel:

@@ -2,15 +2,18 @@
 
 import itertools
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cprojver.catalog import builtin
+from cprojver.cli import MODEL_NS
 from cprojver.parse import parse_poly
-from cprojver.poly import LaurentPoly, PolyError
+from cprojver.poly import LaurentPoly, PolyError, accumulate
 from cprojver.scalars import GaussQ
+from cprojver.symsolve import bracket_fields
 from cprojver import tensorcalc as tc
 from cprojver.tensorcalc import (
     Chart,
@@ -23,6 +26,7 @@ from cprojver.tensorcalc import (
     complex_table,
     invert_matrix_ring,
     is_almost_complex,
+    lie_derivative_J,
     lie_derivative_connection,
     nijenhuis,
     partials,
@@ -332,6 +336,63 @@ class TestLieDerivative:
         spec = builtin("flat", 2)
         v = {0: spec.chart.var("x1") * spec.chart.var("x1")}
         assert not lie_derivative_connection(v, spec.gamma).is_zero()
+
+
+CATALOG = [(name, n) for name, ns in MODEL_NS.items() for n in ns]
+
+
+@cache
+def catalog_J(name, n):
+    return builtin(name, n).J
+
+
+@st.composite
+def polynomial_fields(draw, chart):
+    """A random nonzero polynomial field on `chart`, with negative exponents
+    on its laurent variables."""
+    table = chart.table
+    exps = st.tuples(*[st.integers(-1 if lau else 0, 2) for lau in table.laurent])
+    coeff = st.integers(-3, 3).filter(bool)
+    v = {}
+    for a in draw(st.sets(st.integers(0, chart.dim - 1), min_size=1, max_size=3)):
+        terms = draw(st.dictionaries(exps, coeff, min_size=1, max_size=3))
+        v[a] = LaurentPoly(table, terms)
+    return v
+
+
+def lie_J_by_brackets(v, J):
+    """(L_v J)(d_j) = [v, J d_j] - J [v, d_j], from vector-field brackets
+    and J applied to fields, as {(i, j): poly}."""
+    chart = J.chart
+
+    def apply_J(w):
+        out = {}
+        for (i, a), q in J.comps.items():
+            if a in w:
+                accumulate(out, i, q * w[a])
+        return out
+
+    out = {}
+    for j in range(chart.dim):
+        Jdj = {i: q for (i, a), q in J.comps.items() if a == j}
+        for i, p in bracket_fields(chart, v, Jdj).items():
+            accumulate(out, (i, j), p)
+        for i, p in apply_J(bracket_fields(chart, v, {j: chart.const(1)})).items():
+            accumulate(out, (i, j), -p)
+    return out
+
+
+class TestLieDerivativeOfJ:
+    """`lie_derivative_J` against L_vJ(X) = [v, JX] - J[v, X]."""
+
+    @pytest.mark.parametrize("name,n", CATALOG)
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_equals_bracket_formula(self, name, n, data):
+        J = catalog_J(name, n)
+        v = data.draw(polynomial_fields(J.chart))
+        got = {k: p for k, p in lie_derivative_J(v, J).comps.items() if not p.is_zero()}
+        assert got == lie_J_by_brackets(v, J)
 
 
 class TestFrames:
