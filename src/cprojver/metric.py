@@ -18,7 +18,6 @@ from functools import cache
 
 from .linalg import SpanSolver, signature
 from .poly import LaurentPoly, accumulate
-from .scalars import GaussQ
 from .symsolve import (
     AnsatzSpace,
     _column_operator,
@@ -341,11 +340,11 @@ def parallel_complex_indices(n):
 def equivalent_metric_family(spec, c_matrix):
     """g-hat = g + sum c_kl dz_k dzbar_l over the parallel directions.
 
-    `c_matrix` maps (k, l) in parallel-index pairs to GaussQ with Hermitian
-    symmetry c_lk = conj(c_kl); only k <= l entries need be given.  Returns
-    (ghat tensor, A tensor, B = g(A.,.)) after verifying the member is
-    parallel, shares the Levi-Civita connection, and solves the mobility
-    equation exactly.
+    `c_matrix` maps (k, l) in parallel-index pairs to the rational pair
+    (re, im) of c_kl, with Hermitian symmetry c_lk = conj(c_kl); only
+    k <= l entries need be given.  Returns (ghat tensor, A tensor,
+    B = g(A.,.)) after verifying the member is parallel, shares the
+    Levi-Civita connection, and solves the mobility equation exactly.
     """
     g, J = spec.metric, spec.J
     chart = g.chart
@@ -353,13 +352,12 @@ def equivalent_metric_family(spec, c_matrix):
     par = parallel_complex_indices(n)
     unit = LaurentPoly.var(complex_table(n), "I")
     comps = {}
-    for (k, l), c in c_matrix.items():
-        c = GaussQ.of(c)
+    for (k, l), (re, im) in c_matrix.items():
         if k not in par or l not in par:
             raise ValueError(f"({k},{l}) is not a parallel direction pair")
-        comps[(k - 1, n + l - 1)] = c.re + unit * c.im
+        comps[(k - 1, n + l - 1)] = re + unit * im
         if k != l:
-            comps[(l - 1, n + k - 1)] = c.re - unit * c.im
+            comps[(l - 1, n + k - 1)] = re - unit * im
     quad = complex_tensor_to_real(chart, (0, 2), comps) if comps else Tensor(
         chart, (0, 2), {}
     )

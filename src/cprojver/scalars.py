@@ -3,7 +3,8 @@
 Every quantity in this package is exact; there is no floating point anywhere.
 Polynomials and linear systems are over Q (int or `Fraction`); `GaussQ` is
 used only where the values are complex: the sl(n+1, C) matrices of `slpair`
-and `prolong`, and the Hermitian input of `metric.equivalent_metric_family`.
+and `prolong`.  Complex values elsewhere are pairs (re, im) of rationals,
+as in the Hermitian input of `metric.equivalent_metric_family`.
 A `GaussQ` stores its real and imaginary parts as `fractions.Fraction`, so
 values are always in lowest terms with positive denominator, and purely real
 scalars have an imaginary part that is exactly zero.

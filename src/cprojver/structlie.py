@@ -125,37 +125,29 @@ class StructAlgebra:
 
     # -- gradings ------------------------------------------------------------------
 
+    def _first_violation(self, kind, degree, holds):
+        """(True, None) if holds(degree[k], degree[i], degree[j]) for every
+        basis vector k in [e_i, e_j]; else (False, (i, j, k) labels)."""
+        if not degree:
+            raise ValueError(f"no {kind} grading declared")
+        lab = self.labels
+        for (i, j), vec in self.table.items():
+            di, dj = degree[lab[i]], degree[lab[j]]
+            for k in vec:
+                if not holds(degree[lab[k]], di, dj):
+                    return False, (lab[i], lab[j], lab[k])
+        return True, None
+
     def check_grading(self):
         """Integer grading check; returns (ok, violating (i,j,label) or None)."""
-        if not self.grading:
-            raise ValueError("no integer grading declared")
-        for (i, j), vec in self.table.items():
-            gij = self.grading[self.labels[i]] + self.grading[self.labels[j]]
-            for k, c in vec.items():
-                if self.grading[self.labels[k]] != gij:
-                    return False, (self.labels[i], self.labels[j], self.labels[k])
-        return True, None
+        return self._first_violation("integer", self.grading, lambda d, a, b: d == a + b)
 
     def check_filtration(self):
         """[F_i, F_j] subset F_{i+j} for the decreasing filtration F_i = sum_{k>=i} g_k."""
-        if not self.grading:
-            raise ValueError("no integer grading declared")
-        for (i, j), vec in self.table.items():
-            gij = self.grading[self.labels[i]] + self.grading[self.labels[j]]
-            for k, c in vec.items():
-                if self.grading[self.labels[k]] < gij:
-                    return False, (self.labels[i], self.labels[j], self.labels[k])
-        return True, None
+        return self._first_violation("integer", self.grading, lambda d, a, b: d >= a + b)
 
     def check_z2(self):
-        if not self.z2:
-            raise ValueError("no Z2 grading declared")
-        for (i, j), vec in self.table.items():
-            sign = self.z2[self.labels[i]] * self.z2[self.labels[j]]
-            for k, c in vec.items():
-                if self.z2[self.labels[k]] != sign:
-                    return False, (self.labels[i], self.labels[j], self.labels[k])
-        return True, None
+        return self._first_violation("Z2", self.z2, lambda d, a, b: d == a * b)
 
     # -- parameters -------------------------------------------------------------------
 

@@ -4,13 +4,16 @@ Every tensor equation is linear in the unknown vector field (or tensor), so a
 finite ansatz turns it into exact linear algebra: the operator is applied to
 each ansatz basis element, rows are matched monomial by monomial (after
 clearing declared denominators per equation), and the kernel is computed by
-sparse exact elimination.  Before the elimination, `SystemBuilder` settles
-the columns that one-entry rows force to zero: the rows {c: 1} for those
-columns plus the other rows stripped of them span the same row space, so
-the kernel is the same and most rows never reach `LinearSystem`.  A builder
-consumes its outputs and runs `kernel` once.  Kernel dimensions are lower
-bounds for the true solution space; together with an algebraic upper bound
-and degree stabilization they certify exactness.
+sparse exact elimination.  A column closure sums nothing: it hands
+`SystemBuilder` its memoized symbols with the column's monomial shifts, and
+the builder sums each term once, as it scatters it into its row.  Before the
+elimination, `SystemBuilder` settles the columns that one-entry rows force
+to zero: the rows {c: 1} for those columns plus the other rows stripped of
+them span the same row space, so the kernel is the same and most rows never
+reach `LinearSystem`.  A builder consumes its outputs and runs `kernel`
+once.  Kernel dimensions are lower bounds for the true solution space;
+together with an algebraic upper bound and degree stabilization they
+certify exactness.
 """
 
 from __future__ import annotations
@@ -113,20 +116,10 @@ def _unit_shifts(nv):
     return tuple(1 << (_SLOT * (nv - 1 - l)) for l in range(nv))
 
 
-def _mul_packed(terms, shifts):
-    """The product of packed terms {key: c} and [(shift, c)], as _mul_terms."""
-    out = {}
-    for ea, ca in terms.items():
-        for eb, cb in shifts:
-            e = ea + eb
-            c = ca * cb
-            s = out.get(e)
-            s = c if s is None else s + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-    return out
+def _mul_packed(items, shift, factor):
+    """The terms of items * x^shift * factor, with `items` packed terms
+    [(key, c)] and `factor` [(shift, c)]; terms are listed, not summed."""
+    return [(e + shift + f, c * d) for e, c in items for f, d in factor]
 
 
 @dataclass
@@ -142,12 +135,16 @@ class SymmetryResult:
 class SystemBuilder:
     """Collects operator outputs per unknown column, then emits exact rows.
 
-    An output is a dict {(comp, den): numerator terms}: the value of
-    component `comp` is the sum of its parts numerator / D^den, D the table's
-    declared denominators.  Numerator terms map packed exponent keys
-    (`_pack`) to rational coefficients (int or Fraction).  `kernel` is the
-    one place that clears the denominators: each equation (tag, comp) is
-    multiplied by D^M, M the largest multiplicity it receives.  The Laurent
+    An output of one column and one tag is a list of parts (shift, symbol):
+    `symbol` is a list [(comp, den, items)] and adds x^shift * items / D^den
+    to component `comp`, D the table's declared denominators.  `items` lists
+    packed exponent keys (`_pack`) with rational coefficients (int or
+    Fraction), and `shift` is an unbiased packed key (`_pack(e, 0)`).  The
+    builder keeps references to the symbols and copies no term; `kernel`
+    adds each shift to its items' keys as it scatters them into rows, which
+    is the one place that terms are summed.  It is also the one place that
+    clears the denominators: each equation (tag, comp) is multiplied by
+    D^M, M the largest multiplicity among its parts.  The Laurent
     polynomial ring is an integral domain, so the cleared equation has the
     same solutions as the one it came from.
 
@@ -171,7 +168,7 @@ class SystemBuilder:
 
     def __init__(self, table):
         self.table = table
-        self.eqs = {}  # (tag, comp) -> [(col, den, terms)]
+        self.eqs = {}  # (tag, comp) -> [(col, den, shift, items)]
         self.ncols = 0
 
     def column(self):
@@ -180,9 +177,9 @@ class SystemBuilder:
         return c
 
     def add_output(self, col, tag, parts):
-        for (comp, den), terms in parts.items():
-            if terms:
-                self.eqs.setdefault((tag, comp), []).append((col, den, terms))
+        for shift, symbol in parts:
+            for comp, den, items in symbol:
+                self.eqs.setdefault((tag, comp), []).append((col, den, shift, items))
 
     def kernel(self):
         """(canonical kernel basis, the `LinearSystem` it came from)."""
@@ -205,12 +202,14 @@ class SystemBuilder:
         kept = []  # the other rows, without the columns in `zero`
         for key in sorted(eqs):
             parts = eqs.pop(key)
-            top = tuple(map(max, zip(*{den for _, den, _ in parts})))
+            top = tuple(map(max, zip(*{den for _, den, _, _ in parts})))
             rows = {}  # packed exps -> {col: coefficient}
-            for col, den, terms in parts:
+            for col, den, shift, items in parts:
                 if den != top:
-                    terms = _mul_packed(terms, factor(tuple(map(sub, top, den))))
-                for exps, c in terms.items():
+                    items = _mul_packed(items, shift, factor(tuple(map(sub, top, den))))
+                    shift = 0
+                for exps, c in items:
+                    exps += shift
                     row = rows.get(exps)
                     if row is None:
                         rows[exps] = {col: c}
@@ -373,11 +372,11 @@ def _column_operator(tags, symbol0, symbol1, symbol2=None):
     `symbol0(a)`, `symbol1(a, l)` and `symbol2(a, l, k)` return one comps dict
     {comp: LaurentPoly} per tag.  Each symbol, and each integer multiple of it
     that a column asks for, is built on first use, with packed term keys, and
-    kept for later columns; so a column shift is one key addition.  `parts`
-    maps (comp, den) to the summed numerator terms {packed exps: rational}
-    of the symbol terms over the denominator multiplicities `den`; a
-    component may arrive over several `den`, and no part is reduced or
-    cleared here (`SystemBuilder` does that per equation).
+    kept for later columns.  `parts` is the `SystemBuilder` part list
+    [(shift, symbol)] of the column: `shift` the packed column shift (x^e,
+    x^(e-1_l) or x^(e-1_l-1_k)), `symbol` the memoized [(comp, den, items)]
+    of the tag, handed over by reference.  Nothing is summed, reduced or
+    cleared here; `SystemBuilder.kernel` does that per equation.
     """
     builders = {1: symbol0, 2: symbol1, 3: symbol2}
     memo = {}
@@ -416,27 +415,10 @@ def _column_operator(tags, symbol0, symbol1, symbol2=None):
                     fk = ek - 1 if k == l else ek  # e_k - delta_lk
                     if fk:
                         parts.append((f - unit[k], symbol((a, l, k), el * fk)))
-        out = []
-        for t, tag in enumerate(tags):
-            sums = {}  # (comp, den) -> {packed exps: coefficient}
-            for shift, sym in parts:
-                for comp, den, items in sym[t]:
-                    bucket = sums.get((comp, den))
-                    if bucket is None:
-                        bucket = sums[(comp, den)] = {}
-                    for e, c in items:
-                        e += shift
-                        old = bucket.get(e)
-                        if old is None:
-                            bucket[e] = c
-                        else:
-                            c = old + c
-                            if c:
-                                bucket[e] = c
-                            else:
-                                del bucket[e]
-            out.append((tag, sums))
-        return out
+        return [
+            (tag, [(shift, sym[t]) for shift, sym in parts])
+            for t, tag in enumerate(tags)
+        ]
 
     return apply
 
@@ -492,10 +474,10 @@ def solve_field_system(spec, operator, ansatz, extra_metric_scale=None, ndirs=No
 
     Column c is the monomial x^e, e = ansatz.monomials[c // ndirs], in the
     direction c % ndirs; `operator(exps, direction)` returns its
-    [(tag, parts)], each `parts` a dict {(comp, den): numerator terms} with
-    packed exponent keys, as `_column_operator` builds it.  `ndirs` defaults
-    to the chart dimension (vector fields).  Returns (basis, scales): each kernel vector as
-    {direction: LaurentPoly}.
+    [(tag, parts)], each `parts` a `SystemBuilder` part list [(shift,
+    symbol)], as `_column_operator` builds it.  `ndirs` defaults to the
+    chart dimension (vector fields).  Returns (basis, scales): each kernel
+    vector as {direction: LaurentPoly}.
 
     With `extra_metric_scale` (the metric tensor), one extra scalar unknown c
     is appended and the equation tagged "LG" becomes L_v g - c g = 0; its
@@ -513,14 +495,11 @@ def solve_field_system(spec, operator, ansatz, extra_metric_scale=None, ndirs=No
     nfield = builder.ncols
     if extra_metric_scale is not None:
         comps = extra_metric_scale.scale(-1).comps
-        builder.add_output(
-            builder.column(),
-            "LG",
-            {
-                (comp, p.den): {_pack(e): c for e, c in p.terms.items()}
-                for comp, p in comps.items()
-            },
-        )
+        symbol = [
+            (comp, p.den, [(_pack(e), c) for e, c in p.terms.items()])
+            for comp, p in comps.items()
+        ]
+        builder.add_output(builder.column(), "LG", [(0, symbol)])
     kernel, _ = builder.kernel()
     basis = []
     scales = []

@@ -427,45 +427,25 @@ def substitute_chart_power(chart_old, chart_new, var_old, var_new, power, gamma=
     def sub(p):
         return p.substitute_power(var_old, tn, var_new, power)
 
-    # the substituted slot: a lower index gains deriv, an upper one deriv^{-1}
+    def moved(T):
+        # each slot on the substituted variable: a lower one gains a factor
+        # deriv, an upper one deriv^{-1}
+        up = T.valence[0]
+        comps = {}
+        for key, p in T.comps.items():
+            k = sum(1 if pos >= up else -1 for pos, i in enumerate(key) if i == iv)
+            q = sub(p)
+            comps[key] = q * deriv**k if k > 0 else q / deriv**-k if k else q
+        return comps
+
     out = []
     if gamma is not None:
-        comps = {}
-        for (i, a, b), p in gamma.comps.items():
-            q = sub(p)
-            if a == iv:
-                q = q * deriv
-            if b == iv:
-                q = q * deriv
-            if i == iv:
-                q = q / deriv
-            key = (i, a, b)
-            comps[key] = comps.get(key, chart_new.zero()) + q
+        comps = moved(gamma)
         # inhomogeneous term: (1/D_i) d^2 x_old / dx_new^2 at i=a=b=iv
         second = sn ** (power - 2) * (power * (power - 1))
-        key = (iv, iv, iv)
-        comps[key] = comps.get(key, chart_new.zero()) + second / deriv
+        accumulate(comps, (iv, iv, iv), second / deriv)
         out.append(Tensor(chart_new, (1, 2), comps))
-    if J is not None:
-        comps = {}
-        for (i, a), p in J.comps.items():
-            q = sub(p)
-            if a == iv:
-                q = q * deriv
-            if i == iv:
-                q = q / deriv
-            comps[(i, a)] = q
-        out.append(Tensor(chart_new, (1, 1), comps))
-    if g is not None:
-        comps = {}
-        for (a, b), p in g.comps.items():
-            q = sub(p)
-            if a == iv:
-                q = q * deriv
-            if b == iv:
-                q = q * deriv
-            comps[(a, b)] = q
-        out.append(Tensor(chart_new, (0, 2), comps))
+    out += [Tensor(chart_new, T.valence, moved(T)) for T in (J, g) if T is not None]
     return out[0] if len(out) == 1 else tuple(out)
 
 

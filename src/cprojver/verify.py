@@ -28,7 +28,6 @@ from .prolong import (
     upper_bound,
 )
 from .report import Check
-from .scalars import GaussQ
 from .symsolve import (
     AnsatzSpace,
     cproj_equations,
@@ -498,7 +497,7 @@ def _family_checks(spec, n):
     )
     val = 2
     for (k, l) in params:
-        trial = {(k, l): GaussQ(val) if k == l else GaussQ(val, 1)}
+        trial = {(k, l): (val, 0) if k == l else (val, 1)}
         _, _, B = equivalent_metric_family(spec, trial)
         ok = mobility_equation_holds(spec, B)
         checks.append(

@@ -22,10 +22,10 @@ def unpack(key, nv):
 @pytest.fixture
 def canonical():
     """canonical(table, outputs): column-closure outputs [(tag, parts)] as
-    [(tag, {comp: LaurentPoly})], the packed term keys unpacked, each part
-    reduced against its declared denominators and the parts of one component
-    summed, so that they compare by exact value with the generic route's
-    tensor components."""
+    [(tag, {comp: LaurentPoly})], each part's shift added to its packed term
+    keys and the keys unpacked, each part reduced against its declared
+    denominators and the parts of one component summed, so that they compare
+    by exact value with the generic route's tensor components."""
     from cprojver.poly import LaurentPoly, accumulate
 
     def convert(table, outputs):
@@ -33,9 +33,10 @@ def canonical():
         out = []
         for tag, parts in outputs:
             comps = {}
-            for (comp, den), terms in parts.items():
-                terms = {unpack(k, nv): c for k, c in terms.items()}
-                accumulate(comps, comp, LaurentPoly(table, terms, den))
+            for shift, symbol in parts:
+                for comp, den, items in symbol:
+                    terms = {unpack(k + shift, nv): c for k, c in items}
+                    accumulate(comps, comp, LaurentPoly(table, terms, den))
             out.append((tag, comps))
         return out
 

@@ -180,14 +180,15 @@ class TestColumnSymbols:
                     assert canonical(table, killing(exps, a)) == [lj, lg], (exps, a)
                     assert canonical(table, isometry(exps, a)) == [lg], (exps, a)
 
-    @pytest.mark.parametrize("name", ["cp1xc", "type1-n2"])
-    def test_builder_clears_denominators_of_either_route(self, name):
-        # the closures hand over unreduced rational numerators per
-        # (component, denominator), the generic route reduced LaurentPoly
-        # components, packed here;
-        # SystemBuilder brings each equation to one denominator, so both
-        # must give the same kernel, of the published dimension
-        spec = builtin(name, 2)
+    @pytest.mark.parametrize("name,n", CATALOG)
+    def test_builder_clears_denominators_of_either_route(self, name, n):
+        # the closures hand over shifted references to unreduced rational
+        # symbols per (component, denominator), the generic route reduced
+        # LaurentPoly components, packed here as unshifted parts;
+        # SystemBuilder sums the terms and brings each equation to one
+        # denominator, so both must give the same kernel, of the published
+        # dimension
+        spec = builtin(name, n)
         table = spec.chart.table
         closure = cproj_operator(spec)
         generic, fed = SystemBuilder(table), SystemBuilder(table)
@@ -197,11 +198,11 @@ class TestColumnSymbols:
                 col = generic.column()
                 assert fed.column() == col
                 for tag, t in cproj_equations(spec, {a: mono}):
-                    parts = {
-                        (comp, p.den): {_pack(e): c for e, c in p.terms.items()}
+                    symbol = [
+                        (comp, p.den, [(_pack(e), c) for e, c in p.terms.items()])
                         for comp, p in t.comps.items()
-                    }
-                    generic.add_output(col, tag, parts)
+                    ]
+                    generic.add_output(col, tag, [(0, symbol)])
                 for tag, parts in closure(exps, a):
                     fed.add_output(col, tag, parts)
         kernel, _ = generic.kernel()
@@ -270,7 +271,7 @@ class TestZeroColumnPass:
         key = _pack((0,))
         for i, row in enumerate(rows):
             for col, c in row.items():
-                builder.add_output(col, "T", {(i, ()): {key: c}})
+                builder.add_output(col, "T", [(0, [(i, (), [(key, c)])])])
         kernel, system = builder.kernel()
         ref = LinearSystem()
         ref.register_columns(range(ncols))
@@ -283,7 +284,7 @@ class TestZeroColumnPass:
 
     def test_second_kernel_call_raises(self):
         builder = SystemBuilder(self.TABLE)
-        builder.add_output(builder.column(), "T", {(0, ()): {_pack((0,)): 1}})
+        builder.add_output(builder.column(), "T", [(0, [(0, (), [(_pack((0,)), 1)])])])
         kernel, _ = builder.kernel()
         assert kernel == []
         with pytest.raises(RuntimeError, match="already consumed"):
