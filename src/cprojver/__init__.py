@@ -2,11 +2,11 @@
 
 Subsystems:
 
-* ``scalars``, ``poly``, ``parse``, ``linalg`` -- exact Gaussian rationals
-  (for sl(n+1,C) only), sparse Laurent polynomials over Q with declared
-  denominators, deterministic kernels and ranks.
+* ``poly``, ``parse``, ``linalg`` -- sparse Laurent polynomials over Q with
+  declared denominators, deterministic kernels and ranks.  Every coefficient
+  is an int or a ``Fraction``; a complex scalar is a pair (re, im) of them.
 * ``slpair`` -- the graded real Lie algebra sl(n+1,C)_R, its complexified
-  double, and root data.
+  double, and root data; matrices hold their real and imaginary parts.
 * ``prolong`` -- curvature-module lowest weight vectors, annihilators, Tanaka
   prolongations, and the dimension tables.
 * ``structlie`` -- structure-constant Lie algebras: Jacobi checks, derived

@@ -21,6 +21,7 @@ import argparse
 import os
 import sys
 import time
+from fractions import Fraction
 from itertools import repeat
 
 from . import verify
@@ -151,7 +152,21 @@ def cmd_algebra(args):
             )
         )
     elif args.name:
-        checks.extend(verify.algebra_battery(args.name, lam=args.lam))
+        from .algebras import ALGEBRA_FILES
+
+        if args.name not in ALGEBRA_FILES:
+            print(f"unknown algebra {args.name!r}; available: {sorted(ALGEBRA_FILES)}",
+                  file=sys.stderr)
+            return 2
+        lam = args.lam
+        if lam not in (None, "symbolic"):
+            try:
+                lam = Fraction(lam)
+            except (ValueError, ZeroDivisionError):
+                print(f"error: --lam takes a rational number or 'symbolic', got {lam!r}",
+                      file=sys.stderr)
+                return 2
+        checks.extend(verify.algebra_battery(args.name, lam=lam))
     if args.deform:
         checks.extend(verify.deformation_battery(args.deform, args.n))
     if not checks:
@@ -162,6 +177,9 @@ def cmd_algebra(args):
 
 def cmd_metric(args):
     started = time.time()
+    if args.model not in MODEL_NAMES:
+        print(f"unknown model {args.model!r}; available: {MODEL_NAMES}", file=sys.stderr)
+        return 2
     signs = None
     if args.signs:
         if set(args.signs) - {"+", "-"}:

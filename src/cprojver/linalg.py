@@ -7,8 +7,6 @@ against a dict of pivot rows.  `LinearSystem` feeds it the equations and also
 produces the canonical reduced-echelon kernel basis; `SpanSolver` feeds it
 generators with marker columns that record their combinations.  Every
 value is an int or a `Fraction`; `SpanSolver` refuses anything else.
-`_bareiss_rank` (dense fraction-free Bareiss elimination) is kept only as the
-independent reference the tests compare both against.
 
 Kernel bases are deterministic: columns are eliminated in their natural order,
 free columns are enumerated ascending, and every kernel vector is scaled so
@@ -87,38 +85,6 @@ def _row_content(r):
         if g == 1:
             return 1
     return g
-
-
-def _bareiss_rank(rows, ncols):
-    """Rank of a dense integer matrix (list of lists), fraction-free."""
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    prev = 1
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        piv = -1
-        for i in range(row, nrows):
-            if m[i][col]:
-                piv = i
-                break
-        if piv < 0:
-            continue
-        if piv != row:
-            m[row], m[piv] = m[piv], m[row]
-        pv = m[row][col]
-        for i in range(row + 1, nrows):
-            ri = m[i]
-            rv = ri[col]
-            for j in range(col + 1, ncols):
-                ri[j] = (pv * ri[j] - rv * m[row][j]) // prev
-            ri[col] = 0
-        prev = pv
-        rank += 1
-        row += 1
-        if row == nrows:
-            break
-    return rank
 
 
 class LinearSystem:

@@ -13,6 +13,10 @@ The four irreducible module types are identified by their extremal vectors:
 
 ``IV`` is the traceless antilinear-linear torsion module (the obstruction to
 minimality); I--III are the harmonic curvature types of the minimal theory.
+
+Complex scalars are (re, im) pairs of rationals, multiplied with
+`tensorcalc._cmul`; coordinates split into real and imaginary parts before
+they reach the exact linear algebra of `linalg`, which works over Q.
 """
 
 from __future__ import annotations
@@ -20,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .linalg import LinearSystem, SpanSolver
-from .scalars import GaussQ
 from .slpair import CD, Mat, SlPair, realify
+from .tensorcalc import _cmul
 
 CURV_TYPES = ("I", "II", "III", "IV")
 
@@ -61,15 +65,15 @@ class CurvElement:
         return out
 
     def __neg__(self):
-        return self.scale(GaussQ(-1))
+        return self.scale((-1, 0))
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c):
-        c = GaussQ.of(c)
+        """The element times the complex scalar c = (re, im)."""
         out = CurvElement(self.n)
-        if c.is_zero():
+        if not (c[0] or c[1]):
             return out
         for slots, w in self.entries.items():
             out.entries[slots] = w.scale(c)
@@ -90,7 +94,7 @@ class CurvElement:
         return (self - self.conj()).is_zero()
 
     def coordinates(self):
-        """Sparse coordinate dict keyed by (slots, copy, row, col) -> GaussQ."""
+        """Sparse coordinate dict keyed by (slots, copy, row, col) -> (re, im)."""
         out = {}
         for slots, w in self.entries.items():
             for copy, mat in ((0, w.u), (1, w.b)):
@@ -109,8 +113,10 @@ class CurvElement:
             return m.at(j, 0)  # coefficient of E_{j+1,1}
 
         for (sA, sB), w in self.entries.items():
-            c = pairing(sA, a) * pairing(sB, b) - pairing(sA, b) * pairing(sB, a)
-            if not c.is_zero():
+            p = _cmul(pairing(sA, a), pairing(sB, b))
+            q = _cmul(pairing(sA, b), pairing(sB, a))
+            c = (p[0] - q[0], p[1] - q[1])
+            if c[0] or c[1]:
                 out = out + w.scale(c)
         return out
 
@@ -119,11 +125,13 @@ class CurvElement:
 
 
 def _minus_part_action(x: Mat, n):
-    """Matrix M with [x, u_j] = sum_k M[k][j] u_k on the -1 block."""
-    a0 = x.at(0, 0)
+    """Matrix M with [x, u_j] = sum_k M[k][j] u_k on the -1 block, entries
+    as (re, im) pairs."""
+    a0, b0 = x.at(0, 0)
     M = [[x.at(k + 1, j + 1) for j in range(n)] for k in range(n)]
     for k in range(n):
-        M[k][k] = M[k][k] - a0
+        re, im = M[k][k]
+        M[k][k] = (re - a0, im - b0)
     return M
 
 
@@ -138,15 +146,15 @@ def g0_action(x: CD, psi: CurvElement) -> CurvElement:
         Ma = M0 if sA[0] == 0 else M1
         jA = sA[1] - 1
         for k in range(n):
-            c = Ma[jA][k]
-            if not c.is_zero():
-                out._accum(((sA[0], k + 1), sB), w.scale(-c))
+            re, im = Ma[jA][k]
+            if re or im:
+                out._accum(((sA[0], k + 1), sB), w.scale((-re, -im)))
         Mb = M0 if sB[0] == 0 else M1
         jB = sB[1] - 1
         for k in range(n):
-            c = Mb[jB][k]
-            if not c.is_zero():
-                out._accum((sA, (sB[0], k + 1)), w.scale(-c))
+            re, im = Mb[jB][k]
+            if re or im:
+                out._accum((sA, (sB[0], k + 1)), w.scale((-re, -im)))
     return out
 
 
@@ -204,11 +212,11 @@ def _real_coordinates(elem: CurvElement, prefix=()):
     """The real and imaginary parts of `elem.coordinates()`, keyed
     prefix + ("re" | "im",) + key."""
     out = {}
-    for key, v in elem.coordinates().items():
-        if v.re:
-            out[prefix + ("re",) + key] = v.re
-        if v.im:
-            out[prefix + ("im",) + key] = v.im
+    for key, (re, im) in elem.coordinates().items():
+        if re:
+            out[prefix + ("re",) + key] = re
+        if im:
+            out[prefix + ("im",) + key] = im
     return out
 
 
@@ -234,7 +242,7 @@ def annihilator(psi: CurvElement, g: SlPair = None, ctype="?"):
         coords.append(vec)
         x = Mat(n + 1)
         for c, v in vec.items():
-            x = x + g.element_of_label(labels[c]).u.scale(v)
+            x = x + g.element_of_label(labels[c]).u.scale((v, 0))
         basis.append(realify(x))
     return AnnihilatorResult(ctype, n, len(kernel), basis, coords)
 
@@ -272,23 +280,28 @@ DIAGONAL_CONDITIONS = {
     "IV": "a1 + conj(a1) = conj(a0) + a_n",
 }
 
+# Each relation above as sum (c a_j + d conj(a_j)) = 0, listed as (j, c, d);
+# j = -1 stands for a_n.
+_DIAGONAL_TERMS = {
+    "I": ((0, 2, 0), (1, -2, 0), (2, -1, 0), (-1, 1, 0)),
+    "II": ((0, 1, 1), (1, -2, -1), (-1, 1, 0)),
+    "III": ((0, -1, 2), (1, 0, -1), (2, 0, -1), (-1, 1, 0)),
+    "IV": ((1, 1, 1), (0, 0, -1), (-1, -1, 0)),
+}
+
 
 def diagonal_condition_holds(ctype, n, ann: AnnihilatorResult) -> bool:
     """Check the published diagonal relation on every annihilator basis
     element (a_j denotes the (j+1,j+1) entry; valid for n >= 3, and for the
-    types using a_2 also at n = 2 where a_2 = a_n)."""
-    two = GaussQ(2)
+    types using a_2 also at n = 2 where a_2 = a_n).  The term
+    c a_j + d conj(a_j) has real part (c + d) Re a_j and imaginary part
+    (c - d) Im a_j; both sums must vanish."""
+    terms = _DIAGONAL_TERMS[ctype]
     for x in ann.basis:
         a = [x.u.at(j, j) for j in range(n + 1)]
-        if ctype == "I":
-            cond = (a[0] - a[1]) * two - a[2] + a[n]
-        elif ctype == "II":
-            cond = GaussQ(two.re * (a[0].re - a[1].re)) - (a[1] - a[n])
-        elif ctype == "III":
-            cond = a[0].conj() * two - a[0] - (a[1].conj() + a[2].conj() - a[n])
-        else:
-            cond = a[1] + a[1].conj() - (a[0].conj() + a[n])
-        if not cond.is_zero():
+        if sum((c + d) * a[j][0] for j, c, d in terms):
+            return False
+        if sum((c - d) * a[j][1] for j, c, d in terms):
             return False
     return True
 

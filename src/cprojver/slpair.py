@@ -15,6 +15,10 @@ Real basis enumeration (deterministic, row-major on (j,k), 1-based):
 * off-diagonal: ``E j k`` = realify(E_jk) and ``F j k`` = realify(i E_jk);
 * diagonal: ``H j`` = realify(E_jj - E_22) and ``G j`` = realify(i(E_jj - E_22))
   for j != 2, i.e. the (2,2) entry carries the trace dependency.
+
+A complex scalar is a pair (re, im) of rationals (int or `Fraction`), as
+everywhere in the package; a `Mat` keeps the real and the imaginary parts of
+its entries in two sparse dicts, so a real matrix does no imaginary work.
 """
 
 from __future__ import annotations
@@ -22,84 +26,81 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .poly import accumulate
-from .scalars import GaussQ
-
-
-_ZERO = GaussQ(0)
 
 
 class Mat:
-    """Sparse (n+1)x(n+1) matrix over Q(i): `d` maps a 0-based position
-    (j, k) to its entry and never holds a zero."""
+    """Sparse (n+1)x(n+1) complex matrix: `re` and `im` map a 0-based
+    position (j, k) to the real and imaginary part of its entry, an int or a
+    `Fraction`, and never hold a zero.  Scalars are (re, im) pairs.  A `Mat`
+    is never changed in place, so `conj` shares the real part."""
 
-    __slots__ = ("n1", "d")
+    __slots__ = ("n1", "re", "im")
 
-    def __init__(self, n1, d=None):
+    def __init__(self, n1, re=None, im=None):
         self.n1 = n1
-        self.d = d if d is not None else {}
+        self.re = re if re is not None else {}
+        self.im = im if im is not None else {}
 
     @staticmethod
-    def unit(n1, j, k, c=GaussQ(1)):
-        c = GaussQ.of(c)
-        return Mat(n1, {(j - 1, k - 1): c} if c else {})
+    def unit(n1, j, k, c=(1, 0)):
+        key = (j - 1, k - 1)
+        return Mat(n1, {key: c[0]} if c[0] else {}, {key: c[1]} if c[1] else {})
 
     @staticmethod
     def diag(n1, entries):
-        d = {}
-        for j, c in enumerate(entries):
-            c = GaussQ.of(c)
-            if c:
-                d[(j, j)] = c
-        return Mat(n1, d)
+        """The real diagonal matrix with the given rational entries."""
+        return Mat(n1, {(j, j): c for j, c in enumerate(entries) if c})
 
     def at(self, j, k):
-        """The entry at the 0-based position (j, k)."""
-        return self.d.get((j, k), _ZERO)
+        """The entry at the 0-based position (j, k), as a pair."""
+        return self.re.get((j, k), 0), self.im.get((j, k), 0)
 
     def __add__(self, o):
-        d = dict(self.d)
-        for key, y in o.d.items():
-            accumulate(d, key, y)
-        return Mat(self.n1, d)
+        return Mat(self.n1, _combine(self.re, 1, o.re, 1), _combine(self.im, 1, o.im, 1))
 
     def __sub__(self, o):
-        d = dict(self.d)
-        for key, y in o.d.items():
-            accumulate(d, key, -y)
-        return Mat(self.n1, d)
+        return Mat(self.n1, _combine(self.re, 1, o.re, -1), _combine(self.im, 1, o.im, -1))
 
     def __neg__(self):
-        return Mat(self.n1, {key: -x for key, x in self.d.items()})
+        return self.scale((-1, 0))
 
     def scale(self, c):
-        c = GaussQ.of(c)
-        if not c:
-            return Mat(self.n1)
-        return Mat(self.n1, {key: x * c for key, x in self.d.items()})
+        """(A + iB)(a + ib) = (aA - bB) + i(bA + aB)."""
+        a, b = c
+        return Mat(self.n1, _combine(self.re, a, self.im, -b), _combine(self.re, b, self.im, a))
 
     def bracket(self, o):
-        d = _product(self.d, o.d, {}, False)
-        return Mat(self.n1, _product(o.d, self.d, d, True))
+        """(A + iB)(C + iD) - (C + iD)(A + iB), part by part."""
+        A, B, C, D = self.re, self.im, o.re, o.im
+        re = _product(A, C, {}, 1)
+        _product(B, D, re, -1)
+        _product(C, A, re, -1)
+        _product(D, B, re, 1)
+        im = _product(A, D, {}, 1)
+        _product(B, C, im, 1)
+        _product(C, B, im, -1)
+        _product(D, A, im, -1)
+        return Mat(self.n1, re, im)
 
     def conj(self):
-        return Mat(self.n1, {key: x.conj() for key, x in self.d.items()})
+        return Mat(self.n1, self.re, {key: -x for key, x in self.im.items()})
 
     def trace(self):
-        t = GaussQ(0)
-        for j in range(self.n1):
-            t = t + self.at(j, j)
-        return t
+        r = range(self.n1)
+        return (sum(self.re.get((j, j), 0) for j in r),
+                sum(self.im.get((j, j), 0) for j in r))
 
     def is_zero(self):
-        return not self.d
+        return not self.re and not self.im
 
     def entries(self):
-        """Nonzero entries as ((j, k) 1-based, value), in row-major order."""
-        for j, k in sorted(self.d):
-            yield (j + 1, k + 1), self.d[(j, k)]
+        """Nonzero entries as ((j, k) 1-based, (re, im)), in row-major order."""
+        for j, k in sorted(self.re.keys() | self.im.keys()):
+            yield (j + 1, k + 1), self.at(j, k)
 
     def __eq__(self, o):
-        return isinstance(o, Mat) and self.n1 == o.n1 and self.d == o.d
+        return (isinstance(o, Mat) and self.n1 == o.n1
+                and self.re == o.re and self.im == o.im)
 
     def __repr__(self):
         r = range(self.n1)
@@ -107,9 +108,23 @@ class Mat:
         return "Mat[" + "; ".join(rows) + "]"
 
 
-def _product(a, b, out, negate):
-    """Accumulate the matrix product a*b (or -a*b) of two sparse entry dicts
+def _combine(x, a, y, b):
+    """The sparse dict a*x + b*y for rational a, b; a zero factor costs
+    nothing and a unit factor no products."""
+    if not a:  # start from the other part
+        x, a, y, b = y, b, x, 0
+    out = dict(x) if a == 1 else {key: v * a for key, v in x.items()} if a else {}
+    if b:
+        for key, v in y.items():
+            accumulate(out, key, v if b == 1 else v * b)
+    return out
+
+
+def _product(a, b, out, sign):
+    """Accumulate sign * a*b, the matrix product of two sparse entry dicts,
     into `out`, touching only the nonzero pairs (i,k)*(k,j)."""
+    if not a or not b:
+        return out
     rows = {}
     for (k, j), y in b.items():
         rows.setdefault(k, []).append((j, y))
@@ -117,7 +132,7 @@ def _product(a, b, out, negate):
         row = rows.get(k)
         if row is None:
             continue
-        if negate:
+        if sign < 0:
             x = -x
         for j, y in row:
             accumulate(out, (i, j), x * y)
@@ -200,7 +215,7 @@ class SlPair:
                     continue
                 self._slots[(j - 1, k - 1)] = (len(basis), len(basis) + 1)
                 grade = -1 if k == 1 else (1 if j == 1 else 0)
-                for kind, c in (("E", GaussQ(1)), ("F", GaussQ(0, 1))):
+                for kind, c in (("E", (1, 0)), ("F", (0, 1))):
                     labels.append(f"{kind}{j}{k}" if n1 < 10 else f"{kind}{j}_{k}")
                     basis.append(realify(Mat.unit(n1, j, k, c)))
                     self._grades[labels[-1]] = grade
@@ -209,7 +224,7 @@ class SlPair:
                 continue
             self._slots[(j - 1, j - 1)] = (len(basis), len(basis) + 1)
             d = Mat.unit(n1, j, j) - Mat.unit(n1, 2, 2)
-            for kind, c in (("H", GaussQ(1)), ("G", GaussQ(0, 1))):
+            for kind, c in (("H", (1, 0)), ("G", (0, 1))):
                 labels.append(f"{kind}{j}")
                 basis.append(realify(d.scale(c)))
                 self._grades[labels[-1]] = 0
@@ -228,11 +243,12 @@ class SlPair:
         """Real coordinates of a real element (= realify image) in the basis."""
         if not x.is_real():
             raise ValueError("element is not in the real form")
-        coords = [_ZERO.re] * len(self.basis)
-        for pos, c in x.u.d.items():
-            slot = self._slots.get(pos)
-            if slot is not None:
-                coords[slot[0]], coords[slot[1]] = c.re, c.im
+        coords = [0] * len(self.basis)
+        for part, values in enumerate((x.u.re, x.u.im)):
+            for pos, c in values.items():
+                slot = self._slots.get(pos)
+                if slot is not None:
+                    coords[slot[part]] = c
         return coords
 
     def element_of_label(self, lbl) -> CD:

@@ -304,7 +304,10 @@ def symmetry_battery(spec, stabilize=True):
 
 def metric_battery(name, n, signs=None, stabilize=True):
     """Pseudo-Kahler battery for a catalog metric model."""
-    return metric_checks(builtin(name, n, signs=signs), stabilize)
+    spec = builtin(name, n, signs=signs)
+    if spec.metric is None:
+        raise ValueError(f"model {name!r} declares no [metric] section")
+    return metric_checks(spec, stabilize)
 
 
 def metric_checks(spec, stabilize=True):

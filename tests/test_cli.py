@@ -151,6 +151,17 @@ class TestAlgebra:
     def test_no_action(self, capsys):
         assert run(["algebra"]) == 2
 
+    def test_unknown_name_is_a_usage_error(self, capsys):
+        assert run(["algebra", "--name", "nosuch"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("unknown algebra 'nosuch'; available: [")
+        assert "internal error" not in err
+
+    def test_lam_with_zero_denominator_is_a_usage_error(self, capsys):
+        assert run(["algebra", "--name", "lambda-family", "--lam", "1/0"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: --lam takes a rational number or 'symbolic', got '1/0'\n"
+
     def test_deformation_out_of_range_n(self, capsys):
         assert run(["algebra", "--name", "s", "--deform", "I", "--n", "2"]) == 2
         err = capsys.readouterr().err
@@ -179,6 +190,17 @@ class TestMetricCmd:
 
     def test_sign_pattern_flag(self):
         assert run(["metric", "--model", "submax-metric", "--n", "3", "--signs", "-", "--fast"]) == 0
+
+    def test_unknown_model_is_a_usage_error(self, capsys):
+        assert run(["metric", "--model", "nosuch"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("unknown model 'nosuch'; available: (")
+        assert "internal error" not in err
+
+    def test_model_without_metric_is_a_usage_error(self, capsys):
+        assert run(["metric", "--model", "type2"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: model 'type2' declares no [metric] section\n"
 
     def test_sign_pattern_rejects_other_characters(self, capsys):
         assert run(["metric", "--model", "submax-metric", "--n", "2", "--signs", "+x"]) == 2

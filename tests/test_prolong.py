@@ -1,5 +1,7 @@
 """Curvature modules: extremal vectors, annihilators, prolongations, tables."""
 
+import dataclasses
+
 import pytest
 
 from cprojver.prolong import (
@@ -8,6 +10,7 @@ from cprojver.prolong import (
     annihilator,
     annihilator_closed_form,
     bound_closed_form,
+    diagonal_condition_holds,
     flat_dimension,
     g0_action,
     lowest_weight_vector,
@@ -18,8 +21,7 @@ from cprojver.prolong import (
     theorem_table,
     upper_bound,
 )
-from cprojver.scalars import GaussQ
-from cprojver.slpair import SlPair, realify
+from cprojver.slpair import Mat, SlPair, realify
 
 
 def generic_element(ctype, n, seed=1):
@@ -31,7 +33,7 @@ def generic_element(ctype, n, seed=1):
         state = (state * 48271 + 11) % 2147483647
         c = (state % 19) - 9
         if c:
-            out = out + b.scale(GaussQ(c))
+            out = out + b.scale((c, 0))
     if out.is_zero():
         return basis[0]
     return out
@@ -57,14 +59,14 @@ class TestLowestWeightVectors:
         g = SlPair(n)
         phi0, _ = lowest_weight_vector(ctype, n)
         acted = g0_action(realify(g.Z), phi0)
-        assert acted == phi0.scale(GaussQ(expected))
+        assert acted == phi0.scale((expected, 0))
 
     def test_diagonal_weight_zero_annihilates(self):
         # a diagonal element with mu(X)=0 kills phi0; Z - Z has weight 0 trivially
         g = SlPair(2)
         phi0, _ = lowest_weight_vector("II", 2)
         z = realify(g.Z)
-        acted = g0_action(z, phi0) - phi0.scale(GaussQ(2))
+        acted = g0_action(z, phi0) - phi0.scale((2, 0))
         assert acted.is_zero()
 
 
@@ -102,22 +104,32 @@ class TestAnnihilators:
         for x in res.basis:
             u = x.u
             a0, a1, an = u.at(0, 0), u.at(1, 1), u.at(n, n)
-            lhs = GaussQ(2 * (a0.re - a1.re))
-            assert lhs == a1 - an
+            lhs = (2 * (a0[0] - a1[0]), 0)
+            assert lhs == (a1[0] - an[0], a1[1] - an[1])
 
     @pytest.mark.parametrize("ctype", CURV_TYPES)
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_published_diagonal_conditions(self, ctype, n):
-        from cprojver.prolong import diagonal_condition_holds
-
         _, psi = lowest_weight_vector(ctype, n)
         res = annihilator(psi, ctype=ctype)
         assert diagonal_condition_holds(ctype, n, res)
 
+    @pytest.mark.parametrize("ctype", CURV_TYPES)
+    @pytest.mark.parametrize("shift", [(1, 0), (0, 1)])
+    def test_diagonal_conditions_see_a_changed_entry(self, ctype, shift):
+        # a_n enters every relation in both its real and its imaginary part,
+        # so adding 1 or i to it on one basis element breaks the relation
+        n = 3
+        _, psi = lowest_weight_vector(ctype, n)
+        res = annihilator(psi, ctype=ctype)
+        bumped = realify(res.basis[0].u + Mat.unit(n + 1, n + 1, n + 1, shift))
+        broken = dataclasses.replace(res, basis=[bumped] + res.basis[1:])
+        assert not diagonal_condition_holds(ctype, n, broken)
+
     def test_scaling_invariance(self):
         _, psi = lowest_weight_vector("II", 3)
         base = annihilator(psi).dim
-        for c in (GaussQ(5), GaussQ(-2, 3), GaussQ(0, 1)):
+        for c in ((5, 0), (-2, 3), (0, 1)):
             phi0, _ = lowest_weight_vector("II", 3)
             scaled = phi0.scale(c)
             psi_c = scaled + scaled.conj()
@@ -147,7 +159,7 @@ class TestProlongation:
 
     def test_scaled_extremal_prolongation(self):
         phi0, _ = lowest_weight_vector("III", 2)
-        scaled = phi0.scale(GaussQ(3, 2))
+        scaled = phi0.scale((3, 2))
         psi = scaled + scaled.conj()
         pr = tanaka_prolongation(psi)
         assert pr.plus_dim == 0

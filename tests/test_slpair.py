@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cprojver.scalars import GaussQ
 from cprojver.slpair import CD, Mat, SlPair, _product, realify
 
 
@@ -30,8 +29,13 @@ def root_vector(g, lo, hi, sign=+1, barred=False):
 
 
 def mat_mul(a, b):
-    """The matrix product, through the sparse kernel behind `Mat.bracket`."""
-    return Mat(a.n1, _product(a.d, b.d, {}, False))
+    """The matrix product (A + iB)(C + iD), through the sparse kernel behind
+    `Mat.bracket`."""
+    re = _product(a.re, b.re, {}, 1)
+    _product(a.im, b.im, re, -1)
+    im = _product(a.re, b.im, {}, 1)
+    _product(a.im, b.re, im, 1)
+    return Mat(a.n1, re, im)
 
 
 def grading_eigenvalue_check(g):
@@ -39,15 +43,16 @@ def grading_eigenvalue_check(g):
     zz = realify(g.Z)
     for lbl, x in zip(g.basis_labels, g.basis):
         j = g.grade_of_label(lbl)
-        d = zz.bracket(x) - x.scale(j)
+        d = zz.bracket(x) - x.scale((j, 0))
         if not d.is_zero():
             return False, lbl
     return True, None
 
 
 def weight_of_matrix_position(j, k, diag):
-    """eps_j - eps_k evaluated on a diagonal matrix."""
-    return diag.at(j - 1, j - 1) - diag.at(k - 1, k - 1)
+    """eps_j - eps_k evaluated on a diagonal matrix, as a pair."""
+    (a, b), (c, d) = diag.at(j - 1, j - 1), diag.at(k - 1, k - 1)
+    return a - c, b - d
 
 
 def structure_constants(g):
@@ -73,7 +78,7 @@ def from_coordinates(g, coords):
         if not c:
             continue
         el = g.element_of_label(lbl)
-        x = x + el.u.scale(c)
+        x = x + el.u.scale((c, 0))
     return realify(x)
 
 
@@ -172,11 +177,26 @@ class TestConjugationAndExport:
             x = g.element_of_label(lbl).u
             for (j, k), _ in x.entries():
                 assert (j == 1 and k == 1) or (j > 1 and k > 1)
-            assert x.trace().is_zero()
+            assert x.trace() == (0, 0)
 
 
 frac = st.fractions(min_value=-6, max_value=6, max_denominator=4)
-gauss = st.builds(GaussQ, frac, st.one_of(st.just(Fraction(0)), frac))
+# complex scalars as (re, im) pairs, real as often as not
+gauss = st.tuples(frac, st.one_of(st.just(Fraction(0)), frac))
+ZERO = (0, 0)
+
+
+def _pmul(u, v):
+    (a, b), (c, d) = u, v
+    return a * c - b * d, a * d + b * c
+
+
+def _padd(u, v):
+    return u[0] + v[0], u[1] + v[1]
+
+
+def _psub(u, v):
+    return u[0] - v[0], u[1] - v[1]
 
 
 @st.composite
@@ -189,7 +209,7 @@ def sparse_pair(draw):
     for _ in range(2):
         entries = draw(st.dictionaries(pos, gauss, max_size=2 * n1))
         dense.append(
-            [[entries.get((j, k), GaussQ(0)) for k in range(n1)] for j in range(n1)]
+            [[entries.get((j, k), ZERO) for k in range(n1)] for j in range(n1)]
         )
         m = Mat(n1)
         for (j, k), c in entries.items():  # zero values must not be stored
@@ -200,22 +220,24 @@ def sparse_pair(draw):
 
 def _dense_mul(a, b):
     n1 = len(a)
-    return [
-        [sum((a[i][k] * b[k][j] for k in range(n1)), GaussQ(0)) for j in range(n1)]
-        for i in range(n1)
-    ]
+    out = [[ZERO] * n1 for _ in range(n1)]
+    for i in range(n1):
+        for j in range(n1):
+            for k in range(n1):
+                out[i][j] = _padd(out[i][j], _pmul(a[i][k], b[k][j]))
+    return out
 
 
 def _assert_matches(m, dense):
     """`m` stores exactly the nonzero entries of `dense`, yielded row-major."""
-    assert all(not v.is_zero() for v in m.d.values())
+    assert all(m.re.values()) and all(m.im.values())
     keys = [key for key, _ in m.entries()]
     assert keys == sorted(keys)
     want = {
         (j + 1, k + 1): v
         for j, row in enumerate(dense)
         for k, v in enumerate(row)
-        if not v.is_zero()
+        if v != ZERO
     }
     assert dict(m.entries()) == want
 
@@ -230,13 +252,14 @@ class TestSparseMatrices:
         _assert_matches(mb, b)
         _assert_matches(mat_mul(ma, mb), _dense_mul(a, b))
         ab, ba = _dense_mul(a, b), _dense_mul(b, a)
-        bracket = [[ab[j][k] - ba[j][k] for k in idx] for j in idx]
+        bracket = [[_psub(ab[j][k], ba[j][k]) for k in idx] for j in idx]
         _assert_matches(ma.bracket(mb), bracket)
-        _assert_matches(ma + mb, [[a[j][k] + b[j][k] for k in idx] for j in idx])
-        _assert_matches(ma - mb, [[a[j][k] - b[j][k] for k in idx] for j in idx])
-        _assert_matches(ma - ma, [[GaussQ(0)] * n1 for _ in idx])
-        _assert_matches(ma.scale(c), [[a[j][k] * c for k in idx] for j in idx])
-        _assert_matches(ma.conj(), [[a[j][k].conj() for k in idx] for j in idx])
+        _assert_matches(ma + mb, [[_padd(a[j][k], b[j][k]) for k in idx] for j in idx])
+        _assert_matches(ma - mb, [[_psub(a[j][k], b[j][k]) for k in idx] for j in idx])
+        _assert_matches(ma - ma, [[ZERO] * n1 for _ in idx])
+        _assert_matches(-ma, [[_psub(ZERO, a[j][k]) for k in idx] for j in idx])
+        _assert_matches(ma.scale(c), [[_pmul(a[j][k], c) for k in idx] for j in idx])
+        _assert_matches(ma.conj(), [[(a[j][k][0], -a[j][k][1]) for k in idx] for j in idx])
         for j in idx:
             for k in idx:
                 assert ma.at(j, k) == a[j][k]

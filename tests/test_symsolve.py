@@ -12,7 +12,6 @@ from cprojver.cli import MODEL_NS
 from cprojver.linalg import LinearSystem, SpanSolver
 from cprojver.metric import metric_inverse, mobility_equation_holds
 from cprojver.poly import LaurentPoly, PolyError, VarTable
-from cprojver.scalars import GaussQ
 from cprojver.symsolve import (
     AnsatzSpace,
     SystemBuilder,
@@ -224,13 +223,14 @@ class TestColumnSymbols:
         assert not verify_fields(equations, basis)
 
     def test_non_real_symbol_coefficient_raises(self):
-        # the linear systems are over Q: a polynomial refuses a Gaussian
-        # coefficient when it is built, so no symbol term can carry one
+        # the linear systems are over Q: a polynomial refuses a complex
+        # coefficient, as a Python complex or an (re, im) pair, when it is
+        # built, so no symbol term can carry one
         table = builtin("flat", 2).chart.table
         with pytest.raises(PolyError, match="int or Fraction"):
-            LaurentPoly.const(table, GaussQ(0, 1))
+            LaurentPoly.const(table, 1j)
         with pytest.raises(PolyError, match="int or Fraction"):
-            LaurentPoly(table, {(0,) * table.nvars(): GaussQ(1)})
+            LaurentPoly(table, {(0,) * table.nvars(): (1, 0)})
 
 
 @st.composite

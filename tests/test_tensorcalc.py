@@ -13,7 +13,6 @@ from cprojver.cli import MODEL_NS
 from cprojver.metric import levi_civita
 from cprojver.parse import parse_poly
 from cprojver.poly import LaurentPoly, PolyError, accumulate
-from cprojver.scalars import GaussQ
 from cprojver.symsolve import bracket_fields
 from cprojver import tensorcalc as tc
 from cprojver.tensorcalc import (
@@ -155,15 +154,26 @@ def complex_poly(draw):
     return LaurentPoly(ZTAB, draw(st.dictionaries(exps, _SMALL_Q, max_size=4)))
 
 
+def _gauss_times(u, v):
+    return u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0]
+
+
+def _gauss_over(u, v):
+    """u / v = u conj(v) / |v|^2."""
+    n = v[0] * v[0] + v[1] * v[1]
+    re, im = _gauss_times(u, (v[0], -v[1]))
+    return Fraction(re) / n, Fraction(im) / n
+
+
 def gauss_value(p, point):
-    """p at {name: GaussQ}, by GaussQ arithmetic alone."""
-    acc = GaussQ(0)
+    """p at {name: (re, im)}, by exact Gaussian arithmetic on pairs alone."""
+    acc = (0, 0)
     for exps, c in p.terms.items():
-        t = GaussQ(c)
+        t = (c, 0)
         for name, e in zip(p.table.names, exps):
             for _ in range(abs(e)):
-                t = t * point[name] if e > 0 else t / point[name]
-        acc = acc + t
+                t = _gauss_times(t, point[name]) if e > 0 else _gauss_over(t, point[name])
+        acc = (acc[0] + t[0], acc[1] + t[1])
     return acc
 
 
@@ -175,15 +185,14 @@ class TestComplexRealification:
     def test_pair_matches_gaussian_evaluation(self, p, xs):
         assume(xs[0] or xs[1])
         pt = dict(zip(ZCHART.table.names, xs))
-        z1, z2 = GaussQ(xs[0], xs[1]), GaussQ(xs[2], xs[3])
-        want = gauss_value(
-            p, {"z1": z1, "z2": z2, "zb1": z1.conj(), "zb2": z2.conj(), "I": GaussQ(0, 1)}
-        )
+        z1, z2 = (xs[0], xs[1]), (xs[2], xs[3])
+        zb1, zb2 = (xs[0], -xs[1]), (xs[2], -xs[3])
+        want = gauss_value(p, {"z1": z1, "z2": z2, "zb1": zb1, "zb2": zb2, "I": (0, 1)})
         re, im = tc._real_poly_from_complex(p, ZCHART)
-        assert (re.evaluate(pt), im.evaluate(pt)) == (want.re, want.im)
+        assert (re.evaluate(pt), im.evaluate(pt)) == want
         # the conjugate polynomial realifies to the conjugate value
         cre, cim = tc._real_poly_from_complex(tc._swap_bars(p), ZCHART)
-        assert (cre.evaluate(pt), cim.evaluate(pt)) == (want.re, -want.im)
+        assert (cre.evaluate(pt), cim.evaluate(pt)) == (want[0], -want[1])
 
 
 class TestTorsionProjections:
@@ -394,6 +403,59 @@ class TestLieDerivativeOfJ:
         v = data.draw(polynomial_fields(J.chart))
         got = {k: p for k, p in lie_derivative_J(v, J).comps.items() if not p.is_zero()}
         assert got == lie_J_by_brackets(v, J)
+
+
+@cache
+def catalog_gamma(name, n):
+    return builtin(name, n).gamma
+
+
+def nabla(G, X, Y):
+    """(nabla_X Y)^i = X^a d_a Y^i + G^i_ab X^a Y^b for fields {index: poly}."""
+    names = G.chart.table.names
+    out = {}
+    for a, p in X.items():
+        for i, q in Y.items():
+            accumulate(out, i, p * q.derivative(names[a]))
+    for (i, a, b), g in G.comps.items():
+        if a in X and b in Y:
+            accumulate(out, i, g * X[a] * Y[b])
+    return out
+
+
+def lie_gamma_by_brackets(v, G):
+    """(L_v nabla)(d_j, d_k) = [v, nabla_j d_k] - nabla_[v, d_j] d_k
+    - nabla_j [v, d_k], from vector-field brackets and the connection applied
+    to fields, as {(i, j, k): poly}."""
+    chart = G.chart
+    unit = [{j: chart.const(1)} for j in range(chart.dim)]
+    moved = [bracket_fields(chart, v, d) for d in unit]
+    out = {}
+    for j in range(chart.dim):
+        for k in range(chart.dim):
+            for i, p in bracket_fields(chart, v, nabla(G, unit[j], unit[k])).items():
+                accumulate(out, (i, j, k), p)
+            for i, p in nabla(G, moved[j], unit[k]).items():
+                accumulate(out, (i, j, k), -p)
+            for i, p in nabla(G, unit[j], moved[k]).items():
+                accumulate(out, (i, j, k), -p)
+    return out
+
+
+class TestLieDerivativeOfConnection:
+    """`lie_derivative_connection` against
+    (L_v nabla)(X, Y) = [v, nabla_X Y] - nabla_[v,X] Y - nabla_X [v, Y]."""
+
+    @pytest.mark.parametrize("name,n", CATALOG)
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_equals_bracket_formula(self, name, n, data):
+        G = catalog_gamma(name, n)
+        v = data.draw(polynomial_fields(G.chart))
+        got = {
+            k: p for k, p in lie_derivative_connection(v, G).comps.items() if not p.is_zero()
+        }
+        assert got == lie_gamma_by_brackets(v, G)
 
 
 class TestFrames:
