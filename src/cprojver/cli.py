@@ -5,7 +5,7 @@ Subcommands::
     cproj table   --n-min 2 --n-max 6 [--out report.json]
     cproj verify  --model type2 --n 3 [--model all] [--jobs N] [--fast] [--out ...]
     cproj prolong --type II --n 3 [--out ...]
-    cproj algebra --name s | --manifest path [--lam VALUE|symbolic]
+    cproj algebra --name s [--lam VALUE|symbolic] | --manifest path
                   [--deform TYPE --n N] [--out ...]
     cproj metric  --model submax-metric --n 2 [--signs +-] [--out ...]
 
@@ -130,6 +130,10 @@ def cmd_prolong(args):
 
 def cmd_algebra(args):
     started = time.time()
+    if args.lam is not None and not args.name:
+        print("error: --lam applies only to --name with a parameterized algebra",
+              file=sys.stderr)
+        return 2
     checks = []
     if args.manifest:
         from .algebras import parse_algebra_manifest

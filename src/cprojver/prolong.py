@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 from .linalg import LinearSystem, SpanSolver
 from .slpair import CD, Mat, SlPair, realify
+from .structlie import StructAlgebra
 from .tensorcalc import _cmul
 
 CURV_TYPES = ("I", "II", "III", "IV")
@@ -206,6 +207,7 @@ class ProlongationResult:
     plus_dim: int
     total: int
     rigid: bool
+    ann: AnnihilatorResult = field(repr=False)
 
 
 def _real_coordinates(elem: CurvElement, prefix=()):
@@ -269,7 +271,7 @@ def tanaka_prolongation(psi: CurvElement, g: SlPair = None, ctype="?"):
     ann = annihilator(psi, g, ctype)
     total = 2 * n + ann.dim + plus_dim
     return ProlongationResult(
-        ctype, n, 2 * n, ann.dim, plus_dim, total, plus_dim == 0
+        ctype, n, 2 * n, ann.dim, plus_dim, total, plus_dim == 0, ann
     )
 
 
@@ -424,9 +426,9 @@ def span_add(span, basis, elem):
 def subalgebra_with_cochain(ctype, n):
     """The graded algebra g_{-1} (+) ann with the extremal cochain.
 
-    Returns (labels, grades, bracket table, cochain table) in a form directly
-    consumable by `structlie.StructAlgebra`: brackets and cochain values are
-    sparse coefficient dicts over the returned labels.
+    Returns (algebra, cochain): a `structlie.StructAlgebra` on labels v1.. (of
+    grade -1) and a1.. (of grade 0), and the cochain table, a sparse value
+    vector over those labels for each pair (i, j), i < j, of g_{-1} indices.
     """
     if ctype == "I" and n == 2:
         # the algebraic bound 8 is not realizable at n=2 (see theorem_table)
@@ -437,10 +439,9 @@ def subalgebra_with_cochain(ctype, n):
     ann = annihilator(psi, g, ctype)
     minus_labels = [l for l in g.basis_labels if g.grade_of_label(l) == -1]
     elements = [g.element_of_label(l) for l in minus_labels] + list(ann.basis)
-    labels = [f"v{i+1}" for i in range(len(minus_labels))] + [
-        f"a{i+1}" for i in range(ann.dim)
-    ]
-    grades = {lbl: (-1 if lbl.startswith("v") else 0) for lbl in labels}
+    nm = len(minus_labels)
+    labels = [f"v{i+1}" for i in range(nm)] + [f"a{i+1}" for i in range(ann.dim)]
+    grades = {l: (-1 if i < nm else 0) for i, l in enumerate(labels)}
     span = SpanSolver()
     for el in elements:
         vec = {i: c for i, c in enumerate(g.coordinates(el)) if c}
@@ -462,11 +463,10 @@ def subalgebra_with_cochain(ctype, n):
                 continue
             table[(i, j)] = expand(br)
     cochain = {}
-    nm = len(minus_labels)
     for i in range(nm):
         for j in range(i + 1, nm):
             val = psi.evaluate(elements[i], elements[j])
             if val.is_zero():
                 continue
             cochain[(i, j)] = expand(val)
-    return labels, grades, table, cochain
+    return StructAlgebra(labels, table, grading=grades), cochain

@@ -9,6 +9,7 @@ table stores only pairs (i, j) with i < j; antisymmetry is implicit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .linalg import SpanSolver
 from .poly import LaurentPoly, accumulate
@@ -178,72 +179,49 @@ class DeformationResult:
     matches_prediction: bool
 
 
-def deform_by_cochain(alg: StructAlgebra, cochain, minus_labels):
+def deform_by_cochain(alg: StructAlgebra, cochain):
     """Deformed bracket [x,y] - psi(x,y) and its Jacobi residual.
 
-    `cochain` maps pairs (i, j) of minus-part basis indices (i < j) to sparse
-    value vectors over the algebra basis.  The residual must coincide with the
-    cyclic sum psi(psi(x,y),z) on minus-part triples (psi extended by zero),
-    which is also returned.
+    g_{-1} is the span of the labels of grade -1 in `alg.grading`.  `cochain`
+    maps pairs (i, j) of g_{-1} basis indices to sparse value vectors over the
+    algebra basis; psi is read as the algebra `StructAlgebra(alg.labels,
+    cochain)`.  The residual must coincide with the cyclic sum
+    psi(psi(x,y),z) on g_{-1} triples (psi extended by zero), which is also
+    returned.  The deformed algebra keeps the grading of `alg`.
     """
-    minus = {alg.index[l] for l in minus_labels}
-    for (i, j), vec in cochain.items():
+    if not alg.grading:
+        raise ValueError("deformation needs the integer grading that marks g_-1")
+    minus = [i for i, l in enumerate(alg.labels) if alg.grading[l] == -1]
+    psi = StructAlgebra(alg.labels, cochain)
+    for (i, j), vec in psi.table.items():
         if i not in minus or j not in minus:
             raise ValueError("cochain must be supported on the minus part")
         for k in vec:
             if not (0 <= k < alg.dim()):
                 raise ValueError("cochain value outside the algebra")
 
-    def psi_units(i, j):
-        if i == j:
-            return {}
-        if i < j:
-            return dict(cochain.get((i, j), {}))
-        return {k: -c for k, c in cochain.get((j, i), {}).items()}
-
-    def psi_vec(x, y):
-        out = {}
-        for i, ci in x.items():
-            if i not in minus or not ci:
-                continue
-            for j, cj in y.items():
-                if j not in minus or not cj:
-                    continue
-                for k, c in psi_units(i, j).items():
-                    accumulate(out, k, ci * cj * c)
-        return out
-
     new_table = {}
-    dim = alg.dim()
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            vec = dict(alg.bracket_units(i, j))
-            for k, c in psi_units(i, j).items():
-                accumulate(vec, k, -c)
-            if vec:
-                new_table[(i, j)] = vec
+    for key in sorted(alg.table.keys() | psi.table.keys()):
+        vec = dict(alg.table.get(key, {}))
+        for k, c in psi.table.get(key, {}).items():
+            accumulate(vec, k, -c)
+        new_table[key] = vec
     deformed = StructAlgebra(
-        alg.labels, new_table, params=alg.params, name=alg.name + "+deform"
+        alg.labels, new_table, params=alg.params, grading=alg.grading,
+        name=alg.name + "+deform",
     )
     residual = deformed.jacobi_residual()
 
     predicted = {}
-    ml = sorted(minus)
-    for a in range(len(ml)):
-        for b in range(a + 1, len(ml)):
-            for c in range(b + 1, len(ml)):
-                i, j, k = ml[a], ml[b], ml[c]
-                r = {}
-                for t, v in psi_vec(psi_units(i, j), {k: 1}).items():
-                    accumulate(r, t, v)
-                for t, v in psi_vec(psi_units(j, k), {i: 1}).items():
-                    accumulate(r, t, v)
-                for t, v in psi_vec(psi_units(k, i), {j: 1}).items():
-                    accumulate(r, t, v)
-                if r:
-                    predicted[
-                        (alg.labels[i], alg.labels[j], alg.labels[k])
-                    ] = {alg.labels[t]: v for t, v in r.items()}
+    for i, j, k in combinations(minus, 3):
+        r = {}
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for t, v in psi.bracket_vec(psi.bracket_units(a, b), {c: 1}).items():
+                accumulate(r, t, v)
+        if r:
+            predicted[(alg.labels[i], alg.labels[j], alg.labels[k])] = {
+                alg.labels[t]: v for t, v in r.items()
+            }
     matches = _tables_equal(residual, predicted)
     return DeformationResult(deformed, residual, predicted, matches)
 

@@ -573,14 +573,13 @@ def _solve_stabilized(spec, operator, ansatz, stabilize, extra_metric_scale=None
     return basis, scales, stab
 
 
-def cproj_system(spec, ansatz, stabilize=True, check_closure=True):
+def cproj_system(spec, ansatz, stabilize=True):
     basis, _, stab = _solve_stabilized(spec, cproj_operator(spec), ansatz, stabilize)
-    closed = check_bracket_closure(spec.chart, basis) if check_closure else None
     return SymmetryResult(
         dim=len(basis),
         basis=basis,
         stabilized=stab,
-        closed_under_bracket=closed,
+        closed_under_bracket=check_bracket_closure(spec.chart, basis),
         verified=verify_fields(partial(cproj_equations, spec), basis),
     )
 

@@ -5,8 +5,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .algebras import builtin_algebra
 from .catalog import builtin, expected_symmetries, model_ansatz
 from .metric import (
+    covariant_derivative_02,
     equivalent_metric_family,
     gram_signature_at,
     kahler_check,
@@ -19,9 +21,12 @@ from .metric import (
 from .linalg import SpanSolver
 from .prolong import (
     CURV_TYPES,
+    DIAGONAL_CONDITIONS,
     annihilator_closed_form,
     bound_closed_form,
+    diagonal_condition_holds,
     flat_dimension,
+    subalgebra_with_cochain,
     submax_closed_form,
     submax_overall,
     theorem_table,
@@ -31,12 +36,14 @@ from .report import Check
 from .symsolve import (
     AnsatzSpace,
     cproj_equations,
+    cproj_operator,
     cproj_system,
     affine_system,
     field_coordinates,
     homothety_system,
     killing_system,
     phi_map,
+    solve_field_system,
     span_equals,
 )
 from .structlie import deform_by_cochain
@@ -330,8 +337,6 @@ def metric_checks(spec, stabilize=True):
         )
     tf = tc.torsion(lc).is_zero()
     checks.append(_holds("Levi-Civita is torsion-free", "levi-civita", tf))
-    from .metric import covariant_derivative_02
-
     par = covariant_derivative_02(lc, g).is_zero()
     checks.append(_holds("metric is parallel", "levi-civita", par))
     flags = kahler_check(g, J, lc)
@@ -447,17 +452,15 @@ def metric_checks(spec, stabilize=True):
                 )
             )
             checks.append(_reverified("homothety fields", hom))
-            res = cproj_system(
-                spec, model_ansatz(spec), stabilize=False, check_closure=False
-            )
+            basis, _ = solve_field_system(spec, cproj_operator(spec), model_ansatz(spec))
             ginv = spec.metric_inverse
             span = SpanSolver()
             ident = {(i, i): spec.chart.const(1) for i in range(spec.chart.dim)}
             span.insert(field_coordinates(ident))
             base = span.dim()
-            for v in res.basis:
+            for v in basis:
                 span.insert(field_coordinates(phi_map(v, g, ginv).comps))
-            ker = res.dim - (span.dim() - base)
+            ker = len(basis) - (span.dim() - base)
             checks.append(
                 Check(
                     "kernel of the mobility projection of the symmetry map",
@@ -468,7 +471,7 @@ def metric_checks(spec, stabilize=True):
                     "recomputed",
                 )
             )
-            chain_ok = res.dim <= hom.dim + 2 - 1
+            chain_ok = len(basis) <= hom.dim + 2 - 1
             checks.append(
                 _holds(
                     "dimension chain cp <= homothety + mobility - 1",
@@ -564,12 +567,6 @@ def table_battery(n_min=2, n_max=6):
 
 
 def prolong_battery(ctype, n):
-    from .prolong import (
-        DIAGONAL_CONDITIONS,
-        diagonal_condition_holds,
-        lowest_weight_vector,
-    )
-
     checks = []
     total, pr = upper_bound(ctype, n)
     checks.append(
@@ -583,10 +580,7 @@ def prolong_battery(ctype, n):
         )
     )
     if n >= 3:
-        from .prolong import annihilator as _ann
-
-        _, psi = lowest_weight_vector(ctype, n)
-        holds = diagonal_condition_holds(ctype, n, _ann(psi, ctype=ctype))
+        holds = diagonal_condition_holds(ctype, n, pr.ann)
         checks.append(
             _holds(f"type {ctype}, n={n}: diagonal condition "
                 f"[{DIAGONAL_CONDITIONS[ctype]}]", "annihilator", holds, "published")
@@ -615,9 +609,9 @@ def prolong_battery(ctype, n):
 
 
 def algebra_battery(name, lam=None):
-    from .algebras import builtin_algebra
-
     alg = builtin_algebra(name)
+    if lam is not None and not alg.has_params():
+        raise ValueError(f"algebra {name!r} has no parameters; lam={lam} does not apply")
     checks = []
     res = alg.jacobi_residual()
     checks.append(
@@ -631,24 +625,19 @@ def algebra_battery(name, lam=None):
         )
     )
     if alg.has_params() and lam is not None and lam != "symbolic":
-        from fractions import Fraction
-
         alg = alg.specialize({alg.params.names[0]: Fraction(lam)})
     if not alg.has_params():
-        try:
-            dims = alg.derived_series()
-            checks.append(
-                Check(
-                    f"{name}: derived series",
-                    "derived-series",
-                    dims,
-                    dims,
-                    True,
-                    "recomputed",
-                )
+        dims = alg.derived_series()
+        checks.append(
+            Check(
+                f"{name}: derived series",
+                "derived-series",
+                dims,
+                dims,
+                True,
+                "recomputed",
             )
-        except ValueError:
-            pass
+        )
         if alg.z2:
             ok, _ = alg.check_z2()
             checks.append(_holds(f"{name}: Z2 grading", "grading", ok, "published"))
@@ -670,13 +659,7 @@ def algebra_battery(name, lam=None):
 
 
 def deformation_battery(ctype, n):
-    from .prolong import subalgebra_with_cochain
-    from .structlie import StructAlgebra
-
-    labels, grades, table, cochain = subalgebra_with_cochain(ctype, n)
-    alg = StructAlgebra(labels, table, grading=grades)
-    minus = [l for l in labels if l.startswith("v")]
-    res = deform_by_cochain(alg, cochain, minus)
+    res = deform_by_cochain(*subalgebra_with_cochain(ctype, n))
     should_close = not (ctype == "III" and n == 2)
     checks = [
         Check(

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+from cprojver.algebras import ALGEBRA_FILES, data_dir
 from cprojver.cli import MODEL_NS, main
 from cprojver.report import SCHEMA, Check
 
@@ -162,6 +163,17 @@ class TestAlgebra:
         err = capsys.readouterr().err
         assert err == "error: --lam takes a rational number or 'symbolic', got '1/0'\n"
 
+    def test_lam_on_algebra_without_parameters_is_a_usage_error(self, capsys):
+        assert run(["algebra", "--name", "s", "--lam", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: algebra 's' has no parameters; lam=3 does not apply\n"
+
+    def test_lam_with_manifest_is_a_usage_error(self, capsys):
+        path = os.path.join(data_dir(), ALGEBRA_FILES["lambda-family"])
+        assert run(["algebra", "--manifest", path, "--lam", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: --lam applies only to --name with a parameterized algebra\n"
+
     def test_deformation_out_of_range_n(self, capsys):
         assert run(["algebra", "--name", "s", "--deform", "I", "--n", "2"]) == 2
         err = capsys.readouterr().err
@@ -217,6 +229,8 @@ def test_reports_byte_stable_across_hash_seeds(tmp_path):
         "metric": ["metric", "--model", "submax-metric", "--n", "2", "--fast"],
         # stabilized, on a chart with a declared denominator
         "cp1xc": ["verify", "--model", "cp1xc", "--n", "2"],
+        "algebra": ["algebra", "--name", "s", "--deform", "III", "--n", "3"],
+        "prolong": ["prolong", "--type", "I", "--n", "3"],
     }
     for name, args in commands.items():
         reports = []

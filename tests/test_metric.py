@@ -397,7 +397,7 @@ class TestTransitivity:
         from cprojver.symsolve import cproj_system
 
         spec = builtin(name, n)
-        res = cproj_system(spec, model_ansatz(spec), stabilize=False, check_closure=False)
+        res = cproj_system(spec, model_ansatz(spec), stabilize=False)
         pt = {k: Fraction(v) for k, v in point.items()}
         rows = [
             [

@@ -206,7 +206,7 @@ class TestGradings:
         target = fam.specialize({"lam": 1})
         for lam in (Fraction(2), Fraction(-1, 3), Fraction(7, 5)):
             spec = fam.specialize({"lam": lam})
-            scaling = {l: 1 / lam for l in fam.labels if l.startswith("v")}
+            scaling = {l: 1 / lam for l, d in fam.grading.items() if d == -1}
             moved = transport(spec, scaling)
             assert same_table(moved, target)
 
@@ -234,44 +234,43 @@ class TestVerifyFamily:
 
 class TestDeformation:
     def test_zero_cochain(self):
-        labels, grades, table, _ = subalgebra_with_cochain("II", 2)
-        alg = StructAlgebra(labels, table, grading=grades)
-        res = deform_by_cochain(alg, {}, [l for l in labels if l.startswith("v")])
+        alg, _ = subalgebra_with_cochain("II", 2)
+        res = deform_by_cochain(alg, {})
         assert same_table(res.deformed, alg)
         assert res.residual == {}
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_type2_deformation_closes(self, n):
-        labels, grades, table, cochain = subalgebra_with_cochain("II", n)
-        alg = StructAlgebra(labels, table, grading=grades)
-        minus = [l for l in labels if l.startswith("v")]
-        res = deform_by_cochain(alg, cochain, minus)
+        res = deform_by_cochain(*subalgebra_with_cochain("II", n))
         assert res.residual == {}
         assert res.matches_prediction
 
     def test_type3_n2_deformation_fails(self):
-        labels, grades, table, cochain = subalgebra_with_cochain("III", 2)
-        alg = StructAlgebra(labels, table, grading=grades)
-        minus = [l for l in labels if l.startswith("v")]
-        res = deform_by_cochain(alg, cochain, minus)
+        res = deform_by_cochain(*subalgebra_with_cochain("III", 2))
         assert res.residual != {}
         assert res.matches_prediction
 
     def test_deform_then_undo(self):
-        labels, grades, table, cochain = subalgebra_with_cochain("III", 3)
-        alg = StructAlgebra(labels, table, grading=grades)
-        minus = [l for l in labels if l.startswith("v")]
-        once = deform_by_cochain(alg, cochain, minus)
+        alg, cochain = subalgebra_with_cochain("III", 3)
+        once = deform_by_cochain(alg, cochain)
         neg = {k: {t: -c for t, c in v.items()} for k, v in cochain.items()}
-        back = deform_by_cochain(once.deformed, neg, minus)
+        back = deform_by_cochain(once.deformed, neg)
         assert same_table(back.deformed, alg)
 
     def test_cochain_outside_minus_rejected(self):
-        labels, grades, table, _ = subalgebra_with_cochain("II", 2)
-        alg = StructAlgebra(labels, table, grading=grades)
-        bad = {(0, len(labels) - 1): {0: 1}}
+        alg, _ = subalgebra_with_cochain("II", 2)
         with pytest.raises(ValueError):
-            deform_by_cochain(alg, bad, [l for l in labels if l.startswith("v")])
+            deform_by_cochain(alg, {(0, alg.dim() - 1): {0: 1}})
+
+    @pytest.mark.parametrize("ctype", ["I", "II", "III", "IV"])
+    def test_deformed_bracket_is_filtered_not_graded(self, ctype):
+        # the cochain maps g_-1 x g_-1 into g_-1 + g_0, above grade -2
+        alg, cochain = subalgebra_with_cochain(ctype, 3)
+        assert alg.check_grading()[0]
+        deformed = deform_by_cochain(alg, cochain).deformed
+        assert deformed.grading == alg.grading
+        assert deformed.check_filtration()[0]
+        assert not deformed.check_grading()[0]
 
 
 class TestManifest:

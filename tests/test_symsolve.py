@@ -301,16 +301,13 @@ class TestFlatModel:
     def test_monotone_in_ansatz(self):
         spec = builtin("flat", 2)
         d1 = cproj_system(
-            spec, AnsatzSpace(spec.chart, total_degree=1), stabilize=False,
-            check_closure=False,
+            spec, AnsatzSpace(spec.chart, total_degree=1), stabilize=False
         ).dim
         d2 = cproj_system(
-            spec, AnsatzSpace(spec.chart, total_degree=2), stabilize=False,
-            check_closure=False,
+            spec, AnsatzSpace(spec.chart, total_degree=2), stabilize=False
         ).dim
         d3 = cproj_system(
-            spec, AnsatzSpace(spec.chart, total_degree=3), stabilize=False,
-            check_closure=False,
+            spec, AnsatzSpace(spec.chart, total_degree=3), stabilize=False
         ).dim
         assert d1 <= d2 <= d3
         assert d2 == d3 == 16
@@ -416,7 +413,7 @@ class TestPhiMap:
         # the image of every symmetry solves the mobility equation; its trace
         # comes out constant (solutions have constant trace here)
         spec, ginv = setup
-        res = cproj_system(spec, model_ansatz(spec), stabilize=False, check_closure=False)
+        res = cproj_system(spec, model_ansatz(spec), stabilize=False)
         for v in res.basis:
             A = phi_map(v, spec.metric, ginv)
             tr = spec.chart.zero()
