@@ -6,7 +6,7 @@ Subcommands::
     cproj verify  --model type2 --n 3 [--model all] [--jobs N] [--fast] [--out ...]
     cproj prolong --type II --n 3 [--out ...]
     cproj algebra --name s [--lam VALUE|symbolic] | --manifest path
-                  [--deform TYPE --n N] [--out ...]
+                  [--deform TYPE [--n N]] [--out ...]
     cproj metric  --model submax-metric --n 2 [--signs +-] [--out ...]
 
 Every run prints one line per check and writes an optional JSON report; the
@@ -80,6 +80,9 @@ def _verify_one(name, n, fast):
 
 def cmd_verify(args):
     started = time.time()
+    if args.jobs < 1:
+        print(f"error: --jobs takes a positive worker count, got {args.jobs}", file=sys.stderr)
+        return 2
     if args.model == "all":
         if args.n is not None:
             print("error: --n does not apply to --model all, which runs each model "
@@ -110,7 +113,7 @@ def cmd_verify(args):
     if args.jobs > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as ex:
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(jobs))) as ex:
             results = list(ex.map(_verify_one, *columns))
     else:
         results = map(_verify_one, *columns)
@@ -133,6 +136,9 @@ def cmd_algebra(args):
     if args.lam is not None and not args.name:
         print("error: --lam applies only to --name with a parameterized algebra",
               file=sys.stderr)
+        return 2
+    if args.n is not None and not args.deform:
+        print("error: --n applies only to --deform", file=sys.stderr)
         return 2
     checks = []
     if args.manifest:
@@ -172,7 +178,8 @@ def cmd_algebra(args):
                 return 2
         checks.extend(verify.algebra_battery(args.name, lam=lam))
     if args.deform:
-        checks.extend(verify.deformation_battery(args.deform, args.n))
+        n = 2 if args.n is None else args.n
+        checks.extend(verify.deformation_battery(args.deform, n))
     if not checks:
         print("nothing to do: pass --name, --manifest, or --deform", file=sys.stderr)
         return 2
@@ -227,7 +234,7 @@ def build_parser():
     a.add_argument("--manifest")
     a.add_argument("--lam", default=None)
     a.add_argument("--deform", choices=["I", "II", "III", "IV"])
-    a.add_argument("--n", type=int, default=2)
+    a.add_argument("--n", type=int, default=None, help="rank for --deform (default 2)")
     a.add_argument("--out")
     a.set_defaults(fn=cmd_algebra)
 

@@ -186,15 +186,15 @@ def _hermitian_defect(B: Tensor, J: Tensor):
 #
 # with S0(ab) = -Gamma^d_cx E_dy - Gamma^d_cy E_xd + R(d theta_ab),
 # S1(ab, l) = dx^l (x) E_ab + R(theta_ab dx^l), where theta_ab = theta(E_ab)
-# and R is the right-hand side (`_subtract_lambda_terms`).  The column
-# closures shift and scale these symbols; `_mobility_operator` and
+# and R is the right-hand side (`_subtract_lambda_terms`).  `SystemBuilder`
+# shifts and scales these symbols over their uses; `_mobility_operator` and
 # `_hermitian_defect` are the generic route that re-verifies the solutions.
 
 
 def _mobility_closures(g, ginv, J, gamma):
     """(pairs, with_herm, eq_only): the pairs a <= b in column order, and the
-    column closures apply(exps, p) of (EQ, HERM) and of EQ alone on the
-    column x^e E_ab, (a, b) = pairs[p]."""
+    operators apply(monomials, npairs) of (EQ, HERM) and of EQ alone on the
+    columns x^e E_ab, the direction p standing for (a, b) = pairs[p]."""
     chart = g.chart
     d = chart.dim
     names = chart.table.names

@@ -1,19 +1,21 @@
 """Exact kernels of symmetry PDE systems over finite ansatz spaces.
 
 Every tensor equation is linear in the unknown vector field (or tensor), so a
-finite ansatz turns it into exact linear algebra: the operator is applied to
-each ansatz basis element, rows are matched monomial by monomial (after
-clearing declared denominators per equation), and the kernel is computed by
-sparse exact elimination.  A column closure sums nothing: it hands
-`SystemBuilder` its memoized symbols with the column's monomial shifts, and
-the builder sums each term once, as it scatters it into its row.  Before the
-elimination, `SystemBuilder` settles the columns that one-entry rows force
-to zero: the rows {c: 1} for those columns plus the other rows stripped of
-them span the same row space, so the kernel is the same and most rows never
-reach `LinearSystem`.  A builder consumes its outputs and runs `kernel`
-once.  Kernel dimensions are lower bounds for the true solution space;
-together with an algebraic upper bound and degree stabilization they
-certify exactness.
+finite ansatz turns it into exact linear algebra: the operator's value on
+each ansatz basis element is matched monomial by monomial (after clearing
+declared denominators per equation), and the kernel is computed by sparse
+exact elimination.  An operator is called once per solve.  It returns its
+memoized symbols and, per symbol and integer scale, the (column, shift) list
+of the columns that use it; it sums nothing.  `SystemBuilder` assembles the
+system equation-major: for each equation it scatters every symbol that has
+that component over the columns that use it, which is the one place that
+terms are summed, and settles that equation's rows before the next one.
+Before the elimination, it settles the columns that one-entry rows force to
+zero: the rows {c: 1} for those columns plus the other rows stripped of them
+span the same row space, so the kernel is the same and most rows never
+reach `LinearSystem`.  A builder runs `kernel` once.  Kernel dimensions are
+lower bounds for the true solution space; together with an algebraic upper
+bound and degree stabilization they certify exactness.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, partial
+from math import lcm
 from operator import sub
 
 from .linalg import LinearSystem, SpanSolver
@@ -86,7 +89,7 @@ class AnsatzSpace:
         return len(self.monomials)
 
 
-# Monomials on the path from the column closures to `SystemBuilder` are keyed
+# Monomials on the path from the symbols to `SystemBuilder`'s rows are keyed
 # by one int, the packed exponent vector (Monagan-Pearce, CASC 2007): slot i of
 # _SLOT bits holds e_i + _BIAS, slot 0 most significant, so int order is the
 # tuple's lexicographic order and x^e * x^f is one addition of keys.  Packing
@@ -116,10 +119,9 @@ def _unit_shifts(nv):
     return tuple(1 << (_SLOT * (nv - 1 - l)) for l in range(nv))
 
 
-def _mul_packed(items, shift, factor):
-    """The terms of items * x^shift * factor, with `items` packed terms
-    [(key, c)] and `factor` [(shift, c)]; terms are listed, not summed."""
-    return [(e + shift + f, c * d) for e, c in items for f, d in factor]
+def _packed(p):
+    """The terms of the LaurentPoly `p` as a list [(packed key, coefficient)]."""
+    return [(_pack(e), c) for e, c in p.terms.items()]
 
 
 @dataclass
@@ -133,20 +135,30 @@ class SymmetryResult:
 
 
 class SystemBuilder:
-    """Collects operator outputs per unknown column, then emits exact rows.
+    """Assembles the exact rows of a linear operator, one equation at a time.
 
-    An output of one column and one tag is a list of parts (shift, symbol):
-    `symbol` is a list [(comp, den, items)] and adds x^shift * items / D^den
-    to component `comp`, D the table's declared denominators.  `items` lists
-    packed exponent keys (`_pack`) with rational coefficients (int or
-    Fraction), and `shift` is an unbiased packed key (`_pack(e, 0)`).  The
-    builder keeps references to the symbols and copies no term; `kernel`
-    adds each shift to its items' keys as it scatters them into rows, which
-    is the one place that terms are summed.  It is also the one place that
-    clears the denominators: each equation (tag, comp) is multiplied by
-    D^M, M the largest multiplicity among its parts.  The Laurent
-    polynomial ring is an integral domain, so the cleared equation has the
-    same solutions as the one it came from.
+    The builder takes symbols and their uses, as an operator call returns
+    them (`_column_operator`).  `symbols` maps a symbol key to its parts
+    [(tag, comp, den, items)]: the symbol adds items / D^den to component
+    `comp` of the equation tagged `tag`, D the table's declared
+    denominators.  `items` lists packed exponent keys (`_pack`) with
+    rational coefficients (int or Fraction).  `uses` maps the same key to
+    {scale: [(col, shift)]}: column `col` takes scale * x^shift * symbol,
+    `scale` an integer and `shift` an unbiased packed key (`_pack(e, 0)`).
+
+    `kernel` works equation-major.  For each equation (tag, comp), in sorted
+    order, it takes the symbols that have that component and their top
+    denominator multiplicity M, the largest of their `den`s, and multiplies
+    each symbol by D^(M - den) once.  The Laurent polynomial ring is an
+    integral domain, so the cleared equation has the same solutions as the
+    one it came from.  It then multiplies the equation by the lcm of its
+    coefficients' denominators, a positive integer, so the rows are integral
+    and their primitive rows, which are what `LinearSystem` eliminates, do
+    not change.  Each symbol is scaled once per scale and scattered at every
+    (col, shift) of its uses into the equation's rows, which is the one
+    place that terms are summed.  The rows are settled in ascending
+    packed-key order and dropped before the next equation, so one
+    equation's rows are alive at a time.
 
     Before any row reaches `LinearSystem`, `kernel` settles the columns that
     one-entry rows force to zero (the first step of structured Gaussian
@@ -162,24 +174,20 @@ class SystemBuilder:
     order is unique, so the pivot columns, the rank and the canonical kernel
     basis are those of the original rows; only `nrows` is smaller.
 
-    `kernel` consumes the outputs as it assembles them, so a builder is
-    single-use: a second `kernel()` call raises.
+    `kernel` consumes what was added, so a builder is single-use: a second
+    `kernel()` call raises.
     """
 
-    def __init__(self, table):
+    def __init__(self, table, ncols):
         self.table = table
-        self.eqs = {}  # (tag, comp) -> [(col, den, shift, items)]
-        self.ncols = 0
+        self.ncols = ncols
+        self.eqs = {}  # (tag, comp) -> [(den, items, {scale: [(col, shift)]})]
 
-    def column(self):
-        c = self.ncols
-        self.ncols += 1
-        return c
-
-    def add_output(self, col, tag, parts):
-        for shift, symbol in parts:
-            for comp, den, items in symbol:
-                self.eqs.setdefault((tag, comp), []).append((col, den, shift, items))
+    def add(self, symbols, uses):
+        """Index each part of `symbols` under its equation, with its key's uses."""
+        for key, parts in symbols.items():
+            for tag, comp, den, items in parts:
+                self.eqs.setdefault((tag, comp), []).append((den, items, uses[key]))
 
     def kernel(self):
         """(canonical kernel basis, the `LinearSystem` it came from)."""
@@ -201,27 +209,51 @@ class SystemBuilder:
         zero = set()  # columns that the rows force to zero
         kept = []  # the other rows, without the columns in `zero`
         for key in sorted(eqs):
-            parts = eqs.pop(key)
-            top = tuple(map(max, zip(*{den for _, den, _, _ in parts})))
-            rows = {}  # packed exps -> {col: coefficient}
-            for col, den, shift, items in parts:
+            entries = eqs.pop(key)
+            top = tuple(map(max, zip(*{den for den, _, _ in entries})))
+            parts = []
+            for den, items, used in entries:
                 if den != top:
-                    items = _mul_packed(items, shift, factor(tuple(map(sub, top, den))))
-                    shift = 0
-                for exps, c in items:
-                    exps += shift
-                    row = rows.get(exps)
-                    if row is None:
-                        rows[exps] = {col: c}
-                    else:
-                        old = row.get(col)
-                        row[col] = c if old is None else old + c
+                    raised = {}
+                    for f, d in factor(tuple(map(sub, top, den))):
+                        for e, c in items:
+                            e += f
+                            raised[e] = raised.get(e, 0) + c * d
+                    items = [(e, c) for e, c in raised.items() if c]
+                parts.append((items, used))
+            # the equation times the lcm of its denominators: integral rows
+            # with the same primitive rows, and int sums in the scatter
+            mult = lcm(*(c.denominator for items, _ in parts for _, c in items))
+            rows = {}  # packed exps -> {col: coefficient}
+            for items, used in parts:
+                if mult != 1:
+                    items = [(e, c.numerator * (mult // c.denominator)) for e, c in items]
+                for scale, cols in used.items():
+                    for e, c in items:
+                        if scale != 1:
+                            c *= scale
+                        for col, shift in cols:
+                            exps = e + shift
+                            row = rows.get(exps)
+                            if row is None:
+                                rows[exps] = {col: c}
+                            elif col in row:
+                                row[col] += c
+                            else:
+                                row[col] = c
             for exps in sorted(rows):
-                row = {col: c for col, c in rows[exps].items() if c and col not in zero}
+                row = rows[exps]
                 if len(row) == 1:
-                    zero.update(row)
-                elif row:
-                    kept.append(row)
+                    for col, c in row.items():
+                        if c:
+                            zero.add(col)
+                    continue
+                if not zero.isdisjoint(row) or not all(row.values()):
+                    row = {col: c for col, c in row.items() if c and col not in zero}
+                    if len(row) < 2:
+                        zero.update(row)
+                        continue
+                kept.append(row)
         grew = True
         while grew:
             grew = False
@@ -253,11 +285,13 @@ class SystemBuilder:
 #     x^e S0(a) + sum_l e_l x^(e-1_l) S1(a, l)
 #               + sum_(l,k) e_l (e_k - delta_lk) x^(e-1_l-1_k) S2(a, l, k)
 #
-# with symbols S0, S1, S2 that do not depend on e.  The column closures build
-# each symbol once per direction and then only shift and scale its terms.  The
-# field-level functions (`cproj_equations` and friends) compute the same
-# equations through tensorcalc's Lie derivatives instead; `verify_fields`
-# checks kernel fields with them, so the check does not rerun the symbol code.
+# with symbols S0, S1, S2 that do not depend on e.  An operator builds each
+# symbol once per direction and lists, per symbol and integer scale, the
+# columns that take it with their shifts; `SystemBuilder` does the shifting
+# and scaling.  The field-level functions (`cproj_equations` and friends)
+# compute the same equations through tensorcalc's Lie derivatives instead;
+# `verify_fields` checks kernel fields with them, so the check does not rerun
+# the symbol code.
 
 
 def cp_projection(J: Tensor, om):
@@ -367,64 +401,61 @@ def _metric_symbol1(g: Tensor, a, l):
 
 
 def _column_operator(tags, symbol0, symbol1, symbol2=None):
-    """The closure apply(exps, a) -> [(tag, parts)] for the column x^e d_a.
+    """The operator apply(monomials, ndirs) -> (symbols, uses), the
+    `SystemBuilder` input of the columns x^e d_a, column m * ndirs + a for
+    e = monomials[m].
 
-    `symbol0(a)`, `symbol1(a, l)` and `symbol2(a, l, k)` return one comps dict
-    {comp: LaurentPoly} per tag.  Each symbol, and each integer multiple of it
-    that a column asks for, is built on first use, with packed term keys, and
-    kept for later columns.  `parts` is the `SystemBuilder` part list
-    [(shift, symbol)] of the column: `shift` the packed column shift (x^e,
-    x^(e-1_l) or x^(e-1_l-1_k)), `symbol` the memoized [(comp, den, items)]
-    of the tag, handed over by reference.  Nothing is summed, reduced or
-    cleared here; `SystemBuilder.kernel` does that per equation.
+    `symbol0(a)`, `symbol1(a, l)` and `symbol2(a, l, k)` return one comps
+    dict {comp: LaurentPoly} per tag.  `symbols` maps each key (a,), (a, l)
+    or (a, l, k) that some column takes to its parts [(tag, comp, den,
+    items)], with packed term keys; a symbol is built on first use and kept
+    for later calls.  `uses` maps the key to {scale: [(col, shift)]}: the
+    columns that take scale * x^shift times the symbol, shift the packed
+    x^e, x^(e-1_l) or x^(e-1_l-1_k) and scale 1, e_l or
+    e_l (e_k - delta_lk).  Nothing is summed, scaled or cleared here.
     """
     builders = {1: symbol0, 2: symbol1, 3: symbol2}
     memo = {}
 
-    def symbol(key, scale):
-        got = memo.get((key, scale))
+    def symbol(key):
+        got = memo.get(key)
         if got is None:
-            if scale == 1:
-                got = [
-                    [(comp, p.den, [(_pack(e), c) for e, c in p.terms.items()])
-                     for comp, p in comps.items()]
-                    for comps in builders[len(key)](*key)
-                ]
-            else:
-                got = [
-                    [(comp, den, [(e, c * scale) for e, c in items])
-                     for comp, den, items in part]
-                    for part in symbol(key, 1)
-                ]
-            memo[(key, scale)] = got
+            got = memo[key] = [
+                (tag, comp, p.den, _packed(p))
+                for tag, comps in zip(tags, builders[len(key)](*key))
+                for comp, p in comps.items()
+            ]
         return got
 
-    def apply(exps, a):
-        e0 = _pack(exps, 0)
-        unit = _unit_shifts(len(exps))
-        parts = [(e0, symbol((a,), 1))]
-        lowered = []
-        for l, el in enumerate(exps):
-            if el:
-                f = e0 - unit[l]
-                parts.append((f, symbol((a, l), el)))
-                lowered.append((l, el, f))
-        if symbol2 is not None:
-            for l, el, f in lowered:
-                for k, ek in enumerate(exps):
-                    fk = ek - 1 if k == l else ek  # e_k - delta_lk
-                    if fk:
-                        parts.append((f - unit[k], symbol((a, l, k), el * fk)))
-        return [
-            (tag, [(shift, sym[t]) for shift, sym in parts])
-            for t, tag in enumerate(tags)
-        ]
+    def apply(monomials, ndirs):
+        taken = {}  # (key without a, scale) -> [(monomial index, shift)]
+        for m, exps in enumerate(monomials):
+            e0 = _pack(exps, 0)
+            unit = _unit_shifts(len(exps))
+            terms = [((), 1, e0)]  # (key without a, scale, shift)
+            for l, el in enumerate(exps):
+                if el:
+                    f = e0 - unit[l]
+                    terms.append(((l,), el, f))
+                    if symbol2 is not None:
+                        for k, ek in enumerate(exps):
+                            fk = ek - 1 if k == l else ek  # e_k - delta_lk
+                            if fk:
+                                terms.append(((l, k), el * fk, f - unit[k]))
+            for suffix, scale, shift in terms:
+                taken.setdefault((suffix, scale), []).append((m, shift))
+        uses = {}
+        for (suffix, scale), shifts in taken.items():
+            for a in range(ndirs):
+                cols = [(m * ndirs + a, shift) for m, shift in shifts]
+                uses.setdefault((a, *suffix), {})[scale] = cols
+        return {key: symbol(key) for key in uses}, uses
 
     return apply
 
 
 def cproj_operator(spec):
-    """Column closure of `cproj_equations`."""
+    """The `_column_operator` of `cproj_equations`."""
     chart, J, G = spec.chart, spec.J, spec.gamma
     names = chart.table.names
     one = chart.const(1)
@@ -440,7 +471,7 @@ def cproj_operator(spec):
 
 
 def killing_operator(spec, holomorphic=True):
-    """Column closure of `killing_equations`."""
+    """The `_column_operator` of `killing_equations`."""
     chart, J, g = spec.chart, spec.J, spec.metric
     names = chart.table.names
     if not holomorphic:
@@ -457,7 +488,7 @@ def killing_operator(spec, holomorphic=True):
 
 
 def affine_operator(spec):
-    """Column closure of `affine_equations`."""
+    """The `_column_operator` of `affine_equations`."""
     chart, J, G = spec.chart, spec.J, spec.gamma
     names = chart.table.names
     one = chart.const(1)
@@ -473,11 +504,11 @@ def solve_field_system(spec, operator, ansatz, extra_metric_scale=None, ndirs=No
     """Kernel of a linear operator on fields over the ansatz space.
 
     Column c is the monomial x^e, e = ansatz.monomials[c // ndirs], in the
-    direction c % ndirs; `operator(exps, direction)` returns its
-    [(tag, parts)], each `parts` a `SystemBuilder` part list [(shift,
-    symbol)], as `_column_operator` builds it.  `ndirs` defaults to the
-    chart dimension (vector fields).  Returns (basis, scales): each kernel
-    vector as {direction: LaurentPoly}.
+    direction c % ndirs.  `operator(monomials, ndirs)` is called once and
+    returns the (symbols, uses) of every column, as `_column_operator`
+    builds them, for one `SystemBuilder`.  `ndirs` defaults to the chart
+    dimension (vector fields).  Returns (basis, scales): each kernel vector
+    as {direction: LaurentPoly}.
 
     With `extra_metric_scale` (the metric tensor), one extra scalar unknown c
     is appended and the equation tagged "LG" becomes L_v g - c g = 0; its
@@ -486,20 +517,15 @@ def solve_field_system(spec, operator, ansatz, extra_metric_scale=None, ndirs=No
     table = spec.chart.table
     if ndirs is None:
         ndirs = spec.chart.dim
-    builder = SystemBuilder(table)
-    for exps in ansatz.monomials:
-        for i in range(ndirs):
-            col = builder.column()
-            for tag, parts in operator(exps, i):
-                builder.add_output(col, tag, parts)
-    nfield = builder.ncols
+    nfield = len(ansatz.monomials) * ndirs
+    builder = SystemBuilder(table, nfield + (extra_metric_scale is not None))
+    builder.add(*operator(ansatz.monomials, ndirs))
     if extra_metric_scale is not None:
         comps = extra_metric_scale.scale(-1).comps
-        symbol = [
-            (comp, p.den, [(_pack(e), c) for e, c in p.terms.items()])
-            for comp, p in comps.items()
-        ]
-        builder.add_output(builder.column(), "LG", [(0, symbol)])
+        builder.add(
+            {"c": [("LG", comp, p.den, _packed(p)) for comp, p in comps.items()]},
+            {"c": {1: [(nfield, 0)]}},
+        )
     kernel, _ = builder.kernel()
     basis = []
     scales = []
@@ -551,7 +577,7 @@ def check_bracket_closure(chart, basis):
 
 def verify_fields(equations, basis):
     """Every entry of `basis` solves `equations` (a field-level function such
-    as `partial(cproj_equations, spec)`, not a column closure)."""
+    as `partial(cproj_equations, spec)`, not an operator's symbols)."""
     for f in basis:
         for _, tensor in equations(f):
             if not tensor.is_zero():

@@ -19,25 +19,39 @@ def unpack(key, nv):
     return tuple(reversed(exps))
 
 
+def without_direction(operator, a):
+    """`operator` with every symbol of direction `a` (key[0] == a) dropped,
+    so that the columns of that direction take no equation."""
+
+    def apply(monomials, ndirs):
+        symbols, uses = operator(monomials, ndirs)
+        keys = [key for key in uses if key[0] != a]
+        return {key: symbols[key] for key in keys}, {key: uses[key] for key in keys}
+
+    return apply
+
+
 @pytest.fixture
 def canonical():
-    """canonical(table, outputs): column-closure outputs [(tag, parts)] as
-    [(tag, {comp: LaurentPoly})], each part's shift added to its packed term
-    keys and the keys unpacked, each part reduced against its declared
-    denominators and the parts of one component summed, so that they compare
-    by exact value with the generic route's tensor components."""
+    """canonical(table, output, col, tags): the value of column `col` in an
+    operator's output (symbols, uses), as [(tag, {comp: LaurentPoly})] for
+    each tag in `tags`.  Every symbol that the column takes is scaled, its
+    shift added to its packed term keys and the keys unpacked, each part
+    reduced against its declared denominators and the parts of one
+    component summed, so that the value compares by exact value with the
+    generic route's tensor components."""
     from cprojver.poly import LaurentPoly, accumulate
 
-    def convert(table, outputs):
+    def convert(table, output, col, tags):
+        symbols, uses = output
         nv = table.nvars()
-        out = []
-        for tag, parts in outputs:
-            comps = {}
-            for shift, symbol in parts:
-                for comp, den, items in symbol:
-                    terms = {unpack(k + shift, nv): c for k, c in items}
-                    accumulate(comps, comp, LaurentPoly(table, terms, den))
-            out.append((tag, comps))
-        return out
+        comps = {tag: {} for tag in tags}
+        for key, by_scale in uses.items():
+            for scale, cols in by_scale.items():
+                for shift in (shift for c, shift in cols if c == col):
+                    for tag, comp, den, items in symbols[key]:
+                        terms = {unpack(k + shift, nv): c * scale for k, c in items}
+                        accumulate(comps[tag], comp, LaurentPoly(table, terms, den))
+        return [(tag, comps[tag]) for tag in tags]
 
     return convert

@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from cprojver.algebras import ALGEBRA_FILES, data_dir
 from cprojver.cli import MODEL_NS, main
 from cprojver.report import SCHEMA, Check
@@ -79,6 +81,40 @@ class TestVerify:
         assert run(["verify", "--model", "all", "--fast", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["command"] == "verify --model all"
         assert ran == [(m, n) for m, ns in MODEL_NS.items() for n in ns]
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_is_a_usage_error(self, jobs, capsys):
+        assert run(["verify", "--model", "flat", "--fast", "--jobs", jobs]) == 2
+        out, err = capsys.readouterr()
+        assert err == f"error: --jobs takes a positive worker count, got {jobs}\n"
+        assert out == ""
+
+    @pytest.mark.parametrize("jobs,workers", [("100000", sum(map(len, MODEL_NS.values()))), ("3", 3)])
+    def test_pool_is_capped_at_the_job_count(self, jobs, workers, monkeypatch):
+        # a recording stand-in for the pool: no process is started
+        import concurrent.futures
+
+        sizes = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *columns):
+                return map(fn, *columns)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(
+            "cprojver.cli._verify_one", lambda *job: [Check("stub", "stub", 0, 0, True)]
+        )
+        assert run(["verify", "--model", "all", "--fast", "--jobs", jobs]) == 0
+        assert sizes == [workers]
 
     def test_manifest_path_runs_the_catalog_battery(self, tmp_path):
         from cprojver.catalog import DATA_DIR
@@ -173,6 +209,24 @@ class TestAlgebra:
         assert run(["algebra", "--manifest", path, "--lam", "2"]) == 2
         err = capsys.readouterr().err
         assert err == "error: --lam applies only to --name with a parameterized algebra\n"
+
+    def test_n_without_deform_is_a_usage_error(self, capsys):
+        assert run(["algebra", "--name", "s", "--n", "5"]) == 2
+        out, err = capsys.readouterr()
+        assert err == "error: --n applies only to --deform\n"
+        assert out == ""
+
+    def test_deform_defaults_to_n_2(self, monkeypatch):
+        ran = []
+
+        def battery(kind, n):
+            ran.append((kind, n))
+            return [Check("stub", "stub", 0, 0, True)]
+
+        monkeypatch.setattr("cprojver.verify.deformation_battery", battery)
+        assert run(["algebra", "--deform", "II"]) == 0
+        assert run(["algebra", "--deform", "II", "--n", "4"]) == 0
+        assert ran == [("II", 2), ("II", 4)]
 
     def test_deformation_out_of_range_n(self, capsys):
         assert run(["algebra", "--name", "s", "--deform", "I", "--n", "2"]) == 2

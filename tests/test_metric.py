@@ -28,6 +28,7 @@ from cprojver.symsolve import AnsatzSpace, _pack, field_coordinates
 from cprojver.verify import metric_battery
 from cprojver import tensorcalc as tc
 from cprojver.tensorcalc import Tensor
+from conftest import without_direction
 
 
 def _sym_tensor_basis(chart, exps, a, b):
@@ -169,9 +170,11 @@ class TestMobility:
 
 
 class TestMobilityColumns:
-    """The mobility column closures (per-pair symbols) against the generic
-    route: `_mobility_operator` through `covariant_derivative_02`, and
-    `_hermitian_defect`, on the column x^e E_ab."""
+    """The mobility operators' symbols and uses (per-pair symbols) against
+    the generic route: `_mobility_operator` through
+    `covariant_derivative_02`, and `_hermitian_defect`, on the column
+    x^e E_ab.  A column's value is rebuilt from the uses of a one-monomial
+    ansatz, where column p is the pair p."""
 
     @pytest.mark.parametrize("name,n", [("flat", 2), ("submax-metric", 2), ("submax-metric", 3)])
     def test_columns_equal_generic_route(self, name, n, canonical):
@@ -186,16 +189,19 @@ class TestMobilityColumns:
         deg = max(2, spec.degrees.get("degree", 2))
         big = AnsatzSpace(chart, total_degree=deg).enlarged()
         for exps in big.monomials:
+            both = with_herm([exps], len(pairs))
+            eqs = eq_only([exps], len(pairs))
             for p, (a, b) in enumerate(pairs):
                 B = _sym_tensor_basis(chart, exps, a, b)
                 eq = ("EQ", op(B).comps)
                 herm = ("HERM", _hermitian_defect(B, J).comps)
-                assert canonical(chart.table, with_herm(exps, p)) == [eq, herm], (exps, a, b)
-                assert canonical(chart.table, eq_only(exps, p)) == [eq], (exps, a, b)
+                got = canonical(chart.table, both, p, ("EQ", "HERM"))
+                assert got == [eq, herm], (exps, a, b)
+                assert canonical(chart.table, eqs, p, ("EQ",)) == [eq], (exps, a, b)
 
     @pytest.mark.parametrize("dropped", [0, 1])  # with_herm, eq_only
     def test_wrong_closure_fails_verification(self, monkeypatch, dropped):
-        # a closure that returns nothing for the pair p = 0 leaves every
+        # an operator that drops every symbol of the pair p = 0 leaves every
         # x^e E_00 in that solve's kernel; only the generic route can see it
         spec = builtin("flat", 2)
         good = mobility_dimension(spec)
@@ -204,8 +210,7 @@ class TestMobilityColumns:
 
         def wrong(*args):
             pairs, *ops = closures(*args)
-            op = ops[dropped]
-            ops[dropped] = lambda exps, p: [] if p == 0 else op(exps, p)
+            ops[dropped] = without_direction(ops[dropped], 0)
             return (pairs, *ops)
 
         monkeypatch.setattr(metric, "_mobility_closures", wrong)
@@ -226,11 +231,11 @@ class TestMobilityColumns:
         def pinned(*args):
             pairs, with_herm, eq_only = closures(*args)
 
-            def op(exps, p):
-                out = with_herm(exps, p)
-                if exps == origin and p == 0:
-                    out = out + [("PIN", [(0, [((), (), [(_pack(origin), 1)])])])]
-                return out
+            def op(monomials, ndirs):
+                symbols, uses = with_herm(monomials, ndirs)
+                col = monomials.index(origin) * ndirs  # x^0 E_00
+                symbols = {**symbols, "pin": [("PIN", 0, (), [(_pack(origin), 1)])]}
+                return symbols, {**uses, "pin": {1: [(col, 0)]}}
 
             return pairs, op, eq_only
 

@@ -1,5 +1,6 @@
 """Symmetry PDE kernels: ansatz spaces, solvers, the symmetry-to-mobility map."""
 
+from fractions import Fraction
 from functools import partial
 from itertools import product
 
@@ -11,13 +12,14 @@ from cprojver.catalog import builtin, expected_symmetries, model_ansatz
 from cprojver.cli import MODEL_NS
 from cprojver.linalg import LinearSystem, SpanSolver
 from cprojver.metric import metric_inverse, mobility_equation_holds
-from cprojver.poly import LaurentPoly, PolyError, VarTable
+from cprojver.poly import LaurentPoly, PolyError, VarTable, accumulate
 from cprojver.symsolve import (
     AnsatzSpace,
     SystemBuilder,
     _LIMIT,
     _column_operator,
     _pack,
+    _packed,
     affine_operator,
     affine_system,
     bracket_fields,
@@ -37,7 +39,7 @@ from cprojver.symsolve import (
 )
 from cprojver import tensorcalc as tc
 from cprojver.tensorcalc import Chart, Tensor
-from conftest import unpack
+from conftest import unpack, without_direction
 
 
 class TestAnsatz:
@@ -135,27 +137,30 @@ class TestPackedKeys:
         spec = builtin("type3-n2", 2)  # x, y, the Laurent variable s, and q
         table = spec.chart.table
         op = cproj_operator(spec)
-        assert op((0, 0, _LIMIT - 1, 0), 0)  # the largest admitted exponent
+        assert op([(0, 0, _LIMIT - 1, 0)], 1)  # the largest admitted exponent
         for exps in [(0, 0, _LIMIT, 0), (0, 0, -_LIMIT, 0), (_LIMIT, 0, 0, 0)]:
             with pytest.raises(PolyError, match="packed range"):
-                op(exps, 0)
+                op([exps], 1)
         # a symbol term at the limit fails when its symbol is built
         for e in (_LIMIT, -_LIMIT):
             big = LaurentPoly(table, {(0, 0, e, 0): 1})
             op = _column_operator(("T",), lambda a: ({(0,): big},), lambda a, l: ({},))
             with pytest.raises(PolyError, match="packed range"):
-                op((0, 0, 0, 0), 0)
+                op([(0, 0, 0, 0)], 1)
 
 
 class TestColumnSymbols:
-    """The column closures (per-direction symbols) against the generic route:
+    """The operators' symbols and uses against the generic route:
     tensorcalc's Lie derivatives of the field x^e d_a, each computed once per
-    column and shared by the three operators' equations."""
+    column and shared by the three operators' equations.  A column's value
+    is rebuilt from the uses of a one-monomial ansatz, where column a is the
+    direction a."""
 
     @pytest.mark.parametrize("name,n", CATALOG)
     def test_columns_equal_generic_route(self, name, n, canonical):
         spec = builtin(name, n)
         table = spec.chart.table
+        dim = spec.chart.dim
         J, G, g = spec.J, spec.gamma, spec.metric
         base = model_ansatz(spec)
         big = base.enlarged()
@@ -167,43 +172,53 @@ class TestColumnSymbols:
             isometry = killing_operator(spec, holomorphic=False)
         for exps in big.monomials:
             mono = LaurentPoly(table, {exps: 1})
-            for a in range(spec.chart.dim):
+            outputs = {"cproj": cproj([exps], dim), "affine": affine([exps], dim)}
+            if g is not None:
+                outputs["killing"] = killing([exps], dim)
+                outputs["isometry"] = isometry([exps], dim)
+            for a in range(dim):
                 v = {a: mono}
                 lj = ("LJ", tc.lie_derivative_J(v, J).comps)
                 om = tc.lie_derivative_connection(v, G).comps
                 cp = ("CP", cp_projection(J, om))
-                assert canonical(table, cproj(exps, a)) == [lj, cp], (exps, a)
-                assert canonical(table, affine(exps, a)) == [lj, ("LG", om)], (exps, a)
+                got = canonical(table, outputs["cproj"], a, ("LJ", "CP"))
+                assert got == [lj, cp], (exps, a)
+                got = canonical(table, outputs["affine"], a, ("LJ", "LG"))
+                assert got == [lj, ("LG", om)], (exps, a)
                 if g is not None:
                     lg = ("LG", tc.lie_derivative_metric(v, g).comps)
-                    assert canonical(table, killing(exps, a)) == [lj, lg], (exps, a)
-                    assert canonical(table, isometry(exps, a)) == [lg], (exps, a)
+                    got = canonical(table, outputs["killing"], a, ("LJ", "LG"))
+                    assert got == [lj, lg], (exps, a)
+                    got = canonical(table, outputs["isometry"], a, ("LG",))
+                    assert got == [lg], (exps, a)
 
     @pytest.mark.parametrize("name,n", CATALOG)
     def test_builder_clears_denominators_of_either_route(self, name, n):
-        # the closures hand over shifted references to unreduced rational
+        # the operator hands over shifted, scaled uses of unreduced rational
         # symbols per (component, denominator), the generic route reduced
-        # LaurentPoly components, packed here as unshifted parts;
-        # SystemBuilder sums the terms and brings each equation to one
-        # denominator, so both must give the same kernel, of the published
-        # dimension
+        # LaurentPoly components, fed here as one symbol per column, used
+        # once and unshifted; SystemBuilder sums the terms and brings each
+        # equation to one denominator, so both must give the same kernel,
+        # of the published dimension
         spec = builtin(name, n)
         table = spec.chart.table
-        closure = cproj_operator(spec)
-        generic, fed = SystemBuilder(table), SystemBuilder(table)
-        for exps in model_ansatz(spec).monomials:
+        dim = spec.chart.dim
+        monomials = model_ansatz(spec).monomials
+        ncols = len(monomials) * dim
+        symbols, uses = {}, {}
+        for m, exps in enumerate(monomials):
             mono = LaurentPoly(table, {exps: 1})
-            for a in range(spec.chart.dim):
-                col = generic.column()
-                assert fed.column() == col
-                for tag, t in cproj_equations(spec, {a: mono}):
-                    symbol = [
-                        (comp, p.den, [(_pack(e), c) for e, c in p.terms.items()])
-                        for comp, p in t.comps.items()
-                    ]
-                    generic.add_output(col, tag, [(0, symbol)])
-                for tag, parts in closure(exps, a):
-                    fed.add_output(col, tag, parts)
+            for a in range(dim):
+                col = m * dim + a
+                symbols[col] = [
+                    (tag, comp, p.den, _packed(p))
+                    for tag, t in cproj_equations(spec, {a: mono})
+                    for comp, p in t.comps.items()
+                ]
+                uses[col] = {1: [(col, 0)]}
+        generic, fed = SystemBuilder(table, ncols), SystemBuilder(table, ncols)
+        generic.add(symbols, uses)
+        fed.add(*cproj_operator(spec)(monomials, dim))
         kernel, _ = generic.kernel()
         assert kernel == fed.kernel()[0]
         assert len(kernel) == spec.expect("symmetry_dim")
@@ -211,10 +226,7 @@ class TestColumnSymbols:
     def test_wrong_closure_fails_verification(self):
         spec = builtin("type2", 2)
         good = cproj_operator(spec)
-
-        def wrong(exps, a):
-            return [] if a == 0 else good(exps, a)
-
+        wrong = without_direction(good, 0)
         equations = partial(cproj_equations, spec)
         basis, _ = solve_field_system(spec, good, model_ansatz(spec))
         assert len(basis) == 8 and verify_fields(equations, basis)
@@ -263,15 +275,17 @@ class TestZeroColumnPass:
     @given(planted_matrices())
     def test_same_kernel_and_rank_as_raw_rows(self, case):
         ncols, rows = case
-        # row i is component i of one tag at one packed key, so the builder
-        # meets the rows in their natural order
-        builder = SystemBuilder(self.TABLE)
-        for _ in range(ncols):
-            builder.column()
+        # row i is component i of one tag at one packed key, each entry a
+        # symbol of its own used by one column, so the builder meets the
+        # rows in their natural order
         key = _pack((0,))
+        symbols, uses = {}, {}
         for i, row in enumerate(rows):
             for col, c in row.items():
-                builder.add_output(col, "T", [(0, [(i, (), [(key, c)])])])
+                symbols[(i, col)] = [("T", i, (), [(key, c)])]
+                uses[(i, col)] = {1: [(col, 0)]}
+        builder = SystemBuilder(self.TABLE, ncols)
+        builder.add(symbols, uses)
         kernel, system = builder.kernel()
         ref = LinearSystem()
         ref.register_columns(range(ncols))
@@ -283,12 +297,142 @@ class TestZeroColumnPass:
         assert system.nrows <= ref.nrows
 
     def test_second_kernel_call_raises(self):
-        builder = SystemBuilder(self.TABLE)
-        builder.add_output(builder.column(), "T", [(0, [(0, (), [(_pack((0,)), 1)])])])
+        builder = SystemBuilder(self.TABLE, 1)
+        builder.add({"s": [("T", 0, (), [(_pack((0,)), 1)])]}, {"s": {1: [(0, 0)]}})
         kernel, _ = builder.kernel()
         assert kernel == []
         with pytest.raises(RuntimeError, match="already consumed"):
             builder.kernel()
+
+
+COEFFICIENTS = (1, -1, 2, Fraction(1, 2), Fraction(-1, 2), Fraction(-2, 3))
+SYMBOL_TAGS = ("A", "B")
+
+
+@st.composite
+def symbol_tables(draw):
+    """(chart, ansatz, ndirs, symbols): a chart in x, y with or without the
+    declared denominator D = 1 + x^2, a small total-degree ansatz, and a
+    table key -> (comps dict per tag) for the symbol keys (a,), (a, l) and,
+    unless the operator stops at first order, (a, l, k).  Symbols are
+    sparse, of one or two terms from four monomials, with coefficients that
+    often cancel, and each carries its own denominator multiplicity on the
+    denominator chart, so that columns often share monomials and one
+    equation alone has a kernel."""
+    denominators = {"D": {(0, 0): 1, (2, 0): 1}} if draw(st.booleans()) else None
+    chart = Chart(["x", "y"], denominators=denominators)
+    table = chart.table
+    monomial = st.tuples(st.integers(0, 1), st.integers(0, 1))
+    den = st.tuples(st.integers(0, 2)) if denominators else st.just(())
+    poly = st.builds(
+        lambda terms, d: LaurentPoly(table, terms, d),
+        st.dictionaries(monomial, st.sampled_from(COEFFICIENTS), min_size=1, max_size=2),
+        den,
+    )
+    comps = st.dictionaries(st.integers(0, 1), poly, max_size=1)
+    ndirs = draw(st.integers(1, 2))
+    keys = [(a,) for a in range(ndirs)] + [(a, l) for a in range(ndirs) for l in range(2)]
+    if draw(st.booleans()):
+        keys += [(a, l, k) for a in range(ndirs) for l in range(2) for k in range(2)]
+    symbols = {key: tuple(draw(comps) for _ in SYMBOL_TAGS) for key in keys}
+    ansatz = AnsatzSpace(chart, total_degree=draw(st.integers(1, 3)))
+    return chart, ansatz, ndirs, symbols
+
+
+def _column_major_rows(chart, ansatz, ndirs, symbols):
+    """{(tag, comp): rows} of the operator given by `symbols`, assembled
+    naively: each column's value per (tag, comp) as a LaurentPoly, then each
+    equation multiplied by D^M, M the largest multiplicity among its
+    columns' reduced values, and split into one row per monomial."""
+    table = chart.table
+    second = any(len(key) == 3 for key in symbols)
+    eqs = {}  # (tag, comp) -> {col: LaurentPoly}
+    for m, exps in enumerate(ansatz.monomials):
+        terms = [((), exps, 1)]
+        for l, el in enumerate(exps):
+            if el:
+                low = tuple(e - (i == l) for i, e in enumerate(exps))
+                terms.append(((l,), low, el))
+                for k, ek in enumerate(low):
+                    if second and ek:
+                        lower = tuple(e - (i == k) for i, e in enumerate(low))
+                        terms.append(((l, k), lower, el * ek))
+        for a in range(ndirs):
+            col = m * ndirs + a
+            for suffix, e, scale in terms:
+                mono = LaurentPoly(table, {e: scale})
+                for tag, comps in zip(SYMBOL_TAGS, symbols[(a, *suffix)]):
+                    for comp, p in comps.items():
+                        accumulate(eqs.setdefault((tag, comp), {}), col, mono * p)
+    out = {}
+    for key in sorted(eqs):
+        polys = eqs[key]
+        top = tuple(map(max, zip(*(p.den for p in polys.values()))))
+        by_monomial = {}
+        for col, p in polys.items():
+            num = LaurentPoly(table, p.terms)
+            for k, m in enumerate(top):
+                for _ in range(m - p.den[k]):
+                    num = num * table.denominator_poly(k)
+            for e, c in num.terms.items():
+                by_monomial.setdefault(e, {})[col] = c
+        out[key] = [by_monomial[e] for e in sorted(by_monomial)]
+    return out
+
+
+class TestEquationMajorAssembly:
+    """`SystemBuilder` fed an operator's symbols and uses against a plain
+    `LinearSystem` fed the same operator assembled column by column: the
+    whole system, and each equation (tag, comp) alone, whose kernel is
+    large enough to show a wrong scale, shift, sum or denominator."""
+
+    @staticmethod
+    def _reference(ncols, rows):
+        ref = LinearSystem()
+        ref.register_columns(range(ncols))
+        for row in rows:
+            ref.add_row(row)
+        return ref
+
+    @settings(max_examples=150, deadline=None)
+    @given(symbol_tables())
+    def test_same_kernel_and_rank_as_column_major(self, case):
+        chart, ansatz, ndirs, symbols = case
+        operator = _column_operator(
+            SYMBOL_TAGS,
+            lambda a: symbols[(a,)],
+            lambda a, l: symbols[(a, l)],
+            (lambda a, l, k: symbols[(a, l, k)]) if (0, 0, 0) in symbols else None,
+        )
+        ncols = len(ansatz.monomials) * ndirs
+        got, uses = operator(ansatz.monomials, ndirs)
+        naive = _column_major_rows(chart, ansatz, ndirs, symbols)
+        equations = {(tag, comp) for parts in got.values() for tag, comp, _, _ in parts}
+        for eq in [None, *sorted(equations)]:  # None: the whole system
+            builder = SystemBuilder(chart.table, ncols)
+            builder.add(
+                {key: [p for p in parts if eq in (None, p[:2])] for key, parts in got.items()},
+                uses,
+            )
+            kernel, system = builder.kernel()
+            rows = [r for key, rs in naive.items() if eq in (None, key) for r in rs]
+            ref = self._reference(ncols, rows)
+            assert kernel == ref.kernel(), eq
+            assert system.rank() == ref.rank(), eq
+
+
+    def test_column_that_cancels_stays_free(self):
+        # on x d_x, x^1 S0 + 1 * S1 = x - x: the column's only raw row holds
+        # one entry whose terms sum to zero, which must not mark it as zero
+        chart = Chart(["x"])
+        x = chart.var("x")
+        symbols = {(0,): ({0: chart.const(1)},), (0, 0): ({0: -x},)}
+        operator = _column_operator(("A",), lambda a: symbols[(a,)], lambda a, l: symbols[(a, l)])
+        ansatz = AnsatzSpace(chart, total_degree=1)
+        builder = SystemBuilder(chart.table, 2)
+        builder.add(*operator(ansatz.monomials, 1))
+        kernel, system = builder.kernel()
+        assert kernel == [{1: 1}] and system.rank() == 1
 
 
 class TestFlatModel:
