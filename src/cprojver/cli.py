@@ -248,12 +248,33 @@ def build_parser():
     return p
 
 
+def _out_error(path):
+    """Why the report cannot be written to `path`, or None; checked before
+    the run, so that a bad --out costs no checks."""
+    if os.path.isdir(path):
+        return f"--out names a directory: {path}"
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        return f"--out directory does not exist: {parent}"
+    return None
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    problem = args.out and _out_error(args.out)
+    if problem:
+        print(f"error: {problem}", file=sys.stderr)
+        return 2
     try:
         return args.fn(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # a file the run could not read or write, such as a manifest missing
+        # from the CPROJ_CATALOG directory
+        where = f" {exc.filename}" if exc.filename else ""
+        print(f"error: cannot access{where}: {exc.strerror or exc}", file=sys.stderr)
         return 2
     except Exception as exc:
         msg = str(exc).replace("\n", " ")

@@ -21,17 +21,19 @@ from math import gcd
 
 def _scale_row_to_int(row):
     """dict col->(Fraction|int) -> dict col->int, scaled by the lcm of
-    denominators and divided by the content."""
+    denominators and divided by the content.  The exact `type(v) is int`
+    test comes first: `isinstance(v, Fraction)` is an ABC check, ten times
+    slower, and nearly every entry is an int."""
     lcm = 1
     for v in row.values():
-        if isinstance(v, Fraction):
+        if type(v) is not int:
             d = v.denominator
             if d != 1:
                 g = gcd(lcm, d)
                 lcm = lcm // g * d
     out = {}
     for k, v in row.items():
-        iv = v.numerator * (lcm // v.denominator) if isinstance(v, Fraction) else v * lcm
+        iv = v * lcm if type(v) is int else v.numerator * (lcm // v.denominator)
         if iv:
             out[k] = iv
     g = _row_content(out)

@@ -194,7 +194,12 @@ def _hermitian_defect(B: Tensor, J: Tensor):
 def _mobility_closures(g, ginv, J, gamma):
     """(pairs, with_herm, eq_only): the pairs a <= b in column order, and the
     operators apply(monomials, npairs) of (EQ, HERM) and of EQ alone on the
-    columns x^e E_ab, the direction p standing for (a, b) = pairs[p]."""
+    columns x^e E_ab, the direction p standing for (a, b) = pairs[p].
+
+    Every column E_ab is symmetric, and so is each term of EQ in its last
+    two indices: nabla_c keeps the symmetry of B, and the right-hand side
+    adds its terms in mirrored pairs.  So only the EQ components (c, a, b)
+    with a <= b are emitted; HERM lists a <= b already."""
     chart = g.chart
     d = chart.dim
     names = chart.table.names
@@ -244,9 +249,9 @@ def _mobility_closures(g, ginv, J, gamma):
             _subtract_lambda_terms(eq, g, om, J, {l: th})
         return eq, {}
 
-    with_herm = _column_operator(("EQ", "HERM"), symbol0, symbol1)
+    with_herm = _column_operator(("EQ", "HERM"), symbol0, symbol1, symmetric=("EQ",))
     eq_only = _column_operator(
-        ("EQ",), lambda p: symbol0(p)[:1], lambda p, l: symbol1(p, l)[:1]
+        ("EQ",), lambda p: symbol0(p)[:1], lambda p, l: symbol1(p, l)[:1], symmetric=("EQ",)
     )
     return pairs, with_herm, eq_only
 

@@ -196,10 +196,12 @@ class LaurentPoly:
         return ta, tb, den
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.const(self.table, other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
+        # the exact type first: isinstance(other, Fraction) is an ABC check
+        if type(other) is not LaurentPoly:
+            if isinstance(other, (int, Fraction)):
+                other = LaurentPoly.const(self.table, other)
+            elif not isinstance(other, LaurentPoly):
+                return NotImplemented
         _check_same_table(self, other)
         ta, tb, den = self._aligned(other)
         out = dict(ta)
@@ -229,17 +231,18 @@ class LaurentPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return LaurentPoly.zero(self.table)
-            return LaurentPoly(
-                self.table,
-                {e: v * other for e, v in self.terms.items()},
-                self.den,
-                _reduce=False,
-            )
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
+        if type(other) is not LaurentPoly:  # the exact type first, as in __add__
+            if isinstance(other, (int, Fraction)):
+                if not other:
+                    return LaurentPoly.zero(self.table)
+                return LaurentPoly(
+                    self.table,
+                    {e: v * other for e, v in self.terms.items()},
+                    self.den,
+                    _reduce=False,
+                )
+            if not isinstance(other, LaurentPoly):
+                return NotImplemented
         _check_same_table(self, other)
         terms = _mul_terms(self.terms, other.terms)
         if not any(self.den) and not any(other.den):

@@ -6,10 +6,14 @@ each ansatz basis element is matched monomial by monomial (after clearing
 declared denominators per equation), and the kernel is computed by sparse
 exact elimination.  An operator is called once per solve.  It returns its
 memoized symbols and, per symbol and integer scale, the (column, shift) list
-of the columns that use it; it sums nothing.  `SystemBuilder` assembles the
-system equation-major: for each equation it scatters every symbol that has
-that component over the columns that use it, which is the one place that
-terms are summed, and settles that equation's rows before the next one.
+of the columns that use it; it sums nothing.  Of an equation that is
+symmetric in its last two indices on every column (CP and L_v Gamma for a
+symmetric Gamma, L_v g for a symmetric g, the mobility equation), it emits
+one component of each mirrored pair, since the other repeats its rows.
+`SystemBuilder` assembles the system equation-major: for each equation it
+scatters every symbol that has that component over the columns that use
+it, which is the one place that terms are summed, and settles that
+equation's rows before the next one.
 Before the elimination, it settles the columns that one-entry rows force to
 zero: the rows {c: 1} for those columns plus the other rows stripped of them
 span the same row space, so the kernel is the same and most rows never
@@ -400,7 +404,23 @@ def _metric_symbol1(g: Tensor, a, l):
     return out
 
 
-def _column_operator(tags, symbol0, symbol1, symbol2=None):
+def _symmetric_tags(tag, T: Tensor):
+    """(tag,) when T equals itself with its last two indices swapped, checked
+    exactly on every entry, else ()."""
+    if all(T.comps.get((*k[:-2], k[-1], k[-2])) == p for k, p in T.comps.items()):
+        return (tag,)
+    return ()
+
+
+def _halved(parts, symmetric):
+    """`parts` [(tag, comp, ...)] without the components of the tags in
+    `symmetric` whose last two indices descend: on every column such a
+    component repeats its mirror row for row.  Every symbol of such an
+    equation must pass through here, or the kept rows lose terms."""
+    return [part for part in parts if part[0] not in symmetric or part[1][-2] <= part[1][-1]]
+
+
+def _column_operator(tags, symbol0, symbol1, symbol2=None, symmetric=()):
     """The operator apply(monomials, ndirs) -> (symbols, uses), the
     `SystemBuilder` input of the columns x^e d_a, column m * ndirs + a for
     e = monomials[m].
@@ -409,10 +429,13 @@ def _column_operator(tags, symbol0, symbol1, symbol2=None):
     dict {comp: LaurentPoly} per tag.  `symbols` maps each key (a,), (a, l)
     or (a, l, k) that some column takes to its parts [(tag, comp, den,
     items)], with packed term keys; a symbol is built on first use and kept
-    for later calls.  `uses` maps the key to {scale: [(col, shift)]}: the
-    columns that take scale * x^shift times the symbol, shift the packed
-    x^e, x^(e-1_l) or x^(e-1_l-1_k) and scale 1, e_l or
-    e_l (e_k - delta_lk).  Nothing is summed, scaled or cleared here.
+    for later calls.  The tags in `symmetric` name equations symmetric in
+    the last two component indices; their parts are cut to one component of
+    each mirrored pair (`_halved`), and a symbol left with no part gets no
+    uses.  `uses` maps the key to {scale: [(col, shift)]}: the columns that
+    take scale * x^shift times the symbol, shift the packed x^e, x^(e-1_l)
+    or x^(e-1_l-1_k) and scale 1, e_l or e_l (e_k - delta_lk).  Nothing is
+    summed, scaled or cleared here.
     """
     builders = {1: symbol0, 2: symbol1, 3: symbol2}
     memo = {}
@@ -420,11 +443,14 @@ def _column_operator(tags, symbol0, symbol1, symbol2=None):
     def symbol(key):
         got = memo.get(key)
         if got is None:
-            got = memo[key] = [
-                (tag, comp, p.den, _packed(p))
-                for tag, comps in zip(tags, builders[len(key)](*key))
-                for comp, p in comps.items()
-            ]
+            got = memo[key] = _halved(
+                [
+                    (tag, comp, p.den, _packed(p))
+                    for tag, comps in zip(tags, builders[len(key)](*key))
+                    for comp, p in comps.items()
+                ],
+                symmetric,
+            )
         return got
 
     def apply(monomials, ndirs):
@@ -447,15 +473,22 @@ def _column_operator(tags, symbol0, symbol1, symbol2=None):
         uses = {}
         for (suffix, scale), shifts in taken.items():
             for a in range(ndirs):
-                cols = [(m * ndirs + a, shift) for m, shift in shifts]
-                uses.setdefault((a, *suffix), {})[scale] = cols
+                key = (a, *suffix)
+                if symbol(key):
+                    cols = [(m * ndirs + a, shift) for m, shift in shifts]
+                    uses.setdefault(key, {})[scale] = cols
         return {key: symbol(key) for key in uses}, uses
 
     return apply
 
 
 def cproj_operator(spec):
-    """The `_column_operator` of `cproj_equations`."""
+    """The `_column_operator` of `cproj_equations`.
+
+    When Gamma is symmetric, L_v Gamma is symmetric in its lower indices on
+    every field v, and CP keeps that symmetry (its trace and J terms are
+    added in mirrored pairs), so only the CP components (i, j, k) with
+    j <= k are emitted."""
     chart, J, G = spec.chart, spec.J, spec.gamma
     names = chart.table.names
     one = chart.const(1)
@@ -467,28 +500,37 @@ def cproj_operator(spec):
         ),
         lambda a, l: (_J_symbol1(J, a, l), cp_projection(J, _connection_symbol1(G, a, l))),
         lambda a, l, k: ({}, cp_projection(J, {(a, l, k): one})),
+        symmetric=_symmetric_tags("CP", G),
     )
 
 
 def killing_operator(spec, holomorphic=True):
-    """The `_column_operator` of `killing_equations`."""
+    """The `_column_operator` of `killing_equations`.
+
+    When g is symmetric, so is L_v g on every field v, and only its
+    components (i, j) with i <= j are emitted; `solve_field_system` cuts the
+    homothety scale column the same way."""
     chart, J, g = spec.chart, spec.J, spec.metric
     names = chart.table.names
+    symmetric = _symmetric_tags("LG", g)
     if not holomorphic:
         return _column_operator(
             ("LG",),
             lambda a: (_derivative_symbol(g, names[a]),),
             lambda a, l: (_metric_symbol1(g, a, l),),
+            symmetric=symmetric,
         )
     return _column_operator(
         ("LJ", "LG"),
         lambda a: (_derivative_symbol(J, names[a]), _derivative_symbol(g, names[a])),
         lambda a, l: (_J_symbol1(J, a, l), _metric_symbol1(g, a, l)),
+        symmetric=symmetric,
     )
 
 
 def affine_operator(spec):
-    """The `_column_operator` of `affine_equations`."""
+    """The `_column_operator` of `affine_equations`; when Gamma is symmetric,
+    only the L_v Gamma components (i, j, k) with j <= k are emitted."""
     chart, J, G = spec.chart, spec.J, spec.gamma
     names = chart.table.names
     one = chart.const(1)
@@ -497,6 +539,7 @@ def affine_operator(spec):
         lambda a: (_derivative_symbol(J, names[a]), _derivative_symbol(G, names[a])),
         lambda a, l: (_J_symbol1(J, a, l), _connection_symbol1(G, a, l)),
         lambda a, l, k: ({}, {(a, l, k): one}),
+        symmetric=_symmetric_tags("LG", G),
     )
 
 
@@ -512,7 +555,8 @@ def solve_field_system(spec, operator, ansatz, extra_metric_scale=None, ndirs=No
 
     With `extra_metric_scale` (the metric tensor), one extra scalar unknown c
     is appended and the equation tagged "LG" becomes L_v g - c g = 0; its
-    value in each kernel vector is listed in `scales`.
+    value in each kernel vector is listed in `scales`.  The c column is cut
+    to the components that `killing_operator` emits for the same metric.
     """
     table = spec.chart.table
     if ndirs is None:
@@ -522,8 +566,9 @@ def solve_field_system(spec, operator, ansatz, extra_metric_scale=None, ndirs=No
     builder.add(*operator(ansatz.monomials, ndirs))
     if extra_metric_scale is not None:
         comps = extra_metric_scale.scale(-1).comps
+        parts = [("LG", comp, p.den, _packed(p)) for comp, p in comps.items()]
         builder.add(
-            {"c": [("LG", comp, p.den, _packed(p)) for comp, p in comps.items()]},
+            {"c": _halved(parts, _symmetric_tags("LG", extra_metric_scale))},
             {"c": {1: [(nfield, 0)]}},
         )
     kernel, _ = builder.kernel()

@@ -19,6 +19,18 @@ def unpack(key, nv):
     return tuple(reversed(exps))
 
 
+def emitted_half(comps, symmetric):
+    """The components of a generic-route tensor that an operator emits: all
+    of `comps`, or, when the equation is `symmetric` in its last two
+    indices, those whose last two indices ascend, after asserting that every
+    component equals its mirror, so that the cut drops only repeats."""
+    if not symmetric:
+        return comps
+    for key, p in comps.items():
+        assert comps.get((*key[:-2], key[-1], key[-2])) == p, key
+    return {key: p for key, p in comps.items() if key[-2] <= key[-1]}
+
+
 def without_direction(operator, a):
     """`operator` with every symbol of direction `a` (key[0] == a) dropped,
     so that the columns of that direction take no equation."""

@@ -235,6 +235,45 @@ class TestAlgebra:
         assert err.count("\n") == 1 and "Traceback" not in err
 
 
+class TestBadPaths:
+    """A path the run cannot use is a one-line usage error naming it, and a
+    bad --out is caught before any check runs."""
+
+    @pytest.fixture
+    def no_battery(self, monkeypatch):
+        def boom(*args):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr("cprojver.verify.table_battery", boom)
+
+    def test_out_in_missing_directory(self, tmp_path, capsys, no_battery):
+        out = tmp_path / "missing" / "x.json"
+        assert run(["table", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: --out directory does not exist: {out.parent}\n"
+
+    def test_out_naming_a_directory(self, tmp_path, capsys, no_battery):
+        assert run(["table", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: --out names a directory: {tmp_path}\n"
+
+    def test_out_in_working_directory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run(["table", "--n-min", "2", "--n-max", "2", "--out", "r.json"]) == 0
+        assert json.loads((tmp_path / "r.json").read_text())["pass"]
+
+    @pytest.mark.parametrize("args", [
+        ["verify", "--model", "type2", "--n", "2"],
+        ["metric", "--model", "submax-metric", "--n", "2"],
+    ])
+    def test_missing_catalog_directory(self, args, tmp_path, capsys, monkeypatch):
+        catalog = tmp_path / "nonexistent"
+        monkeypatch.setenv("CPROJ_CATALOG", str(catalog))
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot access {catalog}{os.sep}")
+        assert err.count("\n") == 1 and "internal error" not in err
+
+
 def test_unexpected_exception_is_internal_error(monkeypatch, capsys):
     def boom(*args):
         raise RuntimeError("boom\nsecond line")

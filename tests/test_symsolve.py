@@ -1,5 +1,6 @@
 """Symmetry PDE kernels: ansatz spaces, solvers, the symmetry-to-mobility map."""
 
+import dataclasses
 from fractions import Fraction
 from functools import partial
 from itertools import product
@@ -20,6 +21,7 @@ from cprojver.symsolve import (
     _column_operator,
     _pack,
     _packed,
+    _symmetric_tags,
     affine_operator,
     affine_system,
     bracket_fields,
@@ -39,7 +41,7 @@ from cprojver.symsolve import (
 )
 from cprojver import tensorcalc as tc
 from cprojver.tensorcalc import Chart, Tensor
-from conftest import unpack, without_direction
+from conftest import emitted_half, unpack, without_direction
 
 
 class TestAnsatz:
@@ -149,12 +151,31 @@ class TestPackedKeys:
                 op([(0, 0, 0, 0)], 1)
 
 
+# The catalog models whose Gamma is symmetric (torsion-free): their CP and
+# L_v Gamma equations are symmetric in the lower indices, and the operators
+# emit one component of each mirrored pair.  Every metric is symmetric.
+SYMMETRIC_GAMMA = {"flat", "type1", "type1-n2", "type2", "submax-metric", "cp1xc"}
+
+
+def _asymmetric_type2():
+    """type2 at n=2 with Gamma^3_10 negated, so that Gamma^3_01 = x1 and
+    Gamma^3_10 = -x1: a connection with torsion whose kernel a halved CP
+    equation gets wrong (7 fields against 6)."""
+    spec = builtin("type2", 2)
+    comps = dict(spec.gamma.comps)
+    assert comps[(3, 0, 1)] == comps[(3, 1, 0)] != 0
+    comps[(3, 1, 0)] = -comps[(3, 1, 0)]
+    return dataclasses.replace(spec, gamma=Tensor(spec.chart, (1, 2), comps))
+
+
 class TestColumnSymbols:
     """The operators' symbols and uses against the generic route:
     tensorcalc's Lie derivatives of the field x^e d_a, each computed once per
     column and shared by the three operators' equations.  A column's value
     is rebuilt from the uses of a one-monomial ansatz, where column a is the
-    direction a."""
+    direction a.  Where an equation is symmetric in its last two indices,
+    the operator emits the components whose last two indices ascend; the
+    generic route's other components must equal their mirrors."""
 
     @pytest.mark.parametrize("name,n", CATALOG)
     def test_columns_equal_generic_route(self, name, n, canonical):
@@ -162,6 +183,7 @@ class TestColumnSymbols:
         table = spec.chart.table
         dim = spec.chart.dim
         J, G, g = spec.J, spec.gamma, spec.metric
+        sym = name in SYMMETRIC_GAMMA
         base = model_ansatz(spec)
         big = base.enlarged()
         # the enlarged columns include every column of the base solve
@@ -180,27 +202,49 @@ class TestColumnSymbols:
                 v = {a: mono}
                 lj = ("LJ", tc.lie_derivative_J(v, J).comps)
                 om = tc.lie_derivative_connection(v, G).comps
-                cp = ("CP", cp_projection(J, om))
+                cp = ("CP", emitted_half(cp_projection(J, om), sym))
                 got = canonical(table, outputs["cproj"], a, ("LJ", "CP"))
                 assert got == [lj, cp], (exps, a)
                 got = canonical(table, outputs["affine"], a, ("LJ", "LG"))
-                assert got == [lj, ("LG", om)], (exps, a)
+                assert got == [lj, ("LG", emitted_half(om, sym))], (exps, a)
                 if g is not None:
-                    lg = ("LG", tc.lie_derivative_metric(v, g).comps)
+                    lg = ("LG", emitted_half(tc.lie_derivative_metric(v, g).comps, True))
                     got = canonical(table, outputs["killing"], a, ("LJ", "LG"))
                     assert got == [lj, lg], (exps, a)
                     got = canonical(table, outputs["isometry"], a, ("LG",))
                     assert got == [lg], (exps, a)
 
     @pytest.mark.parametrize("name,n", CATALOG)
-    def test_builder_clears_denominators_of_either_route(self, name, n):
-        # the operator hands over shifted, scaled uses of unreduced rational
-        # symbols per (component, denominator), the generic route reduced
-        # LaurentPoly components, fed here as one symbol per column, used
-        # once and unshifted; SystemBuilder sums the terms and brings each
-        # equation to one denominator, so both must give the same kernel,
-        # of the published dimension
+    def test_gamma_symmetry_decides_the_cut(self, name, n):
         spec = builtin(name, n)
+        expected = ("CP",) if name in SYMMETRIC_GAMMA else ()
+        assert _symmetric_tags("CP", spec.gamma) == expected
+        if spec.metric is not None:
+            assert _symmetric_tags("LG", spec.metric) == ("LG",)
+
+    @pytest.mark.parametrize("name,n", [("type3", 3), ("nonminimal", 2), ("asymmetric", 2)])
+    def test_connection_with_torsion_emits_both_halves(self, name, n):
+        spec = _asymmetric_type2() if name == "asymmetric" else builtin(name, n)
+        dim = spec.chart.dim
+        monomials = model_ansatz(spec).monomials
+        for operator, tag in ((cproj_operator, "CP"), (affine_operator, "LG")):
+            symbols, _ = operator(spec)(monomials, dim)
+            comps = {comp for parts in symbols.values() for t, comp, _, _ in parts if t == tag}
+            assert any(j > k for _, j, k in comps), tag
+            assert {(i, k, j) for i, j, k in comps} == comps, tag
+
+    def test_connection_with_torsion_keeps_the_generic_kernel(self):
+        # one Gamma entry made asymmetric: the operator must not halve CP,
+        # which here would add a seventh field
+        spec = _asymmetric_type2()
+        generic, fed = self._kernels(spec)
+        assert generic == fed and len(generic) == 6
+
+    @staticmethod
+    def _kernels(spec):
+        """The kernels of the model ansatz from the generic route, each
+        column's `cproj_equations` as one unshifted symbol used once, and
+        from `cproj_operator`."""
         table = spec.chart.table
         dim = spec.chart.dim
         monomials = model_ansatz(spec).monomials
@@ -219,9 +263,21 @@ class TestColumnSymbols:
         generic, fed = SystemBuilder(table, ncols), SystemBuilder(table, ncols)
         generic.add(symbols, uses)
         fed.add(*cproj_operator(spec)(monomials, dim))
-        kernel, _ = generic.kernel()
-        assert kernel == fed.kernel()[0]
-        assert len(kernel) == spec.expect("symmetry_dim")
+        return generic.kernel()[0], fed.kernel()[0]
+
+    @pytest.mark.parametrize("name,n", CATALOG)
+    def test_builder_clears_denominators_of_either_route(self, name, n):
+        # the operator hands over shifted, scaled uses of unreduced rational
+        # symbols per (component, denominator), the generic route reduced
+        # LaurentPoly components, fed here as one symbol per column, used
+        # once and unshifted, with both halves of every symmetric equation;
+        # SystemBuilder sums the terms and brings each equation to one
+        # denominator, so both must give the same kernel, of the published
+        # dimension
+        spec = builtin(name, n)
+        generic, fed = self._kernels(spec)
+        assert generic == fed
+        assert len(generic) == spec.expect("symmetry_dim")
 
     def test_wrong_closure_fails_verification(self):
         spec = builtin("type2", 2)
