@@ -314,9 +314,9 @@ def _build_model(name, n, signs, body):
     metric = None
     used_signs = tuple(signs) if signs else ()
     msec = body.get("metric", [])
+    rest = None
     if msec:
         mcomps = {}
-        rest = None
         for ln, s in msec:
             head, val = _split_head(s, ln)
             if head == "rest":
@@ -347,6 +347,10 @@ def _build_model(name, n, signs, body):
                 for r in (2 * k - 2, 2 * k - 1):
                     mcomps[(r, r)] = chart.const(eps)
         metric = Tensor(chart, (0, 2), mcomps)
+    if used_signs and (rest is None or rest[0] != "eps"):
+        raise ManifestError(
+            f"model {name!r} has no 'rest = eps' metric clause to read a sign pattern"
+        )
 
     if gamma is None and metric is not None:
         from .metric import levi_civita

@@ -153,22 +153,20 @@ def _subtract_lambda_terms(out, g, om, J, lam):
 
 
 def _mobility_operator(g, ginv, J, gamma):
+    """B -> nabla B minus the right-hand side of the mobility equation, all
+    on `contract`: theta = (1/4) g^ab B_ab, l = d theta and the terms
+    g_ac l_b + w_ac (Jl)_b, added with their mirrors in (a, b)."""
     chart = g.chart
-    d = chart.dim
-    names = chart.table.names
-    om = kahler_form(g, J)
+    w = contract("ca,cb->ab", J, g)  # w(X, Y) = g(JX, Y)
 
     def apply(B: Tensor):
-        nb = covariant_derivative_02(gamma, B)
-        theta = _theta(ginv, B.comps)
-        lam = {
-            a: theta.derivative(names[a])
-            for a in range(d)
-            if not theta.derivative(names[a]).is_zero()
-        }
-        out = dict(nb.comps)
-        _subtract_lambda_terms(out, g, om, J, lam)
-        return Tensor(chart, (0, 3), out)
+        theta = {(): p * Fraction(1, 4) for p in contract("ab,ab->", ginv, B).values()}
+        lam = partials(theta, chart)
+        jlam = contract("a,aj->j", lam, J)
+        half = Tensor(chart, (0, 3), contract("ac,b->cab", g, lam))
+        half += Tensor(chart, (0, 3), contract("ac,b->cab", w, jlam))
+        rhs = half + Tensor(chart, (0, 3), contract("cab->cba", half))
+        return covariant_derivative_02(gamma, B) - rhs
 
     return apply
 
@@ -188,7 +186,8 @@ def _hermitian_defect(B: Tensor, J: Tensor):
 # S1(ab, l) = dx^l (x) E_ab + R(theta_ab dx^l), where theta_ab = theta(E_ab)
 # and R is the right-hand side (`_subtract_lambda_terms`).  `SystemBuilder`
 # shifts and scales these symbols over their uses; `_mobility_operator` and
-# `_hermitian_defect` are the generic route that re-verifies the solutions.
+# `_hermitian_defect` are the generic route that re-verifies the solutions,
+# written on `contract` and sharing none of these helpers.
 
 
 def _mobility_closures(g, ginv, J, gamma):

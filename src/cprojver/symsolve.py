@@ -4,7 +4,12 @@ Every tensor equation is linear in the unknown vector field (or tensor), so a
 finite ansatz turns it into exact linear algebra: the operator's value on
 each ansatz basis element is matched monomial by monomial (after clearing
 declared denominators per equation), and the kernel is computed by sparse
-exact elimination.  An operator is called once per solve.  It returns its
+exact elimination.  Each equation of a symmetry solve is a Lie derivative
+L_v T (CP of one for the connection), and one slot rule, `_lie_symbol`,
+gives the symbols of all of them from T's valence.  The field-level
+equations (`cproj_equations` and friends) that re-verify kernel fields
+share no code with the symbols but `poly` and `tensorcalc`.  An operator is
+called once per solve.  It returns its
 memoized symbols and, per symbol and integer scale, the (column, shift) list
 of the columns that use it; it sums nothing.  Of an equation that is
 symmetric in its last two indices on every column (CP and L_v Gamma for a
@@ -289,13 +294,17 @@ class SystemBuilder:
 #     x^e S0(a) + sum_l e_l x^(e-1_l) S1(a, l)
 #               + sum_(l,k) e_l (e_k - delta_lk) x^(e-1_l-1_k) S2(a, l, k)
 #
-# with symbols S0, S1, S2 that do not depend on e.  An operator builds each
-# symbol once per direction and lists, per symbol and integer scale, the
-# columns that take it with their shifts; `SystemBuilder` does the shifting
-# and scaling.  The field-level functions (`cproj_equations` and friends)
-# compute the same equations through tensorcalc's Lie derivatives instead;
-# `verify_fields` checks kernel fields with them, so the check does not rerun
-# the symbol code.
+# with symbols S0, S1, S2 that do not depend on e.  Each equation is a Lie
+# derivative L_v T (CP of one for the connection), so one slot rule,
+# `_lie_symbol`, gives every S0 and S1 from T's valence; only a connection
+# has an S2, 1 on (a, l, k), named where `_lie_operator` is given Gamma.  An
+# operator builds each symbol once per direction and lists, per symbol and
+# integer scale, the columns that take it with their shifts; `SystemBuilder`
+# does the shifting and scaling.  The field-level functions
+# (`cproj_equations` and friends) compute the same equations from tensorcalc
+# alone: its Lie derivatives and, for CP, one `contract` expression.
+# `verify_fields` checks kernel fields with them, so the check shares no code
+# with the symbols but `poly` and `tensorcalc`.
 
 
 def cp_projection(J: Tensor, om):
@@ -327,12 +336,26 @@ def cp_projection(J: Tensor, om):
 
 
 def cproj_equations(spec, v):
-    """v -> (L_v J, the symmetry-equation tensor of the connection)."""
+    """v -> (L_v J, CP(L_v Gamma)), with CP written out on `contract`,
+    independently of the symbols' CP map: for Omega = L_v Gamma,
+
+        CP(Omega)^i_jk = Omega^i_jk - delta^i_k phi_j - delta^i_j phi_k
+                         + sigma_j J^i_k + sigma_k J^i_j,
+
+    phi_j = Omega^i_ji / (2(n+1)) and sigma_j = phi_a J^a_j."""
+    chart, J = spec.chart, spec.J
     om = lie_derivative_connection(v, spec.gamma)
-    return [
-        ("LJ", lie_derivative_J(v, spec.J)),
-        ("CP", Tensor(spec.chart, (1, 2), cp_projection(spec.J, om.comps))),
-    ]
+    phi = {
+        j: p * Fraction(1, 2 * (chart.n_complex() + 1))
+        for j, p in contract("iji->j", om).items()
+    }
+    delta = {(i, i): chart.const(1) for i in range(chart.dim)}
+    # the delta^i_k phi_j and sigma_j J^i_k terms; the others are their mirrors
+    half = Tensor(chart, (1, 2), contract("a,aj,ik->ijk", phi, J, J)) - Tensor(
+        chart, (1, 2), contract("j,ik->ijk", phi, delta)
+    )
+    cp = om + half + Tensor(chart, (1, 2), contract("ijk->ikj", half))
+    return [("LJ", lie_derivative_J(v, J)), ("CP", cp)]
 
 
 def affine_equations(spec, v):
@@ -360,47 +383,22 @@ def homothety_equations(spec, field_and_scale, holomorphic=True):
     ]
 
 
-def _derivative_symbol(T: Tensor, name):
+def _lie_symbol(T: Tensor, a, l=None):
+    """A symbol of v -> L_v T on the column x^e d_a: S0(a) = d_a T, or, with
+    `l`, S1(a, l), by the slot rule of T's valence: -delta^i_a T^(..l..)
+    for each upper slot and +delta_jl T_(..a..) for each lower slot."""
+    if l is None:
+        name = T.chart.table.names[a]
+        return {key: q for key, p in T.comps.items() if (q := p.derivative(name))}
+    up = T.valence[0]
     out = {}
     for key, p in T.comps.items():
-        q = p.derivative(name)
-        if q:
-            out[key] = q
-    return out
-
-
-def _J_symbol1(J: Tensor, a, l):
-    """-delta^i_a J^l_j + delta_jl J^i_a."""
-    out = {}
-    for (i, j), p in J.comps.items():
-        if i == l:
-            accumulate(out, (a, j), -p)
-        if j == a:
-            accumulate(out, (i, l), p)
-    return out
-
-
-def _connection_symbol1(G: Tensor, a, l):
-    """-delta^i_a G^l_jk + delta_jl G^i_ak + delta_kl G^i_ja."""
-    out = {}
-    for (i, j, k), p in G.comps.items():
-        if i == l:
-            accumulate(out, (a, j, k), -p)
-        if j == a:
-            accumulate(out, (i, l, k), p)
-        if k == a:
-            accumulate(out, (i, j, l), p)
-    return out
-
-
-def _metric_symbol1(g: Tensor, a, l):
-    """delta_il g_aj + delta_jl g_ia."""
-    out = {}
-    for (i, j), p in g.comps.items():
-        if i == a:
-            accumulate(out, (l, j), p)
-        if j == a:
-            accumulate(out, (i, l), p)
+        for s, i in enumerate(key):
+            if s < up:
+                if i == l:
+                    accumulate(out, (*key[:s], a, *key[s + 1 :]), -p)
+            elif i == a:
+                accumulate(out, (*key[:s], l, *key[s + 1 :]), p)
     return out
 
 
@@ -482,65 +480,55 @@ def _column_operator(tags, symbol0, symbol1, symbol2=None, symmetric=()):
     return apply
 
 
-def cproj_operator(spec):
-    """The `_column_operator` of `cproj_equations`.
+def _lie_operator(spec, equations, connection=None, project=None):
+    """The `_column_operator` of v -> L_v T for each (tag, T) in `equations`.
 
-    When Gamma is symmetric, L_v Gamma is symmetric in its lower indices on
-    every field v, and CP keeps that symmetry (its trace and J terms are
-    added in mirrored pairs), so only the CP components (i, j, k) with
-    j <= k are emitted."""
-    chart, J, G = spec.chart, spec.J, spec.gamma
-    names = chart.table.names
-    one = chart.const(1)
+    The entry tagged `connection` is a connection Gamma: L_v Gamma also has
+    the second-order symbol S2(a, l, k) = 1 on (a, l, k), and `project`, when
+    given, maps each of that entry's symbols (CP).  The cut to one component
+    of each mirrored pair is decided once per T with two lower indices: when
+    T is symmetric in them, so is L_v T on every field v, and so is CP of it
+    (its trace and J terms are added in mirrored pairs)."""
+    tags = tuple(tag for tag, _ in equations)
+    one = spec.chart.const(1)
+
+    def mapped(tag, comps):
+        return project(comps) if project is not None and tag == connection else comps
+
+    def symbol2(a, l, k):
+        return tuple(mapped(tag, {(a, l, k): one}) if tag == connection else {} for tag in tags)
+
     return _column_operator(
-        ("LJ", "CP"),
-        lambda a: (
-            _derivative_symbol(J, names[a]),
-            cp_projection(J, _derivative_symbol(G, names[a])),
+        tags,
+        lambda a: tuple(mapped(tag, _lie_symbol(T, a)) for tag, T in equations),
+        lambda a, l: tuple(mapped(tag, _lie_symbol(T, a, l)) for tag, T in equations),
+        symbol2 if connection is not None else None,
+        symmetric=tuple(
+            sym for tag, T in equations if T.valence[1] == 2 for sym in _symmetric_tags(tag, T)
         ),
-        lambda a, l: (_J_symbol1(J, a, l), cp_projection(J, _connection_symbol1(G, a, l))),
-        lambda a, l, k: ({}, cp_projection(J, {(a, l, k): one})),
-        symmetric=_symmetric_tags("CP", G),
+    )
+
+
+def cproj_operator(spec):
+    """The `_column_operator` of `cproj_equations`."""
+    return _lie_operator(
+        spec,
+        [("LJ", spec.J), ("CP", spec.gamma)],
+        connection="CP",
+        project=partial(cp_projection, spec.J),
     )
 
 
 def killing_operator(spec, holomorphic=True):
-    """The `_column_operator` of `killing_equations`.
-
-    When g is symmetric, so is L_v g on every field v, and only its
-    components (i, j) with i <= j are emitted; `solve_field_system` cuts the
-    homothety scale column the same way."""
-    chart, J, g = spec.chart, spec.J, spec.metric
-    names = chart.table.names
-    symmetric = _symmetric_tags("LG", g)
-    if not holomorphic:
-        return _column_operator(
-            ("LG",),
-            lambda a: (_derivative_symbol(g, names[a]),),
-            lambda a, l: (_metric_symbol1(g, a, l),),
-            symmetric=symmetric,
-        )
-    return _column_operator(
-        ("LJ", "LG"),
-        lambda a: (_derivative_symbol(J, names[a]), _derivative_symbol(g, names[a])),
-        lambda a, l: (_J_symbol1(J, a, l), _metric_symbol1(g, a, l)),
-        symmetric=symmetric,
-    )
+    """The `_column_operator` of `killing_equations`; `solve_field_system`
+    cuts the homothety scale column as this cuts L_v g."""
+    lj = [("LJ", spec.J)] if holomorphic else []
+    return _lie_operator(spec, [*lj, ("LG", spec.metric)])
 
 
 def affine_operator(spec):
-    """The `_column_operator` of `affine_equations`; when Gamma is symmetric,
-    only the L_v Gamma components (i, j, k) with j <= k are emitted."""
-    chart, J, G = spec.chart, spec.J, spec.gamma
-    names = chart.table.names
-    one = chart.const(1)
-    return _column_operator(
-        ("LJ", "LG"),
-        lambda a: (_derivative_symbol(J, names[a]), _derivative_symbol(G, names[a])),
-        lambda a, l: (_J_symbol1(J, a, l), _connection_symbol1(G, a, l)),
-        lambda a, l, k: ({}, {(a, l, k): one}),
-        symmetric=_symmetric_tags("LG", G),
-    )
+    """The `_column_operator` of `affine_equations`."""
+    return _lie_operator(spec, [("LJ", spec.J), ("LG", spec.gamma)], connection="LG")
 
 
 def solve_field_system(spec, operator, ansatz, extra_metric_scale=None, ndirs=None):

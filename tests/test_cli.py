@@ -307,6 +307,16 @@ class TestMetricCmd:
         err = capsys.readouterr().err
         assert err == "error: model 'type2' declares no [metric] section\n"
 
+    @pytest.mark.parametrize("model,n,signs", [("flat", "3", "+++"), ("cp1xc", "2", "-+-")])
+    def test_sign_pattern_nothing_reads_is_a_manifest_error(self, capsys, model, n, signs):
+        # only a 'rest = eps' metric clause reads --signs; elsewhere it
+        # would be silently ignored
+        assert run(["metric", "--model", model, "--n", n, f"--signs={signs}", "--fast"]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: model {model!r} has no 'rest = eps' metric clause to read a sign pattern\n"
+        )
+
     def test_sign_pattern_rejects_other_characters(self, capsys):
         assert run(["metric", "--model", "submax-metric", "--n", "2", "--signs", "+x"]) == 2
         err = capsys.readouterr().err

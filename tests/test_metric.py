@@ -201,6 +201,37 @@ class TestMobilityColumns:
                 assert got == [eq, herm], (exps, a, b)
                 assert canonical(chart.table, eqs, p, ("EQ",)) == [eq], (exps, a, b)
 
+    @pytest.mark.parametrize("name", ["flat", "submax-metric"])
+    def test_reverification_shares_no_code_with_the_symbols(self, monkeypatch, name):
+        # the generic route computes theta, d theta and the right-hand side
+        # on `contract`, so it runs with the symbol route's helpers made to
+        # raise: from the start for `mobility_equation_holds`, and from the
+        # check on, after the solves, for `mobility_dimension`
+        spec = builtin(name, 2)
+        chart = spec.chart
+
+        def boom(*args):
+            raise AssertionError("the re-verification ran a symbol helper")
+
+        def break_helpers():
+            monkeypatch.setattr(metric, "_theta", boom)
+            monkeypatch.setattr(metric, "_subtract_lambda_terms", boom)
+
+        operator = metric._mobility_operator
+
+        def checked(*args):
+            break_helpers()
+            return operator(*args)
+
+        monkeypatch.setattr(metric, "_mobility_operator", checked)
+        res = mobility_dimension(spec)
+        assert res.verified is True and res.identity_included
+        monkeypatch.undo()
+        break_helpers()
+        assert mobility_equation_holds(spec, spec.metric)
+        x = chart.var(chart.table.names[0])
+        assert not mobility_equation_holds(spec, spec.metric.scale(x))
+
     @pytest.mark.parametrize("dropped", [0, 1])  # with_herm, eq_only
     def test_wrong_closure_fails_verification(self, monkeypatch, dropped):
         # an operator that drops every symbol of the pair p = 0 leaves every

@@ -25,7 +25,6 @@ from cprojver.symsolve import (
     affine_operator,
     affine_system,
     bracket_fields,
-    cp_projection,
     cproj_equations,
     cproj_operator,
     cproj_system,
@@ -170,8 +169,8 @@ def _asymmetric_type2():
 
 class TestColumnSymbols:
     """The operators' symbols and uses against the generic route:
-    tensorcalc's Lie derivatives of the field x^e d_a, each computed once per
-    column and shared by the three operators' equations.  A column's value
+    tensorcalc's Lie derivatives of the field x^e d_a, and CP of L_v Gamma as
+    `cproj_equations` writes it on `contract`.  A column's value
     is rebuilt from the uses of a one-monomial ansatz, where column a is the
     direction a.  Where an equation is symmetric in its last two indices,
     the operator emits the components whose last two indices ascend; the
@@ -202,7 +201,7 @@ class TestColumnSymbols:
                 v = {a: mono}
                 lj = ("LJ", tc.lie_derivative_J(v, J).comps)
                 om = tc.lie_derivative_connection(v, G).comps
-                cp = ("CP", emitted_half(cp_projection(J, om), sym))
+                cp = ("CP", emitted_half(dict(cproj_equations(spec, v))["CP"].comps, sym))
                 got = canonical(table, outputs["cproj"], a, ("LJ", "CP"))
                 assert got == [lj, cp], (exps, a)
                 got = canonical(table, outputs["affine"], a, ("LJ", "LG"))
@@ -553,6 +552,18 @@ class TestVerification:
         spec = builtin("type2", 3)
         for label, f in expected_symmetries(spec):
             assert all(t.is_zero() for _, t in cproj_equations(spec, f)), label
+
+    def test_cp_check_does_not_run_cp_projection(self, monkeypatch):
+        # `cproj_equations` writes CP on `contract`, so the check of the
+        # kernel fields runs with the symbols' CP map made to raise
+        spec = builtin("type2", 2)
+        basis, _ = solve_field_system(spec, cproj_operator(spec), model_ansatz(spec))
+
+        def boom(*args):
+            raise AssertionError("the re-verification ran cp_projection")
+
+        monkeypatch.setattr("cprojver.symsolve.cp_projection", boom)
+        assert len(basis) == 8 and verify_fields(partial(cproj_equations, spec), basis)
 
     def test_span_equality(self):
         spec = builtin("nonminimal", 2)
