@@ -22,7 +22,7 @@ import re
 
 from .catalog import data_dir
 from .parse import ParseError, parse_poly
-from .poly import LaurentPoly, VarTable
+from .poly import LaurentPoly, VarTable, pack, unpack
 from .structlie import StructAlgebra
 
 _BRACKET = re.compile(r"bracket\s*\[\s*(\w+)\s*,\s*(\w+)\s*\]\s*=\s*(.*)$")
@@ -104,7 +104,8 @@ def _split_linear(poly, table, labels, params, ptable, ln):
     """Split a polynomial over params+labels into {label index: coeff}."""
     npar = len(params)
     vec = {}
-    for exps, c in poly.terms.items():
+    for key, c in poly.terms.items():
+        exps = unpack(key, table.nvars())
         lab_part = exps[npar:]
         ones = [i for i, e in enumerate(lab_part) if e]
         if len(ones) != 1 or lab_part[ones[0]] != 1:
@@ -113,7 +114,7 @@ def _split_linear(poly, table, labels, params, ptable, ln):
             )
         k = ones[0]
         if ptable is not None:
-            coeff = LaurentPoly(ptable, {tuple(exps[:npar]): c})
+            coeff = LaurentPoly(ptable, {pack(exps[:npar]): c})
             prev = vec.get(k)
             vec[k] = coeff if prev is None else prev + coeff
         else:

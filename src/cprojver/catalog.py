@@ -254,11 +254,11 @@ def _build_model(name, n, signs, body):
     for dname, (_, val, ln) in denoms.items():
         p = parse_poly(val, plain, line=ln)
         if any(p.den) or p.is_zero() or any(
-            e and lau for exps in p.terms for e, lau in zip(exps, plain.laurent)
+            e and lau for exps, _ in p.monomials() for e, lau in zip(exps, plain.laurent)
         ):
             raise ManifestError("denominators are nonzero polynomials in the "
                                 "non-laurent coordinates", ln, 1)
-        den_dict[dname] = dict(p.terms)
+        den_dict[dname] = dict(p.monomials())
     chart = Chart(varnames, laurent=laurent, denominators=den_dict)
     ztab = complex_table(n, laurent_z=tuple(a - 1 for a in zden))
 

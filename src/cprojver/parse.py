@@ -256,8 +256,7 @@ def format_poly(p: LaurentPoly) -> str:
     if p.is_zero():
         return "0"
     chunks = []
-    for exps in p.monomials():
-        c = p.terms[exps]
+    for exps, c in p.monomials():
         sign, cs = format_coeff(c)
         factors = []
         for name, e in zip(p.table.names, exps):

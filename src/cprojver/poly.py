@@ -2,11 +2,15 @@
 
 A `VarTable` is the variable registry: an ordered list of names, a per-variable
 laurent flag (negative exponents permitted), and an optional list of named
-denominator polynomials.  A `LaurentPoly` is a sparse map from integer exponent
-vectors to rational coefficients (int or `Fraction`), together with a
-multiplicity vector over the table's denominators.  Values are kept canonical:
-no zero coefficients, and the numerator is not divisible by any denominator
-that has positive multiplicity, so structural equality is value equality.
+denominator polynomials.  A `LaurentPoly` is a sparse map from monomial keys
+to rational coefficients (int or `Fraction`), together with a multiplicity
+vector over the table's denominators.  A key is one int, the packed exponent
+vector (`pack`), and it is the only monomial format from the parser to the
+rows of the linear systems; exponent tuples appear only where text is read or
+written (`pack`, `unpack`, `LaurentPoly.monomials`).  Values are kept
+canonical: no zero coefficients, and the numerator is not divisible by any
+denominator that has positive multiplicity, so structural equality is value
+equality.
 
 Denominator polynomials must involve only non-laurent variables; laurent
 variables already provide monomial denominators through negative exponents.
@@ -25,6 +29,40 @@ class PolyError(ValueError):
     pass
 
 
+# A monomial x^e is keyed by its packed exponent vector (Monagan-Pearce, CASC
+# 2007): slot i of _SLOT bits holds e_i + _BIAS, slot 0 the most significant,
+# so int order is the lexicographic order of the vectors.  With zero the key
+# of x^0, x^e x^f is key(e) + key(f) - zero and 1/x^e is 2 zero - key(e); a
+# shift, a vector packed without the bias, multiplies a key by x^e in one
+# addition.  Every exponent of every key that a polynomial holds lies in
+# (-_LIMIT, _LIMIT), checked on every result (`_guard`), so a sum of a few
+# keys and shifts never carries between slots and keys never alias.
+_SLOT = 16
+_BIAS = 1 << (_SLOT - 1)
+_LIMIT = 1 << (_SLOT - 3)
+_MASK = (1 << _SLOT) - 1
+
+
+def pack(exps, bias=_BIAS):
+    """The key of the exponent vector `exps`, or with bias=0 the shift that
+    multiplies a key by x^exps."""
+    key = 0
+    for e in exps:
+        if not -_LIMIT < e < _LIMIT:
+            raise PolyError(f"exponent {e} of {tuple(exps)} is outside the packed range")
+        key = (key << _SLOT) + e + bias
+    return key
+
+
+def unpack(key, nv):
+    """The exponent vector of the key `key` in `nv` variables."""
+    exps = [0] * nv
+    for i in reversed(range(nv)):
+        exps[i] = (key & _MASK) - _BIAS
+        key >>= _SLOT
+    return tuple(exps)
+
+
 def _rational(c):
     """c itself when it is an exact rational (int or Fraction)."""
     if isinstance(c, (int, Fraction)):
@@ -35,7 +73,10 @@ def _rational(c):
 class VarTable:
     """Ordered variable registry shared by all polynomials of a chart."""
 
-    __slots__ = ("names", "laurent", "den_names", "den_terms", "_index")
+    __slots__ = (
+        "names", "laurent", "den_names", "den_terms", "_index",
+        "zero", "_lo", "_hi", "_high", "_ordinary",
+    )
 
     def __init__(self, names, laurent=(), denominators=None):
         names = tuple(names)
@@ -44,6 +85,18 @@ class VarTable:
         self.names = names
         self.laurent = tuple(bool(n in laurent) for n in names)
         self._index = {n: i for i, n in enumerate(names)}
+        nv = len(names)
+        units = [1 << (_SLOT * (nv - 1 - i)) for i in range(nv)]  # key shifts of x_i
+        ones = sum(units)
+        self.zero = _BIAS * ones
+        # a key is in range when every slot of key - _lo and of _hi - key is
+        # below 2**(_SLOT - 2) and nothing is left above the top slot
+        self._lo = self.zero - (_LIMIT - 1) * ones
+        self._hi = self.zero + (_LIMIT - 1) * ones
+        self._high = (3 << (_SLOT - 2)) * ones | -(1 << (_SLOT * nv))
+        # the sign bits of the ordinary slots: all set when no exponent there
+        # is negative
+        self._ordinary = _BIAS * sum(u for u, lau in zip(units, self.laurent) if not lau)
         den_names = []
         den_terms = []
         for dname, terms in (denominators or {}).items():
@@ -55,7 +108,7 @@ class VarTable:
                     raise PolyError(f"denominator {dname} uses negative exponents")
                 if any(e and self.laurent[i] for i, e in enumerate(exps)):
                     raise PolyError(f"denominator {dname} involves a laurent variable")
-                canon[tuple(exps)] = c
+                canon[pack(exps)] = c
             if not canon:
                 raise PolyError(f"denominator {dname} is zero")
             den_names.append(dname)
@@ -108,23 +161,8 @@ class LaurentPoly:
         self.den = tuple(den) if den else (0,) * nd
         if len(self.den) != nd or any(m < 0 for m in self.den):
             raise PolyError(f"bad denominator multiplicities {self.den}")
-        canon = {}
-        nv = table.nvars()
-        for exps, c in (terms or {}).items():
-            if not _rational(c):
-                continue
-            exps = tuple(exps)
-            if len(exps) != nv:
-                raise PolyError(f"exponent vector {exps} has wrong length")
-            for i, e in enumerate(exps):
-                if e < 0 and not table.laurent[i]:
-                    raise PolyError(
-                        f"negative exponent on ordinary variable {table.names[i]}"
-                    )
-            canon[exps] = canon[exps] + c if exps in canon else c
-            if not canon[exps]:
-                del canon[exps]
-        self.terms = canon
+        self.terms = {k: c for k, c in (terms or {}).items() if _rational(c)}
+        _guard(table, self.terms, ordinary=True)
         if _reduce and any(self.den):
             self._reduce_inplace()
 
@@ -138,16 +176,13 @@ class LaurentPoly:
     def const(table, c):
         if not _rational(c):
             return LaurentPoly(table, {})
-        return LaurentPoly(table, {(0,) * table.nvars(): c})
+        return LaurentPoly(table, {table.zero: c})
 
     @staticmethod
     def var(table, name, power=1):
-        i = table.index(name)
-        if power < 0 and not table.laurent[i]:
-            raise PolyError(f"negative power on ordinary variable {name}")
         exps = [0] * table.nvars()
-        exps[i] = power
-        return LaurentPoly(table, {tuple(exps): 1})
+        exps[table.index(name)] = power
+        return LaurentPoly(table, {pack(exps): 1})
 
     # -- canonical reduction against declared denominators ---------------
 
@@ -168,32 +203,26 @@ class LaurentPoly:
         return not self.terms
 
     def is_constant(self) -> bool:
-        if not self.terms:
-            return True
-        if any(self.den):
-            return False
-        zero = (0,) * self.table.nvars()
-        return set(self.terms) == {zero}
+        return not self.terms or not any(self.den) and list(self.terms) == [self.table.zero]
 
     def constant_value(self):
         if not self.is_constant():
             raise PolyError(f"not a constant: {self}")
-        return self.terms.get((0,) * self.table.nvars(), Fraction(0))
+        return self.terms.get(self.table.zero, Fraction(0))
 
     # -- arithmetic --------------------------------------------------------
 
     def _aligned(self, other):
         """Numerator term dicts of self and other over the common denominator."""
         den = tuple(max(a, b) for a, b in zip(self.den, other.den))
-        ta = self.terms
-        for k, (m, target) in enumerate(zip(self.den, den)):
-            for _ in range(target - m):
-                ta = _mul_terms(ta, dict(self.table.den_terms[k]))
-        tb = other.terms
-        for k, (m, target) in enumerate(zip(other.den, den)):
-            for _ in range(target - m):
-                tb = _mul_terms(tb, dict(self.table.den_terms[k]))
-        return ta, tb, den
+        out = []
+        for p in (self, other):
+            terms = p.terms
+            for k, (m, target) in enumerate(zip(p.den, den)):
+                for _ in range(target - m):
+                    terms = _mul_terms(self.table, terms, dict(self.table.den_terms[k]))
+            out.append(terms)
+        return (*out, den)
 
     def __add__(self, other):
         # the exact type first: isinstance(other, Fraction) is an ABC check
@@ -205,13 +234,13 @@ class LaurentPoly:
         _check_same_table(self, other)
         ta, tb, den = self._aligned(other)
         out = dict(ta)
-        for exps, c in tb.items():
-            s = out.get(exps)
+        for key, c in tb.items():
+            s = out.get(key)
             s = c if s is None else s + c
             if not s:
-                out.pop(exps, None)
+                out.pop(key, None)
             else:
-                out[exps] = s
+                out[key] = s
         if not any(den):
             # the loop dropped every cancelled term: out is canonical
             return _canonical(self.table, out, den)
@@ -244,7 +273,7 @@ class LaurentPoly:
             if not isinstance(other, LaurentPoly):
                 return NotImplemented
         _check_same_table(self, other)
-        terms = _mul_terms(self.terms, other.terms)
+        terms = _mul_terms(self.table, self.terms, other.terms)
         if not any(self.den) and not any(other.den):
             # the product of two canonical numerators is canonical: no zero
             # terms, and negative exponents only on laurent variables
@@ -287,11 +316,11 @@ class LaurentPoly:
                     progress = True
         if len(num.terms) != 1:
             return None
-        (exps, c), = num.terms.items()
-        if any(e > 0 and not self.table.laurent[i] for i, e in enumerate(exps)):
-            return None
-        inv_exps = tuple(-e for e in exps)
-        inv = LaurentPoly(self.table, {inv_exps: Fraction(1, c)}, _reduce=False)
+        (key, c), = num.terms.items()
+        inv_key = 2 * self.table.zero - key
+        if inv_key & self.table._ordinary != self.table._ordinary:
+            return None  # a positive exponent on an ordinary variable
+        inv = LaurentPoly(self.table, {inv_key: Fraction(1, c)}, _reduce=False)
         # self = num / prod(den**self.den) * prod(den**mult) cleared:
         # 1/self = inv_monomial * prod(den**(self.den)) / prod(den**mult)
         for k, m in enumerate(self.den):
@@ -319,7 +348,7 @@ class LaurentPoly:
 
     def derivative(self, name):
         i = self.table.index(name)
-        dnum = _diff_terms(self.terms, i)
+        dnum = _diff_terms(self.table, self.terms, i)
         if not any(self.den):
             # d/dx_i keeps exponent vectors apart and coefficients nonzero,
             # and never takes an ordinary variable's exponent below zero
@@ -329,19 +358,19 @@ class LaurentPoly:
         out_terms = dnum
         for k, m in enumerate(self.den):
             if m:
-                out_terms = _mul_terms(out_terms, dict(table.den_terms[k]))
+                out_terms = _mul_terms(table, out_terms, dict(table.den_terms[k]))
         for k, m in enumerate(self.den):
             if not m:
                 continue
-            ddk = _diff_terms(dict(table.den_terms[k]), i)
+            ddk = _diff_terms(table, dict(table.den_terms[k]), i)
             if not ddk:
                 continue
-            piece = _mul_terms(self.terms, ddk)
+            piece = _mul_terms(table, self.terms, ddk)
             piece = {e: c * (-m) for e, c in piece.items()}
             for j, mj in enumerate(self.den):
                 if j == k or not mj:
                     continue
-                piece = _mul_terms(piece, dict(table.den_terms[j]))
+                piece = _mul_terms(table, piece, dict(table.den_terms[j]))
             for e, c in piece.items():
                 s = out_terms.get(e)
                 s = c if s is None else s + c
@@ -364,15 +393,10 @@ class LaurentPoly:
         ]:
             raise PolyError("substitution tables must agree outside the renamed variable")
         out = {}
-        old_pos = {n: k for k, n in enumerate(self.table.names)}
-        for exps, c in self.terms.items():
-            new_exps = [0] * new_table.nvars()
-            for k2, n in enumerate(new_table.names):
-                if k2 == j:
-                    new_exps[k2] = exps[i] * power
-                else:
-                    new_exps[k2] = exps[old_pos[n]]
-            out[tuple(new_exps)] = c
+        for key, c in self.terms.items():
+            exps = list(unpack(key, self.table.nvars()))
+            exps.insert(j, exps.pop(i) * power)
+            out[pack(exps)] = c
         if any(self.den):
             raise PolyError("substitution with denominator tags is not supported")
         return LaurentPoly(new_table, out)
@@ -382,8 +406,8 @@ class LaurentPoly:
         vanish."""
         vals = [Fraction(point[n]) for n in self.table.names]
         acc = Fraction(0)
-        for exps, c in self.terms.items():
-            for v, e in zip(vals, exps):
+        for key, c in self.terms.items():
+            for v, e in zip(vals, unpack(key, len(vals))):
                 if e:
                     c *= v**e
             acc += c
@@ -399,7 +423,9 @@ class LaurentPoly:
         return acc
 
     def monomials(self):
-        return sorted(self.terms, reverse=True)
+        """[(exponent vector, coefficient)], the vectors descending."""
+        nv = self.table.nvars()
+        return [(unpack(k, nv), self.terms[k]) for k in sorted(self.terms, reverse=True)]
 
     # -- comparison -----------------------------------------------------------
 
@@ -451,13 +477,28 @@ def _canonical(table, terms, den):
     return out
 
 
-def _mul_terms(a, b):
+def _guard(table, keys, ordinary=False):
+    """Raise unless every exponent of every key in `keys` lies in the packed
+    range and, with `ordinary`, no ordinary variable's exponent is negative."""
+    lo, hi, high = table._lo, table._hi, table._high
+    top = table._ordinary if ordinary else 0
+    for k in keys:
+        if (k - lo) & high or (hi - k) & high:
+            raise PolyError(f"monomial {unpack(k, table.nvars())} is outside the packed range")
+        if k & top != top:
+            exps = unpack(k, table.nvars())
+            raise PolyError(f"negative exponent on an ordinary variable in {exps}")
+
+
+def _mul_terms(table, a, b):
     out = {}
     if len(a) > len(b):
         a, b = b, a
+    zero = table.zero
     for ea, ca in a.items():
+        ea -= zero
         for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
+            e = ea + eb
             c = ca * cb
             s = out.get(e)
             s = c if s is None else s + c
@@ -465,18 +506,20 @@ def _mul_terms(a, b):
                 out[e] = s
             else:
                 out.pop(e, None)
+    _guard(table, out)
     return out
 
 
-def _diff_terms(terms, i):
+def _diff_terms(table, terms, i):
+    shift = _SLOT * (table.nvars() - 1 - i)
+    unit = 1 << shift
     out = {}
-    for exps, c in terms.items():
-        e = exps[i]
-        if e == 0:
-            continue
-        ne = list(exps)
-        ne[i] = e - 1
-        out[tuple(ne)] = c * e
+    for k, c in terms.items():
+        e = ((k >> shift) & _MASK) - _BIAS
+        if e:
+            out[k - unit] = c * e
+    if table.laurent[i]:
+        _guard(table, out)  # e - 1 leaves the range only below, on a laurent variable
     return out
 
 
@@ -485,19 +528,24 @@ def _exact_divide(table, num_terms, den_terms):
     so laurent exponents ride along unchanged and the reduction terminates."""
     if not num_terms:
         return {}
+    zero = table.zero
     lead = max(den_terms)
     clead = den_terms[lead]
+    lead -= zero
+    den_shifts = [(e - zero, c) for e, c in den_terms.items()]
+    ordinary = table._ordinary
     rem = dict(num_terms)
     quot = {}
     while rem:
         m = max(rem)
-        q = tuple(a - b for a, b in zip(m, lead))
-        if any(e < 0 and not table.laurent[i] for i, e in enumerate(q)):
+        q = m - lead
+        if q & ordinary != ordinary:
             return None
         cq = Fraction(rem[m], clead)
         quot[q] = cq
-        for e, c in den_terms.items():
-            tgt = tuple(a + b for a, b in zip(q, e))
+        step = {q + e: c for e, c in den_shifts}
+        _guard(table, step)
+        for tgt, c in step.items():
             s = rem.get(tgt, 0) - cq * c
             if not s:
                 rem.pop(tgt, None)

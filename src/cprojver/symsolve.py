@@ -18,7 +18,9 @@ one component of each mirrored pair, since the other repeats its rows.
 `SystemBuilder` assembles the system equation-major: for each equation it
 scatters every symbol that has that component over the columns that use
 it, which is the one place that terms are summed, and settles that
-equation's rows before the next one.
+equation's rows before the next one.  Symbols hand over their polynomials'
+packed monomial keys as they are (`poly.pack`): a column's shift is added
+to a key, and a row is keyed by the sum.
 Before the elimination, it settles the columns that one-entry rows force to
 zero: the rows {c: 1} for those columns plus the other rows stripped of them
 span the same row space, so the kernel is the same and most rows never
@@ -36,7 +38,7 @@ from math import lcm
 from operator import sub
 
 from .linalg import LinearSystem, SpanSolver
-from .poly import LaurentPoly, PolyError, _mul_terms, accumulate
+from .poly import LaurentPoly, PolyError, _mul_terms, accumulate, pack
 from .tensorcalc import (
     Tensor,
     contract,
@@ -98,39 +100,10 @@ class AnsatzSpace:
         return len(self.monomials)
 
 
-# Monomials on the path from the symbols to `SystemBuilder`'s rows are keyed
-# by one int, the packed exponent vector (Monagan-Pearce, CASC 2007): slot i of
-# _SLOT bits holds e_i + _BIAS, slot 0 most significant, so int order is the
-# tuple's lexicographic order and x^e * x^f is one addition of keys.  Packing
-# without the bias gives a shift that is added to biased keys.  Every packed
-# exponent is below _LIMIT in size, and a key is the sum of at most three
-# packed vectors (symbol term, column exponents, denominator factor) and -2
-# per slot, so every slot stays inside [0, 2**_SLOT) and keys never alias.
-_SLOT = 16
-_BIAS = 1 << (_SLOT - 1)
-_LIMIT = 1 << (_SLOT - 3)
-
-
-def _pack(exps, bias=_BIAS):
-    """The packed key of the exponent vector `exps`, or with bias=0 the shift
-    that multiplies a packed key by x^exps."""
-    key = 0
-    for e in exps:
-        if not -_LIMIT < e < _LIMIT:
-            raise PolyError(f"exponent {e} of {tuple(exps)} is outside the packed range")
-        key = (key << _SLOT) + e + bias
-    return key
-
-
 @cache
 def _unit_shifts(nv):
     """The shifts of x_0, ..., x_(nv-1) in `nv` variables."""
-    return tuple(1 << (_SLOT * (nv - 1 - l)) for l in range(nv))
-
-
-def _packed(p):
-    """The terms of the LaurentPoly `p` as a list [(packed key, coefficient)]."""
-    return [(_pack(e), c) for e, c in p.terms.items()]
+    return tuple(pack([int(i == l) for i in range(nv)], 0) for l in range(nv))
 
 
 @dataclass
@@ -150,10 +123,13 @@ class SystemBuilder:
     them (`_column_operator`).  `symbols` maps a symbol key to its parts
     [(tag, comp, den, items)]: the symbol adds items / D^den to component
     `comp` of the equation tagged `tag`, D the table's declared
-    denominators.  `items` lists packed exponent keys (`_pack`) with
-    rational coefficients (int or Fraction).  `uses` maps the same key to
+    denominators.  `items` lists (monomial key, rational coefficient)
+    pairs, a `LaurentPoly`'s `terms.items()`.  `uses` maps the same key to
     {scale: [(col, shift)]}: column `col` takes scale * x^shift * symbol,
-    `scale` an integer and `shift` an unbiased packed key (`_pack(e, 0)`).
+    `scale` an integer and `shift` the exponents packed without the bias
+    (`pack(e, 0)`).  A row's key is a term key plus a column shift and a
+    denominator factor's shift, each exponent below 2**13 in size, so no
+    slot carries and distinct monomials keep distinct keys.
 
     `kernel` works equation-major.  For each equation (tag, comp), in sorted
     order, it takes the symbols that have that component and their top
@@ -208,12 +184,12 @@ class SystemBuilder:
 
         @cache
         def factor(raise_by):
-            """Terms of prod_k D_k ** raise_by[k], keyed by unbiased shifts."""
-            out = {(0,) * table.nvars(): 1}
+            """Terms of prod_k D_k ** raise_by[k], keyed by shifts."""
+            out = {table.zero: 1}
             for k, m in enumerate(raise_by):
                 for _ in range(m):
-                    out = _mul_terms(out, dict(table.den_terms[k]))
-            return [(_pack(e, 0), c) for e, c in out.items()]
+                    out = _mul_terms(table, out, dict(table.den_terms[k]))
+            return [(e - table.zero, c) for e, c in out.items()]
 
         zero = set()  # columns that the rows force to zero
         kept = []  # the other rows, without the columns in `zero`
@@ -426,11 +402,11 @@ def _column_operator(tags, symbol0, symbol1, symbol2=None, symmetric=()):
     `symbol0(a)`, `symbol1(a, l)` and `symbol2(a, l, k)` return one comps
     dict {comp: LaurentPoly} per tag.  `symbols` maps each key (a,), (a, l)
     or (a, l, k) that some column takes to its parts [(tag, comp, den,
-    items)], with packed term keys; a symbol is built on first use and kept
-    for later calls.  The tags in `symmetric` name equations symmetric in
-    the last two component indices; their parts are cut to one component of
-    each mirrored pair (`_halved`), and a symbol left with no part gets no
-    uses.  `uses` maps the key to {scale: [(col, shift)]}: the columns that
+    items)], items the component's `terms.items()`; a symbol is built on
+    first use and kept for later calls.  The tags in `symmetric` name
+    equations symmetric in the last two component indices; their parts are
+    cut to one component of each mirrored pair (`_halved`), and a symbol
+    left with no part gets no uses.  `uses` maps the key to {scale: [(col, shift)]}: the columns that
     take scale * x^shift times the symbol, shift the packed x^e, x^(e-1_l)
     or x^(e-1_l-1_k) and scale 1, e_l or e_l (e_k - delta_lk).  Nothing is
     summed, scaled or cleared here.
@@ -443,7 +419,7 @@ def _column_operator(tags, symbol0, symbol1, symbol2=None, symmetric=()):
         if got is None:
             got = memo[key] = _halved(
                 [
-                    (tag, comp, p.den, _packed(p))
+                    (tag, comp, p.den, p.terms.items())
                     for tag, comps in zip(tags, builders[len(key)](*key))
                     for comp, p in comps.items()
                 ],
@@ -454,7 +430,7 @@ def _column_operator(tags, symbol0, symbol1, symbol2=None, symmetric=()):
     def apply(monomials, ndirs):
         taken = {}  # (key without a, scale) -> [(monomial index, shift)]
         for m, exps in enumerate(monomials):
-            e0 = _pack(exps, 0)
+            e0 = pack(exps, 0)
             unit = _unit_shifts(len(exps))
             terms = [((), 1, e0)]  # (key without a, scale, shift)
             for l, el in enumerate(exps):
@@ -554,7 +530,7 @@ def solve_field_system(spec, operator, ansatz, extra_metric_scale=None, ndirs=No
     builder.add(*operator(ansatz.monomials, ndirs))
     if extra_metric_scale is not None:
         comps = extra_metric_scale.scale(-1).comps
-        parts = [("LG", comp, p.den, _packed(p)) for comp, p in comps.items()]
+        parts = [("LG", comp, p.den, p.terms.items()) for comp, p in comps.items()]
         builder.add(
             {"c": _halved(parts, _symmetric_tags("LG", extra_metric_scale))},
             {"c": {1: [(nfield, 0)]}},
@@ -563,11 +539,11 @@ def solve_field_system(spec, operator, ansatz, extra_metric_scale=None, ndirs=No
     basis = []
     scales = []
     for vec in kernel:
-        terms = {}  # direction -> {exps: coefficient}
+        terms = {}  # direction -> {monomial key: coefficient}
         for c, val in vec.items():
             if c < nfield:
                 m, i = divmod(c, ndirs)
-                terms.setdefault(i, {})[ansatz.monomials[m]] = val
+                terms.setdefault(i, {})[pack(ansatz.monomials[m])] = val
         basis.append({i: LaurentPoly(table, t) for i, t in terms.items()})
         scales.append(vec.get(nfield, Fraction(0)))
     return basis, scales
@@ -575,11 +551,11 @@ def solve_field_system(spec, operator, ansatz, extra_metric_scale=None, ndirs=No
 
 def field_coordinates(f):
     """Exact coordinates of {key: LaurentPoly} (a field, or `Tensor.comps`),
-    keyed (key, exponents)."""
+    keyed (key, monomial key)."""
     out = {}
     for i, p in f.items():
-        for exps, c in p.terms.items():
-            out[(i, exps)] = c
+        for k, c in p.terms.items():
+            out[(i, k)] = c
     return out
 
 

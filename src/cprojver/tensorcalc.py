@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 
-from .poly import LaurentPoly, PolyError, VarTable, accumulate
+from .poly import LaurentPoly, PolyError, VarTable, accumulate, pack, unpack
 
 _HALF = Fraction(1, 2)
 
@@ -491,7 +491,8 @@ def _real_poly_from_complex(p: LaurentPoly, chart: Chart):
         modulus = (xs[2 * a] ** 2 + xs[2 * a + 1] ** 2).terms
         mods.append(next((k for k, d in enumerate(dens) if d == modulus), None))
     re = im = zero
-    for exps, c in p.terms.items():
+    for key, c in p.terms.items():
+        exps = unpack(key, p.table.nvars())
         term = (chart.const(c), zero)
         den = [0] * len(dens)
         for a in range(n):
@@ -573,8 +574,10 @@ def _expand(real, imag, idx, rp, n, up):
 
 def _swap_bars(p: LaurentPoly) -> LaurentPoly:
     """The conjugate polynomial: z <-> zb and I -> -I."""
-    n = (p.table.nvars() - 1) // 2
+    nv = p.table.nvars()
+    n = (nv - 1) // 2
     out = {}
-    for exps, c in p.terms.items():
-        out[exps[n : 2 * n] + exps[:n] + exps[2 * n :]] = -c if exps[2 * n] % 2 else c
+    for key, c in p.terms.items():
+        exps = unpack(key, nv)
+        out[pack(exps[n : 2 * n] + exps[:n] + exps[2 * n :])] = -c if exps[2 * n] % 2 else c
     return LaurentPoly(p.table, out, p.den)

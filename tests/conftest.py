@@ -6,19 +6,6 @@ import pytest
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 
-def unpack(key, nv):
-    """The exponent vector of a packed monomial key of `nv` variables: the
-    inverse of symsolve._pack, slot 0 the most significant."""
-    from cprojver.symsolve import _BIAS, _SLOT
-
-    mask = (1 << _SLOT) - 1
-    exps = []
-    for _ in range(nv):
-        exps.append((key & mask) - _BIAS)
-        key >>= _SLOT
-    return tuple(reversed(exps))
-
-
 def emitted_half(comps, symmetric):
     """The components of a generic-route tensor that an operator emits: all
     of `comps`, or, when the equation is `symmetric` in its last two
@@ -48,21 +35,20 @@ def canonical():
     """canonical(table, output, col, tags): the value of column `col` in an
     operator's output (symbols, uses), as [(tag, {comp: LaurentPoly})] for
     each tag in `tags`.  Every symbol that the column takes is scaled, its
-    shift added to its packed term keys and the keys unpacked, each part
-    reduced against its declared denominators and the parts of one
-    component summed, so that the value compares by exact value with the
-    generic route's tensor components."""
+    shift added to its monomial keys, each part reduced against its
+    declared denominators and the parts of one component summed, so that the
+    value compares by exact value with the generic route's tensor
+    components."""
     from cprojver.poly import LaurentPoly, accumulate
 
     def convert(table, output, col, tags):
         symbols, uses = output
-        nv = table.nvars()
         comps = {tag: {} for tag in tags}
         for key, by_scale in uses.items():
             for scale, cols in by_scale.items():
                 for shift in (shift for c, shift in cols if c == col):
                     for tag, comp, den, items in symbols[key]:
-                        terms = {unpack(k + shift, nv): c * scale for k, c in items}
+                        terms = {k + shift: c * scale for k, c in items}
                         accumulate(comps[tag], comp, LaurentPoly(table, terms, den))
         return [(tag, comps[tag]) for tag in tags]
 

@@ -23,8 +23,8 @@ from cprojver.metric import (
     parallel_complex_indices,
     parallel_forms,
 )
-from cprojver.poly import LaurentPoly
-from cprojver.symsolve import AnsatzSpace, _pack, field_coordinates
+from cprojver.poly import LaurentPoly, pack
+from cprojver.symsolve import AnsatzSpace, field_coordinates
 from cprojver.verify import metric_battery
 from cprojver import tensorcalc as tc
 from cprojver.tensorcalc import Tensor
@@ -32,7 +32,7 @@ from conftest import emitted_half, without_direction
 
 
 def _sym_tensor_basis(chart, exps, a, b):
-    p = LaurentPoly(chart.table, {exps: 1})
+    p = LaurentPoly(chart.table, {pack(exps): 1})
     comps = {(a, b): p}
     if a != b:
         comps[(b, a)] = p
@@ -267,7 +267,7 @@ class TestMobilityColumns:
             def op(monomials, ndirs):
                 symbols, uses = with_herm(monomials, ndirs)
                 col = monomials.index(origin) * ndirs  # x^0 E_00
-                symbols = {**symbols, "pin": [("PIN", 0, (), [(_pack(origin), 1)])]}
+                symbols = {**symbols, "pin": [("PIN", 0, (), [(pack(origin), 1)])]}
                 return symbols, {**uses, "pin": {1: [(col, 0)]}}
 
             return pairs, op, eq_only

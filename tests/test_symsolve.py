@@ -13,14 +13,11 @@ from cprojver.catalog import builtin, expected_symmetries, model_ansatz
 from cprojver.cli import MODEL_NS
 from cprojver.linalg import LinearSystem, SpanSolver
 from cprojver.metric import metric_inverse, mobility_equation_holds
-from cprojver.poly import LaurentPoly, PolyError, VarTable, accumulate
+from cprojver.poly import _LIMIT, LaurentPoly, PolyError, VarTable, accumulate, pack, unpack
 from cprojver.symsolve import (
     AnsatzSpace,
     SystemBuilder,
-    _LIMIT,
     _column_operator,
-    _pack,
-    _packed,
     _symmetric_tags,
     affine_operator,
     affine_system,
@@ -40,7 +37,7 @@ from cprojver.symsolve import (
 )
 from cprojver import tensorcalc as tc
 from cprojver.tensorcalc import Chart, Tensor
-from conftest import emitted_half, unpack, without_direction
+from conftest import emitted_half, without_direction
 
 
 class TestAnsatz:
@@ -118,7 +115,8 @@ exponent_vectors = st.integers(1, 6).flatmap(_vectors)
 
 
 class TestPackedKeys:
-    """Monomials from the column closures to `SystemBuilder` are packed ints."""
+    """Every monomial, from a polynomial's terms to `SystemBuilder`'s rows,
+    is a packed int (`poly.pack`)."""
 
     @settings(max_examples=200, deadline=None)
     @given(exponent_vectors)
@@ -126,13 +124,13 @@ class TestPackedKeys:
         # negative entries stand for Laurent exponents; sorting rows by key
         # must give the tuple order, and the key must determine the vector
         a, b = pair
-        ka, kb = _pack(a), _pack(b)
+        ka, kb = pack(a), pack(b)
         assert (ka < kb) == (a < b) and (ka == kb) == (a == b)
         assert unpack(ka, len(a)) == a and unpack(kb, len(b)) == b
         # a shift multiplies by a monomial, within the admitted range
         s = tuple(x // 3 for x in b)
         c = tuple(x // 3 for x in a)
-        assert unpack(_pack(c) + _pack(s, 0), len(a)) == tuple(map(sum, zip(c, s)))
+        assert unpack(pack(c) + pack(s, 0), len(a)) == tuple(map(sum, zip(c, s)))
 
     def test_exponent_at_the_slot_limit_raises(self):
         spec = builtin("type3-n2", 2)  # x, y, the Laurent variable s, and q
@@ -142,12 +140,10 @@ class TestPackedKeys:
         for exps in [(0, 0, _LIMIT, 0), (0, 0, -_LIMIT, 0), (_LIMIT, 0, 0, 0)]:
             with pytest.raises(PolyError, match="packed range"):
                 op([exps], 1)
-        # a symbol term at the limit fails when its symbol is built
+        # a symbol term at the limit fails when its polynomial is built
         for e in (_LIMIT, -_LIMIT):
-            big = LaurentPoly(table, {(0, 0, e, 0): 1})
-            op = _column_operator(("T",), lambda a: ({(0,): big},), lambda a, l: ({},))
             with pytest.raises(PolyError, match="packed range"):
-                op([(0, 0, 0, 0)], 1)
+                LaurentPoly.var(table, "s", e)
 
 
 # The catalog models whose Gamma is symmetric (torsion-free): their CP and
@@ -192,7 +188,7 @@ class TestColumnSymbols:
             killing = killing_operator(spec)
             isometry = killing_operator(spec, holomorphic=False)
         for exps in big.monomials:
-            mono = LaurentPoly(table, {exps: 1})
+            mono = LaurentPoly(table, {pack(exps): 1})
             outputs = {"cproj": cproj([exps], dim), "affine": affine([exps], dim)}
             if g is not None:
                 outputs["killing"] = killing([exps], dim)
@@ -250,11 +246,11 @@ class TestColumnSymbols:
         ncols = len(monomials) * dim
         symbols, uses = {}, {}
         for m, exps in enumerate(monomials):
-            mono = LaurentPoly(table, {exps: 1})
+            mono = LaurentPoly(table, {pack(exps): 1})
             for a in range(dim):
                 col = m * dim + a
                 symbols[col] = [
-                    (tag, comp, p.den, _packed(p))
+                    (tag, comp, p.den, p.terms.items())
                     for tag, t in cproj_equations(spec, {a: mono})
                     for comp, p in t.comps.items()
                 ]
@@ -297,7 +293,7 @@ class TestColumnSymbols:
         with pytest.raises(PolyError, match="int or Fraction"):
             LaurentPoly.const(table, 1j)
         with pytest.raises(PolyError, match="int or Fraction"):
-            LaurentPoly(table, {(0,) * table.nvars(): (1, 0)})
+            LaurentPoly(table, {table.zero: (1, 0)})
 
 
 @st.composite
@@ -333,7 +329,7 @@ class TestZeroColumnPass:
         # row i is component i of one tag at one packed key, each entry a
         # symbol of its own used by one column, so the builder meets the
         # rows in their natural order
-        key = _pack((0,))
+        key = self.TABLE.zero
         symbols, uses = {}, {}
         for i, row in enumerate(rows):
             for col, c in row.items():
@@ -353,7 +349,7 @@ class TestZeroColumnPass:
 
     def test_second_kernel_call_raises(self):
         builder = SystemBuilder(self.TABLE, 1)
-        builder.add({"s": [("T", 0, (), [(_pack((0,)), 1)])]}, {"s": {1: [(0, 0)]}})
+        builder.add({"s": [("T", 0, (), [(self.TABLE.zero, 1)])]}, {"s": {1: [(0, 0)]}})
         kernel, _ = builder.kernel()
         assert kernel == []
         with pytest.raises(RuntimeError, match="already consumed"):
@@ -380,7 +376,7 @@ def symbol_tables(draw):
     monomial = st.tuples(st.integers(0, 1), st.integers(0, 1))
     den = st.tuples(st.integers(0, 2)) if denominators else st.just(())
     poly = st.builds(
-        lambda terms, d: LaurentPoly(table, terms, d),
+        lambda terms, d: LaurentPoly(table, {pack(e): c for e, c in terms.items()}, d),
         st.dictionaries(monomial, st.sampled_from(COEFFICIENTS), min_size=1, max_size=2),
         den,
     )
@@ -415,7 +411,7 @@ def _column_major_rows(chart, ansatz, ndirs, symbols):
         for a in range(ndirs):
             col = m * ndirs + a
             for suffix, e, scale in terms:
-                mono = LaurentPoly(table, {e: scale})
+                mono = LaurentPoly(table, {pack(e): scale})
                 for tag, comps in zip(SYMBOL_TAGS, symbols[(a, *suffix)]):
                     for comp, p in comps.items():
                         accumulate(eqs.setdefault((tag, comp), {}), col, mono * p)

@@ -12,7 +12,7 @@ from cprojver.catalog import builtin
 from cprojver.cli import MODEL_NS
 from cprojver.metric import levi_civita
 from cprojver.parse import parse_poly
-from cprojver.poly import LaurentPoly, PolyError, accumulate
+from cprojver.poly import LaurentPoly, PolyError, accumulate, pack
 from cprojver.symsolve import bracket_fields
 from cprojver import tensorcalc as tc
 from cprojver.tensorcalc import (
@@ -151,7 +151,8 @@ def complex_poly(draw):
         st.integers(-2, 2), st.integers(0, 2), st.integers(-2, 2), st.integers(0, 2),
         st.integers(0, 5),
     )
-    return LaurentPoly(ZTAB, draw(st.dictionaries(exps, _SMALL_Q, max_size=4)))
+    terms = draw(st.dictionaries(exps, _SMALL_Q, max_size=4))
+    return LaurentPoly(ZTAB, {pack(e): c for e, c in terms.items()})
 
 
 def _gauss_times(u, v):
@@ -168,7 +169,7 @@ def _gauss_over(u, v):
 def gauss_value(p, point):
     """p at {name: (re, im)}, by exact Gaussian arithmetic on pairs alone."""
     acc = (0, 0)
-    for exps, c in p.terms.items():
+    for exps, c in p.monomials():
         t = (c, 0)
         for name, e in zip(p.table.names, exps):
             for _ in range(abs(e)):
@@ -267,7 +268,7 @@ class TestTorsionProjections:
                     continue
                 e = [0, 0, 0, 0]
                 e[rng.randrange(4)] = rng.randrange(3)
-                p = LaurentPoly(chart.table, {tuple(e): c})
+                p = LaurentPoly(chart.table, {pack(e): c})
                 comps[key] = comps.get(key, chart.zero()) + p
             T = Tensor(chart, (1, 2), comps)
             total = None
@@ -366,7 +367,7 @@ def polynomial_fields(draw, chart):
     v = {}
     for a in draw(st.sets(st.integers(0, chart.dim - 1), min_size=1, max_size=3)):
         terms = draw(st.dictionaries(exps, coeff, min_size=1, max_size=3))
-        v[a] = LaurentPoly(table, terms)
+        v[a] = LaurentPoly(table, {pack(e): c for e, c in terms.items()})
     return v
 
 
@@ -576,7 +577,7 @@ def small_laurent(draw):
         min_size=1,
         max_size=3,
     ))
-    return LaurentPoly(XY.table, terms)
+    return LaurentPoly(XY.table, {pack(e): c for e, c in terms.items()})
 
 
 def sparse_comps(rank):
