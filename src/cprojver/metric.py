@@ -332,6 +332,18 @@ def parallel_forms(spec):
     ]
 
 
+def parallel_forms_hold(spec, forms):
+    """Every 1-form alpha in `forms` has (nabla alpha)_ba = d_b alpha_a -
+    Gamma^c_ba alpha_c = 0, written on `partials` and `contract`: the check
+    shares no code with the symbols of `parallel_forms`."""
+    chart, gamma = spec.chart, spec.levi_civita
+    return all(
+        Tensor(chart, (0, 2), partials(alpha.comps, chart))
+        == Tensor(chart, (0, 2), contract("cba,c->ba", gamma, alpha))
+        for alpha in forms
+    )
+
+
 # -- equivalent-metric family ----------------------------------------------------------
 
 

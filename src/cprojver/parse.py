@@ -9,7 +9,8 @@ Grammar (whitespace-insensitive)::
             | 'D' '(' variable ')'            (vector-field basis, fields only)
             | '(' expr ')'
 
-Coefficients are exact rationals: `3/4`, `-5`.  `/` is exact division;
+Coefficients are exact rationals: `3/4`, `-5`.  An exponent lies in the
+range of a packed monomial key (`poly.pack`).  `/` is exact division;
 dividing by a declared denominator polynomial records it in the denominator
 tag.  Negative exponents are accepted only on laurent-flagged variables.  The
 imaginary unit is not an atom: `I` is a name like any other, so it parses on
@@ -21,14 +22,16 @@ from __future__ import annotations
 
 import re
 
-from .poly import LaurentPoly, PolyError, accumulate
+from .poly import _LIMIT, LaurentPoly, PolyError, accumulate
 
 
 class ParseError(ValueError):
     def __init__(self, msg, line=None, col=None):
         self.line = line
         self.col = col
-        where = f" (line {line}, column {col})" if line is not None else ""
+        where = ""
+        if line is not None:
+            where = f" (line {line})" if col is None else f" (line {line}, column {col})"
         super().__init__(f"{msg}{where}")
 
 
@@ -129,12 +132,13 @@ class _Parser:
         if neg:
             v = -v
         while True:
-            kind, val, _ = self.peek()
+            op = self.peek()
+            kind, val, _ = op
             if kind == "op" and val in "+-":
                 self.next()
                 rhs = self.term()
                 if isinstance(v, FieldValue) != isinstance(rhs, FieldValue):
-                    self.fail("cannot add a scalar to a vector field")
+                    self.fail("cannot add a scalar to a vector field", op)
                 v = v - rhs if val == "-" else v + rhs
             else:
                 return v
@@ -142,31 +146,33 @@ class _Parser:
     def term(self):
         v = self.factor()
         while True:
-            kind, val, _ = self.peek()
+            op = self.peek()
+            kind, val, _ = op
             if kind == "op" and val in "*/":
                 self.next()
                 rhs = self.factor()
                 if val == "/" and isinstance(rhs, LaurentPoly) and rhs.is_zero():
-                    self.fail("division by zero")
+                    self.fail("division by zero", op)
                 try:
                     v = v / rhs if val == "/" else v * rhs
                 except PolyError as exc:
-                    self.fail(str(exc))
+                    self.fail(str(exc), op)
             else:
                 return v
 
     def factor(self):
         v = self.atom()
-        kind, val, _ = self.peek()
+        op = self.peek()
+        kind, val, _ = op
         if kind == "op" and val == "^":
             self.next()
             e = self.exponent()
             if isinstance(v, FieldValue):
-                self.fail("cannot exponentiate a vector field")
+                self.fail("cannot exponentiate a vector field", op)
             try:
                 v = v**e
             except PolyError as exc:
-                self.fail(str(exc))
+                self.fail(str(exc), op)
         return v
 
     def exponent(self):
@@ -188,6 +194,10 @@ class _Parser:
             k2, v2, _ = self.next()
             if (k2, v2) != ("op", ")"):
                 self.fail("expected ')' after exponent", tok)
+        if not -_LIMIT < sign * val < _LIMIT:
+            # refused before it is computed: a polynomial cannot hold the
+            # power, and a huge power of a constant would exhaust memory
+            self.fail(f"exponent outside the packed range ({-_LIMIT}, {_LIMIT})", tok)
         return sign * val
 
     def atom(self):

@@ -17,6 +17,7 @@ from .metric import (
     origin_point,
     parallel_complex_indices,
     parallel_forms,
+    parallel_forms_hold,
 )
 from .linalg import SpanSolver
 from .prolong import (
@@ -391,6 +392,13 @@ def metric_checks(spec, stabilize=True):
                 "parallel 1-form space dimension",
                 "parallel-forms",
                 len(pf),
+            )
+        )
+        checks.append(
+            _holds(
+                "parallel forms re-verified exactly",
+                "post-hoc-verification",
+                parallel_forms_hold(spec, pf),
             )
         )
         par_idx = parallel_complex_indices(n)

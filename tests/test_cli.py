@@ -133,7 +133,7 @@ class TestVerify:
 
         got = records(by_path)
         assert got == records(by_name, "submax-metric[n=2] ")
-        assert len(got) == 32 and all(rec[3] for rec in got)
+        assert len(got) == 33 and all(rec[3] for rec in got)
 
     def test_malformed_manifest_path_is_a_manifest_error(self, tmp_path, capsys):
         from cprojver.catalog import DATA_DIR
@@ -148,6 +148,26 @@ class TestVerify:
             assert err.startswith("manifest error: ") and err.count("\n") == 1
         assert run(["verify", "--model", str(bad)]) == 2
         assert "(line 39, column 1)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old,new,line,col", [
+        ("= zb1", "= zb1^(99999999999)", 14, 5),
+        ("= zb1", "= 2^99999999999", 14, 3),
+        ("= 2*(n^2-n+2)", "= 2*n^(-99999999999)", 17, 5),
+    ])
+    def test_exponent_past_the_packed_range_is_a_manifest_error(
+        self, old, new, line, col, tmp_path, capsys
+    ):
+        # the power is refused when it is read: it is never computed
+        from cprojver.catalog import DATA_DIR
+
+        with open(os.path.join(DATA_DIR, "type2.model"), encoding="ascii") as fh:
+            text = fh.read()
+        bad = tmp_path / "bad.model"
+        bad.write_text(text.replace(old, new, 1))
+        assert run(["verify", "--model", str(bad), "--fast"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("manifest error: ") and err.count("\n") == 1
+        assert f"packed range (-8192, 8192) (line {line}, column {col})" in err
 
     def test_type3_n2_reports_out_of_scope_component(self, tmp_path):
         out = tmp_path / "v.json"

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from cprojver.linalg import LinearSystem, SpanSolver, signature
 from cprojver.parse import ParseError, format_poly, parse_field, parse_poly
-from cprojver.poly import LaurentPoly, PolyError, VarTable, accumulate, pack
+from cprojver.poly import _LIMIT, LaurentPoly, PolyError, VarTable, accumulate, pack
 from cprojver.tensorcalc import complex_table
 
 
@@ -77,6 +77,26 @@ class TestPoly:
         f = P("x^2+y/2")
         v = f.evaluate({"x": Fraction(2), "y": Fraction(3)})
         assert v == Fraction(11, 2) and type(v) is Fraction
+
+    def test_results_past_the_packed_range_raise(self):
+        top = LaurentPoly.var(XS, "s", _LIMIT - 1)
+        bottom = LaurentPoly.var(XS, "s", 1 - _LIMIT)
+        s, x = LaurentPoly.var(XS, "s"), LaurentPoly.var(XS, "x")
+        x_top = LaurentPoly.var(XS, "x", _LIMIT - 1)
+        assert top * bottom == 1 and x_top.derivative("x") * x == x_top * (_LIMIT - 1)
+        past = [
+            lambda: top * s,
+            lambda: bottom / s,
+            lambda: bottom.derivative("s"),
+            lambda: x_top * x,
+            lambda: x_top * x_top,
+            lambda: LaurentPoly.var(XS, "x", _LIMIT),
+            lambda: LaurentPoly.var(XS, "s", -_LIMIT),
+            lambda: LaurentPoly.var(XS, "s", 8 * _LIMIT),  # one slot up: x^1
+        ]
+        for result in past:
+            with pytest.raises(PolyError, match="packed range"):
+                result()
 
 
 coef = st.integers(min_value=-6, max_value=6)
@@ -253,6 +273,21 @@ class TestParser:
         q = parse_poly("(x+y)/D1", XYD)
         assert q.den == (1,)
         assert parse_poly(format_poly(q), XYD) == q
+
+    def test_operator_errors_carry_the_operator_column(self):
+        ztab = complex_table(1)
+        cases = [
+            ("zb1^(-1)", "cannot invert zb1 (line 14, column 4)"),
+            ("z1 * zb1^(-2)", "cannot invert zb1 (line 14, column 9)"),
+            ("z1/zb1", "inexact division by zb1 (line 14, column 3)"),
+            ("z1^9000", "outside the packed range (-8192, 8192) (line 14, column 4)"),
+            ("z1^4096 * z1^4096", "outside the packed range (line 14, column 9)"),
+            ("z1 *", "expected a polynomial atom (line 14)"),
+        ]
+        for text, where in cases:
+            with pytest.raises(ParseError) as err:
+                parse_poly(text, ztab, line=14)
+            assert str(err.value).endswith(where), text
 
     def test_field_parse(self):
         f = parse_field("x*D(y) - 2*D(x)", XY)

@@ -22,6 +22,7 @@ from cprojver.metric import (
     origin_point,
     parallel_complex_indices,
     parallel_forms,
+    parallel_forms_hold,
 )
 from cprojver.poly import LaurentPoly, pack
 from cprojver.symsolve import AnsatzSpace, field_coordinates
@@ -289,6 +290,25 @@ class TestParallelForms:
         for alpha in forms:
             assert alpha.valence == (0, 1) and not alpha.is_zero()
             assert nabla_one_form(gamma, alpha) == {}
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_reverification_shares_no_code_with_the_symbols(self, n, monkeypatch):
+        # parallel_forms_hold accepts the solved forms with the symbol route
+        # disabled, and refuses dx^2 (its Gamma term) and x1 times a solved
+        # form (its derivative term)
+        spec = builtin("submax-metric", n)
+        forms = parallel_forms(spec)
+
+        def disabled(*args, **kwargs):
+            raise AssertionError("the re-verification ran the symbol route")
+
+        monkeypatch.setattr(metric, "_column_operator", disabled)
+        assert parallel_forms_hold(spec, forms)
+        chart = spec.chart
+        dx2 = Tensor(chart, (0, 1), {(2,): chart.const(1)})
+        assert not parallel_forms_hold(spec, [*forms, dx2])
+        x1 = chart.var(chart.table.names[0])
+        assert not parallel_forms_hold(spec, [forms[0].scale(x1)])
 
     def test_submax_n2(self, submax2):
         pf = parallel_forms(submax2)

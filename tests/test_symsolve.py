@@ -6,7 +6,7 @@ from functools import partial
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cprojver.catalog import builtin, expected_symmetries, model_ansatz
@@ -120,6 +120,7 @@ class TestPackedKeys:
 
     @settings(max_examples=200, deadline=None)
     @given(exponent_vectors)
+    @example(((_LIMIT - 1, 1 - _LIMIT, 0), (1 - _LIMIT, _LIMIT - 1, _LIMIT - 1)))
     def test_order_and_round_trip(self, pair):
         # negative entries stand for Laurent exponents; sorting rows by key
         # must give the tuple order, and the key must determine the vector
