@@ -104,7 +104,7 @@ def _split_linear(poly, table, labels, params, ptable, ln):
     """Split a polynomial over params+labels into {label index: coeff}."""
     npar = len(params)
     vec = {}
-    for key, c in poly.terms.items():
+    for key, c in poly.rational_terms().items():
         exps = unpack(key, table.nvars())
         lab_part = exps[npar:]
         ones = [i for i, e in enumerate(lab_part) if e]

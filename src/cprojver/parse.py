@@ -48,7 +48,13 @@ def tokenize(text, line=None):
         if m.group(4):
             raise ParseError(f"unexpected character {m.group(4)!r}", line, m.start(4) + 1)
         if m.group(1):
-            out.append(("int", int(m.group(1)), m.start(1) + 1))
+            try:
+                value = int(m.group(1))
+            except ValueError:  # past the interpreter's digit limit for int()
+                raise ParseError(
+                    f"integer literal of {len(m.group(1))} digits is too long", line, m.start(1) + 1
+                ) from None
+            out.append(("int", value, m.start(1) + 1))
         elif m.group(2):
             out.append(("name", m.group(2), m.start(2) + 1))
         elif m.group(3):

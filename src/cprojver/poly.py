@@ -2,15 +2,23 @@
 
 A `VarTable` is the variable registry: an ordered list of names, a per-variable
 laurent flag (negative exponents permitted), and an optional list of named
-denominator polynomials.  A `LaurentPoly` is a sparse map from monomial keys
-to rational coefficients (int or `Fraction`), together with a multiplicity
-vector over the table's denominators.  A key is one int, the packed exponent
-vector (`pack`), and it is the only monomial format from the parser to the
-rows of the linear systems; exponent tuples appear only where text is read or
-written (`pack`, `unpack`, `LaurentPoly.monomials`).  Values are kept
-canonical: no zero coefficients, and the numerator is not divisible by any
-denominator that has positive multiplicity, so structural equality is value
-equality.
+denominator polynomials.  A `LaurentPoly` is a sparse map `terms` from
+monomial keys to int numerators, one positive int `q` for the whole
+polynomial (as FLINT's `fmpq_poly` stores a rational polynomial), and a
+multiplicity vector `den` over the table's denominators; its value is
+sum_k terms[k] x^k / (q prod_j D_j^den[j]).  A key is one int, the packed
+exponent vector (`pack`), and it is the only monomial format from the parser
+to the rows of the linear systems; exponent tuples appear only where text is
+read or written (`pack`, `unpack`, `LaurentPoly.monomials`).  The term loops
+(products, sums, derivatives, exact division) run on ints alone: exact
+rationals are split once where a polynomial is built from them, and are
+rebuilt only where coefficients are read (`rational_terms`, `monomials`).
+Values are kept canonical: no zero numerator, q prime to the numerators'
+content (so q is the lcm of the reduced coefficients' denominators), and the
+numerator is not divisible by any denominator that has positive
+multiplicity, so structural equality is value equality.  A declared
+denominator is stored the same way: int numerators `den_terms[j]` over
+`den_q[j]`.
 
 Denominator polynomials must involve only non-laurent variables; laurent
 variables already provide monomial denominators through negative exponents.
@@ -23,6 +31,7 @@ plain variable `I` of `tensorcalc.complex_table`, and only
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class PolyError(ValueError):
@@ -70,11 +79,33 @@ def _rational(c):
     raise PolyError(f"coefficients are int or Fraction, not {type(c).__name__}: {c!r}")
 
 
+def _split(terms, q=1):
+    """The exact rational `terms` over q as (int numerators, q) in lowest
+    terms, zeros dropped."""
+    terms = {k: c for k, c in terms.items() if _rational(c)}
+    if any(type(c) is not int for c in terms.values()):
+        m = lcm(*(c.denominator for c in terms.values()))
+        terms = {k: c.numerator * (m // c.denominator) for k, c in terms.items()}
+        q *= m
+    return _lowest(terms, q)
+
+
+def _lowest(terms, q):
+    """The int numerators `terms` over q in lowest terms: q and every
+    numerator divided by their common factor.  Free when q is 1."""
+    if q > 1:
+        g = gcd(q, *terms.values())
+        if g > 1:
+            q //= g
+            terms = {k: c // g for k, c in terms.items()}
+    return terms, q
+
+
 class VarTable:
     """Ordered variable registry shared by all polynomials of a chart."""
 
     __slots__ = (
-        "names", "laurent", "den_names", "den_terms", "_index",
+        "names", "laurent", "den_names", "den_terms", "den_q", "_index",
         "zero", "_lo", "_hi", "_high", "_ordinary",
     )
 
@@ -99,6 +130,7 @@ class VarTable:
         self._ordinary = _BIAS * sum(u for u, lau in zip(units, self.laurent) if not lau)
         den_names = []
         den_terms = []
+        den_q = []
         for dname, terms in (denominators or {}).items():
             canon = {}
             for exps, c in terms.items():
@@ -111,10 +143,13 @@ class VarTable:
                 canon[pack(exps)] = c
             if not canon:
                 raise PolyError(f"denominator {dname} is zero")
+            canon, q = _split(canon)
             den_names.append(dname)
             den_terms.append(tuple(sorted(canon.items())))
+            den_q.append(q)
         self.den_names = tuple(den_names)
         self.den_terms = tuple(den_terms)
+        self.den_q = tuple(den_q)
 
     def index(self, name) -> int:
         try:
@@ -126,10 +161,10 @@ class VarTable:
         return len(self.names)
 
     def denominator_poly(self, k) -> "LaurentPoly":
-        return LaurentPoly(self, dict(self.den_terms[k]))
+        return LaurentPoly(self, dict(self.den_terms[k]), q=self.den_q[k])
 
     def key(self):
-        return (self.names, self.laurent, self.den_names, self.den_terms)
+        return (self.names, self.laurent, self.den_names, self.den_terms, self.den_q)
 
     def __eq__(self, other):
         return isinstance(other, VarTable) and self.key() == other.key()
@@ -151,17 +186,21 @@ def _check_same_table(a, b):
 
 
 class LaurentPoly:
-    """numerator / prod(denominator_k ** den[k]) over a fixed registry."""
+    """terms / (q * prod(denominator_k ** den[k])) over a fixed registry."""
 
-    __slots__ = ("table", "terms", "den")
+    __slots__ = ("table", "terms", "den", "q")
 
-    def __init__(self, table, terms=None, den=None, _reduce=True):
+    def __init__(self, table, terms=None, den=None, q=1, _reduce=True):
+        """`terms` maps keys to int or Fraction values, split here once into
+        int numerators over the positive int q."""
         self.table = table
         nd = len(table.den_names)
         self.den = tuple(den) if den else (0,) * nd
         if len(self.den) != nd or any(m < 0 for m in self.den):
             raise PolyError(f"bad denominator multiplicities {self.den}")
-        self.terms = {k: c for k, c in (terms or {}).items() if _rational(c)}
+        if type(q) is not int or q < 1:
+            raise PolyError(f"the common denominator must be a positive int, not {q!r}")
+        self.terms, self.q = _split(terms or {}, q)
         _guard(table, self.terms, ordinary=True)
         if _reduce and any(self.den):
             self._reduce_inplace()
@@ -174,8 +213,6 @@ class LaurentPoly:
 
     @staticmethod
     def const(table, c):
-        if not _rational(c):
-            return LaurentPoly(table, {})
         return LaurentPoly(table, {table.zero: c})
 
     @staticmethod
@@ -187,17 +224,24 @@ class LaurentPoly:
     # -- canonical reduction against declared denominators ---------------
 
     def _reduce_inplace(self):
+        table = self.table
         den = list(self.den)
+        terms, q = self.terms, self.q
         for k in range(len(den)):
             while den[k] > 0:
-                q = _exact_divide(self.table, self.terms, dict(self.table.den_terms[k]))
-                if q is None:
+                got = _exact_divide(table, terms, dict(table.den_terms[k]))
+                if got is None:
                     break
-                self.terms = q
+                # terms = D_k quot den_q[k] / s
+                terms, s = got
+                q *= s
+                if table.den_q[k] != 1:
+                    terms = {e: c * table.den_q[k] for e, c in terms.items()}
                 den[k] -= 1
         self.den = tuple(den)
+        self.terms, self.q = _lowest(terms, q)
 
-    # -- predicates -------------------------------------------------------
+    # -- predicates and coefficients ---------------------------------------
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -208,33 +252,60 @@ class LaurentPoly:
     def constant_value(self):
         if not self.is_constant():
             raise PolyError(f"not a constant: {self}")
-        return self.terms.get(self.table.zero, Fraction(0))
+        return self.rational_terms().get(self.table.zero, Fraction(0))
+
+    def rational_terms(self):
+        """{key: exact rational coefficient of the numerator}: the int
+        numerators themselves when q is 1, Fractions otherwise."""
+        q = self.q
+        if q == 1:
+            return dict(self.terms)
+        return {k: Fraction(c, q) for k, c in self.terms.items()}
 
     # -- arithmetic --------------------------------------------------------
 
+    def _coerce(self, other):
+        """The exact rational other as a polynomial over self's table, or
+        NotImplemented."""
+        if isinstance(other, (int, Fraction)):
+            return LaurentPoly.const(self.table, other)
+        return NotImplemented
+
     def _aligned(self, other):
-        """Numerator term dicts of self and other over the common denominator."""
+        """(terms, q) of self and of other over the common denominator
+        multiplicities, and those multiplicities."""
+        table = self.table
         den = tuple(max(a, b) for a, b in zip(self.den, other.den))
         out = []
         for p in (self, other):
-            terms = p.terms
+            terms, q = p.terms, p.q
             for k, (m, target) in enumerate(zip(p.den, den)):
                 for _ in range(target - m):
-                    terms = _mul_terms(self.table, terms, dict(self.table.den_terms[k]))
-            out.append(terms)
+                    terms = _mul_terms(table, terms, dict(table.den_terms[k]))
+                    q *= table.den_q[k]
+            out.append((terms, q))
         return (*out, den)
 
     def __add__(self, other):
-        # the exact type first: isinstance(other, Fraction) is an ABC check
-        if type(other) is not LaurentPoly:
-            if isinstance(other, (int, Fraction)):
-                other = LaurentPoly.const(self.table, other)
-            elif not isinstance(other, LaurentPoly):
+        if type(other) is not LaurentPoly:  # the exact type first: it is cheap
+            other = self._coerce(other)
+            if other is NotImplemented:
                 return NotImplemented
         _check_same_table(self, other)
-        ta, tb, den = self._aligned(other)
-        out = dict(ta)
+        if any(self.den) or any(other.den):
+            (ta, qa), (tb, qb), den = self._aligned(other)
+        else:
+            ta, qa, tb, qb, den = self.terms, self.q, other.terms, other.q, self.den
+        if qa == qb:
+            q, fb = qa, 1
+            out = dict(ta)
+        else:
+            q = lcm(qa, qb)
+            fa, fb = q // qa, q // qb
+            out = {key: c * fa for key, c in ta.items()} if fa != 1 else dict(ta)
         for key, c in tb.items():
+            if fb != 1:
+                c *= fb
             s = out.get(key)
             s = c if s is None else s + c
             if not s:
@@ -242,44 +313,44 @@ class LaurentPoly:
             else:
                 out[key] = s
         if not any(den):
-            # the loop dropped every cancelled term: out is canonical
-            return _canonical(self.table, out, den)
-        return LaurentPoly(self.table, out, den)
+            # the loop dropped every cancelled term: out is canonical up to q
+            return _canonical(self.table, out, q, den)
+        return LaurentPoly(self.table, out, den, q)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _canonical(self.table, {e: -c for e, c in self.terms.items()}, self.den)
+        return _canonical(self.table, {e: -c for e, c in self.terms.items()}, self.q, self.den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.const(self.table, other)
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
+    def _scale(self, c):
+        """self times the exact rational c, or NotImplemented for any other
+        c.  A nonzero scalar keeps the numerator's divisibility."""
+        if not isinstance(c, (int, Fraction)):
+            return NotImplemented
+        if not c:
+            return LaurentPoly.zero(self.table)
+        n = c.numerator
+        terms = {e: v * n for e, v in self.terms.items()}
+        return _canonical(self.table, terms, self.q * c.denominator, self.den)
+
     def __mul__(self, other):
         if type(other) is not LaurentPoly:  # the exact type first, as in __add__
-            if isinstance(other, (int, Fraction)):
-                if not other:
-                    return LaurentPoly.zero(self.table)
-                return LaurentPoly(
-                    self.table,
-                    {e: v * other for e, v in self.terms.items()},
-                    self.den,
-                    _reduce=False,
-                )
-            if not isinstance(other, LaurentPoly):
-                return NotImplemented
+            return self._scale(other)
         _check_same_table(self, other)
         terms = _mul_terms(self.table, self.terms, other.terms)
+        q = self.q * other.q
         if not any(self.den) and not any(other.den):
-            # the product of two canonical numerators is canonical: no zero
-            # terms, and negative exponents only on laurent variables
-            return _canonical(self.table, terms, self.den)
+            # the product of two canonical numerators is canonical up to q:
+            # no zero terms, and negative exponents only on laurent variables
+            return _canonical(self.table, terms, q, self.den)
         den = tuple(a + b for a, b in zip(self.den, other.den))
-        return LaurentPoly(self.table, terms, den)
+        return LaurentPoly(self.table, terms, den, q)
 
     __rmul__ = __mul__
 
@@ -303,46 +374,52 @@ class LaurentPoly:
     def inverse_if_unit(self):
         """Inverse when self is a scalar multiple of a laurent monomial times
         a product of declared denominators; None otherwise."""
-        num = LaurentPoly(self.table, dict(self.terms), _reduce=False)
-        mult = [0] * len(self.table.den_names)
+        table = self.table
+        num = self.terms
+        scale = Fraction(1, self.q)  # self = scale * num * prod(D**mult) / prod(D**self.den)
+        mult = [0] * len(table.den_names)
         progress = True
-        while progress and len(num.terms) > 1:
+        while progress and len(num) > 1:
             progress = False
-            for k in range(len(self.table.den_names)):
-                q = _exact_divide(self.table, num.terms, dict(self.table.den_terms[k]))
-                if q is not None:
-                    num = LaurentPoly(self.table, q, _reduce=False)
+            for k in range(len(table.den_names)):
+                got = _exact_divide(table, num, dict(table.den_terms[k]))
+                if got is not None:
+                    # num = D_k den_q[k] quot / s
+                    num, s = got
+                    scale *= Fraction(table.den_q[k], s)
                     mult[k] += 1
                     progress = True
-        if len(num.terms) != 1:
+        if len(num) != 1:
             return None
-        (key, c), = num.terms.items()
-        inv_key = 2 * self.table.zero - key
-        if inv_key & self.table._ordinary != self.table._ordinary:
+        (key, c), = num.items()
+        inv_key = 2 * table.zero - key
+        if inv_key & table._ordinary != table._ordinary:
             return None  # a positive exponent on an ordinary variable
-        inv = LaurentPoly(self.table, {inv_key: Fraction(1, c)}, _reduce=False)
-        # self = num / prod(den**self.den) * prod(den**mult) cleared:
+        inv = LaurentPoly(table, {inv_key: 1 / (scale * c)}, _reduce=False)
         # 1/self = inv_monomial * prod(den**(self.den)) / prod(den**mult)
         for k, m in enumerate(self.den):
             for _ in range(m):
-                inv = inv * self.table.denominator_poly(k)
-        return LaurentPoly(self.table, inv.terms, tuple(mult))
+                inv = inv * table.denominator_poly(k)
+        return LaurentPoly(table, inv.terms, tuple(mult), inv.q)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
             if not other:
                 raise ZeroDivisionError("polynomial division by zero")
-            return self * Fraction(1, other)
+            return self._scale(Fraction(1, other))
         _check_same_table(self, other)
         inv = other.inverse_if_unit()
         if inv is not None:
             return self * inv
         if any(other.den):
             raise PolyError("cannot divide by a tagged fraction that is not a unit")
-        q = _exact_divide(self.table, self.terms, other.terms)
-        if q is None:
+        got = _exact_divide(self.table, self.terms, other.terms)
+        if got is None:
             raise PolyError(f"inexact division by {other}")
-        return LaurentPoly(self.table, q, self.den)
+        # (N / q) / (M / other.q) = quot other.q / (s q)
+        quot, s = got
+        quot = {e: c * other.q for e, c in quot.items()}
+        return LaurentPoly(self.table, quot, self.den, self.q * s)
 
     # -- calculus -----------------------------------------------------------
 
@@ -352,13 +429,15 @@ class LaurentPoly:
         if not any(self.den):
             # d/dx_i keeps exponent vectors apart and coefficients nonzero,
             # and never takes an ordinary variable's exponent below zero
-            return _canonical(self.table, dnum, self.den)
-        # quotient rule over the declared denominators
+            return _canonical(self.table, dnum, self.q, self.den)
+        # quotient rule over the declared denominators D_k = den_terms[k] / den_q[k]
         table = self.table
         out_terms = dnum
+        q = self.q
         for k, m in enumerate(self.den):
             if m:
                 out_terms = _mul_terms(table, out_terms, dict(table.den_terms[k]))
+                q *= table.den_q[k]
         for k, m in enumerate(self.den):
             if not m:
                 continue
@@ -379,7 +458,7 @@ class LaurentPoly:
                 else:
                     out_terms[e] = s
         den = tuple(m + 1 if m else 0 for m in self.den)
-        return LaurentPoly(self.table, out_terms, den)
+        return LaurentPoly(self.table, out_terms, den, q)
 
     # -- substitution / evaluation -------------------------------------------
 
@@ -399,7 +478,7 @@ class LaurentPoly:
             out[pack(exps)] = c
         if any(self.den):
             raise PolyError("substitution with denominator tags is not supported")
-        return LaurentPoly(new_table, out)
+        return LaurentPoly(new_table, out, q=self.q)
 
     def evaluate(self, point):
         """The Fraction value at {name: int/Fraction}; denominators must not
@@ -411,10 +490,11 @@ class LaurentPoly:
                 if e:
                     c *= v**e
             acc += c
+        acc /= self.q
         for k, m in enumerate(self.den):
             if not m:
                 continue
-            dval = LaurentPoly(self.table, dict(self.table.den_terms[k])).evaluate(point)
+            dval = self.table.denominator_poly(k).evaluate(point)
             if not dval:
                 raise ZeroDivisionError(
                     f"denominator {self.table.den_names[k]} vanishes at {point}"
@@ -423,23 +503,25 @@ class LaurentPoly:
         return acc
 
     def monomials(self):
-        """[(exponent vector, coefficient)], the vectors descending."""
+        """[(exponent vector, exact rational coefficient)], the vectors
+        descending."""
         nv = self.table.nvars()
-        return [(unpack(k, nv), self.terms[k]) for k in sorted(self.terms, reverse=True)]
+        coeffs = self.rational_terms()
+        return [(unpack(k, nv), coeffs[k]) for k in sorted(coeffs, reverse=True)]
 
     # -- comparison -----------------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.const(self.table, other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
+        if type(other) is not LaurentPoly:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         if self.table != other.table:
             return False
-        return self.den == other.den and self.terms == other.terms
+        return self.den == other.den and self.q == other.q and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.den, tuple(sorted(self.terms.items(), key=lambda t: t[0]))))
+        return hash((self.den, self.q, tuple(sorted(self.terms.items()))))
 
     def __bool__(self):
         return bool(self.terms)
@@ -467,13 +549,15 @@ def accumulate(out, key, val):
         out.pop(key, None)
 
 
-def _canonical(table, terms, den):
-    """The poly terms / D^den without the constructor's checks, for terms
-    that are already canonical: no zero coefficient, negative exponents only
-    on laurent variables, and a numerator not divisible by the denominators
-    of positive multiplicity."""
+def _canonical(table, terms, q, den):
+    """The poly terms / (q D^den) in lowest terms, without the constructor's
+    checks, for int numerators that are otherwise canonical: no zero,
+    negative exponents only on laurent variables, and not divisible by the
+    denominators of positive multiplicity."""
+    if q > 1:
+        terms, q = _lowest(terms, q)
     out = object.__new__(LaurentPoly)
-    out.table, out.terms, out.den = table, terms, den
+    out.table, out.terms, out.q, out.den = table, terms, q, den
     return out
 
 
@@ -524,10 +608,13 @@ def _diff_terms(table, terms, i):
 
 
 def _exact_divide(table, num_terms, den_terms):
-    """num / den when exact, else None.  den involves ordinary variables only,
-    so laurent exponents ride along unchanged and the reduction terminates."""
+    """(quot, s) with num = den * quot / s, quot int numerators and s a
+    positive int, when the division is exact, else None.  s is 1 while the
+    lead coefficient of den divides each leading remainder term (it is 1 for
+    every catalog denominator).  den involves ordinary variables only, so
+    laurent exponents ride along unchanged and the reduction terminates."""
     if not num_terms:
-        return {}
+        return {}, 1
     zero = table.zero
     lead = max(den_terms)
     clead = den_terms[lead]
@@ -536,19 +623,28 @@ def _exact_divide(table, num_terms, den_terms):
     ordinary = table._ordinary
     rem = dict(num_terms)
     quot = {}
+    s = 1
     while rem:
         m = max(rem)
         q = m - lead
         if q & ordinary != ordinary:
             return None
-        cq = Fraction(rem[m], clead)
+        c = rem[m]
+        if c % clead:
+            # num s = den quot + rem holds for any common scale of s, quot, rem
+            g = abs(clead) // gcd(c, clead)
+            s *= g
+            c *= g
+            rem = {e: v * g for e, v in rem.items()}
+            quot = {e: v * g for e, v in quot.items()}
+        cq = c // clead
         quot[q] = cq
-        step = {q + e: c for e, c in den_shifts}
+        step = {q + e: d for e, d in den_shifts}
         _guard(table, step)
-        for tgt, c in step.items():
-            s = rem.get(tgt, 0) - cq * c
-            if not s:
+        for tgt, d in step.items():
+            v = rem.get(tgt, 0) - cq * d
+            if not v:
                 rem.pop(tgt, None)
             else:
-                rem[tgt] = s
-    return quot
+                rem[tgt] = v
+    return quot, s

@@ -19,8 +19,10 @@ one component of each mirrored pair, since the other repeats its rows.
 scatters every symbol that has that component over the columns that use
 it, which is the one place that terms are summed, and settles that
 equation's rows before the next one.  Symbols hand over their polynomials'
-packed monomial keys as they are (`poly.pack`): a column's shift is added
-to a key, and a row is keyed by the sum.
+packed monomial keys and int numerators as they are (`poly.pack`), with
+each polynomial's one denominator q: a column's shift is added to a key, a
+row is keyed by the sum, and each equation is scaled by the lcm of its
+symbols' q.
 Before the elimination, it settles the columns that one-entry rows force to
 zero: the rows {c: 1} for those columns plus the other rows stripped of them
 span the same row space, so the kernel is the same and most rows never
@@ -121,10 +123,11 @@ class SystemBuilder:
 
     The builder takes symbols and their uses, as an operator call returns
     them (`_column_operator`).  `symbols` maps a symbol key to its parts
-    [(tag, comp, den, items)]: the symbol adds items / D^den to component
-    `comp` of the equation tagged `tag`, D the table's declared
-    denominators.  `items` lists (monomial key, rational coefficient)
-    pairs, a `LaurentPoly`'s `terms.items()`.  `uses` maps the same key to
+    [(tag, comp, den, q, items)]: the symbol adds items / (q D^den) to
+    component `comp` of the equation tagged `tag`, D the table's declared
+    denominators.  `items` lists (monomial key, int numerator) pairs, a
+    `LaurentPoly`'s `terms.items()`, and q is that polynomial's positive int
+    denominator.  `uses` maps the same key to
     {scale: [(col, shift)]}: column `col` takes scale * x^shift * symbol,
     `scale` an integer and `shift` the exponents packed without the bias
     (`pack(e, 0)`).  A row's key is a term key plus a column shift and a
@@ -134,12 +137,14 @@ class SystemBuilder:
     `kernel` works equation-major.  For each equation (tag, comp), in sorted
     order, it takes the symbols that have that component and their top
     denominator multiplicity M, the largest of their `den`s, and multiplies
-    each symbol by D^(M - den) once.  The Laurent polynomial ring is an
+    each symbol by D^(M - den) once (the int numerators of D^(M - den),
+    their q folded into the symbol's).  The Laurent polynomial ring is an
     integral domain, so the cleared equation has the same solutions as the
     one it came from.  It then multiplies the equation by the lcm of its
-    coefficients' denominators, a positive integer, so the rows are integral
-    and their primitive rows, which are what `LinearSystem` eliminates, do
-    not change.  Each symbol is scaled once per scale and scattered at every
+    symbols' q, one int per symbol, so each symbol's numerators are scaled
+    by that lcm over its q: the rows are integral and their primitive rows,
+    which are what `LinearSystem` eliminates, do not change.  Each symbol is
+    scaled once per scale and scattered at every
     (col, shift) of its uses into the equation's rows, which is the one
     place that terms are summed.  The rows are settled in ascending
     packed-key order and dropped before the next equation, so one
@@ -166,13 +171,13 @@ class SystemBuilder:
     def __init__(self, table, ncols):
         self.table = table
         self.ncols = ncols
-        self.eqs = {}  # (tag, comp) -> [(den, items, {scale: [(col, shift)]})]
+        self.eqs = {}  # (tag, comp) -> [(den, q, items, {scale: [(col, shift)]})]
 
     def add(self, symbols, uses):
         """Index each part of `symbols` under its equation, with its key's uses."""
         for key, parts in symbols.items():
-            for tag, comp, den, items in parts:
-                self.eqs.setdefault((tag, comp), []).append((den, items, uses[key]))
+            for tag, comp, den, q, items in parts:
+                self.eqs.setdefault((tag, comp), []).append((den, q, items, uses[key]))
 
     def kernel(self):
         """(canonical kernel basis, the `LinearSystem` it came from)."""
@@ -184,36 +189,38 @@ class SystemBuilder:
 
         @cache
         def factor(raise_by):
-            """Terms of prod_k D_k ** raise_by[k], keyed by shifts."""
-            out = {table.zero: 1}
+            """(int numerators keyed by shifts, q) of prod_k D_k ** raise_by[k]."""
+            out, q = {table.zero: 1}, 1
             for k, m in enumerate(raise_by):
                 for _ in range(m):
                     out = _mul_terms(table, out, dict(table.den_terms[k]))
-            return [(e - table.zero, c) for e, c in out.items()]
+                    q *= table.den_q[k]
+            return [(e - table.zero, c) for e, c in out.items()], q
 
         zero = set()  # columns that the rows force to zero
         kept = []  # the other rows, without the columns in `zero`
         for key in sorted(eqs):
             entries = eqs.pop(key)
-            top = tuple(map(max, zip(*{den for den, _, _ in entries})))
+            top = tuple(map(max, zip(*{den for den, _, _, _ in entries})))
             parts = []
-            for den, items, used in entries:
+            for den, q, items, used in entries:
                 if den != top:
+                    shifts, fq = factor(tuple(map(sub, top, den)))
                     raised = {}
-                    for f, d in factor(tuple(map(sub, top, den))):
+                    for f, d in shifts:
                         for e, c in items:
                             e += f
                             raised[e] = raised.get(e, 0) + c * d
                     items = [(e, c) for e, c in raised.items() if c]
-                parts.append((items, used))
-            # the equation times the lcm of its denominators: integral rows
-            # with the same primitive rows, and int sums in the scatter
-            mult = lcm(*(c.denominator for items, _ in parts for _, c in items))
+                    q *= fq
+                parts.append((q, items, used))
+            # the equation times the lcm of its parts' q: integral rows with
+            # the same primitive rows, and int sums in the scatter
+            mult = lcm(*(q for q, _, _ in parts))
             rows = {}  # packed exps -> {col: coefficient}
-            for items, used in parts:
-                if mult != 1:
-                    items = [(e, c.numerator * (mult // c.denominator)) for e, c in items]
+            for q, items, used in parts:
                 for scale, cols in used.items():
+                    scale *= mult // q
                     for e, c in items:
                         if scale != 1:
                             c *= scale
@@ -401,8 +408,9 @@ def _column_operator(tags, symbol0, symbol1, symbol2=None, symmetric=()):
 
     `symbol0(a)`, `symbol1(a, l)` and `symbol2(a, l, k)` return one comps
     dict {comp: LaurentPoly} per tag.  `symbols` maps each key (a,), (a, l)
-    or (a, l, k) that some column takes to its parts [(tag, comp, den,
-    items)], items the component's `terms.items()`; a symbol is built on
+    or (a, l, k) that some column takes to its parts [(tag, comp, den, q,
+    items)], items the component's `terms.items()`, int numerators over q;
+    a symbol is built on
     first use and kept for later calls.  The tags in `symmetric` name
     equations symmetric in the last two component indices; their parts are
     cut to one component of each mirrored pair (`_halved`), and a symbol
@@ -419,7 +427,7 @@ def _column_operator(tags, symbol0, symbol1, symbol2=None, symmetric=()):
         if got is None:
             got = memo[key] = _halved(
                 [
-                    (tag, comp, p.den, p.terms.items())
+                    (tag, comp, p.den, p.q, p.terms.items())
                     for tag, comps in zip(tags, builders[len(key)](*key))
                     for comp, p in comps.items()
                 ],
@@ -530,7 +538,7 @@ def solve_field_system(spec, operator, ansatz, extra_metric_scale=None, ndirs=No
     builder.add(*operator(ansatz.monomials, ndirs))
     if extra_metric_scale is not None:
         comps = extra_metric_scale.scale(-1).comps
-        parts = [("LG", comp, p.den, p.terms.items()) for comp, p in comps.items()]
+        parts = [("LG", comp, p.den, p.q, p.terms.items()) for comp, p in comps.items()]
         builder.add(
             {"c": _halved(parts, _symmetric_tags("LG", extra_metric_scale))},
             {"c": {1: [(nfield, 0)]}},
@@ -554,7 +562,7 @@ def field_coordinates(f):
     keyed (key, monomial key)."""
     out = {}
     for i, p in f.items():
-        for k, c in p.terms.items():
+        for k, c in p.rational_terms().items():
             out[(i, k)] = c
     return out
 

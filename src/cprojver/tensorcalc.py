@@ -485,13 +485,13 @@ def _real_poly_from_complex(p: LaurentPoly, chart: Chart):
     t = chart.table
     zero = chart.zero()
     xs = [chart.var(name) for name in t.names]
-    dens = [dict(terms) for terms in t.den_terms]
+    dens = [t.denominator_poly(k) for k in range(len(t.den_names))]
     mods = []
     for a in range(n):
-        modulus = (xs[2 * a] ** 2 + xs[2 * a + 1] ** 2).terms
+        modulus = xs[2 * a] ** 2 + xs[2 * a + 1] ** 2
         mods.append(next((k for k, d in enumerate(dens) if d == modulus), None))
     re = im = zero
-    for key, c in p.terms.items():
+    for key, c in p.rational_terms().items():
         exps = unpack(key, p.table.nvars())
         term = (chart.const(c), zero)
         den = [0] * len(dens)
@@ -510,7 +510,7 @@ def _real_poly_from_complex(p: LaurentPoly, chart: Chart):
         for _ in range(exps[2 * n] % 4):
             term = (-term[1], term[0])
         if any(den):
-            term = tuple(LaurentPoly(t, q.terms, tuple(den)) for q in term)
+            term = tuple(LaurentPoly(t, r.terms, tuple(den), r.q) for r in term)
         re, im = re + term[0], im + term[1]
     return re, im
 
@@ -580,4 +580,4 @@ def _swap_bars(p: LaurentPoly) -> LaurentPoly:
     for key, c in p.terms.items():
         exps = unpack(key, nv)
         out[pack(exps[n : 2 * n] + exps[:n] + exps[2 * n :])] = -c if exps[2 * n] % 2 else c
-    return LaurentPoly(p.table, out, p.den)
+    return LaurentPoly(p.table, out, p.den, p.q)

@@ -169,6 +169,20 @@ class TestVerify:
         assert err.startswith("manifest error: ") and err.count("\n") == 1
         assert f"packed range (-8192, 8192) (line {line}, column {col})" in err
 
+    def test_integer_literal_past_the_digit_limit_is_a_manifest_error(self, tmp_path, capsys):
+        # int() refuses a literal of more than 4300 digits by default; the
+        # parser names the literal's line and column instead
+        from cprojver.catalog import DATA_DIR
+
+        with open(os.path.join(DATA_DIR, "type2.model"), encoding="ascii") as fh:
+            text = fh.read()
+        bad = tmp_path / "bad.model"
+        bad.write_text(text.replace("= zb1", "= zb1 + " + "9" * 5000 + "*zb1", 1))
+        assert run(["verify", "--model", str(bad), "--fast"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("manifest error: ") and err.count("\n") == 1
+        assert "integer literal of 5000 digits is too long (line 14, column 7)" in err
+
     def test_type3_n2_reports_out_of_scope_component(self, tmp_path):
         out = tmp_path / "v.json"
         code = run(

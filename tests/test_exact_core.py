@@ -1,7 +1,7 @@
 """Exact scalar, polynomial, parser, and linear-algebra substrate."""
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -181,8 +181,8 @@ class TestPolyProperties:
             return LaurentPoly(XS, terms)
 
         def plain_sum(p, q):
-            out = dict(p.terms)
-            for e, c in q.terms.items():
+            out = p.rational_terms()
+            for e, c in q.rational_terms().items():
                 out[e] = out.get(e, 0) + c
             return checked(out)
 
@@ -198,12 +198,195 @@ class TestPolyProperties:
         for p, q in [(a, b), (a, -a), (a + b, a - b)]:
             results.append((p + q, plain_sum(p, q)))
         for p in (a, a + b):
-            results.append((-p, checked({e: -c for e, c in p.terms.items()})))
+            results.append((-p, checked({e: -c for e, c in p.rational_terms().items()})))
             for i, name in enumerate(XS.names):
                 results.append((p.derivative(name), plain_derivative(p, i)))
         for got, want in results:
             assert got == want and got.den == want.den == ()
             assert got.terms == want.terms and all(got.terms.values())
+
+
+# -- integer numerators over one q, against plain Fraction arithmetic ----------
+#
+# A plain polynomial is a dict {exponent tuple: Fraction} without zeros; a
+# value over a declared denominator D is a pair (plain numerator, m) for
+# numerator / D^m.  Coefficients draw their denominators term by term.
+
+DENOMINATORS = (1, 2, 3, 4, 6, 9, 12)
+XT = VarTable(["x", "t"], laurent=("t",))
+# (table, its declared denominator as a plain polynomial): cp1xc's D1, and
+# one with rational coefficients whose int lead (4 over q 6) does not divide
+# every numerator that it meets
+DENOMINATOR_TABLES = [
+    (VarTable(["x1", "x2"], denominators={name: den}), den)
+    for name, den in [
+        ("D1", {(0, 0): 1, (2, 0): 1, (0, 2): 1}),
+        ("E", {(2, 0): Fraction(2, 3), (0, 1): Fraction(1, 2), (0, 0): 1}),
+    ]
+]
+
+
+def plain_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def plain_mul(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def plain_pow(a, k, nv):
+    out = {(0,) * nv: Fraction(1)}
+    for _ in range(k):
+        out = plain_mul(out, a)
+    return out
+
+
+def plain_scale(a, c):
+    return {e: v * c for e, v in a.items() if v * c}
+
+
+def plain_diff(a, i):
+    out = {}
+    for e, c in a.items():
+        if e[i]:
+            d = tuple(x - (j == i) for j, x in enumerate(e))
+            out[d] = out.get(d, 0) + c * e[i]
+    return {e: c for e, c in out.items() if c}
+
+
+def plain_text(a, names):
+    """Grammar text of the plain polynomial a."""
+    chunks = [
+        "*".join([f"({c})", *(f"{n}^({e})" for n, e in zip(names, exps))])
+        for exps, c in a.items()
+    ]
+    return " + ".join(chunks) or "0"
+
+
+def packed(a):
+    return {pack(e): c for e, c in a.items()}
+
+
+def assert_exact(p, num, m=0, den=None):
+    """p holds int numerators over one positive int q in lowest terms, and
+    its value is num / den^m."""
+    assert all(type(c) is int for c in p.terms.values())
+    assert type(p.q) is int and p.q >= 1
+    assert gcd(p.q, *p.terms.values()) == 1
+    got = dict(p.monomials())
+    if den is None:
+        assert p.den == () and got == num
+    else:
+        nv = p.table.nvars()
+        (mp,) = p.den
+        assert plain_mul(got, plain_pow(den, m, nv)) == plain_mul(num, plain_pow(den, mp, nv))
+
+
+@st.composite
+def plain_polys(draw, lows):
+    """A plain polynomial of up to four terms, exponent i of each in
+    lows[i]..2, with denominators drawn term by term."""
+    out = {}
+    for _ in range(draw(st.integers(0, 4))):
+        e = tuple(draw(st.integers(lo, 2)) for lo in lows)
+        c = Fraction(draw(st.integers(-9, 9)), draw(st.sampled_from(DENOMINATORS)))
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+rationals = st.builds(
+    Fraction, st.integers(-9, 9).filter(bool), st.sampled_from(DENOMINATORS)
+)
+
+
+class TestIntegerNumerators:
+    """Every result holds int numerators over one q prime to their content,
+    and equals the plain Fraction computation."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(plain_polys((0, -3)), plain_polys((0, -3)), rationals,
+           st.sampled_from([-2, -1, 2, 3]))
+    def test_ring_operations_on_a_laurent_chart(self, a, b, c, power):
+        pa, pb = LaurentPoly(XS, packed(a)), LaurentPoly(XS, packed(b))
+        cases = [
+            (pa, a),
+            (pa + pb, plain_add(a, b)),
+            (pa - pb, plain_add(a, plain_scale(b, -1))),
+            (pa * pb, plain_mul(a, b)),
+            (pa * c, plain_scale(a, c)),
+            (c * pa, plain_scale(a, c)),
+            (pa / c, plain_scale(a, 1 / c)),
+            (pa / c.numerator, plain_scale(a, Fraction(1, c.numerator))),
+            (pa.derivative("x"), plain_diff(a, 0)),
+            (pa.derivative("s"), plain_diff(a, 1)),
+            (parse_poly(plain_text(a, XS.names), XS), a),
+        ]
+        for got, want in cases:
+            assert_exact(got, want)
+        sub = pa.substitute_power("s", XT, "t", power)
+        assert_exact(sub, {(i, j * power): v for (i, j), v in a.items()})
+
+    @settings(max_examples=100, deadline=None)
+    @given(rationals, st.integers(0, 2), st.integers(-3, 3))
+    def test_inverse_of_a_laurent_monomial(self, c, i, j):
+        p = LaurentPoly(XS, {pack((i, j)): c})
+        assert_exact(p, {(i, j): c})
+        inv = p.inverse_if_unit()
+        if i:
+            assert inv is None  # x is an ordinary variable
+        else:
+            assert_exact(inv, {(0, -j): 1 / c})
+            assert_exact(p ** -2, {(0, -2 * j): 1 / (c * c)})
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(DENOMINATOR_TABLES), plain_polys((0, 0)),
+           plain_polys((0, 0)), st.integers(0, 2), st.integers(0, 2), rationals)
+    def test_operations_over_a_declared_denominator(self, declared, a, b, ma, mb, c):
+        table, den = declared
+        nv = table.nvars()
+        pa = LaurentPoly(table, packed(a), (ma,))
+        pb = LaurentPoly(table, packed(b), (mb,))
+        d = table.denominator_poly(0)
+        top = max(ma, mb)
+        raised_sum = plain_add(
+            plain_mul(a, plain_pow(den, top - ma, nv)), plain_mul(b, plain_pow(den, top - mb, nv))
+        )
+        cases = [
+            (pa, a, ma),
+            (d, den, 0),
+            (pa + pb, raised_sum, top),
+            (pa - pb, plain_add(
+                plain_mul(a, plain_pow(den, top - ma, nv)),
+                plain_scale(plain_mul(b, plain_pow(den, top - mb, nv)), -1),
+            ), top),
+            (pa * pb, plain_mul(a, b), ma + mb),
+            (pa * c, plain_scale(a, c), ma),
+            (pa / c, plain_scale(a, 1 / c), ma),
+            (pa * d, plain_mul(a, den), ma),
+            (pa / d, a, ma + 1),
+            (parse_poly(f"({plain_text(a, table.names)})" + f"/{table.den_names[0]}" * ma, table),
+             a, ma),
+        ]
+        for i in range(nv):
+            # (N / D^m)' = (N' D - m N D') / D^(m+1)
+            want = plain_add(
+                plain_mul(plain_diff(a, i), den),
+                plain_scale(plain_mul(a, plain_diff(den, i)), -ma),
+            )
+            cases.append((pa.derivative(table.names[i]), want, ma + 1))
+        for got, want, m in cases:
+            assert_exact(got, want, m, den)
+        # c D^ma / D^mb is a unit: its inverse is D^mb / (c D^ma)
+        unit = LaurentPoly(table, packed(plain_scale(plain_pow(den, ma, nv), c)), (mb,))
+        assert_exact(unit.inverse_if_unit(), plain_scale(plain_pow(den, mb, nv), 1 / c), ma, den)
 
 
 class TestAccumulate:

@@ -225,7 +225,7 @@ class TestColumnSymbols:
         monomials = model_ansatz(spec).monomials
         for operator, tag in ((cproj_operator, "CP"), (affine_operator, "LG")):
             symbols, _ = operator(spec)(monomials, dim)
-            comps = {comp for parts in symbols.values() for t, comp, _, _ in parts if t == tag}
+            comps = {comp for parts in symbols.values() for t, comp, *_ in parts if t == tag}
             assert any(j > k for _, j, k in comps), tag
             assert {(i, k, j) for i, j, k in comps} == comps, tag
 
@@ -251,7 +251,7 @@ class TestColumnSymbols:
             for a in range(dim):
                 col = m * dim + a
                 symbols[col] = [
-                    (tag, comp, p.den, p.terms.items())
+                    (tag, comp, p.den, p.q, p.terms.items())
                     for tag, t in cproj_equations(spec, {a: mono})
                     for comp, p in t.comps.items()
                 ]
@@ -334,7 +334,7 @@ class TestZeroColumnPass:
         symbols, uses = {}, {}
         for i, row in enumerate(rows):
             for col, c in row.items():
-                symbols[(i, col)] = [("T", i, (), [(key, c)])]
+                symbols[(i, col)] = [("T", i, (), 1, [(key, c)])]
                 uses[(i, col)] = {1: [(col, 0)]}
         builder = SystemBuilder(self.TABLE, ncols)
         builder.add(symbols, uses)
@@ -350,7 +350,7 @@ class TestZeroColumnPass:
 
     def test_second_kernel_call_raises(self):
         builder = SystemBuilder(self.TABLE, 1)
-        builder.add({"s": [("T", 0, (), [(self.TABLE.zero, 1)])]}, {"s": {1: [(0, 0)]}})
+        builder.add({"s": [("T", 0, (), 1, [(self.TABLE.zero, 1)])]}, {"s": {1: [(0, 0)]}})
         kernel, _ = builder.kernel()
         assert kernel == []
         with pytest.raises(RuntimeError, match="already consumed"):
@@ -422,11 +422,11 @@ def _column_major_rows(chart, ansatz, ndirs, symbols):
         top = tuple(map(max, zip(*(p.den for p in polys.values()))))
         by_monomial = {}
         for col, p in polys.items():
-            num = LaurentPoly(table, p.terms)
+            num = LaurentPoly(table, p.terms, q=p.q)
             for k, m in enumerate(top):
                 for _ in range(m - p.den[k]):
                     num = num * table.denominator_poly(k)
-            for e, c in num.terms.items():
+            for e, c in num.rational_terms().items():
                 by_monomial.setdefault(e, {})[col] = c
         out[key] = [by_monomial[e] for e in sorted(by_monomial)]
     return out
@@ -459,7 +459,7 @@ class TestEquationMajorAssembly:
         ncols = len(ansatz.monomials) * ndirs
         got, uses = operator(ansatz.monomials, ndirs)
         naive = _column_major_rows(chart, ansatz, ndirs, symbols)
-        equations = {(tag, comp) for parts in got.values() for tag, comp, _, _ in parts}
+        equations = {(tag, comp) for parts in got.values() for tag, comp, *_ in parts}
         for eq in [None, *sorted(equations)]:  # None: the whole system
             builder = SystemBuilder(chart.table, ncols)
             builder.add(
