@@ -127,10 +127,9 @@ class SystemBuilder:
     component `comp` of the equation tagged `tag`, D the table's declared
     denominators.  `items` lists (monomial key, int numerator) pairs, a
     `LaurentPoly`'s `terms.items()`, and q is that polynomial's positive int
-    denominator.  `uses` maps the same key to
-    {scale: [(col, shift)]}: column `col` takes scale * x^shift * symbol,
-    `scale` an integer and `shift` the exponents packed without the bias
-    (`pack(e, 0)`).  A row's key is a term key plus a column shift and a
+    denominator.  `uses` maps the same key to {scale: [(col, shift)]}:
+    column `col` takes scale * x^shift * symbol, `scale` an integer and
+    `shift` the exponents packed without the bias (`pack(e, 0)`).  A row's key is a term key plus a column shift and a
     denominator factor's shift, each exponent below 2**13 in size, so no
     slot carries and distinct monomials keep distinct keys.
 
@@ -144,9 +143,8 @@ class SystemBuilder:
     symbols' q, one int per symbol, so each symbol's numerators are scaled
     by that lcm over its q: the rows are integral and their primitive rows,
     which are what `LinearSystem` eliminates, do not change.  Each symbol is
-    scaled once per scale and scattered at every
-    (col, shift) of its uses into the equation's rows, which is the one
-    place that terms are summed.  The rows are settled in ascending
+    scaled once per scale and scattered at every (col, shift) of its uses
+    into the equation's rows, which is the one place that terms are summed.  The rows are settled in ascending
     packed-key order and dropped before the next equation, so one
     equation's rows are alive at a time.
 
@@ -410,11 +408,10 @@ def _column_operator(tags, symbol0, symbol1, symbol2=None, symmetric=()):
     dict {comp: LaurentPoly} per tag.  `symbols` maps each key (a,), (a, l)
     or (a, l, k) that some column takes to its parts [(tag, comp, den, q,
     items)], items the component's `terms.items()`, int numerators over q;
-    a symbol is built on
-    first use and kept for later calls.  The tags in `symmetric` name
-    equations symmetric in the last two component indices; their parts are
-    cut to one component of each mirrored pair (`_halved`), and a symbol
-    left with no part gets no uses.  `uses` maps the key to {scale: [(col, shift)]}: the columns that
+    a symbol is built on first use and kept for later calls.  The tags in
+    `symmetric` name equations symmetric in the last two component indices;
+    their parts are cut to one component of each mirrored pair (`_halved`),
+    and a symbol left with no part gets no uses.  `uses` maps the key to {scale: [(col, shift)]}: the columns that
     take scale * x^shift times the symbol, shift the packed x^e, x^(e-1_l)
     or x^(e-1_l-1_k) and scale 1, e_l or e_l (e_k - delta_lk).  Nothing is
     summed, scaled or cleared here.
