@@ -224,7 +224,10 @@ def _build_model(name, n, signs, body):
         elif head == "laurent":
             laurent = tuple(val.split())
         elif head.startswith("denom "):
-            denoms[head[len("denom "):].strip()] = ("poly", val, ln)
+            dname = head[len("denom "):].strip()
+            if dname in denoms:
+                raise ManifestError(f"duplicate denominator {dname}", ln, 1)
+            denoms[dname] = ("poly", val, ln)
         elif head == "zdenoms":
             zden = _ints(val, ln)
             if not all(1 <= a <= n for a in zden):
@@ -253,10 +256,10 @@ def _build_model(name, n, signs, body):
         den_dict[f"Q{a}"] = {tuple(e1): 1, tuple(e2): 1}
     for dname, (_, val, ln) in denoms.items():
         p = parse_poly(val, plain, line=ln)
-        if any(p.den) or p.is_zero() or any(
+        if any(p.den) or p.is_constant() or any(
             e and lau for exps, _ in p.monomials() for e, lau in zip(exps, plain.laurent)
         ):
-            raise ManifestError("denominators are nonzero polynomials in the "
+            raise ManifestError("denominators are nonconstant polynomials in the "
                                 "non-laurent coordinates", ln, 1)
         den_dict[dname] = dict(p.monomials())
     chart = Chart(varnames, laurent=laurent, denominators=den_dict)
@@ -275,6 +278,8 @@ def _build_model(name, n, signs, body):
         idx, poly = _tensor_entry(head, val, n, ztab, ln)
         if len(idx) != 2:
             raise ManifestError("J entries take one upper, one lower index", ln, 1)
+        if idx in jcomps:
+            raise ManifestError("duplicate J entry", ln, 1)
         jcomps[idx] = poly
     frame = body.get("frame", [])
     gamma = None
@@ -323,18 +328,20 @@ def _build_model(name, n, signs, body):
                 m = re.fullmatch(r"(eps|one)\s+from\s+(\d+)", val)
                 if not m:
                     raise ManifestError(f"bad rest clause {val!r}", ln, 1)
-                rest = (m.group(1), int(m.group(2)))
+                rest = (m.group(1), int(m.group(2)), ln)
                 continue
             m = re.fullmatch(r"g\(\s*(\d+)\s*,\s*(\d+)\s*\)", head)
             if not m:
                 raise ManifestError(f"bad metric entry {head!r}", ln, 1)
             a, b = int(m.group(1)) - 1, int(m.group(2)) - 1
+            if (a, b) in mcomps:
+                raise ManifestError(f"duplicate metric entry {head}", ln, 1)
             p = parse_poly(val, chart.table, line=ln)
             mcomps[(a, b)] = p
             if a != b:
                 mcomps[(b, a)] = p
         if rest:
-            kind, start = rest
+            kind, start, rest_ln = rest
             if kind == "eps":
                 if not used_signs:
                     used_signs = tuple(1 for _ in range(start, n + 1))
@@ -345,6 +352,8 @@ def _build_model(name, n, signs, body):
             for k in range(start, n + 1):
                 eps = used_signs[k - start] if kind == "eps" else 1
                 for r in (2 * k - 2, 2 * k - 1):
+                    if (r, r) in mcomps:
+                        raise ManifestError(f"rest sets g({r + 1},{r + 1}) again", rest_ln, 1)
                     mcomps[(r, r)] = chart.const(eps)
         metric = Tensor(chart, (0, 2), mcomps)
     if used_signs and (rest is None or rest[0] != "eps"):
@@ -384,6 +393,8 @@ def _build_model(name, n, signs, body):
         prov = None
         if "@" in val:
             val, prov = (t.strip() for t in val.rsplit("@", 1))
+        if head in expected or head in degrees:
+            raise ManifestError(f"duplicate expected key {head!r}", ln, 1)
         if head == "degree":
             (degrees[head],) = _ints(val, ln, 1)
             continue
@@ -435,6 +446,8 @@ def _build_model(name, n, signs, body):
             idx, poly = _tensor_entry(head, val, n, ztab, ln)
             if len(idx) != sum(valence):
                 raise ManifestError(f"{kind} entry has wrong index count", ln, 1)
+            if idx in comps:
+                raise ManifestError(f"duplicate {kind} entry (or its mirror)", ln, 1)
             comps[idx] = poly
             a, b = formslots
             swapped = list(idx)

@@ -18,7 +18,10 @@ content (so q is the lcm of the reduced coefficients' denominators), and the
 numerator is not divisible by any denominator that has positive
 multiplicity, so structural equality is value equality.  A declared
 denominator is stored the same way: int numerators `den_terms[j]` over
-`den_q[j]`.
+`den_q[j]`, read by no other module.  One function multiplies declared
+denominators out (`_den_power`, cached per table) and one divides them out
+(`_divide_out`); other modules ask for a polynomial's numerator over a
+given product of them (`LaurentPoly.numerator_over`).
 
 Denominator polynomials must involve only non-laurent variables; laurent
 variables already provide monomial denominators through negative exponents.
@@ -31,6 +34,7 @@ plain variable `I` of `tensorcalc.complex_table`, and only
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 
 
@@ -106,7 +110,7 @@ class VarTable:
 
     __slots__ = (
         "names", "laurent", "den_names", "den_terms", "den_q", "_index",
-        "zero", "_lo", "_hi", "_high", "_ordinary",
+        "zero", "_lo", "_hi", "_high", "_ordinary", "_powers",
     )
 
     def __init__(self, names, laurent=(), denominators=None):
@@ -141,8 +145,8 @@ class VarTable:
                 if any(e and self.laurent[i] for i, e in enumerate(exps)):
                     raise PolyError(f"denominator {dname} involves a laurent variable")
                 canon[pack(exps)] = c
-            if not canon:
-                raise PolyError(f"denominator {dname} is zero")
+            if not canon or list(canon) == [self.zero]:
+                raise PolyError(f"denominator {dname} is a constant")
             canon, q = _split(canon)
             den_names.append(dname)
             den_terms.append(tuple(sorted(canon.items())))
@@ -150,6 +154,7 @@ class VarTable:
         self.den_names = tuple(den_names)
         self.den_terms = tuple(den_terms)
         self.den_q = tuple(den_q)
+        self._powers = {}  # multiplicities -> (int numerators, q), `_den_power`
 
     def index(self, name) -> int:
         try:
@@ -161,7 +166,8 @@ class VarTable:
         return len(self.names)
 
     def denominator_poly(self, k) -> "LaurentPoly":
-        return LaurentPoly(self, dict(self.den_terms[k]), q=self.den_q[k])
+        terms, q = _den_power(self, _unit(len(self.den_names), k))
+        return LaurentPoly(self, terms, q=q)
 
     def key(self):
         return (self.names, self.laurent, self.den_names, self.den_terms, self.den_q)
@@ -190,7 +196,7 @@ class LaurentPoly:
 
     __slots__ = ("table", "terms", "den", "q")
 
-    def __init__(self, table, terms=None, den=None, q=1, _reduce=True):
+    def __init__(self, table, terms=None, den=None, q=1):
         """`terms` maps keys to int or Fraction values, split here once into
         int numerators over the positive int q."""
         self.table = table
@@ -202,8 +208,10 @@ class LaurentPoly:
             raise PolyError(f"the common denominator must be a positive int, not {q!r}")
         self.terms, self.q = _split(terms or {}, q)
         _guard(table, self.terms, ordinary=True)
-        if _reduce and any(self.den):
-            self._reduce_inplace()
+        if any(self.den):
+            # the canonical form: each D_k divided out while it divides
+            self.terms, self.q, took = _divide_out(table, self.terms, self.q, self.den)
+            self.den = tuple(m - t for m, t in zip(self.den, took))
 
     # -- constructors ---------------------------------------------------
 
@@ -221,25 +229,16 @@ class LaurentPoly:
         exps[table.index(name)] = power
         return LaurentPoly(table, {pack(exps): 1})
 
-    # -- canonical reduction against declared denominators ---------------
+    # -- declared denominators ----------------------------------------------
 
-    def _reduce_inplace(self):
-        table = self.table
-        den = list(self.den)
-        terms, q = self.terms, self.q
-        for k in range(len(den)):
-            while den[k] > 0:
-                got = _exact_divide(table, terms, dict(table.den_terms[k]))
-                if got is None:
-                    break
-                # terms = D_k quot den_q[k] / s
-                terms, s = got
-                q *= s
-                if table.den_q[k] != 1:
-                    terms = {e: c * table.den_q[k] for e, c in terms.items()}
-                den[k] -= 1
-        self.den = tuple(den)
-        self.terms, self.q = _lowest(terms, q)
+    def numerator_over(self, den):
+        """(int numerators, q) of self written over prod_k D_k ** den[k], den
+        at least self.den in every slot.  With den == self.den they are
+        self's own terms; never mutate them."""
+        if den == self.den:
+            return self.terms, self.q
+        terms, q = _den_power(self.table, tuple(d - m for d, m in zip(den, self.den)))
+        return _mul_terms(self.table, self.terms, terms), self.q * q
 
     # -- predicates and coefficients ---------------------------------------
 
@@ -271,31 +270,17 @@ class LaurentPoly:
             return LaurentPoly.const(self.table, other)
         return NotImplemented
 
-    def _aligned(self, other):
-        """(terms, q) of self and of other over the common denominator
-        multiplicities, and those multiplicities."""
-        table = self.table
-        den = tuple(max(a, b) for a, b in zip(self.den, other.den))
-        out = []
-        for p in (self, other):
-            terms, q = p.terms, p.q
-            for k, (m, target) in enumerate(zip(p.den, den)):
-                for _ in range(target - m):
-                    terms = _mul_terms(table, terms, dict(table.den_terms[k]))
-                    q *= table.den_q[k]
-            out.append((terms, q))
-        return (*out, den)
-
     def __add__(self, other):
         if type(other) is not LaurentPoly:  # the exact type first: it is cheap
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
         _check_same_table(self, other)
-        if any(self.den) or any(other.den):
-            (ta, qa), (tb, qb), den = self._aligned(other)
-        else:
+        if self.den == other.den:
             ta, qa, tb, qb, den = self.terms, self.q, other.terms, other.q, self.den
+        else:
+            den = tuple(map(max, self.den, other.den))
+            (ta, qa), (tb, qb) = self.numerator_over(den), other.numerator_over(den)
         if qa == qb:
             q, fb = qa, 1
             out = dict(ta)
@@ -373,34 +358,26 @@ class LaurentPoly:
 
     def inverse_if_unit(self):
         """Inverse when self is a scalar multiple of a laurent monomial times
-        a product of declared denominators; None otherwise."""
+        a product of declared denominators; None otherwise.  Each D_k is
+        divided out as often as it divides, in turn: in a UFD that leaves a
+        monomial exactly when self is a unit."""
         table = self.table
-        num = self.terms
-        scale = Fraction(1, self.q)  # self = scale * num * prod(D**mult) / prod(D**self.den)
-        mult = [0] * len(table.den_names)
-        progress = True
-        while progress and len(num) > 1:
-            progress = False
-            for k in range(len(table.den_names)):
-                got = _exact_divide(table, num, dict(table.den_terms[k]))
-                if got is not None:
-                    # num = D_k den_q[k] quot / s
-                    num, s = got
-                    scale *= Fraction(table.den_q[k], s)
-                    mult[k] += 1
-                    progress = True
+        if not self.terms:
+            return None
+        # self = (c x^key / q) prod D**mult / prod D**self.den
+        num, q, mult = _divide_out(table, self.terms, self.q, (None,) * len(self.den))
         if len(num) != 1:
             return None
         (key, c), = num.items()
         inv_key = 2 * table.zero - key
         if inv_key & table._ordinary != table._ordinary:
             return None  # a positive exponent on an ordinary variable
-        inv = LaurentPoly(table, {inv_key: 1 / (scale * c)}, _reduce=False)
-        # 1/self = inv_monomial * prod(den**(self.den)) / prod(den**mult)
-        for k, m in enumerate(self.den):
-            for _ in range(m):
-                inv = inv * table.denominator_poly(k)
-        return LaurentPoly(table, inv.terms, tuple(mult), inv.q)
+        terms, dq = _den_power(table, self.den)
+        if c < 0:
+            q, c = -q, -c
+        # 1/self = q x^-key prod D**self.den / (c prod D**mult)
+        shift = inv_key - table.zero
+        return LaurentPoly(table, {e + shift: v * q for e, v in terms.items()}, mult, c * dq)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -430,35 +407,26 @@ class LaurentPoly:
             # d/dx_i keeps exponent vectors apart and coefficients nonzero,
             # and never takes an ordinary variable's exponent below zero
             return _canonical(self.table, dnum, self.q, self.den)
-        # quotient rule over the declared denominators D_k = den_terms[k] / den_q[k]
+        # quotient rule: with P the product of the D_k of multiplicity m_k > 0,
+        # (N / prod D_k^m_k)' = (N' P - N sum_k m_k D_k' P / D_k) / prod D_k^(m_k + 1)
         table = self.table
-        out_terms = dnum
-        q = self.q
-        for k, m in enumerate(self.den):
-            if m:
-                out_terms = _mul_terms(table, out_terms, dict(table.den_terms[k]))
-                q *= table.den_q[k]
+        ones = tuple(int(m > 0) for m in self.den)
+        p, q = _den_power(table, ones)
+        out = _mul_terms(table, dnum, p)
         for k, m in enumerate(self.den):
             if not m:
                 continue
-            ddk = _diff_terms(table, dict(table.den_terms[k]), i)
-            if not ddk:
+            unit = _unit(len(ones), k)
+            piece = _diff_terms(table, _den_power(table, unit)[0], i)
+            if not piece:
                 continue
-            piece = _mul_terms(table, self.terms, ddk)
-            piece = {e: c * (-m) for e, c in piece.items()}
-            for j, mj in enumerate(self.den):
-                if j == k or not mj:
-                    continue
-                piece = _mul_terms(table, piece, dict(table.den_terms[j]))
-            for e, c in piece.items():
-                s = out_terms.get(e)
-                s = c if s is None else s + c
-                if not s:
-                    out_terms.pop(e, None)
-                else:
-                    out_terms[e] = s
+            rest = tuple(a - b for a, b in zip(ones, unit))
+            if any(rest):
+                piece = _mul_terms(table, piece, _den_power(table, rest)[0])
+            for e, c in _mul_terms(table, self.terms, piece).items():
+                accumulate(out, e, -m * c)
         den = tuple(m + 1 if m else 0 for m in self.den)
-        return LaurentPoly(self.table, out_terms, den, q)
+        return LaurentPoly(table, out, den, self.q * q)
 
     # -- substitution / evaluation -------------------------------------------
 
@@ -572,6 +540,49 @@ def _guard(table, keys, ordinary=False):
         if k & top != top:
             exps = unpack(k, table.nvars())
             raise PolyError(f"negative exponent on an ordinary variable in {exps}")
+
+
+@cache
+def _unit(nd, k):
+    """The multiplicities of D_k alone among `nd` declared denominators."""
+    return tuple(int(j == k) for j in range(nd))
+
+
+def _den_power(table, mults):
+    """(int numerators, q) of prod_k D_k ** mults[k], the one place that
+    multiplies declared denominators out.  Cached per table and shared, so
+    never mutate a result, and never multiply by the empty product."""
+    got = table._powers.get(mults)
+    if got is None:
+        terms, q = {table.zero: 1}, 1
+        for k, m in enumerate(mults):
+            for _ in range(m):
+                terms = _mul_terms(table, terms, dict(table.den_terms[k]))
+                q *= table.den_q[k]
+        got = table._powers[mults] = terms, q
+    return got
+
+
+def _divide_out(table, terms, q, limits):
+    """(quotient in lowest terms, q, counts): the one divider.  Each D_k is
+    divided out of the int numerators `terms` over q, in turn, as often as
+    it divides exactly, at most limits[k] times (None: unbounded), counts[k]
+    times.  Zero divides without end: an unbounded limit needs terms."""
+    counts = [0] * len(limits)
+    for k, limit in enumerate(limits):
+        dk, dq = _den_power(table, _unit(len(limits), k))
+        while limit is None or counts[k] < limit:
+            got = _exact_divide(table, terms, dk)
+            if got is None:
+                break
+            # terms / q = D_k quot dq / (s q), D_k = dk / dq
+            terms, s = got
+            q *= s
+            if dq != 1:
+                terms = {e: c * dq for e, c in terms.items()}
+            counts[k] += 1
+    terms, q = _lowest(terms, q)
+    return terms, q, counts
 
 
 def _mul_terms(table, a, b):

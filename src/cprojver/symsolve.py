@@ -18,11 +18,11 @@ one component of each mirrored pair, since the other repeats its rows.
 `SystemBuilder` assembles the system equation-major: for each equation it
 scatters every symbol that has that component over the columns that use
 it, which is the one place that terms are summed, and settles that
-equation's rows before the next one.  Symbols hand over their polynomials'
-packed monomial keys and int numerators as they are (`poly.pack`), with
-each polynomial's one denominator q: a column's shift is added to a key, a
-row is keyed by the sum, and each equation is scaled by the lcm of its
-symbols' q.
+equation's rows before the next one.  Symbols hand over their polynomials
+as they are; `poly` writes each over the equation's common declared
+denominator, as packed monomial keys (`poly.pack`) and int numerators over
+one q: a column's shift is added to a key, a row is keyed by the sum, and
+each equation is scaled by the lcm of its symbols' q.
 Before the elimination, it settles the columns that one-entry rows force to
 zero: the rows {c: 1} for those columns plus the other rows stripped of them
 span the same row space, so the kernel is the same and most rows never
@@ -37,10 +37,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, partial
 from math import lcm
-from operator import sub
 
 from .linalg import LinearSystem, SpanSolver
-from .poly import LaurentPoly, PolyError, _mul_terms, accumulate, pack
+from .poly import LaurentPoly, PolyError, accumulate, pack
 from .tensorcalc import (
     Tensor,
     contract,
@@ -123,30 +122,29 @@ class SystemBuilder:
 
     The builder takes symbols and their uses, as an operator call returns
     them (`_column_operator`).  `symbols` maps a symbol key to its parts
-    [(tag, comp, den, q, items)]: the symbol adds items / (q D^den) to
-    component `comp` of the equation tagged `tag`, D the table's declared
-    denominators.  `items` lists (monomial key, int numerator) pairs, a
-    `LaurentPoly`'s `terms.items()`, and q is that polynomial's positive int
-    denominator.  `uses` maps the same key to {scale: [(col, shift)]}:
-    column `col` takes scale * x^shift * symbol, `scale` an integer and
-    `shift` the exponents packed without the bias (`pack(e, 0)`).  A row's key is a term key plus a column shift and a
-    denominator factor's shift, each exponent below 2**13 in size, so no
-    slot carries and distinct monomials keep distinct keys.
+    [(tag, comp, p)]: the symbol adds the `LaurentPoly` p to component
+    `comp` of the equation tagged `tag`.  `uses` maps the same key to
+    {scale: [(col, shift)]}: column `col` takes scale * x^shift * symbol,
+    `scale` an integer and `shift` the exponents packed without the bias
+    (`pack(e, 0)`).  A row's key is a term key plus a column shift, each
+    exponent below 2**13 in size, so no slot carries and distinct monomials
+    keep distinct keys.
 
     `kernel` works equation-major.  For each equation (tag, comp), in sorted
     order, it takes the symbols that have that component and their top
-    denominator multiplicity M, the largest of their `den`s, and multiplies
-    each symbol by D^(M - den) once (the int numerators of D^(M - den),
-    their q folded into the symbol's).  The Laurent polynomial ring is an
-    integral domain, so the cleared equation has the same solutions as the
-    one it came from.  It then multiplies the equation by the lcm of its
-    symbols' q, one int per symbol, so each symbol's numerators are scaled
-    by that lcm over its q: the rows are integral and their primitive rows,
-    which are what `LinearSystem` eliminates, do not change.  Each symbol is
-    scaled once per scale and scattered at every (col, shift) of its uses
-    into the equation's rows, which is the one place that terms are summed.  The rows are settled in ascending
-    packed-key order and dropped before the next equation, so one
-    equation's rows are alive at a time.
+    denominator multiplicity M, the largest of their `den`s, and asks `poly`
+    for each symbol's int numerators over D^M and its q
+    (`LaurentPoly.numerator_over`), D the table's declared denominators.
+    The Laurent polynomial ring is an integral domain, so the cleared
+    equation has the same solutions as the one it came from.  It then
+    multiplies the equation by the lcm of its symbols' q, one int per
+    symbol, so each symbol's numerators are scaled by that lcm over its q:
+    the rows are integral and their primitive rows, which are what
+    `LinearSystem` eliminates, do not change.  Each symbol is scaled once
+    per scale and scattered at every (col, shift) of its uses into the
+    equation's rows, which is the one place that terms are summed.  The
+    rows are settled in ascending packed-key order and dropped before the
+    next equation, so one equation's rows are alive at a time.
 
     Before any row reaches `LinearSystem`, `kernel` settles the columns that
     one-entry rows force to zero (the first step of structured Gaussian
@@ -166,16 +164,15 @@ class SystemBuilder:
     `kernel()` call raises.
     """
 
-    def __init__(self, table, ncols):
-        self.table = table
+    def __init__(self, ncols):
         self.ncols = ncols
-        self.eqs = {}  # (tag, comp) -> [(den, q, items, {scale: [(col, shift)]})]
+        self.eqs = {}  # (tag, comp) -> [(LaurentPoly, {scale: [(col, shift)]})]
 
     def add(self, symbols, uses):
         """Index each part of `symbols` under its equation, with its key's uses."""
         for key, parts in symbols.items():
-            for tag, comp, den, q, items in parts:
-                self.eqs.setdefault((tag, comp), []).append((den, q, items, uses[key]))
+            for tag, comp, p in parts:
+                self.eqs.setdefault((tag, comp), []).append((p, uses[key]))
 
     def kernel(self):
         """(canonical kernel basis, the `LinearSystem` it came from)."""
@@ -183,43 +180,20 @@ class SystemBuilder:
         if eqs is None:
             raise RuntimeError("SystemBuilder.kernel has already consumed its outputs")
         self.eqs = None
-        table = self.table
-
-        @cache
-        def factor(raise_by):
-            """(int numerators keyed by shifts, q) of prod_k D_k ** raise_by[k]."""
-            out, q = {table.zero: 1}, 1
-            for k, m in enumerate(raise_by):
-                for _ in range(m):
-                    out = _mul_terms(table, out, dict(table.den_terms[k]))
-                    q *= table.den_q[k]
-            return [(e - table.zero, c) for e, c in out.items()], q
-
         zero = set()  # columns that the rows force to zero
         kept = []  # the other rows, without the columns in `zero`
         for key in sorted(eqs):
             entries = eqs.pop(key)
-            top = tuple(map(max, zip(*{den for den, _, _, _ in entries})))
-            parts = []
-            for den, q, items, used in entries:
-                if den != top:
-                    shifts, fq = factor(tuple(map(sub, top, den)))
-                    raised = {}
-                    for f, d in shifts:
-                        for e, c in items:
-                            e += f
-                            raised[e] = raised.get(e, 0) + c * d
-                    items = [(e, c) for e, c in raised.items() if c]
-                    q *= fq
-                parts.append((q, items, used))
+            top = tuple(map(max, zip(*{p.den for p, _ in entries})))
+            parts = [(*p.numerator_over(top), used) for p, used in entries]
             # the equation times the lcm of its parts' q: integral rows with
             # the same primitive rows, and int sums in the scatter
-            mult = lcm(*(q for q, _, _ in parts))
+            mult = lcm(*(q for _, q, _ in parts))
             rows = {}  # packed exps -> {col: coefficient}
-            for q, items, used in parts:
+            for terms, q, used in parts:
                 for scale, cols in used.items():
                     scale *= mult // q
-                    for e, c in items:
+                    for e, c in terms.items():
                         if scale != 1:
                             c *= scale
                         for col, shift in cols:
@@ -406,12 +380,12 @@ def _column_operator(tags, symbol0, symbol1, symbol2=None, symmetric=()):
 
     `symbol0(a)`, `symbol1(a, l)` and `symbol2(a, l, k)` return one comps
     dict {comp: LaurentPoly} per tag.  `symbols` maps each key (a,), (a, l)
-    or (a, l, k) that some column takes to its parts [(tag, comp, den, q,
-    items)], items the component's `terms.items()`, int numerators over q;
-    a symbol is built on first use and kept for later calls.  The tags in
-    `symmetric` name equations symmetric in the last two component indices;
-    their parts are cut to one component of each mirrored pair (`_halved`),
-    and a symbol left with no part gets no uses.  `uses` maps the key to {scale: [(col, shift)]}: the columns that
+    or (a, l, k) that some column takes to its parts [(tag, comp, p)], p the
+    component's polynomial; a symbol is built on first use and kept for
+    later calls.  The tags in `symmetric` name equations symmetric in the
+    last two component indices; their parts are cut to one component of
+    each mirrored pair (`_halved`), and a symbol left with no part gets no
+    uses.  `uses` maps the key to {scale: [(col, shift)]}: the columns that
     take scale * x^shift times the symbol, shift the packed x^e, x^(e-1_l)
     or x^(e-1_l-1_k) and scale 1, e_l or e_l (e_k - delta_lk).  Nothing is
     summed, scaled or cleared here.
@@ -424,7 +398,7 @@ def _column_operator(tags, symbol0, symbol1, symbol2=None, symmetric=()):
         if got is None:
             got = memo[key] = _halved(
                 [
-                    (tag, comp, p.den, p.q, p.terms.items())
+                    (tag, comp, p)
                     for tag, comps in zip(tags, builders[len(key)](*key))
                     for comp, p in comps.items()
                 ],
@@ -531,11 +505,11 @@ def solve_field_system(spec, operator, ansatz, extra_metric_scale=None, ndirs=No
     if ndirs is None:
         ndirs = spec.chart.dim
     nfield = len(ansatz.monomials) * ndirs
-    builder = SystemBuilder(table, nfield + (extra_metric_scale is not None))
+    builder = SystemBuilder(nfield + (extra_metric_scale is not None))
     builder.add(*operator(ansatz.monomials, ndirs))
     if extra_metric_scale is not None:
         comps = extra_metric_scale.scale(-1).comps
-        parts = [("LG", comp, p.den, p.q, p.terms.items()) for comp, p in comps.items()]
+        parts = [("LG", comp, p) for comp, p in comps.items()]
         builder.add(
             {"c": _halved(parts, _symmetric_tags("LG", extra_metric_scale))},
             {"c": {1: [(nfield, 0)]}},

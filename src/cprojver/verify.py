@@ -4,6 +4,7 @@ acceptance suite.  Each battery returns a list of report.Check records."""
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 
 from .algebras import builtin_algebra
 from .catalog import builtin, expected_symmetries, model_ansatz
@@ -46,6 +47,7 @@ from .symsolve import (
     phi_map,
     solve_field_system,
     span_equals,
+    verify_fields,
 )
 from .structlie import deform_by_cochain
 from . import tensorcalc as tc
@@ -272,10 +274,8 @@ def symmetry_battery(spec, stabilize=True):
     except KeyError:
         fields = None
     if fields is not None:
-        bad = [
-            lbl for lbl, f in fields
-            if any(not t.is_zero() for _, t in cproj_equations(spec, f))
-        ]
+        equations = partial(cproj_equations, spec)
+        bad = [lbl for lbl, f in fields if not verify_fields(equations, [f])]
         checks.append(
             Check(
                 "every printed generator satisfies the equations",

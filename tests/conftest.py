@@ -47,9 +47,9 @@ def canonical():
         for key, by_scale in uses.items():
             for scale, cols in by_scale.items():
                 for shift in (shift for c, shift in cols if c == col):
-                    for tag, comp, den, q, items in symbols[key]:
-                        terms = {k + shift: c * scale for k, c in items}
-                        accumulate(comps[tag], comp, LaurentPoly(table, terms, den, q))
+                    for tag, comp, p in symbols[key]:
+                        terms = {k + shift: c * scale for k, c in p.terms.items()}
+                        accumulate(comps[tag], comp, LaurentPoly(table, terms, p.den, p.q))
         return [(tag, comps[tag]) for tag in tags]
 
     return convert

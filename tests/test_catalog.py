@@ -63,6 +63,19 @@ class TestLoading:
         assert a.gamma == b.gamma and a.J == b.J
         assert a.expected == b.expected
 
+    def test_denominator_with_rational_coefficients(self):
+        # cp1xc over D1 = (1 + x1^2 + x2^2)/2, stored as int numerators over
+        # q = 2, with g = 1/(4 D1^2): the same metric, so the same checks
+        from cprojver.cli import _battery
+
+        text = _data("cp1xc.model")
+        halved = text.replace("denom D1 = 1+x1^2+x2^2", "denom D1 = 1/2+1/2*x1^2+1/2*x2^2")
+        halved = halved.replace("= 1/D1^2", "= 1/(4*D1^2)")
+        assert halved.count("1/(4*D1^2)") == 2
+        checks = [_battery(parse_model_manifest(t, n=2), fast=True) for t in (text, halved)]
+        assert [c.as_record() for c in checks[0]] == [c.as_record() for c in checks[1]]
+        assert all(c.passed for c in checks[1])
+
     def test_every_model_has_tagged_expectations(self):
         for name in MODEL_NAMES:
             spec = builtin(name)
@@ -135,6 +148,20 @@ class TestMalformedValues:
             ("alg_sl2.alg", "grade e = 1", "grade e = x", 5),
             # expected values are integers; n/3 at n=2 used to truncate to 0
             ("cp1xc.model", "symmetry_dim = 2*n^2-2*n+3", "symmetry_dim = n/3", 20),
+            # a constant declared denominator is no denominator
+            ("cp1xc.model", "denom D1 = 1+x1^2+x2^2", "denom D1 = 2", 9),
+            # an entry given twice is refused at its second line, never
+            # overwritten by it: per section, and for the metric against its
+            # mirror and against the diagonal that the rest clause sets
+            ("cp1xc.model", "denom D1 = 1+x1^2+x2^2", "denom D1 = 1+x1^2+x2^2\ndenom D1 = 1+x1^2", 10),
+            ("cp1xc.model", "standard", "standard\nJ(zb1; z1) = z2\nJ(zb1; z1) = 0", 14),
+            ("cp1xc.model", "g(1,1) = 1/D1^2", "g(1,1) = 1/D1^2\ng(1,1) = 5", 16),
+            ("cp1xc.model", "g(1,1) = 1/D1^2", "g(1,1) = 1/D1^2\ng(1,3) = 0\ng(3,1) = 0", 17),
+            ("cp1xc.model", "g(2,2) = 1/D1^2", "g(2,2) = 1/D1^2\ng(3,3) = 1", 18),
+            ("cp1xc.model", "minimal = true @published", "minimal = true @published\nminimal = false @published", 24),
+            ("cp1xc.model", "degree = 3", "degree = 3\ndegree = 4", 26),
+            ("type1.model", "R(z1; z2, z2, z3) = 1", "R(z1; z2, z2, z3) = 1\nR(z1; z2, z2, z3) = 2", 29),
+            ("type1.model", "R(z1; z2, z2, z3) = 1", "R(z1; z2, z2, z3) = 1\nR(z1; z2, z3, z2) = -1", 29),
         ],
     )
     def test_parse_error_with_line(self, fname, old, new, line):

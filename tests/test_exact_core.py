@@ -388,6 +388,85 @@ class TestIntegerNumerators:
         unit = LaurentPoly(table, packed(plain_scale(plain_pow(den, ma, nv), c)), (mb,))
         assert_exact(unit.inverse_if_unit(), plain_scale(plain_pow(den, mb, nv), 1 / c), ma, den)
 
+    def test_inverse_divides_a_monomial_denominator_out(self):
+        # a declared denominator may be a monomial in ordinary variables:
+        # 3 x y is then the unit 3 D, though neither x nor y is invertible
+        table = VarTable(["x", "y"], denominators={"D": {(1, 1): 1}})
+        p = LaurentPoly(table, {pack((1, 1)): 3})
+        inv = p.inverse_if_unit()
+        assert inv.den == (1,) and p * inv == 1
+        assert LaurentPoly(table, {pack((1, 0)): 3}).inverse_if_unit() is None
+
+
+# Two coprime declared denominators, D1 = 1 + x^2 and D2 = x^2 + y^2, on a
+# chart with a laurent variable s; the second table has rational
+# coefficients, so its denominators are int numerators over a q > 1.  These
+# run the quotient rule's cross terms, the alignment of a sum over both
+# denominators and the inverse of a product of both.
+TWO_DENOMINATORS = pytest.mark.parametrize("table", [
+    VarTable(["x", "y", "s"], laurent=("s",), denominators={
+        "D1": {(0, 0, 0): 1, (2, 0, 0): 1}, "D2": {(2, 0, 0): 1, (0, 2, 0): 1},
+    }),
+    VarTable(["x", "y", "s"], laurent=("s",), denominators={
+        "D1": {(0, 0, 0): Fraction(1, 2), (2, 0, 0): Fraction(1, 2)},
+        "D2": {(2, 0, 0): Fraction(2, 3), (0, 2, 0): 1},
+    }),
+], ids=["int", "rational"])
+POINT = {"x": Fraction(1, 3), "y": 2, "s": Fraction(-3, 2)}  # neither D vanishes
+multiplicities = st.tuples(st.integers(0, 2), st.integers(0, 2))
+
+
+def over(table):
+    """Polynomials over `table`, each over its own D1^m1 D2^m2."""
+    return st.builds(
+        lambda a, den: LaurentPoly(table, packed(a), den), plain_polys((0, 0, -2)), multiplicities
+    )
+
+
+class TestTwoDenominators:
+    @TWO_DENOMINATORS
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_sum_product_and_product_rule(self, table, data):
+        a, b = data.draw(over(table)), data.draw(over(table))
+        assert (a + b).evaluate(POINT) == a.evaluate(POINT) + b.evaluate(POINT)
+        assert (a * b).evaluate(POINT) == a.evaluate(POINT) * b.evaluate(POINT)
+        for name in table.names:
+            assert (a * b).derivative(name) == a.derivative(name) * b + a * b.derivative(name)
+
+    @TWO_DENOMINATORS
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_each_denominator_divides_out(self, table, data):
+        a = data.draw(over(table))
+        for k in range(2):
+            d = table.denominator_poly(k)
+            assert (a * d) / d == a and (a / d) * d == a
+
+    @TWO_DENOMINATORS
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_numerator_over_a_larger_denominator(self, table, data):
+        a = data.draw(over(table))
+        extra = data.draw(multiplicities)
+        den = tuple(m + e for m, e in zip(a.den, extra))
+        terms, q = a.numerator_over(den)
+        assert LaurentPoly(table, terms, den, q) == a
+        assert a.numerator_over(a.den) == (a.terms, a.q)
+
+    @TWO_DENOMINATORS
+    @settings(max_examples=40, deadline=None)
+    @given(rationals, st.integers(-2, 2), multiplicities, multiplicities)
+    def test_inverse_of_a_unit(self, table, c, j, up, down):
+        d1, d2 = table.denominator_poly(0), table.denominator_poly(1)
+        num = c * LaurentPoly.var(table, "s", j) * d1 ** up[0] * d2 ** up[1]
+        unit = LaurentPoly(table, num.terms, down, num.q)
+        inv = unit.inverse_if_unit()
+        assert unit * inv == 1
+        assert inv.evaluate(POINT) == 1 / unit.evaluate(POINT)
+        assert (unit * LaurentPoly.var(table, "x")).inverse_if_unit() is None
+        assert (unit * (d1 + d2)).inverse_if_unit() is None
+
 
 class TestAccumulate:
     """Sparse tensor dicts never store a zero value."""

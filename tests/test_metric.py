@@ -268,7 +268,7 @@ class TestMobilityColumns:
             def op(monomials, ndirs):
                 symbols, uses = with_herm(monomials, ndirs)
                 col = monomials.index(origin) * ndirs  # x^0 E_00
-                symbols = {**symbols, "pin": [("PIN", 0, (), 1, [(pack(origin), 1)])]}
+                symbols = {**symbols, "pin": [("PIN", 0, chart.const(1))]}
                 return symbols, {**uses, "pin": {1: [(col, 0)]}}
 
             return pairs, op, eq_only

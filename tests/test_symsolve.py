@@ -251,12 +251,12 @@ class TestColumnSymbols:
             for a in range(dim):
                 col = m * dim + a
                 symbols[col] = [
-                    (tag, comp, p.den, p.q, p.terms.items())
+                    (tag, comp, p)
                     for tag, t in cproj_equations(spec, {a: mono})
                     for comp, p in t.comps.items()
                 ]
                 uses[col] = {1: [(col, 0)]}
-        generic, fed = SystemBuilder(table, ncols), SystemBuilder(table, ncols)
+        generic, fed = SystemBuilder(ncols), SystemBuilder(ncols)
         generic.add(symbols, uses)
         fed.add(*cproj_operator(spec)(monomials, dim))
         return generic.kernel()[0], fed.kernel()[0]
@@ -334,9 +334,9 @@ class TestZeroColumnPass:
         symbols, uses = {}, {}
         for i, row in enumerate(rows):
             for col, c in row.items():
-                symbols[(i, col)] = [("T", i, (), 1, [(key, c)])]
+                symbols[(i, col)] = [("T", i, LaurentPoly(self.TABLE, {key: c}))]
                 uses[(i, col)] = {1: [(col, 0)]}
-        builder = SystemBuilder(self.TABLE, ncols)
+        builder = SystemBuilder(ncols)
         builder.add(symbols, uses)
         kernel, system = builder.kernel()
         ref = LinearSystem()
@@ -349,8 +349,8 @@ class TestZeroColumnPass:
         assert system.nrows <= ref.nrows
 
     def test_second_kernel_call_raises(self):
-        builder = SystemBuilder(self.TABLE, 1)
-        builder.add({"s": [("T", 0, (), 1, [(self.TABLE.zero, 1)])]}, {"s": {1: [(0, 0)]}})
+        builder = SystemBuilder(1)
+        builder.add({"s": [("T", 0, LaurentPoly.const(self.TABLE, 1))]}, {"s": {1: [(0, 0)]}})
         kernel, _ = builder.kernel()
         assert kernel == []
         with pytest.raises(RuntimeError, match="already consumed"):
@@ -461,7 +461,7 @@ class TestEquationMajorAssembly:
         naive = _column_major_rows(chart, ansatz, ndirs, symbols)
         equations = {(tag, comp) for parts in got.values() for tag, comp, *_ in parts}
         for eq in [None, *sorted(equations)]:  # None: the whole system
-            builder = SystemBuilder(chart.table, ncols)
+            builder = SystemBuilder(ncols)
             builder.add(
                 {key: [p for p in parts if eq in (None, p[:2])] for key, parts in got.items()},
                 uses,
@@ -481,7 +481,7 @@ class TestEquationMajorAssembly:
         symbols = {(0,): ({0: chart.const(1)},), (0, 0): ({0: -x},)}
         operator = _column_operator(("A",), lambda a: symbols[(a,)], lambda a, l: symbols[(a, l)])
         ansatz = AnsatzSpace(chart, total_degree=1)
-        builder = SystemBuilder(chart.table, 2)
+        builder = SystemBuilder(2)
         builder.add(*operator(ansatz.monomials, 1))
         kernel, system = builder.kernel()
         assert kernel == [{1: 1}] and system.rank() == 1
