@@ -448,8 +448,13 @@ def _build_model(name, n, signs, body):
                 raise ManifestError(f"{kind} entry has wrong index count", ln, 1)
             if idx in comps:
                 raise ManifestError(f"duplicate {kind} entry (or its mirror)", ln, 1)
-            comps[idx] = poly
             a, b = formslots
+            if idx[a] == idx[b] and poly:
+                raise ManifestError(
+                    f"{kind} entry is nonzero with equal form slots; a 2-form vanishes there",
+                    ln, 1,
+                )
+            comps[idx] = poly
             swapped = list(idx)
             swapped[a], swapped[b] = swapped[b], swapped[a]
             comps[tuple(swapped)] = -poly

@@ -21,7 +21,11 @@ denominator is stored the same way: int numerators `den_terms[j]` over
 `den_q[j]`, read by no other module.  One function multiplies declared
 denominators out (`_den_power`, cached per table) and one divides them out
 (`_divide_out`); other modules ask for a polynomial's numerator over a
-given product of them (`LaurentPoly.numerator_over`).
+given product of them (`LaurentPoly.numerator_over`).  Sums of products
+(contractions, Lie derivatives, field brackets) go through one accumulator,
+`ProductSum`: it sums the products' int numerators per output key, bucketed
+by (den, q), and builds one polynomial per key instead of one per partial
+product and per running sum.
 
 Denominator polynomials must involve only non-laurent variables; laurent
 variables already provide monomial denominators through negative exponents.
@@ -400,6 +404,22 @@ class LaurentPoly:
 
     # -- calculus -----------------------------------------------------------
 
+    def variables(self):
+        """The indices, ascending, of the variables that self's numerator or
+        declared denominators involve: d/dx_i of self is zero for any other i.
+        One pass over the keys, so a caller differentiates only along these."""
+        table = self.table
+        zero = table.zero
+        mask = 0
+        for k in self.terms:
+            mask |= k ^ zero  # slot i is nonzero exactly when e_i is
+        for k, m in enumerate(self.den):
+            if m:
+                for key, _ in table.den_terms[k]:
+                    mask |= key ^ zero
+        nv = len(table.names)
+        return [i for i in range(nv) if mask >> (_SLOT * (nv - 1 - i)) & _MASK]
+
     def derivative(self, name):
         i = self.table.index(name)
         dnum = _diff_terms(self.table, self.terms, i)
@@ -517,6 +537,99 @@ def accumulate(out, key, val):
         out.pop(key, None)
 
 
+class ProductSum:
+    """Sums of products of polynomials, one sum per output key.
+
+    `add(key, factors, scale)` adds scale * prod(factors) to the sum at
+    `key`; `result()` returns {key: LaurentPoly} without zero entries.  The
+    products are summed as int numerators bucketed by (den, q), so neither a
+    partial product nor a running sum becomes a LaurentPoly: each output
+    component is built once.  A lone factor added with scale 1 is kept
+    as it is, and copied only when a second product joins its key.  The
+    polynomials that `result` returns may share the accumulator's dicts:
+    call it once, after the last `add`."""
+
+    __slots__ = ("table", "_sums")
+
+    def __init__(self):
+        self.table = None
+        self._sums = {}  # key -> a lone LaurentPoly, or {(den, q): int numerators}
+
+    def add(self, key, factors, scale=1):
+        """Add scale * prod(factors) at `key`, scale an exact rational."""
+        table = self.table
+        for f in factors:
+            if not f.terms:
+                return
+            if f.table is not table:
+                if table is not None and f.table != table:
+                    raise PolyError(f"variable registry mismatch: {table!r} vs {f.table!r}")
+                table = self.table = f.table
+        if not scale:
+            return
+        sums = self._sums
+        entry = sums.get(key)
+        last = factors[-1]
+        if entry is None:
+            if len(factors) == 1 and scale == 1:
+                sums[key] = last
+                return
+            entry = sums[key] = {}
+        elif type(entry) is LaurentPoly:
+            entry = sums[key] = {(entry.den, entry.q): dict(entry.terms)}
+        # the product of scale and every factor but the last, then the last
+        # one multiplied straight into its bucket
+        n, q, den = scale.numerator, scale.denominator * last.q, last.den
+        if len(factors) == 1:
+            terms = {table.zero: n}
+        else:
+            terms = factors[0].terms
+            for f in factors[1:-1]:
+                terms = _mul_terms(table, terms, f.terms)
+            for f in factors[:-1]:
+                q *= f.q
+                if f.den:
+                    den = tuple(a + b for a, b in zip(den, f.den))
+            if n != 1:
+                terms = {k: c * n for k, c in terms.items()}
+        bucket = entry.get((den, q))
+        if bucket is None:
+            bucket = entry[den, q] = {}
+        _mul_add(table, bucket, terms, last.terms)
+
+    def result(self):
+        table = self.table
+        out = {}
+        for key, entry in self._sums.items():
+            if type(entry) is LaurentPoly:
+                out[key] = entry
+                continue
+            by_den = {}
+            for (den, q), terms in entry.items():
+                if terms:
+                    by_den.setdefault(den, []).append((q, terms))
+            total = None
+            for den, parts in by_den.items():
+                if len(parts) == 1:
+                    ((q, terms),) = parts
+                else:
+                    q = lcm(*(q for q, _ in parts))
+                    terms = {}
+                    for qi, t in parts:
+                        _mul_add(table, terms, {table.zero: q // qi}, t)
+                    if not terms:
+                        continue
+                if any(den):
+                    p = LaurentPoly(table, terms, den, q)  # divides the D_k out
+                else:
+                    _guard(table, terms)  # `add` sums its last products unguarded
+                    p = _canonical(table, terms, q, den)
+                total = p if total is None else total + p
+            if total:
+                out[key] = total
+        return out
+
+
 def _canonical(table, terms, q, den):
     """The poly terms / (q D^den) in lowest terms, without the constructor's
     checks, for int numerators that are otherwise canonical: no zero,
@@ -586,7 +699,15 @@ def _divide_out(table, terms, q, limits):
 
 
 def _mul_terms(table, a, b):
-    out = {}
+    out = _mul_add(table, {}, a, b)
+    _guard(table, out)
+    return out
+
+
+def _mul_add(table, out, a, b):
+    """out += a * b on int numerators, never storing a zero; returns out.
+    The keys of a product of in-range keys do not alias but may leave the
+    range: the caller guards them."""
     if len(a) > len(b):
         a, b = b, a
     zero = table.zero
@@ -601,7 +722,6 @@ def _mul_terms(table, a, b):
                 out[e] = s
             else:
                 out.pop(e, None)
-    _guard(table, out)
     return out
 
 

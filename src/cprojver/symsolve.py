@@ -39,7 +39,7 @@ from functools import cache, partial
 from math import lcm
 
 from .linalg import LinearSystem, SpanSolver
-from .poly import LaurentPoly, PolyError, accumulate, pack
+from .poly import LaurentPoly, PolyError, ProductSum, accumulate, pack
 from .tensorcalc import (
     Tensor,
     contract,
@@ -539,15 +539,16 @@ def field_coordinates(f):
 
 
 def bracket_fields(chart, v, w):
+    """[v, w]^b = v^a d_a w^b - w^a d_a v^b, summed in one `ProductSum`."""
     names = chart.table.names
-    out = {}
-    for a, p in v.items():
-        for b, q in w.items():
-            accumulate(out, b, p * q.derivative(names[a]))
-    for a, p in w.items():
-        for b, q in v.items():
-            accumulate(out, b, -(p * q.derivative(names[a])))
-    return out
+    acc = ProductSum()
+    for x, y, sign in ((v, w, 1), (w, v, -1)):
+        for b, q in y.items():
+            for a in q.variables():
+                p = x.get(a)
+                if p is not None:
+                    acc.add(b, (p, q.derivative(names[a])), sign)
+    return acc.result()
 
 
 def check_bracket_closure(chart, basis):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 
-from .poly import LaurentPoly, PolyError, VarTable, accumulate, pack, unpack
+from .poly import LaurentPoly, PolyError, ProductSum, VarTable, accumulate, pack, unpack
 
 _HALF = Fraction(1, 2)
 
@@ -125,11 +125,20 @@ def contract(spec, *operands):
     Each operand is a `Tensor` or a comps dict keyed by index tuples.  A
     letter shared by two operands is joined; a letter repeated in one operand
     takes its diagonal; a letter missing from the output is summed over.
-    Returns the comps dict of the result, without zero entries.
+    Returns the comps dict of the result, without zero entries: each output
+    component is built once, by a `ProductSum` over the matches' factors.
     """
+    acc = ProductSum()
+    _contract_into(acc, spec, operands)
+    return acc.result()
+
+
+def _contract_into(acc, spec, operands, scale=1):
+    """Add scale times the contraction `spec` of `operands` into the
+    `ProductSum` acc, keyed by the output indices."""
     inputs, output = spec.split("->")
     # A row is the concatenated keys of one match of the operands so far and
-    # the product of their values; `bound` is the concatenated index words.
+    # the tuple of their values; `bound` is the concatenated index words.
     bound = ""
     rows = None
     for word, op in zip(inputs.split(","), operands, strict=True):
@@ -138,7 +147,7 @@ def contract(spec, *operands):
         if diag:
             items = [(k, v) for k, v in items if all(k[p] == k[q] for p, q in diag)]
         if rows is None:
-            rows = list(items)
+            rows = [(key, (val,)) for key, val in items]
         else:
             shared = [p for p, c in enumerate(word) if c in bound]
             key_of = _picker(shared)
@@ -147,16 +156,14 @@ def contract(spec, *operands):
                 table.setdefault(key_of(key), []).append((key, val))
             lookup = _picker([bound.index(word[p]) for p in shared])
             rows = [
-                (env + key, acc * val)
-                for env, acc in rows
+                (env + key, vals + (val,))
+                for env, vals in rows
                 for key, val in table.get(lookup(env), ())
             ]
         bound += word
     out_key = _picker([bound.index(c) for c in output])
-    out = {}
-    for env, val in rows:
-        accumulate(out, out_key(env), val)
-    return out
+    for env, vals in rows:
+        acc.add(out_key(env), vals, scale)
 
 
 def _picker(positions):
@@ -169,10 +176,11 @@ def _picker(positions):
 
 def partials(comps, chart):
     """{(c,) + key: d_c p} over the chart's directions c, nonzero entries only."""
+    names = chart.table.names
     out = {}
     for key, p in comps.items():
-        for c, name in enumerate(chart.table.names):
-            q = p.derivative(name)
+        for c in p.variables():
+            q = p.derivative(names[c])
             if q:
                 out[(c,) + key] = q
     return out
@@ -181,12 +189,19 @@ def partials(comps, chart):
 def along(v, comps, chart):
     """{key: sum_a v^a d_a p}: each component differentiated along the vector
     field v (dict direction -> poly), only in v's directions."""
+    acc = ProductSum()
+    _along_into(acc, v, comps, chart)
+    return acc.result()
+
+
+def _along_into(acc, v, comps, chart):
+    """Add `along(v, comps, chart)` into the `ProductSum` acc."""
     names = chart.table.names
-    out = {}
     for key, p in comps.items():
-        for a, q in v.items():
-            accumulate(out, key, p.derivative(names[a]) * q)
-    return out
+        for a in p.variables():
+            q = v.get(a)
+            if q is not None:
+                acc.add(key, (p.derivative(names[a]), q))
 
 
 def standard_J(chart) -> Tensor:
@@ -305,29 +320,35 @@ def lie_derivative_connection(v: dict, G: Tensor) -> Tensor:
     + G^i_ak d_j v^a + G^i_ja d_k v^a for the vector field v."""
     chart = G.chart
     dv = _vector_partials(v, chart)
-    out = Tensor(chart, (1, 2), contract("kji->ijk", partials(dv, chart)))
-    out += Tensor(chart, (1, 2), along(v, G.comps, chart))
-    out += Tensor(chart, (1, 2), contract("iak,ja->ijk", G, dv))
-    out += Tensor(chart, (1, 2), contract("ija,ka->ijk", G, dv))
-    return out - Tensor(chart, (1, 2), contract("ajk,ai->ijk", G, dv))
+    acc = ProductSum()
+    _contract_into(acc, "kji->ijk", (partials(dv, chart),))
+    _along_into(acc, v, G.comps, chart)
+    _contract_into(acc, "iak,ja->ijk", (G, dv))
+    _contract_into(acc, "ija,ka->ijk", (G, dv))
+    _contract_into(acc, "ajk,ai->ijk", (G, dv), -1)
+    return Tensor(chart, (1, 2), acc.result())
 
 
 def lie_derivative_J(v: dict, J: Tensor) -> Tensor:
     """(L_v J)^i_j = v^a d_a J^i_j - J^a_j d_a v^i + J^i_a d_j v^a."""
     chart = J.chart
     dv = _vector_partials(v, chart)
-    out = Tensor(chart, (1, 1), along(v, J.comps, chart))
-    out += Tensor(chart, (1, 1), contract("ia,ja->ij", J, dv))
-    return out - Tensor(chart, (1, 1), contract("aj,ai->ij", J, dv))
+    acc = ProductSum()
+    _along_into(acc, v, J.comps, chart)
+    _contract_into(acc, "ia,ja->ij", (J, dv))
+    _contract_into(acc, "aj,ai->ij", (J, dv), -1)
+    return Tensor(chart, (1, 1), acc.result())
 
 
 def lie_derivative_metric(v: dict, g: Tensor) -> Tensor:
     """(L_v g)_ab = v^c d_c g_ab + g_cb d_a v^c + g_ac d_b v^c."""
     chart = g.chart
     dv = _vector_partials(v, chart)
-    out = Tensor(chart, (0, 2), along(v, g.comps, chart))
-    out += Tensor(chart, (0, 2), contract("cb,ac->ab", g, dv))
-    return out + Tensor(chart, (0, 2), contract("ac,bc->ab", g, dv))
+    acc = ProductSum()
+    _along_into(acc, v, g.comps, chart)
+    _contract_into(acc, "cb,ac->ab", (g, dv))
+    _contract_into(acc, "ac,bc->ab", (g, dv))
+    return Tensor(chart, (0, 2), acc.result())
 
 
 def covariant_derivative_J(G: Tensor, J: Tensor) -> Tensor:

@@ -422,6 +422,19 @@ def metric_checks(spec, stabilize=True):
         )
         fam_checks = _family_checks(spec, n)
         checks.extend(fam_checks)
+    if name == "cp1xc":
+        # the Kahler gap value is certified on a Riemannian metric
+        sig = gram_signature_at(g, origin_point(spec.chart))
+        checks.append(
+            Check(
+                "metric is positive definite",
+                "signature",
+                f"({2 * n},0)",
+                f"({sig[0]},{sig[1]})",
+                sig[:2] == (2 * n, 0),
+                "recomputed",
+            )
+        )
     if name == "submax-metric":
         sig = gram_signature_at(g, origin_point(spec.chart))
         non_riem = sig[0] > 0 and sig[1] > 0 and sig[2] == 0

@@ -162,6 +162,7 @@ class TestMalformedValues:
             ("cp1xc.model", "degree = 3", "degree = 3\ndegree = 4", 26),
             ("type1.model", "R(z1; z2, z2, z3) = 1", "R(z1; z2, z2, z3) = 1\nR(z1; z2, z2, z3) = 2", 29),
             ("type1.model", "R(z1; z2, z2, z3) = 1", "R(z1; z2, z2, z3) = 1\nR(z1; z2, z3, z2) = -1", 29),
+            ("type1.model", "R(z1; z2, z2, z3) = 1", "R(z1; z2, z2, z3) = 1\nR(z1; z2, z3, z3) = 1", 29),
         ],
     )
     def test_parse_error_with_line(self, fname, old, new, line):

@@ -12,7 +12,7 @@ from cprojver.catalog import builtin
 from cprojver.cli import MODEL_NS
 from cprojver.metric import levi_civita
 from cprojver.parse import parse_poly
-from cprojver.poly import LaurentPoly, PolyError, accumulate, pack
+from cprojver.poly import LaurentPoly, PolyError, ProductSum, accumulate, pack
 from cprojver.symsolve import bracket_fields
 from cprojver import tensorcalc as tc
 from cprojver.tensorcalc import (
@@ -567,25 +567,33 @@ class TestFrames:
 
 RANGE = 3  # index values 0..2
 XY = Chart(["x", "y"], laurent=["y"])
+# a declared denominator D = x^2/2 + 1 (int numerators x^2 + 2 over 2): drawn
+# values carry rational coefficients and a power of D, so one output
+# component of a contraction sums products over several (den, q) pairs
+XD = Chart(["x", "y"], laurent=["y"], denominators={"D": {(2, 0): Fraction(1, 2), (0, 0): 1}})
 
 
 @st.composite
-def small_laurent(draw):
+def small_laurent(draw, chart=XY):
+    coeff = st.integers(-3, 3).filter(bool)
+    if chart.table.den_names:
+        coeff = st.fractions(-3, 3, max_denominator=4).filter(bool)
     terms = draw(st.dictionaries(
         st.tuples(st.integers(0, 2), st.integers(-2, 2)),
-        st.integers(-3, 3).filter(bool),
+        coeff,
         min_size=1,
         max_size=3,
     ))
-    return LaurentPoly(XY.table, {pack(e): c for e, c in terms.items()})
+    den = [draw(st.integers(0, 2)) for _ in chart.table.den_names]
+    return LaurentPoly(chart.table, {pack(e): c for e, c in terms.items()}, den)
 
 
-def sparse_comps(rank):
+def sparse_comps(rank, chart=XY):
     key = st.tuples(*[st.integers(0, RANGE - 1)] * rank)
-    return st.dictionaries(key, small_laurent(), max_size=6)
+    return st.dictionaries(key, small_laurent(chart), max_size=6)
 
 
-def dense_contract(spec, *operands):
+def dense_contract(spec, *operands, chart=XY):
     """Sum over every assignment of every letter, written out in full."""
     inputs, output = spec.split("->")
     inputs = inputs.split(",")
@@ -593,7 +601,7 @@ def dense_contract(spec, *operands):
     out = {}
     for values in itertools.product(range(RANGE), repeat=len(letters)):
         idx = dict(zip(letters, values))
-        term = XY.const(1)
+        term = chart.const(1)
         for word, comps in zip(inputs, operands):
             p = comps.get(tuple(idx[c] for c in word))
             if p is None:
@@ -601,38 +609,92 @@ def dense_contract(spec, *operands):
             term = term * p
         else:
             key = tuple(idx[c] for c in output)
-            out[key] = out.get(key, XY.zero()) + term
+            out[key] = out.get(key, chart.zero()) + term
     return {k: p for k, p in out.items() if not p.is_zero()}
 
 
-class TestContract:
-    @pytest.mark.parametrize("spec", [
-        "ia,aj->ij",         # two operands
-        "ijkl,ka,lb->ijab",  # three operands, two joins
-        "ab,ac,ad->bcd",     # one letter shared by all three
-        "ijk,kl->lji",       # permuted output
-        "iji->j",            # diagonal of one operand
-    ])
-    @settings(max_examples=32, deadline=None)  # 5 x 32 + 40 below = 200 cases
-    @given(data=st.data())
-    def test_matches_dense_sum(self, spec, data):
-        words = spec.split("->")[0].split(",")
-        ops = [data.draw(sparse_comps(len(w))) for w in words]
-        first = Tensor(XY, (len(words[0]), 0), ops[0])
-        assert contract(spec, first, *ops[1:]) == dense_contract(spec, *ops)
+SPECS = (
+    "ia,aj->ij",         # two operands
+    "ijkl,ka,lb->ijab",  # three operands, two joins
+    "ab,ac,ad->bcd",     # one letter shared by all three
+    "ijk,kl->lji",       # permuted output
+    "iji->j",            # diagonal of one operand
+)
 
-    @settings(max_examples=40, deadline=None)
-    @given(sparse_comps(2), st.dictionaries(st.integers(0, 1), small_laurent(), max_size=2))
-    def test_partials_and_along_match_derivative(self, comps, v):
-        names = XY.table.names
+
+class TestContract:
+    @pytest.mark.parametrize("chart,spec", [pytest.param(XY, s, id=s) for s in SPECS]
+                             + [pytest.param(XD, s, id=f"XD-{s}") for s in SPECS])
+    @settings(max_examples=32, deadline=None)  # 10 x 32 + 80 below = 400 cases
+    @given(data=st.data())
+    def test_matches_dense_sum(self, chart, spec, data):
+        words = spec.split("->")[0].split(",")
+        ops = [data.draw(sparse_comps(len(w), chart)) for w in words]
+        first = Tensor(chart, (len(words[0]), 0), ops[0])
+        assert contract(spec, first, *ops[1:]) == dense_contract(spec, *ops, chart=chart)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_partials_and_along_match_derivative(self, data):
+        chart = data.draw(st.sampled_from([XY, XD]))
+        comps = data.draw(sparse_comps(2, chart))
+        v = data.draw(st.dictionaries(st.integers(0, 1), small_laurent(chart), max_size=2))
+        names = chart.table.names
         want = {}
         for key, p in comps.items():
             for c, name in enumerate(names):
                 if not p.derivative(name).is_zero():
                     want[(c,) + key] = p.derivative(name)
-        assert partials(comps, XY) == want
+        assert partials(comps, chart) == want
         for key, p in comps.items():
-            tot = XY.zero()
+            tot = chart.zero()
             for a, q in v.items():
                 tot = tot + p.derivative(names[a]) * q
-            assert along(v, comps, XY).get(key, XY.zero()) == tot
+            assert along(v, comps, chart).get(key, chart.zero()) == tot
+
+    def test_sums_over_several_denominators_and_q(self):
+        # one key takes products over den 0, 1 and 2 and over q 1, 2, 3 and
+        # 6, in several buckets each; the result is their exact sum
+        x, d = XD.var("x"), XD.table.denominator_poly(0)
+        a = x + Fraction(1, 3)
+        b = LaurentPoly(XD.table, {pack((1, -1)): Fraction(3, 2)}, (1,))
+        c = LaurentPoly(XD.table, {pack((0, 1)): 1}, (2,))
+        parts = [((a,), 1), ((a, b), 1), ((b, c), Fraction(-2, 3)), ((c,), 5), ((a, b, c), 1),
+                 ((b,), Fraction(1, 2)), ((d, b), 1)]
+        acc = ProductSum()
+        want = XD.zero()
+        for factors, scale in parts:
+            acc.add((0,), factors, scale)
+            prod = XD.const(scale)
+            for f in factors:
+                prod = prod * f
+            want = want + prod
+        assert acc.result() == {(0,): want}
+
+    def test_terms_that_cancel_leave_no_component(self):
+        x, y = XD.var("x"), XD.var("y")
+        b = LaurentPoly(XD.table, {pack((1, -1)): Fraction(3, 2)}, (1,))
+        acc = ProductSum()
+        acc.add((0,), (x, b))
+        acc.add((1,), (y,))
+        acc.add((0,), (b, x * Fraction(1, 2)), -2)
+        acc.add((1,), (y, y))
+        acc.add((1,), (y * y,), -1)
+        assert acc.result() == {(1,): y}
+        assert contract("ia,ja->ij", {(0, 0): x, (1, 0): x}, {(0, 0): y, (1, 0): -y}) == {
+            (0, 0): x * y, (0, 1): -(x * y), (1, 0): x * y, (1, 1): -(x * y),
+        }
+        assert contract("ia,a->i", {(0, 0): x, (0, 1): x}, {(0,): y, (1,): -y}) == {}
+
+    def test_a_lone_factor_is_kept_and_never_mutated(self):
+        p = LaurentPoly(XD.table, {pack((1, 0)): Fraction(1, 3), pack((0, 1)): 2}, (1,))
+        terms, q, den = dict(p.terms), p.q, p.den
+        acc = ProductSum()
+        acc.add("k", (p,))
+        assert acc.result()["k"] is p
+        acc = ProductSum()
+        acc.add("k", (p,))
+        acc.add("k", (p,))
+        acc.add("k", (p,), Fraction(1, 2))
+        assert acc.result() == {"k": p * Fraction(5, 2)}
+        assert (p.terms, p.q, p.den) == (terms, q, den)
