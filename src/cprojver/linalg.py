@@ -199,12 +199,14 @@ class SpanSolver:
         return c is None or c[0] > 0
 
     def decompose(self, vec):
-        """Coefficients over the inserted generators, or None if outside."""
+        """Coefficients over the inserted generators, each an int when it is
+        integral and a `Fraction` otherwise, or None if outside."""
         r, c = self._residual(vec, (2, 0))
         if not c[0]:
             return None
         d = r[(2, 0)]
-        return {g: Fraction(-x, d) for (kind, g), x in r.items() if kind == 1}
+        return {g: Fraction(-x, d) if x % d else -x // d
+                for (kind, g), x in r.items() if kind == 1}
 
 
 def signature(sym_rows):

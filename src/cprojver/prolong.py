@@ -17,13 +17,21 @@ minimality); I--III are the harmonic curvature types of the minimal theory.
 Complex scalars are (re, im) pairs of rationals, multiplied with
 `tensorcalc._cmul`; coordinates split into real and imaginary parts before
 they reach the exact linear algebra of `linalg`, which works over Q.
+
+`annihilator` acts with each g_0 basis element on psi once and keeps those
+actions; `tanaka_prolongation` builds [v,X].psi from them by linearity, so
+a prolongation costs one `g0_action` per g_0 basis element.  The annihilator
+basis is made of primitive integer vectors, and `SpanSolver.decompose`
+returns ints where it can, so the structure constants and cochain values of
+`subalgebra_with_cochain` are ints unless they are proper fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .linalg import LinearSystem, SpanSolver
+from .linalg import LinearSystem, SpanSolver, _scale_row_to_int
+from .poly import accumulate
 from .slpair import CD, Mat, SlPair, realify
 from .structlie import StructAlgebra
 from .tensorcalc import _cmul
@@ -125,37 +133,34 @@ class CurvElement:
         return isinstance(other, CurvElement) and (self - other).is_zero()
 
 
-def _minus_part_action(x: Mat, n):
-    """Matrix M with [x, u_j] = sum_k M[k][j] u_k on the -1 block, entries
-    as (re, im) pairs."""
-    a0, b0 = x.at(0, 0)
-    M = [[x.at(k + 1, j + 1) for j in range(n)] for k in range(n)]
-    for k in range(n):
-        re, im = M[k][k]
-        M[k][k] = (re - a0, im - b0)
-    return M
+def _dual_row(x: CD, slot):
+    """The action of x on the dual slot (copy, j): x.u_j* = sum_k c_k u_k*,
+    returned as the nonzero [(k, c_k)].  c_k is minus entry (j, k) of the
+    copy's matrix, plus its (0, 0) entry when k = j; only these n entries
+    of the g_0 block are read."""
+    copy, j = slot
+    m = x.u if copy == 0 else x.b
+    re, im = m.re, m.im
+    row = []
+    for k in range(1, m.n1):
+        a, b = re.get((j, k), 0), im.get((j, k), 0)
+        if k == j:
+            a -= re.get((0, 0), 0)
+            b -= im.get((0, 0), 0)
+        if a or b:
+            row.append((k, (-a, -b)))
+    return row
 
 
 def g0_action(x: CD, psi: CurvElement) -> CurvElement:
     """Standard tensorial action of a grade-0 double element on the module."""
-    n = psi.n
-    M0 = _minus_part_action(x.u, n)
-    M1 = _minus_part_action(x.b, n)
-    out = CurvElement(n)
+    out = CurvElement(psi.n)
     for (sA, sB), w in psi.entries.items():
         out._accum((sA, sB), x.bracket(w))
-        Ma = M0 if sA[0] == 0 else M1
-        jA = sA[1] - 1
-        for k in range(n):
-            re, im = Ma[jA][k]
-            if re or im:
-                out._accum(((sA[0], k + 1), sB), w.scale((-re, -im)))
-        Mb = M0 if sB[0] == 0 else M1
-        jB = sB[1] - 1
-        for k in range(n):
-            re, im = Mb[jB][k]
-            if re or im:
-                out._accum((sA, (sB[0], k + 1)), w.scale((-re, -im)))
+        for k, c in _dual_row(x, sA):
+            out._accum(((sA[0], k), sB), w.scale(c))
+        for k, c in _dual_row(x, sB):
+            out._accum((sA, (sB[0], k)), w.scale(c))
     return out
 
 
@@ -191,11 +196,20 @@ def lowest_weight_vector(ctype, n):
 
 @dataclass
 class AnnihilatorResult:
+    """The kernel of X |-> X.psi on the real grade-0 part.
+
+    `basis` holds the kernel as realify images of primitive integer
+    combinations of the g_0 basis: int coefficients of content 1, so the
+    structure constants built on them stay ints where the algebra allows.
+    `actions` maps each g_0 basis label to the real coordinates (keyed as
+    by `_real_coordinates`) of its action on psi; by linearity the action
+    of any grade-0 element is their combination."""
+
     ctype: str
     n: int
     dim: int
     basis: list = field(repr=False)  # CD elements of the real g_0
-    coords: list = field(repr=False)  # coordinates in the g_0 real basis
+    actions: dict = field(repr=False)  # g_0 label -> real coordinates of e.psi
 
 
 @dataclass
@@ -227,48 +241,53 @@ def annihilator(psi: CurvElement, g: SlPair = None, ctype="?"):
     n = psi.n
     g = g or SlPair(n)
     labels = [l for l in g.basis_labels if g.grade_of_label(l) == 0]
-    cols = list(range(len(labels)))
     rows = {}
+    actions = {}
     for col, lbl in enumerate(labels):
-        x = g.element_of_label(lbl)
-        for key, v in _real_coordinates(g0_action(x, psi)).items():
+        act = actions[lbl] = _real_coordinates(g0_action(g.element_of_label(lbl), psi))
+        for key, v in act.items():
             rows.setdefault(key, {})[col] = v
     sys = LinearSystem()
-    sys.register_columns(cols)
+    sys.register_columns(range(len(labels)))
     for row in rows.values():
         sys.add_row(row)
-    kernel = sys.kernel()
     basis = []
-    coords = []
-    for vec in kernel:
-        coords.append(vec)
+    for vec in sys.kernel():
         x = Mat(n + 1)
-        for c, v in vec.items():
+        for c, v in _scale_row_to_int(vec).items():
             x = x + g.element_of_label(labels[c]).u.scale((v, 0))
         basis.append(realify(x))
-    return AnnihilatorResult(ctype, n, len(kernel), basis, coords)
+    return AnnihilatorResult(ctype, n, len(basis), basis, actions)
 
 
 def tanaka_prolongation(psi: CurvElement, g: SlPair = None, ctype="?"):
-    """Degree-one prolongation a_1 = {X in g_1 : [v,X].psi = 0 for all v}."""
+    """Degree-one prolongation a_1 = {X in g_1 : [v,X].psi = 0 for all v}.
+
+    [v,X] lies in g_0, so [v,X].psi is the combination, with the real
+    coordinates of [v,X] as coefficients, of the per-basis actions that
+    `annihilator` keeps."""
     n = psi.n
     g = g or SlPair(n)
-    plus = [l for l in g.basis_labels if g.grade_of_label(l) == 1]
-    minus = [l for l in g.basis_labels if g.grade_of_label(l) == -1]
+    ann = annihilator(psi, g, ctype)
+    labels = g.basis_labels
+    plus = [l for l in labels if g.grade_of_label(l) == 1]
+    minus = [l for l in labels if g.grade_of_label(l) == -1]
     rows = {}
     for col, lbl in enumerate(plus):
         x = g.element_of_label(lbl)
         for vl in minus:
-            v = g.element_of_label(vl)
-            elem = g0_action(v.bracket(x), psi)
-            for key, val in _real_coordinates(elem, (vl,)).items():
+            elem = {}
+            for i, c in enumerate(g.coordinates(g.element_of_label(vl).bracket(x))):
+                if c:
+                    for key, val in ann.actions[labels[i]].items():
+                        accumulate(elem, (vl,) + key, c * val)
+            for key, val in elem.items():
                 rows.setdefault(key, {})[col] = val
     sys = LinearSystem()
     sys.register_columns(range(len(plus)))
     for row in rows.values():
         sys.add_row(row)
     plus_dim = sys.kernel_dim()
-    ann = annihilator(psi, g, ctype)
     total = 2 * n + ann.dim + plus_dim
     return ProlongationResult(
         ctype, n, 2 * n, ann.dim, plus_dim, total, plus_dim == 0, ann

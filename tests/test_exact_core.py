@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from cprojver.linalg import LinearSystem, SpanSolver, signature
 from cprojver.parse import ParseError, format_poly, parse_field, parse_poly
 from cprojver.poly import _LIMIT, LaurentPoly, PolyError, VarTable, accumulate, pack
+from cprojver.prolong import CURV_TYPES, annihilator, lowest_weight_vector
+from cprojver.slpair import SlPair
 from cprojver.tensorcalc import complex_table
 
 
@@ -765,12 +767,52 @@ class TestSpanSolver:
                     accumulate(rebuilt, k, c * x)
             assert rebuilt == {k: x for k, x in w.items() if x}
 
+    def test_decompose_returns_ints_where_integral(self):
+        s = SpanSolver()
+        s.insert({"a": 2, "b": 4})
+        s.insert({"b": 3})
+        coeffs = s.decompose({"a": 1, "b": 5})
+        assert coeffs == {0: Fraction(1, 2), 1: 1}
+        assert type(coeffs[0]) is Fraction
+        assert type(coeffs[1]) is int
+
+    @settings(max_examples=200, deadline=None)
+    @given(_SPAN_VECTORS, st.lists(_RATIONAL, min_size=7, max_size=7))
+    def test_decompose_round_trip(self, vectors, weights):
+        s = SpanSolver()
+        for v in vectors:
+            s.insert(v)
+        w = {}
+        for v, c in zip(vectors, weights):
+            for k, x in v.items():
+                accumulate(w, k, c * x)
+        coeffs = s.decompose(w)
+        rebuilt = {}
+        for g, c in coeffs.items():
+            assert type(c) is int or c.denominator != 1
+            for k, x in vectors[g].items():
+                accumulate(rebuilt, k, c * x)
+        assert rebuilt == w
+
     @pytest.mark.parametrize("method", ["insert", "contains", "decompose"])
     def test_non_real_entry_raises(self, method):
         s = SpanSolver()
         s.insert({"a": Fraction(1)})
         with pytest.raises(ValueError, match="rational"):
             getattr(s, method)({"a": Fraction(1), "b": (1, 1)})
+
+
+class TestAnnihilatorBasis:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("ctype", CURV_TYPES)
+    def test_primitive_integer_vectors(self, ctype, n):
+        # each kernel vector, in the g_0 basis, has int coordinates of content 1
+        g = SlPair(n)
+        _, psi = lowest_weight_vector(ctype, n)
+        for x in annihilator(psi, g, ctype).basis:
+            coords = [c for c in g.coordinates(x) if c]
+            assert all(type(c) is int for c in coords)
+            assert gcd(*coords) == 1
 
 
 class TestSignature:

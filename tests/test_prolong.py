@@ -1,9 +1,13 @@
 """Curvature modules: extremal vectors, annihilators, prolongations, tables."""
 
 import dataclasses
+import random
+from fractions import Fraction
 
 import pytest
 
+from cprojver import prolong
+from cprojver.linalg import LinearSystem
 from cprojver.prolong import (
     CURV_TYPES,
     CurvElement,
@@ -21,7 +25,7 @@ from cprojver.prolong import (
     theorem_table,
     upper_bound,
 )
-from cprojver.slpair import Mat, SlPair, realify
+from cprojver.slpair import CD, Mat, SlPair, realify
 
 
 def generic_element(ctype, n, seed=1):
@@ -227,3 +231,107 @@ class TestModuleSpan:
     def test_span_nontrivial(self):
         basis = module_span("II", 2)
         assert len(basis) >= 4
+
+
+# -- the g_0 action and the prolongation rows against their direct forms --------
+
+
+def dense_minus_part(m: Mat, n):
+    """The full n x n matrix M with [m, u_j] = sum_k M[k][j] u_k on the -1
+    block, entries as (re, im) pairs."""
+    a0 = m.at(0, 0)
+    M = [[m.at(k + 1, j + 1) for j in range(n)] for k in range(n)]
+    for k in range(n):
+        re, im = M[k][k]
+        M[k][k] = (re - a0[0], im - a0[1])
+    return M
+
+
+def dense_g0_action(x: CD, psi: CurvElement) -> CurvElement:
+    """The tensorial action read off the dense matrices of both copies."""
+    n = psi.n
+    M = (dense_minus_part(x.u, n), dense_minus_part(x.b, n))
+    out = CurvElement(n)
+    for (sA, sB), w in psi.entries.items():
+        out = out + CurvElement(n, {(sA, sB): x.bracket(w)})
+        for k in range(n):
+            re, im = M[sA[0]][sA[1] - 1][k]
+            out = out + CurvElement(n, {((sA[0], k + 1), sB): w.scale((-re, -im))})
+            re, im = M[sB[0]][sB[1] - 1][k]
+            out = out + CurvElement(n, {(sA, (sB[0], k + 1)): w.scale((-re, -im))})
+    return out
+
+
+def random_grade0(g, rng):
+    """A real grade-0 element with small rational coordinates; H1 is always
+    present, so the (1,1) entry that every dual slot reads is nonzero."""
+    x = g.element_of_label("H1")
+    for lbl in g.basis_labels:
+        if g.grade_of_label(lbl) == 0 and rng.random() < 0.6:
+            c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            x = x + g.element_of_label(lbl).scale((c, 0))
+    return x
+
+
+def direct_prolongation_rows(psi, g):
+    """The degree-one rows with one g_0 action per pair (v, X)."""
+    plus = [l for l in g.basis_labels if g.grade_of_label(l) == 1]
+    minus = [l for l in g.basis_labels if g.grade_of_label(l) == -1]
+    rows = {}
+    for col, lbl in enumerate(plus):
+        x = g.element_of_label(lbl)
+        for vl in minus:
+            elem = g0_action(g.element_of_label(vl).bracket(x), psi)
+            for key, val in prolong._real_coordinates(elem, (vl,)).items():
+                rows.setdefault(key, {})[col] = val
+    return list(rows.values())
+
+
+class TestG0Action:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("ctype", CURV_TYPES)
+    def test_matches_the_dense_matrices(self, ctype, n):
+        g = SlPair(n)
+        rng = random.Random(f"{ctype}{n}")
+        phi0, psi = lowest_weight_vector(ctype, n)
+        for _ in range(4):
+            x = random_grade0(g, rng)
+            for elem in (psi, phi0):
+                assert g0_action(x, elem) == dense_g0_action(x, elem)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("ctype", CURV_TYPES)
+    def test_prolongation_rows_by_linearity(self, ctype, n, monkeypatch):
+        systems = []
+
+        class Recording(LinearSystem):
+            def __init__(self):
+                super().__init__()
+                self.rows = []
+                systems.append(self)
+
+            def add_row(self, row):
+                self.rows.append(dict(row))
+                return super().add_row(row)
+
+        monkeypatch.setattr(prolong, "LinearSystem", Recording)
+        g = SlPair(n)
+        _, psi = lowest_weight_vector(ctype, n)
+        tanaka_prolongation(psi, g, ctype)
+        assert len(systems) == 2  # the annihilator's, then the prolongation's
+        assert systems[1].rows == direct_prolongation_rows(psi, g)
+
+    def test_one_action_per_grade0_basis_element(self, monkeypatch):
+        calls = []
+        action = prolong.g0_action
+
+        def counting(x, psi):
+            calls.append(x)
+            return action(x, psi)
+
+        monkeypatch.setattr(prolong, "g0_action", counting)
+        theorem_table(2, 4)
+        dims = [sum(g.grade_of_label(l) == 0 for l in g.basis_labels)
+                for g in map(SlPair, range(2, 5))]
+        assert dims == [2 * n * n for n in range(2, 5)]
+        assert len(calls) == len(CURV_TYPES) * sum(dims)
