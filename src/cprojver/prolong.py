@@ -135,9 +135,9 @@ class CurvElement:
 
 def _dual_row(x: CD, slot):
     """The action of x on the dual slot (copy, j): x.u_j* = sum_k c_k u_k*,
-    returned as the nonzero [(k, c_k)].  c_k is minus entry (j, k) of the
-    copy's matrix, plus its (0, 0) entry when k = j; only these n entries
-    of the g_0 block are read."""
+    returned as the nonzero [(k, c_k)].  c_k is minus the entry at the
+    0-based position (j, k) of the copy's matrix, plus its (0, 0) entry when
+    k = j: row j of the g_0 block is all that is read."""
     copy, j = slot
     m = x.u if copy == 0 else x.b
     re, im = m.re, m.im
