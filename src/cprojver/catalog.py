@@ -232,6 +232,8 @@ def _build_model(name, n, signs, body):
             zden = _ints(val, ln)
             if not all(1 <= a <= n for a in zden):
                 raise ManifestError(f"zdenoms index out of range for n in {val!r}", ln, 1)
+            if len(set(zden)) != len(zden):
+                raise ManifestError(f"zdenoms repeats an index in {val!r}", ln, 1)
         elif head == "subst":
             raise ManifestError("subst goes on the right: 'subst old = new^k'", ln, 1)
         elif head.startswith("subst "):
@@ -255,6 +257,8 @@ def _build_model(name, n, signs, body):
         e1[i], e2[j] = 2, 2
         den_dict[f"Q{a}"] = {tuple(e1): 1, tuple(e2): 1}
     for dname, (_, val, ln) in denoms.items():
+        if dname in den_dict:
+            raise ManifestError(f"denominator {dname} is the |z|^2 that zdenoms declares", ln, 1)
         p = parse_poly(val, plain, line=ln)
         if any(p.den) or p.is_constant() or any(
             e and lau for exps, _ in p.monomials() for e, lau in zip(exps, plain.laurent)
@@ -262,6 +266,10 @@ def _build_model(name, n, signs, body):
             raise ManifestError("denominators are nonconstant polynomials in the "
                                 "non-laurent coordinates", ln, 1)
         den_dict[dname] = dict(p.monomials())
+        try:
+            VarTable(varnames, laurent=laurent, denominators=den_dict)
+        except PolyError as exc:
+            raise ManifestError(str(exc), ln, 1) from None
     chart = Chart(varnames, laurent=laurent, denominators=den_dict)
     ztab = complex_table(n, laurent_z=tuple(a - 1 for a in zden))
 

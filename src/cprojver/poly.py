@@ -16,7 +16,8 @@ rebuilt only where coefficients are read (`rational_terms`, `monomials`).
 Values are kept canonical: no zero numerator, q prime to the numerators'
 content (so q is the lcm of the reduced coefficients' denominators), and the
 numerator is not divisible by any denominator that has positive
-multiplicity, so structural equality is value equality.  A declared
+multiplicity, and no declared denominator is a rational multiple of another,
+so structural equality is value equality.  A declared
 denominator is stored the same way: int numerators `den_terms[j]` over
 `den_q[j]`, read by no other module.  One function multiplies declared
 denominators out (`_den_power`, cached per table) and one divides them out
@@ -32,7 +33,8 @@ variables already provide monomial denominators through negative exponents.
 
 Complex notation is not a coefficient field here: the imaginary unit is the
 plain variable `I` of `tensorcalc.complex_table`, and only
-`tensorcalc.complex_tensor_to_real` reads I^2 = -1.
+`tensorcalc.complex_tensor_to_real` reads I^2 = -1, as a quarter turn of
+Gaussian-int numerators per power of I.
 """
 
 from __future__ import annotations
@@ -139,6 +141,7 @@ class VarTable:
         den_names = []
         den_terms = []
         den_q = []
+        primitive = {}  # primitive numerators, leading term positive -> name
         for dname, terms in (denominators or {}).items():
             canon = {}
             for exps, c in terms.items():
@@ -152,6 +155,14 @@ class VarTable:
             if not canon or list(canon) == [self.zero]:
                 raise PolyError(f"denominator {dname} is a constant")
             canon, q = _split(canon)
+            # 1/D1 and c/D2 for D2 = c D1 are one value in two canonical forms
+            g = gcd(*canon.values()) * (1 if canon[max(canon)] > 0 else -1)
+            prim = tuple(sorted((k, c // g) for k, c in canon.items()))
+            other = primitive.setdefault(prim, dname)
+            if other != dname:
+                raise PolyError(
+                    f"denominators {other} and {dname} are rational multiples of each other"
+                )
             den_names.append(dname)
             den_terms.append(tuple(sorted(canon.items())))
             den_q.append(q)

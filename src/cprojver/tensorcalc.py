@@ -3,8 +3,9 @@
 All computation happens in real coordinates, over rational coefficients.
 Complex-notation input (models printed in z-coordinates, with the conjugate
 half implied) is a polynomial in z, zb and the variable I; it is expanded at
-ingestion through the fixed dictionary z^a = x^{2a-1} + i x^{2a}, carried as
-(real part, imaginary part) pairs, and results are validated to be real.
+ingestion through the fixed dictionary z^a = x^{2a-1} + i x^{2a}, by the
+binomial theorem on Gaussian-int numerators, and results are validated to be
+real.
 
 Index conventions (all 0-based internally):
 
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from operator import itemgetter
 
 from .poly import LaurentPoly, PolyError, ProductSum, VarTable, accumulate, pack, unpack
@@ -474,9 +476,11 @@ def substitute_chart_power(chart_old, chart_new, var_old, var_new, power, gamma=
 #
 # Complex notation is a polynomial over `complex_table(n)`: the coordinates
 # z_a, their conjugates zb_a, and the imaginary unit as the ordinary variable
-# I.  This section is the only code that reads I^2 = -1: each complex value
-# becomes a (real part, imaginary part) pair of real polys, and a tensor whose
-# imaginary part does not vanish is a PolyError.
+# I.  This section is the only code that reads I^2 = -1.  It expands each
+# complex value by the binomial theorem straight into Gaussian-int numerators
+# (real part, imaginary part) on the real chart's packed keys, and builds one
+# polynomial per real component, declared denominator and q at the end.  A
+# tensor whose imaginary part does not vanish is a PolyError.
 
 
 def complex_table(n, laurent_z=()):
@@ -497,42 +501,71 @@ def _cmul(u, v):
     return a * c - b * d, a * d + b * c
 
 
-def _real_poly_from_complex(p: LaurentPoly, chart: Chart):
-    """(real part, imaginary part) of p under z_a -> x_{2a} + i x_{2a+1},
-    zb_a -> its conjugate and I -> i, a quarter turn per power of I.
-    Negative exponents become conjugate powers over the declared denominator
-    x_{2a}^2 + x_{2a+1}^2."""
+def _gaussian_expansion(chart):
+    """The map p -> {den: {real key: [re, im]}} that substitutes z_a ->
+    x_{2a} + i x_{2a+1}, zb_a -> x_{2a} - i x_{2a+1} and I -> i in a poly p
+    over `complex_table`, as Gaussian-int numerators over p.q and the
+    declared denominators' multiplicities den.  By the binomial theorem,
+    (x + iy)^e (x - iy)^f = sum_{j,k} C(e,j) C(f,k) i^(j+3k) x^(e+f-j-k) y^(j+k),
+    carried as (shift, int, quarter turns).  A negative power of z_a is the
+    conjugate power over |z_a|^2 = x_{2a}^2 + x_{2a+1}^2, which the chart
+    must declare; the map finds those declared denominators once."""
     n = chart.n_complex()
     t = chart.table
-    zero = chart.zero()
-    xs = [chart.var(name) for name in t.names]
+    d = t.nvars()
+    shift = [pack([int(i == j) for j in range(d)], 0) for i in range(d)]
     dens = [t.denominator_poly(k) for k in range(len(t.den_names))]
     mods = []
     for a in range(n):
-        modulus = xs[2 * a] ** 2 + xs[2 * a + 1] ** 2
-        mods.append(next((k for k, d in enumerate(dens) if d == modulus), None))
-    re = im = zero
-    for key, c in p.rational_terms().items():
-        exps = unpack(key, p.table.nvars())
-        term = (chart.const(c), zero)
-        den = [0] * len(dens)
-        for a in range(n):
-            for e, sign in ((exps[a], 1), (exps[n + a], -1)):
-                if e < 0:
+        modulus = LaurentPoly(t, {t.zero + 2 * s: 1 for s in shift[2 * a : 2 * a + 2]})
+        mods.append(next((k for k, p in enumerate(dens) if p == modulus), None))
+
+    def expand(p):
+        nv = p.table.nvars()
+        out = {}
+        for key, c in p.terms.items():
+            exps = unpack(key, nv)
+            den = [0] * len(dens)
+            parts = [(t.zero, c, exps[2 * n])]
+            for a in range(n):
+                e, f = exps[a], exps[n + a]
+                if e < 0 or f < 0:
                     if mods[a] is None:
                         raise PolyError(
                             f"negative power of complex coordinate {a+1} needs the "
                             f"declared denominator |z{a+1}|^2 on the chart"
                         )
-                    den[mods[a]] -= e
-                    e, sign = -e, -sign
-                for _ in range(e):
-                    term = _cmul(term, (xs[2 * a], xs[2 * a + 1] * sign))
-        for _ in range(exps[2 * n] % 4):
-            term = (-term[1], term[0])
-        if any(den):
-            term = tuple(LaurentPoly(t, r.terms, tuple(den), r.q) for r in term)
-        re, im = re + term[0], im + term[1]
+                    den[mods[a]] -= min(e, 0) + min(f, 0)
+                    e, f = max(e, 0) - min(f, 0), max(f, 0) - min(e, 0)
+                if e or f:
+                    sx, sy = shift[2 * a], shift[2 * a + 1]
+                    parts = [
+                        (s + (e + f - j - k) * sx + (j + k) * sy,
+                         c * comb(e, j) * comb(f, k), u + j + 3 * k)
+                        for s, c, u in parts
+                        for j in range(e + 1)
+                        for k in range(f + 1)
+                    ]
+            acc = out.setdefault(tuple(den), {})
+            for s, c, u in parts:
+                g = acc.get(s)
+                if g is None:
+                    g = acc[s] = [0, 0]
+                g[u & 1] += -c if u & 2 else c
+        return out
+
+    return expand
+
+
+def _real_poly_from_complex(p: LaurentPoly, chart: Chart):
+    """(real part, imaginary part) of p under z_a -> x_{2a} + i x_{2a+1},
+    zb_a -> its conjugate and I -> i, a quarter turn per power of I.
+    Negative exponents become conjugate powers over the declared denominator
+    x_{2a}^2 + x_{2a+1}^2."""
+    re = im = chart.zero()
+    for den, terms in _gaussian_expansion(chart)(p).items():
+        re += LaurentPoly(chart.table, {k: g[0] for k, g in terms.items()}, den, p.q)
+        im += LaurentPoly(chart.table, {k: g[1] for k, g in terms.items()}, den, p.q)
     return re, im
 
 
@@ -541,64 +574,47 @@ def complex_tensor_to_real(chart, valence, comps, add_conjugate=True):
 
     Complex indices: 0..n-1 unbarred, n..2n-1 barred.  `comps` maps complex
     index tuples (upper slots first) to polynomials over `complex_table(n)`.
-    The result must be real: a nonzero imaginary part raises PolyError.
+    A vector slot is 1/2 (d_x - i d_y), barred + i; a form slot dx + i dy,
+    barred - i.  With `add_conjugate` the tensor is S + conj(S) for S the
+    given components, whose expansion is twice the real part of S's.
+    Otherwise the result must be real: a nonzero imaginary part raises
+    PolyError.
     """
     n = chart.n_complex()
-    up, lo = valence
-    full = dict(comps)
-    if add_conjugate:
-        for idx, p in comps.items():
-            cidx = tuple((a + n) % (2 * n) for a in idx)
-            q = _swap_bars(p)
-            if cidx in full:
-                full[cidx] = full[cidx] + q
-            else:
-                full[cidx] = q
+    up = valence[0]
+    expand = _gaussian_expansion(chart)
+    scale = 2 if add_conjugate else 1
+    buckets = {}  # (real index, den, q) -> (real, imaginary) int numerators
+    for idx, p in comps.items():
+        if not p:
+            continue
+        # the real index tuples of the slots, each with its quarter turns
+        slots = [((), 0)]
+        for pos, a in enumerate(idx):
+            base = 2 * (a % n)
+            turn = 1 if (a >= n) == (pos < up) else 3
+            slots = [(r + (base,), u) for r, u in slots] + [
+                (r + (base + 1,), u + turn) for r, u in slots
+            ]
+        q = p.q << up
+        expansion = expand(p).items()
+        for r, u in slots:
+            for den, terms in expansion:
+                re, im = buckets.setdefault((r, den, q), ({}, {}))
+                for key, (x, y) in terms.items():
+                    for _ in range(u & 3):
+                        x, y = -y, x
+                    re[key] = re.get(key, 0) + scale * x
+                    if not add_conjugate:
+                        im[key] = im.get(key, 0) + y
     real, imag = {}, {}
-    for idx, p in full.items():
-        rp = _real_poly_from_complex(p, chart)
-        if rp[0] or rp[1]:
-            _expand(real, imag, idx, rp, n, up)
+    for (r, den, q), (re, im) in buckets.items():
+        accumulate(real, r, LaurentPoly(chart.table, re, den, q))
+        if im:
+            accumulate(imag, r, LaurentPoly(chart.table, im, den, q))
     if imag:
         k, v = next(iter(imag.items()))
         raise PolyError(
             f"complex ingestion produced a non-real component at {k}: imaginary part {v}"
         )
     return Tensor(chart, valence, real)
-
-
-
-def _expand(real, imag, idx, rp, n, up):
-    """Distribute one complex component, the pair rp, over real index tuples."""
-
-    def conv(slot_pos, a):
-        barred = a >= n
-        base = 2 * (a % n)
-        if slot_pos < up:
-            # vector slot: d_{z} = 1/2 d_x - i/2 d_y ; barred: + i/2
-            return [(base, (_HALF, 0)), (base + 1, (0, _HALF if barred else -_HALF))]
-        # form slot: dz = dx + i dy ; barred: dx - i dy
-        return [(base, (1, 0)), (base + 1, (0, -1 if barred else 1))]
-
-    stack = [((), (1, 0))]
-    for pos, a in enumerate(idx):
-        stack = [
-            (prefix + (r,), _cmul(coef, c))
-            for prefix, coef in stack
-            for r, c in conv(pos, a)
-        ]
-    for key, coef in stack:
-        re, im = _cmul(rp, coef)
-        accumulate(real, key, re)
-        accumulate(imag, key, im)
-
-
-def _swap_bars(p: LaurentPoly) -> LaurentPoly:
-    """The conjugate polynomial: z <-> zb and I -> -I."""
-    nv = p.table.nvars()
-    n = (nv - 1) // 2
-    out = {}
-    for key, c in p.terms.items():
-        exps = unpack(key, nv)
-        out[pack(exps[n : 2 * n] + exps[:n] + exps[2 * n :])] = -c if exps[2 * n] % 2 else c
-    return LaurentPoly(p.table, out, p.den, p.q)

@@ -149,6 +149,22 @@ class TestVerify:
         assert run(["verify", "--model", str(bad)]) == 2
         assert "(line 39, column 1)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("new", [
+        "zdenoms = 1\ndenom Q2 = x1^2+x2^2",  # the Q1 that zdenoms declares, again
+        "zdenoms = 1\ndenom Q1 = 1+x1^2",  # the name of that Q1
+    ])
+    def test_clashing_denominator_is_a_manifest_error(self, new, tmp_path, capsys):
+        from cprojver.catalog import DATA_DIR
+
+        with open(os.path.join(DATA_DIR, "type1_n2.model"), encoding="ascii") as fh:
+            text = fh.read()
+        bad = tmp_path / "bad.model"
+        bad.write_text(text.replace("zdenoms = 1", new))
+        assert run(["verify", "--model", str(bad), "--fast"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("manifest error: ") and err.count("\n") == 1
+        assert "(line 10, column 1)" in err
+
     @pytest.mark.parametrize("old,new,line,col", [
         ("= zb1", "= zb1^(99999999999)", 14, 5),
         ("= zb1", "= 2^99999999999", 14, 3),

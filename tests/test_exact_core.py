@@ -426,6 +426,20 @@ def over(table):
 
 
 class TestTwoDenominators:
+    @pytest.mark.parametrize("denominators", [
+        # |z|^2 declared twice, as Q1 and Q2: 1/Q1 == 1/Q2 would be False
+        {"Q1": {(2, 0, 0): 1, (0, 2, 0): 1}, "Q2": {(0, 2, 0): 1, (2, 0, 0): 1}},
+        # D2 = 2 D1: 1/D1 == 2/D2 would be False
+        {"D1": {(0, 0, 0): 1, (2, 0, 0): 1}, "D2": {(0, 0, 0): 2, (2, 0, 0): 2}},
+        {"D1": {(0, 0, 0): Fraction(1, 2), (2, 0, 0): Fraction(1, 2)},
+         "D2": {(0, 0, 0): -3, (2, 0, 0): -3}},
+    ])
+    def test_proportional_denominators_refused(self, denominators):
+        # one value would have two canonical forms, so == would not be value
+        # equality
+        with pytest.raises(PolyError, match="rational multiples"):
+            VarTable(["x", "y", "s"], laurent=("s",), denominators=denominators)
+
     @TWO_DENOMINATORS
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())

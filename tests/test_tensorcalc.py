@@ -1,5 +1,6 @@
 """Chart tensor calculus: expansions, projections, frames, Lie derivatives."""
 
+import hashlib
 import itertools
 from fractions import Fraction
 from functools import cache
@@ -12,7 +13,7 @@ from cprojver.catalog import builtin
 from cprojver.cli import MODEL_NS
 from cprojver.metric import levi_civita
 from cprojver.parse import parse_poly
-from cprojver.poly import LaurentPoly, PolyError, ProductSum, accumulate, pack
+from cprojver.poly import LaurentPoly, PolyError, ProductSum, accumulate, pack, unpack
 from cprojver.symsolve import bracket_fields
 from cprojver import tensorcalc as tc
 from cprojver.tensorcalc import (
@@ -178,6 +179,17 @@ def gauss_value(p, point):
     return acc
 
 
+def _swap_bars(p: LaurentPoly) -> LaurentPoly:
+    """The conjugate polynomial: z <-> zb and I -> -I."""
+    nv = p.table.nvars()
+    n = (nv - 1) // 2
+    out = {}
+    for key, c in p.terms.items():
+        exps = unpack(key, nv)
+        out[pack(exps[n : 2 * n] + exps[:n] + exps[2 * n :])] = -c if exps[2 * n] % 2 else c
+    return LaurentPoly(p.table, out, p.den, p.q)
+
+
 class TestComplexRealification:
     """The one place that reads I^2 = -1 against plain Gaussian evaluation."""
 
@@ -192,8 +204,132 @@ class TestComplexRealification:
         re, im = tc._real_poly_from_complex(p, ZCHART)
         assert (re.evaluate(pt), im.evaluate(pt)) == want
         # the conjugate polynomial realifies to the conjugate value
-        cre, cim = tc._real_poly_from_complex(tc._swap_bars(p), ZCHART)
+        cre, cim = tc._real_poly_from_complex(_swap_bars(p), ZCHART)
         assert (cre.evaluate(pt), cim.evaluate(pt)) == (want[0], -want[1])
+
+
+_HALF = Fraction(1, 2)
+_VALENCES = [(1, 0), (1, 1), (0, 2), (1, 2)]
+
+
+def complex_comps(valence):
+    """{complex index tuple: complex_poly} for a tensor of `valence` on ZCHART."""
+    idx = st.tuples(*[st.integers(0, 3)] * sum(valence))
+    return st.dictionaries(idx, complex_poly(), max_size=3)
+
+
+def conjugate_comps(comps):
+    """The components of S + conj(S), built by hand: z <-> zb on each index
+    and on each polynomial."""
+    out = dict(comps)
+    for idx, p in comps.items():
+        accumulate(out, tuple((a + 2) % 4 for a in idx), _swap_bars(p))
+    return out
+
+
+def slot_factors(valence, idx):
+    """{real index tuple: Gaussian coefficient}: a vector slot is
+    1/2 (d_x - i d_y), barred 1/2 (d_x + i d_y); a form slot is dx + i dy,
+    barred dx - i dy."""
+    out = {(): (1, 0)}
+    for pos, a in enumerate(idx):
+        sign = 1 if a >= 2 else -1
+        base = 2 * (a % 2)
+        if pos < valence[0]:
+            pair = ((base, (_HALF, 0)), (base + 1, (0, sign * _HALF)))
+        else:
+            pair = ((base, (1, 0)), (base + 1, (0, -sign)))
+        out = {r + (b,): _gauss_times(g, c) for r, g in out.items() for b, c in pair}
+    return out
+
+
+def gauss_tensor(valence, comps, xs):
+    """{real index tuple: Gaussian value} of the complex tensor `comps` at the
+    real point xs, from the slot rule and Gaussian evaluation alone."""
+    z1, z2 = (xs[0], xs[1]), (xs[2], xs[3])
+    point = {"z1": z1, "z2": z2, "zb1": (z1[0], -z1[1]), "zb2": (z2[0], -z2[1]), "I": (0, 1)}
+    out = {r: (0, 0) for r in itertools.product(range(4), repeat=sum(valence))}
+    for idx, p in comps.items():
+        value = gauss_value(p, point)
+        for r, g in slot_factors(valence, idx).items():
+            v = _gauss_times(g, value)
+            out[r] = (out[r][0] + v[0], out[r][1] + v[1])
+    return out
+
+
+class TestComplexTensorToReal:
+    """complex_tensor_to_real against the slot rule on Gaussian values."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data(), st.tuples(*[_SMALL_Q] * 4))
+    def test_components_match_gaussian_evaluation(self, data, xs):
+        assume(xs[0] or xs[1])
+        valence = data.draw(st.sampled_from(_VALENCES))
+        comps = data.draw(complex_comps(valence))
+        pt = dict(zip(ZCHART.table.names, xs))
+        # with add_conjugate: S + conj(S), twice the real part of S's values
+        real = complex_tensor_to_real(ZCHART, valence, comps)
+        for r, (re, _) in gauss_tensor(valence, comps, xs).items():
+            assert real.get(*r).evaluate(pt) == 2 * re
+        # without: S + conj(S) given in full is real and realifies as it is
+        both = conjugate_comps(comps)
+        real = complex_tensor_to_real(ZCHART, valence, both, add_conjugate=False)
+        for r, (re, im) in gauss_tensor(valence, both, xs).items():
+            assert im == 0 and real.get(*r).evaluate(pt) == re
+        # and S alone is refused where one of its values is not real
+        if any(im for _, im in gauss_tensor(valence, comps, xs).values()):
+            with pytest.raises(PolyError, match="non-real"):
+                complex_tensor_to_real(ZCHART, valence, comps, add_conjugate=False)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_add_conjugate_adds_the_conjugate(self, data):
+        valence = data.draw(st.sampled_from(_VALENCES))
+        comps = data.draw(complex_comps(valence))
+        by_hand = complex_tensor_to_real(
+            ZCHART, valence, conjugate_comps(comps), add_conjugate=False
+        )
+        assert by_hand == complex_tensor_to_real(ZCHART, valence, comps)
+
+
+# sha256 over format_poly of every ingested component (J, Gamma, metric,
+# golden tensors) and every printed-generator field of each built-in model
+# at n = 2..4, with the number of lines hashed.  Recorded at commit f7f9871,
+# before the binomial expansion, with
+#   cd tests && PYTHONPATH=../src python -c \
+#     "import test_tensorcalc as t; print(t.ingestion_digest())"
+INGESTION_PIN = (1124, "82df05f888e5fa455ad15266cacd11e43772405444ae52632501dc855e818a09")
+
+
+def ingestion_digest():
+    from cprojver.catalog import MODEL_NAMES, ManifestError, expected_symmetries
+    from cprojver.parse import format_poly
+
+    lines = []
+    for name in MODEL_NAMES:
+        for n in (2, 3, 4):
+            try:
+                spec = builtin(name, n)
+            except ManifestError:  # n outside the model's nrange
+                continue
+            tensors = [("J", spec.J), ("gamma", spec.gamma), ("metric", spec.metric)]
+            tensors += [(k, t) for k, (t, _) in sorted(spec.golden.items())]
+            for label, t in tensors:
+                if t is not None:
+                    lines += [f"{name} {n} {label} {k} {format_poly(t.comps[k])}"
+                              for k in sorted(t.comps)]
+            try:
+                fields = expected_symmetries(spec)
+            except KeyError:  # no printed generator list
+                continue
+            for label, f in fields:
+                lines += [f"{name} {n} {label} {r} {format_poly(f[r])}" for r in sorted(f)]
+    digest = hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
+    return len(lines), digest
+
+
+def test_ingestion_pin():
+    assert ingestion_digest() == INGESTION_PIN
 
 
 class TestTorsionProjections:
