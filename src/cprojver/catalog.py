@@ -212,7 +212,7 @@ def _build_model(name, n, signs, body):
     denoms = {}
     varnames = None
     subst = None
-    zden = []
+    zden = None
     for ln, s in body.get("chart", []):
         head, val = _split_head(s, ln)
         if head == "vars":
@@ -229,6 +229,8 @@ def _build_model(name, n, signs, body):
                 raise ManifestError(f"duplicate denominator {dname}", ln, 1)
             denoms[dname] = ("poly", val, ln)
         elif head == "zdenoms":
+            if zden is not None:
+                raise ManifestError("zdenoms is given twice", ln, 1)
             zden = _ints(val, ln)
             if not all(1 <= a <= n for a in zden):
                 raise ManifestError(f"zdenoms index out of range for n in {val!r}", ln, 1)
@@ -250,6 +252,7 @@ def _build_model(name, n, signs, body):
         raise ManifestError("subst must rename a coordinate to a new name", subst[3], 1)
     den_dict = {}
     plain = VarTable(varnames, laurent=laurent)
+    zden = zden or []
     for a in zden:
         i, j = 2 * (a - 1), 2 * (a - 1) + 1
         e1 = [0] * len(varnames)

@@ -586,8 +586,6 @@ def complex_tensor_to_real(chart, valence, comps, add_conjugate=True):
     scale = 2 if add_conjugate else 1
     buckets = {}  # (real index, den, q) -> (real, imaginary) int numerators
     for idx, p in comps.items():
-        if not p:
-            continue
         # the real index tuples of the slots, each with its quarter turns
         slots = [((), 0)]
         for pos, a in enumerate(idx):

@@ -156,10 +156,11 @@ class TestMalformedValues:
             ("cp1xc.model", "denom D1 = 1+x1^2+x2^2", "denom D1 = 1+x1^2+x2^2\ndenom D2 = -2-2*x1^2-2*x2^2", 10),
             # zdenoms names its denominators Q1, Q2, ...; a denom line may
             # not take one of those names, before or after the zdenoms line,
-            # and zdenoms lists each index once
+            # and zdenoms lists each index once, on one line
             ("type1_n2.model", "zdenoms = 1", "zdenoms = 1\ndenom Q1 = 1+x1^2", 10),
             ("type1_n2.model", "zdenoms = 1", "denom Q1 = x1^2+x2^2\nzdenoms = 1", 9),
             ("type1_n2.model", "zdenoms = 1", "zdenoms = 1 1", 9),
+            ("type1_n2.model", "zdenoms = 1", "zdenoms = 1\nzdenoms = 2", 10),
             # an entry given twice is refused at its second line, never
             # overwritten by it: per section, and for the metric against its
             # mirror and against the diagonal that the rest clause sets
