@@ -202,6 +202,10 @@ def cmd_metric(args):
     return _emit(args, f"metric --model {args.model} --n {args.n}", checks, started)
 
 
+FAST_HELP = ("skip the enlarged-ansatz re-solves of the symmetry and mobility kernels and their "
+             "stabilized checks; the submax-metric n=2 isometry and homothety solves keep theirs")
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="cproj",
@@ -219,7 +223,7 @@ def build_parser():
     v.add_argument("--model", required=True)
     v.add_argument("--n", type=int, default=None)
     v.add_argument("--jobs", type=int, default=1)
-    v.add_argument("--fast", action="store_true", help="skip stabilization runs")
+    v.add_argument("--fast", action="store_true", help=FAST_HELP)
     v.add_argument("--out")
     v.set_defaults(fn=cmd_verify)
 
@@ -242,7 +246,7 @@ def build_parser():
     m.add_argument("--model", default="submax-metric")
     m.add_argument("--n", type=int, default=2)
     m.add_argument("--signs", default=None, help="sign pattern like '+-' for k>=3")
-    m.add_argument("--fast", action="store_true")
+    m.add_argument("--fast", action="store_true", help=FAST_HELP)
     m.add_argument("--out")
     m.set_defaults(fn=cmd_metric)
     return p

@@ -192,8 +192,8 @@ def _hermitian_defect(B: Tensor, J: Tensor):
 
 def _mobility_closures(g, ginv, J, gamma):
     """(pairs, with_herm, eq_only): the pairs a <= b in column order, and the
-    operators apply(monomials, npairs) of (EQ, HERM) and of EQ alone on the
-    columns x^e E_ab, the direction p standing for (a, b) = pairs[p].
+    operators apply(columns) of (EQ, HERM) and of EQ alone on the columns
+    x^e E_ab, whose direction is the pair (a, b).
 
     Every column E_ab is symmetric, and so is each term of EQ in its last
     two indices: nabla_c keeps the symmetry of B, and the right-hand side
@@ -206,17 +206,13 @@ def _mobility_closures(g, ginv, J, gamma):
     om = kahler_form(g, J)
     one = chart.const(1)
 
-    def unit(p):
-        a, b = pairs[p]
-        return {(a, b), (b, a)}
+    @cache
+    def theta(ab):
+        return _theta(ginv, {ab: one, ab[::-1]: one})
 
     @cache
-    def theta(p):
-        return _theta(ginv, {key: one for key in unit(p)})
-
-    @cache
-    def symbol0(p):
-        E = unit(p)
+    def symbol0(ab):
+        E = {ab, ab[::-1]}
         eq = {}
         for u, v in E:
             for (i, c, k), G in gamma.comps.items():
@@ -226,7 +222,7 @@ def _mobility_closures(g, ginv, J, gamma):
                     accumulate(eq, (c, u, k), -G)
         lam = {}
         for l, name in enumerate(names):
-            q = theta(p).derivative(name)
+            q = theta(ab).derivative(name)
             if q:
                 lam[l] = q
         _subtract_lambda_terms(eq, g, om, J, lam)
@@ -241,16 +237,16 @@ def _mobility_closures(g, ginv, J, gamma):
         return eq, herm
 
     @cache
-    def symbol1(p, l):
-        eq = {(l, x, y): one for x, y in unit(p)}
-        th = theta(p)
+    def symbol1(ab, l):
+        eq = {(l, x, y): one for x, y in {ab, ab[::-1]}}
+        th = theta(ab)
         if th:
             _subtract_lambda_terms(eq, g, om, J, {l: th})
         return eq, {}
 
     with_herm = _column_operator(("EQ", "HERM"), symbol0, symbol1, symmetric=("EQ",))
     eq_only = _column_operator(
-        ("EQ",), lambda p: symbol0(p)[:1], lambda p, l: symbol1(p, l)[:1], symmetric=("EQ",)
+        ("EQ",), lambda ab: symbol0(ab)[:1], lambda ab, l: symbol1(ab, l)[:1], symmetric=("EQ",)
     )
     return pairs, with_herm, eq_only
 
@@ -265,10 +261,10 @@ def mobility_dimension(spec, stabilize=True):
     pairs, with_herm, eq_only = _mobility_closures(g, ginv, J, gamma)
 
     def solve(ans, operator):
-        fields, _ = solve_field_system(spec, operator, ans, ndirs=len(pairs))
+        fields, _ = solve_field_system(spec, operator, ans, directions=pairs)
         return [
             Tensor(chart, (0, 2), {
-                key: poly for p, poly in f.items() for key in {pairs[p], pairs[p][::-1]}
+                key: poly for ab, poly in f.items() for key in {ab, ab[::-1]}
             })
             for f in fields
         ]

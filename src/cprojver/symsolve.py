@@ -8,13 +8,16 @@ exact elimination.  Each equation of a symmetry solve is a Lie derivative
 L_v T (CP of one for the connection), and one slot rule, `_lie_symbol`,
 gives the symbols of all of them from T's valence.  The field-level
 equations (`cproj_equations` and friends) that re-verify kernel fields
-share no code with the symbols but `poly` and `tensorcalc`.  An operator is
-called once per solve.  It returns its
-memoized symbols and, per symbol and integer scale, the (column, shift) list
-of the columns that use it; it sums nothing.  Of an equation that is
-symmetric in its last two indices on every column (CP and L_v Gamma for a
-symmetric Gamma, L_v g for a symmetric g, the mobility equation), it emits
-one component of each mirrored pair, since the other repeats its rows.
+share no code with the symbols but `poly` and `tensorcalc`.  A column is a
+(monomial, direction) pair, and one list of them, `AnsatzSpace.columns`,
+numbers the columns from the operator call to the kernel read-out: column c
+is columns[c].  An operator is called once per solve, on that list or any
+sub-list of it.  It returns its memoized symbols and, per symbol and integer
+scale, the (column, shift) list of the columns that use it; it sums nothing.
+Of an equation that is symmetric in its last two indices on every column (CP
+and L_v Gamma for a symmetric Gamma, L_v g for a symmetric g, the mobility
+equation), it emits one component of each mirrored pair, since the other
+repeats its rows.
 `SystemBuilder` assembles the system equation-major: for each equation it
 scatters every symbol that has that component over the columns that use
 it, which is the one place that terms are summed, and settles that
@@ -99,6 +102,10 @@ class AnsatzSpace:
             for name, (lo, hi) in self.bounds.items()
         }
         return AnsatzSpace(self.chart, total_degree=td, bounds=bounds)
+
+    def columns(self, directions):
+        """The columns x^e d_a as (e, a): each monomial with every direction, in order."""
+        return [(e, a) for e in self.monomials for a in directions]
 
     def __len__(self):
         return len(self.monomials)
@@ -396,21 +403,26 @@ def _halved(parts, symmetric):
 
 
 def _column_operator(tags, symbol0, symbol1, symbol2=None, symmetric=()):
-    """The operator apply(monomials, ndirs) -> (symbols, uses), the
-    `SystemBuilder` input of the columns x^e d_a, column m * ndirs + a for
-    e = monomials[m].
+    """The operator apply(columns) -> (symbols, uses), the `SystemBuilder`
+    input of the columns x^e d_a listed as (e, a), column c = columns[c]
+    (`AnsatzSpace.columns`).  Any list, such as a sub-list of a solve's
+    columns, gives each column the same value.
 
     `symbol0(a)`, `symbol1(a, l)` and `symbol2(a, l, k)` return one comps
-    dict {comp: LaurentPoly} per tag.  `symbols` maps each key (a,), (a, l)
-    or (a, l, k) that some column takes to its parts [(tag, comp, p)], p the
-    component's polynomial; a symbol is built on first use and kept for
-    later calls.  The tags in `symmetric` name equations symmetric in the
-    last two component indices; their parts are cut to one component of
-    each mirrored pair (`_halved`), and a symbol left with no part gets no
-    uses.  `uses` maps the key to {scale: [(col, shift)]}: the columns that
-    take scale * x^shift times the symbol, shift the packed x^e, x^(e-1_l)
-    or x^(e-1_l-1_k) and scale 1, e_l or e_l (e_k - delta_lk).  Nothing is
-    summed, scaled or cleared here.
+    dict {comp: LaurentPoly} per tag, a the columns' direction (an index or
+    a pair).  `symbols` maps each key (a,), (a, l) or (a, l, k) that some
+    column takes to its parts [(tag, comp, p)], p the component's
+    polynomial; a symbol is built on first use and kept for later calls.
+    The tags in `symmetric` name equations symmetric in the last two
+    component indices; their parts are cut to one component of each mirrored
+    pair (`_halved`), and a symbol left with no part gets no uses.  `uses`
+    maps the key to {scale: [(col, shift)]}: the columns that take scale *
+    x^shift times the symbol, shift the packed x^e, x^(e-1_l) or
+    x^(e-1_l-1_k) and scale 1, e_l or e_l (e_k - delta_lk).  The terms of a
+    run of columns on one monomial are listed once.  `uses` lists each (key
+    suffix, scale) group in first-use order, its directions ascending, and
+    each key's columns in list order, which fixes the key order of the rows.
+    Nothing is summed, scaled or cleared here.
     """
     builders = {1: symbol0, 2: symbol1, 3: symbol2}
     memo = {}
@@ -428,30 +440,36 @@ def _column_operator(tags, symbol0, symbol1, symbol2=None, symmetric=()):
             )
         return got
 
-    def apply(monomials, ndirs):
-        taken = {}  # (key without a, scale) -> [(monomial index, shift)]
-        for m, exps in enumerate(monomials):
-            e0 = pack(exps, 0)
-            unit = _unit_shifts(len(exps))
-            terms = [((), 1, e0)]  # (key without a, scale, shift)
-            for l, el in enumerate(exps):
-                if el:
-                    f = e0 - unit[l]
-                    terms.append(((l,), el, f))
-                    if symbol2 is not None:
-                        for k, ek in enumerate(exps):
-                            fk = ek - 1 if k == l else ek  # e_k - delta_lk
-                            if fk:
-                                terms.append(((l, k), el * fk, f - unit[k]))
-            for suffix, scale, shift in terms:
-                taken.setdefault((suffix, scale), []).append((m, shift))
+    def apply(columns):
+        taken = {}  # (key without a, scale) -> [(run {a: col} of one monomial, shift)]
+        last = None
+        for col, (exps, a) in enumerate(columns):
+            if exps != last:
+                last, run = exps, {}
+                e0 = pack(exps, 0)
+                unit = _unit_shifts(len(exps))
+                terms = [((), 1, e0)]  # (key without a, scale, shift)
+                for l, el in enumerate(exps):
+                    if el:
+                        f = e0 - unit[l]
+                        terms.append(((l,), el, f))
+                        if symbol2 is not None:
+                            for k, ek in enumerate(exps):
+                                fk = ek - 1 if k == l else ek  # e_k - delta_lk
+                                if fk:
+                                    terms.append(((l, k), el * fk, f - unit[k]))
+                for suffix, scale, shift in terms:
+                    taken.setdefault((suffix, scale), []).append((run, shift))
+            run[a] = col
+        directions = sorted({a for _, a in columns})
         uses = {}
         for (suffix, scale), shifts in taken.items():
-            for a in range(ndirs):
+            for a in directions:
                 key = (a, *suffix)
                 if symbol(key):
-                    cols = [(m * ndirs + a, shift) for m, shift in shifts]
-                    uses.setdefault(key, {})[scale] = cols
+                    cols = [(run[a], shift) for run, shift in shifts if a in run]
+                    if cols:
+                        uses.setdefault(key, {})[scale] = cols
         return {key: symbol(key) for key in uses}, uses
 
     return apply
@@ -513,15 +531,16 @@ def affine_operator(spec):
     return _lie_operator(spec, [("LJ", spec.J), ("LG", spec.gamma)], connection="LG")
 
 
-def solve_field_system(spec, operator, ansatz, extra_metric_scale=None, ndirs=None):
+def solve_field_system(spec, operator, ansatz, extra_metric_scale=None, directions=None):
     """Kernel of a linear operator on fields over the ansatz space.
 
-    Column c is the monomial x^e, e = ansatz.monomials[c // ndirs], in the
-    direction c % ndirs.  `operator(monomials, ndirs)` is called once and
-    returns the (symbols, uses) of every column, as `_column_operator`
-    builds them, for one `SystemBuilder`.  `ndirs` defaults to the chart
-    dimension (vector fields).  Returns (basis, scales): each kernel vector
-    as {direction: LaurentPoly}.
+    The columns are `ansatz.columns(directions)`, column c the monomial x^e
+    in the direction a for (e, a) = columns[c]; `directions` defaults to
+    the chart's coordinate indices (vector fields).  `operator(columns)` is
+    called once and returns the (symbols, uses) of every column, as
+    `_column_operator` builds them, for one `SystemBuilder`.  Returns
+    (basis, scales): each kernel vector as {direction: LaurentPoly}, read
+    back through the same list.
 
     With `extra_metric_scale` (the metric tensor), one extra scalar unknown c
     is appended and the equation tagged "LG" becomes L_v g - c g = 0; its
@@ -529,11 +548,10 @@ def solve_field_system(spec, operator, ansatz, extra_metric_scale=None, ndirs=No
     to the components that `killing_operator` emits for the same metric.
     """
     table = spec.chart.table
-    if ndirs is None:
-        ndirs = spec.chart.dim
-    nfield = len(ansatz.monomials) * ndirs
+    columns = ansatz.columns(range(spec.chart.dim) if directions is None else directions)
+    nfield = len(columns)
     builder = SystemBuilder(nfield + (extra_metric_scale is not None))
-    builder.add(*operator(ansatz.monomials, ndirs))
+    builder.add(*operator(columns))
     if extra_metric_scale is not None:
         comps = extra_metric_scale.scale(-1).comps
         parts = [("LG", comp, p) for comp, p in comps.items()]
@@ -548,9 +566,9 @@ def solve_field_system(spec, operator, ansatz, extra_metric_scale=None, ndirs=No
         terms = {}  # direction -> {monomial key: coefficient}
         for c, val in vec.items():
             if c < nfield:
-                m, i = divmod(c, ndirs)
-                terms.setdefault(i, {})[pack(ansatz.monomials[m])] = val
-        basis.append({i: LaurentPoly(table, t) for i, t in terms.items()})
+                exps, a = columns[c]
+                terms.setdefault(a, {})[pack(exps)] = val
+        basis.append({a: LaurentPoly(table, t) for a, t in terms.items()})
         scales.append(vec.get(nfield, Fraction(0)))
     return basis, scales
 
@@ -601,71 +619,49 @@ def verify_fields(equations, basis):
     return True
 
 
-def _solve_stabilized(spec, operator, ansatz, stabilize, extra_metric_scale=None):
-    """(basis, scales, stabilized): the solve over `ansatz` and, when
-    `stabilize` is set, whether the solve over `ansatz.enlarged()` has the
-    same kernel dimension (None when not asked)."""
+def _field_system(spec, operator, ansatz, stabilize, equations, extra_metric_scale=None):
+    """The `SymmetryResult` of `operator` over `ansatz`, re-verified on the
+    field-level `equations`; with `stabilize`, whether the solve over
+    `ansatz.enlarged()` has the same kernel dimension.  With
+    `extra_metric_scale`, kernel vectors with a zero field (only on g = 0)
+    are dropped, `equations` take the pairs (v, c) and `extra["scales"]`
+    lists the kept fields' c."""
     basis, scales = solve_field_system(spec, operator, ansatz, extra_metric_scale)
     stab = None
     if stabilize:
-        bigger, _ = solve_field_system(
-            spec, operator, ansatz.enlarged(), extra_metric_scale
-        )
+        bigger, _ = solve_field_system(spec, operator, ansatz.enlarged(), extra_metric_scale)
         stab = len(bigger) == len(basis)
-    return basis, scales, stab
+    solved, extra = basis, {}
+    if extra_metric_scale is not None:
+        solved = [(f, c) for f, c in zip(basis, scales) if f]
+        basis = [f for f, _ in solved]
+        extra["scales"] = [c for _, c in solved]
+    verified = verify_fields(equations, solved)
+    return SymmetryResult(len(basis), basis, stab, verified=verified, extra=extra)
 
 
 def cproj_system(spec, ansatz, stabilize=True):
-    basis, _, stab = _solve_stabilized(spec, cproj_operator(spec), ansatz, stabilize)
-    return SymmetryResult(
-        dim=len(basis),
-        basis=basis,
-        stabilized=stab,
-        closed_under_bracket=check_bracket_closure(spec.chart, basis),
-        verified=verify_fields(partial(cproj_equations, spec), basis),
-    )
+    equations = partial(cproj_equations, spec)
+    res = _field_system(spec, cproj_operator(spec), ansatz, stabilize, equations)
+    res.closed_under_bracket = check_bracket_closure(spec.chart, res.basis)
+    return res
 
 
 def killing_system(spec, ansatz, stabilize=True, holomorphic=True):
     op = killing_operator(spec, holomorphic=holomorphic)
-    basis, _, stab = _solve_stabilized(spec, op, ansatz, stabilize)
-    return SymmetryResult(
-        dim=len(basis),
-        basis=basis,
-        stabilized=stab,
-        verified=verify_fields(
-            partial(killing_equations, spec, holomorphic=holomorphic), basis
-        ),
-    )
+    equations = partial(killing_equations, spec, holomorphic=holomorphic)
+    return _field_system(spec, op, ansatz, stabilize, equations)
 
 
 def affine_system(spec, ansatz, stabilize=True):
-    basis, _, stab = _solve_stabilized(spec, affine_operator(spec), ansatz, stabilize)
-    return SymmetryResult(
-        dim=len(basis),
-        basis=basis,
-        stabilized=stab,
-        verified=verify_fields(partial(affine_equations, spec), basis),
-    )
+    equations = partial(affine_equations, spec)
+    return _field_system(spec, affine_operator(spec), ansatz, stabilize, equations)
 
 
 def homothety_system(spec, ansatz, stabilize=True, holomorphic=True):
     op = killing_operator(spec, holomorphic=holomorphic)
-    basis, scales, stab = _solve_stabilized(
-        spec, op, ansatz, stabilize, extra_metric_scale=spec.metric
-    )
-    # drop pure-scale kernel vectors (c != 0 with zero field cannot occur
-    # unless g = 0; keep fields only)
-    pairs = [(f, c) for f, c in zip(basis, scales) if f]
-    return SymmetryResult(
-        dim=len(pairs),
-        basis=[f for f, _ in pairs],
-        stabilized=stab,
-        verified=verify_fields(
-            partial(homothety_equations, spec, holomorphic=holomorphic), pairs
-        ),
-        extra={"scales": scales},
-    )
+    equations = partial(homothety_equations, spec, holomorphic=holomorphic)
+    return _field_system(spec, op, ansatz, stabilize, equations, extra_metric_scale=spec.metric)
 
 
 def span_equals(chart, basis_a, basis_b):

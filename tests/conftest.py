@@ -22,8 +22,8 @@ def without_direction(operator, a):
     """`operator` with every symbol of direction `a` (key[0] == a) dropped,
     so that the columns of that direction take no equation."""
 
-    def apply(monomials, ndirs):
-        symbols, uses = operator(monomials, ndirs)
+    def apply(columns):
+        symbols, uses = operator(columns)
         keys = [key for key in uses if key[0] != a]
         return {key: symbols[key] for key in keys}, {key: uses[key] for key in keys}
 

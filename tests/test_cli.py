@@ -135,6 +135,26 @@ class TestVerify:
         assert got == records(by_name, "submax-metric[n=2] ")
         assert len(got) == 33 and all(rec[3] for rec in got)
 
+    def test_manifest_without_mobility_gets_no_dimension_chain(self, tmp_path, capsys):
+        # the chain check reads the computed degree of mobility; a manifest
+        # that expects none is not solved for it and gets no chain check
+        from cprojver.catalog import DATA_DIR
+
+        with open(os.path.join(DATA_DIR, "submax_metric.model"), encoding="ascii") as fh:
+            text = fh.read()
+        assert text.count("mobility = ") == 1
+        path, out = tmp_path / "nomob.model", tmp_path / "r.json"
+        path.write_text(text.replace("mobility = ", "# mobility = "))
+        assert run(["verify", "--model", str(path), "--fast", "--out", str(out)]) == 1
+        assert "error" not in capsys.readouterr().err
+        checks = {c["check"]: c["pass"] for c in json.loads(out.read_text())["checks"]}
+        assert "dimension chain cp <= homothety + mobility - 1" not in checks
+        assert "degree of mobility" not in checks
+        # the one failure: the family's parameter count has no mobility to match
+        assert [c for c, ok in checks.items() if not ok] == [
+            "family parameter count equals the degree of mobility"
+        ]
+
     def test_malformed_manifest_path_is_a_manifest_error(self, tmp_path, capsys):
         from cprojver.catalog import DATA_DIR
 

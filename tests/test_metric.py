@@ -1,10 +1,11 @@
 """Pseudo-Kahler machinery: Levi-Civita, Kahler flags, mobility, families."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
-from cprojver import metric
+from cprojver import metric, verify
 from cprojver.catalog import builtin
 from cprojver.linalg import LinearSystem, SpanSolver
 from cprojver.metric import (
@@ -168,6 +169,23 @@ class TestMobility:
         mob = mobility_dimension(submax2, stabilize=False)
         assert mob.dim_unconstrained >= mob.dim
 
+    def test_dimension_chain_reads_the_computed_mobility(self, monkeypatch):
+        # cp <= homothety + mobility - 1 is 8 <= 7 + 2 - 1 at n=2; with the
+        # mobility solve made to return dim 1 it must fail
+        chain = "dimension chain cp <= homothety + mobility - 1"
+
+        def passed(checks):
+            return next(c.passed for c in checks if c.check == chain)
+
+        assert passed(metric_battery("submax-metric", 2, stabilize=False))
+        solve = verify.mobility_dimension
+
+        def one(*args, **kwargs):
+            return dataclasses.replace(solve(*args, **kwargs), dim=1)
+
+        monkeypatch.setattr(verify, "mobility_dimension", one)
+        assert not passed(metric_battery("submax-metric", 2, stabilize=False))
+
 
 
 class TestMobilityColumns:
@@ -175,7 +193,7 @@ class TestMobilityColumns:
     the generic route: `_mobility_operator` through
     `covariant_derivative_02`, and `_hermitian_defect`, on the column
     x^e E_ab.  A column's value is rebuilt from the uses of a one-monomial
-    ansatz, where column p is the pair p.  EQ is symmetric in its last two
+    ansatz, where column p is pairs[p].  EQ is symmetric in its last two
     indices and emitted for a <= b; the generic route's other components
     must equal their mirrors."""
 
@@ -192,8 +210,8 @@ class TestMobilityColumns:
         deg = max(2, spec.degrees.get("degree", 2))
         big = AnsatzSpace(chart, total_degree=deg).enlarged()
         for exps in big.monomials:
-            both = with_herm([exps], len(pairs))
-            eqs = eq_only([exps], len(pairs))
+            columns = [(exps, ab) for ab in pairs]
+            both, eqs = with_herm(columns), eq_only(columns)
             for p, (a, b) in enumerate(pairs):
                 B = _sym_tensor_basis(chart, exps, a, b)
                 eq = ("EQ", emitted_half(op(B).comps, True))
@@ -235,7 +253,7 @@ class TestMobilityColumns:
 
     @pytest.mark.parametrize("dropped", [0, 1])  # with_herm, eq_only
     def test_wrong_closure_fails_verification(self, monkeypatch, dropped):
-        # an operator that drops every symbol of the pair p = 0 leaves every
+        # an operator that drops every symbol of the pair (0, 0) leaves every
         # x^e E_00 in that solve's kernel; only the generic route can see it
         spec = builtin("flat", 2)
         good = mobility_dimension(spec)
@@ -244,7 +262,7 @@ class TestMobilityColumns:
 
         def wrong(*args):
             pairs, *ops = closures(*args)
-            ops[dropped] = without_direction(ops[dropped], 0)
+            ops[dropped] = without_direction(ops[dropped], (0, 0))
             return (pairs, *ops)
 
         monkeypatch.setattr(metric, "_mobility_closures", wrong)
@@ -265,9 +283,9 @@ class TestMobilityColumns:
         def pinned(*args):
             pairs, with_herm, eq_only = closures(*args)
 
-            def op(monomials, ndirs):
-                symbols, uses = with_herm(monomials, ndirs)
-                col = monomials.index(origin) * ndirs  # x^0 E_00
+            def op(columns):
+                symbols, uses = with_herm(columns)
+                col = columns.index((origin, (0, 0)))  # x^0 E_00
                 symbols = {**symbols, "pin": [("PIN", 0, chart.const(1))]}
                 return symbols, {**uses, "pin": {1: [(col, 0)]}}
 

@@ -7,7 +7,7 @@ from functools import partial
 from itertools import product
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cprojver.catalog import builtin, expected_symmetries, model_ansatz
@@ -140,10 +140,10 @@ class TestPackedKeys:
         spec = builtin("type3-n2", 2)  # x, y, the Laurent variable s, and q
         table = spec.chart.table
         op = cproj_operator(spec)
-        assert op([(0, 0, _LIMIT - 1, 0)], 1)  # the largest admitted exponent
+        assert op([((0, 0, _LIMIT - 1, 0), 0)])  # the largest admitted exponent
         for exps in [(0, 0, _LIMIT, 0), (0, 0, -_LIMIT, 0), (_LIMIT, 0, 0, 0)]:
             with pytest.raises(PolyError, match="packed range"):
-                op([exps], 1)
+                op([(exps, 0)])
         # a symbol term at the limit fails when its polynomial is built
         for e in (_LIMIT, -_LIMIT):
             with pytest.raises(PolyError, match="packed range"):
@@ -170,8 +170,8 @@ def _asymmetric_type2():
 class TestColumnSymbols:
     """The operators' symbols and uses against the generic route:
     tensorcalc's Lie derivatives of the field x^e d_a, and CP of L_v Gamma as
-    `cproj_equations` writes it on `contract`.  A column's value
-    is rebuilt from the uses of a one-monomial ansatz, where column a is the
+    `cproj_equations` writes it on `contract`.  A column's value is rebuilt
+    from the uses of the columns of one monomial, where column a is the
     direction a.  Where an equation is symmetric in its last two indices,
     the operator emits the components whose last two indices ascend; the
     generic route's other components must equal their mirrors."""
@@ -193,10 +193,11 @@ class TestColumnSymbols:
             isometry = killing_operator(spec, holomorphic=False)
         for exps in big.monomials:
             mono = LaurentPoly(table, {pack(exps): 1})
-            outputs = {"cproj": cproj([exps], dim), "affine": affine([exps], dim)}
+            columns = [(exps, a) for a in range(dim)]
+            outputs = {"cproj": cproj(columns), "affine": affine(columns)}
             if g is not None:
-                outputs["killing"] = killing([exps], dim)
-                outputs["isometry"] = isometry([exps], dim)
+                outputs["killing"] = killing(columns)
+                outputs["isometry"] = isometry(columns)
             for a in range(dim):
                 v = {a: mono}
                 lj = ("LJ", tc.lie_derivative_J(v, J).comps)
@@ -223,7 +224,7 @@ class TestColumnSymbols:
         dim = spec.chart.dim
         one = spec.chart.const(1)
         sym = name in SYMMETRIC_GAMMA
-        symbols, _ = cproj_operator(spec)([(2,) * dim], dim)
+        symbols, _ = cproj_operator(spec)([((2,) * dim, a) for a in range(dim)])
         for a, l, k in product(range(dim), repeat=3):
             got = {comp: p for tag, comp, p in symbols.get((a, l, k), ()) if tag == "CP"}
             want = {comp: p for comp, p in cp_projection(spec.J, {(a, l, k): one}).items()
@@ -241,10 +242,9 @@ class TestColumnSymbols:
     @pytest.mark.parametrize("name,n", [("type3", 3), ("nonminimal", 2), ("asymmetric", 2)])
     def test_connection_with_torsion_emits_both_halves(self, name, n):
         spec = _asymmetric_type2() if name == "asymmetric" else builtin(name, n)
-        dim = spec.chart.dim
-        monomials = model_ansatz(spec).monomials
+        columns = model_ansatz(spec).columns(range(spec.chart.dim))
         for operator, tag in ((cproj_operator, "CP"), (affine_operator, "LG")):
-            symbols, _ = operator(spec)(monomials, dim)
+            symbols, _ = operator(spec)(columns)
             comps = {comp for parts in symbols.values() for t, comp, *_ in parts if t == tag}
             assert any(j > k for _, j, k in comps), tag
             assert {(i, k, j) for i, j, k in comps} == comps, tag
@@ -262,23 +262,19 @@ class TestColumnSymbols:
         column's `cproj_equations` as one unshifted symbol used once, and
         from `cproj_operator`."""
         table = spec.chart.table
-        dim = spec.chart.dim
-        monomials = model_ansatz(spec).monomials
-        ncols = len(monomials) * dim
+        columns = model_ansatz(spec).columns(range(spec.chart.dim))
         symbols, uses = {}, {}
-        for m, exps in enumerate(monomials):
+        for col, (exps, a) in enumerate(columns):
             mono = LaurentPoly(table, {pack(exps): 1})
-            for a in range(dim):
-                col = m * dim + a
-                symbols[col] = [
-                    (tag, comp, p)
-                    for tag, t in cproj_equations(spec, {a: mono})
-                    for comp, p in t.comps.items()
-                ]
-                uses[col] = {1: [(col, 0)]}
-        generic, fed = SystemBuilder(ncols), SystemBuilder(ncols)
+            symbols[col] = [
+                (tag, comp, p)
+                for tag, t in cproj_equations(spec, {a: mono})
+                for comp, p in t.comps.items()
+            ]
+            uses[col] = {1: [(col, 0)]}
+        generic, fed = SystemBuilder(len(columns)), SystemBuilder(len(columns))
         generic.add(symbols, uses)
-        fed.add(*cproj_operator(spec)(monomials, dim))
+        fed.add(*cproj_operator(spec)(columns))
         return generic.kernel()[0], fed.kernel()[0]
 
     @pytest.mark.parametrize("name,n", CATALOG)
@@ -417,9 +413,10 @@ SYMBOL_TAGS = ("A", "B")
 
 @st.composite
 def symbol_tables(draw):
-    """(chart, ansatz, ndirs, symbols): a chart in x, y with or without the
-    declared denominator D = 1 + x^2, a small total-degree ansatz, and a
-    table key -> (comps dict per tag) for the symbol keys (a,), (a, l) and,
+    """(chart, columns, symbols): a chart in x, y with or without the
+    declared denominator D = 1 + x^2, the columns of a small total-degree
+    ansatz in one or two directions, and a table key -> (comps dict per
+    tag) for the symbol keys (a,), (a, l) and,
     unless the operator stops at first order, (a, l, k).  Symbols are
     sparse, of one or two terms from four monomials, with coefficients that
     often cancel, and each carries its own denominator multiplicity on the
@@ -436,16 +433,26 @@ def symbol_tables(draw):
         den,
     )
     comps = st.dictionaries(st.integers(0, 1), poly, max_size=1)
-    ndirs = draw(st.integers(1, 2))
-    keys = [(a,) for a in range(ndirs)] + [(a, l) for a in range(ndirs) for l in range(2)]
+    directions = range(draw(st.integers(1, 2)))
+    keys = [(a,) for a in directions] + [(a, l) for a in directions for l in range(2)]
     if draw(st.booleans()):
-        keys += [(a, l, k) for a in range(ndirs) for l in range(2) for k in range(2)]
+        keys += [(a, l, k) for a in directions for l in range(2) for k in range(2)]
     symbols = {key: tuple(draw(comps) for _ in SYMBOL_TAGS) for key in keys}
-    ansatz = AnsatzSpace(chart, total_degree=draw(st.integers(1, 3)))
-    return chart, ansatz, ndirs, symbols
+    columns = AnsatzSpace(chart, total_degree=draw(st.integers(1, 3))).columns(directions)
+    return chart, columns, symbols
 
 
-def _column_major_rows(chart, ansatz, ndirs, symbols):
+def _table_operator(symbols):
+    """The `_column_operator` of a `symbol_tables` table."""
+    return _column_operator(
+        SYMBOL_TAGS,
+        lambda a: symbols[(a,)],
+        lambda a, l: symbols[(a, l)],
+        (lambda a, l, k: symbols[(a, l, k)]) if (0, 0, 0) in symbols else None,
+    )
+
+
+def _column_major_rows(chart, columns, symbols):
     """{(tag, comp): rows} of the operator given by `symbols`, assembled
     naively: each column's value per (tag, comp) as a LaurentPoly, then each
     equation multiplied by D^M, M the largest multiplicity among its
@@ -453,7 +460,7 @@ def _column_major_rows(chart, ansatz, ndirs, symbols):
     table = chart.table
     second = any(len(key) == 3 for key in symbols)
     eqs = {}  # (tag, comp) -> {col: LaurentPoly}
-    for m, exps in enumerate(ansatz.monomials):
+    for col, (exps, a) in enumerate(columns):
         terms = [((), exps, 1)]
         for l, el in enumerate(exps):
             if el:
@@ -463,13 +470,11 @@ def _column_major_rows(chart, ansatz, ndirs, symbols):
                     if second and ek:
                         lower = tuple(e - (i == k) for i, e in enumerate(low))
                         terms.append(((l, k), lower, el * ek))
-        for a in range(ndirs):
-            col = m * ndirs + a
-            for suffix, e, scale in terms:
-                mono = LaurentPoly(table, {pack(e): scale})
-                for tag, comps in zip(SYMBOL_TAGS, symbols[(a, *suffix)]):
-                    for comp, p in comps.items():
-                        accumulate(eqs.setdefault((tag, comp), {}), col, mono * p)
+        for suffix, e, scale in terms:
+            mono = LaurentPoly(table, {pack(e): scale})
+            for tag, comps in zip(SYMBOL_TAGS, symbols[(a, *suffix)]):
+                for comp, p in comps.items():
+                    accumulate(eqs.setdefault((tag, comp), {}), col, mono * p)
     out = {}
     for key in sorted(eqs):
         polys = eqs[key]
@@ -503,16 +508,10 @@ class TestEquationMajorAssembly:
     @settings(max_examples=150, deadline=None)
     @given(symbol_tables())
     def test_same_kernel_and_rank_as_column_major(self, case):
-        chart, ansatz, ndirs, symbols = case
-        operator = _column_operator(
-            SYMBOL_TAGS,
-            lambda a: symbols[(a,)],
-            lambda a, l: symbols[(a, l)],
-            (lambda a, l, k: symbols[(a, l, k)]) if (0, 0, 0) in symbols else None,
-        )
-        ncols = len(ansatz.monomials) * ndirs
-        got, uses = operator(ansatz.monomials, ndirs)
-        naive = _column_major_rows(chart, ansatz, ndirs, symbols)
+        chart, columns, symbols = case
+        ncols = len(columns)
+        got, uses = _table_operator(symbols)(columns)
+        naive = _column_major_rows(chart, columns, symbols)
         equations = {(tag, comp) for parts in got.values() for tag, comp, *_ in parts}
         for eq in [None, *sorted(equations)]:  # None: the whole system
             builder = SystemBuilder(ncols)
@@ -526,6 +525,24 @@ class TestEquationMajorAssembly:
             assert kernel == ref.kernel(), eq
             assert system.rank() == ref.rank(), eq
 
+    @settings(
+        max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(symbol_tables(), st.data())
+    def test_sub_list_gives_each_column_its_value(self, canonical, case, data):
+        # a graded solve applies one operator to blocks of a solve's columns;
+        # a column keeps its value in any sub-list, in any order, at its
+        # place in that list
+        chart, columns, symbols = case
+        operator = _table_operator(symbols)
+        full = operator(columns)
+        picked = data.draw(st.lists(st.sampled_from(range(len(columns))), min_size=1, unique=True))
+        sub = operator([columns[c] for c in picked])
+        used = {c for by_scale in sub[1].values() for cols in by_scale.values() for c, _ in cols}
+        assert used <= set(range(len(picked)))
+        for i, c in enumerate(picked):
+            got = canonical(chart.table, sub, i, SYMBOL_TAGS)
+            assert got == canonical(chart.table, full, c, SYMBOL_TAGS), (i, columns[c])
 
     def test_column_that_cancels_stays_free(self):
         # on x d_x, x^1 S0 + 1 * S1 = x - x: the column's only raw row holds
@@ -534,9 +551,9 @@ class TestEquationMajorAssembly:
         x = chart.var("x")
         symbols = {(0,): ({0: chart.const(1)},), (0, 0): ({0: -x},)}
         operator = _column_operator(("A",), lambda a: symbols[(a,)], lambda a, l: symbols[(a, l)])
-        ansatz = AnsatzSpace(chart, total_degree=1)
+        columns = AnsatzSpace(chart, total_degree=1).columns([0])
         builder = SystemBuilder(2)
-        builder.add(*operator(ansatz.monomials, 1))
+        builder.add(*operator(columns))
         kernel, system = builder.kernel()
         assert kernel == [{1: 1}] and system.rank() == 1
 
@@ -658,6 +675,14 @@ class TestMetricSystems:
         equations = partial(homothety_equations, submax2)
         assert len(pairs) == 7 and verify_fields(equations, pairs)
         assert not any(verify_fields(equations, [(f, c + 1)]) for f, c in pairs)
+
+    def test_homothety_scales_follow_the_kept_fields(self, submax2):
+        # on g = 0 the scale column alone is a kernel vector with no field;
+        # it is dropped from the basis, and so must its scale be
+        zero = dataclasses.replace(submax2, metric=Tensor(submax2.chart, (0, 2), {}))
+        res = homothety_system(zero, AnsatzSpace(zero.chart, total_degree=1), stabilize=False)
+        assert res.dim == len(res.basis) == len(res.extra["scales"]) == 12
+        assert all(res.basis) and res.verified
 
     def test_affine_on_type3_n2(self):
         spec = builtin("type3-n2", 2)
