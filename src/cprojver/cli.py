@@ -27,7 +27,7 @@ from itertools import repeat
 from . import verify
 from .catalog import MODEL_NAMES, builtin, parse_model_manifest
 from .parse import ParseError
-from .report import Check, make_report, print_report, write_report
+from .report import make_report, print_report, write_report
 
 
 def _emit(args, command, checks, started):
@@ -133,6 +133,9 @@ def cmd_prolong(args):
 
 def cmd_algebra(args):
     started = time.time()
+    if args.name and args.manifest:
+        print("error: --name and --manifest each name the algebra; pass one", file=sys.stderr)
+        return 2
     if args.lam is not None and not args.name:
         print("error: --lam applies only to --name with a parameterized algebra",
               file=sys.stderr)
@@ -150,17 +153,7 @@ def cmd_algebra(args):
         except (OSError, ParseError) as exc:
             print(f"manifest error: {exc}", file=sys.stderr)
             return 2
-        res = alg.jacobi_residual()
-        checks.append(
-            Check(
-                f"{alg.name}: Jacobi identity",
-                "jacobi",
-                "empty residual",
-                "empty residual" if not res else f"{len(res)} nonzero triples",
-                not res,
-                "recomputed",
-            )
-        )
+        checks.append(verify.jacobi_check(alg.name, alg, "recomputed"))
     elif args.name:
         from .algebras import ALGEBRA_FILES
 

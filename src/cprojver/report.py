@@ -17,13 +17,20 @@ SCHEMA = "cproj-report/1"
 
 @dataclass
 class Check:
+    """One report record.  It passes when `computed` equals `expected`; only
+    a record whose verdict is not that equality gives `passed` itself."""
+
     check: str
     anchor: str
     expected: object
     computed: object
-    passed: bool
+    passed: bool = None
     provenance: str = "definition"
     note: str = ""
+
+    def __post_init__(self):
+        if self.passed is None:
+            self.passed = self.expected == self.computed
 
     def as_record(self):
         rec = {

@@ -222,15 +222,5 @@ def deform_by_cochain(alg: StructAlgebra, cochain):
             predicted[(alg.labels[i], alg.labels[j], alg.labels[k])] = {
                 alg.labels[t]: v for t, v in r.items()
             }
-    matches = _tables_equal(residual, predicted)
-    return DeformationResult(deformed, residual, predicted, matches)
-
-
-def _tables_equal(a, b):
-    keys = set(a) | set(b)
-    for key in keys:
-        va, vb = a.get(key, {}), b.get(key, {})
-        for k in set(va) | set(vb):
-            if va.get(k, 0) - vb.get(k, 0):
-                return False
-    return True
+    # neither table stores a zero, so equal tables are equal dicts
+    return DeformationResult(deformed, residual, predicted, residual == predicted)

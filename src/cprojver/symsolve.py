@@ -653,9 +653,9 @@ def killing_system(spec, ansatz, stabilize=True, holomorphic=True):
     return _field_system(spec, op, ansatz, stabilize, equations)
 
 
-def affine_system(spec, ansatz, stabilize=True):
+def affine_system(spec, ansatz):
     equations = partial(affine_equations, spec)
-    return _field_system(spec, affine_operator(spec), ansatz, stabilize, equations)
+    return _field_system(spec, affine_operator(spec), ansatz, False, equations)
 
 
 def homothety_system(spec, ansatz, stabilize=True, holomorphic=True):

@@ -136,8 +136,9 @@ class TestVerify:
         assert len(got) == 33 and all(rec[3] for rec in got)
 
     def test_manifest_without_mobility_gets_no_dimension_chain(self, tmp_path, capsys):
-        # the chain check reads the computed degree of mobility; a manifest
-        # that expects none is not solved for it and gets no chain check
+        # the chain check reads the computed degree of mobility and the family
+        # count compares with the expected one; a manifest that expects none
+        # is not solved for it and gets neither check
         from cprojver.catalog import DATA_DIR
 
         with open(os.path.join(DATA_DIR, "submax_metric.model"), encoding="ascii") as fh:
@@ -145,15 +146,13 @@ class TestVerify:
         assert text.count("mobility = ") == 1
         path, out = tmp_path / "nomob.model", tmp_path / "r.json"
         path.write_text(text.replace("mobility = ", "# mobility = "))
-        assert run(["verify", "--model", str(path), "--fast", "--out", str(out)]) == 1
+        assert run(["verify", "--model", str(path), "--fast", "--out", str(out)]) == 0
         assert "error" not in capsys.readouterr().err
         checks = {c["check"]: c["pass"] for c in json.loads(out.read_text())["checks"]}
         assert "dimension chain cp <= homothety + mobility - 1" not in checks
         assert "degree of mobility" not in checks
-        # the one failure: the family's parameter count has no mobility to match
-        assert [c for c, ok in checks.items() if not ok] == [
-            "family parameter count equals the degree of mobility"
-        ]
+        assert "family parameter count equals the degree of mobility" not in checks
+        assert all(checks.values())
 
     def test_malformed_manifest_path_is_a_manifest_error(self, tmp_path, capsys):
         from cprojver.catalog import DATA_DIR
@@ -299,6 +298,15 @@ class TestAlgebra:
         assert run(["algebra", "--manifest", path, "--lam", "2"]) == 2
         err = capsys.readouterr().err
         assert err == "error: --lam applies only to --name with a parameterized algebra\n"
+
+    def test_name_with_manifest_is_a_usage_error(self, capsys):
+        path = os.path.join(data_dir(), ALGEBRA_FILES["lambda-family"])
+        for extra in ([], ["--lam", "2"]):
+            args = ["algebra", "--name", "lambda-family", "--manifest", path, *extra]
+            assert run(args) == 2
+            out, err = capsys.readouterr()
+            assert err == "error: --name and --manifest each name the algebra; pass one\n"
+            assert out == ""
 
     def test_n_without_deform_is_a_usage_error(self, capsys):
         assert run(["algebra", "--name", "s", "--n", "5"]) == 2

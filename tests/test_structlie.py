@@ -14,12 +14,12 @@ from cprojver.algebras import (
 from cprojver.parse import ParseError
 from cprojver.poly import LaurentPoly
 from cprojver.prolong import subalgebra_with_cochain
-from cprojver.structlie import StructAlgebra, _tables_equal, deform_by_cochain
+from cprojver.structlie import StructAlgebra, deform_by_cochain
 
 
 def same_table(a, b):
     """`a` and `b` have the same labels and structure constants."""
-    return a.labels == b.labels and _tables_equal(a.table, b.table)
+    return a.labels == b.labels and a.table == b.table
 
 
 def transport(alg, scaling):

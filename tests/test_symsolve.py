@@ -686,7 +686,7 @@ class TestMetricSystems:
 
     def test_affine_on_type3_n2(self):
         spec = builtin("type3-n2", 2)
-        res = affine_system(spec, model_ansatz(spec), stabilize=False)
+        res = affine_system(spec, model_ansatz(spec))
         assert res.dim == 8
 
 
