@@ -20,36 +20,26 @@ from __future__ import annotations
 import os
 import re
 
-from .catalog import data_dir
+from .catalog import _unique, data_dir, statements
 from .parse import ParseError, parse_poly
 from .poly import LaurentPoly, VarTable, pack, unpack
 from .structlie import StructAlgebra
 
-_BRACKET = re.compile(r"bracket\s*\[\s*(\w+)\s*,\s*(\w+)\s*\]\s*=\s*(.*)$")
+_BRACKET = re.compile(r"bracket\s*\[\s*(\w+)\s*,\s*(\w+)\s*\]")
 
 
 def parse_algebra_manifest(text, name_hint="") -> StructAlgebra:
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != "cproj-algebra v1":
-        raise ParseError("expected header 'cproj-algebra v1'", 1, 1)
     name = name_hint
     labels = None
     params = []
     zplus, zminus = [], []
     grading = {}
     raw_brackets = []
-    for ln, line in enumerate(lines[1:], start=2):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        m = _BRACKET.match(line)
+    for ln, key, val in statements(text, "cproj-algebra v1", {"": ()})[""]:
+        m = _BRACKET.fullmatch(key)
         if m:
-            raw_brackets.append((ln, m.group(1), m.group(2), m.group(3)))
-            continue
-        if "=" not in line:
-            raise ParseError(f"cannot parse statement {line!r}", ln, 1)
-        key, val = (t.strip() for t in line.split("=", 1))
-        if key == "name":
+            raw_brackets.append((ln, m.group(1), m.group(2), val))
+        elif key == "name":
             name = val
         elif key == "basis":
             labels, names_line = val.split(), ln
@@ -62,7 +52,7 @@ def parse_algebra_manifest(text, name_hint="") -> StructAlgebra:
         elif key.startswith("grade "):
             if not re.fullmatch(r"[+-]?\d+", val):
                 raise ParseError(f"grade must be an integer, got {val!r}", ln, 1)
-            grading[key[len("grade "):].strip()] = int(val)
+            grading[key[len("grade "):]] = int(val)
         else:
             raise ParseError(f"unknown key {key!r}", ln, 1)
     if not labels:
@@ -72,18 +62,16 @@ def parse_algebra_manifest(text, name_hint="") -> StructAlgebra:
     table = VarTable(list(params) + list(labels))
     index = {l: i for i, l in enumerate(labels)}
     ptable = VarTable(params) if params else None
-    bracket = {}
+    entries = []
     for ln, li, lj, rhs in raw_brackets:
         if li not in index or lj not in index:
             raise ParseError(f"unknown basis label in [{li},{lj}]", ln, 1)
         if li == lj:
             raise ParseError(f"[{li},{lj}] vanishes by antisymmetry", ln, 1)
-        poly = parse_poly(rhs, table, line=ln)
-        vec = _split_linear(poly, table, labels, params, ptable, ln)
+        vec = _split_linear(parse_poly(rhs, table, line=ln), table, labels, params, ptable, ln)
         key = (index[li], index[lj])
-        if key in bracket or (key[1], key[0]) in bracket:
-            raise ParseError(f"duplicate bracket [{li},{lj}]", ln, 1)
-        bracket[key] = vec
+        entries.append((ln, frozenset(key), (key, vec)))
+    bracket = dict(_unique(entries).values())
     z2 = None
     if zplus or zminus:
         if set(zplus) | set(zminus) != set(labels):

@@ -120,14 +120,67 @@ class ManifestError(ParseError):
     pass
 
 
-_IDX = re.compile(r"(\w+)\s*\(\s*([^)]*)\)\s*$")
+# each section and the bare flags it takes; "" is the part before any section
+_SECTIONS = {"": (), "chart": (), "J": ("standard",), "gamma": ("zero",), "frame": (),
+             "metric": (), "expected": (), "expected_curvature": (),
+             "expected_torsion": (), "expected_nijenhuis": ()}
+
+_IDX = re.compile(r"(\w+)\s*\(([^;)]*);([^;)]*)\)")  # T(upper; lower)
 
 
-def _split_head(line, ln):
-    if "=" not in line:
-        raise ManifestError(f"expected 'key = value' in {line!r}", ln, 1)
-    head, val = (t.strip() for t in line.split("=", 1))
-    return head, val
+def statements(text, header, sections):
+    """The statements of a manifest whose first line is `header`, as
+    {section: [(line, head, value)]}.
+
+    `sections` maps each section name to the bare flags it takes; "" holds
+    the statements before the first ``[section]`` line.  ``#`` starts a
+    comment, a ``head = value`` line splits at its first ``=`` (each run of
+    spaces in the head reads as one), and a bare flag has value None.  A
+    missing header, an unknown or repeated section and a head given twice
+    in its section are refused at their line.
+    """
+    lines = text.splitlines()
+    if not lines or lines[0].strip() != header:
+        raise ManifestError(f"expected header {header!r}", 1, 1)
+    section = ""
+    out = {"": []}
+    heads = set()
+    for ln, raw in enumerate(lines[1:], start=2):
+        s = raw.split("#", 1)[0].strip()
+        if not s:
+            continue
+        if s.startswith("[") and s.endswith("]"):
+            section = s[1:-1]
+            if not section or section not in sections:
+                raise ManifestError(f"unknown section [{section}]", ln, 1)
+            if section in out:
+                raise ManifestError(f"section [{section}] is given twice", ln, 1)
+            out[section] = []
+            continue
+        if "=" in s:
+            head, val = s.split("=", 1)
+            head, val = " ".join(head.split()), val.strip()
+        elif s in sections[section]:
+            head, val = s, None
+        else:
+            raise ManifestError(f"expected 'key = value' in {s!r}", ln, 1)
+        if (section, head) in heads:
+            raise ManifestError(f"{head} is given twice", ln, 1)
+        heads.add((section, head))
+        out[section].append((ln, head, val))
+    return out
+
+
+def _unique(entries):
+    """{key: value} of (line, key, value) entries whose keys are compared
+    after parsing; a mirror takes its original's key.  A key given twice is
+    refused at its second line."""
+    out = {}
+    for ln, key, val in entries:
+        if key in out:
+            raise ManifestError("entry is given twice (or as its mirror)", ln, 1)
+        out[key] = val
+    return out
 
 
 def _ints(val, ln, count=None):
@@ -149,52 +202,45 @@ def _parse_cindex(tok, n, ln):
     return a + (n if m.group(1) == "zb" else 0)
 
 
-def _tensor_entry(head, val, n, ztab, ln):
-    m = _IDX.match(head)
+def _tensor_entry(head, val, n, ztab, ln, valence):
+    m = _IDX.fullmatch(head)
     if not m:
-        raise ManifestError(f"bad tensor entry {head!r}", ln, 1)
-    parts = m.group(2).split(";")
-    if len(parts) != 2:
-        raise ManifestError("tensor entry needs 'upper; lower' indices", ln, 1)
-    up = [_parse_cindex(t, n, ln) for t in parts[0].split(",") if t.strip()]
-    lo = [_parse_cindex(t, n, ln) for t in parts[1].split(",") if t.strip()]
-    poly = parse_poly(val, ztab, line=ln)
-    return tuple(up + lo), poly
+        raise ManifestError(f"bad tensor entry {head!r}; expected T(upper; lower)", ln, 1)
+    up, lo = ([_parse_cindex(t, n, ln) for t in p.split(",") if t.strip()] for p in m.group(2, 3))
+    if (len(up), len(lo)) != valence:
+        raise ManifestError(
+            f"{m.group(1)} entries take {valence[0]} upper and {valence[1]} lower indices", ln, 1
+        )
+    return tuple(up + lo), parse_poly(val, ztab, line=ln)
+
+
+def _components(entries, n, ztab, valence):
+    """{complex index tuple: poly} of a section's tensor entries, skipping
+    its bare flag."""
+    return _unique(
+        (ln, *_tensor_entry(head, val, n, ztab, ln, valence))
+        for ln, head, val in entries
+        if val is not None
+    )
 
 
 def parse_model_manifest(text, n=None, signs=None, name_hint=""):
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != "cproj-model v1":
-        raise ManifestError("expected header 'cproj-model v1'", 1, 1)
+    body = statements(text, "cproj-model v1", _SECTIONS)
     name = name_hint
     nmin = nmax = None
-    section = None
-    body = {}
-    for ln, raw in enumerate(lines[1:], start=2):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
-            continue
-        s = line.strip()
-        if s.startswith("[") and s.endswith("]"):
-            section = s[1:-1]
-            body.setdefault(section, [])
-            continue
-        if section is None:
-            head, val = _split_head(s, ln)
-            if head == "name":
-                name = val
-            elif head == "nrange":
-                m = re.fullmatch(r"(\d+)(?:\s*\.\.\s*(\d+)?)?", val)
-                if not m:
-                    raise ManifestError(f"bad nrange {val!r}", ln, 1)
-                nmin = int(m.group(1))
-                nmax = int(m.group(2)) if m.group(2) else (
-                    nmin if ".." not in val else None
-                )
-            else:
-                raise ManifestError(f"unknown key {head!r}", ln, 1)
+    for ln, head, val in body[""]:
+        if head == "name":
+            name = val
+        elif head == "nrange":
+            m = re.fullmatch(r"(\d+)(?:\s*\.\.\s*(\d+)?)?", val)
+            if not m:
+                raise ManifestError(f"bad nrange {val!r}", ln, 1)
+            nmin = int(m.group(1))
+            nmax = int(m.group(2)) if m.group(2) else (
+                nmin if ".." not in val else None
+            )
         else:
-            body[section].append((ln, s))
+            raise ManifestError(f"unknown key {head!r}", ln, 1)
     if nmin is None:
         raise ManifestError("manifest declares no nrange", 1, 1)
     if n is None:
@@ -212,15 +258,8 @@ def _build_model(name, n, signs, body):
     denoms = {}
     varnames = None
     subst = None
-    zden = None
-    given = set()  # the chart keys that take one line
-    for ln, s in body.get("chart", []):
-        head, val = _split_head(s, ln)
-        key = "subst" if head.startswith("subst ") else head
-        if key in ("vars", "laurent", "subst", "zdenoms"):
-            if key in given:
-                raise ManifestError(f"{key} is given twice", ln, 1)
-            given.add(key)
+    zden = []
+    for ln, head, val in body.get("chart", []):
         if head == "vars":
             varnames = None if val == "auto" else val.split()
             if varnames is not None and {len(varnames), len(set(varnames))} != {2 * n}:
@@ -233,10 +272,7 @@ def _build_model(name, n, signs, body):
                 raise ManifestError(f"laurent repeats a coordinate in {val!r}", ln, 1)
             laurent_line = ln
         elif head.startswith("denom "):
-            dname = head[len("denom "):].strip()
-            if dname in denoms:
-                raise ManifestError(f"duplicate denominator {dname}", ln, 1)
-            denoms[dname] = ("poly", val, ln)
+            denoms[head[len("denom "):]] = (val, ln)
         elif head == "zdenoms":
             zden = _ints(val, ln)
             if not all(1 <= a <= n for a in zden):
@@ -246,11 +282,12 @@ def _build_model(name, n, signs, body):
         elif head == "subst":
             raise ManifestError("subst goes on the right: 'subst old = new^k'", ln, 1)
         elif head.startswith("subst "):
-            var_old = head[len("subst "):].strip()
+            if subst is not None:
+                raise ManifestError("subst is given twice", ln, 1)
             m = re.fullmatch(r"(\w+)\s*\^\s*([1-9]\d*)", val)
             if not m:
                 raise ManifestError(f"bad substitution {val!r}", ln, 1)
-            subst = (var_old, m.group(1), int(m.group(2)), ln)
+            subst = (head[len("subst "):], m.group(1), int(m.group(2)), ln)
         else:
             raise ManifestError(f"unknown chart key {head!r}", ln, 1)
     if varnames is None:
@@ -262,14 +299,13 @@ def _build_model(name, n, signs, body):
         raise ManifestError("subst must rename a coordinate to a new name", subst[3], 1)
     den_dict = {}
     plain = VarTable(varnames, laurent=laurent)
-    zden = zden or []
     for a in zden:
         i, j = 2 * (a - 1), 2 * (a - 1) + 1
         e1 = [0] * len(varnames)
         e2 = [0] * len(varnames)
         e1[i], e2[j] = 2, 2
         den_dict[f"Q{a}"] = {tuple(e1): 1, tuple(e2): 1}
-    for dname, (_, val, ln) in denoms.items():
+    for dname, (val, ln) in denoms.items():
         if dname in den_dict:
             raise ManifestError(f"denominator {dname} is the |z|^2 that zdenoms declares", ln, 1)
         p = parse_poly(val, plain, line=ln)
@@ -288,26 +324,13 @@ def _build_model(name, n, signs, body):
 
     # J ------------------------------------------------------------------
     jsec = body.get("J", [])
-    J = None
-    jcomps = {}
-    use_standard = False
-    for ln, s in jsec:
-        if s == "standard":
-            use_standard = True
-            continue
-        head, val = _split_head(s, ln)
-        idx, poly = _tensor_entry(head, val, n, ztab, ln)
-        if len(idx) != 2:
-            raise ManifestError("J entries take one upper, one lower index", ln, 1)
-        if idx in jcomps:
-            raise ManifestError("duplicate J entry", ln, 1)
-        jcomps[idx] = poly
+    jcomps = _components(jsec, n, ztab, (1, 1))
     frame = body.get("frame", [])
-    gamma = None
+    gamma = J = None
     if frame:
         gamma, J = _build_frame(frame, chart, n)
     else:
-        if use_standard:
+        if any(val is None for _, _, val in jsec):
             J = standard_J(chart)
         if jcomps:
             extra = complex_tensor_to_real(chart, (1, 1), jcomps)
@@ -317,17 +340,7 @@ def _build_model(name, n, signs, body):
 
     # gamma -----------------------------------------------------------------
     if "gamma" in body and gamma is None:
-        gcomps = {}
-        for ln, s in body["gamma"]:
-            if s == "zero":
-                continue
-            head, val = _split_head(s, ln)
-            idx, poly = _tensor_entry(head, val, n, ztab, ln)
-            if len(idx) != 3:
-                raise ManifestError("gamma entries take (upper; lower, lower)", ln, 1)
-            if idx in gcomps:
-                raise ManifestError("duplicate gamma entry", ln, 1)
-            gcomps[idx] = poly
+        gcomps = _components(body["gamma"], n, ztab, (1, 2))
         gamma = (
             complex_tensor_to_real(chart, (1, 2), gcomps)
             if gcomps
@@ -342,9 +355,8 @@ def _build_model(name, n, signs, body):
     msec = body.get("metric", [])
     rest = None
     if msec:
-        mcomps = {}
-        for ln, s in msec:
-            head, val = _split_head(s, ln)
+        entries = []
+        for ln, head, val in msec:
             if head == "rest":
                 m = re.fullmatch(r"(eps|one)\s+from\s+(\d+)", val)
                 if not m:
@@ -355,12 +367,11 @@ def _build_model(name, n, signs, body):
             if not m:
                 raise ManifestError(f"bad metric entry {head!r}", ln, 1)
             a, b = int(m.group(1)) - 1, int(m.group(2)) - 1
-            if (a, b) in mcomps:
-                raise ManifestError(f"duplicate metric entry {head}", ln, 1)
             p = parse_poly(val, chart.table, line=ln)
-            mcomps[(a, b)] = p
-            if a != b:
-                mcomps[(b, a)] = p
+            entries.append((ln, frozenset((a, b)), ((a, b), p)))
+        mcomps = {}
+        for (a, b), p in _unique(entries).values():
+            mcomps[(a, b)] = mcomps[(b, a)] = p
         if rest:
             kind, start, rest_ln = rest
             if kind == "eps":
@@ -409,13 +420,10 @@ def _build_model(name, n, signs, body):
     ntab = VarTable(["n"])
     expected = {}
     degrees = {}
-    for ln, s in body.get("expected", []):
-        head, val = _split_head(s, ln)
+    for ln, head, val in body.get("expected", []):
         prov = None
         if "@" in val:
             val, prov = (t.strip() for t in val.rsplit("@", 1))
-        if head in expected or head in degrees:
-            raise ManifestError(f"duplicate expected key {head!r}", ln, 1)
         if head == "degree":
             (degrees[head],) = _ints(val, ln, 1)
             continue
@@ -449,7 +457,7 @@ def _build_model(name, n, signs, body):
         expected[head] = (parsed, prov)
 
     golden = {}
-    for kind, valence, formslots in (
+    for kind, valence, (a, b) in (
         ("expected_curvature", (1, 3), (2, 3)),
         ("expected_torsion", (1, 2), (1, 2)),
         ("expected_nijenhuis", (1, 2), (1, 2)),
@@ -457,28 +465,27 @@ def _build_model(name, n, signs, body):
         sec = body.get(kind, [])
         if not sec:
             continue
-        comps = {}
+        entries = []
         scalar_ok = False
-        for ln, s in sec:
-            head, val = _split_head(s, ln)
+        for ln, head, val in sec:
             if head == "scalar_ok":
+                if val not in ("true", "false"):
+                    raise ManifestError(f"scalar_ok is true or false, got {val!r}", ln, 1)
                 scalar_ok = val == "true"
                 continue
-            idx, poly = _tensor_entry(head, val, n, ztab, ln)
-            if len(idx) != sum(valence):
-                raise ManifestError(f"{kind} entry has wrong index count", ln, 1)
-            if idx in comps:
-                raise ManifestError(f"duplicate {kind} entry (or its mirror)", ln, 1)
-            a, b = formslots
+            idx, poly = _tensor_entry(head, val, n, ztab, ln, valence)
             if idx[a] == idx[b] and poly:
                 raise ManifestError(
                     f"{kind} entry is nonzero with equal form slots; a 2-form vanishes there",
                     ln, 1,
                 )
-            comps[idx] = poly
             swapped = list(idx)
-            swapped[a], swapped[b] = swapped[b], swapped[a]
-            comps[tuple(swapped)] = -poly
+            swapped[a], swapped[b] = idx[b], idx[a]
+            swapped = tuple(swapped)
+            entries.append((ln, min(idx, swapped), (idx, swapped, poly)))
+        comps = {}
+        for idx, swapped, poly in _unique(entries).values():
+            comps[idx], comps[swapped] = poly, -poly
         golden[kind] = (
             complex_tensor_to_real(chart, valence, comps),
             scalar_ok,
@@ -500,34 +507,35 @@ def _build_model(name, n, signs, body):
 
 def _build_frame(frame_lines, chart, n):
     d = chart.dim
-    cols = {}
-    omega = {}
+    cols, omega = [], []
     jframe_spec = None
-    complete = None
-    for ln, s in frame_lines:
-        head, val = _split_head(s, ln)
+    complete = False
+    for ln, head, val in frame_lines:
         if re.fullmatch(r"e\d+", head):
             i = int(head[1:]) - 1
             if not 0 <= i < d:
                 raise ManifestError(f"frame index {head!r} out of range", ln, 1)
             f = parse_field(val, chart.table, line=ln)
-            cols[i] = {chart.table.index(k): v for k, v in f.items()}
+            cols.append((ln, i, {chart.table.index(k): v for k, v in f.items()}))
         elif head.startswith("w("):
             m = re.fullmatch(r"w\(\s*(\d+)\s*,\s*(\d+)\s*;\s*(\d+)\s*\)", head)
             if not m:
                 raise ManifestError(f"bad connection form entry {head!r}", ln, 1)
-            j, i, k = (int(t) - 1 for t in m.groups())
-            if not all(0 <= t < d for t in (j, i, k)):
+            key = tuple(int(t) - 1 for t in m.groups())
+            if not all(0 <= t < d for t in key):
                 raise ManifestError(f"frame index in {head!r} out of range", ln, 1)
-            omega[(j, i, k)] = parse_poly(val, chart.table, line=ln)
+            omega.append((ln, key, parse_poly(val, chart.table, line=ln)))
         elif head == "Jframe":
             jframe_spec = _ints(val, ln)
             if sorted(map(abs, jframe_spec)) != list(range(1, d + 1)):
                 raise ManifestError(f"Jframe must permute 1..{d} up to sign", ln, 1)
         elif head == "complete":
-            complete = val
+            if val != "J":
+                raise ManifestError(f"complete takes J, got {val!r}", ln, 1)
+            complete = True
         else:
             raise ManifestError(f"unknown frame key {head!r}", ln, 1)
+    cols, omega = _unique(cols), _unique(omega)
     if len(cols) != d or jframe_spec is None:
         raise ManifestError(
             "frame section must define every e_i and Jframe", frame_lines[0][0], 1
@@ -535,7 +543,7 @@ def _build_frame(frame_lines, chart, n):
     jf = {}
     for i, tgt in enumerate(jframe_spec):
         jf[(abs(tgt) - 1, i)] = chart.const(1 if tgt > 0 else -1)
-    if complete == "J":
+    if complete:
         src_cols = sorted({i for (_, i, _) in omega})
         for i, tgt in enumerate(jframe_spec):
             if tgt > 0 and i in src_cols:

@@ -80,9 +80,6 @@ class KahlerFlags:
     parallel_J: bool
     integrable: bool
 
-    def all_pass(self):
-        return self.hermitian and self.closed and self.parallel_J and self.integrable
-
 
 def kahler_check(g: Tensor, J: Tensor, gamma: Tensor = None) -> KahlerFlags:
     chart = g.chart

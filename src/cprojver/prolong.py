@@ -170,9 +170,6 @@ def lowest_weight_vector(ctype, n):
         raise ValueError(f"unknown curvature type {ctype!r}")
     if n < 2:
         raise ValueError("n must be >= 2")
-    g = SlPair(n)
-    zero = Mat(n + 1)
-
     def unbarred(m):
         return CD(m, Mat(n + 1))
 

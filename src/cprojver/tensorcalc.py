@@ -557,18 +557,6 @@ def _gaussian_expansion(chart):
     return expand
 
 
-def _real_poly_from_complex(p: LaurentPoly, chart: Chart):
-    """(real part, imaginary part) of p under z_a -> x_{2a} + i x_{2a+1},
-    zb_a -> its conjugate and I -> i, a quarter turn per power of I.
-    Negative exponents become conjugate powers over the declared denominator
-    x_{2a}^2 + x_{2a+1}^2."""
-    re = im = chart.zero()
-    for den, terms in _gaussian_expansion(chart)(p).items():
-        re += LaurentPoly(chart.table, {k: g[0] for k, g in terms.items()}, den, p.q)
-        im += LaurentPoly(chart.table, {k: g[1] for k, g in terms.items()}, den, p.q)
-    return re, im
-
-
 def complex_tensor_to_real(chart, valence, comps, add_conjugate=True):
     """Expand a complex-index tensor into real components.
 

@@ -14,6 +14,7 @@ from cprojver.algebras import builtin_algebra
 from cprojver.catalog import builtin, expected_symmetries, model_ansatz
 from cprojver.linalg import SpanSolver
 from cprojver.metric import (
+    KahlerFlags,
     equivalent_metric_family,
     gram_signature_at,
     kahler_check,
@@ -297,7 +298,7 @@ def test_criterion_7_metric_suite():
             )
         spec = builtin("submax-metric", n)
         c.check(f"Kahler flags pass (n={n})", True,
-                kahler_check(spec.metric, spec.J).all_pass())
+                kahler_check(spec.metric, spec.J) == KahlerFlags(True, True, True, True))
         mob = mobility_dimension(spec, stabilize=(n == 2))
         c.check(f"degree of mobility (n={n})", (n - 1) ** 2 + 1, mob.dim)
         c.check(f"identity solution included (n={n})", True, mob.identity_included)

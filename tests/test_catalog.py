@@ -182,6 +182,16 @@ class TestMalformedValues:
             ("type1.model", "R(z1; z2, z2, z3) = 1", "R(z1; z2, z2, z3) = 1\nR(z1; z2, z2, z3) = 2", 29),
             ("type1.model", "R(z1; z2, z2, z3) = 1", "R(z1; z2, z2, z3) = 1\nR(z1; z2, z3, z2) = -1", 29),
             ("type1.model", "R(z1; z2, z2, z3) = 1", "R(z1; z2, z2, z3) = 1\nR(z1; z2, z3, z3) = 1", 29),
+            # keys compared after parsing: the same w(j,i; k) spelled apart
+            ("type3_n2.model", "w(2,1; 4) = 1/2*p^-1", "w(2,1; 4) = 1/2*p^-1\nw(2, 1;4) = 0", 19),
+            # a misspelled section once dropped its statements unread
+            ("type2.model", "[expected]", "[expectd]", 16),
+            ("type2.model", "[gamma]", "[gama]", 13),
+            ("alg_sl2.alg", "grade h = 0", "[grade]\ngrade h = 0", 4),
+            # complete takes J alone (j once skipped the J-completion), and
+            # scalar_ok is true or false (yes once read as false)
+            ("type3_n2.model", "complete = J", "complete = j", 27),
+            ("type1.model", "scalar_ok = true", "scalar_ok = yes", 29),
         ],
     )
     def test_parse_error_with_line(self, fname, old, new, line):
@@ -210,6 +220,22 @@ class TestMalformedValues:
 
 
 _MANIFESTS = sorted(f for f in os.listdir(DATA_DIR) if f.endswith((".model", ".alg")))
+
+
+@pytest.mark.parametrize("fname", _MANIFESTS)
+def test_every_statement_given_twice_is_refused_at_the_copy(fname):
+    # each statement, section header and bare flag of a built-in manifest,
+    # copied right after itself, is refused at the copy's line
+    lines = _data(fname).splitlines()
+    copied = 0
+    for i, line in enumerate(lines[1:], start=1):
+        if not line.strip() or line.startswith("#"):
+            continue
+        with pytest.raises(ParseError) as ei:
+            _parse_any(fname, "\n".join(lines[: i + 1] + lines[i:]))
+        assert ei.value.line == i + 2, line
+        copied += 1
+    assert copied > 3
 _VALUES = ("x", "a", "2 x", "1", "-1", "0", "x1 0", "", "1 2 3", "(", "1/0", "z9",
            "zb0", "=", "[", "@", "s^-", "D(x1)", "2 .. 1", "true", "9 9 9")
 

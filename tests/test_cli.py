@@ -168,6 +168,19 @@ class TestVerify:
         assert run(["verify", "--model", str(bad)]) == 2
         assert "(line 39, column 1)" in capsys.readouterr().err
 
+    def test_misspelled_section_is_a_manifest_error(self, tmp_path, capsys):
+        # [expectd] once dropped every expectation: 4/4 checks and exit 0
+        from cprojver.catalog import DATA_DIR
+
+        with open(os.path.join(DATA_DIR, "type2.model"), encoding="ascii") as fh:
+            text = fh.read()
+        bad = tmp_path / "bad.model"
+        bad.write_text(text.replace("[expected]", "[expectd]"))
+        assert run(["verify", "--model", str(bad), "--n", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("manifest error: ") and err.count("\n") == 1
+        assert "(line 16, column 1)" in err
+
     @pytest.mark.parametrize("new", [
         "zdenoms = 1\ndenom Q2 = x1^2+x2^2",  # the Q1 that zdenoms declares, again
         "zdenoms = 1\ndenom Q1 = 1+x1^2",  # the name of that Q1

@@ -14,6 +14,7 @@ from cprojver.metric import (
     _mobility_operator,
     covariant_derivative_02,
     equivalent_metric_family,
+    KahlerFlags,
     gram_signature_at,
     kahler_check,
     levi_civita,
@@ -127,11 +128,11 @@ class TestLeviCivita:
 
 class TestKahlerFlags:
     def test_submax(self, submax2):
-        assert kahler_check(submax2.metric, submax2.J).all_pass()
+        assert kahler_check(submax2.metric, submax2.J) == KahlerFlags(True, True, True, True)
 
     def test_flat(self):
         spec = builtin("flat", 2)
-        assert kahler_check(spec.metric, spec.J).all_pass()
+        assert kahler_check(spec.metric, spec.J) == KahlerFlags(True, True, True, True)
 
     def test_perturbed_metric_fails_hermitian(self, submax2):
         comps = dict(submax2.metric.comps)

@@ -15,6 +15,7 @@ from cprojver.parse import ParseError
 from cprojver.poly import LaurentPoly
 from cprojver.prolong import subalgebra_with_cochain
 from cprojver.structlie import StructAlgebra, deform_by_cochain
+from cprojver.verify import jacobi_check
 
 
 def same_table(a, b):
@@ -284,6 +285,16 @@ class TestManifest:
         text = "cproj-algebra v1\nbasis = x y\nbracket [x,y] = x*y\n"
         with pytest.raises(ParseError):
             parse_algebra_manifest(text)
+
+    def test_jacobi_record_fails_on_one_changed_constant(self):
+        # [e1,e3] = 2*e3 in s: Jac(e1,e3,e5) = 2e6 - 3e6 + 2e6 = e6
+        path = os.path.join(data_dir(), ALGEBRA_FILES["s"])
+        with open(path, encoding="ascii") as fh:
+            text = fh.read()
+        assert "bracket [e1,e3] = e3\n" in text
+        for rhs, ok in (("e3", True), ("2*e3", False)):
+            alg = parse_algebra_manifest(text.replace("[e1,e3] = e3", f"[e1,e3] = {rhs}"))
+            assert jacobi_check("s", alg, "published").as_record()["pass"] is ok
 
     def test_unknown_builtin(self):
         with pytest.raises(KeyError):

@@ -24,6 +24,7 @@ from cprojver.symsolve import (
     affine_operator,
     affine_system,
     bracket_fields,
+    check_bracket_closure,
     cp_projection,
     cproj_equations,
     cproj_operator,
@@ -609,6 +610,15 @@ class TestBrackets:
                 if br:
                     assert span.decompose(field_coordinates(br)) is not None
 
+    def test_closure_fails_on_a_field_whose_bracket_leaves_the_span(self):
+        # x1^3 d_x1 is independent of the type2 kernel, so only a bracket
+        # can fail "kernel closed under bracket"
+        spec = builtin("type2", 2)
+        res = cproj_system(spec, model_ansatz(spec), stabilize=False)
+        x1 = spec.chart.var("x1")
+        assert check_bracket_closure(spec.chart, res.basis)
+        assert not check_bracket_closure(spec.chart, res.basis + [{0: x1 * x1 * x1}])
+
 
 class TestVerification:
     def test_all_kernel_fields_satisfy_equations(self):
@@ -639,6 +649,16 @@ class TestVerification:
         res = cproj_system(spec, model_ansatz(spec), stabilize=False)
         fields = [f for _, f in expected_symmetries(spec)]
         assert span_equals(spec.chart, res.basis, fields)
+
+    def test_span_equality_fails_without_one_generator(self):
+        # "printed generators span the kernel" fails on a printed list
+        # missing one generator, and on one with a non-symmetry in its place
+        spec = builtin("nonminimal", 2)
+        res = cproj_system(spec, model_ansatz(spec), stabilize=False)
+        fields = [f for _, f in expected_symmetries(spec)]
+        x1 = spec.chart.var("x1")
+        assert not span_equals(spec.chart, res.basis, fields[:-1])
+        assert not span_equals(spec.chart, res.basis, fields[:-1] + [{0: x1 * x1 * x1}])
 
 
 @pytest.fixture(scope="module")
