@@ -32,8 +32,8 @@ def parse_algebra_manifest(text, name_hint="") -> StructAlgebra:
     name = name_hint
     labels = None
     params = []
-    zplus, zminus = [], []
-    grading = {}
+    z2 = {}  # label -> "zplus" or "zminus"
+    grading = {}  # label -> (line, grade)
     raw_brackets = []
     for ln, key, val in statements(text, "cproj-algebra v1", {"": ()})[""]:
         m = _BRACKET.fullmatch(key)
@@ -45,14 +45,14 @@ def parse_algebra_manifest(text, name_hint="") -> StructAlgebra:
             labels, names_line = val.split(), ln
         elif key == "params":
             params, names_line = val.split(), ln
-        elif key == "zplus":
-            zplus = val.split()
-        elif key == "zminus":
-            zminus = val.split()
+        elif key in ("zplus", "zminus"):
+            for label in val.split():
+                if z2.setdefault(label, key) != key:
+                    raise ParseError(f"{label} is in both zplus and zminus", ln, 1)
         elif key.startswith("grade "):
             if not re.fullmatch(r"[+-]?\d+", val):
                 raise ParseError(f"grade must be an integer, got {val!r}", ln, 1)
-            grading[key[len("grade "):]] = int(val)
+            grading[key[len("grade "):]] = (ln, int(val))
         else:
             raise ParseError(f"unknown key {key!r}", ln, 1)
     if not labels:
@@ -61,6 +61,13 @@ def parse_algebra_manifest(text, name_hint="") -> StructAlgebra:
         raise ParseError("basis and params repeat a name", names_line, 1)
     table = VarTable(list(params) + list(labels))
     index = {l: i for i, l in enumerate(labels)}
+    for label, (ln, _) in grading.items():
+        if label not in index:
+            raise ParseError(f"grade names {label}, not a basis label", ln, 1)
+    ungraded = [l for l in labels if l not in grading]
+    if grading and ungraded:
+        first = min(ln for ln, _ in grading.values())
+        raise ParseError(f"grading leaves {' '.join(ungraded)} without a grade", first, 1)
     ptable = VarTable(params) if params else None
     entries = []
     for ln, li, lj, rhs in raw_brackets:
@@ -72,18 +79,14 @@ def parse_algebra_manifest(text, name_hint="") -> StructAlgebra:
         key = (index[li], index[lj])
         entries.append((ln, frozenset(key), (key, vec)))
     bracket = dict(_unique(entries).values())
-    z2 = None
-    if zplus or zminus:
-        if set(zplus) | set(zminus) != set(labels):
-            raise ParseError("Z2 grading must cover the basis", 1, 1)
-        z2 = {l: 1 for l in zplus}
-        z2.update({l: -1 for l in zminus})
+    if z2 and set(z2) != set(labels):
+        raise ParseError("Z2 grading must cover the basis", 1, 1)
     return StructAlgebra(
         labels,
         bracket,
         params=ptable,
-        grading=grading or None,
-        z2=z2,
+        grading={l: g for l, (_, g) in grading.items()},
+        z2={l: 1 if part == "zplus" else -1 for l, part in z2.items()},
         name=name,
     )
 

@@ -11,7 +11,6 @@ Manifest grammar (``#`` comments; sections in brackets)::
     laurent = s            # optional
     denom D1 = 1+x1^2+x2^2 # optional, may repeat
     zdenoms = 1            # declare |z_a|^2 denominators for listed a
-    subst p = s^2          # optional one-variable substitution at load
 
     [J]
     standard               # J d_{z a} = i d_{z a}; extra lines add terms
@@ -22,7 +21,7 @@ Manifest grammar (``#`` comments; sections in brackets)::
 
     [frame]                # alternative presentation: moving frame
     e1 = D(x) ...
-    w(2,1; 4) = 1/2*p^-1   # theta^4-coefficient of omega^2_1
+    w(2,1; 4) = 1/2*s^-2   # theta^4-coefficient of omega^2_1
     Jframe = 2 -1 4 -3     # J e_1 = e_2, J e_2 = -e_1, ...
     complete = J           # derive nabla e_{Ji} from nabla e_i
 
@@ -56,7 +55,6 @@ from .tensorcalc import (
     complex_tensor_to_real,
     frame_to_coordinates,
     standard_J,
-    substitute_chart_power,
     zero_tensor,
 )
 
@@ -93,7 +91,6 @@ class ModelSpec:
     expected: dict = field(default_factory=dict)  # key -> (value, provenance)
     golden: dict = field(default_factory=dict)  # kind -> (Tensor, scalar_ok)
     degrees: dict = field(default_factory=dict)
-    source: str = ""
 
     def expect(self, key, default=None):
         if key in self.expected:
@@ -239,6 +236,8 @@ def parse_model_manifest(text, n=None, signs=None, name_hint=""):
             nmax = int(m.group(2)) if m.group(2) else (
                 nmin if ".." not in val else None
             )
+            if nmin < 2 or (nmax is not None and nmax < nmin):
+                raise ManifestError(f"nrange {val!r} is empty or starts below 2", ln, 1)
         else:
             raise ManifestError(f"unknown key {head!r}", ln, 1)
     if nmin is None:
@@ -257,7 +256,6 @@ def _build_model(name, n, signs, body):
     laurent = ()
     denoms = {}
     varnames = None
-    subst = None
     zden = []
     for ln, head, val in body.get("chart", []):
         if head == "vars":
@@ -279,15 +277,6 @@ def _build_model(name, n, signs, body):
                 raise ManifestError(f"zdenoms index out of range for n in {val!r}", ln, 1)
             if len(set(zden)) != len(zden):
                 raise ManifestError(f"zdenoms repeats an index in {val!r}", ln, 1)
-        elif head == "subst":
-            raise ManifestError("subst goes on the right: 'subst old = new^k'", ln, 1)
-        elif head.startswith("subst "):
-            if subst is not None:
-                raise ManifestError("subst is given twice", ln, 1)
-            m = re.fullmatch(r"(\w+)\s*\^\s*([1-9]\d*)", val)
-            if not m:
-                raise ManifestError(f"bad substitution {val!r}", ln, 1)
-            subst = (head[len("subst "):], m.group(1), int(m.group(2)), ln)
         else:
             raise ManifestError(f"unknown chart key {head!r}", ln, 1)
     if varnames is None:
@@ -295,8 +284,6 @@ def _build_model(name, n, signs, body):
     stray = sorted(set(laurent) - set(varnames))
     if stray:
         raise ManifestError(f"laurent names {' '.join(stray)}, not a coordinate", laurent_line, 1)
-    if subst and (subst[0] not in varnames or subst[1] in set(varnames) - {subst[0]}):
-        raise ManifestError("subst must rename a coordinate to a new name", subst[3], 1)
     den_dict = {}
     plain = VarTable(varnames, laurent=laurent)
     for a in zden:
@@ -400,21 +387,6 @@ def _build_model(name, n, signs, body):
             gamma = levi_civita(metric)
         except PolyError as exc:
             raise ManifestError(f"metric: {exc}", msec[0][0], 1) from None
-
-    # substitution ------------------------------------------------------------------
-    if subst is not None:
-        var_old, var_new, power, _ = subst
-        new_names = [var_new if v == var_old else v for v in varnames]
-        new_lau = tuple(var_new if v == var_old else v for v in laurent)
-        new_chart = Chart(new_names, laurent=new_lau, denominators=den_dict or None)
-        gamma, J = substitute_chart_power(
-            chart, new_chart, var_old, var_new, power, gamma=gamma, J=J
-        )
-        if metric is not None:
-            metric = substitute_chart_power(
-                chart, new_chart, var_old, var_new, power, g=metric
-            )
-        chart = new_chart
 
     # expected ------------------------------------------------------------------------
     ntab = VarTable(["n"])
@@ -567,11 +539,8 @@ def _build_frame(frame_lines, chart, n):
 def builtin(name, n=None, signs=None) -> ModelSpec:
     if name not in _FILES:
         raise KeyError(f"unknown model {name!r}; available: {sorted(_FILES)}")
-    path = os.path.join(data_dir(), _FILES[name])
-    with open(path, "r", encoding="ascii") as fh:
-        spec = parse_model_manifest(fh.read(), n=n, signs=signs, name_hint=name)
-    spec.source = path
-    return spec
+    with open(os.path.join(data_dir(), _FILES[name]), "r", encoding="ascii") as fh:
+        return parse_model_manifest(fh.read(), n=n, signs=signs, name_hint=name)
 
 
 def model_ansatz(spec: ModelSpec):

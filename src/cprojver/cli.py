@@ -169,7 +169,11 @@ def cmd_algebra(args):
                 print(f"error: --lam takes a rational number or 'symbolic', got {lam!r}",
                       file=sys.stderr)
                 return 2
-        checks.extend(verify.algebra_battery(args.name, lam=lam))
+        try:
+            checks.extend(verify.algebra_battery(args.name, lam=lam))
+        except ParseError as exc:  # a malformed manifest under CPROJ_CATALOG
+            print(f"manifest error: {exc}", file=sys.stderr)
+            return 2
     if args.deform:
         n = 2 if args.n is None else args.n
         checks.extend(verify.deformation_battery(args.deform, n))

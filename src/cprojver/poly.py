@@ -459,25 +459,7 @@ class LaurentPoly:
         den = tuple(m + 1 if m else 0 for m in self.den)
         return LaurentPoly(table, out, den, self.q * q)
 
-    # -- substitution / evaluation -------------------------------------------
-
-    def substitute_power(self, name, new_table, new_name, power):
-        """Rename `name` to `new_name` with exponent scaled by `power`
-        (the ingestion substitution var = new_var**power)."""
-        i = self.table.index(name)
-        j = new_table.index(new_name)
-        if [n for n in self.table.names if n != name] != [
-            n for n in new_table.names if n != new_name
-        ]:
-            raise PolyError("substitution tables must agree outside the renamed variable")
-        out = {}
-        for key, c in self.terms.items():
-            exps = list(unpack(key, self.table.nvars()))
-            exps.insert(j, exps.pop(i) * power)
-            out[pack(exps)] = c
-        if any(self.den):
-            raise PolyError("substitution with denominator tags is not supported")
-        return LaurentPoly(new_table, out, q=self.q)
+    # -- evaluation ----------------------------------------------------------
 
     def evaluate(self, point):
         """The Fraction value at {name: int/Fraction}; denominators must not

@@ -440,38 +440,6 @@ def frame_to_coordinates(chart, frame_cols, omega, J_frame):
     return Tensor(chart, (1, 2), gamma), Tensor(chart, (1, 1), jc)
 
 
-def substitute_chart_power(chart_old, chart_new, var_old, var_new, power, gamma=None, J=None, g=None):
-    """Transform under the coordinate substitution var_old = var_new**power."""
-    iv = chart_old.table.index(var_old)
-    tn = chart_new.table
-    sn = chart_new.var(var_new)
-    deriv = sn ** (power - 1) * power  # d var_old / d var_new
-
-    def sub(p):
-        return p.substitute_power(var_old, tn, var_new, power)
-
-    def moved(T):
-        # each slot on the substituted variable: a lower one gains a factor
-        # deriv, an upper one deriv^{-1}
-        up = T.valence[0]
-        comps = {}
-        for key, p in T.comps.items():
-            k = sum(1 if pos >= up else -1 for pos, i in enumerate(key) if i == iv)
-            q = sub(p)
-            comps[key] = q * deriv**k if k > 0 else q / deriv**-k if k else q
-        return comps
-
-    out = []
-    if gamma is not None:
-        comps = moved(gamma)
-        # inhomogeneous term: (1/D_i) d^2 x_old / dx_new^2 at i=a=b=iv
-        second = sn ** (power - 2) * (power * (power - 1))
-        accumulate(comps, (iv, iv, iv), second / deriv)
-        out.append(Tensor(chart_new, (1, 2), comps))
-    out += [Tensor(chart_new, T.valence, moved(T)) for T in (J, g) if T is not None]
-    return out[0] if len(out) == 1 else tuple(out)
-
-
 # -- complex ingestion -------------------------------------------------------------
 #
 # Complex notation is a polynomial over `complex_table(n)`: the coordinates

@@ -138,14 +138,24 @@ class TestMalformedValues:
             ("type2.model", "degree = 2", "degree = x", 24),
             ("type1_n2.model", "zdenoms = 1", "zdenoms = a", 9),
             ("type1_n2.model", "zdenoms = 1", "zdenoms = 3", 9),
-            ("type3_n2.model", "vars = x y p q", "vars = x y p", 8),
-            ("type3_n2.model", "vars = x y p q", "vars = x y p p q", 8),
+            ("type3_n2.model", "vars = x y s q", "vars = x y s", 8),
+            ("type3_n2.model", "vars = x y s q", "vars = x y s s q", 8),
             ("type3_n2.model", "Jframe = 2 -1 4 -3", "Jframe = 2 x", 17),
             ("type3_n2.model", "Jframe = 2 -1 4 -3", "Jframe = 2 -1 5 -3", 17),
             ("type3_n2.model", "laurent_window = -4 4", "laurent_window = 1", 40),
             ("type3_n2.model", "bounds = x 0 2 y 0 2 q 0 3", "bounds = x1 0", 39),
             ("type3_n2.model", "bounds = x 0 2 y 0 2 q 0 3", "bounds = x 0 b", 39),
             ("alg_sl2.alg", "grade e = 1", "grade e = x", 5),
+            # a grading covers the basis and names only basis labels, and
+            # zplus and zminus share no label
+            ("alg_sl2.alg", "grade f = -1\n", "", 4),
+            ("alg_sl2.alg", "grade f = -1", "grade f = -1\ngrade q = 5", 7),
+            ("alg_cproj8.alg", "zminus = e5", "zminus = e4 e5", 7),
+            ("alg_cproj8.alg", "zplus = e1 e2 e3 e4\nzminus = e5 e6 e7 e8",
+             "zminus = e4 e5 e6 e7 e8\nzplus = e1 e2 e3 e4", 7),
+            # an nrange holds some n >= 2
+            ("type2.model", "nrange = 2 ..", "nrange = 3 .. 2", 5),
+            ("type2.model", "nrange = 2 ..", "nrange = 1", 5),
             # expected values are integers; n/3 at n=2 used to truncate to 0
             ("cp1xc.model", "symmetry_dim = 2*n^2-2*n+3", "symmetry_dim = n/3", 20),
             # a constant declared denominator is no denominator
@@ -161,14 +171,16 @@ class TestMalformedValues:
             ("type1_n2.model", "zdenoms = 1", "denom Q1 = x1^2+x2^2\nzdenoms = 1", 9),
             ("type1_n2.model", "zdenoms = 1", "zdenoms = 1 1", 9),
             ("type1_n2.model", "zdenoms = 1", "zdenoms = 1\nzdenoms = 2", 10),
-            # vars, laurent and subst are one line each, and laurent names
-            # each coordinate of vars at most once, before or after vars
-            ("type3_n2.model", "vars = x y p q", "vars = x y p q\nvars = x y p w", 9),
-            ("type3_n2.model", "laurent = p", "laurent = p\nlaurent = q", 10),
-            ("type3_n2.model", "subst p = s^2", "subst p = s^2\nsubst p = t^2", 11),
-            ("type3_n2.model", "laurent = p", "laurent = p w", 9),
-            ("type3_n2.model", "laurent = p", "laurent = p p", 9),
-            ("type3_n2.model", "vars = x y p q\nlaurent = p", "laurent = w\nvars = x y p q", 8),
+            # vars and laurent are one line each, and laurent names each
+            # coordinate of vars at most once, before or after vars
+            ("type3_n2.model", "vars = x y s q", "vars = x y s q\nvars = x y s w", 9),
+            ("type3_n2.model", "laurent = s", "laurent = s\nlaurent = q", 10),
+            ("type3_n2.model", "laurent = s", "laurent = s w", 9),
+            ("type3_n2.model", "laurent = s", "laurent = s s", 9),
+            ("type3_n2.model", "vars = x y s q\nlaurent = s", "laurent = w\nvars = x y s q", 8),
+            # a manifest is read in the one chart it is checked in: there is
+            # no load-time substitution
+            ("type3_n2.model", "laurent = s", "laurent = s\nsubst p = s^2", 10),
             # an entry given twice is refused at its second line, never
             # overwritten by it: per section, and for the metric against its
             # mirror and against the diagonal that the rest clause sets
@@ -183,7 +195,7 @@ class TestMalformedValues:
             ("type1.model", "R(z1; z2, z2, z3) = 1", "R(z1; z2, z2, z3) = 1\nR(z1; z2, z3, z2) = -1", 29),
             ("type1.model", "R(z1; z2, z2, z3) = 1", "R(z1; z2, z2, z3) = 1\nR(z1; z2, z3, z3) = 1", 29),
             # keys compared after parsing: the same w(j,i; k) spelled apart
-            ("type3_n2.model", "w(2,1; 4) = 1/2*p^-1", "w(2,1; 4) = 1/2*p^-1\nw(2, 1;4) = 0", 19),
+            ("type3_n2.model", "w(2,1; 4) = 1/2*s^-2", "w(2,1; 4) = 1/2*s^-2\nw(2, 1;4) = 0", 19),
             # a misspelled section once dropped its statements unread
             ("type2.model", "[expected]", "[expectd]", 16),
             ("type2.model", "[gamma]", "[gama]", 13),

@@ -197,14 +197,15 @@ class TestVerify:
         assert err.startswith("manifest error: ") and err.count("\n") == 1
         assert "(line 10, column 1)" in err
 
-    @pytest.mark.parametrize("old,new,line", [
-        ("laurent = p", "laurent = p\nlaurent = q", 10),  # once read as q alone
-        ("vars = x y p q", "vars = x y p q\nvars = x y p w", 9),
-        ("subst p = s^2", "subst p = s^2\nsubst p = t^2", 11),  # once loaded with t
-        ("laurent = p", "laurent = p w", 9),  # w is no coordinate
+    @pytest.mark.parametrize("old,new,line,reason", [
+        # a second laurent line was once read as q alone
+        ("laurent = s", "laurent = s\nlaurent = q", 10, "laurent is given twice"),
+        ("vars = x y s q", "vars = x y s q\nvars = x y s w", 9, "vars is given twice"),
+        ("laurent = s", "laurent = s\nsubst p = s^2", 10, "unknown chart key 'subst p'"),
+        ("laurent = s", "laurent = s w", 9, "laurent names w, not a coordinate"),
     ])
     def test_repeated_or_stray_chart_key_is_a_manifest_error(
-        self, old, new, line, tmp_path, capsys
+        self, old, new, line, reason, tmp_path, capsys
     ):
         from cprojver.catalog import DATA_DIR
 
@@ -215,7 +216,7 @@ class TestVerify:
         assert run(["verify", "--model", str(bad), "--fast"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("manifest error: ") and err.count("\n") == 1
-        assert f"(line {line}, column 1)" in err
+        assert f"{reason} (line {line}, column 1)" in err
 
     @pytest.mark.parametrize("old,new,line,col", [
         ("= zb1", "= zb1^(99999999999)", 14, 5),
@@ -286,6 +287,24 @@ class TestAlgebra:
         bad.write_text("cproj-algebra v1\nbasis = x y\nbracket [x,q] = y\n")
         assert run(["algebra", "--manifest", str(bad)]) == 2
         assert "manifest error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fname,name,old,new,line", [
+        # a grading without f once ended in "internal error: KeyError: 'f'"
+        ("alg_sl2.alg", "sl2", "grade f = -1\n", "", 4),
+        # e4 in both parts once loaded odd: "s: Z2 grading" FAIL and exit 1
+        ("alg_cproj8.alg", "s", "zminus = e5", "zminus = e4 e5", 7),
+    ])
+    def test_bad_grading_is_a_manifest_error(
+        self, fname, name, old, new, line, tmp_path, capsys, monkeypatch
+    ):
+        with open(os.path.join(data_dir(), fname), encoding="ascii") as fh:
+            text = fh.read()
+        (tmp_path / fname).write_text(text.replace(old, new, 1))
+        monkeypatch.setenv("CPROJ_CATALOG", str(tmp_path))
+        assert run(["algebra", "--name", name]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("manifest error: ") and err.count("\n") == 1
+        assert f"(line {line}, column 1)" in err
 
     def test_no_action(self, capsys):
         assert run(["algebra"]) == 2

@@ -215,7 +215,6 @@ class TestPolyProperties:
 # numerator / D^m.  Coefficients draw their denominators term by term.
 
 DENOMINATORS = (1, 2, 3, 4, 6, 9, 12)
-XT = VarTable(["x", "t"], laurent=("t",))
 # (table, its declared denominator as a plain polynomial): cp1xc's D1, and
 # one with rational coefficients whose int lead (4 over q 6) does not divide
 # every numerator that it meets
@@ -314,9 +313,8 @@ class TestIntegerNumerators:
     and equals the plain Fraction computation."""
 
     @settings(max_examples=150, deadline=None)
-    @given(plain_polys((0, -3)), plain_polys((0, -3)), rationals,
-           st.sampled_from([-2, -1, 2, 3]))
-    def test_ring_operations_on_a_laurent_chart(self, a, b, c, power):
+    @given(plain_polys((0, -3)), plain_polys((0, -3)), rationals)
+    def test_ring_operations_on_a_laurent_chart(self, a, b, c):
         pa, pb = LaurentPoly(XS, packed(a)), LaurentPoly(XS, packed(b))
         cases = [
             (pa, a),
@@ -333,8 +331,6 @@ class TestIntegerNumerators:
         ]
         for got, want in cases:
             assert_exact(got, want)
-        sub = pa.substitute_power("s", XT, "t", power)
-        assert_exact(sub, {(i, j * power): v for (i, j), v in a.items()})
 
     @settings(max_examples=100, deadline=None)
     @given(rationals, st.integers(0, 2), st.integers(-3, 3))

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from cprojver.catalog import builtin
 from cprojver.cli import MODEL_NS
-from cprojver.metric import levi_civita
 from cprojver.parse import parse_poly
 from cprojver.poly import LaurentPoly, PolyError, ProductSum, accumulate, pack, unpack
 from cprojver.symsolve import bracket_fields
@@ -32,7 +31,6 @@ from cprojver.tensorcalc import (
     nijenhuis,
     partials,
     standard_J,
-    substitute_chart_power,
     torsion,
     torsion_projection,
     traceless_mixed_torsion,
@@ -679,36 +677,6 @@ class TestFrames:
         assert is_almost_complex(J)
         assert frame_roundtrip_check(c, cols, omega, gamma)
         assert tc.covariant_derivative_J(gamma, J).is_zero()
-
-    def test_substitution_preserves_flatness(self):
-        old = Chart(["u", "p"], laurent=("p",))
-        new = Chart(["u", "s"], laurent=("s",))
-        zero_gamma = Tensor(old, (1, 2), {})
-        moved = substitute_chart_power(old, new, "p", "s", 2, gamma=zero_gamma)
-        # the substituted connection has the 1/s inhomogeneous entry ...
-        assert not moved.is_zero()
-        # ... but stays flat and torsion-free
-        assert curvature(moved).is_zero()
-        assert torsion(moved).is_zero()
-
-    def test_metric_substitution_commutes_with_levi_civita(self):
-        # p = s^2 with p and s Laurent: the Levi-Civita connection of the
-        # substituted metric is the substituted Levi-Civita connection
-        old = Chart(["u", "p"], laurent=("p",))
-        new = Chart(["u", "s"], laurent=("s",))
-        off = parse_poly("p^(-1)", old.table)
-        g = Tensor(old, (0, 2), {
-            (0, 0): parse_poly("u*p^2 + p^(-3)", old.table),
-            (0, 1): off,
-            (1, 0): off,
-        })
-        gamma = levi_civita(g)
-        assert gamma.get(1, 1, 1)  # the substituted slot carries a Christoffel
-        moved = substitute_chart_power(old, new, "p", "s", 2, g=g)
-        assert moved.get(0, 1) == parse_poly("2*s^(-1)", new.table)
-        assert levi_civita(moved) == substitute_chart_power(
-            old, new, "p", "s", 2, gamma=gamma
-        )
 
 
 # -- sparse contraction against a dense reference ------------------------------
