@@ -32,7 +32,7 @@ def parse_algebra_manifest(text, name_hint="") -> StructAlgebra:
     name = name_hint
     labels = None
     params = []
-    z2 = {}  # label -> "zplus" or "zminus"
+    z2 = {}  # label -> (line, "zplus" or "zminus")
     grading = {}  # label -> (line, grade)
     raw_brackets = []
     for ln, key, val in statements(text, "cproj-algebra v1", {"": ()})[""]:
@@ -47,7 +47,7 @@ def parse_algebra_manifest(text, name_hint="") -> StructAlgebra:
             params, names_line = val.split(), ln
         elif key in ("zplus", "zminus"):
             for label in val.split():
-                if z2.setdefault(label, key) != key:
+                if z2.setdefault(label, (ln, key))[1] != key:
                     raise ParseError(f"{label} is in both zplus and zminus", ln, 1)
         elif key.startswith("grade "):
             if not re.fullmatch(r"[+-]?\d+", val):
@@ -61,13 +61,8 @@ def parse_algebra_manifest(text, name_hint="") -> StructAlgebra:
         raise ParseError("basis and params repeat a name", names_line, 1)
     table = VarTable(list(params) + list(labels))
     index = {l: i for i, l in enumerate(labels)}
-    for label, (ln, _) in grading.items():
-        if label not in index:
-            raise ParseError(f"grade names {label}, not a basis label", ln, 1)
-    ungraded = [l for l in labels if l not in grading]
-    if grading and ungraded:
-        first = min(ln for ln, _ in grading.values())
-        raise ParseError(f"grading leaves {' '.join(ungraded)} without a grade", first, 1)
+    _check_cover(grading, labels, "grading", "without a grade")
+    _check_cover(z2, labels, "Z2 grading", "in neither zplus nor zminus")
     ptable = VarTable(params) if params else None
     entries = []
     for ln, li, lj, rhs in raw_brackets:
@@ -79,16 +74,27 @@ def parse_algebra_manifest(text, name_hint="") -> StructAlgebra:
         key = (index[li], index[lj])
         entries.append((ln, frozenset(key), (key, vec)))
     bracket = dict(_unique(entries).values())
-    if z2 and set(z2) != set(labels):
-        raise ParseError("Z2 grading must cover the basis", 1, 1)
     return StructAlgebra(
         labels,
         bracket,
         params=ptable,
         grading={l: g for l, (_, g) in grading.items()},
-        z2={l: 1 if part == "zplus" else -1 for l, part in z2.items()},
+        z2={l: 1 if part == "zplus" else -1 for l, (_, part) in z2.items()},
         name=name,
     )
+
+
+def _check_cover(lines, labels, what, missing):
+    """Refuse a label of `lines` ({label: (line, value)}) that is not in
+    `labels` at its line, and, when `lines` names any label, a label of
+    `labels` that it leaves out at its first line."""
+    for label, (ln, _) in lines.items():
+        if label not in labels:
+            raise ParseError(f"{what} names {label}, not a basis label", ln, 1)
+    left = [l for l in labels if l not in lines]
+    if lines and left:
+        first = min(ln for ln, _ in lines.values())
+        raise ParseError(f"{what} leaves {' '.join(left)} {missing}", first, 1)
 
 
 def _split_linear(poly, table, labels, params, ptable, ln):

@@ -169,11 +169,7 @@ def cmd_algebra(args):
                 print(f"error: --lam takes a rational number or 'symbolic', got {lam!r}",
                       file=sys.stderr)
                 return 2
-        try:
-            checks.extend(verify.algebra_battery(args.name, lam=lam))
-        except ParseError as exc:  # a malformed manifest under CPROJ_CATALOG
-            print(f"manifest error: {exc}", file=sys.stderr)
-            return 2
+        checks.extend(verify.algebra_battery(args.name, lam=lam))
     if args.deform:
         n = 2 if args.n is None else args.n
         checks.extend(verify.deformation_battery(args.deform, n))
@@ -268,6 +264,12 @@ def main(argv=None):
         return 2
     try:
         return args.fn(args)
+    except ParseError as exc:
+        # a malformed manifest under CPROJ_CATALOG names its line; a lineless
+        # ManifestError is about --n or --signs
+        kind = "error" if exc.line is None else "manifest error"
+        print(f"{kind}: {exc}", file=sys.stderr)
+        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -27,12 +27,16 @@ from .poly import _LIMIT, LaurentPoly, PolyError, accumulate
 
 class ParseError(ValueError):
     def __init__(self, msg, line=None, col=None):
+        self.msg = msg
         self.line = line
         self.col = col
         where = ""
         if line is not None:
             where = f" (line {line})" if col is None else f" (line {line}, column {col})"
         super().__init__(f"{msg}{where}")
+
+    def __reduce__(self):  # keeps the line across `verify --jobs` worker processes
+        return type(self), (self.msg, self.line, self.col)
 
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*/^,;])|(\S))")

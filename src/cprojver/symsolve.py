@@ -7,17 +7,18 @@ declared denominators per equation), and the kernel is computed by sparse
 exact elimination.  Each equation of a symmetry solve is a Lie derivative
 L_v T (CP of one for the connection), and one slot rule, `_lie_symbol`,
 gives the symbols of all of them from T's valence.  The field-level
-equations (`cproj_equations` and friends) that re-verify kernel fields
-share no code with the symbols but `poly` and `tensorcalc`.  A column is a
-(monomial, direction) pair, and one list of them, `AnsatzSpace.columns`,
-numbers the columns from the operator call to the kernel read-out: column c
-is columns[c].  An operator is called once per solve, on that list or any
-sub-list of it.  It returns its memoized symbols and, per symbol and integer
-scale, the (column, shift) list of the columns that use it; it sums nothing.
-Of an equation that is symmetric in its last two indices on every column (CP
-and L_v Gamma for a symmetric Gamma, L_v g for a symmetric g, the mobility
-equation), it emits one component of each mirrored pair, since the other
-repeats its rows.
+equations (`cproj_equations` and friends) re-verify a whole basis in one
+call, one result per field, and `check_bracket_closure` takes each field's
+partials once; both share no code with the symbols but `poly` and
+`tensorcalc`.  A column is a (monomial, direction) pair, and one list of
+them, `AnsatzSpace.columns`, numbers the columns from the operator call to
+the kernel read-out: column c is columns[c].  An operator is called once per
+solve, on that list or any sub-list of it.  It returns its memoized symbols
+and, per symbol and integer scale, the (column, shift) list of the columns
+that use it; it sums nothing.  Of an equation that is symmetric in its last
+two indices on every column (CP and L_v Gamma for a symmetric Gamma, L_v g
+for a symmetric g, the mobility equation), it emits one component of each
+mirrored pair, since the other repeats its rows.
 `SystemBuilder` assembles the system equation-major: for each equation it
 scatters every symbol that has that component over the columns that use
 it, which is the one place that terms are summed, and settles that
@@ -52,6 +53,7 @@ from .tensorcalc import (
     lie_derivative_J,
     lie_derivative_connection,
     lie_derivative_metric,
+    partials,
 )
 
 
@@ -276,9 +278,9 @@ class SystemBuilder:
 # integer scale, the columns that take it with their shifts; `SystemBuilder`
 # does the shifting and scaling.  The field-level functions
 # (`cproj_equations` and friends) compute the same equations from tensorcalc
-# alone: its Lie derivatives and, for CP, one `contract` expression.
-# `verify_fields` checks kernel fields with them, so the check shares no code
-# with the symbols but `poly` and `tensorcalc`.
+# alone, for a list of fields at once: its Lie derivatives and, for CP, one
+# `contract` expression per field.  `verify_fields` checks a basis with one
+# call of them, sharing no code with the symbols but `poly` and `tensorcalc`.
 
 
 def cp_projection(J: Tensor, om):
@@ -319,51 +321,49 @@ def _trace_correction(J: Tensor, trace):
     return out
 
 
-def cproj_equations(spec, v):
-    """v -> (L_v J, CP(L_v Gamma)), with CP written out on `contract`,
-    independently of the symbols' CP map: for Omega = L_v Gamma,
+def cproj_equations(spec, fields):
+    """Each v of `fields` -> [(L_v J, CP(L_v Gamma))], with CP written out on
+    `contract`, independently of the symbols' CP map: for Omega = L_v Gamma,
 
         CP(Omega)^i_jk = Omega^i_jk - delta^i_k phi_j - delta^i_j phi_k
                          + sigma_j J^i_k + sigma_k J^i_j,
 
     phi_j = Omega^i_ji / (2(n+1)) and sigma_j = phi_a J^a_j."""
     chart, J = spec.chart, spec.J
-    om = lie_derivative_connection(v, spec.gamma)
-    phi = {
-        j: p * Fraction(1, 2 * (chart.n_complex() + 1))
-        for j, p in contract("iji->j", om).items()
-    }
+    scale = Fraction(1, 2 * (chart.n_complex() + 1))
     delta = {(i, i): chart.const(1) for i in range(chart.dim)}
-    # the delta^i_k phi_j and sigma_j J^i_k terms; the others are their mirrors
-    half = Tensor(chart, (1, 2), contract("a,aj,ik->ijk", phi, J, J)) - Tensor(
-        chart, (1, 2), contract("j,ik->ijk", phi, delta)
-    )
-    cp = om + half + Tensor(chart, (1, 2), contract("ijk->ikj", half))
-    return [("LJ", lie_derivative_J(v, J)), ("CP", cp)]
-
-
-def affine_equations(spec, v):
-    """v -> (L_v J, L_v Gamma)."""
-    return [
-        ("LJ", lie_derivative_J(v, spec.J)),
-        ("LG", lie_derivative_connection(v, spec.gamma)),
-    ]
-
-
-def killing_equations(spec, v, holomorphic=True):
-    """v -> (L_v J if holomorphic, L_v g)."""
-    out = [("LG", lie_derivative_metric(v, spec.metric))]
-    if holomorphic:
-        out.insert(0, ("LJ", lie_derivative_J(v, spec.J)))
+    out = []
+    for lj, om in zip(lie_derivative_J(fields, J), lie_derivative_connection(fields, spec.gamma)):
+        phi = {j: p * scale for j, p in contract("iji->j", om).items()}
+        # the delta^i_k phi_j and sigma_j J^i_k terms; the others are their mirrors
+        half = Tensor(chart, (1, 2), contract("a,aj,ik->ijk", phi, J, J)) - Tensor(
+            chart, (1, 2), contract("j,ik->ijk", phi, delta)
+        )
+        cp = om + half + Tensor(chart, (1, 2), contract("ijk->ikj", half))
+        out.append([("LJ", lj), ("CP", cp)])
     return out
 
 
-def homothety_equations(spec, field_and_scale, holomorphic=True):
-    """(v, c) -> (L_v J if holomorphic, L_v g - c g), through killing_equations."""
-    v, c = field_and_scale
+def affine_equations(spec, fields):
+    """Each v of `fields` -> [(L_v J, L_v Gamma)]."""
+    lgs = lie_derivative_connection(fields, spec.gamma)
+    return [[("LJ", lj), ("LG", lg)] for lj, lg in zip(lie_derivative_J(fields, spec.J), lgs)]
+
+
+def killing_equations(spec, fields, holomorphic=True):
+    """Each v of `fields` -> [(L_v J if holomorphic, L_v g)]."""
+    lgs = lie_derivative_metric(fields, spec.metric)
+    if not holomorphic:
+        return [[("LG", lg)] for lg in lgs]
+    return [[("LJ", lj), ("LG", lg)] for lj, lg in zip(lie_derivative_J(fields, spec.J), lgs)]
+
+
+def homothety_equations(spec, pairs, holomorphic=True):
+    """Each (v, c) of `pairs` -> [(L_v J if holomorphic, L_v g - c g)],
+    through killing_equations."""
     return [
-        (tag, t - spec.metric.scale(c) if tag == "LG" else t)
-        for tag, t in killing_equations(spec, v, holomorphic)
+        [(tag, t - spec.metric.scale(c) if tag == "LG" else t) for tag, t in eqs]
+        for (_, c), eqs in zip(pairs, killing_equations(spec, [v for v, _ in pairs], holomorphic))
     ]
 
 
@@ -583,40 +583,41 @@ def field_coordinates(f):
     return out
 
 
+def _brackets(chart, fields):
+    """[v, w]^b = v^a d_a w^b - w^a d_a v^b for each pair v, w of `fields`,
+    in order, each summed in one `ProductSum`; every field's partials
+    {(a, b): d_a v^b} are taken once."""
+    grads = [partials({(b,): q for b, q in v.items()}, chart) for v in fields]
+    for i, (v, dv) in enumerate(zip(fields, grads)):
+        for w, dw in zip(fields[i + 1 :], grads[i + 1 :]):
+            acc = ProductSum()
+            for x, dy, sign in ((v, dw, 1), (w, dv, -1)):
+                for (a, b), q in dy.items():
+                    p = x.get(a)
+                    if p is not None:
+                        acc.add(b, (p, q), sign)
+            yield acc.result()
+
+
 def bracket_fields(chart, v, w):
-    """[v, w]^b = v^a d_a w^b - w^a d_a v^b, summed in one `ProductSum`."""
-    names = chart.table.names
-    acc = ProductSum()
-    for x, y, sign in ((v, w, 1), (w, v, -1)):
-        for b, q in y.items():
-            for a in q.variables():
-                p = x.get(a)
-                if p is not None:
-                    acc.add(b, (p, q.derivative(names[a])), sign)
-    return acc.result()
+    """The bracket [v, w] of two fields."""
+    return next(_brackets(chart, [v, w]))
 
 
 def check_bracket_closure(chart, basis):
+    """Whether the span of `basis` is closed under the bracket."""
     span = SpanSolver()
     for f in basis:
         if not span.insert(field_coordinates(f)):
             return False
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            br = bracket_fields(chart, basis[i], basis[j])
-            if br and not span.contains(field_coordinates(br)):
-                return False
-    return True
+    return all(not br or span.contains(field_coordinates(br)) for br in _brackets(chart, basis))
 
 
-def verify_fields(equations, basis):
-    """Every entry of `basis` solves `equations` (a field-level function such
-    as `partial(cproj_equations, spec)`, not an operator's symbols)."""
-    for f in basis:
-        for _, tensor in equations(f):
-            if not tensor.is_zero():
-                return False
-    return True
+def verify_fields(equations, fields):
+    """Every entry of `fields` solves `equations` (a field-level function such
+    as `partial(cproj_equations, spec)`, not an operator's symbols), which
+    takes the whole list in one call."""
+    return all(t.is_zero() for eqs in equations(fields) for _, t in eqs)
 
 
 def _field_system(spec, operator, ansatz, stabilize, equations, extra_metric_scale=None):
@@ -681,7 +682,7 @@ def phi_map(v, g: Tensor, ginv: Tensor):
     chart = g.chart
     dim = chart.dim
     n = chart.n_complex()
-    A = contract("ia,ab->ib", ginv, lie_derivative_metric(v, g))
+    A = contract("ia,ab->ib", ginv, lie_derivative_metric([v], g)[0])
     tr = contract("ii->", A).get((), chart.zero()) * Fraction(1, 2 * (n + 1))
     for i in range(dim):
         accumulate(A, (i, i), -tr)

@@ -188,24 +188,6 @@ def partials(comps, chart):
     return out
 
 
-def along(v, comps, chart):
-    """{key: sum_a v^a d_a p}: each component differentiated along the vector
-    field v (dict direction -> poly), only in v's directions."""
-    acc = ProductSum()
-    _along_into(acc, v, comps, chart)
-    return acc.result()
-
-
-def _along_into(acc, v, comps, chart):
-    """Add `along(v, comps, chart)` into the `ProductSum` acc."""
-    names = chart.table.names
-    for key, p in comps.items():
-        for a in p.variables():
-            q = v.get(a)
-            if q is not None:
-                acc.add(key, (p.derivative(names[a]), q))
-
-
 def standard_J(chart) -> Tensor:
     """J d_{2a} = d_{2a+1}, J d_{2a+1} = -d_{2a} (0-based pairs)."""
     n = chart.n_complex()
@@ -312,45 +294,47 @@ def curvature_bidegree(R: Tensor, J: Tensor):
     return {"(1,1)": p11, "(2,0)+(0,2)": p20}
 
 
-def _vector_partials(v: dict, chart):
-    """(a, i) -> d_a v^i for the vector field v (dict direction -> poly)."""
-    return partials({(i,): p for i, p in v.items()}, chart)
+# The Lie derivatives take a list of vector fields (dicts direction -> poly)
+# and return one Tensor per field.  Every term is linear in v, so each is one
+# contraction over the whole list, with the field index f as its first letter.
 
 
-def lie_derivative_connection(v: dict, G: Tensor) -> Tensor:
+def _lie(fields, T, transport, slots, hessian=None):
+    """L_v T for each v of `fields`: the contraction `transport` of (d T, v),
+    each (spec, scale) of `slots` of (T, d v) and, for a connection, `hessian`
+    of d d v, in one `ProductSum`; T's partials are taken once per call."""
+    chart = T.chart
+    vs = {(f, a): p for f, v in enumerate(fields) for a, p in v.items()}
+    dv = partials(vs, chart)  # (b, f, a) -> d_b v^a of the f-th field
+    acc = ProductSum()
+    if hessian:
+        _contract_into(acc, hessian, (partials(dv, chart),))
+    _contract_into(acc, transport, (partials(T.comps, chart), vs))
+    for spec, scale in slots:
+        _contract_into(acc, spec, (T, dv), scale)
+    comps = [{} for _ in fields]
+    for key, p in acc.result().items():
+        comps[key[0]][key[1:]] = p
+    return [Tensor(chart, T.valence, c) for c in comps]
+
+
+def lie_derivative_connection(fields, G: Tensor) -> list:
     """Omega^i_jk = d_j d_k v^i + v^a d_a G^i_jk - G^a_jk d_a v^i
-    + G^i_ak d_j v^a + G^i_ja d_k v^a for the vector field v."""
-    chart = G.chart
-    dv = _vector_partials(v, chart)
-    acc = ProductSum()
-    _contract_into(acc, "kji->ijk", (partials(dv, chart),))
-    _along_into(acc, v, G.comps, chart)
-    _contract_into(acc, "iak,ja->ijk", (G, dv))
-    _contract_into(acc, "ija,ka->ijk", (G, dv))
-    _contract_into(acc, "ajk,ai->ijk", (G, dv), -1)
-    return Tensor(chart, (1, 2), acc.result())
+    + G^i_ak d_j v^a + G^i_ja d_k v^a for each vector field v of `fields`."""
+    slots = [("iak,jfa->fijk", 1), ("ija,kfa->fijk", 1), ("ajk,afi->fijk", -1)]
+    return _lie(fields, G, "aijk,fa->fijk", slots, hessian="kjfi->fijk")
 
 
-def lie_derivative_J(v: dict, J: Tensor) -> Tensor:
-    """(L_v J)^i_j = v^a d_a J^i_j - J^a_j d_a v^i + J^i_a d_j v^a."""
-    chart = J.chart
-    dv = _vector_partials(v, chart)
-    acc = ProductSum()
-    _along_into(acc, v, J.comps, chart)
-    _contract_into(acc, "ia,ja->ij", (J, dv))
-    _contract_into(acc, "aj,ai->ij", (J, dv), -1)
-    return Tensor(chart, (1, 1), acc.result())
+def lie_derivative_J(fields, J: Tensor) -> list:
+    """(L_v J)^i_j = v^a d_a J^i_j - J^a_j d_a v^i + J^i_a d_j v^a for each
+    vector field v of `fields`."""
+    return _lie(fields, J, "aij,fa->fij", [("ia,jfa->fij", 1), ("aj,afi->fij", -1)])
 
 
-def lie_derivative_metric(v: dict, g: Tensor) -> Tensor:
-    """(L_v g)_ab = v^c d_c g_ab + g_cb d_a v^c + g_ac d_b v^c."""
-    chart = g.chart
-    dv = _vector_partials(v, chart)
-    acc = ProductSum()
-    _along_into(acc, v, g.comps, chart)
-    _contract_into(acc, "cb,ac->ab", (g, dv))
-    _contract_into(acc, "ac,bc->ab", (g, dv))
-    return Tensor(chart, (0, 2), acc.result())
+def lie_derivative_metric(fields, g: Tensor) -> list:
+    """(L_v g)_ab = v^c d_c g_ab + g_cb d_a v^c + g_ac d_b v^c for each vector
+    field v of `fields`."""
+    return _lie(fields, g, "cab,fc->fab", [("cb,afc->fab", 1), ("ac,bfc->fab", 1)])
 
 
 def covariant_derivative_J(G: Tensor, J: Tensor) -> Tensor:

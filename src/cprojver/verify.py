@@ -261,7 +261,9 @@ def symmetry_battery(spec, stabilize=True):
         fields = None
     if fields is not None:
         equations = partial(cproj_equations, spec)
-        bad = [lbl for lbl, f in fields if not verify_fields(equations, [f])]
+        bad = []
+        if not verify_fields(equations, [f for _, f in fields]):
+            bad = [lbl for lbl, f in fields if not verify_fields(equations, [f])]
         checks.append(
             Check("every printed generator satisfies the equations", "printed-generators",
                   0, len(bad), provenance="published")

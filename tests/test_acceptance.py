@@ -212,7 +212,7 @@ def test_criterion_5_printed_generators():
         fields = expected_symmetries(spec)
         bad = [
             lbl for lbl, f in fields
-            if any(not t.is_zero() for _, t in cproj_equations(spec, f))
+            if any(not t.is_zero() for _, t in cproj_equations(spec, [f])[0])
         ]
         c.check(f"{name} n={n}: generators failing the equations", [], bad)
         c.check(

@@ -153,6 +153,10 @@ class TestMalformedValues:
             ("alg_cproj8.alg", "zminus = e5", "zminus = e4 e5", 7),
             ("alg_cproj8.alg", "zplus = e1 e2 e3 e4\nzminus = e5 e6 e7 e8",
              "zminus = e4 e5 e6 e7 e8\nzplus = e1 e2 e3 e4", 7),
+            # a Z2 grading covers the basis and names only basis labels,
+            # refused at a zplus or zminus line, not at line 1
+            ("alg_cproj8.alg", "zplus = e1 e2 e3 e4", "zplus = e1 e2 e3", 6),
+            ("alg_cproj8.alg", "zminus = e5 e6 e7 e8", "zminus = e5 e6 e7 e8 e9", 7),
             # an nrange holds some n >= 2
             ("type2.model", "nrange = 2 ..", "nrange = 3 .. 2", 5),
             ("type2.model", "nrange = 2 ..", "nrange = 1", 5),

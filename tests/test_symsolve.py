@@ -21,6 +21,7 @@ from cprojver.symsolve import (
     SystemBuilder,
     _column_operator,
     _symmetric_tags,
+    affine_equations,
     affine_operator,
     affine_system,
     bracket_fields,
@@ -32,6 +33,7 @@ from cprojver.symsolve import (
     field_coordinates,
     homothety_equations,
     homothety_system,
+    killing_equations,
     killing_operator,
     killing_system,
     phi_map,
@@ -201,15 +203,15 @@ class TestColumnSymbols:
                 outputs["isometry"] = isometry(columns)
             for a in range(dim):
                 v = {a: mono}
-                lj = ("LJ", tc.lie_derivative_J(v, J).comps)
-                om = tc.lie_derivative_connection(v, G).comps
-                cp = ("CP", emitted_half(dict(cproj_equations(spec, v))["CP"].comps, sym))
+                lj = ("LJ", tc.lie_derivative_J([v], J)[0].comps)
+                om = tc.lie_derivative_connection([v], G)[0].comps
+                cp = ("CP", emitted_half(dict(cproj_equations(spec, [v])[0])["CP"].comps, sym))
                 got = canonical(table, outputs["cproj"], a, ("LJ", "CP"))
                 assert got == [lj, cp], (exps, a)
                 got = canonical(table, outputs["affine"], a, ("LJ", "LG"))
                 assert got == [lj, ("LG", emitted_half(om, sym))], (exps, a)
                 if g is not None:
-                    lg = ("LG", emitted_half(tc.lie_derivative_metric(v, g).comps, True))
+                    lg = ("LG", emitted_half(tc.lie_derivative_metric([v], g)[0].comps, True))
                     got = canonical(table, outputs["killing"], a, ("LJ", "LG"))
                     assert got == [lj, lg], (exps, a)
                     got = canonical(table, outputs["isometry"], a, ("LG",))
@@ -269,7 +271,7 @@ class TestColumnSymbols:
             mono = LaurentPoly(table, {pack(exps): 1})
             symbols[col] = [
                 (tag, comp, p)
-                for tag, t in cproj_equations(spec, {a: mono})
+                for tag, t in cproj_equations(spec, [{a: mono}])[0]
                 for comp, p in t.comps.items()
             ]
             uses[col] = {1: [(col, 0)]}
@@ -629,7 +631,7 @@ class TestVerification:
     def test_printed_fields_individually(self):
         spec = builtin("type2", 3)
         for label, f in expected_symmetries(spec):
-            assert all(t.is_zero() for _, t in cproj_equations(spec, f)), label
+            assert all(t.is_zero() for _, t in cproj_equations(spec, [f])[0]), label
 
     def test_cp_check_does_not_run_cp_projection(self, monkeypatch):
         # `cproj_equations` writes CP on `contract`, so the check of the
@@ -643,6 +645,56 @@ class TestVerification:
         monkeypatch.setattr("cprojver.symsolve.cp_projection", boom)
         monkeypatch.setattr("cprojver.symsolve._trace_correction", boom)
         assert len(basis) == 8 and verify_fields(partial(cproj_equations, spec), basis)
+
+    @staticmethod
+    def _corrupted(chart, fields, at):
+        """`fields` with x^3 d_0 added to the entries at the positions `at`,
+        x the chart's first coordinate: none of them stays a symmetry."""
+        x = chart.var(chart.table.names[0])
+        out = []
+        for k, f in enumerate(fields):
+            if k in at:
+                f = {**f, 0: f.get(0, chart.zero()) + x * x * x}
+            out.append(f)
+        return out
+
+    @pytest.mark.parametrize("kind", ["cproj", "affine", "killing", "homothety"])
+    def test_one_corrupted_field_in_a_batch_fails(self, kind, submax2):
+        # the equations take the whole list in one call, so a bad field in
+        # the middle of it must still fail the batch
+        if kind == "cproj":
+            spec = builtin("type2", 2)
+            res = cproj_system(spec, model_ansatz(spec), stabilize=False)
+            equations = partial(cproj_equations, spec)
+        elif kind == "affine":
+            spec = builtin("flat", 2)
+            res = affine_system(spec, AnsatzSpace(spec.chart, total_degree=1))
+            equations = partial(affine_equations, spec)
+        else:
+            spec = submax2
+            system = killing_system if kind == "killing" else homothety_system
+            res = system(spec, AnsatzSpace(spec.chart, total_degree=2), stabilize=False)
+            equations = partial(killing_equations, spec)
+        fields = res.basis
+        bad = self._corrupted(spec.chart, fields, {len(fields) // 2})
+        if kind == "homothety":
+            equations = partial(homothety_equations, spec)
+            fields = list(zip(fields, res.extra["scales"]))
+            bad = list(zip(bad, res.extra["scales"]))
+        assert len(fields) >= 3 and res.verified
+        assert verify_fields(equations, fields)
+        assert not verify_fields(equations, bad)
+
+    def test_printed_generator_count_names_each_bad_field(self, monkeypatch):
+        # the battery checks the printed list in one call and, when that
+        # fails, counts the failing generators one by one
+        spec = builtin("type2", 2)
+        labels, fields = zip(*expected_symmetries(spec))
+        bad = list(zip(labels, self._corrupted(spec.chart, fields, {1, len(fields) - 2})))
+        monkeypatch.setattr(verify, "expected_symmetries", lambda s: bad)
+        [check] = [c for c in verify.symmetry_battery(spec, stabilize=False)
+                   if c.check == "every printed generator satisfies the equations"]
+        assert (check.expected, check.computed, check.passed) == (0, 2, False)
 
     def test_span_equality(self):
         spec = builtin("nonminimal", 2)

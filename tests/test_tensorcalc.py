@@ -18,7 +18,6 @@ from cprojver import tensorcalc as tc
 from cprojver.tensorcalc import (
     Chart,
     Tensor,
-    along,
     contract,
     curvature,
     curvature_bidegree,
@@ -482,17 +481,17 @@ class TestLieDerivative:
     def test_translation_of_constant_connection(self):
         spec = builtin("type3", 3)  # Christoffels constant in x1
         v = {0: spec.chart.const(1)}
-        assert lie_derivative_connection(v, spec.gamma).is_zero()
+        assert lie_derivative_connection([v], spec.gamma)[0].is_zero()
 
     def test_linear_field_on_flat(self):
         spec = builtin("flat", 2)
         v = {0: spec.chart.var("x1")}
-        assert lie_derivative_connection(v, spec.gamma).is_zero()
+        assert lie_derivative_connection([v], spec.gamma)[0].is_zero()
 
     def test_quadratic_field_on_flat_is_not_affine(self):
         spec = builtin("flat", 2)
         v = {0: spec.chart.var("x1") * spec.chart.var("x1")}
-        assert not lie_derivative_connection(v, spec.gamma).is_zero()
+        assert not lie_derivative_connection([v], spec.gamma)[0].is_zero()
 
 
 CATALOG = [(name, n) for name, ns in MODEL_NS.items() for n in ns]
@@ -548,7 +547,7 @@ class TestLieDerivativeOfJ:
     def test_equals_bracket_formula(self, name, n, data):
         J = catalog_J(name, n)
         v = data.draw(polynomial_fields(J.chart))
-        got = {k: p for k, p in lie_derivative_J(v, J).comps.items() if not p.is_zero()}
+        got = {k: p for k, p in lie_derivative_J([v], J)[0].comps.items() if not p.is_zero()}
         assert got == lie_J_by_brackets(v, J)
 
 
@@ -600,7 +599,7 @@ class TestLieDerivativeOfConnection:
         G = catalog_gamma(name, n)
         v = data.draw(polynomial_fields(G.chart))
         got = {
-            k: p for k, p in lie_derivative_connection(v, G).comps.items() if not p.is_zero()
+            k: p for k, p in lie_derivative_connection([v], G)[0].comps.items() if not p.is_zero()
         }
         assert got == lie_gamma_by_brackets(v, G)
 
@@ -709,6 +708,27 @@ def sparse_comps(rank, chart=XY):
     return st.dictionaries(key, small_laurent(chart), max_size=6)
 
 
+def vector_fields(chart):
+    return st.dictionaries(st.integers(0, chart.dim - 1), small_laurent(chart), max_size=2)
+
+
+def slot_terms(comps, up, v, chart):
+    """The terms of L_v T besides v^a d_a T, written out slot by slot:
+    -T^(..a..) d_a v^i on each upper slot, +T_(..i..) d_a v^i on each lower
+    slot, for T with `up` upper slots."""
+    names = chart.table.names
+    out = {}
+    for key, p in comps.items():
+        for s, idx in enumerate(key):
+            for i, q in v.items():
+                for a, name in enumerate(names):
+                    if s < up and idx == a:
+                        accumulate(out, (*key[:s], i, *key[s + 1:]), -(p * q.derivative(name)))
+                    elif s >= up and idx == i:
+                        accumulate(out, (*key[:s], a, *key[s + 1:]), p * q.derivative(name))
+    return out
+
+
 def dense_contract(spec, *operands, chart=XY):
     """Sum over every assignment of every letter, written out in full."""
     inputs, output = spec.split("->")
@@ -754,7 +774,7 @@ class TestContract:
     def test_partials_and_along_match_derivative(self, data):
         chart = data.draw(st.sampled_from([XY, XD]))
         comps = data.draw(sparse_comps(2, chart))
-        v = data.draw(st.dictionaries(st.integers(0, 1), small_laurent(chart), max_size=2))
+        fields = data.draw(st.lists(vector_fields(chart), min_size=1, max_size=3))
         names = chart.table.names
         want = {}
         for key, p in comps.items():
@@ -762,11 +782,30 @@ class TestContract:
                 if not p.derivative(name).is_zero():
                     want[(c,) + key] = p.derivative(name)
         assert partials(comps, chart) == want
-        for key, p in comps.items():
-            tot = chart.zero()
-            for a, q in v.items():
-                tot = tot + p.derivative(names[a]) * q
-            assert along(v, comps, chart).get(key, chart.zero()) == tot
+        # the transport term v^a d_a T of L_v T, for T of valence (1,1) and
+        # (0,2): L_v T less its slot terms
+        for lie, up in ((lie_derivative_J, 1), (tc.lie_derivative_metric, 0)):
+            T = Tensor(chart, (up, 2 - up), comps)
+            for v, got in zip(fields, lie(fields, T), strict=True):
+                slots = slot_terms(comps, up, v, chart)
+                for key in set(comps) | set(got.comps) | set(slots):
+                    tot = chart.zero()
+                    for a, q in v.items():
+                        tot = tot + comps.get(key, chart.zero()).derivative(names[a]) * q
+                    assert got.get(*key) - slots.get(key, chart.zero()) == tot
+
+    @pytest.mark.parametrize("chart", [XY, XD], ids=["XY", "XD"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_lie_derivatives_of_a_list_are_those_of_each_field(self, chart, data):
+        fields = data.draw(st.lists(vector_fields(chart), max_size=4))
+        for lie, valence in ((lie_derivative_J, (1, 1)), (tc.lie_derivative_metric, (0, 2)),
+                             (lie_derivative_connection, (1, 2))):
+            T = Tensor(chart, valence, data.draw(sparse_comps(sum(valence), chart)))
+            got = lie(fields, T)
+            assert len(got) == len(fields)
+            for v, t in zip(fields, got):
+                assert t.valence == valence and t == lie([v], T)[0]
 
     def test_sums_over_several_denominators_and_q(self):
         # one key takes products over den 0, 1 and 2 and over q 1, 2, 3 and
