@@ -198,17 +198,14 @@ def standard_J(chart) -> Tensor:
     return Tensor(chart, (1, 1), comps)
 
 
-def compose_J(J: Tensor, K: Tensor) -> Tensor:
-    return Tensor(J.chart, (1, 1), contract("ia,aj->ij", J, K))
-
-
 def is_almost_complex(J: Tensor) -> bool:
-    chart = J.chart
-    jj = compose_J(J, J)
-    ident = Tensor(
-        chart, (1, 1), {(i, i): chart.const(-1) for i in range(chart.dim)}
-    )
-    return jj == ident
+    """J.J + Id = 0, summed in one `ProductSum`."""
+    acc = ProductSum()
+    _contract_into(acc, "ia,aj->ij", (J, J))
+    one = J.chart.const(1)
+    for i in range(J.chart.dim):
+        acc.add((i, i), (one,))
+    return not acc.result()
 
 
 def nijenhuis(J: Tensor) -> Tensor:
@@ -340,9 +337,11 @@ def lie_derivative_metric(fields, g: Tensor) -> list:
 def covariant_derivative_J(G: Tensor, J: Tensor) -> Tensor:
     """(nabla J)^i_{kj} = d_k J^i_j + G^i_{ka} J^a_j - G^a_{kj} J^i_a."""
     chart = G.chart
-    out = Tensor(chart, (1, 2), contract("kij->ikj", partials(J.comps, chart)))
-    out += Tensor(chart, (1, 2), contract("ika,aj->ikj", G, J))
-    return out - Tensor(chart, (1, 2), contract("akj,ia->ikj", G, J))
+    acc = ProductSum()
+    _contract_into(acc, "kij->ikj", (partials(J.comps, chart),))
+    _contract_into(acc, "ika,aj->ikj", (G, J))
+    _contract_into(acc, "akj,ia->ikj", (G, J), -1)
+    return Tensor(chart, (1, 2), acc.result())
 
 
 # -- ring matrix inversion ------------------------------------------------------
