@@ -323,7 +323,7 @@ def _build_model(name, n, signs, body):
             extra = complex_tensor_to_real(chart, (1, 1), jcomps)
             J = extra if J is None else J + extra
         if J is None:
-            raise ManifestError("manifest declares no complex structure")
+            raise ManifestError("manifest declares no complex structure", 1, 1)
 
     # gamma -----------------------------------------------------------------
     if "gamma" in body and gamma is None:

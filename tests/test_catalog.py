@@ -200,6 +200,9 @@ class TestMalformedValues:
             ("type1.model", "R(z1; z2, z2, z3) = 1", "R(z1; z2, z2, z3) = 1\nR(z1; z2, z3, z3) = 1", 29),
             # keys compared after parsing: the same w(j,i; k) spelled apart
             ("type3_n2.model", "w(2,1; 4) = 1/2*s^-2", "w(2,1; 4) = 1/2*s^-2\nw(2, 1;4) = 0", 19),
+            # a manifest without J is refused at line 1, as one without
+            # nrange is, so the CLI reports it as a manifest error
+            ("type2.model", "[J]\nstandard\n", "", 1),
             # a misspelled section once dropped its statements unread
             ("type2.model", "[expected]", "[expectd]", 16),
             ("type2.model", "[gamma]", "[gama]", 13),

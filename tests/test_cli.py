@@ -219,23 +219,25 @@ class TestVerify:
         assert err.startswith("manifest error: ") and err.count("\n") == 1
         assert f"{reason} (line {line}, column 1)" in err
 
-    @pytest.mark.parametrize("args", [
-        ["verify", "--model", "type2", "--fast"],
-        ["verify", "--model", "all", "--fast", "--jobs", "2"],
+    @pytest.mark.parametrize("old,new,args,reason", [
+        ("[expected]", "[expectd]", ["type2"], "unknown section [expectd] (line 16, column 1)"),
+        ("[expected]", "[expectd]", ["all", "--jobs", "2"],
+         "unknown section [expectd] (line 16, column 1)"),
+        ("[J]\nstandard\n", "", ["type2"],
+         "manifest declares no complex structure (line 1, column 1)"),
     ])
     def test_malformed_builtin_manifest_is_a_manifest_error(
-        self, args, tmp_path, capsys, monkeypatch
+        self, old, new, args, reason, tmp_path, capsys, monkeypatch
     ):
         # a built-in model read from CPROJ_CATALOG once printed "error:",
         # unlike the same file passed as --model PATH; with --jobs 2 the
         # error and its line come back from a worker process
         shutil.copytree(data_dir(), tmp_path, dirs_exist_ok=True)
         path = tmp_path / "type2.model"
-        path.write_text(path.read_text().replace("[expected]", "[expectd]", 1))
+        path.write_text(path.read_text().replace(old, new, 1))
         monkeypatch.setenv("CPROJ_CATALOG", str(tmp_path))
-        assert run(args) == 2
-        err = capsys.readouterr().err
-        assert err == "manifest error: unknown section [expectd] (line 16, column 1)\n"
+        assert run(["verify", "--fast", "--model", *args]) == 2
+        assert capsys.readouterr().err == f"manifest error: {reason}\n"
 
     def test_lineless_n_error_stays_a_usage_error(self, capsys):
         assert run(["verify", "--model", "type2", "--n", "1", "--fast"]) == 2
