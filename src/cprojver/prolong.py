@@ -274,10 +274,9 @@ def tanaka_prolongation(psi: CurvElement, g: SlPair = None, ctype="?"):
         x = g.element_of_label(lbl)
         for vl in minus:
             elem = {}
-            for i, c in enumerate(g.coordinates(g.element_of_label(vl).bracket(x))):
-                if c:
-                    for key, val in ann.actions[labels[i]].items():
-                        accumulate(elem, (vl,) + key, c * val)
+            for i, c in g.coordinates(g.element_of_label(vl).bracket(x)).items():
+                for key, val in ann.actions[labels[i]].items():
+                    accumulate(elem, (vl,) + key, c * val)
             for key, val in elem.items():
                 rows.setdefault(key, {})[col] = val
     sys = LinearSystem()
@@ -460,13 +459,11 @@ def subalgebra_with_cochain(ctype, n):
     grades = {l: (-1 if i < nm else 0) for i, l in enumerate(labels)}
     span = SpanSolver()
     for el in elements:
-        vec = {i: c for i, c in enumerate(g.coordinates(el)) if c}
-        if not span.insert(vec):
+        if not span.insert(g.coordinates(el)):
             raise RuntimeError("subalgebra basis is degenerate")
 
     def expand(el: CD):
-        vec = {i: c for i, c in enumerate(g.coordinates(el)) if c}
-        coeffs = span.decompose(vec)
+        coeffs = span.decompose(g.coordinates(el))
         if coeffs is None:
             raise RuntimeError("bracket escapes the subalgebra")
         return coeffs

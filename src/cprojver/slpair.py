@@ -240,16 +240,23 @@ class SlPair:
     # -- coordinates --------------------------------------------------------
 
     def coordinates(self, x: CD):
-        """Real coordinates of a real element (= realify image) in the basis."""
+        """Real coordinates {basis index: nonzero value} of a real element
+        (= realify image), in ascending index order.  No label reads the
+        (2,2) entry, so an element with a nonzero trace is refused."""
         if not x.is_real():
             raise ValueError("element is not in the real form")
-        coords = [0] * len(self.basis)
+        coords = {}
+        trace = [0, 0]
         for part, values in enumerate((x.u.re, x.u.im)):
             for pos, c in values.items():
+                if pos[0] == pos[1]:
+                    trace[part] += c
                 slot = self._slots.get(pos)
                 if slot is not None:
                     coords[slot[part]] = c
-        return coords
+        if trace[0] or trace[1]:
+            raise ValueError("element is not trace-free")
+        return dict(sorted(coords.items()))
 
     def element_of_label(self, lbl) -> CD:
         return self.basis[self._index[lbl]]

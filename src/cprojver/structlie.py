@@ -3,7 +3,8 @@
 Coefficients are int, `Fraction` or `LaurentPoly` (a polynomial in
 declared commuting parameters, so a Jacobi residual with a free parameter is a
 polynomial identity); each is falsy exactly when it is zero.  The bracket
-table stores only pairs (i, j) with i < j; antisymmetry is implicit.
+table stores only pairs (i, j) with i < j; antisymmetry is implicit, and a
+pair given in both orders is refused.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ class StructAlgebra:
             if i == j:
                 raise ValueError(f"bracket [{i},{i}] must vanish by antisymmetry")
             if i > j:
+                if (j, i) in bracket:
+                    raise ValueError(f"bracket pair ({j}, {i}) is given in both orders")
                 i, j, vec = j, i, {k: -c for k, c in vec.items()}
             clean = {k: c for k, c in vec.items() if c}
             if clean:
@@ -68,36 +71,37 @@ class StructAlgebra:
     def jacobi_residual(self):
         """All nonzero cyclic sums Jac(e_i,e_j,e_k); empty table <=> Lie algebra.
 
-        Each cyclic term [[e_a,e_b],e_c] is summed straight from the bracket
-        table: x*y e_m for every (t, x) in [e_a,e_b] and (m, y) in [e_t,e_c].
-        Only the triples i < j < k that some term reaches are visited: (a, b)
-        a table pair, t in [e_a,e_b] and (t, c) a table pair, c not a or b."""
-        units = {}  # (a, b) -> [e_a,e_b], for both orders of each table pair
-        partners = {}  # t -> every c with (t, c) a table pair, in either order
+        One pass over the products: for each table pair a < b, each (t, x)
+        in [e_a,e_b] and each c not a or b with (t, c) a table pair, x*y e_m
+        for (m, y) in [e_t,e_c] is summed into the key (i, j, k, m), i < j < k
+        the sorted triple.  The term [[e_a,e_b],e_c] is the Jac(i,j,k) term
+        [[e_k,e_i],e_j] = -[[e_i,e_k],e_j] exactly when a < c < b, and enters
+        with sign +1 otherwise.  Triples come out in sorted order, each with
+        its entries by ascending m."""
+        partners = {}  # t -> (c, [e_t,e_c] up to sign, sign) per table pair
         for (i, j), vec in self.table.items():
-            units[(i, j)] = vec
-            units[(j, i)] = self.bracket_units(j, i)
-            partners.setdefault(i, []).append(j)
-            partners.setdefault(j, []).append(i)
-        triples = {
-            tuple(sorted((a, b, c)))
-            for (a, b), vec in self.table.items()
-            for t in vec
-            for c in partners.get(t, ())
-            if c != a and c != b
-        }
-        empty = {}
+            partners.setdefault(i, []).append((j, vec, 1))
+            partners.setdefault(j, []).append((i, vec, -1))
+        terms = {}
+        for (a, b), vec in self.table.items():
+            for t, x in vec.items():
+                for c, tc, sign in partners.get(t, ()):
+                    if c > b:
+                        key = (a, b, c)
+                    elif c < a:
+                        key = (c, a, b)
+                    elif c == a or c == b:
+                        continue
+                    else:
+                        key, sign = (a, c, b), -sign
+                    xs = x if sign > 0 else -x
+                    for m, y in tc.items():
+                        accumulate(terms, key + (m,), xs * y)
+        lab = self.labels
         bad = {}
-        for i, j, k in sorted(triples):
-            r = {}
-            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                for t, x in units.get((a, b), empty).items():
-                    for m, y in units.get((t, c), empty).items():
-                        accumulate(r, m, x * y)
-            if r:
-                bad[(self.labels[i], self.labels[j], self.labels[k])] = {
-                    self.labels[t]: c for t, c in r.items()
-                }
+        for key in sorted(terms):
+            i, j, k, m = key
+            bad.setdefault((lab[i], lab[j], lab[k]), {})[lab[m]] = terms[key]
         return bad
 
     # -- derived series -----------------------------------------------------------

@@ -854,7 +854,7 @@ class TestAnnihilatorBasis:
         g = SlPair(n)
         _, psi = lowest_weight_vector(ctype, n)
         for x in annihilator(psi, g, ctype).basis:
-            coords = [c for c in g.coordinates(x) if c]
+            coords = list(g.coordinates(x).values())
             assert all(type(c) is int for c in coords)
             assert gcd(*coords) == 1
 

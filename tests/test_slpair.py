@@ -64,21 +64,17 @@ def structure_constants(g):
             br = g.basis[i].bracket(g.basis[j])
             if br.is_zero():
                 continue
-            coords = g.coordinates(br)
-            vec = {k: c for k, c in enumerate(coords) if c}
+            vec = g.coordinates(br)
             if vec:
                 table[(i, j)] = vec
     return table
 
 
 def from_coordinates(g, coords):
-    """The real element of `g` with the given basis coordinates."""
+    """The real element of `g` with the given {basis index: coordinate}."""
     x = Mat(g.n1)
-    for lbl, c in zip(g.basis_labels, coords):
-        if not c:
-            continue
-        el = g.element_of_label(lbl)
-        x = x + el.u.scale((c, 0))
+    for i, c in coords.items():
+        x = x + g.basis[i].u.scale((c, 0))
     return realify(x)
 
 
@@ -165,10 +161,14 @@ class TestConjugationAndExport:
         table = structure_constants(g)
         for (i, j), vec in list(table.items())[:40]:
             br = g.basis[i].bracket(g.basis[j])
-            rebuilt = from_coordinates(
-                g, [vec.get(k, 0) for k in range(g.dim())]
-            )
-            assert rebuilt == br
+            assert from_coordinates(g, vec) == br
+
+    @pytest.mark.parametrize("n1, j", [(3, 2), (3, 1)])
+    def test_coordinates_refuse_a_trace(self, n1, j):
+        # no label reads the (2,2) entry, so E22 would read as zero and E11
+        # as H1 = E11 - E22
+        with pytest.raises(ValueError, match="trace"):
+            SlPair(n1 - 1).coordinates(realify(Mat.unit(n1, j, j)))
 
     def test_g0_block_shape(self):
         # every grade-0 basis element is block diagonal with the trace relation
@@ -263,3 +263,30 @@ class TestSparseMatrices:
         for j in idx:
             for k in idx:
                 assert ma.at(j, k) == a[j][k]
+
+
+@st.composite
+def real_element(draw):
+    """(g, x): a random real element x of g = SlPair(n), n = 2 or 3, from a
+    random complex matrix whose (2,2) entry makes it trace-free."""
+    n = draw(st.sampled_from([2, 3]))
+    n1 = n + 1
+    pos = st.tuples(st.integers(0, n1 - 1), st.integers(0, n1 - 1))
+    entries = draw(st.dictionaries(pos, gauss, max_size=2 * n1))
+    m = Mat(n1)
+    for (j, k), c in entries.items():
+        if (j, k) != (1, 1):
+            m = m + Mat.unit(n1, j + 1, k + 1, c)
+    tr = m.trace()
+    return SlPair(n), realify(m - Mat.unit(n1, 2, 2, tr))
+
+
+class TestCoordinates:
+    @settings(max_examples=100, deadline=None)
+    @given(real_element())
+    def test_round_trip(self, gx):
+        g, x = gx
+        coords = g.coordinates(x)
+        assert list(coords) == sorted(coords)
+        assert all(coords.values())
+        assert from_coordinates(g, coords) == x
