@@ -163,12 +163,12 @@ class TestConjugationAndExport:
             br = g.basis[i].bracket(g.basis[j])
             assert from_coordinates(g, vec) == br
 
-    @pytest.mark.parametrize("n1, j", [(3, 2), (3, 1)])
-    def test_coordinates_refuse_a_trace(self, n1, j):
+    @pytest.mark.parametrize("j", [2, 1])
+    def test_coordinates_refuse_a_trace(self, j):
         # no label reads the (2,2) entry, so E22 would read as zero and E11
         # as H1 = E11 - E22
         with pytest.raises(ValueError, match="trace"):
-            SlPair(n1 - 1).coordinates(realify(Mat.unit(n1, j, j)))
+            SlPair(2).coordinates(realify(Mat.unit(3, j, j)))
 
     def test_g0_block_shape(self):
         # every grade-0 basis element is block diagonal with the trace relation

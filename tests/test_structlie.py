@@ -191,10 +191,6 @@ class TestPairOrders:
         with pytest.raises(ValueError, match=r"\(0, 1\) is given in both orders"):
             StructAlgebra(["x", "y", "z"], {(0, 1): {2: 1}, (1, 0): {2: 1}})
 
-    def test_one_order_each_is_kept(self):
-        a = StructAlgebra(["x", "y", "z"], {(1, 0): {2: 1}, (0, 2): {1: 1}})
-        assert a.table == {(0, 1): {2: -1}, (0, 2): {1: 1}}
-
 
 class TestDerivedSeries:
     def test_8d_symmetry_algebra(self):
