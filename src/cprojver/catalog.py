@@ -23,7 +23,7 @@ Manifest grammar (``#`` comments; sections in brackets)::
     e1 = D(x) ...
     w(2,1; 4) = 1/2*s^-2   # theta^4-coefficient of omega^2_1
     Jframe = 2 -1 4 -3     # J e_1 = e_2, J e_2 = -e_1, ...
-    complete = J           # derive nabla e_{Ji} from nabla e_i
+    complete = J           # derive nabla e_{Ji} from nabla e_i (Jframe squares to -1)
 
     [metric]               # real lower-triangular components
     g(1,1) = x1^2+x2^2
@@ -47,12 +47,13 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .parse import ParseError, parse_field, parse_poly
-from .poly import LaurentPoly, PolyError, VarTable
+from .poly import LaurentPoly, PolyError, VarTable, accumulate
 from .tensorcalc import (
     Chart,
     Tensor,
     complex_table,
     complex_tensor_to_real,
+    contract,
     frame_to_coordinates,
     standard_J,
     zero_tensor,
@@ -481,7 +482,7 @@ def _build_frame(frame_lines, chart, n):
     d = chart.dim
     cols, omega = [], []
     jframe_spec = None
-    complete = False
+    complete = None  # the line of `complete = J`
     for ln, head, val in frame_lines:
         if re.fullmatch(r"e\d+", head):
             i = int(head[1:]) - 1
@@ -504,7 +505,7 @@ def _build_frame(frame_lines, chart, n):
         elif head == "complete":
             if val != "J":
                 raise ManifestError(f"complete takes J, got {val!r}", ln, 1)
-            complete = True
+            complete = ln
         else:
             raise ManifestError(f"unknown frame key {head!r}", ln, 1)
     cols, omega = _unique(cols), _unique(omega)
@@ -512,24 +513,16 @@ def _build_frame(frame_lines, chart, n):
         raise ManifestError(
             "frame section must define every e_i and Jframe", frame_lines[0][0], 1
         )
-    jf = {}
-    for i, tgt in enumerate(jframe_spec):
-        jf[(abs(tgt) - 1, i)] = chart.const(1 if tgt > 0 else -1)
-    if complete:
-        src_cols = sorted({i for (_, i, _) in omega})
-        for i, tgt in enumerate(jframe_spec):
-            if tgt > 0 and i in src_cols:
-                dst = tgt - 1
-                for (j, i2, k), w in list(omega.items()):
-                    if i2 != i:
-                        continue
-                    for (m2, j2), jw in jf.items():
-                        if j2 != j:
-                            continue
-                        key = (m2, dst, k)
-                        cur = omega.get(key)
-                        term = w * jw
-                        omega[key] = term if cur is None else cur + term
+    jf = {(abs(t) - 1, i): chart.const(1 if t > 0 else -1) for i, t in enumerate(jframe_spec)}
+    if complete is not None:
+        # nabla e_{Ji} = J nabla e_i for each J e_i = +e_m, which needs J^2 = -1
+        if any(jframe_spec[abs(t) - 1] != (-(i + 1) if t > 0 else i + 1)
+               for i, t in enumerate(jframe_spec)):
+            raise ManifestError("complete = J needs a Jframe with J^2 = -1", complete, 1)
+        dst = {i: t - 1 for i, t in enumerate(jframe_spec) if t > 0}
+        sources = {(j, dst[i], k): w for (j, i, k), w in omega.items() if i in dst}
+        for key, p in contract("mj,jik->mik", jf, sources).items():
+            accumulate(omega, key, p)
     try:
         return frame_to_coordinates(chart, cols, omega, jf)
     except PolyError as exc:

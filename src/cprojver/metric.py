@@ -29,6 +29,7 @@ from .tensorcalc import (
     complex_table,
     complex_tensor_to_real,
     contract,
+    contract_sum,
     covariant_derivative_J,
     invert_matrix_ring,
     nijenhuis,
@@ -37,28 +38,20 @@ from .tensorcalc import (
 
 
 def metric_inverse(g: Tensor) -> Tensor:
-    chart = g.chart
-    d = chart.dim
-    rows = [[g.get(a, b) for b in range(d)] for a in range(d)]
-    inv = invert_matrix_ring(rows, chart)
-    comps = {}
-    for a in range(d):
-        for b in range(d):
-            if not inv[a][b].is_zero():
-                comps[(a, b)] = inv[a][b]
-    return Tensor(chart, (2, 0), comps)
+    d = g.chart.dim
+    inv = invert_matrix_ring([[g.get(a, b) for b in range(d)] for a in range(d)], g.chart)
+    comps = {(a, b): p for a, row in enumerate(inv) for b, p in enumerate(row)}
+    return Tensor(g.chart, (2, 0), comps)
 
 
 def levi_civita(g: Tensor, ginv: Tensor = None) -> Tensor:
     """G^i_jk = 1/2 g^ia (d_j g_ak + d_k g_aj - d_a g_jk)."""
-    chart = g.chart
     if ginv is None:
         ginv = metric_inverse(g)
-    dg = Tensor(chart, (0, 3), partials(g.comps, chart))  # (c, a, b) -> d_c g_ab
-    s = Tensor(chart, (0, 3), contract("jak->ajk", dg))
-    s += Tensor(chart, (0, 3), contract("kaj->ajk", dg))
-    s -= dg
-    return Tensor(chart, (1, 2), contract("ia,ajk->ijk", ginv, s)).scale(Fraction(1, 2))
+    dg = partials(g.comps, g.chart)  # (c, a, b) -> d_c g_ab
+    h = Fraction(1, 2)
+    return contract_sum(g.chart, (1, 2), ("ia,jak->ijk", (ginv, dg), h),
+                        ("ia,kaj->ijk", (ginv, dg), h), ("ia,ajk->ijk", (ginv, dg), -h))
 
 
 def kahler_form(g: Tensor, J: Tensor) -> Tensor:
@@ -67,10 +60,8 @@ def kahler_form(g: Tensor, J: Tensor) -> Tensor:
 
 def covariant_derivative_02(G: Tensor, t: Tensor) -> Tensor:
     """(nabla t)_cab = d_c t_ab - G^d_ca t_db - G^d_cb t_ad."""
-    chart = t.chart
-    out = Tensor(chart, (0, 3), partials(t.comps, chart))
-    out -= Tensor(chart, (0, 3), contract("dca,db->cab", G, t))
-    return out - Tensor(chart, (0, 3), contract("dcb,ad->cab", G, t))
+    return contract_sum(t.chart, (0, 3), ("cab->cab", (partials(t.comps, t.chart),), 1),
+                        ("dca,db->cab", (G, t), -1), ("dcb,ad->cab", (G, t), -1))
 
 
 @dataclass
@@ -82,22 +73,14 @@ class KahlerFlags:
 
 
 def kahler_check(g: Tensor, J: Tensor, gamma: Tensor = None) -> KahlerFlags:
-    chart = g.chart
-    d = chart.dim
+    """The flags of (g, J); d omega_abc = d_a omega_bc + d_b omega_ca + d_c omega_ab
+    is read on a < b < c, where it is the exterior derivative whenever omega is
+    a 2-form, that is, whenever g is Hermitian."""
     herm = _hermitian_defect(g, J).is_zero()
-    om = kahler_form(g, J)
-    names = chart.table.names
-    closed = True
-    for a in range(d):
-        for b in range(a + 1, d):
-            for c in range(b + 1, d):
-                tot = (
-                    om.get(b, c).derivative(names[a])
-                    + om.get(c, a).derivative(names[b])
-                    + om.get(a, b).derivative(names[c])
-                )
-                if not tot.is_zero():
-                    closed = False
+    dom = partials(kahler_form(g, J).comps, g.chart)  # (a, b, c) -> d_a omega_bc
+    d_omega = contract_sum(g.chart, (0, 3), ("abc->abc", (dom,), 1), ("bca->abc", (dom,), 1),
+                           ("cab->abc", (dom,), 1))
+    closed = not any(a < b < c for a, b, c in d_omega.comps)
     if gamma is None:
         gamma = levi_civita(g)
     parallel = covariant_derivative_J(gamma, J).is_zero()
@@ -152,18 +135,17 @@ def _subtract_lambda_terms(out, g, om, J, lam):
 def _mobility_operator(g, ginv, J, gamma):
     """B -> nabla B minus the right-hand side of the mobility equation, all
     on `contract`: theta = (1/4) g^ab B_ab, l = d theta and the terms
-    g_ac l_b + w_ac (Jl)_b, added with their mirrors in (a, b)."""
+    g_ac l_b + w_ac (Jl)_b, each added with its mirror in (a, b)."""
     chart = g.chart
     w = contract("ca,cb->ab", J, g)  # w(X, Y) = g(JX, Y)
 
     def apply(B: Tensor):
-        theta = {(): p * Fraction(1, 4) for p in contract("ab,ab->", ginv, B).values()}
-        lam = partials(theta, chart)
+        theta = contract_sum(chart, (0, 0), ("ab,ab->", (ginv, B), Fraction(1, 4)))
+        lam = partials(theta.comps, chart)
         jlam = contract("a,aj->j", lam, J)
-        half = Tensor(chart, (0, 3), contract("ac,b->cab", g, lam))
-        half += Tensor(chart, (0, 3), contract("ac,b->cab", w, jlam))
-        rhs = half + Tensor(chart, (0, 3), contract("cab->cba", half))
-        return covariant_derivative_02(gamma, B) - rhs
+        return contract_sum(chart, (0, 3), ("cab->cab", (covariant_derivative_02(gamma, B),), 1),
+                            ("ac,b->cab", (g, lam), -1), ("bc,a->cab", (g, lam), -1),
+                            ("ac,b->cab", (w, jlam), -1), ("bc,a->cab", (w, jlam), -1))
 
     return apply
 

@@ -202,7 +202,6 @@ class AnnihilatorResult:
     by `_real_coordinates`) of its action on psi; by linearity the action
     of any grade-0 element is their combination."""
 
-    ctype: str
     n: int
     dim: int
     basis: list = field(repr=False)  # CD elements of the real g_0
@@ -211,9 +210,7 @@ class AnnihilatorResult:
 
 @dataclass
 class ProlongationResult:
-    ctype: str
     n: int
-    minus_dim: int
     ann_dim: int
     plus_dim: int
     total: int
@@ -233,7 +230,7 @@ def _real_coordinates(elem: CurvElement, prefix=()):
     return out
 
 
-def annihilator(psi: CurvElement, g: SlPair = None, ctype="?"):
+def annihilator(psi: CurvElement, g: SlPair = None):
     """Exact kernel of X |-> X.psi over the real grade-0 part."""
     n = psi.n
     g = g or SlPair(n)
@@ -254,10 +251,10 @@ def annihilator(psi: CurvElement, g: SlPair = None, ctype="?"):
         for c, v in _scale_row_to_int(vec).items():
             x = x + g.element_of_label(labels[c]).u.scale((v, 0))
         basis.append(realify(x))
-    return AnnihilatorResult(ctype, n, len(basis), basis, actions)
+    return AnnihilatorResult(n, len(basis), basis, actions)
 
 
-def tanaka_prolongation(psi: CurvElement, g: SlPair = None, ctype="?"):
+def tanaka_prolongation(psi: CurvElement, g: SlPair = None):
     """Degree-one prolongation a_1 = {X in g_1 : [v,X].psi = 0 for all v}.
 
     [v,X] lies in g_0, so [v,X].psi is the combination, with the real
@@ -265,7 +262,7 @@ def tanaka_prolongation(psi: CurvElement, g: SlPair = None, ctype="?"):
     `annihilator` keeps."""
     n = psi.n
     g = g or SlPair(n)
-    ann = annihilator(psi, g, ctype)
+    ann = annihilator(psi, g)
     labels = g.basis_labels
     plus = [l for l in labels if g.grade_of_label(l) == 1]
     minus = [l for l in labels if g.grade_of_label(l) == -1]
@@ -285,9 +282,7 @@ def tanaka_prolongation(psi: CurvElement, g: SlPair = None, ctype="?"):
         sys.add_row(row)
     plus_dim = sys.kernel_dim()
     total = 2 * n + ann.dim + plus_dim
-    return ProlongationResult(
-        ctype, n, 2 * n, ann.dim, plus_dim, total, plus_dim == 0, ann
-    )
+    return ProlongationResult(n, ann.dim, plus_dim, total, plus_dim == 0, ann)
 
 
 DIAGONAL_CONDITIONS = {
@@ -367,7 +362,7 @@ def flat_dimension(n):
 def upper_bound(ctype, n, g=None):
     """Computed bound: 2n + dim ann(phi0 + conj), checked rigid."""
     _, psi = lowest_weight_vector(ctype, n)
-    pr = tanaka_prolongation(psi, g or SlPair(n), ctype)
+    pr = tanaka_prolongation(psi, g or SlPair(n))
     return pr.total, pr
 
 
@@ -451,7 +446,7 @@ def subalgebra_with_cochain(ctype, n):
                          "escapes g_-1 + ann")
     g = SlPair(n)
     _, psi = lowest_weight_vector(ctype, n)
-    ann = annihilator(psi, g, ctype)
+    ann = annihilator(psi, g)
     minus_labels = [l for l in g.basis_labels if g.grade_of_label(l) == -1]
     elements = [g.element_of_label(l) for l in minus_labels] + list(ann.basis)
     nm = len(minus_labels)

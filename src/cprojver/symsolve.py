@@ -49,7 +49,7 @@ from .linalg import LinearSystem, SpanSolver
 from .poly import LaurentPoly, PolyError, ProductSum, accumulate, pack
 from .tensorcalc import (
     Tensor,
-    contract,
+    contract_sum,
     lie_derivative_J,
     lie_derivative_connection,
     lie_derivative_metric,
@@ -323,7 +323,7 @@ def _trace_correction(J: Tensor, trace):
 
 def cproj_equations(spec, fields):
     """Each v of `fields` -> [(L_v J, CP(L_v Gamma))], with CP written out on
-    `contract`, independently of the symbols' CP map: for Omega = L_v Gamma,
+    `contract_sum`, independently of the symbols' CP map: for Omega = L_v Gamma,
 
         CP(Omega)^i_jk = Omega^i_jk - delta^i_k phi_j - delta^i_j phi_k
                          + sigma_j J^i_k + sigma_k J^i_j,
@@ -334,12 +334,10 @@ def cproj_equations(spec, fields):
     delta = {(i, i): chart.const(1) for i in range(chart.dim)}
     out = []
     for lj, om in zip(lie_derivative_J(fields, J), lie_derivative_connection(fields, spec.gamma)):
-        phi = {j: p * scale for j, p in contract("iji->j", om).items()}
-        # the delta^i_k phi_j and sigma_j J^i_k terms; the others are their mirrors
-        half = Tensor(chart, (1, 2), contract("a,aj,ik->ijk", phi, J, J)) - Tensor(
-            chart, (1, 2), contract("j,ik->ijk", phi, delta)
-        )
-        cp = om + half + Tensor(chart, (1, 2), contract("ijk->ikj", half))
+        phi = contract_sum(chart, (0, 1), ("iji->j", (om,), scale))
+        cp = contract_sum(chart, (1, 2), ("ijk->ijk", (om,), 1),
+                          ("j,ik->ijk", (phi, delta), -1), ("k,ij->ijk", (phi, delta), -1),
+                          ("a,aj,ik->ijk", (phi, J, J), 1), ("a,ak,ij->ijk", (phi, J, J), 1))
         out.append([("LJ", lj), ("CP", cp)])
     return out
 
@@ -678,12 +676,10 @@ def span_equals(chart, basis_a, basis_b):
 
 
 def phi_map(v, g: Tensor, ginv: Tensor):
-    """Trace-free part of g^{-1} L_v g: the symmetry-to-mobility map."""
+    """g^{-1} L_v g - tr(g^{-1} L_v g)/(2(n+1)) Id: the symmetry-to-mobility map."""
     chart = g.chart
-    dim = chart.dim
-    n = chart.n_complex()
-    A = contract("ia,ab->ib", ginv, lie_derivative_metric([v], g)[0])
-    tr = contract("ii->", A).get((), chart.zero()) * Fraction(1, 2 * (n + 1))
-    for i in range(dim):
-        accumulate(A, (i, i), -tr)
-    return Tensor(chart, (1, 1), A)
+    lg = lie_derivative_metric([v], g)[0]
+    delta = {(i, i): chart.const(1) for i in range(chart.dim)}
+    scale = Fraction(-1, 2 * (chart.n_complex() + 1))
+    return contract_sum(chart, (1, 1), ("ia,ab->ib", (ginv, lg), 1),
+                        ("ca,ac,ib->ib", (ginv, lg, delta), scale))

@@ -4,8 +4,13 @@ All computation happens in real coordinates, over rational coefficients.
 Complex-notation input (models printed in z-coordinates, with the conjugate
 half implied) is a polynomial in z, zb and the variable I; it is expanded at
 ingestion through the fixed dictionary z^a = x^{2a-1} + i x^{2a}, by the
-binomial theorem on Gaussian-int numerators, and results are validated to be
-real.
+binomial theorem on Gaussian-int numerators, as S + conj(S): twice the real
+part of the printed S, so every ingested tensor is real.
+
+Every tensor formula of the generic route (torsion, curvature, the Nijenhuis
+tensor, the torsion-type projections, the covariant derivatives, the moving
+frame) is one `contract_sum`: a sum of scaled `contract` terms, a sparse
+einsum over component dicts, added into one `ProductSum`.
 
 Index conventions (all 0-based internally):
 
@@ -135,6 +140,16 @@ def contract(spec, *operands):
     return acc.result()
 
 
+def contract_sum(chart, valence, *terms):
+    """The tensor sum of scale * contract(spec, *operands) over the
+    (spec, operands, scale) `terms`, each product added into one `ProductSum`:
+    no term becomes a tensor of its own."""
+    acc = ProductSum()
+    for spec, operands, scale in terms:
+        _contract_into(acc, spec, operands, scale)
+    return Tensor(chart, valence, acc.result())
+
+
 def _contract_into(acc, spec, operands, scale=1):
     """Add scale times the contraction `spec` of `operands` into the
     `ProductSum` acc, keyed by the output indices."""
@@ -200,44 +215,27 @@ def standard_J(chart) -> Tensor:
 
 def is_almost_complex(J: Tensor) -> bool:
     """J.J + Id = 0, summed in one `ProductSum`."""
-    acc = ProductSum()
-    _contract_into(acc, "ia,aj->ij", (J, J))
-    one = J.chart.const(1)
-    for i in range(J.chart.dim):
-        acc.add((i, i), (one,))
-    return not acc.result()
+    delta = {(i, i): J.chart.const(1) for i in range(J.chart.dim)}
+    square = contract_sum(J.chart, (1, 1), ("ia,aj->ij", (J, J), 1), ("ij->ij", (delta,), 1))
+    return square.is_zero()
 
 
 def nijenhuis(J: Tensor) -> Tensor:
     """N^i_jk = Y^i_jk - Y^i_kj, Y^i_jk = J^a_j d_a J^i_k + J^i_a d_k J^a_j."""
-    chart = J.chart
-    dJ = partials(J.comps, chart)  # (a, i, j) -> d_a J^i_j
-    y = Tensor(chart, (1, 2), contract("aj,aik->ijk", J, dJ))
-    y += Tensor(chart, (1, 2), contract("ia,kaj->ijk", J, dJ))
-    return y - Tensor(chart, (1, 2), contract("ijk->ikj", y))
+    dJ = partials(J.comps, J.chart)  # (a, i, j) -> d_a J^i_j
+    return contract_sum(J.chart, (1, 2), ("aj,aik->ijk", (J, dJ), 1), ("ak,aij->ijk", (J, dJ), -1),
+                        ("ia,kaj->ijk", (J, dJ), 1), ("ia,jak->ijk", (J, dJ), -1))
 
 
 def torsion(G: Tensor) -> Tensor:
-    return G - Tensor(G.chart, (1, 2), contract("ijk->ikj", G))
+    return contract_sum(G.chart, (1, 2), ("ijk->ijk", (G,), 1), ("ikj->ijk", (G,), -1))
 
 
 def curvature(G: Tensor) -> Tensor:
     """R^i_jkl = X^i_jkl - X^i_jlk, X^i_jkl = d_k G^i_lj + G^i_ka G^a_lj."""
-    chart = G.chart
-    x = Tensor(chart, (1, 3), contract("kilj->ijkl", partials(G.comps, chart)))
-    x += Tensor(chart, (1, 3), contract("ika,alj->ijkl", G, G))
-    return x - Tensor(chart, (1, 3), contract("ijkl->ijlk", x))
-
-
-def apply_J_value(J: Tensor, T: Tensor) -> Tensor:
-    """(J T)(X,Y) componentwise on the value slot of a (1,2)-tensor."""
-    return Tensor(T.chart, (1, 2), contract("ajk,ia->ijk", T, J))
-
-
-def pull_J_slot(T: Tensor, J: Tensor, slot) -> Tensor:
-    """T(JX, Y) (slot=1) or T(X, JY) (slot=2) for a (1,2)-tensor."""
-    spec = "ijk,jb->ibk" if slot == 1 else "ijk,kb->ijb"
-    return Tensor(T.chart, (1, 2), contract(spec, T, J))
+    dG = partials(G.comps, G.chart)  # (k, i, l, j) -> d_k G^i_lj
+    return contract_sum(G.chart, (1, 3), ("kilj->ijkl", (dG,), 1), ("likj->ijkl", (dG,), -1),
+                        ("ika,alj->ijkl", (G, G), 1), ("ila,akj->ijkl", (G, G), -1))
 
 
 def torsion_projection(T: Tensor, J: Tensor, e1: int, e2: int) -> Tensor:
@@ -245,37 +243,28 @@ def torsion_projection(T: Tensor, J: Tensor, e1: int, e2: int) -> Tensor:
 
     P(X,Y) = 1/4 [ T(X,Y) - e1 J T(JX,Y) - e2 J T(X,JY) - e1 e2 T(JX,JY) ].
     """
-    tJ1 = pull_J_slot(T, J, 1)
-    tJ2 = pull_J_slot(T, J, 2)
-    tJJ = pull_J_slot(tJ1, J, 2)
-    out = (
-        T
-        + apply_J_value(J, tJ1).scale(-e1)
-        + apply_J_value(J, tJ2).scale(-e2)
-        + tJJ.scale(-e1 * e2)
-    )
-    return out.scale(Fraction(1, 4))
+    return contract_sum(T.chart, (1, 2), ("ijk->ijk", (T,), Fraction(1, 4)),
+                        ("ia,abk,bj->ijk", (J, T, J), Fraction(-e1, 4)),
+                        ("ia,ajb,bk->ijk", (J, T, J), Fraction(-e2, 4)),
+                        ("iab,aj,bk->ijk", (T, J, J), Fraction(-e1 * e2, 4)))
 
 
 def torsion_trace_form(T: Tensor, J: Tensor) -> Tensor:
     """sigma(X) = 1/2 Tr( T(X, .) + J T(JX, .) ) as a 1-form."""
-    both = T + apply_J_value(J, pull_J_slot(T, J, 1))
-    return Tensor(T.chart, (0, 1), contract("iji->j", both)).scale(_HALF)
+    return contract_sum(T.chart, (0, 1), ("iji->j", (T,), _HALF),
+                        ("ia,abi,bj->j", (J, T, J), _HALF))
 
 
 def traceless_mixed_torsion(T: Tensor, J: Tensor) -> Tensor:
     """The antilinear-linear traceless torsion component:
     P^{-+}(T) - (1/2n)(sigma(X) Y + sigma(JX) JY)."""
     chart = T.chart
-    n = chart.n_complex()
-    part = torsion_projection(T, J, -1, +1)
     sig = torsion_trace_form(T, J)
-    corr = contract("a,aj,ik->ijk", sig, J, J)  # sigma(JX) JY
-    for (j,), p in sig.comps.items():
-        for k in range(chart.dim):
-            accumulate(corr, (k, j, k), p)  # sigma(X) Y
-    correction = Tensor(chart, (1, 2), corr)
-    return part - correction.scale(Fraction(1, 2 * n))
+    delta = {(i, i): chart.const(1) for i in range(chart.dim)}
+    scale = Fraction(-1, 2 * chart.n_complex())
+    return contract_sum(chart, (1, 2), ("ijk->ijk", (torsion_projection(T, J, -1, +1),), 1),
+                        ("j,ik->ijk", (sig, delta), scale),  # sigma(X) Y
+                        ("a,aj,ik->ijk", (sig, J, J), scale))  # sigma(JX) JY
 
 
 def curvature_J_pulled(R: Tensor, J: Tensor) -> Tensor:
@@ -336,12 +325,8 @@ def lie_derivative_metric(fields, g: Tensor) -> list:
 
 def covariant_derivative_J(G: Tensor, J: Tensor) -> Tensor:
     """(nabla J)^i_{kj} = d_k J^i_j + G^i_{ka} J^a_j - G^a_{kj} J^i_a."""
-    chart = G.chart
-    acc = ProductSum()
-    _contract_into(acc, "kij->ikj", (partials(J.comps, chart),))
-    _contract_into(acc, "ika,aj->ikj", (G, J))
-    _contract_into(acc, "akj,ia->ikj", (G, J), -1)
-    return Tensor(chart, (1, 2), acc.result())
+    return contract_sum(G.chart, (1, 2), ("kij->ikj", (partials(J.comps, G.chart),), 1),
+                        ("ika,aj->ikj", (G, J), 1), ("akj,ia->ikj", (G, J), -1))
 
 
 # -- ring matrix inversion ------------------------------------------------------
@@ -395,32 +380,20 @@ def frame_to_coordinates(chart, frame_cols, omega, J_frame):
     frame_cols[i] is the coefficient dict of e_i over the coordinate fields;
     omega[(j, i, k)] is the theta^k-coefficient of the connection form with
     nabla e_i = sum_j e_j (x) omega^j_i; J_frame[(j, i)] gives J e_i = sum_j
-    J^j_i e_j (constant coefficients).
+    J^j_i e_j (constant coefficients).  With A^c_i the d_c-coefficient of
+    e_i and B = A^{-1} (theta^i = B^i_b dx^b),
+
+        G^c_ab = A^c_i d_a B^i_b + A^c_j omega^j_ik B^k_a B^i_b,
+        J^c_a = A^c_j J_frame^j_i B^i_a.
     """
     d = chart.dim
-    A = [[frame_cols[i].get(r, chart.zero()) for i in range(d)] for r in range(d)]
-    B = invert_matrix_ring(A, chart)  # B[i][r]: theta^i = sum_r B[i][r] dx^r
-    names = chart.table.names
-    gamma = {}
-    for a in range(d):
-        for b in range(d):
-            for c in range(d):
-                tot = chart.zero()
-                for i in range(d):
-                    tot = tot + A[c][i] * B[i][b].derivative(names[a])
-                for (j, i, k), w in omega.items():
-                    tot = tot + A[c][j] * w * B[k][a] * B[i][b]
-                if not tot.is_zero():
-                    gamma[(c, a, b)] = tot
-    jc = {}
-    for c in range(d):
-        for a in range(d):
-            tot = chart.zero()
-            for (j, i), w in J_frame.items():
-                tot = tot + A[c][j] * w * B[i][a]
-            if not tot.is_zero():
-                jc[(c, a)] = tot
-    return Tensor(chart, (1, 2), gamma), Tensor(chart, (1, 1), jc)
+    rows = [[frame_cols[i].get(r, chart.zero()) for i in range(d)] for r in range(d)]
+    A = {(c, i): p for c, row in enumerate(rows) for i, p in enumerate(row) if p}
+    inv = invert_matrix_ring(rows, chart)
+    B = {(i, b): p for i, row in enumerate(inv) for b, p in enumerate(row) if p}
+    gamma = contract_sum(chart, (1, 2), ("ci,aib->cab", (A, partials(B, chart)), 1),
+                         ("cj,jik,ka,ib->cab", (A, omega, B, B), 1))
+    return gamma, Tensor(chart, (1, 1), contract("cj,ji,ia->ca", A, J_frame, B))
 
 
 # -- complex ingestion -------------------------------------------------------------
@@ -430,8 +403,8 @@ def frame_to_coordinates(chart, frame_cols, omega, J_frame):
 # I.  This section is the only code that reads I^2 = -1.  It expands each
 # complex value by the binomial theorem straight into Gaussian-int numerators
 # (real part, imaginary part) on the real chart's packed keys, and builds one
-# polynomial per real component, declared denominator and q at the end.  A
-# tensor whose imaginary part does not vanish is a PolyError.
+# polynomial per real component, declared denominator and q at the end.  The
+# tensor read is S + conj(S), whose imaginary part vanishes by construction.
 
 
 def complex_table(n, laurent_z=()):
@@ -508,22 +481,19 @@ def _gaussian_expansion(chart):
     return expand
 
 
-def complex_tensor_to_real(chart, valence, comps, add_conjugate=True):
-    """Expand a complex-index tensor into real components.
+def complex_tensor_to_real(chart, valence, comps):
+    """Expand a complex-index tensor S + conj(S) into real components.
 
     Complex indices: 0..n-1 unbarred, n..2n-1 barred.  `comps` maps complex
-    index tuples (upper slots first) to polynomials over `complex_table(n)`.
-    A vector slot is 1/2 (d_x - i d_y), barred + i; a form slot dx + i dy,
-    barred - i.  With `add_conjugate` the tensor is S + conj(S) for S the
-    given components, whose expansion is twice the real part of S's.
-    Otherwise the result must be real: a nonzero imaginary part raises
-    PolyError.
+    index tuples (upper slots first) to the polynomials of S over
+    `complex_table(n)`.  A vector slot is 1/2 (d_x - i d_y), barred + i; a
+    form slot dx + i dy, barred - i.  The expansion of S + conj(S) is twice
+    the real part of S's, so it is real by construction.
     """
     n = chart.n_complex()
     up = valence[0]
     expand = _gaussian_expansion(chart)
-    scale = 2 if add_conjugate else 1
-    buckets = {}  # (real index, den, q) -> (real, imaginary) int numerators
+    buckets = {}  # (real index, den, q) -> int numerators of twice the real part
     for idx, p in comps.items():
         # the real index tuples of the slots, each with its quarter turns
         slots = [((), 0)]
@@ -537,21 +507,12 @@ def complex_tensor_to_real(chart, valence, comps, add_conjugate=True):
         expansion = expand(p).items()
         for r, u in slots:
             for den, terms in expansion:
-                re, im = buckets.setdefault((r, den, q), ({}, {}))
+                re = buckets.setdefault((r, den, q), {})
                 for key, (x, y) in terms.items():
                     for _ in range(u & 3):
                         x, y = -y, x
-                    re[key] = re.get(key, 0) + scale * x
-                    if not add_conjugate:
-                        im[key] = im.get(key, 0) + y
-    real, imag = {}, {}
-    for (r, den, q), (re, im) in buckets.items():
+                    re[key] = re.get(key, 0) + 2 * x
+    real = {}
+    for (r, den, q), re in buckets.items():
         accumulate(real, r, LaurentPoly(chart.table, re, den, q))
-        if im:
-            accumulate(imag, r, LaurentPoly(chart.table, im, den, q))
-    if imag:
-        k, v = next(iter(imag.items()))
-        raise PolyError(
-            f"complex ingestion produced a non-real component at {k}: imaginary part {v}"
-        )
     return Tensor(chart, valence, real)

@@ -130,7 +130,7 @@ def test_criterion_2_prolongation_rigidity():
         g = SlPair(n)
         for t in CURV_TYPES:
             _, psi = lowest_weight_vector(t, n)
-            pr = tanaka_prolongation(psi, g, t)
+            pr = tanaka_prolongation(psi, g)
             c.check(f"type {t}, n={n}: plus-part dimension", 0, pr.plus_dim)
     c.finish()
 
@@ -142,7 +142,7 @@ def test_criterion_3_annihilator_dimensions():
         g = SlPair(n)
         for t in CURV_TYPES:
             _, psi = lowest_weight_vector(t, n)
-            res = annihilator(psi, g, t)
+            res = annihilator(psi, g)
             c.check(
                 f"type {t}, n={n}",
                 annihilator_closed_form(t, n),

@@ -210,6 +210,9 @@ class TestMalformedValues:
             # complete takes J alone (j once skipped the J-completion), and
             # scalar_ok is true or false (yes once read as false)
             ("type3_n2.model", "complete = J", "complete = j", 27),
+            # nabla e_{Ji} = J nabla e_i needs J^2 = -1: with J e_2 = +e_1 the
+            # completion once loaded and failed 9 of 18 checks
+            ("type3_n2.model", "Jframe = 2 -1 4 -3", "Jframe = 2 1 4 3", 27),
             ("type1.model", "scalar_ok = true", "scalar_ok = yes", 29),
         ],
     )

@@ -239,6 +239,20 @@ class TestVerify:
         assert run(["verify", "--fast", "--model", *args]) == 2
         assert capsys.readouterr().err == f"manifest error: {reason}\n"
 
+    def test_completion_by_a_jframe_that_is_not_complex_is_a_manifest_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # J e_2 = +e_1 squares to +1 there; the completion once loaded, and
+        # verify failed 9 of 18 checks, "J.J = -Id" among them, with exit 1
+        shutil.copytree(data_dir(), tmp_path, dirs_exist_ok=True)
+        path = tmp_path / "type3_n2.model"
+        path.write_text(path.read_text().replace("Jframe = 2 -1 4 -3", "Jframe = 2 1 4 3", 1))
+        monkeypatch.setenv("CPROJ_CATALOG", str(tmp_path))
+        assert run(["verify", "--fast", "--model", "type3-n2"]) == 2
+        assert capsys.readouterr().err == (
+            "manifest error: complete = J needs a Jframe with J^2 = -1 (line 27, column 1)\n"
+        )
+
     def test_lineless_n_error_stays_a_usage_error(self, capsys):
         assert run(["verify", "--model", "type2", "--n", "1", "--fast"]) == 2
         assert capsys.readouterr().err == "error: model 'type2' requires n in [2, inf], got 1\n"

@@ -853,7 +853,7 @@ class TestAnnihilatorBasis:
         # each kernel vector, in the g_0 basis, has int coordinates of content 1
         g = SlPair(n)
         _, psi = lowest_weight_vector(ctype, n)
-        for x in annihilator(psi, g, ctype).basis:
+        for x in annihilator(psi, g).basis:
             coords = list(g.coordinates(x).values())
             assert all(type(c) is int for c in coords)
             assert gcd(*coords) == 1

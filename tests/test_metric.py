@@ -142,6 +142,23 @@ class TestKahlerFlags:
         flags = kahler_check(bad, submax2.J, levi_civita(submax2.metric))
         assert not flags.hermitian
 
+    @pytest.mark.parametrize("term", ["d_a w_bc", "d_b w_ca", "d_c w_ab"])
+    def test_hermitian_metric_that_is_not_closed(self, term):
+        # a Hermitian polynomial metric whose d omega, on a < b < c, is read
+        # in the one cyclic term `term` alone, at (0,2,3), (0,1,2) and (0,1,2);
+        # gamma = 0 is passed, so no inverse is taken, and J is constant
+        chart = tc.Chart(["x1", "x2", "x3", "x4"])
+        one, x1, x2, x3 = (chart.const(1), *map(chart.var, ("x1", "x2", "x3")))
+        comps = {(a, a): one for a in range(4)}
+        comps.update({
+            "d_a w_bc": {(2, 2): one + x1 * x1, (3, 3): one + x1 * x1},
+            "d_b w_ca": {(0, 3): x2, (3, 0): x2, (1, 2): -x2, (2, 1): -x2},
+            "d_c w_ab": {(0, 0): one + x3 * x3, (1, 1): one + x3 * x3},
+        }[term])
+        g = Tensor(chart, (0, 2), comps)
+        flags = kahler_check(g, tc.standard_J(chart), Tensor(chart, (1, 2), {}))
+        assert flags == KahlerFlags(True, False, True, True)
+
 
 class TestMobility:
     def test_submax_n2(self, submax2):

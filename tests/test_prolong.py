@@ -79,7 +79,7 @@ class TestAnnihilators:
     @pytest.mark.parametrize("ctype", CURV_TYPES)
     def test_closed_forms(self, ctype, n):
         _, psi = lowest_weight_vector(ctype, n)
-        res = annihilator(psi, ctype=ctype)
+        res = annihilator(psi)
         assert res.dim == annihilator_closed_form(ctype, n)
 
     def test_type1_n4_value(self):
@@ -96,7 +96,7 @@ class TestAnnihilators:
 
     def test_every_basis_element_annihilates(self):
         _, psi = lowest_weight_vector("III", 3)
-        res = annihilator(psi, ctype="III")
+        res = annihilator(psi)
         for x in res.basis:
             assert g0_action(x, psi).is_zero()
 
@@ -115,7 +115,7 @@ class TestAnnihilators:
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_published_diagonal_conditions(self, ctype, n):
         _, psi = lowest_weight_vector(ctype, n)
-        res = annihilator(psi, ctype=ctype)
+        res = annihilator(psi)
         assert diagonal_condition_holds(ctype, n, res)
 
     @pytest.mark.parametrize("ctype", CURV_TYPES)
@@ -125,7 +125,7 @@ class TestAnnihilators:
         # so adding 1 or i to it on one basis element breaks the relation
         n = 3
         _, psi = lowest_weight_vector(ctype, n)
-        res = annihilator(psi, ctype=ctype)
+        res = annihilator(psi)
         bumped = realify(res.basis[0].u + Mat.unit(n + 1, n + 1, n + 1, shift))
         broken = dataclasses.replace(res, basis=[bumped] + res.basis[1:])
         assert not diagonal_condition_holds(ctype, n, broken)
@@ -145,7 +145,7 @@ class TestProlongation:
     @pytest.mark.parametrize("ctype", CURV_TYPES)
     def test_rigidity(self, ctype, n):
         _, psi = lowest_weight_vector(ctype, n)
-        pr = tanaka_prolongation(psi, ctype=ctype)
+        pr = tanaka_prolongation(psi)
         assert pr.plus_dim == 0
         assert pr.rigid
         assert pr.total == 2 * n + pr.ann_dim
@@ -182,7 +182,7 @@ class TestBounds:
     def test_bound_consistency_under_rigidity(self, ctype, n):
         # total = 2n + annihilator dimension whenever the plus-part vanishes
         _, psi = lowest_weight_vector(ctype, n)
-        pr = tanaka_prolongation(psi, ctype=ctype)
+        pr = tanaka_prolongation(psi)
         assert pr.rigid
         assert pr.total == 2 * n + pr.ann_dim
 
@@ -317,7 +317,7 @@ class TestG0Action:
         monkeypatch.setattr(prolong, "LinearSystem", Recording)
         g = SlPair(n)
         _, psi = lowest_weight_vector(ctype, n)
-        tanaka_prolongation(psi, g, ctype)
+        tanaka_prolongation(psi, g)
         assert len(systems) == 2  # the annihilator's, then the prolongation's
         assert systems[1].rows == direct_prolongation_rows(psi, g)
 

@@ -763,6 +763,17 @@ class TestMetricSystems:
 
 
 class TestPhiMap:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_homothety_maps_to_its_closed_form(self, n):
+        # L_v g = 2g for the Euler field on the flat metric, so g^{-1} L_v g
+        # = 2 Id has trace 4n and phi = 2 Id - 4n/(2(n+1)) Id = 2/(n+1) Id
+        spec = builtin("flat", n)
+        chart = spec.chart
+        euler = {a: chart.var(name) for a, name in enumerate(chart.table.names)}
+        want = Tensor(chart, (1, 1), {(i, i): chart.const(Fraction(2, n + 1))
+                                      for i in range(chart.dim)})
+        assert phi_map(euler, spec.metric, spec.metric_inverse) == want
+
     def test_isometry_maps_to_zero(self, setup):
         spec, ginv = setup
         kil = killing_system(spec, AnsatzSpace(spec.chart, total_degree=2), stabilize=False)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from cprojver.catalog import builtin
 from cprojver.cli import MODEL_NS
 from cprojver.parse import parse_poly
-from cprojver.poly import LaurentPoly, PolyError, ProductSum, accumulate, pack, unpack
+from cprojver.poly import LaurentPoly, ProductSum, accumulate, pack, unpack
 from cprojver.symsolve import bracket_fields
 from cprojver import tensorcalc as tc
 from cprojver.tensorcalc import (
@@ -124,13 +124,6 @@ class TestRealExpansion:
         for key in [(5, 0, 2), (4, 1, 2), (4, 0, 3), (5, 1, 3)]:
             assert G.get(*key).is_zero()
 
-    def test_nonreal_ingestion_rejected(self):
-        chart = Chart(["x1", "x2"])
-        zt = complex_table(1)
-        comps = {(0, 0): parse_poly("z1", zt)}
-        with pytest.raises(PolyError):
-            complex_tensor_to_real(chart, (1, 1), comps, add_conjugate=False)
-
 
 # A chart whose first complex coordinate carries |z1|^2 as a declared
 # denominator, so z1 and zb1 may take negative powers.
@@ -227,15 +220,6 @@ def complex_comps(valence):
     return st.dictionaries(idx, complex_poly(), max_size=3)
 
 
-def conjugate_comps(comps):
-    """The components of S + conj(S), built by hand: z <-> zb on each index
-    and on each polynomial."""
-    out = dict(comps)
-    for idx, p in comps.items():
-        accumulate(out, tuple((a + 2) % 4 for a in idx), _swap_bars(p))
-    return out
-
-
 def slot_factors(valence, idx):
     """{real index tuple: Gaussian coefficient}: a vector slot is
     1/2 (d_x - i d_y), barred 1/2 (d_x + i d_y); a form slot is dx + i dy,
@@ -276,29 +260,10 @@ class TestComplexTensorToReal:
         valence = data.draw(st.sampled_from(_VALENCES))
         comps = data.draw(complex_comps(valence))
         pt = dict(zip(ZCHART.table.names, xs))
-        # with add_conjugate: S + conj(S), twice the real part of S's values
+        # S + conj(S): twice the real part of S's values
         real = complex_tensor_to_real(ZCHART, valence, comps)
         for r, (re, _) in gauss_tensor(valence, comps, xs).items():
             assert real.get(*r).evaluate(pt) == 2 * re
-        # without: S + conj(S) given in full is real and realifies as it is
-        both = conjugate_comps(comps)
-        real = complex_tensor_to_real(ZCHART, valence, both, add_conjugate=False)
-        for r, (re, im) in gauss_tensor(valence, both, xs).items():
-            assert im == 0 and real.get(*r).evaluate(pt) == re
-        # and S alone is refused where one of its values is not real
-        if any(im for _, im in gauss_tensor(valence, comps, xs).values()):
-            with pytest.raises(PolyError, match="non-real"):
-                complex_tensor_to_real(ZCHART, valence, comps, add_conjugate=False)
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.data())
-    def test_add_conjugate_adds_the_conjugate(self, data):
-        valence = data.draw(st.sampled_from(_VALENCES))
-        comps = data.draw(complex_comps(valence))
-        by_hand = complex_tensor_to_real(
-            ZCHART, valence, conjugate_comps(comps), add_conjugate=False
-        )
-        assert by_hand == complex_tensor_to_real(ZCHART, valence, comps)
 
 
 # sha256 over format_poly of every ingested component (J, Gamma, metric,
@@ -341,6 +306,17 @@ def test_ingestion_pin():
     assert ingestion_digest() == INGESTION_PIN
 
 
+def apply_J_value(J: Tensor, T: Tensor) -> Tensor:
+    """(J T)(X, Y) on the value slot of a (1,2)-tensor."""
+    return Tensor(T.chart, (1, 2), contract("ajk,ia->ijk", T, J))
+
+
+def pull_J_slot(T: Tensor, J: Tensor, slot) -> Tensor:
+    """T(JX, Y) (slot=1) or T(X, JY) (slot=2) for a (1,2)-tensor."""
+    spec = "ijk,jb->ibk" if slot == 1 else "ijk,kb->ijb"
+    return Tensor(T.chart, (1, 2), contract(spec, T, J))
+
+
 class TestTorsionProjections:
     @pytest.fixture()
     def nonmin(self):
@@ -377,8 +353,8 @@ class TestTorsionProjections:
         for e1 in (1, -1):
             for e2 in (1, -1):
                 P = torsion_projection(T, spec.J, e1, e2)
-                lhs = tc.pull_J_slot(P, spec.J, 1)
-                rhs = tc.apply_J_value(spec.J, P).scale(e1)
+                lhs = pull_J_slot(P, spec.J, 1)
+                rhs = apply_J_value(spec.J, P).scale(e1)
                 assert (lhs - rhs).is_zero()
 
     def test_minimality_flags_across_catalog(self):
@@ -420,10 +396,10 @@ class TestTorsionProjections:
             for e1 in (1, -1):
                 for e2 in (1, -1):
                     P = torsion_projection(T, J, e1, e2)
-                    lhs = tc.pull_J_slot(P, J, 1)
-                    assert (lhs - tc.apply_J_value(J, P).scale(e1)).is_zero()
-                    lhs2 = tc.pull_J_slot(P, J, 2)
-                    assert (lhs2 - tc.apply_J_value(J, P).scale(e2)).is_zero()
+                    lhs = pull_J_slot(P, J, 1)
+                    assert (lhs - apply_J_value(J, P).scale(e1)).is_zero()
+                    lhs2 = pull_J_slot(P, J, 2)
+                    assert (lhs2 - apply_J_value(J, P).scale(e2)).is_zero()
                     total = P if total is None else total + P
             assert (total - T).is_zero()
 
