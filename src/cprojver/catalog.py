@@ -12,25 +12,26 @@ Manifest grammar (``#`` comments; sections in brackets)::
     denom D1 = 1+x1^2+x2^2 # optional, may repeat
     zdenoms = 1            # declare |z_a|^2 denominators for listed a
 
-    [J]
+    [J]                    # J; or give J in [frame] instead
     standard               # J d_{z a} = i d_{z a}; extra lines add terms
     J(zb3; z1) = z2
 
-    [gamma]                # complex Christoffels, conjugate half implied
-    G(z2; z1, z1) = zb1
+    [gamma]                # Gamma as complex Christoffels, conjugate half implied;
+    G(z2; z1, z1) = zb1    # "zero" (or no entry) is the zero connection
 
-    [frame]                # alternative presentation: moving frame
-    e1 = D(x) ...
+    [frame]                # J and Gamma from a moving frame, with no [J],
+    e1 = D(x) ...          # [gamma] or [metric] section
     w(2,1; 4) = 1/2*s^-2   # theta^4-coefficient of omega^2_1
     Jframe = 2 -1 4 -3     # J e_1 = e_2, J e_2 = -e_1, ...
     complete = J           # derive nabla e_{Ji} from nabla e_i (Jframe squares to -1)
 
-    [metric]               # real lower-triangular components
-    g(1,1) = x1^2+x2^2
+    [metric]               # real lower-triangular components; Gamma is its
+    g(1,1) = x1^2+x2^2     # Levi-Civita connection, so no [gamma] or [frame]
     rest = eps from 3      # remaining diagonal pairs carry the sign pattern
 
-    [expected]             # values may be polynomials in n; tags required
-    symmetry_dim = 2*(n^2-n+2) @published
+    [expected]             # the keys of EXPECTED_KEYS; counts may be polynomials
+    symmetry_dim = 2*(n^2-n+2) @published   # in n; tags @published or @recomputed
+    degree = 2             # ansatz settings carry no tag
 
     [expected_curvature]   # golden complex tensors ((k,l) antisymmetrized)
     R(z2; z1, z1, zb1) = 1
@@ -44,7 +45,6 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .parse import ParseError, parse_field, parse_poly
 from .poly import LaurentPoly, PolyError, VarTable, accumulate
@@ -56,7 +56,6 @@ from .tensorcalc import (
     contract,
     frame_to_coordinates,
     standard_J,
-    zero_tensor,
 )
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "catalog_data")
@@ -82,41 +81,54 @@ def data_dir():
 
 @dataclass
 class ModelSpec:
+    """A model read from its manifest.  J comes from [J] or [frame]; Gamma from
+    [gamma], [frame] or [metric], where it is the metric's Levi-Civita
+    connection, computed at load with `metric_inverse`, so every battery reads
+    that one connection.  Without a [metric], both metric fields are None."""
+
     name: str
     n: int
     chart: Chart
     J: Tensor
-    gamma: Tensor = None
+    gamma: Tensor
     metric: Tensor = None
-    signs: tuple = ()
+    metric_inverse: Tensor = None
     expected: dict = field(default_factory=dict)  # key -> (value, provenance)
     golden: dict = field(default_factory=dict)  # kind -> (Tensor, scalar_ok)
-    degrees: dict = field(default_factory=dict)
+    degrees: dict = field(default_factory=dict)  # the ansatz settings
 
-    def expect(self, key, default=None):
-        if key in self.expected:
-            return self.expected[key][0]
-        return default
-
-    @cached_property
-    def metric_inverse(self) -> Tensor:
-        """g^{-1} of the declared metric, computed once per spec."""
-        from .metric import metric_inverse
-
-        return metric_inverse(self.metric)
-
-    @cached_property
-    def levi_civita(self) -> Tensor:
-        """The Levi-Civita connection of the declared metric, computed once
-        per spec and shared by every metric check."""
-        from .metric import levi_civita
-
-        return levi_civita(self.metric, self.metric_inverse)
+    def expect(self, key):
+        return self.expected.get(key, (None,))[0]
 
 
 class ManifestError(ParseError):
     pass
 
+
+class Section(list):
+    """The (line, head, value) statements of one manifest section, and the
+    `line` of its [header] (1 for the part before any section)."""
+
+    def __init__(self, line):
+        super().__init__()
+        self.line = line
+
+
+# The [expected] keys that verify, metric and model_ansatz read, with their
+# kinds of value: a count (a polynomial in n, a whole number at the model's n;
+# a "metric count" needs a [metric]), a flag (true or false), a curvature type
+# of CURVATURE_TYPES, which verify.model_battery tells apart, or an ansatz
+# setting.  Every value but an ansatz setting carries a tag of PROVENANCE.
+EXPECTED_KEYS = {
+    "symmetry_dim": "count", "affine_dim": "count",
+    "mobility": "metric count", "parallel_forms_dim": "metric count",
+    "curvature_zero": "flag", "torsion_zero": "flag", "nijenhuis_zero": "flag",
+    "minimal": "flag", "kappa4_zero": "flag",
+    "curvature_type": "curvature type",
+    "degree": "ansatz", "laurent_window": "ansatz", "bounds": "ansatz",
+}
+CURVATURE_TYPES = ("(1,1)", "(2,0)")
+PROVENANCE = ("published", "recomputed")
 
 # each section and the bare flags it takes; "" is the part before any section
 _SECTIONS = {"": (), "chart": (), "J": ("standard",), "gamma": ("zero",), "frame": (),
@@ -128,7 +140,7 @@ _IDX = re.compile(r"(\w+)\s*\(([^;)]*);([^;)]*)\)")  # T(upper; lower)
 
 def statements(text, header, sections):
     """The statements of a manifest whose first line is `header`, as
-    {section: [(line, head, value)]}.
+    {section: Section of (line, head, value)}.
 
     `sections` maps each section name to the bare flags it takes; "" holds
     the statements before the first ``[section]`` line.  ``#`` starts a
@@ -141,7 +153,7 @@ def statements(text, header, sections):
     if not lines or lines[0].strip() != header:
         raise ManifestError(f"expected header {header!r}", 1, 1)
     section = ""
-    out = {"": []}
+    out = {"": Section(1)}
     heads = set()
     for ln, raw in enumerate(lines[1:], start=2):
         s = raw.split("#", 1)[0].strip()
@@ -153,7 +165,7 @@ def statements(text, header, sections):
                 raise ManifestError(f"unknown section [{section}]", ln, 1)
             if section in out:
                 raise ManifestError(f"section [{section}] is given twice", ln, 1)
-            out[section] = []
+            out[section] = Section(ln)
             continue
         if "=" in s:
             head, val = s.split("=", 1)
@@ -310,39 +322,35 @@ def _build_model(name, n, signs, body):
     chart = Chart(varnames, laurent=laurent, denominators=den_dict)
     ztab = complex_table(n, laurent_z=tuple(a - 1 for a in zden))
 
-    # J ------------------------------------------------------------------
-    jsec = body.get("J", [])
-    jcomps = _components(jsec, n, ztab, (1, 1))
-    frame = body.get("frame", [])
-    gamma = J = None
-    if frame:
-        gamma, J = _build_frame(frame, chart, n)
+    # J and Gamma, each from one section -----------------------------------------
+    jsrc = _source(body, ("frame", "J"), "complex structure")
+    _source(body, ("frame", "gamma", "metric"), "connection")  # refuses two or none
+    if jsrc == "frame":
+        gamma, J = _build_frame(body["frame"], chart, n)
     else:
-        if any(val is None for _, _, val in jsec):
-            J = standard_J(chart)
+        jsec = body["J"]
+        J = standard_J(chart) if any(val is None for _, _, val in jsec) else None
+        jcomps = _components(jsec, n, ztab, (1, 1))
         if jcomps:
             extra = complex_tensor_to_real(chart, (1, 1), jcomps)
             J = extra if J is None else J + extra
         if J is None:
-            raise ManifestError("manifest declares no complex structure", 1, 1)
+            raise ManifestError("[J] declares no complex structure", jsec.line, 1)
+    if "gamma" in body:
+        gsec = body["gamma"]
+        gcomps = _components(gsec, n, ztab, (1, 2))
+        if gcomps and len(gcomps) < len(gsec):
+            raise ManifestError("[gamma] gives both zero and entries", gsec.line, 1)
+        gamma = complex_tensor_to_real(chart, (1, 2), gcomps)
 
-    # gamma -----------------------------------------------------------------
-    if "gamma" in body and gamma is None:
-        gcomps = _components(body["gamma"], n, ztab, (1, 2))
-        gamma = (
-            complex_tensor_to_real(chart, (1, 2), gcomps)
-            if gcomps
-            else zero_tensor(chart, (1, 2))
-        )
-    if gamma is None and not body.get("metric"):
-        gamma = zero_tensor(chart, (1, 2))
-
-    # metric --------------------------------------------------------------------
-    metric = None
+    # metric, and then Gamma is its Levi-Civita connection ------------------------
+    metric = ginv = None
     used_signs = tuple(signs) if signs else ()
-    msec = body.get("metric", [])
     rest = None
-    if msec:
+    if "metric" in body:
+        msec = body["metric"]
+        if not msec:
+            raise ManifestError("[metric] gives no component", msec.line, 1)
         entries = []
         for ln, head, val in msec:
             if head == "rest":
@@ -376,56 +384,52 @@ def _build_model(name, n, signs, body):
                         raise ManifestError(f"rest sets g({r + 1},{r + 1}) again", rest_ln, 1)
                     mcomps[(r, r)] = chart.const(eps)
         metric = Tensor(chart, (0, 2), mcomps)
+        from .metric import levi_civita, metric_inverse
+
+        try:
+            ginv = metric_inverse(metric)
+            gamma = levi_civita(metric, ginv)
+        except PolyError as exc:
+            raise ManifestError(f"metric: {exc}", msec[0][0], 1) from None
     if used_signs and (rest is None or rest[0] != "eps"):
         raise ManifestError(
             f"model {name!r} has no 'rest = eps' metric clause to read a sign pattern"
         )
-
-    if gamma is None and metric is not None:
-        from .metric import levi_civita
-
-        try:
-            gamma = levi_civita(metric)
-        except PolyError as exc:
-            raise ManifestError(f"metric: {exc}", msec[0][0], 1) from None
 
     # expected ------------------------------------------------------------------------
     ntab = VarTable(["n"])
     expected = {}
     degrees = {}
     for ln, head, val in body.get("expected", []):
-        prov = None
-        if "@" in val:
-            val, prov = (t.strip() for t in val.rsplit("@", 1))
-        if head == "degree":
-            (degrees[head],) = _ints(val, ln, 1)
+        kind = EXPECTED_KEYS.get(head)
+        if kind is None:
+            raise ManifestError(f"unknown expected key {head!r}", ln, 1)
+        val, tagged, prov = (t.strip() for t in val.partition("@"))
+        if kind == "ansatz":
+            if tagged:
+                raise ManifestError(f"{head} is an ansatz setting; it takes no tag", ln, 1)
+            degrees[head] = _ansatz_setting(head, val, chart.table, ln)
             continue
-        if head == "laurent_window":
-            degrees[head] = tuple(_ints(val, ln, 2))
-            continue
-        if head == "bounds":
-            toks = val.split()
-            if len(toks) % 3:
-                raise ManifestError(f"bounds takes 'var lo hi' triples, got {val!r}", ln, 1)
-            degrees[head] = {
-                var: tuple(_ints(f"{lo} {hi}", ln, 2))
-                for var, lo, hi in zip(toks[0::3], toks[1::3], toks[2::3])
-            }
-            continue
-        if prov is None:
-            raise ManifestError(
-                f"expected value {head!r} carries no provenance tag", ln, 1
-            )
-        if val in ("true", "false"):
+        if prov not in PROVENANCE:
+            raise ManifestError(f"expected value {head!r} carries no provenance tag "
+                                f"@published or @recomputed, got {tagged + prov!r}", ln, 1)
+        if kind == "flag":
+            if val not in ("true", "false"):
+                raise ManifestError(f"{head} is true or false, got {val!r}", ln, 1)
             parsed = val == "true"
-        elif re.fullmatch(r"\(\d,\d\)(\+\(\d,\d\))?", val):
+        elif kind == "curvature type":
+            if val not in CURVATURE_TYPES:
+                raise ManifestError(f"{head} is (1,1) or (2,0), got {val!r}", ln, 1)
             parsed = val
         else:
-            v = parse_poly(val, ntab, line=ln).evaluate({"n": n})
-            if v.denominator != 1:
-                raise ManifestError(
-                    f"expected value {head!r} is {v} at n={n}, not an integer", ln, 1
-                )
+            if kind == "metric count" and metric is None:
+                raise ManifestError(f"{head} is read only on a model with a [metric]", ln, 1)
+            try:
+                v = parse_poly(val, ntab, line=ln).evaluate({"n": n})
+            except ParseError as exc:
+                raise ManifestError(f"{head} is a count in n: {exc.msg}", ln, exc.col) from None
+            if v.denominator != 1 or v < 0:
+                raise ManifestError(f"{head} is {v} at n={n}, not a count", ln, 1)
             parsed = int(v)
         expected[head] = (parsed, prov)
 
@@ -471,11 +475,59 @@ def _build_model(name, n, signs, body):
         J=J,
         gamma=gamma,
         metric=metric,
-        signs=used_signs,
+        metric_inverse=ginv,
         expected=expected,
         golden=golden,
         degrees=degrees,
     )
+
+
+def _ansatz_setting(head, val, table, ln):
+    """The value of an ansatz setting: a `degree` d >= 0, a `laurent_window`
+    (lo, hi) for the laurent coordinates, or `bounds` {coordinate: (lo, hi)};
+    each range holds an exponent, and only a laurent coordinate's goes below 0."""
+    if head == "degree":
+        (deg,) = _ints(val, ln, 1)
+        if deg < 0:
+            raise ManifestError(f"degree is at least 0, got {deg}", ln, 1)
+        return deg
+    if head == "laurent_window":
+        if not any(table.laurent):
+            raise ManifestError("laurent_window needs a laurent coordinate", ln, 1)
+        return _exponent_range(val, True, ln)
+    toks = val.split()
+    if not toks or len(toks) % 3:
+        raise ManifestError(f"bounds takes 'var lo hi' triples, got {val!r}", ln, 1)
+    bounds = {}
+    for var, lo, hi in zip(toks[0::3], toks[1::3], toks[2::3]):
+        if var not in table.names:
+            raise ManifestError(f"bounds names {var}, not a coordinate", ln, 1)
+        if var in bounds:
+            raise ManifestError(f"bounds gives {var} twice", ln, 1)
+        bounds[var] = _exponent_range(f"{lo} {hi}", table.laurent[table.index(var)], ln)
+    return bounds
+
+
+def _exponent_range(val, laurent, ln):
+    lo, hi = _ints(val, ln, 2)
+    if lo > hi:
+        raise ManifestError(f"exponent range {val!r} is empty", ln, 1)
+    if lo < 0 and not laurent:
+        raise ManifestError(f"exponent range {val!r} goes below 0 off the laurent coordinates",
+                            ln, 1)
+    return lo, hi
+
+
+def _source(body, sections, what):
+    """The one section of `sections` in `body` that declares `what`.  Two are
+    refused at the later one's header line, none at line 1."""
+    given = sorted((body[sec].line, sec) for sec in sections if sec in body)
+    if not given:
+        raise ManifestError(f"manifest declares no {what}", 1, 1)
+    if len(given) > 1:
+        (_, first), (ln, second) = given[:2]
+        raise ManifestError(f"[{first}] and [{second}] both declare the {what}; keep one", ln, 1)
+    return given[0][1]
 
 
 def _build_frame(frame_lines, chart, n):
@@ -511,7 +563,7 @@ def _build_frame(frame_lines, chart, n):
     cols, omega = _unique(cols), _unique(omega)
     if len(cols) != d or jframe_spec is None:
         raise ManifestError(
-            "frame section must define every e_i and Jframe", frame_lines[0][0], 1
+            "frame section must define every e_i and Jframe", frame_lines.line, 1
         )
     jf = {(abs(t) - 1, i): chart.const(1 if t > 0 else -1) for i, t in enumerate(jframe_spec)}
     if complete is not None:
@@ -526,7 +578,7 @@ def _build_frame(frame_lines, chart, n):
     try:
         return frame_to_coordinates(chart, cols, omega, jf)
     except PolyError as exc:
-        raise ManifestError(f"frame: {exc}", frame_lines[0][0], 1) from None
+        raise ManifestError(f"frame: {exc}", frame_lines.line, 1) from None
 
 
 def builtin(name, n=None, signs=None) -> ModelSpec:

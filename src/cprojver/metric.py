@@ -72,7 +72,7 @@ class KahlerFlags:
     integrable: bool
 
 
-def kahler_check(g: Tensor, J: Tensor, gamma: Tensor = None) -> KahlerFlags:
+def kahler_check(g: Tensor, J: Tensor, gamma: Tensor) -> KahlerFlags:
     """The flags of (g, J); d omega_abc = d_a omega_bc + d_b omega_ca + d_c omega_ab
     is read on a < b < c, where it is the exterior derivative whenever omega is
     a 2-form, that is, whenever g is Hermitian."""
@@ -81,8 +81,6 @@ def kahler_check(g: Tensor, J: Tensor, gamma: Tensor = None) -> KahlerFlags:
     d_omega = contract_sum(g.chart, (0, 3), ("abc->abc", (dom,), 1), ("bca->abc", (dom,), 1),
                            ("cab->abc", (dom,), 1))
     closed = not any(a < b < c for a, b, c in d_omega.comps)
-    if gamma is None:
-        gamma = levi_civita(g)
     parallel = covariant_derivative_J(gamma, J).is_zero()
     integrable = nijenhuis(J).is_zero()
     return KahlerFlags(herm, closed, parallel, integrable)
@@ -235,7 +233,7 @@ def mobility_dimension(spec, stabilize=True):
     ansatz of the manifest's `degree` (at least 2)."""
     g, J = spec.metric, spec.J
     chart = g.chart
-    ginv, gamma = spec.metric_inverse, spec.levi_civita
+    ginv, gamma = spec.metric_inverse, spec.gamma
     ansatz = AnsatzSpace(chart, total_degree=max(2, spec.degrees.get("degree", 2)))
     pairs, with_herm, eq_only = _mobility_closures(g, ginv, J, gamma)
 
@@ -275,7 +273,7 @@ def mobility_dimension(spec, stabilize=True):
 
 
 def mobility_equation_holds(spec, B: Tensor) -> bool:
-    op = _mobility_operator(spec.metric, spec.metric_inverse, spec.J, spec.levi_civita)
+    op = _mobility_operator(spec.metric, spec.metric_inverse, spec.J, spec.gamma)
     return op(B).is_zero()
 
 
@@ -289,7 +287,7 @@ def parallel_forms(spec):
     On the column x^e dx^a, (nabla alpha)_bk = d_b alpha_k - G^c_bk alpha_c has
     the symbols S0(a) = -G^a_bk on (b, k) and S1(a, l) = 1 on (l, a)."""
     chart = spec.chart
-    gamma = spec.levi_civita
+    gamma = spec.gamma
     one = chart.const(1)
 
     def symbol0(a):
@@ -311,7 +309,7 @@ def parallel_forms_hold(spec, forms):
     """Every 1-form alpha in `forms` has (nabla alpha)_ba = d_b alpha_a -
     Gamma^c_ba alpha_c = 0, written on `partials` and `contract`: the check
     shares no code with the symbols of `parallel_forms`."""
-    chart, gamma = spec.chart, spec.levi_civita
+    chart, gamma = spec.chart, spec.gamma
     return all(
         Tensor(chart, (0, 2), partials(alpha.comps, chart))
         == Tensor(chart, (0, 2), contract("cba,c->ba", gamma, alpha))
@@ -353,7 +351,7 @@ def equivalent_metric_family(spec, c_matrix):
         chart, (0, 2), {}
     )
     ghat = g + quad
-    gamma = spec.levi_civita
+    gamma = spec.gamma
     # the added quadric must be parallel, so the connection is unchanged
     if not covariant_derivative_02(gamma, quad).is_zero():
         raise ValueError("family member is not parallel for the base connection")

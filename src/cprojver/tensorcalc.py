@@ -119,10 +119,6 @@ class Tensor:
         return c if (other.scale(c) - self).is_zero() else None
 
 
-def zero_tensor(chart, valence):
-    return Tensor(chart, valence, {})
-
-
 # -- sparse index contraction ----------------------------------------------------
 
 

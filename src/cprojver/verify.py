@@ -306,7 +306,7 @@ def metric_checks(spec, stabilize=True):
     name, n = spec.name, spec.n
     checks = []
     g, J = spec.metric, spec.J
-    lc = spec.levi_civita
+    lc = spec.gamma  # the Levi-Civita connection of g
     if name == "submax-metric":
         conn = builtin("type2", n)
         same = lc == conn.gamma

@@ -297,8 +297,8 @@ def test_criterion_7_metric_suite():
                 lc == builtin("type2", n).gamma,
             )
         spec = builtin("submax-metric", n)
-        c.check(f"Kahler flags pass (n={n})", True,
-                kahler_check(spec.metric, spec.J) == KahlerFlags(True, True, True, True))
+        flags = kahler_check(spec.metric, spec.J, spec.gamma)
+        c.check(f"Kahler flags pass (n={n})", True, flags == KahlerFlags(True, True, True, True))
         mob = mobility_dimension(spec, stabilize=(n == 2))
         c.check(f"degree of mobility (n={n})", (n - 1) ** 2 + 1, mob.dim)
         c.check(f"identity solution included (n={n})", True, mob.identity_included)

@@ -12,6 +12,7 @@ from cprojver.algebras import parse_algebra_manifest
 from cprojver.catalog import (
     DATA_DIR,
     MODEL_NAMES,
+    PROVENANCE,
     ManifestError,
     builtin,
     expected_symmetries,
@@ -81,11 +82,12 @@ class TestLoading:
             spec = builtin(name)
             assert spec.expected, name
             for key, (val, prov) in spec.expected.items():
-                assert prov in ("published", "recomputed", "definition"), (name, key)
+                assert prov in PROVENANCE, (name, key)
 
     def test_signs_validation(self):
         spec = builtin("submax-metric", 3, signs=(-1,))
-        assert spec.signs == (-1,)
+        # the sign of the k = 3 pair g(5,5) = g(6,6)
+        assert spec.metric.get(4, 4) == spec.metric.get(5, 5) == spec.chart.const(-1)
         with pytest.raises(ManifestError):
             builtin("submax-metric", 3, signs=(1, 1))
 
@@ -214,6 +216,39 @@ class TestMalformedValues:
             # completion once loaded and failed 9 of 18 checks
             ("type3_n2.model", "Jframe = 2 -1 4 -3", "Jframe = 2 1 4 3", 27),
             ("type1.model", "scalar_ok = true", "scalar_ok = yes", 29),
+            # an [expected] key is one of EXPECTED_KEYS and its value is of
+            # the key's kind; each of these once loaded, and was ignored or
+            # misread: a misspelled key skipped the symmetry battery
+            ("type2.model", "symmetry_dim", "symetry_dim", 17),
+            ("type2.model", "2*(n^2-n+2) @published", "2*(n^2-n+2) @nonsense", 17),
+            ("cp1xc.model", "minimal = true", "minimal = 3", 23),
+            ("type2.model", "symmetry_dim = 2*(n^2-n+2)", "symmetry_dim = (1,1)", 17),
+            ("type2.model", "symmetry_dim = 2*(n^2-n+2)", "symmetry_dim = true", 17),
+            ("type2.model", "curvature_type = (1,1)", "curvature_type = (0,2)", 19),
+            ("type2.model", "degree = 2", "degree = 2\nmobility = 1 @published", 25),
+            # an ansatz setting takes no tag, and each of its ranges holds an
+            # exponent, below 0 only on a laurent coordinate of the chart
+            ("type2.model", "degree = 2", "degree = -1", 24),
+            ("type2.model", "degree = 2", "degree = 2 @published", 24),
+            ("type2.model", "degree = 2", "degree = 2\nlaurent_window = -1 1", 25),
+            ("type3_n2.model", "laurent_window = -4 4", "laurent_window = 4 -4", 40),
+            ("type3_n2.model", "bounds = x 0 2 y 0 2 q 0 3", "bounds = x 2 0", 39),
+            ("type3_n2.model", "bounds = x 0 2 y 0 2 q 0 3", "bounds = zz 0 2", 39),
+            ("type3_n2.model", "bounds = x 0 2 y 0 2 q 0 3", "bounds = x -1 2", 39),
+            ("type3_n2.model", "bounds = x 0 2 y 0 2 q 0 3", "bounds = x 0 2 x 0 3", 39),
+            # J comes from one of [frame] and [J], Gamma from one of [frame],
+            # [gamma] and [metric]; a second source once lost by precedence,
+            # and no source, or an empty [metric], once meant Gamma = 0
+            ("type3_n2.model", "[expected]", "[J]\nstandard\n\n[expected]", 29),
+            ("type3_n2.model", "[expected]", "[gamma]\nzero\n\n[expected]", 29),
+            ("type3_n2.model", "[expected]", "[metric]\nrest = one from 1\n\n[expected]", 29),
+            ("cp1xc.model", "[metric]", "[gamma]\nzero\n\n[metric]", 17),
+            ("type2.model", "G(z2; z1, z1) = zb1", "zero\nG(z2; z1, z1) = zb1", 13),
+            ("type2.model", "[gamma]\nG(z2; z1, z1) = zb1\n", "", 1),
+            ("flat.model", "rest = one from 1", "", 12),
+            # an empty [J] or [frame] is refused at its header
+            ("type2.model", "standard", "", 10),
+            ("type3_n2.model", "[frame]", "[frame]\n[expected_torsion]", 12),
         ],
     )
     def test_parse_error_with_line(self, fname, old, new, line):
@@ -239,6 +274,20 @@ class TestMalformedValues:
         with pytest.raises(ParseError, match="unknown name 'I'") as ei:
             parse_model_manifest(text.replace(old, new), n=2)
         assert ei.value.line == line
+
+
+def test_expected_keys_are_the_keys_the_batteries_read():
+    # EXPECTED_KEYS, the one table the [expected] reader accepts, holds the
+    # keys that the batteries and the model ansatz read, and no other key
+    import inspect
+
+    from cprojver import catalog, cli, metric, verify
+
+    source = "".join(map(inspect.getsource, (cli, metric, verify, catalog.model_ansatz)))
+    read = set(re.findall(r'(?:expect|degrees\.get)\("(\w+)"', source))
+    # the three tensor flags are read in one loop over their keys
+    read |= set(re.findall(r'\("(\w+_zero)", ', inspect.getsource(verify.model_battery)))
+    assert read == set(catalog.EXPECTED_KEYS)
 
 
 _MANIFESTS = sorted(f for f in os.listdir(DATA_DIR) if f.endswith((".model", ".alg")))

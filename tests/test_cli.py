@@ -155,6 +155,58 @@ class TestVerify:
         assert "family parameter count equals the degree of mobility" not in checks
         assert all(checks.values())
 
+    @pytest.mark.parametrize("fname,old,new,n,reason", [
+        # J comes from one of [frame] and [J], Gamma from one of [frame],
+        # [gamma] and [metric]; type3-n2 with extra [J] and [gamma] sections
+        # once passed 19/19, both sections unread
+        ("type3_n2.model", "[expected]", "[J]\nstandard\n\n[expected]", "2",
+         "[frame] and [J] both declare the complex structure; keep one (line 29, column 1)"),
+        ("type3_n2.model", "[expected]", "[gamma]\nG(z2; z1, z1) = 1\n\n[expected]", "2",
+         "[frame] and [gamma] both declare the connection; keep one (line 29, column 1)"),
+        ("type3_n2.model", "[expected]", "[metric]\nrest = one from 1\n\n[expected]", "2",
+         "[frame] and [metric] both declare the connection; keep one (line 29, column 1)"),
+        # a [gamma] beside the [metric] once fed the tensor and symmetry
+        # batteries while the metric battery read the Levi-Civita connection:
+        # 2*zb1 passed 31/31 at n=3
+        ("submax_metric.model", "[metric]", "[gamma]\nG(z2; z1, z1) = 2*zb1\n\n[metric]", "3",
+         "[gamma] and [metric] both declare the connection; keep one (line 16, column 1)"),
+        # no source once meant Gamma = 0, and so did an empty [metric]: flat
+        # then passed 14 records and never checked its mobility
+        ("type2.model", "[gamma]\nG(z2; z1, z1) = zb1\n", "", "2",
+         "manifest declares no connection (line 1, column 1)"),
+        ("flat.model", "rest = one from 1", "", "2",
+         "[metric] gives no component (line 12, column 1)"),
+    ])
+    def test_second_or_missing_source_is_a_manifest_error(
+        self, fname, old, new, n, reason, tmp_path, capsys
+    ):
+        from cprojver.catalog import DATA_DIR
+
+        with open(os.path.join(DATA_DIR, fname), encoding="ascii") as fh:
+            text = fh.read()
+        assert old in text
+        bad = tmp_path / "bad.model"
+        bad.write_text(text.replace(old, new, 1))
+        assert run(["verify", "--model", str(bad), "--n", n, "--fast"]) == 2
+        assert capsys.readouterr().err == f"manifest error: {reason}\n"
+
+    def test_perturbed_metric_fails_the_type2_connection_record(self, tmp_path, capsys):
+        # g(1,1) = g(2,2) = 2|z1|^2 is still Kahler, but its Levi-Civita
+        # connection has G(z2; z1, z1) = 2*zb1, not the type2 connection's zb1
+        from cprojver.catalog import DATA_DIR
+
+        with open(os.path.join(DATA_DIR, "submax_metric.model"), encoding="ascii") as fh:
+            text = fh.read()
+        assert text.count("= x1^2+x2^2") == 2
+        bad, out = tmp_path / "bad.model", tmp_path / "r.json"
+        bad.write_text(text.replace("= x1^2+x2^2", "= 2*x1^2+2*x2^2"))
+        assert run(["verify", "--model", str(bad), "--fast", "--out", str(out)]) == 1
+        checks = json.loads(out.read_text())["checks"]
+        assert [c["check"] for c in checks if not c["pass"]] == [
+            "Levi-Civita equals the type2 connection"
+        ]
+        assert len(checks) == 33
+
     def test_malformed_manifest_path_is_a_manifest_error(self, tmp_path, capsys):
         from cprojver.catalog import DATA_DIR
 

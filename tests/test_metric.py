@@ -128,11 +128,12 @@ class TestLeviCivita:
 
 class TestKahlerFlags:
     def test_submax(self, submax2):
-        assert kahler_check(submax2.metric, submax2.J) == KahlerFlags(True, True, True, True)
+        flags = kahler_check(submax2.metric, submax2.J, submax2.gamma)
+        assert flags == KahlerFlags(True, True, True, True)
 
     def test_flat(self):
         spec = builtin("flat", 2)
-        assert kahler_check(spec.metric, spec.J) == KahlerFlags(True, True, True, True)
+        assert kahler_check(spec.metric, spec.J, spec.gamma) == KahlerFlags(True, True, True, True)
 
     def test_perturbed_metric_fails_hermitian(self, submax2):
         comps = dict(submax2.metric.comps)
