@@ -44,10 +44,8 @@ def metric_inverse(g: Tensor) -> Tensor:
     return Tensor(g.chart, (2, 0), comps)
 
 
-def levi_civita(g: Tensor, ginv: Tensor = None) -> Tensor:
-    """G^i_jk = 1/2 g^ia (d_j g_ak + d_k g_aj - d_a g_jk)."""
-    if ginv is None:
-        ginv = metric_inverse(g)
+def levi_civita(g: Tensor, ginv: Tensor) -> Tensor:
+    """G^i_jk = 1/2 g^ia (d_j g_ak + d_k g_aj - d_a g_jk), ginv the inverse of g."""
     dg = partials(g.comps, g.chart)  # (c, a, b) -> d_c g_ab
     h = Fraction(1, 2)
     return contract_sum(g.chart, (1, 2), ("ia,jak->ijk", (ginv, dg), h),

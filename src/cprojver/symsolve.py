@@ -31,11 +31,16 @@ Before the elimination, it settles the columns that one-entry rows force to
 zero: the rows {c: 1} for those columns plus the other rows stripped of them
 span the same row space, so the kernel is the same and most rows never
 reach `LinearSystem`; later equations scatter nothing into a settled
-column.  A builder runs `kernel` once.  Of CP's second-order symbols, only
-those of the form S2(a, l, a) have a trace; CP adds to each the correction
-of the trace {l: 1}, built once per l and operator.  Kernel dimensions are
-lower bounds for the true solution space; together with an algebraic upper
-bound and degree stabilization they certify exactness.
+column.  The equations scatter fewest parts first, so the cheap ones settle
+their columns before the many-part ones reach them, but the rows reach
+`LinearSystem` in sorted (tag, comp) order: the settled set is the least
+fixpoint of the strip whatever the order, and each row is its raw row
+without that set, so the rows, their order and key order do not depend on
+the scatter order.  A builder runs `kernel` once.  Of CP's second-order
+symbols, only those of the form S2(a, l, a) have a trace; CP adds to each
+the correction of the trace {l: 1}, built once per l and operator.  Kernel
+dimensions are lower bounds for the true solution space; together with an
+algebraic upper bound and degree stabilization they certify exactness.
 """
 
 from __future__ import annotations
@@ -142,11 +147,12 @@ class SystemBuilder:
     exponent below 2**13 in size, so no slot carries and distinct monomials
     keep distinct keys.
 
-    `kernel` works equation-major.  For each equation (tag, comp), in sorted
-    order, it takes the symbols that have that component and their top
-    denominator multiplicity M, the largest of their `den`s, and asks `poly`
-    for each symbol's int numerators over D^M and its q
-    (`LaurentPoly.numerator_over`), D the table's declared denominators.
+    `kernel` works equation-major.  For each equation (tag, comp), fewest
+    parts first (ties in sorted order), it takes the symbols that have that
+    component and their top denominator multiplicity M, the largest of
+    their `den`s, and asks `poly` for each symbol's int numerators over D^M
+    and its q (`LaurentPoly.numerator_over`), D the table's declared
+    denominators.
     The Laurent polynomial ring is an integral domain, so the cleared
     equation has the same solutions as the one it came from.  It then
     multiplies the equation by the lcm of its symbols' q, one int per
@@ -167,15 +173,21 @@ class SystemBuilder:
     stored without the columns already in `zero`, and joins `zero` itself
     if one entry is left.  Skipping the settled columns in the scatter
     stores the same rows, in the same order and key order: the terms it
-    drops are those that the strip would remove.  After the last equation
-    the stored rows are stripped again until `zero` stops growing.  The
-    system then gets a row {c: 1} for each c in `zero`, ascending, and the
-    stripped rows in their original order.  These rows span the original
-    row space: each e_c lies in it by induction, and each original row is
-    its stripped row plus a combination of the e_c.  The reduced echelon
-    form for a fixed column order is unique, so the pivot columns, the rank
-    and the canonical kernel basis are those of the original rows; only
-    `nrows` is smaller.
+    drops are those that the strip would remove.  The few-part equations
+    give most one-entry rows, so scattering them first leaves the costly
+    many-part equations fewer columns.  Each equation's rows are stored
+    under its key and joined in sorted (tag, comp) order after the last
+    equation, then stripped again until `zero` stops growing.  `zero` is
+    then the least fixpoint of the strip, which does not depend on the
+    scatter order, and each row is its raw row without `zero`, so the
+    joined rows are those of the sorted scatter.  The system then gets a
+    row {c: 1} for each c in `zero`, ascending, and the stripped rows in
+    sorted equation order.  These rows span the original row space: each
+    e_c lies in it by induction, and each original row is its stripped row
+    plus a combination of the e_c.  The reduced echelon form for a fixed
+    column order is unique, so the pivot columns, the rank and the
+    canonical kernel basis are those of the original rows; only `nrows` is
+    smaller.
 
     `kernel` consumes what was added, so a builder is single-use: a second
     `kernel()` call raises.
@@ -198,9 +210,12 @@ class SystemBuilder:
             raise RuntimeError("SystemBuilder.kernel has already consumed its outputs")
         self.eqs = None
         zero = set()  # columns that the rows force to zero
-        kept = []  # the other rows, without the columns in `zero`
-        for key in sorted(eqs):
+        stored = {}  # (tag, comp) -> its other rows, without the columns in `zero`
+        # fewest parts first: the cheap equations settle the columns that the
+        # costly ones then skip
+        for key in sorted(eqs, key=lambda key: (len(eqs[key]), key)):
             entries = eqs.pop(key)
+            stored[key] = kept = []
             top = tuple(map(max, zip(*{p.den for p, _ in entries})))
             parts = [(*p.numerator_over(top), used) for p, used in entries]
             # the equation times the lcm of its parts' q: integral rows with
@@ -239,6 +254,7 @@ class SystemBuilder:
                         zero.update(row)
                         continue
                 kept.append(row)
+        kept = [row for key in sorted(stored) for row in stored[key]]
         grew = True
         while grew:
             grew = False

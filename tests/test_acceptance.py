@@ -290,7 +290,7 @@ def test_criterion_7_metric_suite():
         patterns = [None] if n == 2 else [(1,), (-1,)]
         for signs in patterns:
             spec = builtin("submax-metric", n, signs=signs)
-            lc = levi_civita(spec.metric)
+            lc = levi_civita(spec.metric, spec.metric_inverse)
             c.check(
                 f"Levi-Civita equals the type2 connection (n={n}, signs={signs})",
                 True,

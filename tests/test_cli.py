@@ -155,6 +155,26 @@ class TestVerify:
         assert "family parameter count equals the degree of mobility" not in checks
         assert all(checks.values())
 
+    def test_parallel_forms_of_another_model_get_no_submax_records(self, tmp_path, capsys):
+        # the span and family records are built from the submax directions;
+        # a flat metric's parallel forms span every direction, so a flat
+        # manifest that expects them gets only the dimension and the
+        # re-verification, and passes
+        from cprojver.catalog import DATA_DIR
+
+        with open(os.path.join(DATA_DIR, "flat.model"), encoding="ascii") as fh:
+            text = fh.read()
+        path, out = tmp_path / "flatpf.model", tmp_path / "r.json"
+        path.write_text(text.replace("degree = 2", "parallel_forms_dim = 2*n @published\ndegree = 2"))
+        assert run(["verify", "--model", str(path), "--fast", "--out", str(out)]) == 0
+        assert "error" not in capsys.readouterr().err
+        checks = {c["check"]: c["pass"] for c in json.loads(out.read_text())["checks"]}
+        assert checks["parallel 1-form space dimension"]
+        assert checks["parallel forms re-verified exactly"]
+        assert "parallel forms span the first and the k>=3 complex directions" not in checks
+        assert not any(name.startswith("family ") for name in checks)
+        assert all(checks.values())
+
     @pytest.mark.parametrize("fname,old,new,n,reason", [
         # J comes from one of [frame] and [J], Gamma from one of [frame],
         # [gamma] and [metric]; type3-n2 with extra [J] and [gamma] sections

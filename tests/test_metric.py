@@ -81,23 +81,23 @@ def submax3():
 class TestLeviCivita:
     def test_flat(self):
         spec = builtin("flat", 2)
-        assert levi_civita(spec.metric).is_zero()
+        assert levi_civita(spec.metric, spec.metric_inverse).is_zero()
 
     @pytest.mark.parametrize("n,signs", [(2, None), (3, None), (3, (-1,))])
     def test_submax_equals_type2_connection(self, n, signs):
         spec = builtin("submax-metric", n, signs=signs)
-        lc = levi_civita(spec.metric)
+        lc = levi_civita(spec.metric, spec.metric_inverse)
         assert lc == builtin("type2", n).gamma
 
     def test_characterization_oracle(self, submax2):
         # torsion-free и metric-parallel characterize the connection uniquely
-        lc = levi_civita(submax2.metric)
+        lc = levi_civita(submax2.metric, submax2.metric_inverse)
         assert tc.torsion(lc).is_zero()
         assert covariant_derivative_02(lc, submax2.metric).is_zero()
 
     def test_fubini_study_denominators(self):
         spec = builtin("cp1xc", 2)
-        lc = levi_civita(spec.metric)
+        lc = levi_civita(spec.metric, spec.metric_inverse)
         assert any(any(p.den) for p in lc.comps.values())
         assert tc.torsion(lc).is_zero()
         assert covariant_derivative_02(lc, spec.metric).is_zero()
@@ -140,7 +140,7 @@ class TestKahlerFlags:
         # drop the conjugate pairing of the |z1|^2 block
         comps[(1, 1)] = submax2.chart.const(1)
         bad = Tensor(submax2.chart, (0, 2), comps)
-        flags = kahler_check(bad, submax2.J, levi_civita(submax2.metric))
+        flags = kahler_check(bad, submax2.J, levi_civita(submax2.metric, submax2.metric_inverse))
         assert not flags.hermitian
 
     @pytest.mark.parametrize("term", ["d_a w_bc", "d_b w_ca", "d_c w_ab"])
@@ -321,7 +321,7 @@ class TestParallelForms:
     def test_forms_are_parallel(self, n):
         # d_b alpha_a - Gamma^c_ba alpha_c = 0 for every returned form
         spec = builtin("submax-metric", n)
-        gamma = levi_civita(spec.metric)
+        gamma = levi_civita(spec.metric, spec.metric_inverse)
         forms = parallel_forms(spec)
         assert len(forms) == 2 * (n - 1)
         for alpha in forms:
@@ -372,7 +372,7 @@ class TestParallelForms:
         # (nabla alpha)_ba = d_b alpha_a - Gamma^c_ba alpha_c nonzero
         chart = submax2.chart
         alpha = Tensor(chart, (0, 1), {(2,): chart.const(1)})
-        assert nabla_one_form(levi_civita(submax2.metric), alpha)
+        assert nabla_one_form(levi_civita(submax2.metric, submax2.metric_inverse), alpha)
         # and alpha is not in the span of the parallel forms
         span = SpanSolver()
         for form in parallel_forms(submax2):
@@ -404,7 +404,8 @@ class TestFamily:
 
     def test_family_shares_levi_civita(self, submax2):
         ghat, _, _ = equivalent_metric_family(submax2, {(1, 1): (7, 0)})
-        assert levi_civita(ghat) == levi_civita(submax2.metric)
+        lc = levi_civita(submax2.metric, submax2.metric_inverse)
+        assert levi_civita(ghat, metric_inverse(ghat)) == lc
 
     def test_nonparallel_direction_rejected(self, submax2):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import partial
 from itertools import product
@@ -335,12 +336,84 @@ def planted_matrices(draw):
     return ncols, draw(st.permutations(rows))
 
 
+ZERO_TABLE = VarTable(["x"])
+
+
+@st.composite
+def part_equations(draw):
+    """(ncols, {(tag, comp): [(LaurentPoly, {scale: [(col, shift)]})]}):
+    equations in x of one to four parts each, every part one or two terms
+    in 1, x used by one to three columns at shift 1 or x.  The counts of
+    parts differ, so the fewest-parts order is not the sorted one, and the
+    one-part equations often give one-entry rows."""
+    ncols = draw(st.integers(2, 6))
+    term = st.sampled_from([pack((0,)), pack((1,))])
+    use = st.tuples(st.integers(0, ncols - 1), st.sampled_from([pack((0,), 0), pack((1,), 0)]))
+    part = st.builds(
+        lambda terms, used: (LaurentPoly(ZERO_TABLE, terms), used),
+        st.dictionaries(term, st.sampled_from([1, -1, 2, -3]), min_size=1, max_size=2),
+        st.dictionaries(st.sampled_from([1, -1, 2]), st.lists(use, min_size=1, max_size=3),
+                        min_size=1, max_size=2),
+    )
+    keys = draw(st.lists(st.tuples(st.sampled_from("AB"), st.integers(0, 3)),
+                         min_size=2, max_size=6, unique=True))
+    return ncols, {key: draw(st.lists(part, min_size=1, max_size=4)) for key in keys}
+
+
+def _plain_rows(eqs):
+    """The rows `LinearSystem` should get for `eqs`, by the plain route:
+    every equation scattered in sorted (tag, comp) order with no column
+    skipped, its rows in ascending key order; the rows stripped of the
+    columns that one-entry rows force to zero until that set stops
+    growing; then a unit row per such column, ascending, and the stripped
+    rows of two or more entries in their order."""
+    raw = []
+    for key in sorted(eqs):
+        rows = {}
+        for p, used in eqs[key]:
+            for scale, cols in used.items():
+                for e, c in p.terms.items():
+                    for col, shift in cols:
+                        row = rows.setdefault(e + shift, {})
+                        row[col] = row.get(col, 0) + scale * c
+        raw += [rows[e] for e in sorted(rows)]
+    zero = set()
+    grew = True
+    while grew:
+        grew = False
+        for row in raw:
+            left = [col for col, c in row.items() if c and col not in zero]
+            if len(left) == 1:
+                zero.update(left)
+                grew = True
+    stripped = [{col: c for col, c in row.items() if c and col not in zero} for row in raw]
+    return [{col: 1} for col in sorted(zero)] + [row for row in stripped if len(row) > 1]
+
+
+@contextmanager
+def recorded_rows():
+    """Yields a list that collects list(row.items()) of every
+    `LinearSystem.add_row` call inside the block, in call order."""
+    rows = []
+    add_row = LinearSystem.add_row
+
+    def recorded(self, row):
+        rows.append(list(row.items()))
+        return add_row(self, row)
+
+    LinearSystem.add_row = recorded
+    try:
+        yield rows
+    finally:
+        LinearSystem.add_row = add_row
+
+
 class TestZeroColumnPass:
     """`SystemBuilder.kernel` settles the columns that one-entry rows force
     to zero before the elimination; the plain `LinearSystem` fed the raw
     rows in their natural order is the reference route."""
 
-    TABLE = VarTable(["x"])
+    TABLE = ZERO_TABLE
 
     @settings(max_examples=200, deadline=None)
     @given(planted_matrices())
@@ -367,6 +440,24 @@ class TestZeroColumnPass:
         assert system.rank() == ref.rank()
         assert system.nrows <= ref.nrows
 
+    @settings(max_examples=200, deadline=None)
+    @given(part_equations())
+    def test_rows_reach_the_system_as_by_the_plain_route(self, case):
+        # the scatter runs fewest parts first, which settles more columns
+        # before the many-part equations; `LinearSystem` still gets the rows
+        # of the sorted, unskipped scatter, in their order and key order
+        ncols, eqs = case
+        symbols, uses = {}, {}
+        for key, parts in eqs.items():
+            for j, (p, used) in enumerate(parts):
+                symbols[(key, j)] = [(*key, p)]
+                uses[(key, j)] = used
+        builder = SystemBuilder(ncols)
+        builder.add(symbols, uses)
+        with recorded_rows() as rows:
+            builder.kernel()
+        assert rows == [list(row.items()) for row in _plain_rows(eqs)]
+
     def test_second_kernel_call_raises(self):
         builder = SystemBuilder(1)
         builder.add({"s": [("T", 0, LaurentPoly.const(self.TABLE, 1))]}, {"s": {1: [(0, 0)]}})
@@ -387,21 +478,11 @@ ROW_PIN = (26151, "cd65fdd21942634a7d136bfe4071ed99b99a1882d704ed74214d7dfff0eb7
 
 
 def row_digest():
-    rows = []
-    add_row = LinearSystem.add_row
-
-    def recorded(self, row):
-        rows.append(repr(list(row.items())))
-        return add_row(self, row)
-
-    LinearSystem.add_row = recorded
-    try:
+    with recorded_rows() as rows:
         for name, n in CATALOG:
             cli._verify_one(name, n, False)
         verify.metric_battery("submax-metric", 3)
-    finally:
-        LinearSystem.add_row = add_row
-    return len(rows), hashlib.sha256("".join(rows).encode()).hexdigest()
+    return len(rows), hashlib.sha256("".join(map(repr, rows)).encode()).hexdigest()
 
 
 def test_row_pin():
