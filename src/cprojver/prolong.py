@@ -111,15 +111,16 @@ class CurvElement:
                     out[(slots, copy, r, c)] = v
         return out
 
-    def evaluate(self, a: CD, b: CD) -> CD:
-        """Evaluate on two elements of (the complexification of) g_{-1}."""
+    def evaluate(self, a: Mat, b: Mat) -> CD:
+        """Evaluate on two real elements of g_{-1}; a barred slot pairs with
+        the conjugate entry, the one that realify(x) has in its barred copy."""
         n1 = self.n + 1
         out = CD(Mat(n1), Mat(n1))
 
-        def pairing(slot, x: CD):
+        def pairing(slot, x: Mat):
             copy, j = slot
-            m = x.u if copy == 0 else x.b
-            return m.at(j, 0)  # coefficient of E_{j+1,1}
+            re, im = x.at(j, 0)  # coefficient of E_{j+1,1}
+            return (re, -im) if copy else (re, im)
 
         for (sA, sB), w in self.entries.items():
             p = _cmul(pairing(sA, a), pairing(sB, b))
@@ -133,30 +134,32 @@ class CurvElement:
         return isinstance(other, CurvElement) and (self - other).is_zero()
 
 
-def _dual_row(x: CD, slot):
-    """The action of x on the dual slot (copy, j): x.u_j* = sum_k c_k u_k*,
-    returned as the nonzero [(k, c_k)].  c_k is minus the entry at the
-    0-based position (j, k) of the copy's matrix, plus its (0, 0) entry when
-    k = j: row j of the g_0 block is all that is read."""
+def _dual_row(x: Mat, slot):
+    """The action of the real element x on the dual slot (copy, j):
+    x.u_j* = sum_k c_k u_k*, returned as the nonzero [(k, c_k)].  c_k is
+    minus the entry at the 0-based position (j, k) of the copy's matrix (x,
+    or conj(x) for the barred copy), plus its (0, 0) entry when k = j: row j
+    of the g_0 block is all that is read."""
     copy, j = slot
-    m = x.u if copy == 0 else x.b
-    re, im = m.re, m.im
+    re, im = x.re, x.im
     row = []
-    for k in range(1, m.n1):
+    for k in range(1, x.n1):
         a, b = re.get((j, k), 0), im.get((j, k), 0)
         if k == j:
             a -= re.get((0, 0), 0)
             b -= im.get((0, 0), 0)
         if a or b:
-            row.append((k, (-a, -b)))
+            row.append((k, (-a, b if copy else -b)))
     return row
 
 
-def g0_action(x: CD, psi: CurvElement) -> CurvElement:
-    """Standard tensorial action of a grade-0 double element on the module."""
+def g0_action(x: Mat, psi: CurvElement) -> CurvElement:
+    """Standard tensorial action of a real grade-0 element on the module:
+    the entries are g_C-valued, so they are bracketed with realify(x)."""
     out = CurvElement(psi.n)
+    xx = realify(x)
     for (sA, sB), w in psi.entries.items():
-        out._accum((sA, sB), x.bracket(w))
+        out._accum((sA, sB), xx.bracket(w))
         for k, c in _dual_row(x, sA):
             out._accum(((sA[0], k), sB), w.scale(c))
         for k, c in _dual_row(x, sB):
@@ -186,25 +189,23 @@ def lowest_weight_vector(ctype, n):
         slots = ((0, 1), (1, 1))
         value = Mat.unit(n + 1, n + 1, 1)
     phi0 = CurvElement(n, {slots: unbarred(value)})
-    psi = phi0 + phi0.conj()
-    assert psi.is_real()
-    return phi0, psi
+    return phi0, phi0 + phi0.conj()
 
 
 @dataclass
 class AnnihilatorResult:
     """The kernel of X |-> X.psi on the real grade-0 part.
 
-    `basis` holds the kernel as realify images of primitive integer
-    combinations of the g_0 basis: int coefficients of content 1, so the
-    structure constants built on them stay ints where the algebra allows.
+    `basis` holds the kernel as real elements, one `Mat` each: primitive
+    integer combinations of the g_0 basis, int coefficients of content 1, so
+    the structure constants built on them stay ints where the algebra allows.
     `actions` maps each g_0 basis label to the real coordinates (keyed as
     by `_real_coordinates`) of its action on psi; by linearity the action
     of any grade-0 element is their combination."""
 
     n: int
     dim: int
-    basis: list = field(repr=False)  # CD elements of the real g_0
+    basis: list = field(repr=False)  # Mats, real elements of g_0
     actions: dict = field(repr=False)  # g_0 label -> real coordinates of e.psi
 
 
@@ -249,8 +250,8 @@ def annihilator(psi: CurvElement, g: SlPair = None):
     for vec in sys.kernel():
         x = Mat(n + 1)
         for c, v in _scale_row_to_int(vec).items():
-            x = x + g.element_of_label(labels[c]).u.scale((v, 0))
-        basis.append(realify(x))
+            x = x + g.element_of_label(labels[c]).scale((v, 0))
+        basis.append(x)
     return AnnihilatorResult(n, len(basis), basis, actions)
 
 
@@ -310,7 +311,7 @@ def diagonal_condition_holds(ctype, n, ann: AnnihilatorResult) -> bool:
     (c - d) Im a_j; both sums must vanish."""
     terms = _DIAGONAL_TERMS[ctype]
     for x in ann.basis:
-        a = [x.u.at(j, j) for j in range(n + 1)]
+        a = [x.at(j, j) for j in range(n + 1)]
         if sum((c + d) * a[j][0] for j, c, d in terms):
             return False
         if sum((c - d) * a[j][1] for j, c, d in terms):
@@ -457,7 +458,7 @@ def subalgebra_with_cochain(ctype, n):
         if not span.insert(g.coordinates(el)):
             raise RuntimeError("subalgebra basis is degenerate")
 
-    def expand(el: CD):
+    def expand(el: Mat):
         coeffs = span.decompose(g.coordinates(el))
         if coeffs is None:
             raise RuntimeError("bracket escapes the subalgebra")
@@ -476,5 +477,7 @@ def subalgebra_with_cochain(ctype, n):
             val = psi.evaluate(elements[i], elements[j])
             if val.is_zero():
                 continue
-            cochain[(i, j)] = expand(val)
+            if not val.is_real():
+                raise ValueError("cochain value is not in the real form")
+            cochain[(i, j)] = expand(val.u)
     return StructAlgebra(labels, table, grading=grades), cochain

@@ -1,9 +1,12 @@
 """The graded real Lie algebra sl(n+1,C)_R and its complexified double.
 
-The real algebra g is realized as pairs (x, conj(x)) of complex trace-free
-(n+1)x(n+1) matrices inside the double g_C = sl(n+1,C) x sl(n+1,C) (an
-"unbarred" and a "barred" commuting copy, swapped by conjugation).  The
-|1|-grading comes from the block sizes (1, n):
+A real element of g is one complex trace-free (n+1)x(n+1) matrix x, a `Mat`;
+it stands for the pair realify(x) = (x, conj(x)) inside the double
+g_C = sl(n+1,C) x sl(n+1,C) (an "unbarred" and a "barred" commuting copy,
+swapped by conjugation), which is never built for it: the bracket of two real
+elements is the one product [x, y], whose barred copy is its conjugate.  The
+double `CD` carries only values that are really g_C-valued, the entries of a
+curvature-module element.  The |1|-grading comes from the block sizes (1, n):
 
     g_{-1} = lower-left block,  g_0 = block diagonal,  g_{+1} = upper-right,
 
@@ -12,9 +15,9 @@ Z = diag(n/(n+1), -1/(n+1), ..., -1/(n+1)).
 
 Real basis enumeration (deterministic, row-major on (j,k), 1-based):
 
-* off-diagonal: ``E j k`` = realify(E_jk) and ``F j k`` = realify(i E_jk);
-* diagonal: ``H j`` = realify(E_jj - E_22) and ``G j`` = realify(i(E_jj - E_22))
-  for j != 2, i.e. the (2,2) entry carries the trace dependency.
+* off-diagonal: ``E j k`` = E_jk and ``F j k`` = i E_jk;
+* diagonal: ``H j`` = E_jj - E_22 and ``G j`` = i(E_jj - E_22) for j != 2,
+  i.e. the (2,2) entry carries the trace dependency.
 
 A complex scalar is a pair (re, im) of rationals (int or `Fraction`), as
 everywhere in the package; a `Mat` keeps the real and the imaginary parts of
@@ -84,11 +87,6 @@ class Mat:
 
     def conj(self):
         return Mat(self.n1, self.re, {key: -x for key, x in self.im.items()})
-
-    def trace(self):
-        r = range(self.n1)
-        return (sum(self.re.get((j, j), 0) for j in r),
-                sum(self.im.get((j, j), 0) for j in r))
 
     def is_zero(self):
         return not self.re and not self.im
@@ -193,7 +191,7 @@ class SlPair:
         self.n = n
         self.n1 = n + 1
         self.basis_labels = []
-        self.basis = []  # CD elements, realify image
+        self.basis = []  # Mats, each a real element
         self._build_basis()
         self.Z = Mat.diag(
             self.n1,
@@ -217,7 +215,7 @@ class SlPair:
                 grade = -1 if k == 1 else (1 if j == 1 else 0)
                 for kind, c in (("E", (1, 0)), ("F", (0, 1))):
                     labels.append(f"{kind}{j}{k}" if n1 < 10 else f"{kind}{j}_{k}")
-                    basis.append(realify(Mat.unit(n1, j, k, c)))
+                    basis.append(Mat.unit(n1, j, k, c))
                     self._grades[labels[-1]] = grade
         for j in range(1, n1 + 1):
             if j == 2:
@@ -226,7 +224,7 @@ class SlPair:
             d = Mat.unit(n1, j, j) - Mat.unit(n1, 2, 2)
             for kind, c in (("H", (1, 0)), ("G", (0, 1))):
                 labels.append(f"{kind}{j}")
-                basis.append(realify(d.scale(c)))
+                basis.append(d.scale(c))
                 self._grades[labels[-1]] = 0
         self._index = {lbl: i for i, lbl in enumerate(labels)}
 
@@ -239,15 +237,14 @@ class SlPair:
 
     # -- coordinates --------------------------------------------------------
 
-    def coordinates(self, x: CD):
-        """Real coordinates {basis index: nonzero value} of a real element
-        (= realify image), in ascending index order.  No label reads the
-        (2,2) entry, so an element with a nonzero trace is refused."""
-        if not x.is_real():
-            raise ValueError("element is not in the real form")
+    def coordinates(self, x: Mat):
+        """Real coordinates {basis index: nonzero value} of the real element
+        x, in ascending index order: the real and the imaginary part of each
+        entry are read from `x.re` and `x.im`.  No label reads the (2,2)
+        entry, so an element with a nonzero trace is refused."""
         coords = {}
         trace = [0, 0]
-        for part, values in enumerate((x.u.re, x.u.im)):
+        for part, values in enumerate((x.re, x.im)):
             for pos, c in values.items():
                 if pos[0] == pos[1]:
                     trace[part] += c
@@ -258,5 +255,5 @@ class SlPair:
             raise ValueError("element is not trace-free")
         return dict(sorted(coords.items()))
 
-    def element_of_label(self, lbl) -> CD:
+    def element_of_label(self, lbl) -> Mat:
         return self.basis[self._index[lbl]]

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cprojver import prolong
 from cprojver.linalg import LinearSystem
@@ -21,6 +23,7 @@ from cprojver.prolong import (
     module_span,
     submax_closed_form,
     submax_overall,
+    subalgebra_with_cochain,
     tanaka_prolongation,
     theorem_table,
     upper_bound,
@@ -44,9 +47,12 @@ def generic_element(ctype, n, seed=1):
 
 
 class TestLowestWeightVectors:
-    def test_reality(self):
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_reality(self, n):
+        # every (type, n) in `theorem_table`'s range, which holds the n = 2..5
+        # that the deformation batteries use
         for t in CURV_TYPES:
-            phi0, psi = lowest_weight_vector(t, 3)
+            phi0, psi = lowest_weight_vector(t, n)
             assert not phi0.is_zero()
             assert psi.is_real()
 
@@ -62,15 +68,14 @@ class TestLowestWeightVectors:
         # Z acts on the extremal vector by its homogeneity
         g = SlPair(n)
         phi0, _ = lowest_weight_vector(ctype, n)
-        acted = g0_action(realify(g.Z), phi0)
+        acted = g0_action(g.Z, phi0)
         assert acted == phi0.scale((expected, 0))
 
     def test_diagonal_weight_zero_annihilates(self):
         # a diagonal element with mu(X)=0 kills phi0; Z - Z has weight 0 trivially
         g = SlPair(2)
         phi0, _ = lowest_weight_vector("II", 2)
-        z = realify(g.Z)
-        acted = g0_action(z, phi0) - phi0.scale((2, 0))
+        acted = g0_action(g.Z, phi0) - phi0.scale((2, 0))
         assert acted.is_zero()
 
 
@@ -106,8 +111,7 @@ class TestAnnihilators:
         _, psi = lowest_weight_vector("II", n)
         res = annihilator(psi)
         for x in res.basis:
-            u = x.u
-            a0, a1, an = u.at(0, 0), u.at(1, 1), u.at(n, n)
+            a0, a1, an = x.at(0, 0), x.at(1, 1), x.at(n, n)
             lhs = (2 * (a0[0] - a1[0]), 0)
             assert lhs == (a1[0] - an[0], a1[1] - an[1])
 
@@ -126,7 +130,7 @@ class TestAnnihilators:
         n = 3
         _, psi = lowest_weight_vector(ctype, n)
         res = annihilator(psi)
-        bumped = realify(res.basis[0].u + Mat.unit(n + 1, n + 1, n + 1, shift))
+        bumped = res.basis[0] + Mat.unit(n + 1, n + 1, n + 1, shift)
         broken = dataclasses.replace(res, basis=[bumped] + res.basis[1:])
         assert not diagonal_condition_holds(ctype, n, broken)
 
@@ -247,13 +251,15 @@ def dense_minus_part(m: Mat, n):
     return M
 
 
-def dense_g0_action(x: CD, psi: CurvElement) -> CurvElement:
-    """The tensorial action read off the dense matrices of both copies."""
+def dense_g0_action(x: Mat, psi: CurvElement) -> CurvElement:
+    """The tensorial action of the real element x read off the dense
+    matrices of both copies of realify(x)."""
     n = psi.n
-    M = (dense_minus_part(x.u, n), dense_minus_part(x.b, n))
+    xx = realify(x)
+    M = (dense_minus_part(xx.u, n), dense_minus_part(xx.b, n))
     out = CurvElement(n)
     for (sA, sB), w in psi.entries.items():
-        out = out + CurvElement(n, {(sA, sB): x.bracket(w)})
+        out = out + CurvElement(n, {(sA, sB): xx.bracket(w)})
         for k in range(n):
             re, im = M[sA[0]][sA[1] - 1][k]
             out = out + CurvElement(n, {((sA[0], k + 1), sB): w.scale((-re, -im))})
@@ -335,3 +341,70 @@ class TestG0Action:
                 for g in map(SlPair, range(2, 5))]
         assert dims == [2 * n * n for n in range(2, 5)]
         assert len(calls) == len(CURV_TYPES) * sum(dims)
+
+
+# -- a real element as one matrix against its realify image ---------------------
+
+
+frac = st.fractions(min_value=-5, max_value=5, max_denominator=3)
+# complex scalars as (re, im) pairs, real as often as not
+gauss = st.tuples(frac, st.one_of(st.just(Fraction(0)), frac))
+
+
+def sparse_mat(draw, n1):
+    """A random sparse rational complex (n1 x n1) matrix."""
+    pos = st.tuples(st.integers(1, n1), st.integers(1, n1))
+    m = Mat(n1)
+    for (j, k), c in draw(st.dictionaries(pos, gauss, max_size=2 * n1)).items():
+        m = m + Mat.unit(n1, j, k, c)
+    return m
+
+
+@st.composite
+def mats_and_module_element(draw):
+    """(x, y, psi): two random sparse matrices and a random element of the
+    curvature module with g_C values, all for one n in 2..4."""
+    n = draw(st.integers(min_value=2, max_value=4))
+    slot = st.tuples(st.integers(0, 1), st.integers(1, n))
+    entries = {}
+    for slots in draw(st.lists(st.tuples(slot, slot), max_size=4)):
+        entries[slots] = CD(sparse_mat(draw, n + 1), sparse_mat(draw, n + 1))
+    return sparse_mat(draw, n + 1), sparse_mat(draw, n + 1), CurvElement(n, entries)
+
+
+def evaluate_through_realify(psi, a: Mat, b: Mat) -> CD:
+    """psi(a, b), pairing each dual slot with its own copy of realify(a) and
+    realify(b)."""
+    a, b = realify(a), realify(b)
+    out = CD(Mat(psi.n + 1), Mat(psi.n + 1))
+
+    def pairing(slot, x: CD):
+        copy, j = slot
+        return (x.b if copy else x.u).at(j, 0)
+
+    def mul(p, q):
+        return p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0]
+
+    for (sA, sB), w in psi.entries.items():
+        p = mul(pairing(sA, a), pairing(sB, b))
+        q = mul(pairing(sA, b), pairing(sB, a))
+        out = out + w.scale((p[0] - q[0], p[1] - q[1]))
+    return out
+
+
+class TestOneMatrixForm:
+    @settings(max_examples=150, deadline=None)
+    @given(mats_and_module_element())
+    def test_matches_the_realify_image(self, sample):
+        x, y, psi = sample
+        # the bracket of realify images is the realify image of one bracket
+        assert realify(x).bracket(realify(y)) == realify(x.bracket(y))
+        assert psi.evaluate(x, y) == evaluate_through_realify(psi, x, y)
+
+    def test_cochain_refuses_a_non_real_value(self, monkeypatch):
+        # psi = phi0 alone has unbarred values only, so psi(v_i, v_j) is not
+        # the realify image of one matrix and cannot be expanded
+        phi0, _ = lowest_weight_vector("II", 3)
+        monkeypatch.setattr(prolong, "lowest_weight_vector", lambda t, n: (phi0, phi0))
+        with pytest.raises(ValueError, match="real form"):
+            subalgebra_with_cochain("II", 3)
