@@ -122,15 +122,22 @@ class LinearSystem:
         return len(self.columns) - len(self.pivots)
 
     def _reduced_pivots(self):
-        """Back-substitute so each pivot row is zero on the other pivot cols."""
+        """Back-substitute so each pivot row is zero on the other pivot cols.
+
+        A one-entry row {c: v} already is: it is taken as it stands, shared
+        with `pivots` and not copied, and only clears column c from the rows
+        reduced after it.  Most rows of a symmetry solve are such rows, the
+        columns that `SystemBuilder` settled to zero."""
         cols = sorted(self.pivots, reverse=True)
         reduced = {}
         for c in cols:
-            r = dict(self.pivots[c])
-            for c2 in sorted(k for k in r if k != c and k in reduced):
-                if c2 in r:
-                    p = reduced[c2]
-                    _row_update(r, p, p[c2], r[c2])
+            r = self.pivots[c]
+            if len(r) > 1:
+                r = dict(r)
+                for c2 in sorted(k for k in r if k != c and k in reduced):
+                    if c2 in r:
+                        p = reduced[c2]
+                        _row_update(r, p, p[c2], r[c2])
             reduced[c] = r
         return reduced
 
@@ -141,13 +148,14 @@ class LinearSystem:
         off a row's pivot c sits in a free column f and gives vector f its
         entry at c.  One pass over the rows, in pivot insertion order, fills
         every vector; each vector lists f first, then its pivots in that
-        order."""
+        order.  A one-entry row gives no vector an entry and is skipped."""
         reduced = self._reduced_pivots()
         vecs = {f: {f: Fraction(1)} for f in sorted(self.columns) if f not in reduced}
         for c, row in reduced.items():
-            for f, v in row.items():
-                if f != c:
-                    vecs[f][c] = Fraction(-v, row[c])
+            if len(row) > 1:
+                for f, v in row.items():
+                    if f != c:
+                        vecs[f][c] = Fraction(-v, row[c])
         basis = []
         for vec in vecs.values():
             first = min(vec)

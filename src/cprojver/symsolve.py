@@ -190,7 +190,9 @@ class SystemBuilder:
     smaller.
 
     `kernel` consumes what was added, so a builder is single-use: a second
-    `kernel()` call raises.
+    `kernel()` call raises.  With `dim_only` it builds no basis: nothing is
+    back-substituted, and the system's `kernel_dim()`, ncols - rank, is the
+    kernel dimension.
     """
 
     def __init__(self, ncols):
@@ -203,8 +205,9 @@ class SystemBuilder:
             for tag, comp, p in parts:
                 self.eqs.setdefault((tag, comp), []).append((p, uses[key]))
 
-    def kernel(self):
-        """(canonical kernel basis, the `LinearSystem` it came from)."""
+    def kernel(self, dim_only=False):
+        """(canonical kernel basis, or None with `dim_only`; the
+        `LinearSystem` it came from)."""
         eqs = self.eqs
         if eqs is None:
             raise RuntimeError("SystemBuilder.kernel has already consumed its outputs")
@@ -275,7 +278,7 @@ class SystemBuilder:
             sys.add_row({col: 1})
         for row in kept:
             sys.add_row(row)
-        return sys.kernel(), sys
+        return (None if dim_only else sys.kernel()), sys
 
 
 # -- operators -------------------------------------------------------------------
@@ -545,7 +548,8 @@ def affine_operator(spec):
     return _lie_operator(spec, [("LJ", spec.J), ("LG", spec.gamma)], connection="LG")
 
 
-def solve_field_system(spec, operator, ansatz, extra_metric_scale=None, directions=None):
+def solve_field_system(spec, operator, ansatz, extra_metric_scale=None, directions=None,
+                       dim_only=False):
     """Kernel of a linear operator on fields over the ansatz space.
 
     The columns are `ansatz.columns(directions)`, column c the monomial x^e
@@ -560,6 +564,9 @@ def solve_field_system(spec, operator, ansatz, extra_metric_scale=None, directio
     is appended and the equation tagged "LG" becomes L_v g - c g = 0; its
     value in each kernel vector is listed in `scales`.  The c column is cut
     to the components that `killing_operator` emits for the same metric.
+
+    With `dim_only`, returns the kernel dimension alone, ncols - rank (the c
+    column counts), and builds no basis.
     """
     table = spec.chart.table
     columns = ansatz.columns(range(spec.chart.dim) if directions is None else directions)
@@ -573,7 +580,9 @@ def solve_field_system(spec, operator, ansatz, extra_metric_scale=None, directio
             {"c": _halved(parts, _symmetric_tags("LG", extra_metric_scale))},
             {"c": {1: [(nfield, 0)]}},
         )
-    kernel, _ = builder.kernel()
+    kernel, system = builder.kernel(dim_only)
+    if dim_only:
+        return system.kernel_dim()
     basis = []
     scales = []
     for vec in kernel:
@@ -637,15 +646,17 @@ def verify_fields(equations, fields):
 def _field_system(spec, operator, ansatz, stabilize, equations, extra_metric_scale=None):
     """The `SymmetryResult` of `operator` over `ansatz`, re-verified on the
     field-level `equations`; with `stabilize`, whether the solve over
-    `ansatz.enlarged()` has the same kernel dimension.  With
+    `ansatz.enlarged()` has the same kernel dimension.  That re-solve is
+    read for its dimension alone, ncols - rank: it builds no basis.  With
     `extra_metric_scale`, kernel vectors with a zero field (only on g = 0)
     are dropped, `equations` take the pairs (v, c) and `extra["scales"]`
     lists the kept fields' c."""
     basis, scales = solve_field_system(spec, operator, ansatz, extra_metric_scale)
     stab = None
     if stabilize:
-        bigger, _ = solve_field_system(spec, operator, ansatz.enlarged(), extra_metric_scale)
-        stab = len(bigger) == len(basis)
+        stab = len(basis) == solve_field_system(
+            spec, operator, ansatz.enlarged(), extra_metric_scale, dim_only=True
+        )
     solved, extra = basis, {}
     if extra_metric_scale is not None:
         solved = [(f, c) for f, c in zip(basis, scales) if f]

@@ -420,7 +420,8 @@ def metric_checks(spec, stabilize=True):
         )
         if n == 2:
             # stabilized even under --fast, since the `catalog` bench workload's
-            # structure lists both enlarged solves; no check reads the flag
+            # structure lists both enlarged solves; no check reads the flag, and
+            # each re-solve costs assembly and elimination only (no basis)
             iso = killing_system(spec, AnsatzSpace(spec.chart, total_degree=2), stabilize=True)
             checks.append(
                 Check("holomorphic isometry dimension", "isometries", 6, iso.dim,

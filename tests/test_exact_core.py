@@ -642,6 +642,55 @@ def _bareiss_rank(rows, ncols):
     return rank
 
 
+def _gauss_jordan_kernel(rows, ncols):
+    """The canonical kernel basis of the sparse int `rows` over the columns
+    0..ncols-1, by dense Gauss-Jordan elimination over `Fraction`: the
+    reference for `LinearSystem.kernel`, sharing none of its code.  Vector f
+    lists its free column f first, then its nonzero pivot entries by
+    descending pivot column, scaled so that its entry at its least column
+    is 1."""
+    m = [[Fraction(r.get(j, 0)) for j in range(ncols)] for r in rows]
+    pivots = []  # (column, index of its row), ascending
+    for col in range(ncols):
+        top = len(pivots)
+        i = next((i for i in range(top, len(m)) if m[i][col]), None)
+        if i is None:
+            continue
+        m[top], m[i] = m[i], m[top]
+        m[top] = [x / m[top][col] for x in m[top]]
+        for k, row in enumerate(m):
+            if k != top and row[col]:
+                m[k] = [x - row[col] * y for x, y in zip(row, m[top])]
+        pivots.append((col, top))
+    pivot_cols = {c for c, _ in pivots}
+    basis = []
+    for f in range(ncols):
+        if f in pivot_cols:
+            continue
+        vec = {f: Fraction(1)}
+        for c, i in reversed(pivots):
+            if m[i][f]:
+                vec[c] = -m[i][f]
+        lead = vec[min(vec)]
+        basis.append([(k, v / lead) for k, v in vec.items()])
+    return basis
+
+
+@st.composite
+def sparse_int_systems(draw):
+    """(ncols, rows): sparse int rows, about half of them with one entry, so
+    that one-entry pivot rows, as the zero-column pass of a symmetry solve
+    leaves them, are common and also clear columns of the other rows."""
+    ncols = draw(st.integers(1, 10))
+    entry = st.integers(-4, 4).filter(bool)
+    col = st.integers(0, ncols - 1)
+    row = st.one_of(
+        st.dictionaries(col, entry, min_size=1, max_size=1),
+        st.dictionaries(col, entry, min_size=min(2, ncols), max_size=min(5, ncols)),
+    )
+    return ncols, draw(st.lists(row, max_size=10))
+
+
 class TestKernels:
     def test_rank_one_kernel(self):
         # [[1,1],[2,2]] -> kernel dim 1, canonical basis {(1,-1)}
@@ -741,6 +790,20 @@ class TestKernels:
             lead = vec[min(vec)]
             want.append([(k, v / lead) for k, v in vec.items()])
         assert [list(vec.items()) for vec in sys.kernel()] == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_int_systems())
+    def test_kernel_equals_dense_gauss_jordan(self, case):
+        # values and key order of every vector, against a reference that
+        # does not read `_reduced_pivots`, so a wrong reduction shows
+        ncols, rows = case
+        sys = LinearSystem()
+        sys.register_columns(range(ncols))
+        for row in rows:
+            sys.add_row(row)
+        kernel = sys.kernel()
+        assert [list(vec.items()) for vec in kernel] == _gauss_jordan_kernel(rows, ncols)
+        assert sys.kernel_dim() == len(kernel)
 
     def test_deterministic_kernel(self):
         rows = [[1, 2, 3, 4], [0, 0, 1, 1]]

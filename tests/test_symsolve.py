@@ -663,6 +663,26 @@ class TestFlatModel:
         assert d1 <= d2 <= d3
         assert d2 == d3 == 16
 
+    def test_stabilization_fails_below_the_degree_of_the_kernel(self):
+        # 4 of the 16 c-projective fields of flat C^2 are quadratic: at total
+        # degree 1 the enlarged solve finds them, so the re-solve that counts
+        # ncols - rank must say "not stabilized"
+        spec = builtin("flat", 2)
+        low = cproj_system(spec, AnsatzSpace(spec.chart, total_degree=1))
+        assert (low.dim, low.stabilized) == (12, False)
+        high = cproj_system(spec, AnsatzSpace(spec.chart, total_degree=2))
+        assert (high.dim, high.stabilized) == (16, True)
+
+    @pytest.mark.parametrize("name,n", CATALOG)
+    def test_stabilized_is_the_enlarged_basis_size(self, name, n):
+        # the reference reads the enlarged kernel's basis, which the re-solve
+        # inside `cproj_system` does not build
+        spec = builtin(name, n)
+        ansatz = model_ansatz(spec)
+        res = cproj_system(spec, ansatz)
+        bigger, _ = solve_field_system(spec, cproj_operator(spec), ansatz.enlarged())
+        assert res.stabilized == (len(bigger) == res.dim)
+
     def test_flat_killing_dimension(self):
         # u(n) + translations: n^2 + 2n holomorphic isometries
         spec = builtin("flat", 2)
@@ -819,6 +839,18 @@ class TestMetricSystems:
         assert res.verified
         # a genuine non-isometric homothety exists: some scale factor nonzero
         assert any(c != 0 for c in res.extra["scales"])
+
+    def test_homothety_stabilization_counts_the_scale_column(self):
+        # flat C^2: at total degree 0 the kernel is the 4 translations; at
+        # total degree 1 the 4 rotations of u(2) and the Euler field (scale
+        # c = 2) join them, so only the re-solve over degree 2, scale column
+        # included, sees the same dimension
+        spec = builtin("flat", 2)
+        low = homothety_system(spec, AnsatzSpace(spec.chart, total_degree=0))
+        assert (low.dim, low.stabilized) == (4, False)
+        high = homothety_system(spec, AnsatzSpace(spec.chart, total_degree=1))
+        assert (high.dim, high.stabilized) == (9, True)
+        assert sorted(high.extra["scales"]) == [0] * 8 + [2]
 
     def test_homothety_check_uses_each_fields_own_scale(self, submax2):
         res = homothety_system(
